@@ -65,10 +65,6 @@ pub enum Step {
     Txn { kind: TxnKind, ops: Vec<Op> },
     Checkpoint,
     FlushPool,
-    /// One synchronous background-writer pass (`BufferPool::bg_tick`), run
-    /// on the harness thread so the `pool.bgwriter.*` crash points fire
-    /// deterministically under the thread-scoped fault registry.
-    BgWriterTick,
 }
 
 /// Shuffled `Insert` ops for key numbers `lo..hi`.
@@ -103,10 +99,6 @@ pub fn standard_trace(seed: u64) -> Vec<Step> {
             kind: TxnKind::Rollback,
             ops: perm(300, 340),
         },
-        // Background-writer pass while many pages are dirty: reaches the
-        // `pool.bgwriter.*` crash points (mid-batch, between force and
-        // write-back, after write-back) with real rollback state on disk.
-        Step::BgWriterTick,
         Step::FlushPool,
         Step::Txn {
             kind: TxnKind::Commit,
@@ -230,9 +222,6 @@ pub fn drive_steps(
             }
             Step::FlushPool => {
                 db.pool.flush_all()?;
-            }
-            Step::BgWriterTick => {
-                db.pool.bg_tick()?;
             }
             Step::Txn { kind, ops } => {
                 let txn = db.begin();

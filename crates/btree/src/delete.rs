@@ -67,7 +67,7 @@ impl BTree {
                 None
             };
             let holding_tree_s = tree_s_guard.is_some();
-            let mut leaf = self.traverse(&search, true)?;
+            let mut leaf = self.traverse(&search, true, holding_tree_s)?;
             // Figure 7: SM_Bit check.
             if leaf.page().sm_bit() {
                 if holding_tree_s {

@@ -98,11 +98,14 @@ impl BTree {
     ///
     /// The walk *searches* each page rather than taking its first key: a
     /// concurrent split may have moved the relevant keys to a right sibling
-    /// whose first key still sorts below `search`. The walk latch-couples
-    /// along the leaf chain, so for multi-hop walks three latches are
-    /// briefly held (original leaf + two chain pages) — a documented
-    /// deviation from the paper's two-latch budget, which describes only the
-    /// single-hop case (see DESIGN.md §7).
+    /// whose first key still sorts below `search`. The caller keeps `leaf`
+    /// latched, so the walk itself holds one chain page at a time: a hop
+    /// beyond the first neighbour releases the page it leaves before
+    /// latching the next one (two page latches in all, the paper's budget)
+    /// and then checks that page's `prev` pointer. A page deleted, or
+    /// re-created by a split of the page just left, in that window shows a
+    /// different `prev` (or is no leaf of this index at all) and makes the
+    /// walk [`NextKey::Ambiguous`].
     pub(crate) fn next_key_after(
         &self,
         leaf: &PageBuf,
@@ -112,8 +115,8 @@ impl BTree {
         if from_slot < leaf.slot_count() {
             return Ok(NextKey::OnPage(leaf_key(leaf, from_slot)?));
         }
+        let mut prev = leaf.page_id();
         let mut next = leaf.next();
-        let mut _walk: Option<PageReadGuard> = None;
         loop {
             if next.is_null() {
                 return Ok(NextKey::Eof);
@@ -121,7 +124,8 @@ impl BTree {
             let g = self.pool.fix_s(next)?; // latch-rank: 2
             let valid = matches!(g.page_type(), Ok(PageType::IndexLeaf))
                 && g.owner() == self.index_id.0
-                && g.level() == 0;
+                && g.level() == 0
+                && g.prev() == prev;
             if !valid {
                 return Ok(NextKey::Ambiguous);
             }
@@ -130,10 +134,11 @@ impl BTree {
                 let k = leaf_key(&g, idx)?;
                 return Ok(NextKey::OnNext(k, g));
             }
-            // Nothing ≥ search here (page emptied or shrunk by an SMO, or a
-            // gap between a split's halves): keep walking, coupled.
+            // Nothing ≥ search here (page emptied or shrunk by an SMO, a gap
+            // between a split's halves, or a run of duplicates below a
+            // maximal-RID search): keep walking.
+            prev = next;
             next = g.next();
-            _walk = Some(g);
         }
     }
 
@@ -157,7 +162,7 @@ impl BTree {
             _ => SearchKey::value_only(value),
         };
         loop {
-            let leaf = self.traverse(&search, false)?;
+            let leaf = self.traverse(&search, false, false)?;
             let page = leaf.page();
             let mut idx = leaf_lower_bound(page, &search)?;
             // For Gt, skip keys equal to the value.
@@ -267,7 +272,7 @@ impl BTree {
 
     /// Build a cursor positioned on `key` (which the caller just fetched).
     fn cursor_for(&self, key: &IndexKey) -> Result<Cursor> {
-        let leaf = self.traverse(&SearchKey::from_key(key), false)?;
+        let leaf = self.traverse(&SearchKey::from_key(key), false, false)?;
         Ok(Cursor {
             last_key: key.clone(),
             leaf: leaf.page_id(),
@@ -293,7 +298,7 @@ impl BTree {
             cursor.last_key = k.clone();
             // Remember the new position (best effort; a stale leaf id just
             // means the next call re-traverses).
-            if let Ok(leaf) = self.traverse(&SearchKey::from_key(k), false) {
+            if let Ok(leaf) = self.traverse(&SearchKey::from_key(k), false, false) {
                 cursor.leaf = leaf.page_id();
                 cursor.leaf_lsn = leaf.lsn();
             }
@@ -310,7 +315,7 @@ impl BTree {
         let search = SearchKey::from_key(after);
         let succ = successor_search(after);
         loop {
-            let leaf = self.traverse(&search, false)?;
+            let leaf = self.traverse(&search, false, false)?;
             let page = leaf.page();
             let idx = leaf_lower_bound(page, &succ)?;
             let found = match self.next_key_after(page, idx, &succ)? {
@@ -431,7 +436,7 @@ impl BTree {
     /// is ambiguous; retry once the structure settles.
     pub fn get_unlocked(&self, value: &[u8]) -> Result<Option<IndexKey>> {
         let search = SearchKey::value_only(value);
-        let leaf = self.traverse(&search, false)?;
+        let leaf = self.traverse(&search, false, false)?;
         let idx = leaf_lower_bound(leaf.page(), &search)?;
         match self.next_key_after(leaf.page(), idx, &search)? {
             NextKey::OnPage(k) | NextKey::OnNext(k, _) => {

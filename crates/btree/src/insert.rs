@@ -78,7 +78,7 @@ impl BTree {
             SearchKey::from_key(key)
         };
         loop {
-            let leaf = self.traverse(&search, true)?;
+            let leaf = self.traverse(&search, true, false)?;
             match self.insert_action(txn, leaf, key, false)? {
                 Step::Done => return Ok(()),
                 Step::Retry => continue,

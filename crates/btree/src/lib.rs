@@ -240,7 +240,7 @@ impl BTree {
 
     /// The leaf page currently covering `value` (test/experiment helper).
     pub fn leaf_for_value(&self, value: &[u8]) -> Result<PageId> {
-        let leaf = self.traverse(&ariesim_common::key::SearchKey::value_only(value), false)?;
+        let leaf = self.traverse(&ariesim_common::key::SearchKey::value_only(value), false, false)?;
         Ok(leaf.page_id())
     }
 }

@@ -200,7 +200,7 @@ impl BTree {
         &self,
         logger: &mut ChainLogger<'_>,
         path: &mut Vec<PageId>,
-        idx: usize,
+        mut idx: usize,
         left: PageId,
         sep: IndexKey,
         right: PageId,
@@ -228,8 +228,12 @@ impl BTree {
             }
             drop(g);
             // Parent full: split it first (posts its own separator upward),
-            // then figure out which half now parents `left`.
+            // then figure out which half now parents `left`. If the split
+            // reached the root, `root_grow` put a new level under it and
+            // every page of the path sits one index deeper than before.
+            let depth = path.len();
             let sibling = self.split_one(logger, path, idx)?;
+            idx += path.len() - depth;
             let pa = path[idx];
             let g = self.pool.fix_s(pa)?; // latch-rank: 2 (fresh)
             let in_left = node_find_child(&g, left).is_ok();

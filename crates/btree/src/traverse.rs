@@ -13,7 +13,11 @@
 //! case (or when the nonleaf is empty, or a latched page turns out not to be
 //! the expected index page at all) the traverser releases everything,
 //! acquires the tree latch for **instant** duration in S mode — i.e. waits
-//! for the in-flight SMO to complete — and restarts from the root. Restarting
+//! for the in-flight SMO to complete — and restarts from the root. A caller
+//! that already holds the tree latch says so (`tree_latched`): its latch
+//! excludes SMOs for the whole descent, and taking it a second time would
+//! be a wait on a latch of equal rank — a deadlock with an SMO's X request
+//! queued between the two. Restarting
 //! from the root is a conservative instance of Figure 4's "unwind recursion
 //! as far as necessary" (see DESIGN.md §4); the restarts are counted in
 //! `traversal_restarts`.
@@ -100,11 +104,10 @@ impl BTree {
     /// Instant-duration S tree latch: wait for any in-progress SMO to finish
     /// (establishes a POSC), then release immediately.
     ///
-    /// All S acquisitions of the tree latch use `read_recursive`: a thread
-    /// already holding the latch S (a boundary-key delete, Figure 7) may
-    /// re-enter the traversal machinery, and a plain `read` would deadlock
-    /// against a queued SMO writer. The cost is that a waiting SMO does not
-    /// block new S acquirers — acceptable, since S holds are short and rare.
+    /// All S acquisitions of the tree latch use `read_recursive`, so a
+    /// waiting SMO does not block new S acquirers — acceptable, since S
+    /// holds are short and rare. No thread acquires the latch while holding
+    /// it (lockdep's rank-equal rule checks that on every test run).
     pub(crate) fn tree_instant_s(&self) {
         self.stats.latches_tree.bump();
         self.stats.latches_tree_instant.bump();
@@ -174,8 +177,15 @@ impl BTree {
     // --- Figure 4 ---------------------------------------------------------
 
     /// Traverse to the leaf that should hold `search`, latched S
-    /// (`for_update == false`) or X (`for_update == true`).
-    pub(crate) fn traverse(&self, search: &SearchKey<'_>, for_update: bool) -> Result<LeafGuard> {
+    /// (`for_update == false`) or X (`for_update == true`). `tree_latched`:
+    /// the caller holds the tree latch across this call, so no SMO is in
+    /// progress and the tree latch must not be requested again.
+    pub(crate) fn traverse(
+        &self,
+        search: &SearchKey<'_>,
+        for_update: bool,
+        tree_latched: bool,
+    ) -> Result<LeafGuard> {
         'restart: loop {
             self.stats.tree_traversals.bump();
             // Latch the root; upgrade to X if it is itself the leaf we must
@@ -230,7 +240,7 @@ impl BTree {
                         0,
                     );
                     {
-                        let _t = self.tree_s(); // latch-rank: 1 (fresh)
+                        let _t = (!tree_latched).then(|| self.tree_s()); // latch-rank: 1 (fresh)
                         let mut g = self.pool.fix_x(ambiguous_page)?; // latch-rank: 2
                         if g.sm_bit()
                             && g.owner() == self.index_id.0
@@ -255,7 +265,9 @@ impl BTree {
                         self.stats.traversal_restarts.bump();
                         self.obs
                             .event(EventKind::TraversalRestart, ModeTag::None, 0, child_id.0, 0);
-                        self.tree_instant_s(); // latch-rank: 1 (fresh)
+                        if !tree_latched {
+                            self.tree_instant_s(); // latch-rank: 1 (fresh)
+                        }
                         continue 'restart;
                     }
                     return Ok(LeafGuard::X(child));
@@ -267,7 +279,9 @@ impl BTree {
                     self.stats.traversal_restarts.bump();
                     self.obs
                         .event(EventKind::TraversalRestart, ModeTag::None, 0, child_id.0, 0);
-                    self.tree_instant_s(); // latch-rank: 1 (fresh)
+                    if !tree_latched {
+                        self.tree_instant_s(); // latch-rank: 1 (fresh)
+                    }
                     continue 'restart;
                 }
                 if child_level == 0 {

@@ -42,14 +42,8 @@ pub use table::Row;
 pub struct DbOptions {
     /// Buffer pool frames.
     pub frames: usize,
-    /// Buffer-pool page-table partitions (0 = auto; see
-    /// [`PoolOptions::partitions`]).
-    pub pool_partitions: usize,
     /// Buffer-pool eviction policy.
     pub eviction: ariesim_storage::EvictionPolicyKind,
-    /// Background-writer tick interval (`None` = foreground-only
-    /// write-back).
-    pub bg_writer: Option<std::time::Duration>,
     /// Index locking protocol (paper §2.1).
     pub protocol: LockProtocol,
     /// Data-only locking at page granularity: lock data pages instead of
@@ -59,24 +53,16 @@ pub struct DbOptions {
     /// fsync the log on every force (off for tests; crashes are simulated at
     /// process level).
     pub fsync: bool,
-    /// Run the WAL's dedicated flusher thread (group commit with committers
-    /// never doing log I/O themselves). Off by default: the leader-based
-    /// group commit needs no extra thread and is what the deterministic
-    /// harnesses (model checker, torture) exercise.
-    pub wal_flusher: bool,
 }
 
 impl Default for DbOptions {
     fn default() -> Self {
         DbOptions {
             frames: 1024,
-            pool_partitions: 0,
             eviction: ariesim_storage::EvictionPolicyKind::Clock,
-            bg_writer: None,
             protocol: LockProtocol::DataOnly,
             page_granularity: false,
             fsync: false,
-            wal_flusher: false,
         }
     }
 }
@@ -118,7 +104,6 @@ impl Db {
             &dir.join("wal"),
             LogOptions {
                 fsync: opts.fsync,
-                flusher: opts.wal_flusher,
                 ..LogOptions::default()
             },
             stats.clone(),
@@ -131,10 +116,7 @@ impl Db {
             log.clone(),
             PoolOptions {
                 frames: opts.frames,
-                partitions: opts.pool_partitions,
                 policy: opts.eviction,
-                bg_writer: opts.bg_writer,
-                ..PoolOptions::default()
             },
             stats.clone(),
             obs.clone(),

@@ -364,3 +364,37 @@ fn randomized_crash_points_always_recover_consistently() {
         db.commit(&txn).unwrap();
     }
 }
+
+/// An index whose *nonleaf* root splits (height 2 → 3): `root_grow` slides a
+/// new level under the root in the middle of separator posting, so every
+/// frame of the split recursion must re-find its page one index deeper.
+/// ≈ 1 KiB keys make a page hold only a handful of cells. Sixteen spaced
+/// keys in ascending order build a level-1 root with room to spare; filling
+/// each gap from its high end down then keeps splitting the gap's leftmost
+/// leaf, so the leaf that overflows the root hangs off the root's *left*
+/// half — the half a stale index does not look in.
+#[test]
+fn index_root_split_to_height_three_survives_crash() {
+    let dir = TempDir::new("crash");
+    let db = open(&dir);
+    setup(&db);
+    let wide = |i: u32| {
+        Row::new(vec![
+            format!("{i:08}{}", "k".repeat(1000)).into_bytes(),
+            b"p".to_vec(),
+        ])
+    };
+    let spaced = (0..16).map(|i| i * 100);
+    let gaps = (0..16).flat_map(|g| (1..100).rev().map(move |i| g * 100 + i)).take(384);
+    let txn = db.begin();
+    for i in spaced.chain(gaps) {
+        db.insert_row(&txn, "t", &wide(i)).unwrap();
+    }
+    db.commit(&txn).unwrap();
+    let height = db.tree_by_name("t_pk").unwrap().check_structure().unwrap().height;
+    assert!(height >= 2, "root still at level {height}: the nonleaf root never split");
+    assert_eq!(db.verify_consistency().unwrap().rows, 400);
+
+    let db = Db::open(&db.crash(), DbOptions::default()).unwrap();
+    assert_eq!(db.verify_consistency().unwrap().rows, 400);
+}

@@ -154,8 +154,7 @@ fn cmd_replay(args: &[String]) -> ExitCode {
     };
     let Some(h) = harness::find(&trace.harness) else {
         eprintln!(
-            "model: trace names harness {:?}, which this build does not have \
-             (bug harnesses need --features model-bugs)",
+            "model: trace names harness {:?}, which this build does not have",
             trace.harness
         );
         return ExitCode::FAILURE;

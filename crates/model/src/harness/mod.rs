@@ -9,11 +9,10 @@
 //!
 //! * [`Expect::Pass`] — the protocol is believed correct; exploration must
 //!   complete (or exhaust its budget) without a failure;
-//! * [`Expect::Race`] — the harness is *supposed* to fail: either a toy
-//!   with a deliberate race, or a fixed harness re-run against one of the
-//!   re-injected historical pool bugs ([`BugKind`], `model-bugs` feature).
-//!   The checker proving it still finds those is the regression oracle for
-//!   the checker itself.
+//! * [`Expect::Race`] — the harness is *supposed* to fail: a toy with a
+//!   deliberate race ([`toy`]), two of them shaped like the races the pool
+//!   once shipped with. The checker proving it still finds those is the
+//!   regression oracle for the checker itself.
 
 use crate::explore::{explore, replay, ExploreResult, ModelOptions, ReplayOutcome};
 use crate::runtime::Env;
@@ -28,28 +27,8 @@ pub mod wal;
 pub enum Expect {
     /// No schedule may fail.
     Pass,
-    /// Some schedule must fail (deliberate race or armed bug).
+    /// Some schedule must fail (deliberate race).
     Race,
-}
-
-/// Re-injected historical pool races (see `ariesim_storage::pool::bugs`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum BugKind {
-    DoubleInstall,
-    StalePin,
-}
-
-/// Arm or disarm a re-injected bug. Process-global: callers running
-/// multiple bug harnesses must serialize. Compiled to a no-op without the
-/// `model-bugs` feature (the bug harnesses are absent then too).
-pub fn set_bug(bug: BugKind, on: bool) {
-    #[cfg(feature = "model-bugs")]
-    match bug {
-        BugKind::DoubleInstall => ariesim_storage::pool::bugs::arm_double_install(on),
-        BugKind::StalePin => ariesim_storage::pool::bugs::arm_stale_pin(on),
-    }
-    #[cfg(not(feature = "model-bugs"))]
-    let _ = (bug, on);
 }
 
 #[derive(Clone, Copy)]
@@ -57,129 +36,85 @@ pub struct Harness {
     pub name: &'static str,
     pub about: &'static str,
     pub expect: Expect,
-    /// Bug to arm for the duration of the run (`Race` harnesses only).
-    pub bug: Option<BugKind>,
     pub body: fn(&mut Env),
 }
 
 /// All harnesses, in a stable order (the `--quick` suite runs these).
 pub fn registry() -> Vec<Harness> {
-    let mut v = vec![
+    vec![
         Harness {
             name: "toy_lost_update",
             about: "deliberate unsynchronized load/store increment; the checker must find the lost update",
             expect: Expect::Race,
-            bug: None,
             body: toy::lost_update,
+        },
+        Harness {
+            name: "toy_install_no_recheck",
+            about: "two misses on one page install into a two-slot table without re-checking it after the I/O window; the checker must find the orphaned slot",
+            expect: Expect::Race,
+            body: toy::install_no_recheck,
+        },
+        Harness {
+            name: "toy_latch_no_owner_check",
+            about: "a reader latches a frame it pinned through a mapping a failed load then unwound, without validating the owner word; the checker must find the stale read",
+            expect: Expect::Race,
+            body: toy::latch_no_owner_check,
         },
         Harness {
             name: "toy_mutex_counter",
             about: "the correct twin of toy_lost_update: increments under a mutex",
             expect: Expect::Pass,
-            bug: None,
             body: toy::mutex_counter,
         },
         Harness {
             name: "pool_claim_install",
             about: "two racing misses on one page: claim/install must keep table, meta and owner words agreeing",
             expect: Expect::Pass,
-            bug: None,
             body: pool::fix_race,
         },
         Harness {
             name: "pool_pin_vs_evict",
             about: "PinGuard clone/drop vs a concurrent eviction: a held pin must keep its frame",
             expect: Expect::Pass,
-            bug: None,
             body: pool::pin_vs_evict,
         },
         Harness {
             name: "pool_failed_load_unwind",
             about: "failed read I/O unwinds an installed mapping while another thread pinned it; owner re-check must catch the stale pin",
             expect: Expect::Pass,
-            bug: None,
             body: pool::failed_load_unwind,
         },
         Harness {
             name: "wal_flush_mirror",
             about: "LogManager::flush_to's lock-free durable-LSN mirror vs concurrent appenders: the mirror may lag, never lead",
             expect: Expect::Pass,
-            bug: None,
             body: wal::flush_mirror,
         },
         Harness {
             name: "wal_ring_publish",
             about: "lock-free append ring with frames spanning segment boundaries: the durable mirror must never read ahead of published bytes",
             expect: Expect::Pass,
-            bug: None,
             body: wal::ring_publish,
         },
         Harness {
             name: "wal_group_commit",
             about: "leader-elected group commit vs a concurrent append+buffered-read: flush_to returns only once the caller's LSN is durable",
             expect: Expect::Pass,
-            bug: None,
             body: wal::group_commit,
         },
-    ];
-    v.extend(bug_harnesses());
-    v
-}
-
-/// The re-injected-bug harnesses: only meaningful when the races are
-/// compiled in (without the feature, arming is a no-op and the `Race`
-/// expectation could never be met).
-#[cfg(feature = "model-bugs")]
-fn bug_harnesses() -> Vec<Harness> {
-    vec![
-        Harness {
-            name: "pool_double_install_bug",
-            about: "pool_claim_install with the historical double-install race re-injected: install re-checks pins but not the page table",
-            expect: Expect::Race,
-            bug: Some(BugKind::DoubleInstall),
-            body: pool::fix_race,
-        },
-        Harness {
-            name: "pool_stale_pin_bug",
-            about: "pool_failed_load_unwind with the historical stale-pin race re-injected: latch acquisition skips the owner re-check",
-            expect: Expect::Race,
-            bug: Some(BugKind::StalePin),
-            body: pool::failed_load_unwind,
-        },
     ]
-}
-
-#[cfg(not(feature = "model-bugs"))]
-fn bug_harnesses() -> Vec<Harness> {
-    Vec::new()
 }
 
 pub fn find(name: &str) -> Option<Harness> {
     registry().into_iter().find(|h| h.name == name)
 }
 
-/// Explore a harness, arming its bug (if any) for the duration.
+/// Explore a harness.
 pub fn run(h: &Harness, opts: &ModelOptions) -> ExploreResult {
-    if let Some(b) = h.bug {
-        set_bug(b, true);
-    }
-    let body = h.body;
-    let res = explore(h.name, opts, body);
-    if let Some(b) = h.bug {
-        set_bug(b, false);
-    }
-    res
+    explore(h.name, opts, h.body)
 }
 
-/// Replay a recorded trace against a harness, arming its bug (if any).
+/// Replay a recorded trace against a harness.
 pub fn run_replay(h: &Harness, trace: &Trace) -> ReplayOutcome {
-    if let Some(b) = h.bug {
-        set_bug(b, true);
-    }
-    let body = h.body;
-    let res = replay(trace, body);
-    if let Some(b) = h.bug {
-        set_bug(b, false);
-    }
-    res
+    replay(trace, h.body)
 }

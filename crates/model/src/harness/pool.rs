@@ -1,17 +1,17 @@
 //! Buffer-pool harnesses: the claim/install/unwind protocol under the model.
 //!
-//! All three use an 8-frame single-partition pool (the smallest the pool
-//! allows, and one shard keeps every thread contending on the same page
-//! table — the regime the protocols were written for). Pages are seeded
-//! directly through the `DiskManager` on the body thread so the virtual
-//! threads start from cold frames.
+//! All three use an 8-frame pool (the smallest the pool allows; that few
+//! frames collapse to one shard, which keeps every thread contending on
+//! the same page table — the regime the protocols were written for). Pages
+//! are seeded directly through the `DiskManager` on the body thread so the
+//! virtual threads start from cold frames.
 //!
 //! The oracles are the pool's own: `validate_mappings()` (table ↔ meta ↔
 //! owner-word agreement, no orphaned frames), `total_pins() == 0` after all
 //! guards drop, and each guard asserting it shows the page it was fixed
-//! for. The two `model-bugs` harnesses re-run `fix_race` and
-//! `failed_load_unwind` with a historical race re-injected and expect the
-//! explorer to trip exactly these oracles.
+//! for. The toy twins of `fix_race` and `failed_load_unwind`
+//! ([`super::toy`]) leave out the re-check each protocol depends on and
+//! expect the explorer to trip the same kind of oracle.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -43,7 +43,6 @@ fn setup(pages: u32) -> (TempDir, Arc<BufferPool>) {
         log,
         PoolOptions {
             frames: 8,
-            partitions: 1,
             ..PoolOptions::default()
         },
         stats,

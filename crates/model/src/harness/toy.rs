@@ -1,4 +1,5 @@
-//! Toy harnesses: known-racy and known-correct counters.
+//! Toy harnesses: known-racy and known-correct counters, and the two
+//! races the buffer pool once shipped with, reduced to a few lines each.
 //!
 //! These exercise the checker itself (facade atomics, `yield_point!`, mutex
 //! modeling, failure capture) with a state space small enough to enumerate
@@ -46,4 +47,91 @@ pub fn mutex_counter(env: &mut Env) {
     }
     env.join();
     assert_eq!(*c.lock(), 2, "mutex counter lost an update");
+}
+
+/// The page both toy pool races fight over, and "no page".
+const PAGE: u32 = 7;
+const NO_PAGE: u32 = 0;
+
+/// A two-slot page table: `map` says which slot caches [`PAGE`], `resident`
+/// what each slot holds, `claimed` which slots a miss has taken as victim.
+#[derive(Default)]
+struct TwoSlots {
+    map: Option<usize>,
+    resident: [u32; 2],
+    claimed: [bool; 2],
+}
+
+/// Deliberate race, the shape of the pool's historical double install: a
+/// miss claims a victim slot under the table mutex, drops the mutex for its
+/// I/O, and on re-lock installs **without re-checking** whether a racing
+/// miss already mapped the page. Two misses then cache the page in two
+/// slots, one of them unreachable — the orphan `validate_mappings` hunts
+/// for in the real pool (whose install re-checks the table).
+pub fn install_no_recheck(env: &mut Env) {
+    let table = Arc::new(parking_lot::Mutex::new(TwoSlots::default()));
+    for _ in 0..2 {
+        let table = table.clone();
+        env.spawn(move || {
+            let slot = {
+                let mut t = table.lock();
+                if t.map.is_some() {
+                    return; // hit
+                }
+                let s = usize::from(t.claimed[0]);
+                t.claimed[s] = true;
+                s
+            };
+            // The victim write-back and the page read happen here.
+            ariesim_common::yield_point!();
+            let mut t = table.lock();
+            t.map = Some(slot);
+            t.resident[slot] = PAGE;
+        });
+    }
+    env.join();
+    let t = table.lock();
+    for (slot, &page) in t.resident.iter().enumerate() {
+        assert!(
+            page == NO_PAGE || t.map == Some(slot),
+            "orphaned frame: page {page} resident in slot {slot} without a table entry"
+        );
+    }
+}
+
+/// Deliberate race, the shape of the pool's historical stale pin: a loader
+/// maps the page to a frame before its read, the read fails, and the loader
+/// unwinds the mapping and clears the frame's owner word — all under the
+/// frame latch. A reader that found the short-lived mapping latches the
+/// frame afterwards **without validating the owner word** and reads a frame
+/// that never held the page (the real pool's latch path checks the owner
+/// and reports `StalePin`).
+pub fn latch_no_owner_check(env: &mut Env) {
+    let mapped = Arc::new(parking_lot::Mutex::new(false));
+    let owner = Arc::new(AtomicU32::new(NO_PAGE));
+    let frame = Arc::new(parking_lot::RwLock::new(NO_PAGE));
+    {
+        let (mapped, owner, frame) = (mapped.clone(), owner.clone(), frame.clone());
+        env.spawn(move || {
+            let _load_latch = frame.write();
+            *mapped.lock() = true;
+            // ordering: Release/Acquire as on the pool's owner word; the
+            // race under test is the reader never loading it.
+            owner.store(PAGE, Ordering::Release);
+            // The read fails here: unwind the install.
+            *mapped.lock() = false;
+            // ordering: see the store above.
+            owner.store(NO_PAGE, Ordering::Release);
+        });
+    }
+    env.spawn(move || {
+        if !*mapped.lock() {
+            return; // miss: nothing pinned
+        }
+        let image = frame.read();
+        assert_eq!(*image, PAGE, "stale pin: latched a frame that does not hold the page");
+    });
+    env.join();
+    // ordering: single-threaded again after join.
+    assert_eq!(owner.load(Ordering::Acquire), NO_PAGE, "unwind left an owner");
 }

@@ -12,9 +12,10 @@
 //! What it checks today ([`harness`]): the buffer pool's claim / install /
 //! failed-load-unwind protocol and pin-vs-eviction dance, and the WAL's
 //! lock-free durable-LSN mirror — the two places this codebase does
-//! cross-thread reasoning outside a single mutex. Under the `model-bugs`
-//! feature the two historical pool races are re-injected (runtime-armed)
-//! and the checker's tests assert it rediscovers both.
+//! cross-thread reasoning outside a single mutex. Toy harnesses shaped
+//! like the two races the pool once shipped with (install without a
+//! page-table re-check, latch without an owner-word check) are the
+//! checker's own regression oracle: its tests assert it finds both.
 //!
 //! Known model limitations, deliberate for now:
 //!

@@ -1,24 +1,10 @@
-//! The checker's regression oracle: it must rediscover the two historical
-//! pool races (re-injected behind the `model-bugs` feature) within the
-//! default (`--quick`) budget, replay each discovery from its trace, and
-//! still pass the fixed protocols exhaustively at the same bound.
-//!
-//! Bug arming is process-global, so every test here serializes on one lock
-//! — including the fixed-harness test, which must not run while a sibling
-//! test has a race armed.
-#![cfg(feature = "model-bugs")]
-
-use std::sync::{Mutex, MutexGuard, OnceLock};
+//! The checker's regression oracle: it must find the two toy races shaped
+//! like the pool's historical bugs within the default (`--quick`) budget,
+//! replay each discovery from its trace, and pass the fixed protocols
+//! exhaustively at the same bound.
 
 use ariesim_model::harness;
 use ariesim_model::ModelOptions;
-
-fn serial() -> MutexGuard<'static, ()> {
-    static M: OnceLock<Mutex<()>> = OnceLock::new();
-    M.get_or_init(|| Mutex::new(()))
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-}
 
 fn assert_bug_found(name: &str, expect_in_message: &str) {
     let h = harness::find(name).unwrap_or_else(|| panic!("{name} not registered"));
@@ -51,21 +37,18 @@ fn assert_bug_found(name: &str, expect_in_message: &str) {
 
 #[test]
 fn finds_double_install_race() {
-    let _g = serial();
-    assert_bug_found("pool_double_install_bug", "orphaned frame");
+    assert_bug_found("toy_install_no_recheck", "orphaned frame");
 }
 
 #[test]
 fn finds_stale_pin_race() {
-    let _g = serial();
-    assert_bug_found("pool_stale_pin_bug", "stale pin");
+    assert_bug_found("toy_latch_no_owner_check", "stale pin");
 }
 
-/// With the bugs disarmed, the fixed protocols pass *exhaustively* at the
-/// same preemption bound the discoveries used.
+/// The fixed protocols pass *exhaustively* at the same preemption bound
+/// the discoveries used.
 #[test]
 fn fixed_protocols_pass_exhaustively_at_bound_2() {
-    let _g = serial();
     for name in [
         "pool_claim_install",
         "pool_pin_vs_evict",
@@ -76,7 +59,7 @@ fn fixed_protocols_pass_exhaustively_at_bound_2() {
         let res = harness::run(&h, &ModelOptions::default());
         assert!(
             res.failure.is_none(),
-            "{name} failed with the bugs disarmed: {:?}",
+            "{name} failed: {:?}",
             res.failure.map(|f| f.message)
         );
         assert!(

@@ -72,7 +72,7 @@ pub struct Histograms {
     /// One continuous-redo apply batch on a standby.
     pub repl_apply: LatencyHistogram,
     /// Group-commit batch size **in waiters, not nanoseconds**: each flush
-    /// batch records how many committers it satisfied (leader/flusher plus
+    /// batch records how many committers it satisfied (leader plus
     /// riders). Reuses the log2-bucket histogram for its cheap percentile
     /// machinery; `p50`/`mean` read as waiter counts.
     pub wal_group_batch: LatencyHistogram,
@@ -205,8 +205,6 @@ pub struct PoolCounters {
     pub misses: AtomicU64,
     /// Evictions (a resident page was displaced to make room).
     pub evictions: AtomicU64,
-    /// Dirty pages written back by the background writer.
-    pub bg_writer_pages: AtomicU64,
     /// Shard-mutex acquisitions that found the mutex already held.
     pub shard_contended: AtomicU64,
 }
@@ -216,7 +214,6 @@ impl PoolCounters {
         self.hits.store(0, Ordering::Relaxed);
         self.misses.store(0, Ordering::Relaxed);
         self.evictions.store(0, Ordering::Relaxed);
-        self.bg_writer_pages.store(0, Ordering::Relaxed);
         self.shard_contended.store(0, Ordering::Relaxed);
     }
 }

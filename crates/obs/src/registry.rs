@@ -346,12 +346,6 @@ pub fn register_obs(reg: &MetricsRegistry, obs: &ObsHandle) {
     );
     let o = obs.clone();
     reg.register_counter(
-        "pool_bg_writer_pages",
-        "dirty pages written back by the pool's background writer",
-        move || o.pool.bg_writer_pages.load(std::sync::atomic::Ordering::Relaxed),
-    );
-    let o = obs.clone();
-    reg.register_counter(
         "pool_shard_contended",
         "pool shard-mutex acquisitions that found the mutex held",
         move || o.pool.shard_contended.load(std::sync::atomic::Ordering::Relaxed),

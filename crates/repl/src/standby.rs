@@ -99,8 +99,6 @@ impl Standby {
         let stats = new_stats();
         let log = Arc::new(LogManager::open_with_obs(
             &dir.join("wal"),
-            // Standbys stay in leader mode: the apply loop is the only
-            // committer, so a dedicated flusher would never batch.
             LogOptions {
                 fsync: opts.fsync,
                 ..LogOptions::default()

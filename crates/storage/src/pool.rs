@@ -10,8 +10,9 @@
 //! **Partitioning.** The page table is split into N partitions ("shards"):
 //! `hash(PageId) → shard`, each shard owning a contiguous slice of the frame
 //! array plus its own mutex, page table, dirty-page bookkeeping and
-//! [`EvictionPolicy`] instance. A hit takes one shard mutex briefly; a
-//! re-pin through an existing [`PinGuard`] (or a guard's
+//! [`EvictionPolicy`] instance. The shard count follows from the frame
+//! count alone ([`PoolOptions::partitions`]). A hit takes one shard mutex
+//! briefly; a re-pin through an existing [`PinGuard`] (or a guard's
 //! [`PageReadGuard::repin`]) touches only the frame's atomics. The old
 //! whole-pool `PoolMutex` lockdep class is retired; shard mutexes register
 //! as `PoolShard` (same rank 3 — a thread never holds two shards at once).
@@ -21,8 +22,8 @@
 //! * **steal**: eviction writes dirty pages regardless of transaction state,
 //!   after enforcing the **WAL rule** (log forced up to the victim's
 //!   `page_lsn` first);
-//! * **no-force**: nothing here flushes at commit; only checkpoints,
-//!   eviction, and the background writer write pages;
+//! * **no-force**: nothing here flushes at commit; only checkpoints and
+//!   eviction write pages;
 //! * a **dirty page table** records, for every dirty cached page, its
 //!   `rec_lsn` — the LSN of the first record that dirtied it — which fuzzy
 //!   checkpoints persist and restart's analysis pass rebuilds. It is kept
@@ -36,13 +37,6 @@
 //! into [`Error::StalePin`] at its next latch attempt (the frame's atomic
 //! owner word is validated after every latch acquisition). `fix_*` retries
 //! the fix transparently; explicit [`PinGuard`] holders see the error.
-//!
-//! **Background writer.** [`BufferPool::bg_tick`] writes back a bounded
-//! batch of dirty, unpinned pages (WAL rule per page) so foreground misses
-//! find clean victims and skip the force+write on the eviction path. An
-//! optional thread ([`PoolOptions::bg_writer`]) calls it on an interval;
-//! the torture harness calls it synchronously so the `pool.bgwriter.*`
-//! crash points are exercised deterministically.
 //!
 //! Latch acquisition supports conditional (`try_`) variants, used by the
 //! B+-tree to obey the paper's rule that nothing waits for a latch while
@@ -65,9 +59,7 @@ use std::collections::HashMap;
 // statistics, no protocol).
 use ariesim_common::msync::AtomicU32;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc;
 use std::sync::Arc;
-use std::time::Duration;
 
 type ReadLatch = ArcRwLockReadGuard<RawRwLock, PageBuf>;
 type WriteLatch = ArcRwLockWriteGuard<RawRwLock, PageBuf>;
@@ -102,117 +94,32 @@ pub fn take_latch_high_water() -> u32 {
     })
 }
 
-/// Default partition count requested when [`PoolOptions::partitions`] is 0.
-pub const DEFAULT_PARTITIONS: usize = 8;
-
 /// Pool tuning.
 #[derive(Clone, Debug)]
 pub struct PoolOptions {
     /// Number of buffer frames.
     pub frames: usize,
-    /// Page-table partitions; 0 = auto ([`DEFAULT_PARTITIONS`], bounded so
-    /// every partition owns at least 16 frames). Explicit values are
-    /// likewise clamped — a tiny pool collapses to one partition rather
-    /// than starving a partition of frames for its pin chains.
-    pub partitions: usize,
     /// Replacement policy run by each partition.
     pub policy: EvictionPolicyKind,
-    /// Spawn a background writer thread ticking at this interval. `None`
-    /// (the default) leaves write-back on the foreground paths; callers can
-    /// still drive [`BufferPool::bg_tick`] by hand.
-    pub bg_writer: Option<Duration>,
-    /// Max dirty pages written back per background-writer tick.
-    pub bg_batch: usize,
 }
 
 impl Default for PoolOptions {
     fn default() -> Self {
         PoolOptions {
             frames: 256,
-            partitions: 0,
             policy: EvictionPolicyKind::Clock,
-            bg_writer: None,
-            bg_batch: 8,
         }
     }
 }
 
 impl PoolOptions {
-    /// Partition count actually used: every partition must own enough
-    /// frames for the deepest simultaneous pin chain with slack, so the
-    /// request is clamped to `frames / 16` (min 1, max 64 partitions).
-    pub fn effective_partitions(&self) -> usize {
-        let requested = if self.partitions == 0 {
-            DEFAULT_PARTITIONS
-        } else {
-            self.partitions
-        };
-        requested.clamp(1, (self.frames / 16).max(1)).min(64)
+    /// Page-table partition count: 8, but every partition must own enough
+    /// frames (16) for the deepest simultaneous pin chain with slack, so a
+    /// tiny pool collapses to one partition rather than starving a
+    /// partition of frames for its pin chains.
+    pub fn partitions(&self) -> usize {
+        (self.frames / 16).clamp(1, 8)
     }
-}
-
-/// Re-injectable historical races, compiled only under the `model-bugs`
-/// feature and armed at runtime: the model checker's own regression oracle
-/// (its tests assert it rediscovers each within the quick schedule budget).
-/// Both are real bugs this pool shipped with before its concurrency review:
-///
-/// * **double install** — the install path re-checked only the victim's
-///   pin count, not the shard page table, so two racing misses on the same
-///   page could each install it into a different frame;
-/// * **stale pin** — latch acquisition did not validate the frame's owner
-///   word, so a pin taken through a mapping that a failed load later
-///   unwound would silently read whatever image the frame held next.
-#[cfg(feature = "model-bugs")]
-pub mod bugs {
-    use std::sync::atomic::{AtomicBool, Ordering};
-
-    static DOUBLE_INSTALL: AtomicBool = AtomicBool::new(false);
-    static STALE_PIN: AtomicBool = AtomicBool::new(false);
-
-    /// Arm/disarm the double-install race (process-global).
-    pub fn arm_double_install(on: bool) {
-        // ordering: arming happens before threads spawn and is read through
-        // a schedule point anyway; relaxed is sufficient.
-        DOUBLE_INSTALL.store(on, Ordering::Relaxed);
-    }
-
-    /// Arm/disarm the stale-pin race (process-global).
-    pub fn arm_stale_pin(on: bool) {
-        // ordering: see `arm_double_install`.
-        STALE_PIN.store(on, Ordering::Relaxed);
-    }
-
-    pub(crate) fn double_install_armed() -> bool {
-        // ordering: flag only; no data is published through it.
-        DOUBLE_INSTALL.load(Ordering::Relaxed)
-    }
-
-    pub(crate) fn stale_pin_armed() -> bool {
-        // ordering: flag only; no data is published through it.
-        STALE_PIN.load(Ordering::Relaxed)
-    }
-}
-
-/// True while the historical double-install race is re-injected.
-#[cfg(feature = "model-bugs")]
-fn bug_double_install() -> bool {
-    bugs::double_install_armed()
-}
-
-#[cfg(not(feature = "model-bugs"))]
-fn bug_double_install() -> bool {
-    false
-}
-
-/// True while the historical stale-pin race is re-injected.
-#[cfg(feature = "model-bugs")]
-fn bug_stale_pin() -> bool {
-    bugs::stale_pin_armed()
-}
-
-#[cfg(not(feature = "model-bugs"))]
-fn bug_stale_pin() -> bool {
-    false
 }
 
 #[derive(Clone, Copy)]
@@ -297,20 +204,11 @@ impl Drop for ShardGuard<'_> {
     }
 }
 
-/// Handle on the spawned background-writer thread.
-struct BgWriter {
-    /// Dropping the sender wakes and stops the thread.
-    stop: Option<mpsc::Sender<()>>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
 /// The buffer pool. Use through `Arc` — page guards keep the pool alive.
 pub struct BufferPool {
     frames: Vec<Frame>,
     shards: Vec<Shard>,
     policy_name: &'static str,
-    bg_batch: usize,
-    bg: Mutex<Option<BgWriter>>,
     disk: DiskManager,
     log: Arc<LogManager>,
     stats: StatsHandle,
@@ -335,7 +233,7 @@ impl BufferPool {
         obs: ObsHandle,
     ) -> Arc<BufferPool> {
         assert!(opts.frames >= 8, "pool too small to be useful");
-        let n = opts.effective_partitions();
+        let n = opts.partitions();
         // Distribute frames: the first `frames % n` shards get one extra.
         let mut shards = Vec::with_capacity(n);
         let mut base = 0;
@@ -353,7 +251,7 @@ impl BufferPool {
             });
             base += len;
         }
-        let pool = Arc::new(BufferPool {
+        Arc::new(BufferPool {
             frames: (0..opts.frames)
                 .map(|_| Frame {
                     buf: Arc::new(RwLock::new(PageBuf::zeroed())),
@@ -363,17 +261,11 @@ impl BufferPool {
                 .collect(),
             shards,
             policy_name: opts.policy.name(),
-            bg_batch: opts.bg_batch.max(1),
-            bg: Mutex::new(None),
             disk,
             log,
             stats,
             obs,
-        });
-        if let Some(interval) = opts.bg_writer {
-            *pool.bg.lock() = spawn_bg_writer(&pool, interval);
-        }
-        pool
+        })
     }
 
     pub fn obs(&self) -> &ObsHandle {
@@ -596,9 +488,7 @@ impl BufferPool {
         // ordering: acquire pairs with the Release owner store at
         // install/unwind — seeing the new owner implies seeing the table
         // state that produced it.
-        if !bug_stale_pin()
-            && self.frames[pin.frame].owner.load(Ordering::Acquire) != pin.page.0 // ordering: pairs with the Release owner stores
-        {
+        if self.frames[pin.frame].owner.load(Ordering::Acquire) != pin.page.0 {
             return Err(Error::StalePin { page: pin.page });
         }
         self.stats.latches_page.bump();
@@ -634,9 +524,7 @@ impl BufferPool {
         };
         // ordering: see `latch_frame_s` — acquire pairs with the Release
         // owner store at install/unwind.
-        if !bug_stale_pin()
-            && self.frames[pin.frame].owner.load(Ordering::Acquire) != pin.page.0 // ordering: pairs with the Release owner stores
-        {
+        if self.frames[pin.frame].owner.load(Ordering::Acquire) != pin.page.0 {
             return Err(Error::StalePin { page: pin.page });
         }
         self.stats.latches_page.bump();
@@ -787,7 +675,7 @@ impl BufferPool {
             // ordering: pin re-check pairs with the AcqRel pin increments; a
             // hit that pinned this frame during the I/O must be visible here.
             if self.frames[gidx].pins.load(Ordering::Acquire) != 0
-                || (!bug_double_install() && g.table.contains_key(&page))
+                || g.table.contains_key(&page)
             {
                 if old.dirty {
                     g.meta[local].dirty = false;
@@ -906,100 +794,23 @@ impl BufferPool {
 
     /// Flush every dirty page (clean shutdown / heavyweight checkpoint).
     pub fn flush_all(self: &Arc<Self>) -> Result<()> {
-        for p in self.dirty_pages(usize::MAX) {
+        for p in self.dirty_pages() {
             self.flush_page(p)?;
         }
         Ok(())
     }
 
-    /// Up to `limit` dirty pages, in (shard, page) order.
-    fn dirty_pages(&self, limit: usize) -> Vec<PageId> {
+    /// Every dirty page, in (shard, page) order.
+    fn dirty_pages(&self) -> Vec<PageId> {
         let mut pages = Vec::new();
         for sid in 0..self.shards.len() {
-            if pages.len() >= limit {
-                break;
-            }
             let g = self.lock_shard(sid, "storage::pool::dirty_pages");
             let mut v: Vec<PageId> = g.dpt.keys().copied().collect();
             drop(g);
             v.sort();
-            v.truncate(limit - pages.len());
             pages.extend(v);
         }
         pages
-    }
-
-    // --- background writer ----------------------------------------------
-
-    /// One background-writer pass: write back up to [`PoolOptions::bg_batch`]
-    /// dirty, unpinned pages (WAL rule enforced per page), round-robin over
-    /// the partitions. Never faults a page in, never waits for a latch —
-    /// hot pages are simply skipped this tick. Returns pages written.
-    ///
-    /// This is the body of the optional background thread, exposed
-    /// synchronously so tests and the torture harness drive the
-    /// `pool.bgwriter.*` crash points deterministically on their own thread.
-    pub fn bg_tick(self: &Arc<Self>) -> Result<usize> {
-        let mut written = 0usize;
-        for page in self.dirty_pages(self.bg_batch) {
-            if written > 0 {
-                crash_point!("pool.bgwriter.mid_batch");
-            }
-            written += self.bg_write_back(page)?;
-        }
-        Ok(written)
-    }
-
-    /// Write back one dirty page if it is still resident, clean it in the
-    /// DPT, and leave the WAL-rule trail in the event ring.
-    fn bg_write_back(self: &Arc<Self>, page: PageId) -> Result<usize> {
-        let sid = self.shard_of(page);
-        // Pin only if still resident (no fault-in), then conditionally
-        // S-latch (no stalling behind foreground X traffic).
-        let pin = {
-            let g = self.lock_shard(sid, "storage::pool::bg_pin");
-            let Some(&local) = g.table.get(&page) else {
-                return Ok(0);
-            };
-            let gidx = self.shards[sid].base + local;
-            // ordering: AcqRel pin increment pairs with eviction pin checks
-            self.frames[gidx].pins.fetch_add(1, Ordering::AcqRel);
-            // Deliberately no `policy.on_hit`: the writer must not make
-            // pages look hot.
-            PinGuard {
-                pool: self.clone(),
-                frame: gidx,
-                page,
-            }
-        };
-        let Ok(guard) = self.latch_frame_s(pin, true, "storage::pool::bg_latch") else {
-            return Ok(0);
-        };
-        let dirty = {
-            let g = self.lock_shard(sid, "storage::pool::bg_dirty");
-            g.table.get(&page).is_some_and(|&l| g.meta[l].dirty)
-        };
-        if !dirty {
-            return Ok(0);
-        }
-        // WAL rule, off the foreground path: force first, then write.
-        self.log.flush_to(guard.page_lsn())?;
-        crash_point!("pool.bgwriter.after_force");
-        let io = self.obs.timer();
-        {
-            let _span = self.obs.span(SpanKind::PageWrite, 0, page.0);
-            self.disk.write_page(&guard)?;
-        }
-        crash_point!("pool.bgwriter.after_write");
-        self.obs.hist.page_write.record_since(io);
-        self.obs.pool.bg_writer_pages.fetch_add(1, Ordering::Relaxed); // ordering: advisory counter
-        self.note_write_back(page, guard.page_lsn());
-        let mut g = self.lock_shard(sid, "storage::pool::bg_clean");
-        if let Some(&local) = g.table.get(&page) {
-            g.meta[local].dirty = false;
-        }
-        g.dpt.remove(&page);
-        Ok(1)
     }
 
     // --- checkpoint support ---------------------------------------------
@@ -1090,48 +901,6 @@ impl BufferPool {
             }
         }
     }
-}
-
-impl Drop for BufferPool {
-    fn drop(&mut self) {
-        // Stop and join the background writer. If the pool's last reference
-        // was dropped *by* the writer thread (it upgrades its Weak during a
-        // tick), joining would self-deadlock — detach instead; the thread
-        // exits on its next disconnected recv.
-        let bg = self.bg.lock().take();
-        if let Some(mut bg) = bg {
-            bg.stop.take();
-            if let Some(h) = bg.handle.take() {
-                if h.thread().id() != std::thread::current().id() {
-                    let _ = h.join();
-                }
-            }
-        }
-    }
-}
-
-/// Spawn the interval background-writer thread. It holds only a `Weak` to
-/// the pool, so dropping the last external handle stops it promptly.
-fn spawn_bg_writer(pool: &Arc<BufferPool>, interval: Duration) -> Option<BgWriter> {
-    let weak = Arc::downgrade(pool);
-    let (tx, rx) = mpsc::channel::<()>();
-    let handle = std::thread::Builder::new()
-        .name("ariesim-bgwriter".into())
-        .spawn(move || {
-            // Ok(()) or Disconnected both mean the sender dropped: shut down.
-            while let Err(mpsc::RecvTimeoutError::Timeout) = rx.recv_timeout(interval) {
-                let Some(pool) = weak.upgrade() else { break };
-                // I/O errors are retried on the next tick; the foreground
-                // eviction path still enforces the WAL rule itself, so a
-                // sick writer degrades throughput, not correctness.
-                let _ = pool.bg_tick();
-            }
-        })
-        .ok()?;
-    Some(BgWriter {
-        stop: Some(tx),
-        handle: Some(handle),
-    })
 }
 
 enum Claimed {
@@ -1533,26 +1302,10 @@ mod tests {
     }
 
     #[test]
-    fn explicit_partition_request_is_honored() {
-        let (_d, pool, _log) = setup_opts(PoolOptions {
-            frames: 64,
-            partitions: 4,
-            ..PoolOptions::default()
-        });
-        assert_eq!(pool.partitions(), 4);
-        // Every page is reachable regardless of which shard it hashes to.
-        for i in 1..=128u32 {
-            format_page(&pool, PageId(i));
-        }
-        assert_eq!(pool.total_pins(), 0);
-    }
-
-    #[test]
     fn lru_k_policy_drives_the_pool() {
         let (_d, pool, _log) = setup_opts(PoolOptions {
             frames: 8,
             policy: EvictionPolicyKind::LruK(2),
-            ..PoolOptions::default()
         });
         assert_eq!(pool.eviction_policy(), "lru-k");
         for i in 1..=20u32 {
@@ -1600,72 +1353,6 @@ mod tests {
         drop(g2);
         drop(pin);
         assert_eq!(pool.total_pins(), 0);
-    }
-
-    #[test]
-    fn bg_tick_writes_dirty_pages_and_cleans_dpt() {
-        let (_d, pool, log) = setup(16);
-        for i in 1..=5u32 {
-            format_page(&pool, PageId(i));
-        }
-        assert_eq!(pool.dpt_snapshot().len(), 5);
-        let before = log.flushed_lsn();
-        let written = pool.bg_tick().unwrap();
-        assert_eq!(written, 5);
-        assert!(pool.dpt_snapshot().is_empty());
-        // WAL rule: the force happened before the writes.
-        assert!(log.flushed_lsn() >= before);
-        for i in 1..=5u32 {
-            let img = pool.disk().read_page(PageId(i)).unwrap();
-            assert_eq!(img.page_id(), PageId(i));
-        }
-    }
-
-    #[test]
-    fn bg_tick_skips_latched_pages() {
-        let (_d, pool, _log) = setup(16);
-        for i in 1..=3u32 {
-            format_page(&pool, PageId(i));
-        }
-        let _x = pool.fix_x(PageId(2)).unwrap();
-        let written = pool.bg_tick().unwrap();
-        assert_eq!(written, 2, "X-latched page skipped");
-        assert_eq!(pool.dpt_snapshot().len(), 1);
-    }
-
-    #[test]
-    fn bg_writer_thread_drains_dirty_pages() {
-        let (_d, pool, _log) = setup_opts(PoolOptions {
-            frames: 16,
-            bg_writer: Some(Duration::from_millis(1)),
-            ..PoolOptions::default()
-        });
-        for i in 1..=6u32 {
-            format_page(&pool, PageId(i));
-        }
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while !pool.dpt_snapshot().is_empty() {
-            assert!(
-                std::time::Instant::now() < deadline,
-                "background writer did not drain the DPT"
-            );
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        drop(pool); // Drop joins the writer thread cleanly.
-    }
-
-    #[test]
-    fn bg_batch_bounds_one_tick() {
-        let (_d, pool, _log) = setup_opts(PoolOptions {
-            frames: 32,
-            bg_batch: 3,
-            ..PoolOptions::default()
-        });
-        for i in 1..=10u32 {
-            format_page(&pool, PageId(i));
-        }
-        assert_eq!(pool.bg_tick().unwrap(), 3);
-        assert_eq!(pool.dpt_snapshot().len(), 7);
     }
 
     /// Two concurrent misses on the same page must resolve to a single

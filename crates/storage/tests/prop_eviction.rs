@@ -164,7 +164,6 @@ proptest! {
                 } else {
                     EvictionPolicyKind::Clock
                 },
-                ..Default::default()
             },
             stats,
             obs.clone(),

@@ -3,8 +3,8 @@
 //! Appenders claim a byte range with one `fetch_add` on `reserved` (the
 //! claim *is* the LSN assignment — LSNs are byte offsets), copy their frame
 //! into the ring without any lock, and publish completion by adding the
-//! byte count to the per-segment `filled` counters. The drain side (the
-//! flusher, or a group-commit leader) computes the longest *fully
+//! byte count to the per-segment `filled` counters. The drain side (a
+//! group-commit leader) computes the longest *fully
 //! published* prefix — no holes — and copies it out; `drained` trails
 //! behind and bounds how far ahead `reserved` may run (backpressure).
 //!

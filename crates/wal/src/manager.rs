@@ -15,29 +15,15 @@
 //!    prefix into the durable image (spinning to a stable watermark across
 //!    torn multi-segment reservations, and advancing a frame-aligned
 //!    boundary so no torn frame is ever written), then one `write_all` +
-//!    optional fsync covers every waiter whose LSN rode along. Two modes:
-//!
-//!    * **leader-based** (default): the first committer to win `try_lock`
-//!      flushes for everyone queued on the commit barrier; losers spin
-//!      briefly on the durable mirror, then park on a futex-style
-//!      [`Parker`] and re-elect on timeout, so no dedicated thread is
-//!      needed;
-//!    * **dedicated flusher** (`LogOptions::flusher`): an adaptive batch
-//!      window. While commits arrive one at a time, the committer flushes
-//!      inline immediately — an empty queue never waits. While commits
-//!      overlap, committers enqueue on the commit barrier and park with no
-//!      timeout; the `wal-flusher` thread flushes the whole queue in one
-//!      write. On multicore the batch is whatever enqueued while the
-//!      previous flush was in flight (the write itself is the coalescing
-//!      window); on a single core — where commits arrive strictly
-//!      serialized and could never overlap a microsecond write — the
-//!      flusher coalesces a non-filled batch with one bounded nap, which
-//!      doubles as the probe that detects when commits stop overlapping.
+//!    optional fsync covers every waiter whose LSN rode along. The batch
+//!    forms by **leader election**: the first committer to win `try_lock`
+//!    flushes for everyone queued on the commit barrier; losers spin
+//!    briefly on the durable mirror, then park on a futex-style [`Parker`]
+//!    and re-elect on timeout, so no dedicated thread is needed.
 //!
 //! A crash loses exactly the unflushed tail, which is what the crash tests
 //! rely on: dropping the manager without flushing and reopening the file
-//! reproduces the post-crash stable state (the flusher thread is joined
-//! without flushing on drop for the same reason).
+//! reproduces the post-crash stable state.
 //!
 //! The manager also keeps the whole durable log memory-resident. At the
 //! scale of this reproduction (logs of at most a few hundred MB) this is a
@@ -59,10 +45,10 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 // The durable-LSN mirror and the ring watermarks are model-checkable facade
-// atomics: their protocol against concurrent appenders/flushers is covered
+// atomics: their protocol against concurrent appenders/leaders is covered
 // by `crates/model`'s WAL harnesses.
 use ariesim_common::msync::AtomicU64;
-use std::sync::atomic::{AtomicBool, AtomicU64 as PlainAtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64 as PlainAtomicU64, Ordering};
 
 /// Tuning and durability options.
 #[derive(Clone, Debug)]
@@ -70,11 +56,6 @@ pub struct LogOptions {
     /// Call `sync_data` after each flush. Off by default: the tests simulate
     /// crashes at the process level, where "written to the file" is durable.
     pub fsync: bool,
-    /// Run a dedicated flusher thread; committers never do log I/O
-    /// themselves. Off by default: the leader-based mode needs no extra
-    /// thread and is what the deterministic model checker runs (a real
-    /// thread outside the controller's view would break the schedule).
-    pub flusher: bool,
     /// Number of ring segments (power of two).
     pub ring_segments: u64,
     /// Bytes per ring segment (power of two). Total ring capacity bounds
@@ -86,54 +67,24 @@ impl Default for LogOptions {
     fn default() -> LogOptions {
         LogOptions {
             fsync: false,
-            flusher: false,
             ring_segments: 16,
             ring_segment_bytes: 64 << 10,
         }
     }
 }
 
-/// How long a leader-mode rider parks before re-trying the leader election
+/// How long a rider parks before re-trying the leader election
 /// (the leader may have exited between flushing and this rider's enqueue).
 const RIDER_RETRY: Duration = Duration::from_micros(100);
 
-/// Bounded busy-poll before parking, on both sides of the group-commit
-/// handoff. On fast storage a whole batch completes in a few microseconds —
-/// less than a park/unpark round trip — so riders poll the durable mirror
-/// and the idle flusher polls the barrier this many times first.
+/// Bounded busy-poll before a rider parks. On fast storage a whole batch
+/// completes in a few microseconds — less than a park/unpark round trip —
+/// so riders poll the durable mirror this many times first.
 const SPIN_POLLS: u32 = 500;
 
-/// Queue depth that ends a coalescing nap early: once this many committers
-/// wait on the barrier the batch is worth flushing without running out the
-/// clock. See [`COALESCE_NAP`].
-const GROUP_FILL: usize = 8;
-
-/// Upper bound of the single-core adaptive batch window. On one CPU,
-/// commits arrive strictly serialized, so a batch can only form while the
-/// flusher yields the CPU and lets committers run up to their commit
-/// points; the window normally closes itself the moment the barrier stops
-/// growing across a yield, and this bound caps it in case yields keep
-/// returning immediately. Multicore machines skip the window entirely —
-/// there, batches form naturally from committers that enqueue while a
-/// flush is in flight.
-const COALESCE_NAP: Duration = Duration::from_micros(250);
-
-/// In the solo regime, every `SOLO_PROBE_PERIOD`-th commit enqueues on the
-/// barrier instead of flushing inline — a deterministic concurrency probe.
-/// On a single CPU, overlapping commits still execute strictly one after
-/// another, so the inline `try_lock` below almost never collides and cannot
-/// be the only promotion signal: a probe that gets woken by *another
-/// committer's* inline flush proves concurrency, and that flush promotes
-/// the regime (see the `woken > 0` check in [`LogManager::flusher_wait`]).
-/// A genuinely single-threaded workload pays one flusher handoff per
-/// period (the batch window closes as soon as the prober parks); a
-/// concurrent one is promoted within one period of the first probe.
-const SOLO_PROBE_PERIOD: u64 = 256;
-
 /// Whether this machine has a single CPU. Busy-spinning is strictly
-/// counterproductive there (a spinner only delays the very thread it waits
-/// for) and batches cannot form without the flusher yielding the CPU, so
-/// both the spin-poll counts and the coalescing nap key off this.
+/// counterproductive there: a spinner only delays the very thread it waits
+/// for.
 fn single_core() -> bool {
     static ONE: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
     *ONE.get_or_init(|| std::thread::available_parallelism().map_or(true, |n| n.get() == 1))
@@ -169,16 +120,7 @@ struct Inner {
 /// One committer waiting on the barrier: its LSN and how to wake it.
 type Waiter = (u64, Arc<Parker>);
 
-/// The commit barrier: committers whose LSN is not yet durable enqueue
-/// here; whoever flushes (leader or flusher thread) wakes the satisfied.
-#[derive(Default)]
-struct Barrier {
-    q: Mutex<Vec<Waiter>>,
-    /// Wakes the dedicated flusher thread (flusher mode only).
-    flusher: Parker,
-}
-
-/// State shared between committer threads and the optional flusher thread.
+/// State behind the manager's `&self` methods.
 struct Shared {
     inner: Mutex<Inner>,
     /// The lock-free append ring.
@@ -192,27 +134,9 @@ struct Shared {
     /// LSN of the most recently appended record (largest start LSN);
     /// `Lsn::NULL` (0) if the log is empty, so `fetch_max` is sound.
     last_lsn: PlainAtomicU64,
-    barrier: Barrier,
-    /// Set by `Drop`; tells the flusher thread to exit *without* flushing
-    /// (a drop is a simulated crash: the unflushed tail must be lost).
-    shutdown: AtomicBool,
-    /// Latched by the flusher thread on an I/O error; parked committers
-    /// check it so the error propagates instead of hanging them.
-    failed: AtomicBool,
-    /// Flusher-mode regime hint: true while commits overlap (batches are
-    /// forming), false while they arrive one at a time. Solo committers
-    /// flush inline instead of paying two thread handoffs per commit; the
-    /// flusher demotes after a streak of single-rider batches, and an
-    /// inline flush that finds a parked rider (or a `try_lock` collision,
-    /// or a periodic probe — see [`SOLO_PROBE_PERIOD`]) promotes. Starts
-    /// true so a burst-from-the-start workload batches immediately and a
-    /// solo workload pays a few naps to discover it is alone.
-    regime_busy: AtomicBool,
-    /// Count of solo-regime inline flushes, for the periodic concurrency
-    /// probe ([`SOLO_PROBE_PERIOD`]). Plain (not model-instrumented): a
-    /// scheduling heuristic, never a correctness carrier.
-    solo_flushes: PlainAtomicU64,
-    flusher_err: std::sync::Mutex<Option<String>>,
+    /// The commit barrier: committers whose LSN is not yet durable enqueue
+    /// here; the leader that flushes wakes the satisfied.
+    barrier: Mutex<Vec<Waiter>>,
     master_path: PathBuf,
     opts: LogOptions,
     stats: StatsHandle,
@@ -221,8 +145,7 @@ struct Shared {
 
 /// The write-ahead log manager. Thread-safe; all methods take `&self`.
 pub struct LogManager {
-    sh: Arc<Shared>,
-    flusher: Option<std::thread::JoinHandle<()>>,
+    sh: Shared,
 }
 
 thread_local! {
@@ -281,7 +204,7 @@ impl LogManager {
         }
         file.set_len(raw.len() as u64)?;
         let end = Lsn(raw.len() as u64);
-        let sh = Arc::new(Shared {
+        let sh = Shared {
             inner: Mutex::new(Inner {
                 file,
                 image: raw,
@@ -292,29 +215,13 @@ impl LogManager {
             buf: LogBuffer::new(end.0, opts.ring_segment_bytes, opts.ring_segments),
             flushed: AtomicU64::new(end.0),
             last_lsn: PlainAtomicU64::new(last_lsn.0),
-            barrier: Barrier::default(),
-            shutdown: AtomicBool::new(false),
-            failed: AtomicBool::new(false),
-            regime_busy: AtomicBool::new(true),
-            solo_flushes: PlainAtomicU64::new(0),
-            flusher_err: std::sync::Mutex::new(None),
+            barrier: Mutex::new(Vec::new()),
             master_path: path.with_extension("master"),
             opts,
             stats,
             obs,
-        });
-        let flusher = if sh.opts.flusher {
-            let s = Arc::clone(&sh);
-            Some(
-                std::thread::Builder::new()
-                    .name("wal-flusher".into())
-                    .spawn(move || Shared::flusher_main(&s))
-                    .map_err(|e| Error::Internal(format!("spawn wal-flusher: {e}")))?,
-            )
-        } else {
-            None
         };
-        Ok(LogManager { sh, flusher })
+        Ok(LogManager { sh })
     }
 
     /// Append a record (buffered, not yet durable). Returns its LSN.
@@ -323,7 +230,7 @@ impl LogManager {
     /// section, the (LSN, range) claim is one `fetch_add`, and the frame
     /// copy goes straight into the reserved ring slice.
     pub fn append(&self, rec: &LogRecord) -> Lsn {
-        let sh = &*self.sh;
+        let sh = &self.sh;
         let _span = sh.obs.span(SpanKind::WalAppend, rec.txn.0, 0);
         let body = rec.encode();
         let len = frame::frame_len(body.len());
@@ -340,8 +247,8 @@ impl LogManager {
         let start = sh.buf.reserve(len);
         crash_point!("wal.group.reserve");
         // Backpressure: wait for the range `cap` below to be drained. Help
-        // drain instead of only spinning, so a quiescent flusher (or no
-        // flusher at all) cannot deadlock an appender against a full ring.
+        // drain instead of only spinning: with no committer flushing, nobody
+        // else would ever empty a full ring.
         while !sh.buf.has_space(start + len) {
             if let Some(mut g) = sh.inner.try_lock() {
                 sh.drain_locked(&mut g);
@@ -377,18 +284,14 @@ impl LogManager {
         if lsn.0 < self.sh.flushed.load(Ordering::Acquire) {
             return Ok(());
         }
-        if self.sh.opts.flusher {
-            self.sh.flusher_wait(lsn)
-        } else {
-            self.sh.group_wait(lsn)
-        }
+        self.sh.group_wait(lsn)
     }
 
     /// Make the entire published log durable. (A reservation still being
     /// copied by a concurrent appender does not ride along — this drains
     /// the published prefix, never spins for in-flight appends.)
     pub fn flush_all(&self) -> Result<()> {
-        let sh = &*self.sh;
+        let sh = &self.sh;
         let mut g = sh.inner.lock();
         while sh.drain_locked(&mut g) {}
         sh.flush_locked(&mut g)
@@ -422,7 +325,7 @@ impl LogManager {
     /// rollback during normal processing reads records that may not yet be
     /// durable). A record still in the ring is drained into the image first.
     pub fn read(&self, lsn: Lsn) -> Result<LogRecord> {
-        let sh = &*self.sh;
+        let sh = &self.sh;
         let end = sh.buf.reserved();
         if lsn.is_null() || lsn < FIRST_LSN || lsn.0 >= end {
             return Err(Error::CorruptLog {
@@ -523,7 +426,7 @@ impl LogManager {
     /// through to the file immediately: shipped log was already durable on
     /// the primary, and the standby must not apply records it could lose.
     pub fn ingest_frames(&self, at: Lsn, chunk: &[u8]) -> Result<()> {
-        let sh = &*self.sh;
+        let sh = &self.sh;
         let mut g = sh.inner.lock();
         while sh.drain_locked(&mut g) {}
         if g.durable_end != g.tail {
@@ -616,20 +519,6 @@ impl LogManager {
             });
         }
         Ok(Lsn(lsn))
-    }
-}
-
-impl Drop for LogManager {
-    fn drop(&mut self) {
-        if let Some(h) = self.flusher.take() {
-            // ordering: Release so the flusher's Acquire load sees the flag;
-            // the unpark below also fences, but be explicit.
-            self.sh.shutdown.store(true, Ordering::Release);
-            self.sh.barrier.flusher.unpark();
-            // Deliberately no final flush: dropping the manager simulates a
-            // crash, and a crash loses exactly the unflushed tail.
-            let _ = h.join();
-        }
     }
 }
 
@@ -732,7 +621,7 @@ impl Shared {
 
     /// Largest LSN currently enqueued on the barrier, if any.
     fn barrier_max(&self) -> Option<u64> {
-        self.barrier.q.lock().iter().map(|(l, _)| *l).max()
+        self.barrier.lock().iter().map(|(l, _)| *l).max()
     }
 
     /// Wake every waiter whose LSN is durable now; returns how many.
@@ -740,7 +629,7 @@ impl Shared {
         // ordering: Acquire pairs with the Release store after fsync
         let durable = self.flushed.load(Ordering::Acquire);
         let mut woken = 0;
-        self.barrier.q.lock().retain(|(l, p)| {
+        self.barrier.lock().retain(|(l, p)| {
             if *l < durable {
                 p.unpark();
                 woken += 1;
@@ -766,37 +655,11 @@ impl Shared {
         }
     }
 
-    fn check_failed(&self) -> Result<()> {
-        // ordering: Acquire pairs with the Release in `fail`, so the error
-        // message write is visible once the flag is seen.
-        if self.failed.load(Ordering::Acquire) {
-            let msg = self
-                .flusher_err
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .clone()
-                .unwrap_or_else(|| "wal flusher failed".into());
-            return Err(Error::Internal(msg));
-        }
-        Ok(())
-    }
-
-    /// Latch a flusher-thread error and wake everyone so it propagates.
-    fn fail(&self, e: &Error) {
-        *self.flusher_err.lock().unwrap_or_else(|p| p.into_inner()) = Some(e.to_string());
-        // ordering: Release pairs with the Acquire in `check_failed`
-        self.failed.store(true, Ordering::Release);
-        for (_, p) in self.barrier.q.lock().drain(..) {
-            p.unpark();
-        }
-    }
-
-    /// Slow path of [`LogManager::flush_to`] in leader mode (no dedicated
-    /// flusher thread): group commit by leader election. Whoever finds the
-    /// inner lock free flushes the barrier maximum for everyone queued;
-    /// everyone else polls the durable mirror for about one batch's
-    /// duration, then parks and re-elects on timeout so a vanished leader
-    /// can never strand a rider.
+    /// Slow path of [`LogManager::flush_to`]: group commit by leader
+    /// election. Whoever finds the inner lock free flushes the barrier
+    /// maximum for everyone queued; everyone else polls the durable mirror
+    /// for about one batch's duration, then parks and re-elects on timeout
+    /// so a vanished leader can never strand a rider.
     fn group_wait(&self, lsn: Lsn) -> Result<()> {
         let polls = spin_polls();
         let mut registered = false;
@@ -808,7 +671,6 @@ impl Shared {
                 // park loops re-check their predicate, so that's harmless.
                 return Ok(());
             }
-            self.check_failed()?;
             if let Some(mut g) = self.inner.try_lock() {
                 let target = Lsn(self.barrier_max().map_or(lsn.0, |m| m.max(lsn.0)));
                 self.group_flush(&mut g, target)?;
@@ -826,7 +688,7 @@ impl Shared {
                 }
             } else {
                 if !registered {
-                    PARKER.with(|p| self.barrier.q.lock().push((lsn.0, Arc::clone(p))));
+                    PARKER.with(|p| self.barrier.lock().push((lsn.0, Arc::clone(p))));
                     registered = true;
                 }
                 // A flush is in flight and its batch may already cover this
@@ -843,219 +705,6 @@ impl Shared {
                 }
                 if !rode {
                     PARKER.with(|p| p.park_timeout(RIDER_RETRY));
-                }
-            }
-        }
-    }
-
-    /// Slow path of [`LogManager::flush_to`] in flusher mode: adaptive
-    /// batch window. While commits arrive one at a time (`regime_busy`
-    /// false — the queue was empty) there is no batch to join, so the
-    /// committer flushes inline immediately, exactly like a leader-mode
-    /// leader. While commits overlap, it enqueues on the barrier, hands
-    /// off to the dedicated flusher, and parks with no timeout — the
-    /// flusher (or `fail`) is the guaranteed waker, and a timed retry
-    /// would put this thread back on the run queue where it only delays
-    /// the batch it is waiting for.
-    fn flusher_wait(&self, lsn: Lsn) -> Result<()> {
-        // Clamp an over-the-end LSN (e.g. `flush_to(Lsn::MAX)`) to the last
-        // appended byte: waiting for the mirror to pass that is exactly the
-        // "whole log durable" promise, and it keeps the rider wake rule
-        // (`waiter < durable`) sufficient on its own.
-        let lsn = Lsn(lsn.0.min(self.buf.reserved().saturating_sub(1)));
-        // ordering: Relaxed — scheduling regime hint only; durability is
-        // carried by `flushed` and the inner lock, never by this flag.
-        if !self.regime_busy.load(Ordering::Relaxed) {
-            // ordering: Relaxed — heuristic probe counter, no data guarded
-            let probe = self.solo_flushes.fetch_add(1, Ordering::Relaxed) % SOLO_PROBE_PERIOD
-                == SOLO_PROBE_PERIOD - 1;
-            if !probe {
-                if let Some(mut g) = self.inner.try_lock() {
-                    let target = Lsn(self.barrier_max().map_or(lsn.0, |m| m.max(lsn.0)));
-                    self.group_flush(&mut g, target)?;
-                    drop(g);
-                    let woken = self.wake_satisfied();
-                    self.note_batch(woken + 1);
-                    if woken > 0 {
-                        // Someone was parked on the barrier while we flushed
-                        // inline — a probe, or a leftover rider: commits
-                        // overlap, batch from here on.
-                        // ordering: Relaxed — scheduling regime hint only
-                        self.regime_busy.store(true, Ordering::Relaxed);
-                    }
-                    return Ok(());
-                }
-                // The lock being held means another commit's flush is in
-                // flight right now: commits overlap, so start batching.
-                // ordering: Relaxed — scheduling regime hint only
-                self.regime_busy.store(true, Ordering::Relaxed);
-            }
-            // A probe falls through to the rider path: if any other
-            // committer exists it will flush inline during our nap-bounded
-            // park, find us on the barrier, and promote the regime.
-        }
-        let polls = spin_polls();
-        let mut registered = false;
-        loop {
-            // ordering: Acquire pairs with the Release store after fsync
-            if lsn.0 < self.flushed.load(Ordering::Acquire) {
-                // A satisfied entry left on the barrier is dropped (and
-                // this thread's parker token set) by a later wake pass;
-                // park loops re-check their predicate, so that's harmless.
-                return Ok(());
-            }
-            self.check_failed()?;
-            if !registered {
-                PARKER.with(|p| {
-                    let mut q = self.barrier.q.lock();
-                    q.push((lsn.0, Arc::clone(p)));
-                    let n = q.len();
-                    drop(q);
-                    // First committer arms the flusher; a filled batch ends
-                    // its coalescing nap early. Intermediate arrivals stay
-                    // quiet so they don't cut the batch window short.
-                    if n == 1 || n >= GROUP_FILL {
-                        self.barrier.flusher.unpark();
-                    }
-                });
-                registered = true;
-                // Re-check the mirror and the failure latch before parking:
-                // if `fail` drained the queue between our push and here, it
-                // also set our token, so the next park cannot hang.
-                continue;
-            }
-            let mut rode = false;
-            for _ in 0..polls {
-                // ordering: Acquire pairs with the Release store after fsync
-                if lsn.0 < self.flushed.load(Ordering::Acquire) {
-                    rode = true;
-                    break;
-                }
-                std::hint::spin_loop();
-            }
-            if rode {
-                return Ok(());
-            }
-            PARKER.with(|p| p.park());
-        }
-    }
-
-    /// Body of the dedicated `wal-flusher` thread. Adaptive batch window:
-    /// an empty queue parks until a committer arrives. On a single-core
-    /// machine a non-filled batch first gets one yield-until-stable window
-    /// (bounded by [`COALESCE_NAP`]) so serialized committers can run up
-    /// to their commit points and ride along; multicore machines skip the
-    /// window — committers that enqueue while a flush is in flight batch
-    /// naturally. The window doubles as the regime read-out: a streak of
-    /// windows that still collected only one committer proves commits are
-    /// not overlapping, and the system drops back to inline solo flushing
-    /// until commits collide again.
-    fn flusher_main(sh: &Arc<Shared>) {
-        // Whether the current batch already had its coalescing nap.
-        let mut napped = false;
-        // Consecutive napped batches that collected only one committer.
-        // Demotion to the solo regime needs several in a row: on one CPU
-        // the scheduler hands each thread a multi-millisecond slice, so
-        // even a busy system produces the occasional single-rider batch,
-        // and a premature demotion sticks (the solo regime's inline
-        // `try_lock` almost never collides on one CPU — re-promotion waits
-        // on the periodic probe).
-        let mut solo_streak = 0u32;
-        loop {
-            // ordering: Acquire pairs with the Release in `Drop`
-            if sh.shutdown.load(Ordering::Acquire) {
-                return;
-            }
-            let (n, target) = {
-                let q = sh.barrier.q.lock();
-                (q.len(), q.iter().map(|(l, _)| *l).max())
-            };
-            let Some(target) = target else {
-                napped = false;
-                // Brief poll before parking: at commit rates worth a
-                // dedicated flusher, the next committer arrives within the
-                // cost of a park/unpark pair.
-                let mut armed = false;
-                for _ in 0..spin_polls() {
-                    // ordering: Acquire pairs with the Release in `Drop`
-                    if sh.shutdown.load(Ordering::Acquire) {
-                        return;
-                    }
-                    if sh.barrier.q.lock().is_empty() {
-                        std::hint::spin_loop();
-                    } else {
-                        armed = true;
-                        break;
-                    }
-                }
-                if !armed {
-                    sh.barrier.flusher.park();
-                }
-                continue;
-            };
-            if single_core() && !sched::thread_armed() && !napped && n < GROUP_FILL {
-                // Single-core batch window, timer-free: hand the CPU to the
-                // runnable committers (`yield_now`) and re-read the queue.
-                // On one CPU a yield lets every runnable thread advance to
-                // its commit point, so "no growth across a yield" means
-                // every in-flight committer is already on the barrier (the
-                // rest are parked, or lock-blocked behind a rider and
-                // unable to commit until this batch flushes) and waiting
-                // longer cannot grow the batch — it can only idle the CPU.
-                // A clock bound caps the window in case a yield keeps
-                // getting the CPU back immediately.
-                napped = true;
-                let window = std::time::Instant::now();
-                let mut prev_n = n;
-                loop {
-                    std::thread::yield_now();
-                    // ordering: Acquire pairs with the Release in `Drop`
-                    if sh.shutdown.load(Ordering::Acquire) {
-                        return;
-                    }
-                    let n = sh.barrier.q.lock().len();
-                    if n >= GROUP_FILL || n == prev_n || window.elapsed() >= COALESCE_NAP {
-                        break;
-                    }
-                    prev_n = n;
-                }
-                continue;
-            }
-            // ordering: Acquire pairs with the Release store after fsync
-            if target < sh.flushed.load(Ordering::Acquire) {
-                napped = false;
-                sh.wake_satisfied();
-                continue;
-            }
-            let res = {
-                let mut g = sh.inner.lock();
-                sh.group_flush(&mut g, Lsn(target))
-            };
-            match res {
-                Ok(()) => {
-                    let woken = sh.wake_satisfied();
-                    sh.note_batch(woken.max(1));
-                    if napped {
-                        // The nap doubles as the regime read-out: a batch
-                        // that collected ≥ 2 proves commits overlap; only a
-                        // streak of single-rider naps demotes to inline
-                        // solo flushing (see `solo_streak` above).
-                        if woken >= 2 {
-                            solo_streak = 0;
-                        } else {
-                            solo_streak += 1;
-                            if solo_streak >= 3 {
-                                // ordering: Relaxed — scheduling regime hint
-                                sh.regime_busy.store(false, Ordering::Relaxed);
-                                solo_streak = 0;
-                            }
-                        }
-                    }
-                    napped = false;
-                }
-                Err(e) => {
-                    sh.fail(&e);
-                    return;
                 }
             }
         }
@@ -1079,7 +728,7 @@ impl Iterator for LogIter<'_> {
     type Item = Result<LogRecord>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        let sh = &*self.mgr.sh;
+        let sh = &self.mgr.sh;
         let mut g = sh.inner.lock();
         if self.at >= g.aligned {
             sh.drain_locked(&mut g);

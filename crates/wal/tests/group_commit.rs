@@ -1,6 +1,5 @@
-//! Group-commit stress: N committer threads interleaving with the flush
-//! side (dedicated flusher thread and leader-based), plus crash semantics
-//! with the flusher running.
+//! Group-commit stress: N committer threads electing flush leaders among
+//! themselves, plus crash semantics of dropping the manager.
 
 use ariesim_common::stats::new_stats;
 use ariesim_common::tmp::TempDir;
@@ -47,14 +46,6 @@ fn hammer(opts: LogOptions) {
 }
 
 #[test]
-fn committers_race_dedicated_flusher() {
-    hammer(LogOptions {
-        flusher: true,
-        ..LogOptions::default()
-    });
-}
-
-#[test]
 fn committers_race_leader_election() {
     hammer(LogOptions::default());
 }
@@ -62,9 +53,8 @@ fn committers_race_leader_election() {
 #[test]
 fn tiny_ring_backpressure_under_contention() {
     // 4 × 256-byte segments: the ring wraps constantly and appenders hit
-    // the help-drain backpressure path while the flusher drains.
+    // the help-drain backpressure path while leaders drain.
     hammer(LogOptions {
-        flusher: true,
         ring_segments: 4,
         ring_segment_bytes: 256,
         ..LogOptions::default()
@@ -72,23 +62,15 @@ fn tiny_ring_backpressure_under_contention() {
 }
 
 #[test]
-fn drop_with_flusher_still_loses_unflushed_tail() {
+fn drop_loses_exactly_the_unflushed_tail() {
     let dir = TempDir::new("wal-gc");
     let path = dir.file("wal");
-    let m = LogManager::open(
-        &path,
-        LogOptions {
-            flusher: true,
-            ..LogOptions::default()
-        },
-        new_stats(),
-    )
-    .unwrap();
+    let m = LogManager::open(&path, LogOptions::default(), new_stats()).unwrap();
     let l1 = m.append(&upd(1, b"durable"));
     m.flush_to(l1).unwrap();
     let l2 = m.append(&upd(1, b"lost"));
     assert!(m.read(l2).is_ok());
-    drop(m); // joins the flusher without flushing: simulated crash
+    drop(m); // no flush on drop: simulated crash
     let re = LogManager::open(&path, LogOptions::default(), new_stats()).unwrap();
     assert_eq!(re.last_lsn(), l1);
     assert!(re.read(l2).is_err());

@@ -177,11 +177,10 @@ pub fn validate(text: &str) -> Result<String> {
         }
         if wall_ns > 0 {
             let cov = attributed as f64 / wall_ns as f64;
-            // Upper slack is wider than lower: with the dedicated WAL
-            // flusher, fsync self-time lands on the off-worker flusher
-            // thread while the committers it serves also attribute the
-            // same wall period as wait — a batch can therefore be counted
-            // from both sides and push coverage slightly above 1.
+            // Upper slack is wider than lower: a group-commit leader's
+            // fsync self-time and the wait of the riders it serves cover
+            // the same wall period — a batch can therefore be counted from
+            // both sides and push coverage slightly above 1.
             if !(0.95..=1.10).contains(&cov) {
                 return Err(Error::Internal(format!(
                     "BENCH json: breakdown covers {cov:.3} of wall time, \

@@ -2,8 +2,6 @@
 //!
 //! ```text
 //! workload baseline    [flags]   standalone engine -> BENCH_workload_baseline.json
-//! workload pool        [flags]   partitioned pool + bg writer -> BENCH_pool_partitioned.json
-//! workload wal         [flags]   dedicated WAL flusher + group commit -> BENCH_wal_group_commit.json
 //! workload replication [flags]   primary/standby pair -> BENCH_replication.json
 //! workload all         [flags]   all of the above
 //! workload validate FILE...      check BENCH files against the v1 schema
@@ -53,7 +51,7 @@ struct Args {
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: workload <baseline|pool|wal|replication|all> \
+        "usage: workload <baseline|replication|all> \
          [--quick] [--out DIR] [--threads N,M] [--ops N] [--keyspace N] \
          [--theta F | --uniform] [--mix R:I:U:D] [--seed N] \
          [--progress] [--metrics FILE] [--trace FILE]\n\
@@ -154,31 +152,6 @@ fn db_options() -> DbOptions {
     }
 }
 
-/// `pool` topic: same engine and workload as `baseline`, with the pool's
-/// concurrency features explicitly on — partitioned page table (auto: 8
-/// partitions at 2048 frames) and the background writer taking dirty-page
-/// write-back off the foreground path. Comparing BENCH_pool_partitioned.json
-/// against BENCH_workload_baseline.json isolates the pool's contribution to
-/// the 8-thread lock_wait/latch_wait share.
-fn pool_db_options() -> DbOptions {
-    DbOptions {
-        bg_writer: Some(Duration::from_millis(2)),
-        ..db_options()
-    }
-}
-
-/// `wal` topic: same engine and workload as `baseline`, with the WAL's
-/// dedicated flusher thread on so commits group behind one fsync instead of
-/// each taking the flush lock. Comparing BENCH_wal_group_commit.json against
-/// BENCH_workload_baseline.json isolates the group-commit pipeline's
-/// contribution to 8-thread commit p99 and the wal_fsync count.
-fn wal_db_options() -> DbOptions {
-    DbOptions {
-        wal_flusher: true,
-        ..db_options()
-    }
-}
-
 fn print_run(label: &str, r: &RunResult) {
     println!(
         "  {label}: {} threads, {} ops in {:.2}s = {:.0} ops/s \
@@ -242,22 +215,17 @@ fn write_file(path: &PathBuf, text: &str) -> Result<(), String> {
 
 /// One fresh engine per thread count: runs must not see each other's
 /// inserted keys or warmed pool.
-fn bench_standalone(
-    args: &Args,
-    topic: &str,
-    label: &str,
-    opts: DbOptions,
-) -> Result<String, String> {
+fn bench_baseline(args: &Args) -> Result<String, String> {
     let mut runs = Vec::new();
     for &threads in &args.threads {
         let cfg = config_for(args, threads);
         let dir = TempDir::new("workload-baseline");
-        let db = Db::open_with_obs(dir.path(), opts.clone(), Obs::enabled(4096))
+        let db = Db::open_with_obs(dir.path(), db_options(), Obs::enabled(4096))
             .map_err(|e| e.to_string())?;
         load(&db, &cfg).map_err(|e| e.to_string())?;
         let r = run(&Target::Standalone(&db), &cfg).map_err(|e| e.to_string())?;
         db.verify_consistency().map_err(|e| e.to_string())?;
-        print_run(label, &r);
+        print_run("baseline", &r);
         if let Some(path) = &args.metrics {
             dump_metrics(path, db.obs())?;
         }
@@ -266,19 +234,7 @@ fn bench_standalone(
         }
         runs.push(r);
     }
-    Ok(bench_json(topic, &config_for(args, 0), &runs))
-}
-
-fn bench_baseline(args: &Args) -> Result<String, String> {
-    bench_standalone(args, "workload_baseline", "baseline", db_options())
-}
-
-fn bench_pool(args: &Args) -> Result<String, String> {
-    bench_standalone(args, "pool_partitioned", "pool", pool_db_options())
-}
-
-fn bench_wal(args: &Args) -> Result<String, String> {
-    bench_standalone(args, "wal_group_commit", "wal", wal_db_options())
+    Ok(bench_json("workload_baseline", &config_for(args, 0), &runs))
 }
 
 fn bench_replication(args: &Args) -> Result<String, String> {
@@ -371,20 +327,10 @@ fn main() -> ExitCode {
     let result = match args.command.as_str() {
         "baseline" => bench_baseline(&args)
             .and_then(|text| write_bench(&args.out, "workload_baseline", &text)),
-        "pool" => {
-            bench_pool(&args).and_then(|text| write_bench(&args.out, "pool_partitioned", &text))
-        }
-        "wal" => {
-            bench_wal(&args).and_then(|text| write_bench(&args.out, "wal_group_commit", &text))
-        }
         "replication" => bench_replication(&args)
             .and_then(|text| write_bench(&args.out, "replication", &text)),
         "all" => bench_baseline(&args)
             .and_then(|text| write_bench(&args.out, "workload_baseline", &text))
-            .and_then(|()| bench_pool(&args))
-            .and_then(|text| write_bench(&args.out, "pool_partitioned", &text))
-            .and_then(|()| bench_wal(&args))
-            .and_then(|text| write_bench(&args.out, "wal_group_commit", &text))
             .and_then(|()| bench_replication(&args))
             .and_then(|text| write_bench(&args.out, "replication", &text)),
         "validate" => {

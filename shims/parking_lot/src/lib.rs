@@ -207,9 +207,9 @@ impl Condvar {
 // --- Parker ----------------------------------------------------------------
 
 /// Futex-style one-token parker, the blocking primitive of the WAL group
-/// commit barrier: committers park until the flusher (or a group leader)
-/// unparks them, and an `unpark` that races ahead of the `park` is never
-/// lost (the token stays set).
+/// commit barrier: committers park until a group leader unparks them, and
+/// an `unpark` that races ahead of the `park` is never lost (the token
+/// stays set).
 ///
 /// Under the model checker, `park`/`park_timeout` never block: they consume
 /// the token if present and otherwise return **spuriously** after a

@@ -2,10 +2,10 @@
 //! simultaneously at anytime" during normal operations. Validated with a
 //! per-thread latch-depth high-water mark.
 //!
-//! Our implementation matches the budget for every single-hop operation and
-//! documents one deviation (DESIGN.md §7/§8): a multi-hop next-key walk
-//! (possible only mid-SMO or across a split's gap) briefly holds three page
-//! latches. These tests pin both facts.
+//! Our implementation matches the budget everywhere, multi-hop next-key
+//! walks included (DESIGN.md §8: the walk holds the original leaf plus one
+//! chain page). These tests pin it per operation; the lockdep dump of
+//! `deadlock_freedom` pins it under concurrency.
 
 mod support;
 

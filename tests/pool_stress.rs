@@ -1,10 +1,9 @@
 //! Concurrency stress for the partitioned buffer pool.
 //!
 //! N threads hammer a pool deliberately smaller than the working set with a
-//! mix of reads, logged writes, explicit flushes, pin-guard re-latching and
-//! background-writer ticks, so pages are continuously evicted and faulted
-//! back in while latched neighbours pin frames. Afterwards three oracles
-//! must hold:
+//! mix of reads, logged writes, explicit flushes and pin-guard re-latching,
+//! so pages are continuously evicted and faulted back in while latched
+//! neighbours pin frames. Afterwards three oracles must hold:
 //!
 //! 1. **Pin balance** — every pin taken was released: the sum of all frame
 //!    pin counts is zero, and every page is still evictable.
@@ -15,7 +14,7 @@
 //! 3. **WAL rule** — every `page_write_back` event in the obs ring records
 //!    the log's durable LSN at the instant of the write (`txn` field) and
 //!    the written page's `page_lsn` (`aux` field); `durable >= page_lsn`
-//!    must hold for each one, eviction, flush and background writer alike.
+//!    must hold for each one, eviction and flush alike.
 
 use ariesim::common::page::PageType;
 use ariesim::common::stats::new_stats;
@@ -61,7 +60,6 @@ fn build_pool(
         PoolOptions {
             frames: FRAMES,
             policy,
-            ..Default::default()
         },
         stats,
         obs,
@@ -163,14 +161,10 @@ fn run_storm(policy: EvictionPolicyKind) {
                         }
                         // Explicit flush (foreground WAL-rule path).
                         8 => pool.flush_page(PageId(p)).unwrap(),
-                        // Background-writer pass (off-foreground WAL path),
-                        // plus a periodic table↔frame agreement audit: a
+                        // Periodic table↔frame agreement audit: a
                         // double-installed page (two racing misses) shows
                         // up as an orphaned frame.
                         _ => {
-                            if i % 16 == 0 {
-                                pool.bg_tick().unwrap();
-                            }
                             if i % 64 == 0 {
                                 pool.validate_mappings();
                             }
@@ -185,10 +179,10 @@ fn run_storm(policy: EvictionPolicyKind) {
     assert_eq!(pool.total_pins(), 0, "leaked pins after the storm");
     pool.validate_mappings();
 
-    // Flush through the bg writer so the freshest ring events include
-    // write-backs, then verify every page — faulting evicted ones back in
-    // from disk — against the oracle.
-    while pool.bg_tick().unwrap() > 0 {}
+    // Flush so the freshest ring events include write-backs, then verify
+    // every page — faulting evicted ones back in from disk — against the
+    // oracle.
+    pool.flush_all().unwrap();
     for p in 1..=PAGES {
         let g = pool.fix_s(PageId(p)).unwrap();
         let want = expected[p as usize].load(Ordering::Acquire);

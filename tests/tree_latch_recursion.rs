@@ -1,0 +1,116 @@
+//! Figure 7's boundary-key delete holds the S tree latch across its retry
+//! traversal. If that traversal meets an ambiguous nonleaf (SM_Bit '1' on
+//! the rightmost route) it must not request the tree latch a second time: a
+//! recursive S request with an SMO's X request queued between the two is a
+//! latch deadlock, which §4 says cannot happen.
+//!
+//! The interleaving is forced, not hoped for: a held X tree latch sends the
+//! delete into its `need_tree_s` retry and parks it in `tree_s`; the root's
+//! SM_Bit is set and its page latch held while the tree latch changes
+//! hands, so the deleter — now holding tree S — parks on the root; a second
+//! thread then queues for tree X; only then is the root released. The
+//! deleter must clear the stale bit and finish under its one S latch. Lives
+//! in its own test binary because the lockdep graph it inspects is
+//! process-global.
+
+mod support;
+
+use ariesim::btree::fetch::{FetchCond, FetchResult};
+use ariesim::btree::LockProtocol;
+use ariesim::obs::lockdep;
+use std::sync::mpsc;
+use std::time::Duration;
+use support::{fix, nkey};
+
+/// Spin until `cond` holds; a stuck predicate is a test failure, not a hang.
+fn wait_for(what: &str, cond: impl Fn() -> bool) {
+    let deadline = std::time::Instant::now() + Duration::from_secs(20);
+    while !cond() {
+        assert!(std::time::Instant::now() < deadline, "never saw: {what}");
+        std::thread::yield_now();
+    }
+}
+
+fn acquisitions() -> u64 {
+    analyze::lockdep::parse_dump(&lockdep::dump_jsonl()).acquisitions
+}
+
+#[test]
+fn boundary_delete_retry_takes_the_tree_latch_once() {
+    const KEYS: u32 = 2000;
+    let f = fix(LockProtocol::DataOnly, false);
+    let setup = f.tm.begin();
+    for i in 0..KEYS {
+        f.tree.insert(&setup, &nkey(i)).unwrap();
+    }
+    f.tm.commit(&setup).unwrap();
+    assert!(f.tree.check_structure().unwrap().height >= 1, "need a nonleaf root");
+
+    // The index's largest key: a boundary key of the rightmost leaf, routed
+    // through the root's rightmost cell. Clear the bits the set-up splits
+    // left behind so the first attempt reaches Figure 7's boundary test.
+    let victim = nkey(KEYS - 1);
+    let root = f.tree.root;
+    let leaf = f.tree.leaf_for_value(&victim.value).unwrap();
+    f.tree.set_page_bits_for_test(leaf, Some(false), Some(false)).unwrap();
+    f.tree.set_page_bits_for_test(root, Some(false), None).unwrap();
+    lockdep::reset();
+
+    let txn = f.tm.begin();
+    let (done_tx, done_rx) = mpsc::channel();
+    std::thread::scope(|s| {
+        // "SMO in progress": the first attempt's conditional S is denied,
+        // the retry asks for S unconditionally and waits behind this X.
+        let smo = f.tree.hold_tree_latch_x();
+        let tree_waits = f.stats.snapshot().latch_tree_waits;
+        let (tree, txn, victim) = (&f.tree, &txn, &victim);
+        s.spawn(move || done_tx.send(tree.delete(txn, victim)).unwrap());
+        wait_for("deleter waiting for tree S", || {
+            f.stats.snapshot().latch_tree_waits > tree_waits
+        });
+
+        // The SMO "ends" having left SM_Bit '1' on the root. Keep the root
+        // X-latched across the hand-over so the deleter stops on it with
+        // the tree latch already in hand.
+        let mut root_x = f.pool.fix_x(root).unwrap();
+        root_x.set_sm_bit(true);
+        let page_waits = f.stats.snapshot().latch_page_waits;
+        drop(smo);
+        wait_for("deleter (holding tree S) waiting for the root", || {
+            f.stats.snapshot().latch_page_waits > page_waits
+        });
+
+        // Next SMO queues for X behind the deleter's S. Lockdep counts the
+        // request just before it blocks; release builds record nothing, so
+        // there the request merely races (the outcome below is the same).
+        let before = acquisitions();
+        s.spawn(|| drop(f.tree.hold_tree_latch_x()));
+        if cfg!(debug_assertions) {
+            wait_for("second SMO queued for tree X", || acquisitions() > before);
+        }
+        drop(root_x);
+
+        done_rx
+            .recv_timeout(Duration::from_secs(20))
+            .expect("boundary delete hung: tree-latch self-deadlock")
+            .expect("boundary delete failed");
+    });
+    f.tm.commit(&txn).unwrap();
+
+    let check = f.tm.begin();
+    assert_eq!(
+        f.tree.fetch(&check, &victim.value, FetchCond::Eq).unwrap(),
+        FetchResult::NotFound,
+        "deleted key still visible"
+    );
+    f.tm.commit(&check).unwrap();
+    assert_eq!(f.tree.check_structure().unwrap().keys, (KEYS - 1) as usize);
+
+    let dump = analyze::lockdep::parse_dump(&lockdep::dump_jsonl());
+    let findings = analyze::lockdep::check_dump("tree_latch_recursion", &dump);
+    assert!(
+        findings.is_empty(),
+        "lockdep findings:\n{}",
+        findings.iter().map(ToString::to_string).collect::<Vec<_>>().join("\n")
+    );
+}
