@@ -48,10 +48,9 @@ fn main() -> ExitCode {
                      \n\
                      With no --lockdep: run the source lint suite over the workspace\n\
                      (latch census + rank order, no-wait-under-latch, panic audit,\n\
-                     crash-point registry, metric-name audit, WAL-record coverage),\n\
-                     filtered through\n\
-                     lint.allow. --crash-points adds the reachability audit against\n\
-                     a `torture --list-points` output file.\n\
+                     atomics-ordering census, crash-point registry, WAL-record\n\
+                     coverage), filtered through lint.allow. --crash-points adds the\n\
+                     reachability audit against a `torture --list-points` output file.\n\
                      \n\
                      With --lockdep: check an acquisition-order dump (JSONL from\n\
                      ariesim_obs::lockdep::dump_jsonl) for rank violations, cycles,\n\
@@ -131,11 +130,10 @@ fn main() -> ExitCode {
         }
         println!(
             "arieslint: {} latch sites, {} ordering sites, {} crash points, \
-             {} metric names, {} allowlist entries",
+             {} allowlist entries",
             report.census.len(),
             report.ordering_sites.len(),
             report.crash_points.len(),
-            report.metric_sites.len(),
             allow.len()
         );
     }

@@ -29,12 +29,6 @@
 //!   reached.
 //! * [`lint_wal_coverage`] — every WAL body variant is dispatched in both
 //!   redo and undo (an unhandled variant is silent data loss at restart).
-//! * [`lint_metric_names`] — every literal metric name passed to the
-//!   `MetricsRegistry` is globally unique, snake_case, and referenced at
-//!   least once outside its registration file (a metric nobody reads or
-//!   documents is dead weight in every exposition; dynamically-built names
-//!   are covered by the registry's own registration-time panics).
-//!
 //! * [`lint_ordering_census`] — every atomic memory-ordering argument
 //!   (`Ordering::Relaxed` … `Ordering::SeqCst`) in the engine crates carries
 //!   a `// ordering: <why>` justification; a bare ordering — above all a bare
@@ -987,136 +981,6 @@ pub fn lint_wal_coverage(root: &Path) -> io::Result<Vec<Finding>> {
 }
 
 // ---------------------------------------------------------------------------
-// Lint 6: metric-name audit
-// ---------------------------------------------------------------------------
-
-/// One literal metric registration, e.g. `reg.register_gauge("repl_lag_bytes", ...)`.
-#[derive(Debug, Clone)]
-pub struct MetricSite {
-    pub name: String,
-    pub file: String,
-    pub line: usize,
-}
-
-const METRIC_NEEDLES: &[&str] = &[
-    "register_counter(",
-    "register_gauge(",
-    "register_histogram(",
-];
-
-/// The registry's naming rule, `[a-z][a-z0-9_]*` (mirrors
-/// `ariesim_obs::registry::is_snake_case` — this crate is dependency-free,
-/// so the three-line rule is restated rather than imported).
-fn metric_snake_case(name: &str) -> bool {
-    let mut chars = name.chars();
-    matches!(chars.next(), Some('a'..='z'))
-        && chars.all(|c| matches!(c, 'a'..='z' | '0'..='9' | '_'))
-}
-
-/// Literal-name registration sites in one file. Definition lines
-/// (`pub fn register_counter(...)`) and `#[cfg(test)]` modules are skipped;
-/// a non-literal first argument means the name is built dynamically and is
-/// audited by the registry's registration-time panics instead.
-pub fn find_metric_sites(file: &str, content: &str) -> Vec<MetricSite> {
-    let lines: Vec<&str> = content.lines().collect();
-    let end_line = test_module_start(&lines);
-    let end_byte = lines[..end_line]
-        .iter()
-        .map(|l| l.len() + 1)
-        .sum::<usize>()
-        .min(content.len());
-    let hay = &content[..end_byte];
-    let mut out = Vec::new();
-    for needle in METRIC_NEEDLES {
-        for at in bounded_matches(hay, needle) {
-            if hay[..at].trim_end().ends_with("fn") {
-                continue; // the registry's own method definition
-            }
-            let line_idx = hay[..at].matches('\n').count();
-            let line_start = hay[..at].rfind('\n').map_or(0, |i| i + 1);
-            let col = at - line_start;
-            let line_text = lines[line_idx];
-            if is_comment_line(line_text) || col >= code_part(line_text).len() {
-                continue; // needle sits in a comment
-            }
-            if line_text[..col.min(line_text.len())].matches('"').count() % 2 == 1 {
-                continue; // needle sits inside a string literal
-            }
-            // The literal may start on this line or (rustfmt'd multi-arg
-            // call) on the next: whitespace-skip across newlines finds it.
-            let rest = hay[at + needle.len()..].trim_start();
-            let Some(lit) = rest.strip_prefix('"') else {
-                continue; // dynamic name
-            };
-            let Some(close) = lit.find('"') else { continue };
-            out.push(MetricSite {
-                name: lit[..close].to_string(),
-                file: file.to_string(),
-                line: line_idx + 1,
-            });
-        }
-    }
-    out.sort_by_key(|s| s.line);
-    out
-}
-
-/// Audit the collected sites against the whole workspace: names must be
-/// snake_case, globally unique, and referenced (whole-word) in at least one
-/// file other than the one registering them — engine code reading the
-/// metric, a test asserting on it, or the README metrics table documenting
-/// it all count.
-pub fn lint_metric_names(
-    sites: &[MetricSite],
-    corpus: &[(String, String)],
-) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    let mut first: HashMap<&str, &MetricSite> = HashMap::new();
-    for s in sites {
-        if !metric_snake_case(&s.name) {
-            findings.push(finding(
-                &s.file,
-                s.line,
-                "metric-name",
-                format!("metric name {:?} is not snake_case ([a-z][a-z0-9_]*)", s.name),
-            ));
-        }
-        match first.get(s.name.as_str()) {
-            Some(prev) => findings.push(finding(
-                &s.file,
-                s.line,
-                "metric-name-dup",
-                format!(
-                    "metric {:?} already registered at {}:{}",
-                    s.name, prev.file, prev.line
-                ),
-            )),
-            None => {
-                first.insert(&s.name, s);
-            }
-        }
-    }
-    for s in first.values() {
-        let referenced = corpus
-            .iter()
-            .any(|(f, text)| *f != s.file && !word_occurrences(text, &s.name).is_empty());
-        if !referenced {
-            findings.push(finding(
-                &s.file,
-                s.line,
-                "metric-unreferenced",
-                format!(
-                    "metric {:?} is never referenced outside {}: read it somewhere \
-                     or document it in the README metrics table",
-                    s.name, s.file
-                ),
-            ));
-        }
-    }
-    findings.sort_by(|a, b| (&a.file, a.line, a.lint).cmp(&(&b.file, b.line, b.lint)));
-    findings
-}
-
-// ---------------------------------------------------------------------------
 // Allowlist
 // ---------------------------------------------------------------------------
 
@@ -1268,7 +1132,6 @@ pub struct SourceReport {
     pub findings: Vec<Finding>,
     pub census: Vec<CensusSite>,
     pub crash_points: Vec<CrashPointSite>,
-    pub metric_sites: Vec<MetricSite>,
     pub ordering_sites: Vec<OrderingSite>,
 }
 
@@ -1278,7 +1141,6 @@ pub fn run_source_lints(root: &Path, reached: Option<&[String]>) -> io::Result<S
     let mut findings = Vec::new();
     let mut census = Vec::new();
     let mut crash_points = Vec::new();
-    let mut metric_sites = Vec::new();
     let mut ordering_sites = Vec::new();
 
     for krate in LATCH_CRATES {
@@ -1313,9 +1175,7 @@ pub fn run_source_lints(root: &Path, reached: Option<&[String]>) -> io::Result<S
             findings.extend(f);
         }
     }
-    // Crash points and metric registrations live anywhere in the
-    // workspace's crates; metric *references* may additionally come from
-    // the workspace-level tests and the root markdown docs.
+    // Crash points live anywhere in the workspace's crates.
     let mut files = Vec::new();
     let crates_dir = root.join("crates");
     if crates_dir.exists() {
@@ -1330,26 +1190,9 @@ pub fn run_source_lints(root: &Path, reached: Option<&[String]>) -> io::Result<S
         let content = fs::read_to_string(p)?;
         let name = rel(root, p);
         crash_points.extend(find_crash_points(&name, &content));
-        metric_sites.extend(find_metric_sites(&name, &content));
         corpus.push((name, content));
     }
-    let mut extra = Vec::new();
-    rust_files(&root.join("tests"), &mut extra)?;
-    for p in &extra {
-        corpus.push((rel(root, p), fs::read_to_string(p)?));
-    }
-    if let Ok(entries) = fs::read_dir(root) {
-        let mut mds: Vec<_> = entries
-            .filter_map(|e| e.ok().map(|e| e.path()))
-            .filter(|p| p.extension().is_some_and(|x| x == "md"))
-            .collect();
-        mds.sort();
-        for p in &mds {
-            corpus.push((rel(root, p), fs::read_to_string(p)?));
-        }
-    }
     findings.extend(lint_crash_points(&crash_points, reached));
-    findings.extend(lint_metric_names(&metric_sites, &corpus));
     findings.extend(lint_wal_coverage(root)?);
     findings.sort_by(|a, b| (&a.file, a.line, a.lint).cmp(&(&b.file, b.line, b.lint)));
     // Stamp each finding with the content fingerprint of its flagged line —
@@ -1369,7 +1212,6 @@ pub fn run_source_lints(root: &Path, reached: Option<&[String]>) -> io::Result<S
         findings,
         census,
         crash_points,
-        metric_sites,
         ordering_sites,
     })
 }

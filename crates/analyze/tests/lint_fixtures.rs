@@ -3,9 +3,9 @@
 //! the same gate CI runs via `cargo run -p analyze --bin arieslint`).
 
 use analyze::{
-    apply_allowlist, find_crash_points, find_metric_sites, lint_crash_points, lint_latch_census,
-    lint_metric_names, lint_no_panic, lint_no_wait_under_latch, lint_ordering_census,
-    lint_wal_coverage, lockdep, parse_allowlist, run_source_lints, Finding, ALLOWLIST_MAX,
+    apply_allowlist, find_crash_points, lint_crash_points, lint_latch_census, lint_no_panic,
+    lint_no_wait_under_latch, lint_ordering_census, lint_wal_coverage, lockdep, parse_allowlist,
+    run_source_lints, Finding, ALLOWLIST_MAX,
 };
 use std::path::{Path, PathBuf};
 
@@ -102,40 +102,6 @@ fn crash_point_registry_finds_duplicates_and_unreached() {
         at(&findings, "crash-point-unreached"),
         vec![("crash_points_a.rs".to_string(), 5)]
     );
-}
-
-#[test]
-fn metric_audit_flags_bad_dup_and_unreferenced_names() {
-    let sites = find_metric_sites("metrics.rs", &fixture("metrics.rs"));
-    // Five literal sites; the dynamic one and the test-module one are not
-    // collected (the registry panics on those at registration time instead).
-    assert_eq!(sites.len(), 5, "sites: {sites:?}");
-    assert!(sites.iter().all(|s| s.name != "test_only_metric"));
-
-    let corpus = vec![
-        ("metrics.rs".to_string(), fixture("metrics.rs")),
-        (
-            "README.md".to_string(),
-            "| `good_counter` | `BadName` | `dup_metric` | documented |".to_string(),
-        ),
-    ];
-    let findings = lint_metric_names(&sites, &corpus);
-    assert_eq!(
-        at(&findings, "metric-name"),
-        vec![("metrics.rs".to_string(), 8)],
-        "findings: {findings:?}"
-    );
-    assert_eq!(
-        at(&findings, "metric-name-dup"),
-        vec![("metrics.rs".to_string(), 10)]
-    );
-    // `lonely_metric` appears nowhere outside its registration file; a
-    // same-file mention (the registration itself) is not a reference.
-    assert_eq!(
-        at(&findings, "metric-unreferenced"),
-        vec![("metrics.rs".to_string(), 11)]
-    );
-    assert_eq!(findings.len(), 3);
 }
 
 #[test]
@@ -344,12 +310,6 @@ fn workspace_is_clean_under_committed_allowlist() {
     // silently stopped seeing the engine.
     assert!(report.census.len() >= 50, "census: {}", report.census.len());
     assert!(report.crash_points.len() >= 40);
-    // The obs registry's literal names must all be in view of the audit.
-    assert!(
-        report.metric_sites.len() >= 14,
-        "metric sites: {}",
-        report.metric_sites.len()
-    );
     // Every atomic-ordering site in the engine is annotated and counted; an
     // empty census would mean the scanner stopped seeing the atomics.
     assert!(

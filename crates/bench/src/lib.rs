@@ -1,9 +1,8 @@
-//! Shared rigs and workload drivers for the benchmark harness.
+//! Shared rigs and workload drivers for the paper-claim harness.
 //!
 //! The `experiments` binary (`cargo run --release -p ariesim-bench --bin
 //! experiments`) regenerates every figure/table reproduction listed in
-//! EXPERIMENTS.md; the Criterion benches under `benches/` measure the same
-//! quantities under the Criterion protocol.
+//! EXPERIMENTS.md. Timing the engine is `benchmark/`'s job, not this crate's.
 
 pub mod torture;
 

@@ -65,6 +65,11 @@ impl IndexRm {
         self.trees.write().insert(tree.index_id, tree);
     }
 
+    /// Forget an index whose creating transaction was rolled back.
+    pub fn unregister_tree(&self, index: IndexId) {
+        self.trees.write().remove(&index);
+    }
+
     fn tree(&self, index: IndexId) -> Result<Arc<BTree>> {
         self.trees
             .read()

@@ -249,15 +249,24 @@ impl Db {
         if cat.table(name).is_some() {
             return Err(Error::Internal(format!("table {name} already exists")));
         }
+        let columns = u16::try_from(columns).map_err(|_| {
+            Error::Internal(format!("table {name}: {columns} columns exceed {}", u16::MAX))
+        })?;
         let txn = self.tm.begin();
         let id = cat.next_table_id();
-        let first_page = self.heap.create_file(&txn, id)?;
+        let first_page = match self.heap.create_file(&txn, id) {
+            Ok(page) => page,
+            Err(e) => {
+                self.tm.rollback(&txn)?;
+                return Err(e);
+            }
+        };
         self.tm.commit(&txn)?;
         cat.add_table(TableDef {
             id,
             name: name.to_string(),
             first_page,
-            columns: columns as u16,
+            columns,
         });
         cat.persist(&self.pool)?;
         self.pool.flush_all()?;
@@ -265,7 +274,9 @@ impl Db {
     }
 
     /// Create an index on `table`'s column `column`. Backfills from existing
-    /// rows inside the DDL transaction.
+    /// rows inside the DDL transaction; if that fails (a duplicate value
+    /// under `unique`, say) the transaction is rolled back and nothing of the
+    /// index remains.
     pub fn create_index(
         &self,
         name: &str,
@@ -281,9 +292,48 @@ impl Db {
         if cat.index(name).is_some() {
             return Err(Error::Internal(format!("index {name} already exists")));
         }
+        let column = u16::try_from(column)
+            .ok()
+            .filter(|c| *c < tdef.columns)
+            .ok_or_else(|| Error::Internal(format!("table {table} has no column {column}")))?;
         let txn = self.tm.begin();
         let id = cat.next_index_id();
-        let root = BTree::create(&txn, id, &self.pool, &self.log)?;
+        let tree = match self.build_index(&txn, id, &tdef, column, unique) {
+            Ok(tree) => tree,
+            Err(e) => {
+                // Undo looks the tree up by id, so it goes only afterwards.
+                let undone = self.tm.rollback(&txn);
+                self.index_rm.unregister_tree(id);
+                undone?;
+                return Err(e);
+            }
+        };
+        self.tm.commit(&txn)?;
+        let def = IndexDef {
+            id,
+            name: name.to_string(),
+            table: tdef.id,
+            root: tree.root,
+            column,
+            unique,
+        };
+        cat.add_index(def, tree);
+        cat.persist(&self.pool)?;
+        self.pool.flush_all()?;
+        Ok(id)
+    }
+
+    /// Allocate and register index `id`, then insert a key for every
+    /// existing row of `tdef`, all inside `txn`.
+    fn build_index(
+        &self,
+        txn: &TxnHandle,
+        id: IndexId,
+        tdef: &TableDef,
+        column: u16,
+        unique: bool,
+    ) -> Result<Arc<BTree>> {
+        let root = BTree::create(txn, id, &self.pool, &self.log)?;
         let tree = BTree::new_with_granularity(
             id,
             root,
@@ -296,28 +346,12 @@ impl Db {
             self.stats.clone(),
         );
         self.index_rm.register_tree(tree.clone());
-        // Backfill.
         for (rid, bytes) in self.heap.scan_all(tdef.first_page)? {
             let row = Row::decode(&bytes)?;
-            let value = row.field(column)?;
-            tree.insert(
-                &txn,
-                &ariesim_common::IndexKey::new(value.to_vec(), rid),
-            )?;
+            let value = row.field(column as usize)?;
+            tree.insert(txn, &ariesim_common::IndexKey::new(value.to_vec(), rid))?;
         }
-        self.tm.commit(&txn)?;
-        let def = IndexDef {
-            id,
-            name: name.to_string(),
-            table: tdef.id,
-            root,
-            column: column as u16,
-            unique,
-        };
-        cat.add_index(def, tree);
-        cat.persist(&self.pool)?;
-        self.pool.flush_all()?;
-        Ok(id)
+        Ok(tree)
     }
 
     /// Simulate a crash: drop all volatile state without flushing anything.

@@ -7,11 +7,14 @@
 //! * an index fetch's commit S lock on the key (= the RID) means the record
 //!   read that follows takes no lock of its own.
 
+use crate::catalog::TableDef;
 use crate::{Db, FetchCond};
 use ariesim_btree::fetch::FetchResult;
+use ariesim_btree::BTree;
 use ariesim_common::codec::{Reader, Writer};
 use ariesim_common::{Error, IndexKey, Result, Rid};
 use ariesim_txn::TxnHandle;
+use std::sync::Arc;
 
 /// A row: a list of byte-string fields.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -56,19 +59,36 @@ impl Row {
     }
 }
 
+/// The indexed column and the open tree of each index on a table, in id
+/// order.
+type OpenIndexes = Vec<(usize, Arc<BTree>)>;
+
 impl Db {
+    /// What a row operation needs from the catalog, read in one critical
+    /// section: the table and its open indexes.
+    fn resolve(&self, table: &str) -> Result<(TableDef, OpenIndexes)> {
+        let cat = self.catalog.lock();
+        let tdef = cat
+            .table(table)
+            .ok_or_else(|| Error::Internal(format!("no table {table}")))?
+            .clone();
+        let indexes = cat
+            .indexes_on(tdef.id)
+            .into_iter()
+            .map(|ix| {
+                let tree = cat
+                    .tree(ix.id)
+                    .ok_or_else(|| Error::Internal(format!("index {} not open", ix.name)))?;
+                Ok((ix.column as usize, tree))
+            })
+            .collect::<Result<_>>()?;
+        Ok((tdef, indexes))
+    }
+
     /// Insert a row: heap insert (which takes the commit X record lock),
     /// then one key insert per index on the table. Returns the RID.
     pub fn insert_row(&self, txn: &TxnHandle, table: &str, row: &Row) -> Result<Rid> {
-        let (tdef, indexes) = {
-            let cat = self.catalog.lock();
-            let t = cat
-                .table(table)
-                .ok_or_else(|| Error::Internal(format!("no table {table}")))?
-                .clone();
-            let ix = cat.indexes_on(t.id);
-            (t, ix)
-        };
+        let (tdef, indexes) = self.resolve(table)?;
         if row.fields.len() != tdef.columns as usize {
             return Err(Error::Internal(format!(
                 "row has {} fields, table {table} has {}",
@@ -79,13 +99,8 @@ impl Db {
         let rid = self
             .heap
             .insert(txn, tdef.id, tdef.first_page, &row.encode())?;
-        for ix in indexes {
-            let tree = self
-                .catalog
-                .lock()
-                .tree(ix.id)
-                .ok_or_else(|| Error::Internal(format!("index {} not open", ix.name)))?;
-            let key = IndexKey::new(row.field(ix.column as usize)?.to_vec(), rid);
+        for (column, tree) in indexes {
+            let key = IndexKey::new(row.field(column)?.to_vec(), rid);
             tree.insert(txn, &key)?;
         }
         Ok(rid)
@@ -94,24 +109,11 @@ impl Db {
     /// Delete the row at `rid`: heap delete (commit X record lock), then one
     /// key delete per index.
     pub fn delete_row(&self, txn: &TxnHandle, table: &str, rid: Rid) -> Result<Row> {
-        let (tdef, indexes) = {
-            let cat = self.catalog.lock();
-            let t = cat
-                .table(table)
-                .ok_or_else(|| Error::Internal(format!("no table {table}")))?
-                .clone();
-            let ix = cat.indexes_on(t.id);
-            (t, ix)
-        };
+        let (tdef, indexes) = self.resolve(table)?;
         let old = self.heap.delete(txn, tdef.id, rid)?;
         let row = Row::decode(&old)?;
-        for ix in indexes {
-            let tree = self
-                .catalog
-                .lock()
-                .tree(ix.id)
-                .ok_or_else(|| Error::Internal(format!("index {} not open", ix.name)))?;
-            let key = IndexKey::new(row.field(ix.column as usize)?.to_vec(), rid);
+        for (column, tree) in indexes {
+            let key = IndexKey::new(row.field(column)?.to_vec(), rid);
             tree.delete(txn, &key)?;
         }
         Ok(row)
@@ -121,15 +123,7 @@ impl Db {
     /// which under data-only locking covers the index keys too), then a key
     /// delete + insert on every index whose column actually changed.
     pub fn update_row(&self, txn: &TxnHandle, table: &str, rid: Rid, new: &Row) -> Result<()> {
-        let (tdef, indexes) = {
-            let cat = self.catalog.lock();
-            let t = cat
-                .table(table)
-                .ok_or_else(|| Error::Internal(format!("no table {table}")))?
-                .clone();
-            let ix = cat.indexes_on(t.id);
-            (t, ix)
-        };
+        let (tdef, indexes) = self.resolve(table)?;
         if new.fields.len() != tdef.columns as usize {
             return Err(Error::Internal(format!(
                 "row has {} fields, table {table} has {}",
@@ -138,17 +132,11 @@ impl Db {
             )));
         }
         let old = Row::decode(&self.heap.update(txn, tdef.id, rid, &new.encode())?)?;
-        for ix in indexes {
-            let col = ix.column as usize;
-            let (ov, nv) = (old.field(col)?, new.field(col)?);
+        for (column, tree) in indexes {
+            let (ov, nv) = (old.field(column)?, new.field(column)?);
             if ov == nv {
                 continue;
             }
-            let tree = self
-                .catalog
-                .lock()
-                .tree(ix.id)
-                .ok_or_else(|| Error::Internal(format!("index {} not open", ix.name)))?;
             tree.delete(txn, &IndexKey::new(ov.to_vec(), rid))?;
             tree.insert(txn, &IndexKey::new(nv.to_vec(), rid))?;
         }
@@ -212,7 +200,7 @@ impl Db {
     }
 
     /// Look up an opened tree handle by index name.
-    pub fn tree_by_name(&self, index: &str) -> Result<std::sync::Arc<ariesim_btree::BTree>> {
+    pub fn tree_by_name(&self, index: &str) -> Result<Arc<BTree>> {
         let cat = self.catalog.lock();
         let def = cat
             .index(index)

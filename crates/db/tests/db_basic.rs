@@ -178,6 +178,43 @@ fn create_index_backfills_existing_rows() {
 }
 
 #[test]
+fn failed_create_index_leaves_no_transaction_behind() {
+    let dir = TempDir::new("db");
+    let db = open(&dir);
+    db.create_table("accounts", 3).unwrap();
+    let txn = db.begin();
+    for i in 0..20 {
+        db.insert_row(&txn, "accounts", &account(i, if i % 2 == 0 { "b0" } else { "b1" }, i))
+            .unwrap();
+    }
+    db.commit(&txn).unwrap();
+
+    // Duplicate branch values under `unique`: the backfill fails part-way.
+    assert!(matches!(
+        db.create_index("by_branch", "accounts", 1, true),
+        Err(Error::UniqueViolation)
+    ));
+    assert_eq!(db.tm.active_count(), 0, "DDL transaction leaked");
+    assert!(db.create_index("by_nothing", "accounts", 3, false).is_err());
+    assert!(db.create_table("too_wide", 1 << 16).is_err());
+    assert_eq!(db.tm.active_count(), 0);
+    assert_eq!(db.verify_consistency().unwrap().indexes, 0);
+
+    // The name is free, and the same index without `unique` builds.
+    db.create_index("by_branch", "accounts", 1, false).unwrap();
+    let report = db.verify_consistency().unwrap();
+    assert_eq!((report.rows, report.indexes), (20, 1));
+
+    let dir_path = db.crash();
+    let db = Db::open(&dir_path, DbOptions::default()).unwrap();
+    let report = db.verify_consistency().unwrap();
+    assert_eq!((report.rows, report.indexes), (20, 1));
+    let txn = db.begin();
+    assert_eq!(db.scan_range(&txn, "by_branch", b"b0", b"b1").unwrap().len(), 10);
+    db.commit(&txn).unwrap();
+}
+
+#[test]
 fn clean_reopen_preserves_everything() {
     let dir = TempDir::new("db");
     {

@@ -38,8 +38,7 @@ pub fn bucket_of(ns: u64) -> usize {
     63 - ns.max(1).leading_zeros() as usize
 }
 
-/// Inclusive upper bound (ns) of bucket `i`, used as its representative
-/// (and as the `le` bound in Prometheus exposition).
+/// Inclusive upper bound (ns) of bucket `i`, used as its representative.
 #[inline]
 pub fn bucket_top(i: usize) -> u64 {
     if i >= 63 {

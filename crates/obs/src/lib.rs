@@ -18,19 +18,15 @@
 //! branch on a `bool`. Invariant monitoring is always on — it is the
 //! cheapest pillar (a thread-local increment) and the most valuable one.
 
-pub mod attrib;
 pub mod hist;
 pub mod json;
 pub mod lockdep;
 pub mod monitor;
-pub mod registry;
 pub mod span;
 pub mod trace;
 
-pub use attrib::Attribution;
 pub use hist::{fmt_ns, Gauge, HistogramSnapshot, LatencyHistogram};
 pub use monitor::{current_latch_depth, Monitor, MonitorSnapshot, MAX_LATCH_DEPTH};
-pub use registry::{MetricValue, MetricsRegistry};
 pub use span::{SpanGuard, SpanKind, SpanSnapshot, SpanTotals, SPAN_KIND_COUNT, SPAN_NAMES};
 pub use trace::{Event, EventKind, EventRing, ModeTag, RingStats};
 
@@ -193,9 +189,9 @@ pub struct Gauges {
 }
 
 /// Buffer-pool traffic counters, bumped by `ariesim_storage::pool` and
-/// exposed through the metrics registry. Always live (plain relaxed
-/// atomics): the pool is on every page access, so these are the cheapest
-/// possible contention telemetry. Per-partition breakdowns live in the pool
+/// read out by [`Obs::to_json`] / [`Obs::render_report`]. Always live
+/// (plain relaxed atomics): the pool is on every page access, so these are
+/// the cheapest possible contention telemetry. Per-partition breakdowns live in the pool
 /// itself (partition count is not known when the handle is built).
 #[derive(Default)]
 pub struct PoolCounters {
@@ -210,6 +206,16 @@ pub struct PoolCounters {
 }
 
 impl PoolCounters {
+    /// `(name, value)` per counter, in read-out order.
+    pub fn named(&self) -> [(&'static str, u64); 4] {
+        [
+            ("hits", self.hits.load(Ordering::Relaxed)),
+            ("misses", self.misses.load(Ordering::Relaxed)),
+            ("evictions", self.evictions.load(Ordering::Relaxed)),
+            ("shard_contended", self.shard_contended.load(Ordering::Relaxed)),
+        ]
+    }
+
     pub fn reset(&self) {
         self.hits.store(0, Ordering::Relaxed);
         self.misses.store(0, Ordering::Relaxed);
@@ -218,8 +224,8 @@ impl PoolCounters {
     }
 }
 
-/// WAL group-commit counters, bumped by `ariesim_wal::manager` and exposed
-/// through the metrics registry. Always live, like [`PoolCounters`]: plain
+/// WAL group-commit counters, bumped by `ariesim_wal::manager` and read
+/// out next to the pool's. Always live, like [`PoolCounters`]: plain
 /// relaxed atomics, no protocol role (the model checker ignores them).
 #[derive(Default)]
 pub struct WalCounters {
@@ -231,6 +237,14 @@ pub struct WalCounters {
 }
 
 impl WalCounters {
+    /// `(name, value)` per counter, in read-out order.
+    pub fn named(&self) -> [(&'static str, u64); 2] {
+        [
+            ("group_batches", self.group_batches.load(Ordering::Relaxed)),
+            ("group_riders", self.group_riders.load(Ordering::Relaxed)),
+        ]
+    }
+
     pub fn reset(&self) {
         self.group_batches.store(0, Ordering::Relaxed);
         self.group_riders.store(0, Ordering::Relaxed);
@@ -378,6 +392,19 @@ impl Obs {
                 ));
             }
         }
+        for (label, counters) in [
+            ("pool", &self.pool.named()[..]),
+            ("wal", &self.wal.named()[..]),
+        ] {
+            if counters.iter().any(|&(_, v)| v != 0) {
+                out.push_str(label);
+                out.push(':');
+                for (name, v) in counters {
+                    out.push_str(&format!(" {name} {v}"));
+                }
+                out.push('\n');
+            }
+        }
         let lag = &self.gauge.repl_lag;
         if lag.bytes.max() != 0 {
             out.push_str(&format!(
@@ -421,16 +448,16 @@ impl Obs {
         if !rs.complete() {
             out.push_str(&format!(
                 "WARNING: event ring wrapped ({} events dropped, {} torn) — \
-                 ring-derived attribution is incomplete (span totals above \
-                 remain exact)\n",
+                 a ring dump is incomplete (span totals above remain exact)\n",
                 rs.dropped, rs.torn,
             ));
         }
         out
     }
 
-    /// Full JSON export: every histogram (buckets included), the monitor
-    /// snapshot, and ring metadata. One JSON object, machine-readable.
+    /// Full JSON export: every histogram (buckets included), span totals,
+    /// gauges, pool and WAL counters, the monitor snapshot, and ring
+    /// metadata. One JSON object, machine-readable.
     pub fn to_json(&self) -> String {
         let mut root = json::Object::new();
         let mut hists = String::from("{");
@@ -486,6 +513,16 @@ impl Obs {
         rg.field_raw("losers_remaining", &gauge_pair(&rec.losers_remaining));
         go.field_raw("recovery", &rg.finish());
         root.field_raw("gauges", &go.finish());
+
+        let counters = |named: &[(&'static str, u64)]| {
+            let mut o = json::Object::new();
+            for &(name, v) in named {
+                o.field_u64(name, v);
+            }
+            o.finish()
+        };
+        root.field_raw("pool", &counters(&self.pool.named()));
+        root.field_raw("wal", &counters(&self.wal.named()));
 
         let m = self.monitor.snapshot();
         let mut mo = json::Object::new();
@@ -554,8 +591,22 @@ mod tests {
         let obs = Obs::enabled(64);
         obs.hist.log_force.record_ns(40_000);
         obs.event(EventKind::LogForce, ModeTag::None, 1, 0, 512);
+        obs.pool.hits.store(7, Ordering::Relaxed);
+        obs.pool.shard_contended.store(2, Ordering::Relaxed);
+        obs.wal.group_riders.store(3, Ordering::Relaxed);
         let text = obs.to_json();
         let v = json::parse(&text).expect("valid JSON");
+        let pool = v.get("pool").unwrap();
+        assert_eq!(pool.get("hits").unwrap().as_u64(), Some(7));
+        assert_eq!(pool.get("misses").unwrap().as_u64(), Some(0));
+        assert_eq!(pool.get("evictions").unwrap().as_u64(), Some(0));
+        assert_eq!(pool.get("shard_contended").unwrap().as_u64(), Some(2));
+        let wal = v.get("wal").unwrap();
+        assert_eq!(wal.get("group_batches").unwrap().as_u64(), Some(0));
+        assert_eq!(wal.get("group_riders").unwrap().as_u64(), Some(3));
+        let report = obs.render_report();
+        assert!(report.contains("pool: hits 7 misses 0 evictions 0 shard_contended 2\n"));
+        assert!(report.contains("wal: group_batches 0 group_riders 3\n"));
         let lf = v.get("histograms").unwrap().get("log_force").unwrap();
         assert_eq!(lf.get("count").unwrap().as_u64(), Some(1));
         assert_eq!(

@@ -243,9 +243,8 @@ impl EventRing {
 
     /// [`snapshot`](Self::snapshot) plus a [`RingStats`] accounting for
     /// what the snapshot could *not* see: events overwritten by ring wrap
-    /// and slots skipped because a writer raced the copy. Attribution
-    /// layers use this to say "incomplete" instead of silently
-    /// under-reporting.
+    /// and slots skipped because a writer raced the copy, so a reader of
+    /// the dump can say "incomplete" instead of silently under-reporting.
     pub fn snapshot_with_stats(&self) -> (Vec<Event>, RingStats) {
         let mut out = Vec::with_capacity(self.slots.len());
         let mut torn = 0u64;

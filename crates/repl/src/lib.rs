@@ -82,7 +82,7 @@ pub fn fork_standby(
 }
 
 /// A primary, its standby, and the shipper between them — the bundle the
-/// workload harness and the torture matrix drive.
+/// replication tests and the torture matrix drive.
 pub struct ReplPair {
     pub primary: Arc<Db>,
     pub standby: Arc<Standby>,

@@ -5,7 +5,7 @@
 //! Because LSNs are byte offsets into the primary's log, "stream position"
 //! and "LSN" are the same number, and the transport never needs to parse
 //! what it carries. Two implementations: an in-process buffer (tests, the
-//! workload harness) and a spool file (two engines sharing only a
+//! torture matrix) and a spool file (two engines sharing only a
 //! filesystem, the closest this reproduction gets to a network).
 //!
 //! The transport also carries the primary's **master record** (checkpoint

@@ -48,7 +48,7 @@ use ariesim_common::stats::{Bump, StatsHandle};
 use ariesim_common::{Error, Lsn, PageBuf, PageId, Result};
 use ariesim_fault::crash_point;
 use ariesim_obs::lockdep;
-use ariesim_obs::{EventKind, MetricsRegistry, ModeTag, Obs, ObsHandle, SpanKind};
+use ariesim_obs::{EventKind, ModeTag, Obs, ObsHandle, SpanKind};
 use ariesim_wal::{DptEntry, LogManager};
 use parking_lot::lock_api::{ArcRwLockReadGuard, ArcRwLockWriteGuard};
 use parking_lot::{Mutex, RawRwLock, RwLock};
@@ -151,8 +151,8 @@ struct Frame {
     owner: AtomicU32,
 }
 
-/// Per-partition traffic counters (relaxed atomics; exposed per shard by
-/// [`BufferPool::register_metrics`] and summed into `obs.pool`).
+/// Per-partition traffic counters (relaxed atomics; read per shard through
+/// [`BufferPool::shard_stats`] and summed into `obs.pool`).
 #[derive(Default)]
 pub struct ShardCounters {
     pub hits: AtomicU64,
@@ -314,37 +314,6 @@ impl BufferPool {
             // ordering: pin words synchronize via AcqRel RMWs; Acquire here keeps this sum coherent with them (still advisory across frames)
             .map(|f| f.pins.load(Ordering::Acquire) as u64)
             .sum()
-    }
-
-    /// Register per-partition counters into `reg` as
-    /// `pool_shard_<i>_{hits,misses,evictions,contended}`.
-    pub fn register_metrics(self: &Arc<Self>, reg: &MetricsRegistry) {
-        for sid in 0..self.shards.len() {
-            let p = self.clone();
-            reg.register_counter(
-                &format!("pool_shard_{sid}_hits"),
-                "per-partition buffer-pool page-table hits",
-                move || p.shards[sid].counters.hits.load(Ordering::Relaxed), // ordering: advisory counter gauge
-            );
-            let p = self.clone();
-            reg.register_counter(
-                &format!("pool_shard_{sid}_misses"),
-                "per-partition buffer-pool misses",
-                move || p.shards[sid].counters.misses.load(Ordering::Relaxed), // ordering: advisory counter gauge
-            );
-            let p = self.clone();
-            reg.register_counter(
-                &format!("pool_shard_{sid}_evictions"),
-                "per-partition buffer-pool evictions",
-                move || p.shards[sid].counters.evictions.load(Ordering::Relaxed), // ordering: advisory counter gauge
-            );
-            let p = self.clone();
-            reg.register_counter(
-                &format!("pool_shard_{sid}_contended"),
-                "per-partition shard-mutex acquisitions that found it held",
-                move || p.shards[sid].counters.contended.load(Ordering::Relaxed), // ordering: advisory counter gauge
-            );
-        }
     }
 
     fn shard_of(&self, page: PageId) -> usize {

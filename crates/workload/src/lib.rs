@@ -1,20 +1,10 @@
-//! `ariesim-workload` — a YCSB-style traffic harness for the ARIES/IM
-//! stack.
-//!
-//! [`driver`] runs N client threads issuing a configurable
-//! read/insert/update/delete mix with uniform or zipfian ([`zipf`]) key
-//! choice against a standalone engine or a replicated
-//! [`ariesim_repl::ReplPair`]; [`bench_json`] renders the results as
-//! `BENCH_<topic>.json` in the stable `ariesim-bench-v1` schema and
-//! validates such files for CI. The `workload` binary wires it all to a
-//! command line.
+//! `ariesim-workload` — dependency-free key-choice generators for
+//! benchmark clients: a seeded [`Rng`] and a YCSB-style zipfian sampler
+//! ([`Zipf`]). `benchmark/` is the caller; it builds its operation streams
+//! from these so a seed names the same keys on every engine version.
 
-pub mod bench_json;
-pub mod driver;
 pub mod rng;
 pub mod zipf;
 
-pub use bench_json::{bench_json, validate, SCHEMA};
-pub use driver::{load, run, KeyDist, MixSpec, RunResult, Target, WorkloadConfig};
 pub use rng::Rng;
 pub use zipf::Zipf;

@@ -11,6 +11,7 @@ use ariesim_common::Lsn;
 use ariesim_db::{Db, DbOptions, FetchCond, Row};
 use ariesim_obs::Obs;
 use ariesim_repl::{fork_standby, InProcessTransport, ReplPair, Shipper};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 fn opts() -> DbOptions {
@@ -142,6 +143,56 @@ fn standby_never_serves_past_its_watermark() {
         }
     }
     assert_eq!(standby.count("kv_pk").unwrap(), 30);
+}
+
+#[test]
+fn standby_serves_reads_while_primary_writers_run() {
+    let dir = TempDir::new("repl-concurrent");
+    let primary = primary_with_schema(&dir);
+    insert_committed(&primary, 0..50);
+    let pair = ReplPair::create(primary, &dir.path().join("standby"), Obs::disabled()).unwrap();
+
+    let writers_done = AtomicBool::new(false);
+    let standby_reads = AtomicU64::new(0);
+    std::thread::scope(|s| {
+        let writers: Vec<_> = (0..2u32)
+            .map(|w| {
+                let (primary, standby_reads) = (&pair.primary, &standby_reads);
+                s.spawn(move || {
+                    for i in 0..100 {
+                        if i == 50 {
+                            // Half-way: hold until the standby has served reads.
+                            while standby_reads.load(Ordering::Acquire) == 0 {
+                                std::thread::yield_now();
+                            }
+                        }
+                        let id = 1000 * (w + 1) + i;
+                        insert_committed(primary, id..id + 1);
+                    }
+                })
+            })
+            .collect();
+        // Ship, apply and read until both writers are done.
+        s.spawn(|| {
+            while !writers_done.load(Ordering::Acquire) {
+                pair.pump().unwrap();
+                for i in (0..50).step_by(7) {
+                    assert!(pair.standby.read("kv_pk", &key(i)).unwrap().is_some());
+                    standby_reads.fetch_add(1, Ordering::Release);
+                }
+            }
+        });
+        for w in writers {
+            w.join().unwrap();
+        }
+        writers_done.store(true, Ordering::Release);
+    });
+
+    // Drained: the standby agrees with the primary.
+    pair.sync().unwrap();
+    let primary_rows = pair.primary.verify_consistency().unwrap().rows;
+    assert_eq!(primary_rows, 250);
+    assert_eq!(pair.standby.count("kv_pk").unwrap(), primary_rows);
 }
 
 #[test]
