@@ -517,7 +517,7 @@ fn recovery() {
         let pool = ariesim_storage::BufferPool::new_with_obs(
             disk,
             log.clone(),
-            ariesim_storage::PoolOptions { frames: 4096, ..Default::default() },
+            4096,
             stats.clone(),
             obs.clone(),
         );

@@ -12,7 +12,7 @@ use ariesim_common::tmp::TempDir;
 use ariesim_common::{Error, IndexId, IndexKey, PageId, Rid};
 use ariesim_lock::LockManager;
 use ariesim_obs::{Obs, ObsHandle};
-use ariesim_storage::{BufferPool, DiskManager, PoolOptions, SpaceMap, SpaceRm};
+use ariesim_storage::{BufferPool, DiskManager, SpaceMap, SpaceRm};
 use ariesim_txn::{RmRegistry, TransactionManager};
 use ariesim_wal::{LogManager, LogOptions};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -61,7 +61,7 @@ pub fn rig_with_obs(
     let pool = BufferPool::new_with_obs(
         disk,
         log.clone(),
-        PoolOptions { frames, ..PoolOptions::default() },
+        frames,
         stats.clone(),
         obs.clone(),
     );

@@ -6,7 +6,7 @@ use ariesim_common::stats::{new_stats, StatsHandle};
 use ariesim_common::tmp::TempDir;
 use ariesim_common::{IndexId, IndexKey, PageId, Rid};
 use ariesim_lock::LockManager;
-use ariesim_storage::{BufferPool, DiskManager, PoolOptions, SpaceMap, SpaceRm};
+use ariesim_storage::{BufferPool, DiskManager, SpaceMap, SpaceRm};
 use ariesim_txn::{RmRegistry, TransactionManager};
 use ariesim_wal::{LogManager, LogOptions};
 use std::sync::Arc;
@@ -30,7 +30,7 @@ pub fn fix_with(unique: bool, protocol: LockProtocol, frames: usize) -> Fix {
         LogManager::open(&dir.file("wal"), LogOptions::default(), stats.clone()).unwrap(),
     );
     let disk = DiskManager::open(&dir.file("db"), stats.clone()).unwrap();
-    let pool = BufferPool::new(disk, log.clone(), PoolOptions { frames, ..PoolOptions::default() }, stats.clone());
+    let pool = BufferPool::new(disk, log.clone(), frames, stats.clone());
     SpaceMap::initialize(&pool).unwrap();
     let locks = Arc::new(LockManager::new(stats.clone()));
     let rms = Arc::new(RmRegistry::new());

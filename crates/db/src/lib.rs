@@ -26,7 +26,7 @@ use ariesim_common::{Error, IndexId, Lsn, Result, TableId};
 use ariesim_lock::LockManager;
 use ariesim_record::HeapManager;
 use ariesim_recovery::RestartOutcome;
-use ariesim_storage::{BufferPool, DiskManager, PoolOptions, SpaceMap, SpaceRm};
+use ariesim_storage::{BufferPool, DiskManager, SpaceMap, SpaceRm};
 use ariesim_txn::{RmRegistry, TransactionManager, TxnHandle};
 use ariesim_wal::{LogManager, LogOptions};
 use catalog::{Catalog, IndexDef, TableDef};
@@ -42,8 +42,6 @@ pub use table::Row;
 pub struct DbOptions {
     /// Buffer pool frames.
     pub frames: usize,
-    /// Buffer-pool eviction policy.
-    pub eviction: ariesim_storage::EvictionPolicyKind,
     /// Index locking protocol (paper §2.1).
     pub protocol: LockProtocol,
     /// Data-only locking at page granularity: lock data pages instead of
@@ -59,7 +57,6 @@ impl Default for DbOptions {
     fn default() -> Self {
         DbOptions {
             frames: 1024,
-            eviction: ariesim_storage::EvictionPolicyKind::Clock,
             protocol: LockProtocol::DataOnly,
             page_granularity: false,
             fsync: false,
@@ -114,10 +111,7 @@ impl Db {
         let pool = BufferPool::new_with_obs(
             disk,
             log.clone(),
-            PoolOptions {
-                frames: opts.frames,
-                policy: opts.eviction,
-            },
+            opts.frames,
             stats.clone(),
             obs.clone(),
         );

@@ -9,7 +9,7 @@ use ariesim_common::stats::{new_stats, StatsHandle};
 use ariesim_common::tmp::TempDir;
 use ariesim_common::{Error, IndexId, IndexKey, PageId, Rid};
 use ariesim_lock::{LockManager, LockMode, LockName};
-use ariesim_storage::{BufferPool, DiskManager, PoolOptions, SpaceMap, SpaceRm};
+use ariesim_storage::{BufferPool, DiskManager, SpaceMap, SpaceRm};
 use ariesim_txn::{RmRegistry, TransactionManager};
 use ariesim_wal::{LogManager, LogOptions};
 use std::sync::Arc;
@@ -29,7 +29,7 @@ fn fix(protocol: LockProtocol, unique: bool) -> Fix {
         LogManager::open(&dir.file("wal"), LogOptions::default(), stats.clone()).unwrap(),
     );
     let disk = DiskManager::open(&dir.file("db"), stats.clone()).unwrap();
-    let pool = BufferPool::new(disk, log.clone(), PoolOptions::default(), stats.clone());
+    let pool = BufferPool::new(disk, log.clone(), 256, stats.clone());
     SpaceMap::initialize(&pool).unwrap();
     let locks = Arc::new(LockManager::new(stats.clone()));
     let rms = Arc::new(RmRegistry::new());

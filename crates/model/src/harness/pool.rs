@@ -19,7 +19,7 @@ use std::sync::Arc;
 use ariesim_common::stats::new_stats;
 use ariesim_common::tmp::TempDir;
 use ariesim_common::{Error, PageBuf, PageId, PageType};
-use ariesim_storage::{BufferPool, DiskManager, PoolOptions};
+use ariesim_storage::{BufferPool, DiskManager};
 use ariesim_wal::{LogManager, LogOptions};
 
 use crate::runtime::Env;
@@ -41,10 +41,7 @@ fn setup(pages: u32) -> (TempDir, Arc<BufferPool>) {
     let pool = BufferPool::new(
         disk,
         log,
-        PoolOptions {
-            frames: 8,
-            ..PoolOptions::default()
-        },
+        8,
         stats,
     );
     (dir, pool)

@@ -26,7 +26,9 @@ pub mod span;
 pub mod trace;
 
 pub use hist::{fmt_ns, Gauge, HistogramSnapshot, LatencyHistogram};
-pub use monitor::{current_latch_depth, Monitor, MonitorSnapshot, MAX_LATCH_DEPTH};
+pub use monitor::{
+    current_latch_depth, take_latch_high_water, Monitor, MonitorSnapshot, MAX_PAGE_LATCHES,
+};
 pub use span::{SpanGuard, SpanKind, SpanSnapshot, SpanTotals, SPAN_KIND_COUNT, SPAN_NAMES};
 pub use trace::{Event, EventKind, EventRing, ModeTag, RingStats};
 
@@ -432,7 +434,7 @@ impl Obs {
              depth violations {}, lock-wait-while-latched {}, \
              latch underflows {}, redo traversals {} — {}\n",
             m.max_latch_depth,
-            MAX_LATCH_DEPTH,
+            MAX_PAGE_LATCHES,
             m.latch_depth_violations,
             m.lock_wait_with_latch_violations,
             m.latch_underflows,

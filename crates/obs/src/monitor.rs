@@ -21,26 +21,38 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 thread_local! {
-    /// Page latches currently held by this thread. Crate-global (not
-    /// per-`Obs`) because a thread has one physical latch stack no matter
-    /// how many observability handles exist.
-    static PAGE_LATCH_DEPTH: Cell<u64> = const { Cell::new(0) };
+    /// (held now, high-water mark since the last [`take_latch_high_water`])
+    /// page latches on this thread. Crate-global (not per-`Obs`) because a
+    /// thread has one physical latch stack no matter how many observability
+    /// handles exist.
+    static PAGE_LATCHES: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
 }
 
 /// Page latches currently held by the calling thread.
 pub fn current_latch_depth() -> u64 {
-    PAGE_LATCH_DEPTH.with(|d| d.get())
+    PAGE_LATCHES.with(|d| d.get().0)
+}
+
+/// Reset the calling thread's latch high-water mark and return the previous
+/// value — the per-operation gauge behind the paper's "not more than 2 index
+/// pages are held latched simultaneously" claim (`tests/latch_budget.rs`).
+pub fn take_latch_high_water() -> u64 {
+    PAGE_LATCHES.with(|d| {
+        let (held, high) = d.get();
+        d.set((held, 0));
+        high
+    })
 }
 
 /// Maximum page latches a traversal may hold (parent + child).
-pub const MAX_LATCH_DEPTH: u64 = 2;
+pub const MAX_PAGE_LATCHES: u64 = 2;
 
 /// Always-on invariant monitor; one per [`crate::Obs`].
 #[derive(Default)]
 pub struct Monitor {
     /// Highest page-latch depth any thread reached.
     max_latch_depth: AtomicU64,
-    /// Times a thread exceeded [`MAX_LATCH_DEPTH`].
+    /// Times a thread exceeded [`MAX_PAGE_LATCHES`].
     latch_depth_violations: AtomicU64,
     /// Times a thread blocked unconditionally on a lock while latched.
     lock_wait_with_latch_violations: AtomicU64,
@@ -65,18 +77,18 @@ impl Monitor {
 
     /// A page latch was granted to the calling thread.
     pub fn on_page_latch_acquired(&self, page: u32) {
-        let depth = PAGE_LATCH_DEPTH.with(|d| {
-            let n = d.get() + 1;
-            d.set(n);
-            n
+        let depth = PAGE_LATCHES.with(|d| {
+            let (held, high) = d.get();
+            d.set((held + 1, high.max(held + 1)));
+            held + 1
         });
         self.max_latch_depth.fetch_max(depth, Ordering::Relaxed);
-        if depth > MAX_LATCH_DEPTH {
+        if depth > MAX_PAGE_LATCHES {
             self.latch_depth_violations.fetch_add(1, Ordering::Relaxed);
             if self.enforcing() {
                 panic!(
                     "latch-protocol violation: thread holds {depth} page latches \
-                     (> {MAX_LATCH_DEPTH}) after latching page {page}"
+                     (> {MAX_PAGE_LATCHES}) after latching page {page}"
                 );
             }
         }
@@ -84,12 +96,12 @@ impl Monitor {
 
     /// A page latch held by the calling thread was released.
     pub fn on_page_latch_released(&self, page: u32) {
-        let underflow = PAGE_LATCH_DEPTH.with(|d| {
-            let n = d.get();
-            if n == 0 {
+        let underflow = PAGE_LATCHES.with(|d| {
+            let (held, high) = d.get();
+            if held == 0 {
                 true
             } else {
-                d.set(n - 1);
+                d.set((held - 1, high));
                 false
             }
         });

@@ -6,7 +6,7 @@ use ariesim_common::tmp::TempDir;
 use ariesim_common::{Error, PageId, TableId};
 use ariesim_lock::LockManager;
 use ariesim_record::HeapManager;
-use ariesim_storage::{BufferPool, DiskManager, PoolOptions, SpaceMap, SpaceRm};
+use ariesim_storage::{BufferPool, DiskManager, SpaceMap, SpaceRm};
 use ariesim_txn::{RmRegistry, TransactionManager};
 use ariesim_wal::{LogManager, LogOptions};
 use std::sync::Arc;
@@ -26,7 +26,7 @@ fn fix() -> Fix {
         LogManager::open(&dir.file("wal"), LogOptions::default(), stats.clone()).unwrap(),
     );
     let disk = DiskManager::open(&dir.file("db"), stats.clone()).unwrap();
-    let pool = BufferPool::new(disk, log.clone(), PoolOptions::default(), stats.clone());
+    let pool = BufferPool::new(disk, log.clone(), 256, stats.clone());
     SpaceMap::initialize(&pool).unwrap();
     let locks = Arc::new(LockManager::new(stats.clone()));
     let rms = Arc::new(RmRegistry::new());

@@ -9,7 +9,7 @@ use ariesim_common::tmp::TempDir;
 use ariesim_common::{Lsn, PageBuf, PageId, Result, TxnId};
 use ariesim_lock::LockManager;
 use ariesim_recovery::restart;
-use ariesim_storage::{BufferPool, DiskManager, PoolOptions};
+use ariesim_storage::{BufferPool, DiskManager};
 use ariesim_txn::{RmRegistry, TransactionManager};
 use ariesim_wal::{
     ChainLogger, LogManager, LogOptions, LogRecord, RecordKind, ResourceManager, RmId,
@@ -77,7 +77,7 @@ fn fix() -> Fix {
         LogManager::open(&dir.file("wal"), LogOptions::default(), stats.clone()).unwrap(),
     );
     let disk = DiskManager::open(&dir.file("db"), stats.clone()).unwrap();
-    let pool = BufferPool::new(disk, log.clone(), PoolOptions::default(), stats.clone());
+    let pool = BufferPool::new(disk, log.clone(), 256, stats.clone());
     // One formatted page everything writes to.
     {
         let mut g = pool.fix_x(PageId(3)).unwrap();
@@ -151,7 +151,7 @@ fn redo_reapplies_missing_committed_updates() {
         LogManager::open(&f._dir.file("wal"), LogOptions::default(), stats2.clone()).unwrap(),
     );
     let disk2 = DiskManager::open(&f._dir.file("db"), stats2.clone()).unwrap();
-    let pool2 = BufferPool::new(disk2, log2.clone(), PoolOptions::default(), stats2.clone());
+    let pool2 = BufferPool::new(disk2, log2.clone(), 256, stats2.clone());
     let rms2 = Arc::new(RmRegistry::new());
     let rm2 = Arc::new(BlobRm {
         pool: pool2.clone(),

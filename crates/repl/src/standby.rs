@@ -32,7 +32,7 @@ use ariesim_lock::LockManager;
 use ariesim_obs::{ObsHandle, SpanKind};
 use ariesim_record::HeapManager;
 use ariesim_recovery::{apply_redo, RedoCursor};
-use ariesim_storage::{BufferPool, DiskManager, PoolOptions, SpaceRm};
+use ariesim_storage::{BufferPool, DiskManager, SpaceRm};
 use ariesim_txn::RmRegistry;
 use ariesim_wal::frame::{self, FrameRead};
 use ariesim_wal::{LogManager, LogOptions};
@@ -110,10 +110,7 @@ impl Standby {
         let pool = BufferPool::new_with_obs(
             disk,
             log.clone(),
-            PoolOptions {
-                frames: opts.frames,
-                ..PoolOptions::default()
-            },
+            opts.frames,
             stats.clone(),
             obs.clone(),
         );

@@ -1,73 +1,24 @@
-//! Pluggable per-partition eviction policies for the buffer pool.
+//! Clock (second chance): the buffer pool's replacement policy.
 //!
-//! Each pool partition owns one policy instance driving replacement over
-//! that partition's frames only (all indices below are partition-local).
-//! The pool calls the policy under the partition's shard mutex, so
-//! implementations need no internal synchronization — only `Send`, because
-//! partitions migrate across worker threads.
+//! Each pool partition owns one [`Clock`] over that partition's frames only
+//! (all indices below are partition-local) and calls it under the
+//! partition's shard mutex, so it needs no synchronization of its own.
 //!
 //! The contract that keeps eviction safe lives in the `evictable` callback
-//! passed to [`EvictionPolicy::victim`]: it returns `true` only for frames
-//! with a zero pin count whose page latch was *conditionally* acquired (the
-//! caller keeps that latch for the eviction). A policy therefore cannot —
-//! even buggily — evict a pinned or latched frame; the worst a bad policy
-//! can do is pick a cold victim. The WAL rule (`flush_to` before
-//! write-back) is likewise enforced by the pool after the victim is chosen,
-//! never by the policy.
+//! passed to [`Clock::victim`]: it returns `true` only for frames with a
+//! zero pin count whose page latch was *conditionally* acquired (the caller
+//! keeps that latch for the eviction). The policy therefore cannot — even
+//! buggily — evict a pinned or latched frame; the worst it can do is pick a
+//! cold victim. The WAL rule (`flush_to` before write-back) is likewise
+//! enforced by the pool after the victim is chosen, never here.
 
-/// Which policy a pool partition should run.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum EvictionPolicyKind {
-    /// Clock (second chance): one reference bit per frame, a sweeping hand.
-    /// O(1) state per frame, the scan-resistant baseline.
-    Clock,
-    /// LRU-K (K = the parameter): evict the frame with the largest backward
-    /// K-distance; frames with fewer than K recorded accesses are infinitely
-    /// distant and evicted first (oldest last-access first among them).
-    LruK(usize),
-}
-
-impl EvictionPolicyKind {
-    /// Instantiate the policy for a partition of `frames` frames.
-    pub fn build(self, frames: usize) -> Box<dyn EvictionPolicy> {
-        match self {
-            EvictionPolicyKind::Clock => Box::new(Clock::new(frames)),
-            EvictionPolicyKind::LruK(k) => Box::new(LruK::new(frames, k)),
-        }
-    }
-
-    pub fn name(self) -> &'static str {
-        match self {
-            EvictionPolicyKind::Clock => "clock",
-            EvictionPolicyKind::LruK(_) => "lru-k",
-        }
-    }
-}
-
-/// Replacement policy over one partition's frames. Indices are
-/// partition-local (`0..frames`).
-pub trait EvictionPolicy: Send {
-    fn name(&self) -> &'static str;
-
-    /// `frame` was found resident (page-table hit).
-    fn on_hit(&mut self, frame: usize);
-
-    /// A page was just installed into `frame` (miss path).
-    fn on_load(&mut self, frame: usize);
-
-    /// Choose an eviction victim. `evictable(frame)` is `true` iff the
-    /// frame is unpinned and its latch could be claimed; the policy must
-    /// only return a frame for which `evictable` returned `true`, and may
-    /// call it at most once per frame per invocation (the callback has the
-    /// side effect of claiming the latch). Returns `None` when no frame is
-    /// evictable.
-    fn victim(&mut self, evictable: &mut dyn FnMut(usize) -> bool) -> Option<usize>;
-}
-
-/// Clock / second-chance replacement.
+/// One reference bit per frame and a sweeping hand.
 pub struct Clock {
     refbit: Vec<bool>,
     hand: usize,
+    /// Scratch for [`Clock::victim`]: frames already probed this invocation.
+    /// Kept here so the miss path never allocates under the shard mutex.
+    asked: Vec<bool>,
 }
 
 impl Clock {
@@ -75,33 +26,33 @@ impl Clock {
         Clock {
             refbit: vec![false; frames],
             hand: 0,
+            asked: vec![false; frames],
         }
     }
-}
 
-impl EvictionPolicy for Clock {
-    fn name(&self) -> &'static str {
-        "clock"
-    }
-
-    fn on_hit(&mut self, frame: usize) {
+    /// `frame` was found resident (page-table hit).
+    pub fn on_hit(&mut self, frame: usize) {
         self.refbit[frame] = true;
     }
 
-    fn on_load(&mut self, frame: usize) {
+    /// A page was just installed into `frame` (miss path).
+    pub fn on_load(&mut self, frame: usize) {
         self.refbit[frame] = true;
     }
 
-    fn victim(&mut self, evictable: &mut dyn FnMut(usize) -> bool) -> Option<usize> {
+    /// Choose an eviction victim. `evictable(frame)` is `true` iff the
+    /// frame is unpinned and its latch could be claimed; only a frame for
+    /// which it returned `true` is ever returned, and it is called at most
+    /// once per frame per invocation (the callback has the side effect of
+    /// claiming the latch). Returns `None` when no frame is evictable.
+    pub fn victim(&mut self, mut evictable: impl FnMut(usize) -> bool) -> Option<usize> {
         let n = self.refbit.len();
-        if n == 0 {
-            return None;
-        }
+        self.asked.fill(false);
+        let mut probed = 0;
         // Pass 1 clears reference bits, pass 2 takes the first frame whose
         // bit was already clear; a third pass catches frames whose bit was
         // set between our clearing and our return sweep. Pinned/latched
         // frames are skipped without consuming their reference bit.
-        let mut asked = vec![false; n];
         for _ in 0..3 * n {
             let f = self.hand;
             self.hand = (self.hand + 1) % n;
@@ -109,108 +60,21 @@ impl EvictionPolicy for Clock {
                 self.refbit[f] = false;
                 continue;
             }
-            if asked[f] {
+            if self.asked[f] {
                 // Already probed unevictable this invocation; every frame
                 // asked once means nothing can be evicted.
-                if asked.iter().all(|&a| a) {
+                if probed == n {
                     return None;
                 }
                 continue;
             }
-            asked[f] = true;
+            self.asked[f] = true;
+            probed += 1;
             if evictable(f) {
                 return Some(f);
             }
         }
         None
-    }
-}
-
-/// LRU-K replacement (O'Neil et al.): per frame, the ticks of its last K
-/// accesses. The victim is the frame with the largest backward K-distance
-/// `now - t_K`; frames with fewer than K accesses are infinitely distant
-/// and chosen first, oldest last-access first.
-pub struct LruK {
-    k: usize,
-    tick: u64,
-    /// Most-recent-first access ticks, at most `k` per frame.
-    history: Vec<Vec<u64>>,
-    /// Scratch for [`EvictionPolicy::victim`]: frames already probed this
-    /// invocation. Reused across calls so the miss path never allocates.
-    probed: Vec<bool>,
-}
-
-impl LruK {
-    pub fn new(frames: usize, k: usize) -> LruK {
-        let k = k.max(1);
-        LruK {
-            k,
-            tick: 0,
-            history: vec![Vec::new(); frames],
-            probed: vec![false; frames],
-        }
-    }
-
-    fn touch(&mut self, frame: usize) {
-        self.tick += 1;
-        let h = &mut self.history[frame];
-        h.insert(0, self.tick);
-        h.truncate(self.k);
-    }
-
-    /// Eviction priority (higher = evict first): infinitely-distant frames
-    /// (fewer than K accesses) sort above all K-full frames, oldest
-    /// last-access first; K-full frames sort by backward K-distance.
-    fn priority(&self, frame: usize) -> (u8, u64) {
-        let h = &self.history[frame];
-        if h.len() < self.k {
-            // Never-touched frames (last access "0") rank highest of all.
-            (1, u64::MAX - h.first().copied().unwrap_or(0))
-        } else {
-            (0, self.tick - h[self.k - 1])
-        }
-    }
-}
-
-impl EvictionPolicy for LruK {
-    fn name(&self) -> &'static str {
-        "lru-k"
-    }
-
-    fn on_hit(&mut self, frame: usize) {
-        self.touch(frame);
-    }
-
-    fn on_load(&mut self, frame: usize) {
-        // A fresh load replaces the previous tenant's history wholesale.
-        self.history[frame].clear();
-        self.touch(frame);
-    }
-
-    fn victim(&mut self, evictable: &mut dyn FnMut(usize) -> bool) -> Option<usize> {
-        // Partial selection instead of a full sort: this runs under the
-        // shard mutex, so the common miss pays one O(n) scan and (almost
-        // always) a single probe, not an allocation plus O(n log n).
-        self.probed.iter_mut().for_each(|p| *p = false);
-        loop {
-            let mut best: Option<(usize, (u8, u64))> = None;
-            for f in 0..self.history.len() {
-                if self.probed[f] {
-                    continue;
-                }
-                let pri = self.priority(f);
-                // Strict `>` keeps the lowest index among equal priorities,
-                // preserving the sorted implementation's deterministic order.
-                if best.is_none_or(|(_, b)| pri > b) {
-                    best = Some((f, pri));
-                }
-            }
-            let (f, _) = best?;
-            self.probed[f] = true;
-            if evictable(f) {
-                return Some(f);
-            }
-        }
     }
 }
 
@@ -244,32 +108,5 @@ mod tests {
         }
         assert_eq!(c.victim(&mut |_| false), None);
         assert_eq!(c.victim(&mut |f| f == 1), Some(1));
-    }
-
-    #[test]
-    fn lruk_prefers_infinite_distance_then_max_k_distance() {
-        let mut l = LruK::new(3, 2);
-        // Frame 0: two accesses (ticks 1, 2). Frame 1: one access (tick 3).
-        // Frame 2: two accesses (ticks 4, 5).
-        l.on_load(0);
-        l.on_hit(0);
-        l.on_load(1);
-        l.on_load(2);
-        l.on_hit(2);
-        // Frame 1 has < K accesses: infinitely distant, evicted first.
-        assert_eq!(l.victim(&mut all), Some(1));
-        // Among K-full frames, frame 0's 2nd-most-recent access (tick 1) is
-        // older than frame 2's (tick 4): frame 0 has the larger K-distance.
-        assert_eq!(l.victim(&mut |f| f != 1), Some(0));
-    }
-
-    #[test]
-    fn lruk_never_returns_unevictable(){
-        let mut l = LruK::new(4, 2);
-        for f in 0..4 {
-            l.on_load(f);
-        }
-        assert_eq!(l.victim(&mut |_| false), None);
-        assert_eq!(l.victim(&mut |f| f == 3), Some(3));
     }
 }

@@ -26,9 +26,5 @@ pub mod pool;
 pub mod space;
 
 pub use disk::{DiskManager, ReadFaultHook, WriteFaultHook};
-pub use eviction::{EvictionPolicy, EvictionPolicyKind};
-pub use pool::{
-    take_latch_high_water, BufferPool, PageReadGuard, PageWriteGuard, PinGuard, PoolOptions,
-    ShardCounters,
-};
+pub use pool::{BufferPool, PageReadGuard, PageWriteGuard, PinGuard};
 pub use space::{SpaceMap, SpaceRm, FIRST_USER_PAGE, SPACE_MAP_PAGE};

@@ -166,7 +166,6 @@ impl ResourceManager for SpaceRm {
 mod tests {
     use super::*;
     use crate::disk::DiskManager;
-    use crate::pool::PoolOptions;
     use ariesim_common::stats::new_stats;
     use ariesim_common::tmp::TempDir;
     use ariesim_common::TxnId;
@@ -179,7 +178,7 @@ mod tests {
             LogManager::open(&dir.file("wal"), LogOptions::default(), stats.clone()).unwrap(),
         );
         let disk = DiskManager::open(&dir.file("db"), stats.clone()).unwrap();
-        let pool = BufferPool::new(disk, log.clone(), PoolOptions::default(), stats);
+        let pool = BufferPool::new(disk, log.clone(), 256, stats);
         SpaceMap::initialize(&pool).unwrap();
         (dir, pool, log)
     }

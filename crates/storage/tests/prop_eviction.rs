@@ -1,15 +1,11 @@
 //! Property tests for the buffer pool's eviction machinery.
 //!
-//! Three layers of guarantees are sampled over arbitrary traces:
+//! Two layers of guarantees are sampled over arbitrary traces:
 //!
-//! * **Policy level** — for both Clock and LRU-K, `victim` only ever
-//!   returns a frame its `evictable` callback approved (the callback is the
-//!   pool's pin+latch gate, so "approved" is what makes eviction safe), for
-//!   arbitrary hit/load traces and arbitrary sets of unevictable frames.
-//! * **LRU-K model** — on an arbitrary deterministic access trace, the
-//!   victim LRU-K picks is exactly the model's: the fully-evictable frame
-//!   with the largest backward K-distance, with < K-access frames
-//!   infinitely distant (oldest-last-access first), ties by frame index.
+//! * **Policy level** — Clock's `victim` only ever returns a frame its
+//!   `evictable` callback approved (the callback is the pool's pin+latch
+//!   gate, so "approved" is what makes eviction safe), for arbitrary
+//!   hit/load traces and arbitrary sets of unevictable frames.
 //! * **Pool level (WAL rule)** — arbitrary fix/dirty traces over a pool
 //!   smaller than the page universe: whenever a dirty page is written back
 //!   (eviction or flush), the log was already durable past the page's
@@ -22,8 +18,8 @@ use ariesim_common::stats::new_stats;
 use ariesim_common::tmp::TempDir;
 use ariesim_common::{Lsn, PageId, TxnId};
 use ariesim_obs::{Event, EventKind, Obs};
-use ariesim_storage::eviction::{EvictionPolicy, EvictionPolicyKind};
-use ariesim_storage::{BufferPool, DiskManager, PoolOptions};
+use ariesim_storage::eviction::Clock;
+use ariesim_storage::{BufferPool, DiskManager};
 use ariesim_wal::{LogManager, LogOptions, LogRecord, RmId};
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -32,8 +28,8 @@ use std::sync::Arc;
 const FRAMES: usize = 8;
 
 /// Replay a trace of (hit|load, frame) events into a fresh policy.
-fn replay(kind: EvictionPolicyKind, trace: &[(bool, usize)]) -> Box<dyn EvictionPolicy> {
-    let mut p = kind.build(FRAMES);
+fn replay(trace: &[(bool, usize)]) -> Clock {
+    let mut p = Clock::new(FRAMES);
     for &(is_hit, f) in trace {
         if is_hit {
             p.on_hit(f % FRAMES);
@@ -47,97 +43,36 @@ fn replay(kind: EvictionPolicyKind, trace: &[(bool, usize)]) -> Box<dyn Eviction
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Neither policy ever returns a frame its gate rejected — i.e. a
-    /// pinned or latched frame can never be chosen, no matter the trace.
+    /// The policy never returns a frame its gate rejected — i.e. a pinned
+    /// or latched frame can never be chosen, no matter the trace.
     #[test]
     fn policies_only_evict_approved_frames(
         trace in proptest::collection::vec((any::<bool>(), 0usize..FRAMES), 0..60),
         blocked in proptest::collection::vec(any::<bool>(), FRAMES..FRAMES + 1),
     ) {
-        for kind in [EvictionPolicyKind::Clock, EvictionPolicyKind::LruK(2)] {
-            let mut p = replay(kind, &trace);
-            let mut approved = [false; FRAMES];
-            let victim = p.victim(&mut |f| {
-                if blocked[f] {
-                    false
-                } else {
-                    approved[f] = true;
-                    true
-                }
-            });
-            match victim {
-                Some(f) => {
-                    prop_assert!(
-                        approved[f],
-                        "{}: evicted frame {f} without approval (blocked={blocked:?})",
-                        kind.name()
-                    );
-                    prop_assert!(!blocked[f]);
-                }
-                None => prop_assert!(
-                    blocked.iter().all(|&b| b),
-                    "{}: gave up with evictable frames left: {blocked:?}",
-                    kind.name()
-                ),
-            }
-        }
-    }
-
-    /// LRU-K's choice matches the reference model on any trace: among
-    /// evictable frames, pick infinite-distance frames first (oldest last
-    /// access first, never-touched before all), else the largest backward
-    /// K-distance; break every tie with the lower frame index.
-    #[test]
-    fn lru_k_matches_reference_model(
-        k in 1usize..4,
-        trace in proptest::collection::vec((any::<bool>(), 0usize..FRAMES), 0..80),
-        blocked in proptest::collection::vec(any::<bool>(), FRAMES..FRAMES + 1),
-    ) {
-        // Reference model: per frame, ticks of its accesses (append order =
-        // tick order), reset on load.
-        let mut hist: Vec<Vec<u64>> = vec![Vec::new(); FRAMES];
-        let mut tick = 0u64;
-        for &(is_hit, f) in &trace {
-            let f = f % FRAMES;
-            tick += 1;
-            if !is_hit {
-                hist[f].clear();
-            }
-            hist[f].push(tick);
-        }
-        // (infinite?, distance-or-age, index-tiebreak) priority, descending.
-        let mut best: Option<(usize, (u8, u64))> = None;
-        for f in 0..FRAMES {
+        let mut p = replay(&trace);
+        let mut approved = [false; FRAMES];
+        let victim = p.victim(&mut |f| {
             if blocked[f] {
-                continue;
-            }
-            let h = &hist[f];
-            let pri = if h.len() < k {
-                (1u8, u64::MAX - h.last().copied().unwrap_or(0))
+                false
             } else {
-                (0u8, tick - h[h.len() - k])
-            };
-            if best.is_none_or(|(_, b)| pri > b) {
-                best = Some((f, pri));
+                approved[f] = true;
+                true
             }
-        }
-        let mut p = EvictionPolicyKind::LruK(k).build(FRAMES);
-        for &(is_hit, f) in &trace {
-            if is_hit {
-                p.on_hit(f % FRAMES);
-            } else {
-                p.on_load(f % FRAMES);
+        });
+        match victim {
+            Some(f) => {
+                prop_assert!(
+                    approved[f],
+                    "evicted frame {f} without approval (blocked={blocked:?})"
+                );
+                prop_assert!(!blocked[f]);
             }
+            None => prop_assert!(
+                blocked.iter().all(|&b| b),
+                "gave up with evictable frames left: {blocked:?}"
+            ),
         }
-        let victim = p.victim(&mut |f| !blocked[f]);
-        prop_assert_eq!(
-            victim,
-            best.map(|(f, _)| f),
-            "k={} trace={:?} blocked={:?}",
-            k,
-            trace,
-            blocked
-        );
     }
 
     /// Pool-level WAL rule and no-lost-writes, over arbitrary single-thread
@@ -145,7 +80,6 @@ proptest! {
     #[test]
     fn pool_never_writes_back_ahead_of_the_log(
         ops in proptest::collection::vec((any::<bool>(), 1u32..33), 1..120),
-        policy_lru in any::<bool>(),
     ) {
         let obs = Obs::enabled(1 << 13);
         let dir = TempDir::new("prop-evict");
@@ -154,20 +88,7 @@ proptest! {
             LogManager::open(&dir.file("wal"), LogOptions::default(), stats.clone()).unwrap(),
         );
         let disk = DiskManager::open(&dir.file("db"), stats.clone()).unwrap();
-        let pool = BufferPool::new_with_obs(
-            disk,
-            log.clone(),
-            PoolOptions {
-                frames: FRAMES,
-                policy: if policy_lru {
-                    EvictionPolicyKind::LruK(2)
-                } else {
-                    EvictionPolicyKind::Clock
-                },
-            },
-            stats,
-            obs.clone(),
-        );
+        let pool = BufferPool::new_with_obs(disk, log.clone(), FRAMES, stats, obs.clone());
         // Oracle: the stamp (owner word) each page must carry.
         let mut expect: HashMap<u32, u32> = HashMap::new();
         for &(write, p) in &ops {

@@ -6,7 +6,7 @@ use ariesim_common::stats::new_stats;
 use ariesim_common::tmp::TempDir;
 use ariesim_common::{Error, Lsn, PageBuf, PageId, Result, TxnId};
 use ariesim_lock::{LockDuration, LockManager, LockMode, LockName};
-use ariesim_storage::{BufferPool, DiskManager, PoolOptions};
+use ariesim_storage::{BufferPool, DiskManager};
 use ariesim_txn::{RmRegistry, TransactionManager};
 use ariesim_wal::{
     ChainLogger, CheckpointData, LogManager, LogOptions, LogRecord, RecordKind, ResourceManager,
@@ -51,7 +51,7 @@ fn fix() -> Fix {
         LogManager::open(&dir.file("wal"), LogOptions::default(), stats.clone()).unwrap(),
     );
     let disk = DiskManager::open(&dir.file("db"), stats.clone()).unwrap();
-    let pool = BufferPool::new(disk, log.clone(), PoolOptions::default(), stats.clone());
+    let pool = BufferPool::new(disk, log.clone(), 256, stats.clone());
     let locks = Arc::new(LockManager::new(stats.clone()));
     let rms = Arc::new(RmRegistry::new());
     let toy = Arc::new(ToyRm {

@@ -13,7 +13,7 @@ use ariesim::common::stats::new_stats;
 use ariesim::common::tmp::TempDir;
 use ariesim::common::{IndexId, IndexKey, PageId, Rid};
 use ariesim::lock::LockManager;
-use ariesim::storage::{BufferPool, DiskManager, PoolOptions, SpaceMap, SpaceRm};
+use ariesim::storage::{BufferPool, DiskManager, SpaceMap, SpaceRm};
 use ariesim::txn::{RmRegistry, TransactionManager};
 use ariesim::wal::{LogManager, LogOptions};
 use std::sync::Arc;
@@ -39,7 +39,7 @@ fn rig(protocol: LockProtocol) -> Rig {
         LogManager::open(&dir.file("wal"), LogOptions::default(), stats.clone()).unwrap(),
     );
     let disk = DiskManager::open(&dir.file("db"), stats.clone()).unwrap();
-    let pool = BufferPool::new(disk, log.clone(), PoolOptions::default(), stats.clone());
+    let pool = BufferPool::new(disk, log.clone(), 256, stats.clone());
     SpaceMap::initialize(&pool).unwrap();
     let locks = Arc::new(LockManager::new(stats.clone()));
     let rms = Arc::new(RmRegistry::new());

@@ -154,7 +154,7 @@ fn crash_after_space_consumed_forces_logical_undo_with_split() {
     let pool = ariesim::storage::BufferPool::new(
         disk,
         log.clone(),
-        ariesim::storage::PoolOptions { frames: 512, ..Default::default() },
+        512,
         stats2.clone(),
     );
     let locks = std::sync::Arc::new(ariesim::lock::LockManager::new(stats2.clone()));

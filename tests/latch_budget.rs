@@ -11,7 +11,7 @@ mod support;
 
 use ariesim::btree::fetch::FetchCond;
 use ariesim::btree::LockProtocol;
-use ariesim::storage::take_latch_high_water;
+use ariesim::obs::take_latch_high_water;
 use support::{fix, nkey};
 
 #[test]

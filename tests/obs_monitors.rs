@@ -12,7 +12,8 @@ mod support;
 
 use ariesim::btree::fetch::FetchCond;
 use ariesim::btree::LockProtocol;
-use ariesim::obs::{EventKind, Obs};
+use ariesim::common::PageId;
+use ariesim::obs::{current_latch_depth, take_latch_high_water, EventKind, Obs};
 use support::{fix_with_obs, nkey};
 
 /// Concurrent inserts driving a steady stream of page splits, mixed with
@@ -62,6 +63,41 @@ fn latch_protocol_holds_under_concurrent_splits() {
     assert!(m.clean(), "{m:?}");
 }
 
+/// The depth tracker sees a violation through the real guards, not only
+/// through hand-fed `on_page_latch_acquired` calls: a third page latch held
+/// by one thread is counted (the monitor here does not enforce, so it counts
+/// instead of panicking), a downgrade leaves the depth alone, and dropping
+/// the guards unwinds to zero without an underflow. `tests/latch_budget.rs`
+/// reads this same per-thread high-water mark.
+#[test]
+fn third_held_page_latch_is_a_counted_violation() {
+    let obs = Obs::enabled(1 << 10);
+    let f = fix_with_obs(LockProtocol::DataOnly, false, obs.clone());
+    let before = obs.monitor.snapshot();
+    assert!(before.clean() && before.max_latch_depth <= 2, "{before:?}");
+    assert_eq!(current_latch_depth(), 0);
+    take_latch_high_water();
+
+    let a = f.pool.fix_s(PageId(1)).unwrap();
+    let x = f.pool.fix_x(PageId(2)).unwrap();
+    assert_eq!(current_latch_depth(), 2);
+    let b = x.downgrade();
+    assert_eq!(current_latch_depth(), 2, "downgrade keeps the latch held");
+    assert!(obs.monitor.snapshot().clean(), "two latches are within budget");
+    let c = f.pool.fix_s(PageId(3)).unwrap();
+    assert_eq!(current_latch_depth(), 3);
+
+    let m = obs.monitor.snapshot();
+    assert_eq!(m.latch_depth_violations, 1, "{m:?}");
+    assert_eq!(m.max_latch_depth, 3, "{m:?}");
+
+    drop((a, b, c));
+    assert_eq!(current_latch_depth(), 0);
+    assert_eq!(take_latch_high_water(), 3);
+    assert_eq!(obs.monitor.snapshot().latch_underflows, 0);
+    assert_eq!(f.pool.total_pins(), 0);
+}
+
 /// Crash with losers in flight, restart with a monitored pool: redo must
 /// be page-oriented (the monitor counts any traversal as a violation).
 #[test]
@@ -99,7 +135,7 @@ fn restart_redo_is_page_oriented_per_monitor() {
     let pool = ariesim::storage::BufferPool::new_with_obs(
         disk,
         log.clone(),
-        ariesim::storage::PoolOptions { frames: 512, ..Default::default() },
+        512,
         stats2.clone(),
         obs2.clone(),
     );

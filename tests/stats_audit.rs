@@ -106,7 +106,7 @@ fn audited_counters_fire_under_mixed_ops_and_recovery() {
     let pool = ariesim::storage::BufferPool::new(
         disk,
         log.clone(),
-        ariesim::storage::PoolOptions { frames: 512, ..Default::default() },
+        512,
         stats2.clone(),
     );
     let locks = std::sync::Arc::new(ariesim::lock::LockManager::new(stats2.clone()));

@@ -9,7 +9,7 @@ use ariesim::common::tmp::TempDir;
 use ariesim::common::{IndexId, IndexKey, PageId, Rid};
 use ariesim::lock::LockManager;
 use ariesim::obs::{Obs, ObsHandle};
-use ariesim::storage::{BufferPool, DiskManager, PoolOptions, SpaceMap, SpaceRm};
+use ariesim::storage::{BufferPool, DiskManager, SpaceMap, SpaceRm};
 use ariesim::txn::{RmRegistry, TransactionManager};
 use ariesim::wal::{LogManager, LogOptions};
 use std::sync::Arc;
@@ -48,7 +48,7 @@ pub fn fix_with_obs(protocol: LockProtocol, unique: bool, obs: ObsHandle) -> Fix
     let pool = BufferPool::new_with_obs(
         disk,
         log.clone(),
-        PoolOptions { frames: 512, ..Default::default() },
+        512,
         stats.clone(),
         obs.clone(),
     );
