@@ -22,6 +22,12 @@ pub fn not_atomic(a: u32, b: u32) -> bool {
     a.cmp(&b) == std::cmp::Ordering::Less
 }
 
+pub fn after_a_test_probe(c: &AtomicU32) -> u32 {
+    #[cfg(test)]
+    eprintln!("probe");
+    c.load(Ordering::Relaxed) // ordering: advisory; an inline cfg(test) statement does not end the census
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -75,7 +75,11 @@ fn ordering_census_flags_bare_sites_and_skips_cmp_and_tests() {
     let locs: Vec<(String, usize)> = sites.iter().map(|s| (s.file.clone(), s.line)).collect();
     assert_eq!(
         locs,
-        vec![("ordering.rs".to_string(), 5), ("ordering.rs".to_string(), 10)]
+        vec![
+            ("ordering.rs".to_string(), 5),
+            ("ordering.rs".to_string(), 10),
+            ("ordering.rs".to_string(), 28),
+        ]
     );
     assert_eq!(sites[0].ops, vec!["Acquire".to_string()]);
 }

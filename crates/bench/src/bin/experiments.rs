@@ -616,8 +616,19 @@ fn latchcost() {
     }
     let lock_ns = t.elapsed().as_nanos() as f64 / N as f64;
     r.tm.commit(&txn).unwrap();
+    let bare = parking_lot::RwLock::new(());
+    let t = Instant::now();
+    for _ in 0..N {
+        drop(std::hint::black_box(bare.read()));
+    }
+    let bare_ns = t.elapsed().as_nanos() as f64 / N as f64;
     println!("  page latch (fix+S-latch+unfix): {latch_ns:>8.0} ns");
     println!("  lock (request+release):         {lock_ns:>8.0} ns");
+    println!("  bare RwLock (read+release):     {bare_ns:>8.0} ns");
+    if latch_ns >= lock_ns {
+        println!("  ratio: {:.1}× — INVERTED: a page latch costs no less than a lock", lock_ns / latch_ns);
+        std::process::exit(1);
+    }
     println!("  ratio: {:.1}× — latches are the cheaper primitive, as claimed", lock_ns / latch_ns);
 }
 

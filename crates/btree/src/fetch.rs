@@ -68,11 +68,11 @@ pub struct Cursor {
 }
 
 /// Where the key following a position lives.
-pub(crate) enum NextKey {
+pub(crate) enum NextKey<'p> {
     /// At the given position on the same (still latched by caller) page.
     OnPage(IndexKey),
     /// First key of the right neighbour; the guard keeps it latched.
-    OnNext(IndexKey, PageReadGuard),
+    OnNext(IndexKey, PageReadGuard<'p>),
     /// No higher key exists in the index.
     Eof,
     /// The right neighbour is empty or not a valid leaf — an SMO is in
@@ -111,7 +111,7 @@ impl BTree {
         leaf: &PageBuf,
         from_slot: u16,
         search: &SearchKey<'_>,
-    ) -> Result<NextKey> {
+    ) -> Result<NextKey<'_>> {
         if from_slot < leaf.slot_count() {
             return Ok(NextKey::OnPage(leaf_key(leaf, from_slot)?));
         }

@@ -51,12 +51,12 @@ impl Drop for TreeXGuard<'_> {
 
 /// The latched leaf a traversal ends at: S for fetches, X for modifications
 /// (Figure 4's final step).
-pub enum LeafGuard {
-    S(PageReadGuard),
-    X(PageWriteGuard),
+pub enum LeafGuard<'p> {
+    S(PageReadGuard<'p>),
+    X(PageWriteGuard<'p>),
 }
 
-impl LeafGuard {
+impl<'p> LeafGuard<'p> {
     pub fn page(&self) -> &PageBuf {
         match self {
             LeafGuard::S(g) => g,
@@ -72,7 +72,7 @@ impl LeafGuard {
         self.page().page_lsn()
     }
 
-    pub fn as_x(&mut self) -> Result<&mut PageWriteGuard> {
+    pub fn as_x(&mut self) -> Result<&mut PageWriteGuard<'p>> {
         match self {
             LeafGuard::X(g) => Ok(g),
             LeafGuard::S(_) => Err(Error::Internal(
@@ -185,7 +185,7 @@ impl BTree {
         search: &SearchKey<'_>,
         for_update: bool,
         tree_latched: bool,
-    ) -> Result<LeafGuard> {
+    ) -> Result<LeafGuard<'_>> {
         'restart: loop {
             self.stats.tree_traversals.bump();
             // Latch the root; upgrade to X if it is itself the leaf we must

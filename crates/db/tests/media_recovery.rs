@@ -103,7 +103,8 @@ fn restore_into_pool_after_disk_corruption() {
         .unwrap();
     db.pool.flush_all().unwrap();
     // Now even a cold read sees the recovered page.
-    let img = db.pool.disk().read_page(victim).unwrap();
+    let mut img = ariesim_common::PageBuf::zeroed();
+    db.pool.disk().read_page(victim, &mut img).unwrap();
     assert_eq!(img.page_id(), victim);
     let report = db.verify_consistency().unwrap();
     assert_eq!(report.rows, 600);

@@ -82,7 +82,11 @@ impl Monitor {
             d.set((held + 1, high.max(held + 1)));
             held + 1
         });
-        self.max_latch_depth.fetch_max(depth, Ordering::Relaxed);
+        // The depth is 1 or 2 essentially always: a plain load keeps the
+        // per-grant cost off this process-global line unless the maximum rises.
+        if depth > self.max_latch_depth.load(Ordering::Relaxed) {
+            self.max_latch_depth.fetch_max(depth, Ordering::Relaxed);
+        }
         if depth > MAX_PAGE_LATCHES {
             self.latch_depth_violations.fetch_add(1, Ordering::Relaxed);
             if self.enforcing() {

@@ -8,7 +8,8 @@ use ariesim_common::stats::{Bump, StatsHandle};
 use ariesim_common::{PageBuf, PageId, Result, PAGE_SIZE};
 use parking_lot::Mutex;
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::ErrorKind;
+use std::os::unix::fs::FileExt;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -20,9 +21,10 @@ pub type ReadFaultHook = Arc<dyn Fn(PageId) -> Result<()> + Send + Sync>;
 /// [`DiskManager::write_page`]; an `Err` becomes the write's result.
 pub type WriteFaultHook = Arc<dyn Fn(PageId) -> Result<()> + Send + Sync>;
 
-/// Thread-safe page file.
+/// Thread-safe page file: every access is one positional call, so readers
+/// and writers of different pages never serialise on a file cursor.
 pub struct DiskManager {
-    file: Mutex<File>,
+    file: File,
     stats: StatsHandle,
     read_hook: Mutex<Option<ReadFaultHook>>,
     write_hook: Mutex<Option<WriteFaultHook>>,
@@ -37,7 +39,7 @@ impl DiskManager {
             .truncate(false)
             .open(path)?;
         Ok(DiskManager {
-            file: Mutex::new(file),
+            file,
             stats,
             read_hook: Mutex::new(None),
             write_hook: Mutex::new(None),
@@ -62,28 +64,30 @@ impl DiskManager {
 
     /// Number of pages the file currently holds (rounded up).
     pub fn page_count(&self) -> Result<u32> {
-        let g = self.file.lock();
-        let len = g.metadata()?.len();
+        let len = self.file.metadata()?.len();
         Ok(len.div_ceil(PAGE_SIZE as u64) as u32)
     }
 
-    /// Read a page image; pages beyond EOF read as zeroes.
-    pub fn read_page(&self, id: PageId) -> Result<PageBuf> {
+    /// Read a page image into `into`; whatever lies beyond EOF reads as
+    /// zeroes.
+    pub fn read_page(&self, id: PageId, into: &mut PageBuf) -> Result<()> {
         let hook = self.read_hook.lock().clone();
         if let Some(hook) = hook {
             hook(id)?;
         }
-        let mut buf = PageBuf::zeroed();
-        let mut g = self.file.lock();
-        let len = g.metadata()?.len();
-        let off = id.file_offset();
-        if off < len {
-            g.seek(SeekFrom::Start(off))?;
-            let avail = ((len - off) as usize).min(PAGE_SIZE);
-            g.read_exact(&mut buf.as_bytes_mut()[..avail])?;
+        let bytes = into.as_bytes_mut();
+        let mut filled = 0;
+        while filled < PAGE_SIZE {
+            match self.file.read_at(&mut bytes[filled..], id.file_offset() + filled as u64) {
+                Ok(0) => break, // EOF: the file is grown lazily by the first write
+                Ok(n) => filled += n,
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => return Err(e.into()),
+            }
         }
+        bytes[filled..].fill(0);
         self.stats.page_reads.bump();
-        Ok(buf)
+        Ok(())
     }
 
     /// Write a page image at its id's offset, growing the file if needed.
@@ -92,16 +96,15 @@ impl DiskManager {
         if let Some(hook) = hook {
             hook(page.page_id())?;
         }
-        let mut g = self.file.lock();
-        g.seek(SeekFrom::Start(page.page_id().file_offset()))?;
-        g.write_all(page.as_bytes().as_slice())?;
+        self.file
+            .write_all_at(page.as_bytes().as_slice(), page.page_id().file_offset())?;
         self.stats.page_writes.bump();
         Ok(())
     }
 
     /// Force file contents to stable storage.
     pub fn sync(&self) -> Result<()> {
-        self.file.lock().sync_data()?;
+        self.file.sync_data()?;
         Ok(())
     }
 }
@@ -114,6 +117,12 @@ mod tests {
     use ariesim_common::tmp::TempDir;
     use ariesim_common::Lsn;
 
+    fn read(d: &DiskManager, id: PageId) -> PageBuf {
+        let mut buf = PageBuf::zeroed();
+        d.read_page(id, &mut buf).unwrap();
+        buf
+    }
+
     #[test]
     fn write_then_read_roundtrip() {
         let dir = TempDir::new("disk");
@@ -122,7 +131,7 @@ mod tests {
         p.format(PageId(3), PageType::Heap, 7, 0);
         p.set_page_lsn(Lsn(42));
         d.write_page(&p).unwrap();
-        let q = d.read_page(PageId(3)).unwrap();
+        let q = read(&d, PageId(3));
         assert_eq!(q.page_id(), PageId(3));
         assert_eq!(q.page_lsn(), Lsn(42));
         assert_eq!(q.owner(), 7);
@@ -132,7 +141,11 @@ mod tests {
     fn read_beyond_eof_is_zeroed() {
         let dir = TempDir::new("disk");
         let d = DiskManager::open(&dir.file("db"), new_stats()).unwrap();
-        let p = d.read_page(PageId(100)).unwrap();
+        // A frame being reused still holds its previous page: the unread
+        // tail must be cleared, not left over.
+        let mut p = PageBuf::zeroed();
+        p.format(PageId(9), PageType::Heap, 7, 0);
+        d.read_page(PageId(100), &mut p).unwrap();
         assert!(p.as_bytes().iter().all(|&b| b == 0));
     }
 
@@ -158,7 +171,7 @@ mod tests {
             d.write_page(&p).unwrap();
         }
         let d = DiskManager::open(&path, new_stats()).unwrap();
-        let p = d.read_page(PageId(1)).unwrap();
+        let p = read(&d, PageId(1));
         assert_eq!(p.owner(), 9);
         assert_eq!(p.page_type().unwrap(), PageType::IndexLeaf);
     }
@@ -171,7 +184,7 @@ mod tests {
         let mut p = PageBuf::zeroed();
         p.format(PageId(1), PageType::Heap, 0, 0);
         d.write_page(&p).unwrap();
-        d.read_page(PageId(1)).unwrap();
+        read(&d, PageId(1));
         let s = stats.snapshot();
         assert_eq!((s.page_writes, s.page_reads), (1, 1));
     }

@@ -1,11 +1,12 @@
 //! Partitioned buffer pool with integrated page latches.
 //!
-//! Each buffer frame is an `RwLock<PageBuf>`; holding the lock *is* holding
-//! the page latch, in the mode the lock was taken in. Frames additionally
-//! carry an explicit atomic pin count: guards hold a [`PinGuard`] (an RAII
-//! pin), so a latched (or merely fixed) page can never be evicted, and
-//! unpinning is one atomic decrement — no pool-wide lock anywhere on the
-//! release path.
+//! Each buffer frame owns an `RwLock<PageBuf>` inline; holding the lock *is*
+//! holding the page latch, in the mode the lock was taken in. Frames
+//! additionally carry an explicit atomic pin count: guards hold a
+//! [`PinGuard`] (an RAII pin), so a latched (or merely fixed) page can never
+//! be evicted, and unpinning is one atomic decrement — no pool-wide lock
+//! anywhere on the release path. Pins and page guards *borrow* the pool:
+//! a fix touches no reference count, only the frame's own words.
 //!
 //! **Partitioning.** The page table is split into N partitions ("shards"):
 //! `hash(PageId) → shard`, each shard owning a contiguous slice of the frame
@@ -50,8 +51,7 @@ use ariesim_fault::crash_point;
 use ariesim_obs::lockdep;
 use ariesim_obs::{EventKind, ModeTag, Obs, ObsHandle, SpanKind};
 use ariesim_wal::{DptEntry, LogManager};
-use parking_lot::lock_api::{ArcRwLockReadGuard, ArcRwLockWriteGuard};
-use parking_lot::{Mutex, RawRwLock, RwLock};
+use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::collections::HashMap;
 // The per-frame protocol words (`pins`, `owner`) are model-checkable facade
 // atomics — their interleavings are what `crates/model`'s pool harnesses
@@ -60,34 +60,38 @@ use ariesim_common::msync::AtomicU32;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-type Slot = Arc<RwLock<PageBuf>>;
-type ReadLatch = ArcRwLockReadGuard<RawRwLock, PageBuf>;
-type WriteLatch = ArcRwLockWriteGuard<RawRwLock, PageBuf>;
+type Slot = RwLock<PageBuf>;
+type ReadLatch<'p> = RwLockReadGuard<'p, PageBuf>;
+type WriteLatch<'p> = RwLockWriteGuard<'p, PageBuf>;
 
 /// One latch mode, as the fix and latch routines see it: how the frame's
 /// `RwLock` is taken, and how the grant is tagged in reports.
-struct Mode<L> {
+struct Mode<'p, L> {
     tag: ModeTag,
-    try_latch: fn(&Slot) -> Option<L>,
-    wait_latch: fn(&Slot) -> L,
+    try_latch: fn(&'p Slot) -> Option<L>,
+    wait_latch: fn(&'p Slot) -> L,
     /// A miss loads under the write latch (see `claim`); this hands that
     /// latch out in the mode that was asked for.
-    from_loaded: fn(WriteLatch) -> L,
+    from_loaded: fn(WriteLatch<'p>) -> L,
 }
 
-const SHARED: Mode<ReadLatch> = Mode {
-    tag: ModeTag::S,
-    try_latch: RwLock::try_read_arc,
-    wait_latch: RwLock::read_arc,
-    from_loaded: ArcRwLockWriteGuard::downgrade,
-};
+impl<'p> Mode<'p, ReadLatch<'p>> {
+    const SHARED: Self = Mode {
+        tag: ModeTag::S,
+        try_latch: RwLock::try_read,
+        wait_latch: RwLock::read,
+        from_loaded: RwLockWriteGuard::downgrade,
+    };
+}
 
-const EXCLUSIVE: Mode<WriteLatch> = Mode {
-    tag: ModeTag::X,
-    try_latch: RwLock::try_write_arc,
-    wait_latch: RwLock::write_arc,
-    from_loaded: std::convert::identity,
-};
+impl<'p> Mode<'p, WriteLatch<'p>> {
+    const EXCLUSIVE: Self = Mode {
+        tag: ModeTag::X,
+        try_latch: RwLock::try_write,
+        wait_latch: RwLock::write,
+        from_loaded: std::convert::identity,
+    };
+}
 
 #[derive(Clone, Copy)]
 struct FrameMeta {
@@ -159,7 +163,7 @@ impl Drop for ShardGuard<'_> {
     }
 }
 
-/// The buffer pool. Use through `Arc` — page guards keep the pool alive.
+/// The buffer pool. Page guards and pins borrow it.
 pub struct BufferPool {
     frames: Vec<Frame>,
     shards: Vec<Shard>,
@@ -211,7 +215,7 @@ impl BufferPool {
         Arc::new(BufferPool {
             frames: (0..frames)
                 .map(|_| Frame {
-                    buf: Arc::new(RwLock::new(PageBuf::zeroed())),
+                    buf: RwLock::new(PageBuf::zeroed()),
                     pins: AtomicU32::new(0),
                     owner: AtomicU32::new(PageId::NULL.0),
                 })
@@ -277,25 +281,25 @@ impl BufferPool {
     // --- fixing ---------------------------------------------------------
 
     /// Fix `page` and latch it shared. Blocks until the latch is available.
-    pub fn fix_s(self: &Arc<Self>, page: PageId) -> Result<PageReadGuard> {
-        self.fix(page, &SHARED, false, "storage::pool::fix_s")
+    pub fn fix_s(&self, page: PageId) -> Result<PageReadGuard<'_>> {
+        self.fix(page, &Mode::SHARED, false, "storage::pool::fix_s")
     }
 
     /// Fix `page` and latch it shared, failing with [`Error::WouldBlock`]
     /// instead of waiting for the latch.
-    pub fn try_fix_s(self: &Arc<Self>, page: PageId) -> Result<PageReadGuard> {
-        self.fix(page, &SHARED, true, "storage::pool::fix_s")
+    pub fn try_fix_s(&self, page: PageId) -> Result<PageReadGuard<'_>> {
+        self.fix(page, &Mode::SHARED, true, "storage::pool::fix_s")
     }
 
     /// Fix `page` and latch it exclusive. Blocks until available.
-    pub fn fix_x(self: &Arc<Self>, page: PageId) -> Result<PageWriteGuard> {
-        self.fix(page, &EXCLUSIVE, false, "storage::pool::fix_x")
+    pub fn fix_x(&self, page: PageId) -> Result<PageWriteGuard<'_>> {
+        self.fix(page, &Mode::EXCLUSIVE, false, "storage::pool::fix_x")
     }
 
     /// Fix `page` and latch it exclusive, failing with [`Error::WouldBlock`]
     /// instead of waiting.
-    pub fn try_fix_x(self: &Arc<Self>, page: PageId) -> Result<PageWriteGuard> {
-        self.fix(page, &EXCLUSIVE, true, "storage::pool::fix_x")
+    pub fn try_fix_x(&self, page: PageId) -> Result<PageWriteGuard<'_>> {
+        self.fix(page, &Mode::EXCLUSIVE, true, "storage::pool::fix_x")
     }
 
     /// Fix `page` without latching it: the returned pin keeps the frame
@@ -303,7 +307,7 @@ impl BufferPool {
     /// the page again without any shard lookup. This is the fast re-access
     /// path for callers that revisit the same page repeatedly (redo loops,
     /// standby apply).
-    pub fn pin(self: &Arc<Self>, page: PageId) -> Result<PinGuard> {
+    pub fn pin(&self, page: PageId) -> Result<PinGuard<'_>> {
         self.stats.page_fixes.bump();
         let (pin, loaded) = self.claim(page)?;
         if let Some(latch) = loaded {
@@ -313,13 +317,13 @@ impl BufferPool {
         Ok(pin)
     }
 
-    fn fix<L>(
-        self: &Arc<Self>,
+    fn fix<'p, L>(
+        &'p self,
         page: PageId,
-        mode: &Mode<L>,
+        mode: &Mode<'p, L>,
         conditional: bool,
         site: &'static str,
-    ) -> Result<PageGuard<L>> {
+    ) -> Result<PageGuard<'p, L>> {
         self.stats.page_fixes.bump();
         loop {
             let (pin, loaded) = self.claim(page)?;
@@ -335,9 +339,8 @@ impl BufferPool {
             // `claim`, under the load I/O.
             self.note_granted(page, mode.tag, None);
             return Ok(PageGuard {
-                latch: Some((mode.from_loaded)(wlatch)),
-                pin,
-                mode: mode.tag,
+                latch: (mode.from_loaded)(wlatch),
+                grant: Grant { pin, mode: mode.tag },
             });
         }
     }
@@ -346,13 +349,13 @@ impl BufferPool {
     /// dropped (one atomic) and [`Error::WouldBlock`] returned; if the
     /// frame stopped holding the pinned page (a concurrent failed load
     /// unwound it), [`Error::StalePin`].
-    fn latch_frame<L>(
-        &self,
-        pin: PinGuard,
-        mode: &Mode<L>,
+    fn latch_frame<'p, L>(
+        &'p self,
+        pin: PinGuard<'p>,
+        mode: &Mode<'p, L>,
         conditional: bool,
         site: &'static str,
-    ) -> Result<PageGuard<L>> {
+    ) -> Result<PageGuard<'p, L>> {
         let slot = &self.frames[pin.frame].buf;
         let latch = match (mode.try_latch)(slot) {
             Some(g) => g,
@@ -375,9 +378,8 @@ impl BufferPool {
         }
         self.note_granted(pin.page, mode.tag, Some((site, !conditional)));
         Ok(PageGuard {
-            latch: Some(latch),
-            pin,
-            mode: mode.tag,
+            latch,
+            grant: Grant { pin, mode: mode.tag },
         })
     }
 
@@ -410,7 +412,7 @@ impl BufferPool {
 
     /// Pin `page`'s frame, loading it from disk if absent. On a miss the
     /// write latch the load I/O happened under comes back too, still held.
-    fn claim(self: &Arc<Self>, page: PageId) -> Result<(PinGuard, Option<WriteLatch>)> {
+    fn claim(&self, page: PageId) -> Result<(PinGuard<'_>, Option<WriteLatch<'_>>)> {
         debug_assert!(!page.is_null(), "fix of NULL page");
         let sid = self.shard_of(page);
         loop {
@@ -424,7 +426,7 @@ impl BufferPool {
                 // ordering: advisory counter; nothing synchronizes-with it
                 self.obs.pool.hits.fetch_add(1, Ordering::Relaxed);
                 let pin = PinGuard {
-                    pool: self.clone(),
+                    pool: self,
                     frame: gidx,
                     page,
                 };
@@ -435,7 +437,7 @@ impl BufferPool {
             // (the conditional write latch is claimed inside the callback
             // and kept for the eviction + load I/O).
             let base = self.shards[sid].base;
-            let mut wlatch: Option<WriteLatch> = None;
+            let mut wlatch: Option<WriteLatch<'_>> = None;
             let mut latch_busy = false;
             let victim = g.clock.victim(|local| {
                 let fr = &self.frames[base + local];
@@ -443,7 +445,7 @@ impl BufferPool {
                 if fr.pins.load(Ordering::Acquire) != 0 {
                     return false;
                 }
-                match fr.buf.try_write_arc() {
+                match fr.buf.try_write() {
                     Some(w) => {
                         wlatch = Some(w);
                         true
@@ -548,7 +550,7 @@ impl BufferPool {
                 self.obs.pool.evictions.fetch_add(1, Ordering::Relaxed); // ordering: as above
             }
             let pin = PinGuard {
-                pool: self.clone(),
+                pool: self,
                 frame: gidx,
                 page,
             };
@@ -556,7 +558,7 @@ impl BufferPool {
                 let io = self.obs.timer();
                 {
                     let _span = self.obs.span(SpanKind::PageRead, 0, page.0);
-                    *latch = self.disk.read_page(page)?;
+                    self.disk.read_page(page, &mut latch)?;
                 }
                 self.obs.hist.page_read.record_since(io);
                 Ok(())
@@ -597,7 +599,7 @@ impl BufferPool {
     // --- flushing -----------------------------------------------------------
 
     /// Write `page` to disk if it is cached and dirty (WAL rule enforced).
-    pub fn flush_page(self: &Arc<Self>, page: PageId) -> Result<()> {
+    pub fn flush_page(&self, page: PageId) -> Result<()> {
         let guard = self.fix_s(page)?;
         let sid = self.shard_of(page);
         let dirty = {
@@ -626,7 +628,7 @@ impl BufferPool {
     }
 
     /// Flush every dirty page (clean shutdown / heavyweight checkpoint).
-    pub fn flush_all(self: &Arc<Self>) -> Result<()> {
+    pub fn flush_all(&self) -> Result<()> {
         for e in self.dpt_snapshot() {
             self.flush_page(e.page)?;
         }
@@ -654,7 +656,7 @@ impl BufferPool {
         }
         for idx in resident {
             lockdep::acquired(lockdep::Class::PageLatch, "storage::pool::dpt_fence", true);
-            drop(self.frames[idx].buf.read_arc());
+            drop(self.frames[idx].buf.read());
             lockdep::released(lockdep::Class::PageLatch);
         }
         self.dpt_snapshot()
@@ -721,14 +723,14 @@ impl BufferPool {
 /// be evicted, so the page stays resident and re-latchable. Cloning a pin
 /// and dropping one are single atomic operations — no shard mutex, which is
 /// what makes the re-pin path of repeated page visits contention-free.
-pub struct PinGuard {
-    pool: Arc<BufferPool>,
+pub struct PinGuard<'p> {
+    pool: &'p BufferPool,
     /// Global frame index.
     frame: usize,
     page: PageId,
 }
 
-impl PinGuard {
+impl<'p> PinGuard<'p> {
     /// The pinned page.
     pub fn page(&self) -> PageId {
         self.page
@@ -738,41 +740,37 @@ impl PinGuard {
     /// the frame's identity stable. The only failure is
     /// [`Error::StalePin`] — a concurrent failed load unwound the frame
     /// after this pin was taken; re-fix the page through the pool to retry.
-    pub fn latch_s(&self) -> Result<PageReadGuard> {
-        self.pool.latch_frame(self.clone(), &SHARED, false, "storage::pool::pin.latch_s")
+    pub fn latch_s(&self) -> Result<PageReadGuard<'p>> {
+        self.pool.latch_frame(self.clone(), &Mode::SHARED, false, "storage::pool::pin.latch_s")
     }
 
     /// Conditionally S-latch the pinned page.
-    pub fn try_latch_s(&self) -> Result<PageReadGuard> {
-        self.pool.latch_frame(self.clone(), &SHARED, true, "storage::pool::pin.latch_s")
+    pub fn try_latch_s(&self) -> Result<PageReadGuard<'p>> {
+        self.pool.latch_frame(self.clone(), &Mode::SHARED, true, "storage::pool::pin.latch_s")
     }
 
     /// X-latch the pinned page (blocking); failure modes as [`Self::latch_s`].
-    pub fn latch_x(&self) -> Result<PageWriteGuard> {
-        self.pool.latch_frame(self.clone(), &EXCLUSIVE, false, "storage::pool::pin.latch_x")
+    pub fn latch_x(&self) -> Result<PageWriteGuard<'p>> {
+        self.pool.latch_frame(self.clone(), &Mode::EXCLUSIVE, false, "storage::pool::pin.latch_x")
     }
 
     /// Conditionally X-latch the pinned page.
-    pub fn try_latch_x(&self) -> Result<PageWriteGuard> {
-        self.pool.latch_frame(self.clone(), &EXCLUSIVE, true, "storage::pool::pin.latch_x")
+    pub fn try_latch_x(&self) -> Result<PageWriteGuard<'p>> {
+        self.pool.latch_frame(self.clone(), &Mode::EXCLUSIVE, true, "storage::pool::pin.latch_x")
     }
 }
 
-impl Clone for PinGuard {
-    fn clone(&self) -> PinGuard {
+impl Clone for PinGuard<'_> {
+    fn clone(&self) -> Self {
         // Safe without the shard mutex: we hold a pin, so the count is ≥ 1
         // and eviction (which requires 0) cannot race the increment.
         // ordering: AcqRel pin increment pairs with eviction pin checks
         self.pool.frames[self.frame].pins.fetch_add(1, Ordering::AcqRel);
-        PinGuard {
-            pool: self.pool.clone(),
-            frame: self.frame,
-            page: self.page,
-        }
+        PinGuard { ..*self }
     }
 }
 
-impl Drop for PinGuard {
+impl Drop for PinGuard<'_> {
     fn drop(&mut self) {
         // ordering: AcqRel decrement pairs with eviction pin checks; the release half orders our page accesses before a later evictor reuses the frame
         let prev = self.pool.frames[self.frame].pins.fetch_sub(1, Ordering::AcqRel);
@@ -780,82 +778,83 @@ impl Drop for PinGuard {
     }
 }
 
-/// A fixed page, latched in the mode `L` for as long as the guard lives.
-/// Dereferences to the page image.
-pub struct PageGuard<L> {
-    latch: Option<L>,
-    pin: PinGuard,
+/// The bookkeeping half of a held page latch: its drop reports the release,
+/// and only then lets go of the pin.
+struct Grant<'p> {
+    pin: PinGuard<'p>,
     mode: ModeTag,
 }
 
-/// Shared (S-latched) fixed page.
-pub type PageReadGuard = PageGuard<ReadLatch>;
-/// Exclusive (X-latched) fixed page.
-pub type PageWriteGuard = PageGuard<WriteLatch>;
-
-impl<L> PageGuard<L> {
-    /// Take an extra pin on this page (one atomic; no shard lookup), so it
-    /// stays resident after the guard is dropped.
-    pub fn repin(&self) -> PinGuard {
-        self.pin.clone()
+impl Drop for Grant<'_> {
+    fn drop(&mut self) {
+        self.pin.pool.note_released(self.pin.page, self.mode);
     }
 }
 
-impl<L: std::ops::Deref<Target = PageBuf>> std::ops::Deref for PageGuard<L> {
+/// A fixed page, latched in the mode `L` for as long as the guard lives.
+/// Dereferences to the page image.
+pub struct PageGuard<'p, L> {
+    // Field order is drop order: the latch is released, the release is
+    // reported, the pin goes last — preserving "pins==0 ⇒ latch free".
+    latch: L,
+    grant: Grant<'p>,
+}
+
+/// Shared (S-latched) fixed page.
+pub type PageReadGuard<'p> = PageGuard<'p, ReadLatch<'p>>;
+/// Exclusive (X-latched) fixed page.
+pub type PageWriteGuard<'p> = PageGuard<'p, WriteLatch<'p>>;
+
+impl<'p, L> PageGuard<'p, L> {
+    /// Take an extra pin on this page (one atomic; no shard lookup), so it
+    /// stays resident after the guard is dropped.
+    pub fn repin(&self) -> PinGuard<'p> {
+        self.grant.pin.clone()
+    }
+}
+
+impl<L: std::ops::Deref<Target = PageBuf>> std::ops::Deref for PageGuard<'_, L> {
     type Target = PageBuf;
 
     fn deref(&self) -> &PageBuf {
-        self.latch.as_ref().expect("latch held")
+        &self.latch
     }
 }
 
-impl<L> Drop for PageGuard<L> {
-    fn drop(&mut self) {
-        // Latch released before the pin (which drops with the struct),
-        // preserving "pins==0 ⇒ latch free".
-        if let Some(latch) = self.latch.take() {
-            drop(latch);
-            self.pin.pool.note_released(self.pin.page, self.mode);
-        }
-    }
-}
-
-impl PageGuard<WriteLatch> {
+impl<'p> PageWriteGuard<'p> {
     /// Record that a logged update with LSN `lsn` modified this page: stamps
     /// `page_lsn` and enters the page in the dirty page table (with `lsn` as
     /// `rec_lsn` if it was clean).
     pub fn record_update(&mut self, lsn: Lsn) {
-        self.latch.as_mut().expect("latch held").set_page_lsn(lsn);
-        self.pin.pool.mark_dirty(self.pin.page, lsn);
+        self.latch.set_page_lsn(lsn);
+        self.mark_dirty_raw(lsn);
     }
 
     /// Mark dirty without stamping an LSN (used when formatting pages whose
     /// changes are covered by a following logged update).
     pub fn mark_dirty_raw(&mut self, rec_lsn: Lsn) {
-        self.pin.pool.mark_dirty(self.pin.page, rec_lsn);
+        let pin = &self.grant.pin;
+        pin.pool.mark_dirty(pin.page, rec_lsn);
     }
 
-    /// Downgrade to a shared guard without releasing the latch (the held
-    /// depth does not change; only the event ring sees the mode switch).
-    pub fn downgrade(mut self) -> PageReadGuard {
-        let latch = self.latch.take().expect("latch held");
-        let pin = self.pin.clone();
-        let obs = &pin.pool.obs;
-        obs.event(EventKind::LatchRelease, ModeTag::X, 0, pin.page.0, 0);
-        obs.event(EventKind::LatchAcquire, ModeTag::S, 0, pin.page.0, 0);
-        // `self` now has no latch: its drop releases only the original pin,
-        // while `pin` holds the frame through the downgrade.
-        drop(self);
+    /// Downgrade to a shared guard without releasing the latch or the pin
+    /// (the held depth does not change; only the event ring sees the mode
+    /// switch).
+    pub fn downgrade(self) -> PageReadGuard<'p> {
+        let PageGuard { latch, mut grant } = self;
+        let (obs, page) = (&grant.pin.pool.obs, grant.pin.page.0);
+        obs.event(EventKind::LatchRelease, ModeTag::X, 0, page, 0);
+        obs.event(EventKind::LatchAcquire, ModeTag::S, 0, page, 0);
+        grant.mode = ModeTag::S;
         PageGuard {
-            latch: Some(ArcRwLockWriteGuard::downgrade(latch)),
-            pin,
-            mode: ModeTag::S,
+            latch: RwLockWriteGuard::downgrade(latch),
+            grant,
         }
     }
 }
 
-impl std::ops::DerefMut for PageGuard<WriteLatch> {
+impl std::ops::DerefMut for PageWriteGuard<'_> {
     fn deref_mut(&mut self) -> &mut PageBuf {
-        self.latch.as_mut().expect("latch held")
+        &mut self.latch
     }
 }

@@ -124,7 +124,8 @@ fn flush_page_clears_dirty_and_dpt() {
     pool.flush_page(PageId(3)).unwrap();
     assert!(pool.dpt_snapshot().is_empty());
     // Disk has the content.
-    let img = pool.disk().read_page(PageId(3)).unwrap();
+    let mut img = ariesim_common::PageBuf::zeroed();
+    pool.disk().read_page(PageId(3), &mut img).unwrap();
     assert_eq!(img.page_id(), PageId(3));
 }
 

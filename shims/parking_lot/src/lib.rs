@@ -2,15 +2,23 @@
 //!
 //! The build environment has no access to a crates registry, so the real
 //! `parking_lot` cannot be vendored; this crate re-implements the API surface
-//! the workspace actually calls, on top of `std::sync` primitives:
+//! the workspace actually calls:
 //!
 //! * [`Mutex`] / [`MutexGuard`] — poison-ignoring, guard returned directly;
 //! * [`Condvar`] with `wait` / `wait_for` taking `&mut MutexGuard`;
 //! * [`RwLock`] with recursive reads (`read_recursive`), conditional
-//!   acquisition (`try_read` / `try_write` / `try_read_recursive`), owned
-//!   `Arc` guards (`read_arc` / `write_arc` and `try_` variants) and
+//!   acquisition (`try_read` / `try_write` / `try_read_recursive`) and
 //!   write-to-read downgrade — none of which `std::sync::RwLock` offers,
-//!   hence the hand-rolled state machine.
+//!   hence the hand-rolled lock.
+//!
+//! **What the `RwLock` is.** Every page latch and the tree latch is one of
+//! these, so it is priced like a latch: the whole state is one `AtomicUsize`
+//! (reader count | `WRITER` | `WRITERS_WAITING` | `PARKED`). An uncontended
+//! acquire is one CAS, a release one RMW, and `try_*` touches nothing else.
+//! The `std` mutex + condvar beside the word are only the parking place: a
+//! thread that must wait sets `PARKED` under the mutex, re-checks the word
+//! and waits; a releaser takes the mutex and notifies only when its RMW saw
+//! `PARKED` — no system call when nobody waits.
 //!
 //! Semantics the workspace depends on and this shim preserves:
 //!
@@ -20,15 +28,24 @@
 //! * `read_recursive` ignores queued writers, so a thread already holding
 //!   the lock shared can re-enter without self-deadlock;
 //! * `downgrade` is atomic: no writer can sneak in between the write and
-//!   read phases.
+//!   read phases;
+//! * `try_*` never blocks.
 //!
 //! Additionally, every acquire/release path reports to the model checker's
 //! schedule-point hooks (see [`sched`]); on ordinary threads that is a
-//! single thread-local flag read.
+//! single thread-local flag read. The lock is one primitive to the model
+//! controller, as it was when a mutex guarded its state: the controller
+//! grants an acquire only when its ownership model says it cannot block, so
+//! under the model a granted acquire is always a first-try CAS, the word
+//! never carries `PARKED` or `WRITERS_WAITING`, and the parking path does
+//! not run. The word's own interleavings (CAS retry, park/wake handshake)
+//! are therefore outside the controller's view; what covers them is this
+//! file's test module (fast path never parks, lost-wakeup hammer, writer
+//! preference, last-reader-only wake — run in debug and `--release`) and
+//! `tests/pool_stress.rs`.
 
 use std::cell::UnsafeCell;
-use std::marker::PhantomData;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 pub mod sched;
@@ -303,35 +320,40 @@ impl Parker {
 
 // --- RwLock ----------------------------------------------------------------
 
-#[derive(Default)]
-struct RwState {
-    /// Number of shared holders.
-    readers: usize,
-    /// Exclusive holder present.
-    writer: bool,
-    /// Writers blocked in `write()`; new non-recursive readers defer to them.
-    writers_waiting: usize,
-}
+/// Set by a thread about to wait on `cond`, under the `park` mutex; a
+/// releaser that sees it takes that mutex, clears it and notifies.
+const PARKED: usize = 1;
+/// At least one writer is blocked in `write()` (count kept under `park`);
+/// new non-recursive readers defer to it.
+const WRITERS_WAITING: usize = 2;
+/// Exclusive holder present.
+const WRITER: usize = 4;
+/// The shared-holder count lives in the bits above the flags.
+const ONE_READER: usize = 8;
+const READERS: usize = !(ONE_READER - 1);
 
-/// Read-write lock with recursive reads, conditional acquisition, owned
-/// `Arc` guards, and atomic write→read downgrade.
+/// Read-write lock with recursive reads, conditional acquisition and atomic
+/// write→read downgrade: one state word, plus a mutex + condvar that only a
+/// thread that has to wait (or wake one) ever touches.
 pub struct RwLock<T: ?Sized> {
-    state: std::sync::Mutex<RwState>,
+    state: AtomicUsize,
+    /// The parking place. Guards the number of writers blocked in `write()`.
+    park: std::sync::Mutex<usize>,
     cond: std::sync::Condvar,
     data: UnsafeCell<T>,
 }
 
+// SAFETY: the lock hands out `&T` to many threads or `&mut T` to one, so it
+// is `Sync` exactly when `T` may be shared and sent; `state`, `park` and
+// `cond` are `Sync` themselves.
 unsafe impl<T: ?Sized + Send> Send for RwLock<T> {}
 unsafe impl<T: ?Sized + Send + Sync> Sync for RwLock<T> {}
 
 impl<T> RwLock<T> {
     pub const fn new(value: T) -> RwLock<T> {
         RwLock {
-            state: std::sync::Mutex::new(RwState {
-                readers: 0,
-                writer: false,
-                writers_waiting: 0,
-            }),
+            state: AtomicUsize::new(0),
+            park: std::sync::Mutex::new(0),
             cond: std::sync::Condvar::new(),
             data: UnsafeCell::new(value),
         }
@@ -342,9 +364,83 @@ impl<T> RwLock<T> {
     }
 }
 
+/// What stops a shared acquisition: the writer, and for a non-recursive
+/// read a queued writer too.
+const fn shared_blockers(recursive: bool) -> usize {
+    if recursive {
+        WRITER
+    } else {
+        WRITER | WRITERS_WAITING
+    }
+}
+
 impl<T: ?Sized> RwLock<T> {
-    fn st(&self) -> std::sync::MutexGuard<'_, RwState> {
-        self.state.lock().unwrap_or_else(|e| e.into_inner())
+    fn parking_place(&self) -> std::sync::MutexGuard<'_, usize> {
+        self.park.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// One attempt at the word, retried only while the lock stays
+    /// grantable: add `delta` if none of `blockers` is set.
+    fn try_acquire(&self, blockers: usize, delta: usize) -> bool {
+        // ordering: Relaxed — only a guess for the CAS below, which re-reads
+        let mut s = self.state.load(Ordering::Relaxed);
+        while s & blockers == 0 {
+            // ordering: Acquire on success pairs with the Release RMW of the
+            // unlock that made the word grantable, so the previous holder's
+            // writes to `data` are visible; a failed CAS publishes nothing
+            match self.state.compare_exchange_weak(s, s + delta, Ordering::Acquire, Ordering::Relaxed) {
+                Ok(_) => return true,
+                Err(now) => s = now,
+            }
+        }
+        false
+    }
+
+    /// The contended path: wait on the condvar until `try_acquire` grants.
+    /// Lost wakeups are excluded by the word's modification order: PARKED
+    /// is set (an RMW) before the re-check, so a release RMW either comes
+    /// before it (the re-check sees the lock free) or after it (the
+    /// releaser sees PARKED and notifies under the mutex we wait with).
+    #[cold]
+    fn acquire_parked(&self, blockers: usize, delta: usize) {
+        #[cfg(test)]
+        slow_path::note_park();
+        let writer = delta == WRITER;
+        let mut waiting_writers = self.parking_place();
+        if writer {
+            *waiting_writers += 1;
+        }
+        let announce = if writer { PARKED | WRITERS_WAITING } else { PARKED };
+        loop {
+            // ordering: Relaxed — the flags carry no payload; the handshake
+            // with the releaser is the mutex plus this word's RMW order
+            self.state.fetch_or(announce, Ordering::Relaxed);
+            if self.try_acquire(blockers, delta) {
+                break;
+            }
+            waiting_writers = self.cond.wait(waiting_writers).unwrap_or_else(|e| e.into_inner());
+        }
+        if writer {
+            *waiting_writers -= 1;
+            if *waiting_writers == 0 {
+                // ordering: Relaxed — flag only; readers it lets in take
+                // their own Acquire CAS
+                self.state.fetch_and(!WRITERS_WAITING, Ordering::Relaxed);
+            }
+        }
+    }
+
+    /// A release saw PARKED: wake every waiter; the ones that still cannot
+    /// proceed announce themselves again before waiting again.
+    #[cold]
+    fn wake_parked(&self) {
+        #[cfg(test)]
+        slow_path::note_wake();
+        let _place = self.parking_place();
+        // ordering: Relaxed — flag only, cleared under the mutex every
+        // waiter sets it under
+        self.state.fetch_and(!PARKED, Ordering::Relaxed);
+        self.cond.notify_all();
     }
 
     fn lock_shared(&self, recursive: bool) {
@@ -354,11 +450,10 @@ impl<T: ?Sized> RwLock<T> {
             OpKind::RwShared
         };
         sched::acquire_point(kind, obj_id(self));
-        let mut st = self.st();
-        while st.writer || (!recursive && st.writers_waiting > 0) {
-            st = self.cond.wait(st).unwrap_or_else(|e| e.into_inner());
+        let blockers = shared_blockers(recursive);
+        if !self.try_acquire(blockers, ONE_READER) {
+            self.acquire_parked(blockers, ONE_READER);
         }
-        st.readers += 1;
     }
 
     fn try_lock_shared(&self, recursive: bool) -> bool {
@@ -367,71 +462,55 @@ impl<T: ?Sized> RwLock<T> {
         } else {
             OpKind::RwTryShared
         };
-        if !sched::acquire_point(kind, obj_id(self)) {
-            return false;
-        }
-        let mut st = self.st();
-        if st.writer || (!recursive && st.writers_waiting > 0) {
-            return false;
-        }
-        st.readers += 1;
-        true
+        sched::acquire_point(kind, obj_id(self))
+            && self.try_acquire(shared_blockers(recursive), ONE_READER)
     }
 
     fn lock_exclusive(&self) {
         sched::acquire_point(OpKind::RwExclusive, obj_id(self));
-        let mut st = self.st();
-        st.writers_waiting += 1;
-        while st.writer || st.readers > 0 {
-            st = self.cond.wait(st).unwrap_or_else(|e| e.into_inner());
+        if !self.try_acquire(WRITER | READERS, WRITER) {
+            self.acquire_parked(WRITER | READERS, WRITER);
         }
-        st.writers_waiting -= 1;
-        st.writer = true;
     }
 
     fn try_lock_exclusive(&self) -> bool {
-        if !sched::acquire_point(OpKind::RwTryExclusive, obj_id(self)) {
-            return false;
-        }
-        let mut st = self.st();
-        if st.writer || st.readers > 0 {
-            return false;
-        }
-        st.writer = true;
-        true
+        sched::acquire_point(OpKind::RwTryExclusive, obj_id(self))
+            && self.try_acquire(WRITER | READERS, WRITER)
     }
 
     fn unlock_shared(&self) {
-        {
-            let mut st = self.st();
-            debug_assert!(st.readers > 0);
-            st.readers -= 1;
-            if st.readers == 0 {
-                self.cond.notify_all();
-            }
+        // ordering: Release publishes this reader's accesses to the writer
+        // whose Acquire CAS next takes the word
+        let prev = self.state.fetch_sub(ONE_READER, Ordering::Release);
+        debug_assert!(prev & READERS != 0);
+        // Only the last reader can unblock anyone.
+        if prev & (READERS | PARKED) == ONE_READER | PARKED {
+            self.wake_parked();
         }
         sched::release_point(OpKind::RwUnlockShared, obj_id(self));
     }
 
     fn unlock_exclusive(&self) {
-        {
-            let mut st = self.st();
-            debug_assert!(st.writer);
-            st.writer = false;
-            self.cond.notify_all();
+        // ordering: Release publishes the writer's stores to `data` to the
+        // next Acquire CAS on the word
+        let prev = self.state.fetch_and(!WRITER, Ordering::Release);
+        debug_assert!(prev & WRITER != 0);
+        if prev & PARKED != 0 {
+            self.wake_parked();
         }
         sched::release_point(OpKind::RwUnlockExclusive, obj_id(self));
     }
 
-    /// Exclusive → shared without a window for another writer.
+    /// Exclusive → shared without a window for another writer: one RMW
+    /// turns the writer bit into the first reader.
     fn downgrade_exclusive(&self) {
-        {
-            let mut st = self.st();
-            debug_assert!(st.writer);
-            st.writer = false;
-            st.readers = 1;
-            // Other readers may join; waiting writers see readers > 0.
-            self.cond.notify_all();
+        // ordering: Release — readers that join after this Acquire the
+        // writer's stores through it
+        let prev = self.state.fetch_xor(WRITER | ONE_READER, Ordering::Release);
+        debug_assert!(prev & (WRITER | READERS) == WRITER);
+        // Parked readers may join; parked writers see a reader and re-park.
+        if prev & PARKED != 0 {
+            self.wake_parked();
         }
         sched::release_point(OpKind::RwDowngrade, obj_id(self));
     }
@@ -481,40 +560,6 @@ impl<T: Default> Default for RwLock<T> {
     }
 }
 
-impl<T> RwLock<T> {
-    pub fn read_arc(self: &Arc<Self>) -> lock_api::ArcRwLockReadGuard<RawRwLock, T> {
-        self.lock_shared(false);
-        lock_api::ArcRwLockReadGuard {
-            lock: self.clone(),
-            _raw: PhantomData,
-        }
-    }
-
-    pub fn try_read_arc(self: &Arc<Self>) -> Option<lock_api::ArcRwLockReadGuard<RawRwLock, T>> {
-        self.try_lock_shared(false)
-            .then(|| lock_api::ArcRwLockReadGuard {
-                lock: self.clone(),
-                _raw: PhantomData,
-            })
-    }
-
-    pub fn write_arc(self: &Arc<Self>) -> lock_api::ArcRwLockWriteGuard<RawRwLock, T> {
-        self.lock_exclusive();
-        lock_api::ArcRwLockWriteGuard {
-            lock: self.clone(),
-            _raw: PhantomData,
-        }
-    }
-
-    pub fn try_write_arc(self: &Arc<Self>) -> Option<lock_api::ArcRwLockWriteGuard<RawRwLock, T>> {
-        self.try_lock_exclusive()
-            .then(|| lock_api::ArcRwLockWriteGuard {
-                lock: self.clone(),
-                _raw: PhantomData,
-            })
-    }
-}
-
 /// Borrowed shared guard.
 pub struct RwLockReadGuard<'a, T: ?Sized> {
     lock: &'a RwLock<T>,
@@ -524,7 +569,7 @@ impl<T: ?Sized> std::ops::Deref for RwLockReadGuard<'_, T> {
     type Target = T;
 
     fn deref(&self) -> &T {
-        // Safety: shared lock held for the guard's lifetime.
+        // SAFETY: shared lock held for the guard's lifetime.
         unsafe { &*self.lock.data.get() }
     }
 }
@@ -540,18 +585,28 @@ pub struct RwLockWriteGuard<'a, T: ?Sized> {
     lock: &'a RwLock<T>,
 }
 
+impl<'a, T: ?Sized> RwLockWriteGuard<'a, T> {
+    /// Atomically convert to a shared guard (no writer can intervene).
+    pub fn downgrade(this: Self) -> RwLockReadGuard<'a, T> {
+        let lock = this.lock;
+        std::mem::forget(this); // the hold moves to the read guard
+        lock.downgrade_exclusive();
+        RwLockReadGuard { lock }
+    }
+}
+
 impl<T: ?Sized> std::ops::Deref for RwLockWriteGuard<'_, T> {
     type Target = T;
 
     fn deref(&self) -> &T {
-        // Safety: exclusive lock held for the guard's lifetime.
+        // SAFETY: exclusive lock held for the guard's lifetime.
         unsafe { &*self.lock.data.get() }
     }
 }
 
 impl<T: ?Sized> std::ops::DerefMut for RwLockWriteGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
-        // Safety: exclusive lock held for the guard's lifetime.
+        // SAFETY: exclusive lock held for the guard's lifetime.
         unsafe { &mut *self.lock.data.get() }
     }
 }
@@ -562,84 +617,36 @@ impl<T: ?Sized> Drop for RwLockWriteGuard<'_, T> {
     }
 }
 
-/// Marker standing in for `parking_lot::RawRwLock` in the arc-guard types.
-pub struct RawRwLock;
+/// Per-thread counts of parking-path entries, so the tests can pin that an
+/// uncontended cycle never reaches the mutex or the condvar.
+#[cfg(test)]
+mod slow_path {
+    use std::cell::Cell;
 
-pub mod lock_api {
-    //! Owned (`Arc`-holding) guards, mirroring `parking_lot::lock_api`.
-
-    use super::{RawRwLock, RwLock};
-    use std::marker::PhantomData;
-    use std::sync::Arc;
-
-    /// Owned shared guard: keeps the lock (and its `Arc`) alive.
-    pub struct ArcRwLockReadGuard<R, T: ?Sized> {
-        pub(crate) lock: Arc<RwLock<T>>,
-        pub(crate) _raw: PhantomData<R>,
+    thread_local! {
+        static PARKS: Cell<usize> = const { Cell::new(0) };
+        static WAKES: Cell<usize> = const { Cell::new(0) };
     }
 
-    impl<T: ?Sized> std::ops::Deref for ArcRwLockReadGuard<RawRwLock, T> {
-        type Target = T;
-
-        fn deref(&self) -> &T {
-            // Safety: shared lock held for the guard's lifetime.
-            unsafe { &*self.lock.data.get() }
-        }
+    pub fn note_park() {
+        PARKS.with(|c| c.set(c.get() + 1));
     }
 
-    impl<R, T: ?Sized> Drop for ArcRwLockReadGuard<R, T> {
-        fn drop(&mut self) {
-            self.lock.unlock_shared();
-        }
+    pub fn note_wake() {
+        WAKES.with(|c| c.set(c.get() + 1));
     }
 
-    /// Owned exclusive guard.
-    pub struct ArcRwLockWriteGuard<R, T: ?Sized> {
-        pub(crate) lock: Arc<RwLock<T>>,
-        pub(crate) _raw: PhantomData<R>,
-    }
-
-    impl<T: ?Sized> ArcRwLockWriteGuard<RawRwLock, T> {
-        /// Atomically convert to a shared guard (no writer can intervene).
-        pub fn downgrade(this: Self) -> ArcRwLockReadGuard<RawRwLock, T> {
-            this.lock.downgrade_exclusive();
-            let lock = this.lock.clone();
-            std::mem::forget(this); // ownership of the hold moved to the read guard
-            ArcRwLockReadGuard {
-                lock,
-                _raw: PhantomData,
-            }
-        }
-    }
-
-    impl<T: ?Sized> std::ops::Deref for ArcRwLockWriteGuard<RawRwLock, T> {
-        type Target = T;
-
-        fn deref(&self) -> &T {
-            // Safety: exclusive lock held for the guard's lifetime.
-            unsafe { &*self.lock.data.get() }
-        }
-    }
-
-    impl<T: ?Sized> std::ops::DerefMut for ArcRwLockWriteGuard<RawRwLock, T> {
-        fn deref_mut(&mut self) -> &mut T {
-            // Safety: exclusive lock held for the guard's lifetime.
-            unsafe { &mut *self.lock.data.get() }
-        }
-    }
-
-    impl<R, T: ?Sized> Drop for ArcRwLockWriteGuard<R, T> {
-        fn drop(&mut self) {
-            self.lock.unlock_exclusive();
-        }
+    /// (parks, wakes) performed by the calling thread so far.
+    pub fn counts() -> (usize, usize) {
+        (PARKS.with(Cell::get), WAKES.with(Cell::get))
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::lock_api::ArcRwLockWriteGuard;
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     #[test]
     fn parker_token_prevents_lost_wakeup() {
@@ -707,7 +714,7 @@ mod tests {
             let _w = l2.write();
         });
         // Wait until the writer is queued.
-        while l.st().writers_waiting == 0 {
+        while l.state.load(Ordering::Relaxed) & WRITERS_WAITING == 0 {
             std::thread::yield_now();
         }
         assert!(l.try_read().is_none(), "plain read must defer to writer");
@@ -720,13 +727,13 @@ mod tests {
     }
 
     #[test]
-    fn arc_write_guard_downgrade_blocks_writers() {
-        let l = Arc::new(RwLock::new(1u32));
-        let w = l.write_arc();
-        let r = ArcRwLockWriteGuard::downgrade(w);
+    fn write_guard_downgrade_blocks_writers() {
+        let l = RwLock::new(1u32);
+        let w = l.write();
+        let r = RwLockWriteGuard::downgrade(w);
         assert_eq!(*r, 1);
         assert!(l.try_write().is_none());
-        let r2 = l.try_read_arc().expect("second reader joins");
+        let r2 = l.try_read().expect("second reader joins");
         assert_eq!(*r2, 1);
         drop(r);
         drop(r2);
@@ -759,5 +766,128 @@ mod tests {
         });
         assert_eq!(*l.read(), 800);
         assert_eq!(writes.load(Ordering::Relaxed), 800);
+    }
+
+    /// The regression this lock exists to prevent: an acquire or release
+    /// nobody contends must stay on the state word.
+    #[test]
+    fn uncontended_cycles_never_enter_the_parking_path() {
+        let l = RwLock::new(0u64);
+        let before = slow_path::counts();
+        for _ in 0..1_000_000 {
+            drop(std::hint::black_box(l.read()));
+        }
+        for _ in 0..1_000_000 {
+            *l.write() += 1;
+        }
+        for _ in 0..1_000 {
+            let w = l.try_write().expect("free");
+            let r = RwLockWriteGuard::downgrade(w);
+            drop(l.try_read_recursive().expect("shared"));
+            drop(r);
+        }
+        assert_eq!(slow_path::counts(), before, "(parks, wakes) moved");
+        assert_eq!(l.state.load(Ordering::Relaxed), 0);
+        assert_eq!(l.into_inner(), 1_000_000);
+    }
+
+    /// Lost-wakeup hammer: every entry point mixed on one lock guarding a
+    /// counter pair. A lost wakeup shows as the watchdog firing, a broken
+    /// exclusion as a torn pair or a short count.
+    #[test]
+    fn mixed_operations_lose_no_wakeup_and_no_update() {
+        const THREADS: u64 = 6;
+        const OPS: u64 = 20_000;
+        let l = Arc::new(RwLock::new((0u64, 0u64)));
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        for t in 0..THREADS {
+            let l = l.clone();
+            let done_tx = done_tx.clone();
+            std::thread::spawn(move || {
+                let mut rng = 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(t + 1);
+                let mut written = 0u64;
+                let check = |pair: &(u64, u64)| assert_eq!(pair.0, pair.1, "torn pair");
+                let bump = |pair: &mut (u64, u64)| {
+                    pair.0 += 1;
+                    std::hint::spin_loop();
+                    pair.1 += 1;
+                };
+                for _ in 0..OPS {
+                    rng ^= rng << 13;
+                    rng ^= rng >> 7;
+                    rng ^= rng << 17;
+                    match rng % 7 {
+                        0 | 1 => check(&l.read()),
+                        2 => {
+                            bump(&mut l.write());
+                            written += 1;
+                        }
+                        3 => {
+                            if let Some(g) = l.try_read() {
+                                check(&g);
+                            }
+                        }
+                        4 => {
+                            if let Some(mut g) = l.try_write() {
+                                bump(&mut g);
+                                written += 1;
+                            }
+                        }
+                        5 => {
+                            // Re-entry must get through a queued writer.
+                            let outer = l.read();
+                            check(&l.read_recursive());
+                            check(&outer);
+                        }
+                        _ => {
+                            let mut w = l.write();
+                            bump(&mut w);
+                            written += 1;
+                            let r = RwLockWriteGuard::downgrade(w);
+                            check(&r);
+                        }
+                    }
+                }
+                done_tx.send(written).expect("main is waiting");
+            });
+        }
+        let mut written = 0;
+        for _ in 0..THREADS {
+            written += done_rx
+                .recv_timeout(Duration::from_secs(120))
+                .unwrap_or_else(|_| {
+                    panic!("watchdog: a thread is stuck, word = {:#x}", l.state.load(Ordering::Relaxed))
+                });
+        }
+        assert_eq!(*l.read(), (written, written));
+        assert_eq!(l.state.load(Ordering::Relaxed) & !PARKED, 0);
+    }
+
+    /// No thundering herd: a reader release that cannot unblock anyone does
+    /// not notify; the last one does, once.
+    #[test]
+    fn parked_writer_is_woken_by_the_last_reader_only() {
+        let l = Arc::new(RwLock::new(()));
+        let got = Arc::new(AtomicBool::new(false));
+        let (r1, r2, r3) = (l.read(), l.read(), l.read());
+        let h = {
+            let (l, got) = (l.clone(), got.clone());
+            std::thread::spawn(move || {
+                let _w = l.write();
+                got.store(true, Ordering::Release);
+            })
+        };
+        while l.state.load(Ordering::Relaxed) & PARKED == 0 {
+            std::thread::yield_now();
+        }
+        let (_, wakes) = slow_path::counts();
+        drop(r1);
+        drop(r2);
+        assert_eq!(slow_path::counts().1, wakes, "a non-last reader notified");
+        assert!(!got.load(Ordering::Acquire), "writer ran beside a reader");
+        drop(r3);
+        assert_eq!(slow_path::counts().1, wakes + 1);
+        h.join().unwrap();
+        assert!(got.load(Ordering::Acquire));
     }
 }
