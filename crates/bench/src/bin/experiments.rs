@@ -7,7 +7,7 @@
 //! cargo run --release -p ariesim-bench --bin experiments -- fig2
 //! ```
 
-use ariesim_bench::{nkey, rig_with_obs, row, run_workload, seed, Rig, WorkloadSpec};
+use ariesim_bench::{nkey, row, run_workload, seed, Rig, WorkloadSpec};
 use ariesim_btree::fetch::FetchCond;
 use ariesim_btree::LockProtocol;
 use ariesim_common::stats::StatsSnapshot;
@@ -31,7 +31,7 @@ fn obs_handle() -> ObsHandle {
 
 /// Build a rig wired to the run's observability domain (if any).
 fn rig(protocol: LockProtocol, unique: bool, frames: usize) -> Rig {
-    rig_with_obs(protocol, unique, frames, obs_handle())
+    ariesim_bench::rig(protocol, unique, frames, obs_handle())
 }
 
 /// Print the observability report after an experiment, then clear the
@@ -496,52 +496,9 @@ fn recovery() {
             r.tree.insert(&loser, &nkey(1_000_000 + i)).unwrap();
         }
         r.log.flush_all().unwrap();
-        // Crash: reopen with a fresh stack over the same files (keep the
-        // temp dir alive — it deletes its files on drop).
-        let root = r.tree.root;
         drop(loser);
-        let ariesim_bench::Rig { _dir: keep, .. } = r;
-        let dir = keep.path().to_path_buf();
-        let stats = ariesim_common::stats::new_stats();
-        let obs = obs_handle();
-        let log = std::sync::Arc::new(
-            ariesim_wal::LogManager::open_with_obs(
-                &dir.join("wal"),
-                ariesim_wal::LogOptions::default(),
-                stats.clone(),
-                obs.clone(),
-            )
-            .unwrap(),
-        );
-        let disk = ariesim_storage::DiskManager::open(&dir.join("db"), stats.clone()).unwrap();
-        let pool = ariesim_storage::BufferPool::new_with_obs(
-            disk,
-            log.clone(),
-            4096,
-            stats.clone(),
-            obs.clone(),
-        );
-        let locks = std::sync::Arc::new(ariesim_lock::LockManager::new_with_obs(
-            stats.clone(),
-            obs,
-        ));
-        let rms = std::sync::Arc::new(ariesim_txn::RmRegistry::new());
-        let index_rm = ariesim_btree::IndexRm::new(pool.clone(), stats.clone());
-        rms.register(index_rm.clone());
-        rms.register(std::sync::Arc::new(ariesim_storage::SpaceRm::new(pool.clone())));
-        let tree = ariesim_btree::BTree::new(
-            ariesim_common::IndexId(1),
-            root,
-            false,
-            LockProtocol::DataOnly,
-            pool.clone(),
-            locks,
-            log.clone(),
-            stats.clone(),
-        );
-        index_rm.register_tree(tree.clone());
-        ariesim_recovery::restart(&log, &pool, &rms, &stats).unwrap();
-        let s: StatsSnapshot = stats.snapshot();
+        let (r, _) = r.crash_and_restart(obs_handle());
+        let s: StatsSnapshot = r.stats.snapshot();
         row(
             name,
             &[
@@ -552,7 +509,7 @@ fn recovery() {
                 format!("{}", s.undo_logical),
             ],
         );
-        tree.check_structure().unwrap();
+        r.tree.check_structure().unwrap();
     }
 }
 

@@ -7,101 +7,83 @@
 pub mod torture;
 
 use ariesim_btree::{BTree, IndexRm, LockProtocol};
-use ariesim_common::stats::{new_stats, StatsHandle};
 use ariesim_common::tmp::TempDir;
 use ariesim_common::{Error, IndexId, IndexKey, PageId, Rid};
-use ariesim_lock::LockManager;
-use ariesim_obs::{Obs, ObsHandle};
-use ariesim_storage::{BufferPool, DiskManager, SpaceMap, SpaceRm};
-use ariesim_txn::{RmRegistry, TransactionManager};
-use ariesim_wal::{LogManager, LogOptions};
+use ariesim_obs::ObsHandle;
+use ariesim_recovery::RestartOutcome;
+use ariesim_txn::Core;
+use ariesim_wal::LogOptions;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// A bare-index engine stack: everything but the heap record manager (lock
-/// names are synthesized from key RIDs, as data-only locking prescribes).
+/// A bare-index engine: a [`Core`] (reachable through `Deref`: `rig.tm`,
+/// `rig.pool`, `rig.log`, `rig.locks`, `rig.stats`, `rig.obs`) plus one
+/// B+-tree and no heap record manager — lock names are synthesized from key
+/// RIDs, as data-only locking prescribes.
 pub struct Rig {
     pub _dir: TempDir,
-    pub stats: StatsHandle,
-    pub log: Arc<LogManager>,
-    pub pool: Arc<BufferPool>,
-    pub locks: Arc<LockManager>,
-    pub tm: Arc<TransactionManager>,
+    pub core: Arc<Core>,
     pub tree: Arc<BTree>,
-    pub rms: Arc<RmRegistry>,
-    pub obs: ObsHandle,
-}
-
-/// Build a rig with observability disabled (the default for benchmarks —
-/// invariant monitoring stays live either way).
-pub fn rig(protocol: LockProtocol, unique: bool, frames: usize) -> Rig {
-    rig_with_obs(protocol, unique, frames, Obs::disabled())
-}
-
-/// Build a rig whose lock manager, buffer pool, and WAL all share `obs`.
-pub fn rig_with_obs(
-    protocol: LockProtocol,
-    unique: bool,
     frames: usize,
-    obs: ObsHandle,
-) -> Rig {
-    let dir = TempDir::new("bench");
-    let stats = new_stats();
-    let log = Arc::new(
-        LogManager::open_with_obs(
-            &dir.file("wal"),
-            LogOptions::default(),
-            stats.clone(),
-            obs.clone(),
-        )
-        .unwrap(),
-    );
-    let disk = DiskManager::open(&dir.file("db"), stats.clone()).unwrap();
-    let pool = BufferPool::new_with_obs(
-        disk,
-        log.clone(),
-        frames,
-        stats.clone(),
-        obs.clone(),
-    );
-    SpaceMap::initialize(&pool).unwrap();
-    let locks = Arc::new(LockManager::new_with_obs(stats.clone(), obs.clone()));
-    let rms = Arc::new(RmRegistry::new());
-    let index_rm = IndexRm::new(pool.clone(), stats.clone());
-    rms.register(index_rm.clone());
-    rms.register(Arc::new(SpaceRm::new(pool.clone())));
-    let tm = Arc::new(TransactionManager::new(
-        log.clone(),
-        locks.clone(),
-        pool.clone(),
-        rms.clone(),
-        stats.clone(),
-    ));
-    let txn = tm.begin();
-    let root = BTree::create(&txn, IndexId(1), &pool, &log).unwrap();
-    tm.commit(&txn).unwrap();
-    let tree = BTree::new(
-        IndexId(1),
-        root,
-        unique,
-        protocol,
-        pool.clone(),
-        locks.clone(),
-        log.clone(),
-        stats.clone(),
-    );
-    index_rm.register_tree(tree.clone());
-    Rig {
-        _dir: dir,
-        stats,
-        log,
-        pool,
-        locks,
-        tm,
-        tree,
-        rms,
-        obs,
+}
+
+impl std::ops::Deref for Rig {
+    type Target = Core;
+
+    fn deref(&self) -> &Core {
+        &self.core
+    }
+}
+
+/// Build a rig over a fresh temporary directory, everything in it
+/// reporting to `obs` (`Obs::disabled()` leaves only the always-on invariant
+/// monitoring).
+pub fn rig(protocol: LockProtocol, unique: bool, frames: usize, obs: ObsHandle) -> Rig {
+    let dir = TempDir::new("rig");
+    let core = Core::open(dir.path(), frames, LogOptions::default(), obs).unwrap();
+    let txn = core.tm.begin();
+    let root = BTree::create(&core, &txn, IndexId(1)).unwrap();
+    core.tm.commit(&txn).unwrap();
+    Rig::over(dir, core, root, unique, protocol, frames)
+}
+
+impl Rig {
+    fn over(
+        dir: TempDir,
+        core: Arc<Core>,
+        root: PageId,
+        unique: bool,
+        protocol: LockProtocol,
+        frames: usize,
+    ) -> Rig {
+        let tree = BTree::open(&core, IndexId(1), root, unique, protocol, false);
+        IndexRm::new(&core).register_tree(tree.clone());
+        Rig {
+            _dir: dir,
+            core,
+            tree,
+            frames,
+        }
+    }
+
+    /// Crash and recover: drop every volatile structure without flushing
+    /// anything, open a new core (reporting to `obs`) over the same
+    /// directory, reopen the tree and run restart recovery. What survives is
+    /// exactly {flushed log prefix, pages already on disk}.
+    pub fn crash_and_restart(self, obs: ObsHandle) -> (Rig, RestartOutcome) {
+        let Rig {
+            _dir: dir,
+            core,
+            tree,
+            frames,
+        } = self;
+        let (root, unique, protocol) = (tree.root, tree.unique, tree.protocol);
+        drop((tree, core));
+        let core = Core::open(dir.path(), frames, LogOptions::default(), obs).unwrap();
+        let rig = Rig::over(dir, core, root, unique, protocol, frames);
+        let outcome = ariesim_recovery::restart(&rig.core).unwrap();
+        (rig, outcome)
     }
 }
 

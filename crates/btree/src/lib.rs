@@ -28,7 +28,7 @@
 //!
 //! Locking is pluggable per the paper's §2.1: [`LockProtocol::DataOnly`]
 //! (lock the record the key's RID names) or [`LockProtocol::IndexSpecific`]
-//! (lock the individual key). The ARIES/KVL baseline lives in `ariesim-kvl`.
+//! (lock the individual key); [`LockProtocol::KeyValue`] is the ARIES/KVL baseline.
 
 pub mod apply;
 pub mod body;
@@ -46,7 +46,7 @@ use ariesim_common::{IndexId, PageId, Result};
 use ariesim_lock::{LockManager, LockName};
 use ariesim_obs::ObsHandle;
 use ariesim_storage::{BufferPool, SpaceMap};
-use ariesim_txn::TxnHandle;
+use ariesim_txn::{Core, TxnHandle};
 use ariesim_wal::LogManager;
 use parking_lot::RwLock;
 use std::sync::Arc;
@@ -67,11 +67,33 @@ pub enum LockProtocol {
     /// at the cost of extra locks per operation.
     IndexSpecific,
     /// ARIES/KVL key-value locking \[Moha90a\] — the baseline the paper
-    /// improves on: locks cover whole key *values*, so every duplicate of a
-    /// value shares one lock, and the mode/duration table differs (IX commit
-    /// current-value locks on inserts, X commit next-value locks only when
-    /// deleting the last instance of a value). Implemented here so both
-    /// protocols share one tree; `ariesim-kvl` documents and tests it.
+    /// improves on, run on the identical tree so only locking differs. KVL
+    /// locks whole key **values**: every duplicate of a value in a nonunique
+    /// index shares one lock name, so a transaction touching any instance
+    /// of a value blocks every other transaction touching *any* instance.
+    /// The paper's critique (§1):
+    ///
+    /// > "even in ARIES/KVL locks are acquired on key values, rather than on
+    /// > individual keys. The latter makes a significant difference in the
+    /// > case of nonunique indexes. Furthermore, the number of locks acquired
+    /// > for even single record operations like record insert or delete is
+    /// > very high."
+    ///
+    /// The mode/duration table implemented (`tests/kvl_protocol.rs` pins
+    /// every row):
+    ///
+    /// | operation              | current key value      | next key value      |
+    /// |------------------------|------------------------|---------------------|
+    /// | fetch / fetch next     | S commit               | S commit (not found)|
+    /// | insert, value exists   | IX commit              | —                   |
+    /// | insert, new value      | IX commit              | X instant           |
+    /// | delete, duplicates left| X commit               | —                   |
+    /// | delete, last instance  | X commit               | X commit            |
+    ///
+    /// Because the index takes its own value locks *in addition to* the
+    /// record manager's RID locks, single-record operations cost more lock
+    /// calls than data-only locking — experiment E8 measures exactly this,
+    /// and E9 the lost concurrency on duplicate-heavy workloads.
     KeyValue,
 }
 
@@ -98,73 +120,47 @@ pub struct BTree {
     /// establishes a point of structural consistency (POSC).
     pub(crate) tree_latch: RwLock<()>,
     pub(crate) stats: StatsHandle,
-    /// Shared with the buffer pool's handle, so one `--obs` switch at rig
-    /// construction covers latches, locks, I/O, and index operations alike.
     pub(crate) obs: ObsHandle,
 }
 
 impl BTree {
-    /// Open a handle onto an existing index rooted at `root`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn new(
-        index_id: IndexId,
-        root: PageId,
-        unique: bool,
-        protocol: LockProtocol,
-        pool: Arc<BufferPool>,
-        locks: Arc<LockManager>,
-        log: Arc<LogManager>,
-        stats: StatsHandle,
-    ) -> Arc<BTree> {
-        Self::new_with_granularity(
-            index_id, root, unique, protocol, false, pool, locks, log, stats,
-        )
-    }
-
-    /// [`BTree::new`] with explicit data-lock granularity (record or page).
-    #[allow(clippy::too_many_arguments)]
-    pub fn new_with_granularity(
+    /// Open a handle onto the existing index rooted at `root` in `core`'s
+    /// engine. `page_granularity` selects the data-lock granule (record or
+    /// page, §2.1). Register the handle with the engine's [`IndexRm`] so its
+    /// records can be logically undone.
+    pub fn open(
+        core: &Core,
         index_id: IndexId,
         root: PageId,
         unique: bool,
         protocol: LockProtocol,
         page_granularity: bool,
-        pool: Arc<BufferPool>,
-        locks: Arc<LockManager>,
-        log: Arc<LogManager>,
-        stats: StatsHandle,
     ) -> Arc<BTree> {
-        let obs = pool.obs().clone();
         Arc::new(BTree {
             index_id,
             root,
             unique,
             protocol,
             page_granularity,
-            space: SpaceMap::new(pool.clone()),
-            pool,
-            locks,
-            log,
+            space: SpaceMap::new(core.pool.clone()),
+            pool: core.pool.clone(),
+            locks: core.locks.clone(),
+            log: core.log.clone(),
             tree_latch: RwLock::new(()),
-            stats,
-            obs,
+            stats: core.stats.clone(),
+            obs: core.obs.clone(),
         })
     }
 
     /// Create a new empty index inside `txn`: allocates and formats the root
     /// as an empty leaf. Returns the root page id.
-    pub fn create(
-        txn: &TxnHandle,
-        index_id: IndexId,
-        pool: &Arc<BufferPool>,
-        log: &Arc<LogManager>,
-    ) -> Result<PageId> {
+    pub fn create(core: &Core, txn: &TxnHandle, index_id: IndexId) -> Result<PageId> {
         use ariesim_common::page::PageType;
         use ariesim_wal::RmId;
-        let space = SpaceMap::new(pool.clone());
-        txn.with_logger(log, |logger| {
+        let space = SpaceMap::new(core.pool.clone());
+        txn.with_logger(&core.log, |logger| {
             let root = space.allocate(logger)?;
-            let mut g = pool.fix_x(root)?; // latch-rank: 2
+            let mut g = core.pool.fix_x(root)?; // latch-rank: 2
             g.format(root, PageType::IndexLeaf, index_id.0, 0);
             let lsn = logger.update(
                 RmId::Index,

@@ -38,6 +38,7 @@ use ariesim_common::slotted::SLOT_LEN;
 use ariesim_common::stats::{Bump, StatsHandle};
 use ariesim_common::{Error, IndexId, IndexKey, PageBuf, Result};
 use ariesim_storage::BufferPool;
+use ariesim_txn::Core;
 use ariesim_wal::{ChainLogger, LogRecord, ResourceManager, RmId};
 use parking_lot::RwLock;
 use std::collections::HashMap;
@@ -52,12 +53,16 @@ pub struct IndexRm {
 }
 
 impl IndexRm {
-    pub fn new(pool: Arc<BufferPool>, stats: StatsHandle) -> Arc<IndexRm> {
-        Arc::new(IndexRm {
-            pool,
+    /// The index resource manager of `core`'s engine, registered as its
+    /// [`RmId::Index`] resource manager.
+    pub fn new(core: &Core) -> Arc<IndexRm> {
+        let rm = Arc::new(IndexRm {
+            pool: core.pool.clone(),
             trees: RwLock::new(HashMap::new()),
-            stats,
-        })
+            stats: core.stats.clone(),
+        });
+        core.rms.register(rm.clone());
+        rm
     }
 
     /// Register an index so its records can be logically undone.

@@ -2,69 +2,43 @@
 //! manager, resource managers) plus one B+-tree.
 
 use ariesim_btree::{BTree, IndexRm, LockProtocol};
-use ariesim_common::stats::{new_stats, StatsHandle};
 use ariesim_common::tmp::TempDir;
 use ariesim_common::{IndexId, IndexKey, PageId, Rid};
-use ariesim_lock::LockManager;
-use ariesim_storage::{BufferPool, DiskManager, SpaceMap, SpaceRm};
-use ariesim_txn::{RmRegistry, TransactionManager};
-use ariesim_wal::{LogManager, LogOptions};
+use ariesim_obs::Obs;
+use ariesim_txn::Core;
+use ariesim_wal::LogOptions;
 use std::sync::Arc;
 
+/// The engine core (`f.tm`, `f.pool`, `f.stats`, ... through `Deref`) plus
+/// the one tree built over it.
 #[allow(dead_code)]
 pub struct Fix {
     pub _dir: TempDir,
-    pub stats: StatsHandle,
-    pub log: Arc<LogManager>,
-    pub pool: Arc<BufferPool>,
-    pub locks: Arc<LockManager>,
-    pub tm: Arc<TransactionManager>,
+    pub core: Arc<Core>,
     pub tree: Arc<BTree>,
     pub index_rm: Arc<IndexRm>,
 }
 
+impl std::ops::Deref for Fix {
+    type Target = Core;
+
+    fn deref(&self) -> &Core {
+        &self.core
+    }
+}
+
 pub fn fix_with(unique: bool, protocol: LockProtocol, frames: usize) -> Fix {
     let dir = TempDir::new("btree-it");
-    let stats = new_stats();
-    let log = Arc::new(
-        LogManager::open(&dir.file("wal"), LogOptions::default(), stats.clone()).unwrap(),
-    );
-    let disk = DiskManager::open(&dir.file("db"), stats.clone()).unwrap();
-    let pool = BufferPool::new(disk, log.clone(), frames, stats.clone());
-    SpaceMap::initialize(&pool).unwrap();
-    let locks = Arc::new(LockManager::new(stats.clone()));
-    let rms = Arc::new(RmRegistry::new());
-    let index_rm = IndexRm::new(pool.clone(), stats.clone());
-    rms.register(index_rm.clone());
-    rms.register(Arc::new(SpaceRm::new(pool.clone())));
-    let tm = Arc::new(TransactionManager::new(
-        log.clone(),
-        locks.clone(),
-        pool.clone(),
-        rms,
-        stats.clone(),
-    ));
-    let txn = tm.begin();
-    let root = BTree::create(&txn, IndexId(1), &pool, &log).unwrap();
-    tm.commit(&txn).unwrap();
-    let tree = BTree::new(
-        IndexId(1),
-        root,
-        unique,
-        protocol,
-        pool.clone(),
-        locks.clone(),
-        log.clone(),
-        stats.clone(),
-    );
+    let core = Core::open(dir.path(), frames, LogOptions::default(), Obs::disabled()).unwrap();
+    let index_rm = IndexRm::new(&core);
+    let txn = core.tm.begin();
+    let root = BTree::create(&core, &txn, IndexId(1)).unwrap();
+    core.tm.commit(&txn).unwrap();
+    let tree = BTree::open(&core, IndexId(1), root, unique, protocol, false);
     index_rm.register_tree(tree.clone());
     Fix {
         _dir: dir,
-        stats,
-        log,
-        pool,
-        locks,
-        tm,
+        core,
         tree,
         index_rm,
     }
@@ -86,6 +60,7 @@ pub fn key(v: impl AsRef<[u8]>, n: u32) -> IndexKey {
 }
 
 /// Zero-padded sortable numeric key.
+#[allow(dead_code)]
 pub fn nkey(n: u32) -> IndexKey {
     key(format!("key-{n:08}"), n)
 }

@@ -1,73 +1,18 @@
-//! Conformance tests for the ARIES/KVL baseline: the lock table from the
-//! crate docs, and the concurrency difference vs ARIES/IM that the paper's
-//! §1 claims (value locks serialize transactions touching different
-//! *duplicates* of one value; individual-key locks do not).
+//! Conformance tests for the ARIES/KVL baseline: the lock table in
+//! `LockProtocol::KeyValue`'s docs, and the concurrency difference vs
+//! ARIES/IM that the paper's §1 claims (value locks serialize transactions
+//! touching different *duplicates* of one value; individual-key locks do not).
+
+mod common;
 
 use ariesim_btree::fetch::{FetchCond, FetchResult};
-use ariesim_btree::{BTree, IndexRm, LockProtocol};
-use ariesim_common::stats::{new_stats, StatsHandle};
-use ariesim_common::tmp::TempDir;
-use ariesim_common::{Error, IndexId, IndexKey, PageId, Rid};
-use ariesim_lock::{LockManager, LockMode, LockName};
-use ariesim_storage::{BufferPool, DiskManager, SpaceMap, SpaceRm};
-use ariesim_txn::{RmRegistry, TransactionManager};
-use ariesim_wal::{LogManager, LogOptions};
-use std::sync::Arc;
-
-struct Fix {
-    _dir: TempDir,
-    stats: StatsHandle,
-    locks: Arc<LockManager>,
-    tm: Arc<TransactionManager>,
-    tree: Arc<BTree>,
-}
+use ariesim_btree::LockProtocol;
+use ariesim_common::{Error, IndexId};
+use ariesim_lock::{LockMode, LockName};
+use common::{key, Fix};
 
 fn fix(protocol: LockProtocol, unique: bool) -> Fix {
-    let dir = TempDir::new("kvl");
-    let stats = new_stats();
-    let log = Arc::new(
-        LogManager::open(&dir.file("wal"), LogOptions::default(), stats.clone()).unwrap(),
-    );
-    let disk = DiskManager::open(&dir.file("db"), stats.clone()).unwrap();
-    let pool = BufferPool::new(disk, log.clone(), 256, stats.clone());
-    SpaceMap::initialize(&pool).unwrap();
-    let locks = Arc::new(LockManager::new(stats.clone()));
-    let rms = Arc::new(RmRegistry::new());
-    let index_rm = IndexRm::new(pool.clone(), stats.clone());
-    rms.register(index_rm.clone());
-    rms.register(Arc::new(SpaceRm::new(pool.clone())));
-    let tm = Arc::new(TransactionManager::new(
-        log.clone(),
-        locks.clone(),
-        pool.clone(),
-        rms,
-        stats.clone(),
-    ));
-    let txn = tm.begin();
-    let root = BTree::create(&txn, IndexId(1), &pool, &log).unwrap();
-    tm.commit(&txn).unwrap();
-    let tree = BTree::new(
-        IndexId(1),
-        root,
-        unique,
-        protocol,
-        pool,
-        locks.clone(),
-        log,
-        stats.clone(),
-    );
-    index_rm.register_tree(tree.clone());
-    Fix {
-        _dir: dir,
-        stats,
-        locks,
-        tm,
-        tree,
-    }
-}
-
-fn key(v: &str, n: u32) -> IndexKey {
-    IndexKey::new(v.as_bytes().to_vec(), Rid::new(PageId(900_000), n as u16))
+    common::fix_with(unique, protocol, 256)
 }
 
 fn value_lock(v: &str) -> LockName {
@@ -242,12 +187,12 @@ fn kvl_rollbacks_work_identically() {
     let f = fix(LockProtocol::KeyValue, false);
     let txn = f.tm.begin();
     for i in 0..50u32 {
-        f.tree.insert(&txn, &key(&format!("k{i:03}"), i)).unwrap();
+        f.tree.insert(&txn, &key(format!("k{i:03}"), i)).unwrap();
     }
     f.tm.commit(&txn).unwrap();
     let txn = f.tm.begin();
     for i in 0..25u32 {
-        f.tree.delete(&txn, &key(&format!("k{i:03}"), i)).unwrap();
+        f.tree.delete(&txn, &key(format!("k{i:03}"), i)).unwrap();
     }
     f.tm.rollback(&txn).unwrap();
     assert_eq!(f.tree.scan_all_unlocked().unwrap().len(), 50);

@@ -134,7 +134,10 @@ counters! {
     undo_page_oriented,
     /// Undo actions that required a logical undo (retraversal from root).
     undo_logical,
-    /// Pages read from disk during restart recovery.
+    /// Page accesses by restart's redo pass: one per redoable record that
+    /// survives the dirty-page-table filter, whether or not the page was
+    /// already in the pool (the paper's §1 measure of pages touched during
+    /// restart — not a count of disk reads, which is `page_reads`).
     restart_page_reads,
     /// Log passes performed during media recovery.
     media_recovery_passes,

@@ -45,15 +45,10 @@ pub struct Catalog {
 }
 
 impl Catalog {
-    /// Format the catalog page on a fresh database.
-    pub fn format_page(pool: &Arc<BufferPool>) -> Result<()> {
-        let mut g = pool.fix_x(CATALOG_PAGE)?;
-        g.format(CATALOG_PAGE, PageType::Header, 0, 0);
-        g.mark_dirty_raw(Lsn::FIRST);
-        Ok(())
-    }
-
-    /// Load the catalog from its page.
+    /// Load the catalog from its page. A database that has seen no DDL yet
+    /// has never written the page ([`Catalog::persist`] formats it on every
+    /// write); it reads as zeroes, which is a page with no cells — the empty
+    /// catalog.
     pub fn load(pool: &Arc<BufferPool>) -> Result<Catalog> {
         let g = pool.fix_s(CATALOG_PAGE)?;
         let mut cat = Catalog {

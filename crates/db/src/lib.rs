@@ -21,14 +21,11 @@ pub mod table;
 pub mod verify;
 
 use ariesim_btree::{BTree, IndexRm, LockProtocol};
-use ariesim_common::stats::{new_stats, StatsHandle};
 use ariesim_common::{Error, IndexId, Lsn, Result, TableId};
-use ariesim_lock::LockManager;
 use ariesim_record::HeapManager;
 use ariesim_recovery::RestartOutcome;
-use ariesim_storage::{BufferPool, DiskManager, SpaceMap, SpaceRm};
-use ariesim_txn::{RmRegistry, TransactionManager, TxnHandle};
-use ariesim_wal::{LogManager, LogOptions};
+use ariesim_txn::{Core, TxnHandle};
+use ariesim_wal::LogOptions;
 use catalog::{Catalog, IndexDef, TableDef};
 use parking_lot::Mutex;
 use std::path::{Path, PathBuf};
@@ -64,21 +61,27 @@ impl Default for DbOptions {
     }
 }
 
-/// The assembled database engine.
+/// The assembled database engine: an engine [`Core`] (reachable through
+/// `Deref`, so `db.pool`, `db.log`, `db.locks`, `db.tm`, `db.stats` are the
+/// core's) plus the heap and index managers and the catalog built over it.
 pub struct Db {
     dir: PathBuf,
     opts: DbOptions,
-    pub stats: StatsHandle,
-    pub log: Arc<LogManager>,
-    pub pool: Arc<BufferPool>,
-    pub locks: Arc<LockManager>,
-    pub rms: Arc<RmRegistry>,
-    pub tm: Arc<TransactionManager>,
+    pub core: Arc<Core>,
     pub heap: Arc<HeapManager>,
     pub index_rm: Arc<IndexRm>,
     pub(crate) catalog: Mutex<Catalog>,
-    /// Outcome of the restart recovery this open performed (if any work).
+    /// Outcome of the restart recovery this open performed; `None` for an
+    /// engine that was only [assembled](Db::assemble).
     pub restart_outcome: Option<RestartOutcome>,
+}
+
+impl std::ops::Deref for Db {
+    type Target = Core;
+
+    fn deref(&self) -> &Core {
+        &self.core
+    }
 }
 
 impl Db {
@@ -95,96 +98,48 @@ impl Db {
         opts: DbOptions,
         obs: ariesim_obs::ObsHandle,
     ) -> Result<Arc<Db>> {
-        std::fs::create_dir_all(dir)?;
-        let stats = new_stats();
-        let log = Arc::new(LogManager::open_with_obs(
-            &dir.join("wal"),
-            LogOptions {
-                fsync: opts.fsync,
-                ..LogOptions::default()
-            },
-            stats.clone(),
-            obs.clone(),
-        )?);
-        let disk = DiskManager::open(&dir.join("pages"), stats.clone())?;
-        let fresh = disk.page_count()? == 0;
-        let pool = BufferPool::new_with_obs(
-            disk,
-            log.clone(),
-            opts.frames,
-            stats.clone(),
-            obs.clone(),
-        );
-        if fresh {
-            SpaceMap::initialize(&pool)?;
-            Catalog::format_page(&pool)?;
-            pool.flush_all()?;
-        }
-        let locks = Arc::new(LockManager::new_with_obs(stats.clone(), obs));
-        let rms = Arc::new(RmRegistry::new());
-        let heap = HeapManager::new_with_granularity(
-            pool.clone(),
-            locks.clone(),
-            log.clone(),
-            stats.clone(),
-            opts.page_granularity,
-        );
-        let index_rm = IndexRm::new(pool.clone(), stats.clone());
-        rms.register(heap.clone());
-        rms.register(index_rm.clone());
-        rms.register(Arc::new(SpaceRm::new(pool.clone())));
-        let tm = Arc::new(TransactionManager::new(
-            log.clone(),
-            locks.clone(),
-            pool.clone(),
-            rms.clone(),
-            stats.clone(),
-        ));
-        let heap_hook = heap.clone();
-        tm.on_end(Arc::new(move |txn| heap_hook.on_txn_end(txn)));
+        let mut db = Db::assemble(dir, opts, obs)?;
+        // Restart recovery (a no-op scan on a fresh database).
+        db.restart_outcome = Some(ariesim_recovery::restart(&db.core)?);
+        Ok(Arc::new(db))
+    }
 
-        // Load the catalog and register every index with the resource
-        // manager *before* recovery: logical undo needs the trees.
-        let catalog = Catalog::load(&pool)?;
-        let mut trees = Vec::new();
+    /// Everything [`Db::open`] does short of restart recovery: open the
+    /// core, build the heap and index managers over it, load the catalog
+    /// and open every index it names — registered with the index manager,
+    /// because logical undo needs the trees. A log-shipping standby stops
+    /// here (its only writer is continuous redo); nothing else may use the
+    /// result before recovery has run.
+    pub fn assemble(dir: &Path, opts: DbOptions, obs: ariesim_obs::ObsHandle) -> Result<Db> {
+        let log_opts = LogOptions {
+            fsync: opts.fsync,
+            ..LogOptions::default()
+        };
+        let core = Core::open(dir, opts.frames, log_opts, obs)?;
+        let heap = HeapManager::new(&core, opts.page_granularity);
+        let index_rm = IndexRm::new(&core);
+        let mut catalog = Catalog::load(&core.pool)?;
         for def in catalog.indexes() {
-            let tree = BTree::new_with_granularity(
+            let tree = BTree::open(
+                &core,
                 def.id,
                 def.root,
                 def.unique,
                 opts.protocol,
                 opts.page_granularity,
-                pool.clone(),
-                locks.clone(),
-                log.clone(),
-                stats.clone(),
             );
             index_rm.register_tree(tree.clone());
-            trees.push(tree);
-        }
-
-        // Restart recovery (a no-op scan on a fresh database).
-        let outcome = ariesim_recovery::restart(&log, &pool, &rms, &stats)?;
-        tm.resume_txn_ids_after(outcome.max_txn_id);
-
-        let mut catalog = catalog;
-        for tree in trees {
             catalog.attach_tree(tree);
         }
-        Ok(Arc::new(Db {
+        Ok(Db {
             dir: dir.to_path_buf(),
             opts,
-            stats,
-            log,
-            pool,
-            locks,
-            rms,
-            tm,
+            core,
             heap,
             index_rm,
             catalog: Mutex::new(catalog),
-            restart_outcome: Some(outcome),
-        }))
+            restart_outcome: None,
+        })
     }
 
     /// The directory this database lives in.
@@ -198,7 +153,7 @@ impl Db {
 
     /// The observability handle this engine reports through.
     pub fn obs(&self) -> &ariesim_obs::ObsHandle {
-        self.pool.obs()
+        &self.core.obs
     }
 
     // --- transactions ---------------------------------------------------
@@ -327,17 +282,14 @@ impl Db {
         column: u16,
         unique: bool,
     ) -> Result<Arc<BTree>> {
-        let root = BTree::create(txn, id, &self.pool, &self.log)?;
-        let tree = BTree::new_with_granularity(
+        let root = BTree::create(&self.core, txn, id)?;
+        let tree = BTree::open(
+            &self.core,
             id,
             root,
             unique,
             self.opts.protocol,
             self.opts.page_granularity,
-            self.pool.clone(),
-            self.locks.clone(),
-            self.log.clone(),
-            self.stats.clone(),
         );
         self.index_rm.register_tree(tree.clone());
         for (rid, bytes) in self.heap.scan_all(tdef.first_page)? {

@@ -43,7 +43,7 @@ fn damaged_page_recovers_from_dump_plus_roll_forward() {
     let dir = TempDir::new("media");
     let db = setup(&dir, 800);
     let pages = SpaceMap::new(db.pool.clone()).allocated_pages().unwrap();
-    let copy = ImageCopy::take(&db.pool, &db.log, &pages).unwrap();
+    let copy = ImageCopy::take(&db, &pages).unwrap();
 
     // Updates AFTER the dump (these must come back via roll-forward).
     let txn = db.begin();
@@ -56,7 +56,7 @@ fn damaged_page_recovers_from_dump_plus_roll_forward() {
     let tree = db.tree_by_name("t_pk").unwrap();
     let victim = tree.leaf_for_value(b"k000400").unwrap();
     let recovered = copy
-        .recover_page(&db.log, &db.rms, victim, &db.stats)
+        .recover_page(&db, victim)
         .unwrap();
     // The recovered image must equal the live page byte-for-byte.
     let live = db.pool.fix_s(victim).unwrap();
@@ -74,7 +74,7 @@ fn restore_into_pool_after_disk_corruption() {
     let dir = TempDir::new("media");
     let db = setup(&dir, 500);
     let pages = SpaceMap::new(db.pool.clone()).allocated_pages().unwrap();
-    let copy = ImageCopy::take(&db.pool, &db.log, &pages).unwrap();
+    let copy = ImageCopy::take(&db, &pages).unwrap();
     let txn = db.begin();
     for i in 500..600 {
         db.insert_row(&txn, "t", &row(i)).unwrap();
@@ -99,7 +99,7 @@ fn restore_into_pool_after_disk_corruption() {
     // The buffer pool still holds the good version; media recovery rebuilds
     // the image independently and reinstalls it (and eviction will rewrite
     // the disk copy, WAL rule and all).
-    copy.restore_into(&db.pool, &db.log, &db.rms, victim, &db.stats)
+    copy.restore_into(&db, victim)
         .unwrap();
     db.pool.flush_all().unwrap();
     // Now even a cold read sees the recovered page.
@@ -117,7 +117,7 @@ fn every_index_page_recoverable_from_one_dump() {
     let dir = TempDir::new("media");
     let db = setup(&dir, 600);
     let pages = SpaceMap::new(db.pool.clone()).allocated_pages().unwrap();
-    let copy = ImageCopy::take(&db.pool, &db.log, &pages).unwrap();
+    let copy = ImageCopy::take(&db, &pages).unwrap();
     let txn = db.begin();
     for i in 600..700 {
         db.insert_row(&txn, "t", &row(i)).unwrap();
@@ -125,7 +125,7 @@ fn every_index_page_recoverable_from_one_dump() {
     db.commit(&txn).unwrap();
 
     for &p in &copy.page_ids() {
-        let recovered = copy.recover_page(&db.log, &db.rms, p, &db.stats).unwrap();
+        let recovered = copy.recover_page(&db, p).unwrap();
         let live = db.pool.fix_s(p).unwrap();
         assert_eq!(
             normalized(recovered.as_bytes().as_slice()),

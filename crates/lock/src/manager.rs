@@ -28,7 +28,7 @@ use crate::name::LockName;
 use ariesim_common::stats::{Bump, StatsHandle};
 use ariesim_common::{Error, Result, TxnId};
 use ariesim_obs::lockdep;
-use ariesim_obs::{EventKind, ModeTag, Obs, ObsHandle, SpanKind};
+use ariesim_obs::{EventKind, ModeTag, ObsHandle, SpanKind};
 use parking_lot::{Condvar, Mutex};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::hash::{Hash, Hasher};
@@ -138,11 +138,7 @@ fn mode_tag(mode: LockMode) -> ModeTag {
 }
 
 impl LockManager {
-    pub fn new(stats: StatsHandle) -> LockManager {
-        LockManager::new_with_obs(stats, Obs::disabled())
-    }
-
-    pub fn new_with_obs(stats: StatsHandle, obs: ObsHandle) -> LockManager {
+    pub fn new(stats: StatsHandle, obs: ObsHandle) -> LockManager {
         LockManager {
             state: Mutex::new(State::default()),
             stats,
@@ -533,7 +529,7 @@ mod tests {
     use std::sync::atomic::{AtomicBool, Ordering};
 
     fn lm() -> LockManager {
-        LockManager::new(new_stats())
+        LockManager::new(new_stats(), ariesim_obs::Obs::disabled())
     }
 
     fn rec(n: u16) -> LockName {
@@ -749,7 +745,7 @@ mod tests {
     #[test]
     fn stats_classify_names_and_durations() {
         let stats = new_stats();
-        let m = LockManager::new(stats.clone());
+        let m = LockManager::new(stats.clone(), ariesim_obs::Obs::disabled());
         m.request(TxnId(1), rec(0), X, Commit, false).unwrap();
         m.request(TxnId(1), LockName::key_value(IndexId(1), b"k".to_vec()), S, Commit, false)
             .unwrap();

@@ -14,7 +14,7 @@ use LockDuration::*;
 use LockMode::*;
 
 fn lm() -> Arc<LockManager> {
-    Arc::new(LockManager::new(new_stats()))
+    Arc::new(LockManager::new(new_stats(), ariesim_obs::Obs::disabled()))
 }
 
 fn table() -> LockName {

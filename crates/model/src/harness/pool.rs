@@ -19,6 +19,7 @@ use std::sync::Arc;
 use ariesim_common::stats::new_stats;
 use ariesim_common::tmp::TempDir;
 use ariesim_common::{Error, PageBuf, PageId, PageType};
+use ariesim_obs::Obs;
 use ariesim_storage::{BufferPool, DiskManager};
 use ariesim_wal::{LogManager, LogOptions};
 
@@ -38,12 +39,7 @@ fn setup(pages: u32) -> (TempDir, Arc<BufferPool>) {
         img.format(PageId(p), PageType::Heap, 0, 0);
         disk.write_page(&img).expect("seed page");
     }
-    let pool = BufferPool::new(
-        disk,
-        log,
-        8,
-        stats,
-    );
+    let pool = BufferPool::new(disk, log, 8, stats, Obs::disabled());
     (dir, pool)
 }
 

@@ -12,10 +12,10 @@
 //!   argues for: page-latch depth ≤ 2, no unconditional lock wait while
 //!   latched, and page-oriented (traversal-free) restart redo.
 //!
-//! Everything hangs off an [`Obs`] handle (an `Arc` internally). Engine
-//! components accept one via `*_with_obs` constructors; the default is
-//! [`Obs::disabled`], which reduces every histogram/trace call to a single
-//! branch on a `bool`. Invariant monitoring is always on — it is the
+//! Everything hangs off an [`Obs`] handle (an `Arc` internally). An engine
+//! is opened with one (`Core::open` hands the same handle to every
+//! component); [`Obs::disabled`] reduces every histogram/trace call to a
+//! single branch on a `bool`. Invariant monitoring is always on — it is the
 //! cheapest pillar (a thread-local increment) and the most valuable one.
 
 pub mod hist;

@@ -4,11 +4,10 @@ use crate::body::HeapBody;
 use ariesim_common::ids::SlotNo;
 use ariesim_common::page::PageType;
 use ariesim_common::slotted::SLOT_LEN;
-use ariesim_common::stats::StatsHandle;
 use ariesim_common::{Error, PageBuf, PageId, Result, Rid, TableId, TxnId};
 use ariesim_lock::{LockDuration, LockManager, LockMode, LockName};
 use ariesim_storage::{BufferPool, SpaceMap};
-use ariesim_txn::TxnHandle;
+use ariesim_txn::{Core, TxnHandle};
 use ariesim_wal::{ChainLogger, LogManager, LogRecord, ResourceManager, RmId};
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -82,44 +81,30 @@ pub struct HeapManager {
     /// Lock data pages instead of records (the paper's §2.1 page
     /// granularity), selectable per database.
     pub page_granularity: bool,
-    #[allow(dead_code)]
-    stats: StatsHandle,
 }
 
 impl HeapManager {
-    pub fn new(
-        pool: Arc<BufferPool>,
-        locks: Arc<LockManager>,
-        log: Arc<LogManager>,
-        stats: StatsHandle,
-    ) -> Arc<HeapManager> {
-        Self::new_with_granularity(pool, locks, log, stats, false)
-    }
-
-    /// [`HeapManager::new`] with explicit data-lock granularity: when
+    /// The heap manager of `core`'s engine, registered as its
+    /// [`RmId::Heap`] resource manager and told when transactions end. When
     /// `page_granularity` is true, record operations lock the data *page*
     /// instead of the record (§2.1's coarser granule).
-    pub fn new_with_granularity(
-        pool: Arc<BufferPool>,
-        locks: Arc<LockManager>,
-        log: Arc<LogManager>,
-        stats: StatsHandle,
-        page_granularity: bool,
-    ) -> Arc<HeapManager> {
-        Arc::new(HeapManager {
-            space: SpaceMap::new(pool.clone()),
-            pool,
-            locks,
-            log,
+    pub fn new(core: &Core, page_granularity: bool) -> Arc<HeapManager> {
+        let heap = Arc::new(HeapManager {
+            space: SpaceMap::new(core.pool.clone()),
+            pool: core.pool.clone(),
+            locks: core.locks.clone(),
+            log: core.log.clone(),
             resv: Mutex::new(Reservations::default()),
             page_granularity,
-            stats,
-        })
+        });
+        core.rms.register(heap.clone());
+        let hook = heap.clone();
+        core.tm.on_end(Arc::new(move |txn| hook.on_txn_end(txn)));
+        heap
     }
 
     /// Transaction-end hook body: drop the transaction's reservations.
-    /// Registered with the transaction manager by `ariesim-db`.
-    pub fn on_txn_end(&self, txn: TxnId) {
+    fn on_txn_end(&self, txn: TxnId) {
         self.resv.lock().release_txn(txn);
     }
 

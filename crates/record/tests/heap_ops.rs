@@ -1,14 +1,12 @@
 //! Integration tests for the heap record manager: logged, locked record
 //! operations with rollback through the real transaction manager.
 
-use ariesim_common::stats::new_stats;
 use ariesim_common::tmp::TempDir;
 use ariesim_common::{Error, PageId, TableId};
-use ariesim_lock::LockManager;
+use ariesim_obs::Obs;
 use ariesim_record::HeapManager;
-use ariesim_storage::{BufferPool, DiskManager, SpaceMap, SpaceRm};
-use ariesim_txn::{RmRegistry, TransactionManager};
-use ariesim_wal::{LogManager, LogOptions};
+use ariesim_txn::{Core, TransactionManager};
+use ariesim_wal::LogOptions;
 use std::sync::Arc;
 
 struct Fix {
@@ -21,27 +19,9 @@ struct Fix {
 
 fn fix() -> Fix {
     let dir = TempDir::new("heap-it");
-    let stats = new_stats();
-    let log = Arc::new(
-        LogManager::open(&dir.file("wal"), LogOptions::default(), stats.clone()).unwrap(),
-    );
-    let disk = DiskManager::open(&dir.file("db"), stats.clone()).unwrap();
-    let pool = BufferPool::new(disk, log.clone(), 256, stats.clone());
-    SpaceMap::initialize(&pool).unwrap();
-    let locks = Arc::new(LockManager::new(stats.clone()));
-    let rms = Arc::new(RmRegistry::new());
-    let heap = HeapManager::new(pool.clone(), locks.clone(), log.clone(), stats.clone());
-    rms.register(heap.clone());
-    rms.register(Arc::new(SpaceRm::new(pool.clone())));
-    let tm = Arc::new(TransactionManager::new(
-        log,
-        locks,
-        pool,
-        rms,
-        stats,
-    ));
-    let heap_for_hook = heap.clone();
-    tm.on_end(Arc::new(move |txn| heap_for_hook.on_txn_end(txn)));
+    let core = Core::open(dir.path(), 256, LogOptions::default(), Obs::disabled()).unwrap();
+    let heap = HeapManager::new(&core, false);
+    let tm = core.tm.clone();
     let table = TableId(1);
     let txn = tm.begin();
     let first_page = heap.create_file(&txn, table).unwrap();

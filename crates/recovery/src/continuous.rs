@@ -3,7 +3,7 @@
 //!
 //! A log-shipping standby is the observation that ARIES/IM redo *is* the
 //! standby's whole job: repeat history, page-oriented, forever. This module
-//! exposes the redo loop of [`crate::restart`] in incremental form: a
+//! drives the redo step of [`crate::restart`] in incremental form: a
 //! [`RedoCursor`] remembers where the stream stands, and [`apply_redo`]
 //! advances it by a bounded number of records. There is no dirty page table
 //! here — with nothing known about which pages are stale, the `page_lsn`
@@ -16,12 +16,10 @@
 //! records at a time, produces the same pages as one uninterrupted redo
 //! sweep.
 
-use ariesim_common::stats::{Bump, StatsHandle};
+use crate::restart::redo_record;
+use ariesim_common::stats::Bump;
 use ariesim_common::{Lsn, Result};
-use ariesim_storage::BufferPool;
-use ariesim_txn::RmRegistry;
-use ariesim_wal::LogManager;
-use std::sync::Arc;
+use ariesim_txn::Core;
 
 /// Position of a continuous-redo stream, plus running totals.
 #[derive(Debug, Clone, Copy)]
@@ -53,19 +51,14 @@ impl RedoCursor {
 /// pass its shipped-log boundary and be certain redo only consumes frames
 /// that are locally durable.
 pub fn apply_redo(
-    log: &LogManager,
-    pool: &Arc<BufferPool>,
-    rms: &RmRegistry,
-    stats: &StatsHandle,
+    core: &Core,
     cursor: &mut RedoCursor,
     upto: Lsn,
     max_records: u64,
 ) -> Result<u64> {
     let mut examined = 0u64;
-    let mut iter = log.scan(cursor.at);
-    // One-entry pin cache: runs of records against the same page re-latch
-    // through the pin (one atomic) instead of probing the page table.
-    let mut pinned: Option<ariesim_storage::PinGuard> = None;
+    let mut iter = core.log.scan(cursor.at);
+    let mut pinned = None;
     loop {
         if examined >= max_records || iter.position() >= upto {
             break;
@@ -78,19 +71,9 @@ pub fn apply_redo(
             continue;
         }
         cursor.seen += 1;
-        stats.redo_records_seen.bump();
-        let pin = match pinned.take() {
-            Some(p) if p.page() == rec.page => p,
-            _ => pool.pin(rec.page)?,
-        };
-        let mut g = pin.latch_x()?; // latch-rank: 2
-        pinned = Some(pin);
-        if g.page_lsn() < rec.lsn {
-            let rm = rms.get(rec.rm)?;
-            rm.redo(&mut g, &rec)?;
-            g.record_update(rec.lsn);
+        core.stats.redo_records_seen.bump();
+        if redo_record(core, &mut pinned, &rec)? {
             cursor.applied += 1;
-            stats.redo_applied.bump();
         }
     }
     // scan() clamps a NULL start to the first LSN; mirror that so a fresh

@@ -11,13 +11,10 @@
 //! the copy began, roll-forward relies on the same `page_lsn` comparison as
 //! restart redo — updates already present are skipped idempotently.
 
-use ariesim_common::stats::{Bump, StatsHandle};
+use ariesim_common::stats::Bump;
 use ariesim_common::{Error, Lsn, PageBuf, PageId, Result};
-use ariesim_storage::BufferPool;
-use ariesim_txn::RmRegistry;
-use ariesim_wal::LogManager;
+use ariesim_txn::Core;
 use std::collections::HashMap;
-use std::sync::Arc;
 
 /// A fuzzy dump of a set of pages plus the LSN roll-forward must start from.
 pub struct ImageCopy {
@@ -29,13 +26,13 @@ pub struct ImageCopy {
 impl ImageCopy {
     /// Take a fuzzy copy of `pages` (typically: every page of one index, as
     /// reported by the checker, plus the space map).
-    pub fn take(pool: &Arc<BufferPool>, log: &LogManager, pages: &[PageId]) -> Result<ImageCopy> {
+    pub fn take(core: &Core, pages: &[PageId]) -> Result<ImageCopy> {
         // Anything logged before this point will be in the images we copy
         // (we read through the pool, which holds the newest versions).
-        let start_lsn = log.next_lsn();
+        let start_lsn = core.log.next_lsn();
         let mut map = HashMap::with_capacity(pages.len());
         for &p in pages {
-            let g = pool.fix_s(p)?; // latch-rank: 2
+            let g = core.pool.fix_s(p)?; // latch-rank: 2
             map.insert(p, PageBuf::from_bytes(g.as_bytes().as_slice())?);
         }
         Ok(ImageCopy {
@@ -55,26 +52,20 @@ impl ImageCopy {
     /// later record for that page. One pass of the log per call (the paper's
     /// media-recovery efficiency measure counts these). The recovered image
     /// is returned; the caller decides where to put it.
-    pub fn recover_page(
-        &self,
-        log: &LogManager,
-        rms: &RmRegistry,
-        page: PageId,
-        stats: &StatsHandle,
-    ) -> Result<PageBuf> {
+    pub fn recover_page(&self, core: &Core, page: PageId) -> Result<PageBuf> {
         let mut img = self
             .pages
             .get(&page)
             .ok_or_else(|| Error::Internal(format!("page {page} not in image copy")))?
             .clone();
-        stats.media_recovery_passes.bump();
-        for rec in log.scan(self.start_lsn) {
+        core.stats.media_recovery_passes.bump();
+        for rec in core.log.scan(self.start_lsn) {
             let rec = rec?;
             if rec.page != page || !rec.kind.is_redoable() {
                 continue;
             }
             if img.page_lsn() < rec.lsn {
-                let rm = rms.get(rec.rm)?;
+                let rm = core.rms.get(rec.rm)?;
                 rm.redo(&mut img, &rec)?;
                 img.set_page_lsn(rec.lsn);
             }
@@ -84,16 +75,9 @@ impl ImageCopy {
 
     /// Convenience: recover a page and install it into the database through
     /// the buffer pool (used after simulating the loss of a disk page).
-    pub fn restore_into(
-        &self,
-        pool: &Arc<BufferPool>,
-        log: &LogManager,
-        rms: &RmRegistry,
-        page: PageId,
-        stats: &StatsHandle,
-    ) -> Result<()> {
-        let img = self.recover_page(log, rms, page, stats)?;
-        let mut g = pool.fix_x(page)?; // latch-rank: 2
+    pub fn restore_into(&self, core: &Core, page: PageId) -> Result<()> {
+        let img = self.recover_page(core, page)?;
+        let mut g = core.pool.fix_x(page)?; // latch-rank: 2
         let lsn = img.page_lsn();
         *g.as_bytes_mut() = *img.as_bytes();
         g.record_update(lsn);

@@ -1,13 +1,12 @@
 //! The three restart passes.
 
-use ariesim_common::stats::{Bump, StatsHandle};
+use ariesim_common::stats::Bump;
 use ariesim_common::{Lsn, PageId, Result, TxnId};
 use ariesim_obs::{recovery_phase, SpanKind};
-use ariesim_storage::BufferPool;
-use ariesim_txn::RmRegistry;
-use ariesim_wal::{ChainLogger, CheckpointData, LogManager, LogRecord, RecordKind, TxnState};
+use ariesim_storage::PinGuard;
+use ariesim_txn::Core;
+use ariesim_wal::{ChainLogger, CheckpointData, LogRecord, RecordKind, TxnState};
 use std::collections::HashMap;
-use std::sync::Arc;
 
 /// What restart found and did.
 #[derive(Debug, Default)]
@@ -25,8 +24,8 @@ pub struct RestartOutcome {
     pub losers: Vec<TxnId>,
     /// Undo actions dispatched to resource managers.
     pub undone: u64,
-    /// Highest transaction id seen (feed to
-    /// `TransactionManager::resume_txn_ids_after`).
+    /// Highest transaction id seen; the core's transaction manager hands out
+    /// ids above it from here on.
     pub max_txn_id: u64,
 }
 
@@ -41,14 +40,47 @@ struct TEntry {
     last_lsn: Lsn,
 }
 
-/// Run full restart recovery. Call before any new transaction starts; the
-/// pool must be freshly opened over the crashed database file.
-pub fn restart(
-    log: &LogManager,
-    pool: &Arc<BufferPool>,
-    rms: &RmRegistry,
-    stats: &StatsHandle,
-) -> Result<RestartOutcome> {
+/// The redo step, shared by restart's redo pass and continuous redo: X-latch
+/// the record's page and reapply the record iff the page has not seen it
+/// (`page_lsn < rec.lsn`) — page-oriented, never a traversal. Returns whether
+/// it was applied.
+///
+/// Redo hits the same page in runs (updates cluster); `pinned` is a
+/// one-entry pin cache that re-latches those through the pin (one atomic)
+/// instead of a page-table probe per record, and keeps the frame resident
+/// between consecutive records against it.
+pub(crate) fn redo_record<'p>(
+    core: &'p Core,
+    pinned: &mut Option<PinGuard<'p>>,
+    rec: &LogRecord,
+) -> Result<bool> {
+    let pin = match pinned.take() {
+        Some(p) if p.page() == rec.page => p,
+        _ => core.pool.pin(rec.page)?,
+    };
+    let mut g = pin.latch_x()?; // latch-rank: 2
+    *pinned = Some(pin);
+    if g.page_lsn() >= rec.lsn {
+        return Ok(false);
+    }
+    core.rms.get(rec.rm)?.redo(&mut g, rec)?;
+    g.record_update(rec.lsn);
+    core.stats.redo_applied.bump();
+    Ok(true)
+}
+
+/// Run full restart recovery over `core`, whose resource managers (and the
+/// trees logical undo needs) must already be registered. Call before any new
+/// transaction starts; the core must be freshly opened over the crashed
+/// directory.
+pub fn restart(core: &Core) -> Result<RestartOutcome> {
+    let Core {
+        log,
+        rms,
+        stats,
+        obs,
+        ..
+    } = core;
     let mut out = RestartOutcome::default();
     // ARIES/IM redo is page-oriented: this restart must add nothing to
     // `redo_traversals` (checked against the monitor at the end).
@@ -69,7 +101,6 @@ pub fn restart(
     // Live progress for `--progress` samplers: phase, current-vs-target
     // LSN, pages redone, losers remaining. Relaxed gauge stores — cheap
     // enough to update per record.
-    let obs = pool.obs();
     let prog = &obs.gauge.recovery;
     prog.phase.set(recovery_phase::ANALYSIS);
     prog.target_lsn.set(log.next_lsn().0);
@@ -152,11 +183,7 @@ pub fn restart(
     prog.phase.set(recovery_phase::REDO);
     prog.current_lsn.set(redo_start.0);
     let redo_span = obs.span(SpanKind::Apply, 0, 0);
-    // Redo hits the same page in runs (updates cluster); a one-entry pin
-    // cache re-latches those through the pin (one atomic) instead of a
-    // page-table probe per record, and keeps the frame resident between
-    // consecutive records against it.
-    let mut pinned: Option<ariesim_storage::PinGuard> = None;
+    let mut pinned = None;
     for rec in log.scan(redo_start) {
         let rec = rec?;
         prog.current_lsn.set(rec.lsn.0);
@@ -171,21 +198,10 @@ pub fn restart(
         if rec.lsn < rec_lsn {
             continue; // older than the page's first possibly-missing update
         }
-        let pin = match pinned.take() {
-            Some(p) if p.page() == rec.page => p,
-            _ => pool.pin(rec.page)?,
-        };
-        let mut g = pin.latch_x()?; // latch-rank: 2
-        pinned = Some(pin);
         stats.restart_page_reads.bump();
-        if g.page_lsn() < rec.lsn {
-            let rm = rms.get(rec.rm)?;
-            rm.redo(&mut g, &rec)?;
-            g.record_update(rec.lsn);
+        if redo_record(core, &mut pinned, &rec)? {
             out.redo_applied += 1;
-            stats.redo_applied.bump();
             prog.pages_redone.set(out.redo_applied);
-            drop(g);
             ariesim_fault::crash_point!("recovery.redo.applied");
         }
     }
@@ -245,8 +261,8 @@ pub fn restart(
     prog.target_lsn.set(log.next_lsn().0);
     prog.current_lsn.set(log.next_lsn().0);
     ariesim_fault::crash_point!("recovery.done");
-    pool.obs()
-        .monitor
+    obs.monitor
         .on_restart_complete(stats.snapshot().redo_traversals - redo_traversals_before);
+    core.tm.resume_txn_ids_after(out.max_txn_id);
     Ok(out)
 }

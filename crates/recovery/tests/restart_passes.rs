@@ -4,16 +4,13 @@
 //! multi-transaction sweep.
 
 use ariesim_common::page::PageType;
-use ariesim_common::stats::new_stats;
 use ariesim_common::tmp::TempDir;
 use ariesim_common::{Lsn, PageBuf, PageId, Result, TxnId};
-use ariesim_lock::LockManager;
+use ariesim_obs::Obs;
 use ariesim_recovery::restart;
-use ariesim_storage::{BufferPool, DiskManager};
-use ariesim_txn::{RmRegistry, TransactionManager};
-use ariesim_wal::{
-    ChainLogger, LogManager, LogOptions, LogRecord, RecordKind, ResourceManager, RmId,
-};
+use ariesim_storage::BufferPool;
+use ariesim_txn::Core;
+use ariesim_wal::{ChainLogger, LogOptions, LogRecord, RecordKind, ResourceManager, RmId};
 use parking_lot::Mutex;
 use std::sync::Arc;
 
@@ -60,53 +57,47 @@ impl ResourceManager for BlobRm {
     }
 }
 
+/// The engine core (`f.tm`, `f.pool`, `f.log`, ... through `Deref`) with the
+/// blob RM registered in the heap's slot.
 struct Fix {
     _dir: TempDir,
-    stats: ariesim_common::stats::StatsHandle,
-    log: Arc<LogManager>,
-    pool: Arc<BufferPool>,
-    rms: Arc<RmRegistry>,
+    core: Arc<Core>,
     rm: Arc<BlobRm>,
-    tm: Arc<TransactionManager>,
+}
+
+impl std::ops::Deref for Fix {
+    type Target = Core;
+
+    fn deref(&self) -> &Core {
+        &self.core
+    }
+}
+
+/// Open (or, after a crash, reopen) the engine in `dir`.
+fn open(dir: &TempDir) -> (Arc<Core>, Arc<BlobRm>) {
+    let core = Core::open(dir.path(), 256, LogOptions::default(), Obs::disabled()).unwrap();
+    let rm = Arc::new(BlobRm {
+        pool: core.pool.clone(),
+        undo_order: Mutex::new(Vec::new()),
+    });
+    core.rms.register(rm.clone());
+    (core, rm)
 }
 
 fn fix() -> Fix {
     let dir = TempDir::new("restart");
-    let stats = new_stats();
-    let log = Arc::new(
-        LogManager::open(&dir.file("wal"), LogOptions::default(), stats.clone()).unwrap(),
-    );
-    let disk = DiskManager::open(&dir.file("db"), stats.clone()).unwrap();
-    let pool = BufferPool::new(disk, log.clone(), 256, stats.clone());
+    let (core, rm) = open(&dir);
     // One formatted page everything writes to.
     {
-        let mut g = pool.fix_x(PageId(3)).unwrap();
+        let mut g = core.pool.fix_x(PageId(3)).unwrap();
         g.format(PageId(3), PageType::Heap, 0, 0);
         g.record_update(Lsn(1));
     }
-    pool.flush_all().unwrap();
-    let locks = Arc::new(LockManager::new(stats.clone()));
-    let rms = Arc::new(RmRegistry::new());
-    let rm = Arc::new(BlobRm {
-        pool: pool.clone(),
-        undo_order: Mutex::new(Vec::new()),
-    });
-    rms.register(rm.clone());
-    let tm = Arc::new(TransactionManager::new(
-        log.clone(),
-        locks,
-        pool.clone(),
-        rms.clone(),
-        stats.clone(),
-    ));
+    core.pool.flush_all().unwrap();
     Fix {
         _dir: dir,
-        stats,
-        log,
-        pool,
-        rms,
+        core,
         rm,
-        tm,
     }
 }
 
@@ -133,7 +124,7 @@ fn redo_skips_updates_already_on_disk() {
     f.tm.commit(&t).unwrap();
     // Flush the page: its state is durable, page_lsn ≥ the record.
     f.pool.flush_all().unwrap();
-    let outcome = restart(&f.log, &f.pool, &f.rms, &f.stats).unwrap();
+    let outcome = restart(&f).unwrap();
     assert_eq!(outcome.redo_applied, 0, "already-durable update not redone");
     assert_eq!(byte_at(&f, 0), 7);
 }
@@ -146,21 +137,10 @@ fn redo_reapplies_missing_committed_updates() {
     f.tm.commit(&t).unwrap(); // forces the log, NOT the page
     // Wipe the cached page by reloading from disk state: simulate by
     // re-reading through a fresh pool over the same files.
-    let stats2 = new_stats();
-    let log2 = Arc::new(
-        LogManager::open(&f._dir.file("wal"), LogOptions::default(), stats2.clone()).unwrap(),
-    );
-    let disk2 = DiskManager::open(&f._dir.file("db"), stats2.clone()).unwrap();
-    let pool2 = BufferPool::new(disk2, log2.clone(), 256, stats2.clone());
-    let rms2 = Arc::new(RmRegistry::new());
-    let rm2 = Arc::new(BlobRm {
-        pool: pool2.clone(),
-        undo_order: Mutex::new(Vec::new()),
-    });
-    rms2.register(rm2);
-    let outcome = restart(&log2, &pool2, &rms2, &stats2).unwrap();
+    let (core2, _) = open(&f._dir);
+    let outcome = restart(&core2).unwrap();
     assert_eq!(outcome.redo_applied, 1, "lost update must be redone");
-    let g = pool2.fix_s(PageId(3)).unwrap();
+    let g = core2.pool.fix_s(PageId(3)).unwrap();
     assert_eq!(g.as_bytes()[BODY_BASE], 9);
 }
 
@@ -176,7 +156,7 @@ fn undo_sweep_is_reverse_chronological_across_transactions() {
     update(&f, &t1, 2, 0, 3); // 3
     update(&f, &t2, 3, 0, 4); // 4
     f.log.flush_all().unwrap();
-    let outcome = restart(&f.log, &f.pool, &f.rms, &f.stats).unwrap();
+    let outcome = restart(&f).unwrap();
     assert_eq!(outcome.losers.len(), 2);
     let order: Vec<u8> = f.rm.undo_order.lock().iter().map(|&(_, v)| v).collect();
     assert_eq!(order, vec![4, 3, 2, 1], "reverse chronological, interleaved");
@@ -203,7 +183,7 @@ fn committed_but_unended_transaction_is_not_undone() {
     // Hand-write the commit record without the End.
     t.with_logger(&f.log, |l| l.control(RecordKind::Commit));
     f.log.flush_all().unwrap();
-    let outcome = restart(&f.log, &f.pool, &f.rms, &f.stats).unwrap();
+    let outcome = restart(&f).unwrap();
     assert!(outcome.losers.is_empty(), "committed txn is not a loser");
     assert_eq!(byte_at(&f, 0), 5);
 }
@@ -221,7 +201,7 @@ fn aborting_transaction_resumes_rollback_at_restart() {
     f.tm.rollback_to(&t, sp).unwrap();
     assert_eq!(f.rm.undo_order.lock().len(), 1);
     f.log.flush_all().unwrap();
-    let outcome = restart(&f.log, &f.pool, &f.rms, &f.stats).unwrap();
+    let outcome = restart(&f).unwrap();
     assert_eq!(outcome.losers.len(), 1);
     // Only slot 0 was left to undo — slot 1's undo must NOT repeat.
     let order: Vec<u8> = f.rm.undo_order.lock().iter().map(|&(_, v)| v).collect();
@@ -233,7 +213,7 @@ fn aborting_transaction_resumes_rollback_at_restart() {
 #[test]
 fn restart_on_empty_log_is_a_noop() {
     let f = fix();
-    let outcome = restart(&f.log, &f.pool, &f.rms, &f.stats).unwrap();
+    let outcome = restart(&f).unwrap();
     assert_eq!(outcome.redo_applied, 0);
     assert!(outcome.losers.is_empty());
 }
@@ -246,6 +226,6 @@ fn max_txn_id_reported_for_id_resumption() {
     update(&f, &b, 0, 0, 1);
     f.tm.commit(&a).unwrap();
     f.log.flush_all().unwrap();
-    let outcome = restart(&f.log, &f.pool, &f.rms, &f.stats).unwrap();
+    let outcome = restart(&f).unwrap();
     assert!(outcome.max_txn_id >= b.id.0);
 }

@@ -1,12 +1,13 @@
 //! The warm standby: restart's redo pass running as a service.
 //!
-//! A standby is assembled from the same stack as a [`Db`] — log, pool,
-//! resource managers, catalog, trees — but with **no transaction manager
-//! and no restart**: its log is a byte-identical prefix of the primary's
-//! (base backup + ingested chunks), and its only writer is the continuous
-//! redo applier. Keeping the standby transaction-free is load-bearing:
-//! even beginning a read-only transaction would append a Begin record and
-//! fork the standby's log away from the primary's.
+//! A standby *is* a [`Db`] — the same core, resource managers, catalog and
+//! trees, put together by the same [`Db::assemble`] — on which **restart
+//! never runs and no transaction ever begins**: its log is a byte-identical
+//! prefix of the primary's (base backup + ingested chunks), and its only
+//! writer is the continuous redo applier. Keeping the standby
+//! transaction-free is load-bearing: even beginning a read-only transaction
+//! would append a Begin record and fork the standby's log away from the
+//! primary's.
 //!
 //! Reads are therefore latch-only snapshot reads at the **applied-LSN
 //! watermark**: an `RwLock` excludes the applier (writer) from readers, so
@@ -22,22 +23,15 @@
 //! transactions shipped from the primary.
 
 use crate::transport::LogTransport;
-use ariesim_btree::{BTree, IndexRm};
-use ariesim_common::stats::{new_stats, StatsHandle};
 use ariesim_common::{Error, Lsn, Result, Rid};
-use ariesim_db::catalog::Catalog;
 use ariesim_db::{Db, DbOptions, Row};
 use ariesim_fault::crash_point;
-use ariesim_lock::LockManager;
 use ariesim_obs::{ObsHandle, SpanKind};
-use ariesim_record::HeapManager;
 use ariesim_recovery::{apply_redo, RedoCursor};
-use ariesim_storage::{BufferPool, DiskManager, SpaceRm};
-use ariesim_txn::RmRegistry;
+use ariesim_txn::Core;
 use ariesim_wal::frame::{self, FrameRead};
-use ariesim_wal::{LogManager, LogOptions};
 use parking_lot::{Mutex, RwLock};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -66,13 +60,9 @@ fn whole_frame_prefix(chunk: &[u8]) -> Result<usize> {
 
 /// A continuously-redoing replica over a shipped log stream.
 pub struct Standby {
-    dir: PathBuf,
-    opts: DbOptions,
-    pub stats: StatsHandle,
-    pub log: Arc<LogManager>,
-    pub pool: Arc<BufferPool>,
-    rms: Arc<RmRegistry>,
-    trees: Vec<(String, Arc<BTree>)>,
+    /// Assembled, never restarted, never handed out: the applier below is
+    /// its only writer.
+    db: Db,
     transport: Arc<dyn LogTransport>,
     /// Serializes receive+ingest so concurrent pumpers cannot interleave
     /// between reading the ingest point and extending the log.
@@ -82,7 +72,6 @@ pub struct Standby {
     applied: AtomicU64,
     /// Apply/read exclusion: the applier holds write, readers hold read.
     gate: RwLock<()>,
-    obs: ObsHandle,
 }
 
 impl Standby {
@@ -96,70 +85,13 @@ impl Standby {
         transport: Arc<dyn LogTransport>,
         obs: ObsHandle,
     ) -> Result<Arc<Standby>> {
-        let stats = new_stats();
-        let log = Arc::new(LogManager::open_with_obs(
-            &dir.join("wal"),
-            LogOptions {
-                fsync: opts.fsync,
-                ..LogOptions::default()
-            },
-            stats.clone(),
-            obs.clone(),
-        )?);
-        let disk = DiskManager::open(&dir.join("pages"), stats.clone())?;
-        let pool = BufferPool::new_with_obs(
-            disk,
-            log.clone(),
-            opts.frames,
-            stats.clone(),
-            obs.clone(),
-        );
-        let locks = Arc::new(LockManager::new(stats.clone()));
-        let rms = Arc::new(RmRegistry::new());
-        let heap = HeapManager::new_with_granularity(
-            pool.clone(),
-            locks.clone(),
-            log.clone(),
-            stats.clone(),
-            opts.page_granularity,
-        );
-        let index_rm = IndexRm::new(pool.clone(), stats.clone());
-        rms.register(heap);
-        rms.register(index_rm.clone());
-        rms.register(Arc::new(SpaceRm::new(pool.clone())));
-
-        let catalog = Catalog::load(&pool)?;
-        let mut trees = Vec::new();
-        for def in catalog.indexes() {
-            let tree = BTree::new_with_granularity(
-                def.id,
-                def.root,
-                def.unique,
-                opts.protocol,
-                opts.page_granularity,
-                pool.clone(),
-                locks.clone(),
-                log.clone(),
-                stats.clone(),
-            );
-            index_rm.register_tree(tree.clone());
-            trees.push((def.name.clone(), tree));
-        }
-
         let this = Standby {
-            dir: dir.to_path_buf(),
-            opts,
-            stats,
-            log,
-            pool,
-            rms,
-            trees,
+            db: Db::assemble(dir, opts, obs)?,
             transport,
             recv_lock: Mutex::new(()),
             cursor: Mutex::new(RedoCursor::starting_at(Lsn::NULL)),
             applied: AtomicU64::new(0),
             gate: RwLock::new(()),
-            obs,
         };
         // Catch up to the locally durable log (the base backup may predate
         // its own log end; redo's page_lsn check makes this idempotent).
@@ -167,10 +99,16 @@ impl Standby {
         Ok(Arc::new(this))
     }
 
+    /// The engine core this standby applies into: log, pool, lock manager
+    /// and resource managers, all counting into its one `stats` and `obs`.
+    pub fn core(&self) -> &Core {
+        &self.db.core
+    }
+
     /// This standby's observability domain (ingest/apply histograms and
     /// the replication-lag gauge live here).
     pub fn obs(&self) -> &ObsHandle {
-        &self.obs
+        &self.db.core.obs
     }
 
     /// The applied-LSN watermark: reads reflect the log exactly up to here.
@@ -198,7 +136,7 @@ impl Standby {
     /// window widens it.
     pub fn recv_once(&self) -> Result<u64> {
         let _recv = self.recv_lock.lock();
-        let at = self.log.next_lsn();
+        let at = self.db.log.next_lsn();
         let mut max = RECV_CHUNK;
         let (chunk, whole) = loop {
             let chunk = self.transport.recv(at, max)?;
@@ -218,15 +156,15 @@ impl Standby {
                 })?;
         };
         if whole > 0 {
-            let t = self.obs.timer();
-            self.log.ingest_frames(at, &chunk[..whole])?;
-            self.obs.hist.repl_ingest.record_since(t);
+            let t = self.db.obs.timer();
+            self.db.log.ingest_frames(at, &chunk[..whole])?;
+            self.db.obs.hist.repl_ingest.record_since(t);
             crash_point!("repl.recv.ingested");
         }
         let master = self.transport.master()?;
-        if !master.is_null() && master < self.log.next_lsn() && self.log.read_master()? != master
-        {
-            self.log.write_master(master)?;
+        let log = &self.db.log;
+        if !master.is_null() && master < log.next_lsn() && log.read_master()? != master {
+            log.write_master(master)?;
         }
         Ok(whole as u64)
     }
@@ -234,28 +172,20 @@ impl Standby {
     /// Apply all ingested-but-unapplied log, a batch at a time; readers
     /// interleave between batches. Returns the new applied watermark.
     pub fn apply_once(&self) -> Result<Lsn> {
-        let upto = self.log.flushed_lsn();
+        let upto = self.db.log.flushed_lsn();
         loop {
             let _w = self.gate.write();
             let mut cur = self.cursor.lock();
-            let t = self.obs.timer();
-            let span = self.obs.span(SpanKind::Apply, 0, 0);
-            let examined = apply_redo(
-                &self.log,
-                &self.pool,
-                self.rms.as_ref(),
-                &self.stats,
-                &mut cur,
-                upto,
-                APPLY_BATCH,
-            )?;
+            let t = self.db.obs.timer();
+            let span = self.db.obs.span(SpanKind::Apply, 0, 0);
+            let examined = apply_redo(&self.db.core, &mut cur, upto, APPLY_BATCH)?;
             // ordering: publishes the pages applied above; applied_lsn readers see a page image at least this new
             self.applied.store(cur.at.0, Ordering::Release);
             drop(span);
             if examined == 0 {
                 break;
             }
-            self.obs.hist.repl_apply.record_since(t);
+            self.db.obs.hist.repl_apply.record_since(t);
             drop(cur);
             drop(_w);
             crash_point!("repl.apply.batch");
@@ -274,7 +204,7 @@ impl Standby {
     /// "caught up" between cycles).
     pub fn pump(&self) -> Result<u64> {
         let n = self.recv_once()?;
-        let lag = &self.obs.gauge.repl_lag;
+        let lag = &self.db.obs.gauge.repl_lag;
         let before = self.applied_lsn();
         let end = self.transport.end().unwrap_or(before);
         lag.set_watermarks(end.0, before.0);
@@ -288,7 +218,7 @@ impl Standby {
     /// module docs); the apply gate guarantees the answer is exactly the
     /// watermark state.
     pub fn read(&self, index: &str, value: &[u8]) -> Result<Option<(Rid, Row)>> {
-        let tree = self.tree(index)?;
+        let tree = self.db.tree_by_name(index)?;
         // An in-flight SMO shipped mid-window can make the leaf chain
         // momentarily ambiguous; applying further log resolves it.
         for _ in 0..64 {
@@ -296,7 +226,7 @@ impl Standby {
             match tree.get_unlocked(value) {
                 Ok(None) => return Ok(None),
                 Ok(Some(key)) => {
-                    let g = self.pool.fix_s(key.rid.page)?; // latch-rank: 2
+                    let g = self.db.pool.fix_s(key.rid.page)?; // latch-rank: 2
                     let bytes = g
                         .cell(key.rid.slot.0)
                         .map(|c| c.to_vec())
@@ -317,17 +247,9 @@ impl Standby {
 
     /// Unlocked count of live keys in `index` (verification helper).
     pub fn count(&self, index: &str) -> Result<usize> {
-        let tree = self.tree(index)?;
+        let tree = self.db.tree_by_name(index)?;
         let _r = self.gate.read();
         Ok(tree.scan_all_unlocked()?.len())
-    }
-
-    fn tree(&self, index: &str) -> Result<Arc<BTree>> {
-        self.trees
-            .iter()
-            .find(|(n, _)| n == index)
-            .map(|(_, t)| t.clone())
-            .ok_or_else(|| Error::Internal(format!("no index {index} on standby")))
     }
 
     /// Fail over: complete recovery over everything this standby has
@@ -339,13 +261,12 @@ impl Standby {
         let this = Arc::try_unwrap(self)
             .map_err(|_| Error::Internal("standby still shared at promote".into()))?;
         crash_point!("repl.promote.begin");
-        let Standby {
-            dir, opts, pool, ..
-        } = this;
+        let Standby { db, .. } = this;
         // Flushing shrinks the redo pass of the reopen; correctness never
         // depends on it (redo is idempotent, the ingested log is durable).
-        pool.flush_all()?;
-        drop(pool);
+        db.pool.flush_all()?;
+        let (dir, opts) = (db.dir().to_path_buf(), db.options().clone());
+        drop(db);
         crash_point!("repl.promote.reopen");
         let db = Db::open(&dir, opts)?;
         crash_point!("repl.promote.done");

@@ -49,7 +49,7 @@ use ariesim_common::stats::{Bump, StatsHandle};
 use ariesim_common::{Error, Lsn, PageBuf, PageId, Result};
 use ariesim_fault::crash_point;
 use ariesim_obs::lockdep;
-use ariesim_obs::{EventKind, ModeTag, Obs, ObsHandle, SpanKind};
+use ariesim_obs::{EventKind, ModeTag, ObsHandle, SpanKind};
 use ariesim_wal::{DptEntry, LogManager};
 use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::collections::HashMap;
@@ -175,15 +175,6 @@ pub struct BufferPool {
 
 impl BufferPool {
     pub fn new(
-        disk: DiskManager,
-        log: Arc<LogManager>,
-        frames: usize,
-        stats: StatsHandle,
-    ) -> Arc<BufferPool> {
-        BufferPool::new_with_obs(disk, log, frames, stats, Obs::disabled())
-    }
-
-    pub fn new_with_obs(
         disk: DiskManager,
         log: Arc<LogManager>,
         frames: usize,

@@ -178,7 +178,7 @@ mod tests {
             LogManager::open(&dir.file("wal"), LogOptions::default(), stats.clone()).unwrap(),
         );
         let disk = DiskManager::open(&dir.file("db"), stats.clone()).unwrap();
-        let pool = BufferPool::new(disk, log.clone(), 256, stats);
+        let pool = BufferPool::new(disk, log.clone(), 256, stats, ariesim_obs::Obs::disabled());
         SpaceMap::initialize(&pool).unwrap();
         (dir, pool, log)
     }

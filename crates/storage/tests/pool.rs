@@ -18,7 +18,7 @@ fn setup(frames: usize) -> (TempDir, Arc<BufferPool>, Arc<LogManager>) {
         LogManager::open(&dir.file("wal"), LogOptions::default(), stats.clone()).unwrap(),
     );
     let disk = DiskManager::open(&dir.file("db"), stats.clone()).unwrap();
-    let pool = BufferPool::new(disk, log.clone(), frames, stats);
+    let pool = BufferPool::new(disk, log.clone(), frames, stats, ariesim_obs::Obs::disabled());
     (dir, pool, log)
 }
 

@@ -88,7 +88,7 @@ proptest! {
             LogManager::open(&dir.file("wal"), LogOptions::default(), stats.clone()).unwrap(),
         );
         let disk = DiskManager::open(&dir.file("db"), stats.clone()).unwrap();
-        let pool = BufferPool::new_with_obs(disk, log.clone(), FRAMES, stats, obs.clone());
+        let pool = BufferPool::new(disk, log.clone(), FRAMES, stats, obs.clone());
         // Oracle: the stamp (owner word) each page must carry.
         let mut expect: HashMap<u32, u32> = HashMap::new();
         for &(write, p) in &ops {

@@ -20,8 +20,14 @@
 //! The [`RmRegistry`] maps [`ariesim_wal::RmId`]s to the resource managers
 //! that interpret their log-record bodies; both normal rollback (here) and
 //! restart recovery (`ariesim-recovery`) dispatch through it.
+//!
+//! [`Core`] is the assembled engine — log, pool, locks, registry and
+//! transaction manager over one `Stats` and one `Obs` — and [`Core::open`]
+//! the one place that assembles it.
 
+pub mod core;
 pub mod manager;
 pub mod undo;
 
+pub use crate::core::Core;
 pub use manager::{RmRegistry, TransactionManager, TxnHandle};

@@ -1,7 +1,6 @@
 //! Transaction table, lifecycle, nested top actions, checkpoints.
 
 use crate::undo::undo_chain;
-use ariesim_common::stats::StatsHandle;
 use ariesim_fault::crash_point;
 use ariesim_common::{Error, Lsn, Result, TxnId};
 use ariesim_lock::LockManager;
@@ -143,8 +142,6 @@ pub struct TransactionManager {
     rms: Arc<RmRegistry>,
     inner: Mutex<TmInner>,
     end_hooks: Mutex<Vec<EndHook>>,
-    #[allow(dead_code)]
-    stats: StatsHandle,
 }
 
 impl TransactionManager {
@@ -153,7 +150,6 @@ impl TransactionManager {
         locks: Arc<LockManager>,
         pool: Arc<BufferPool>,
         rms: Arc<RmRegistry>,
-        stats: StatsHandle,
     ) -> TransactionManager {
         TransactionManager {
             log,
@@ -165,20 +161,7 @@ impl TransactionManager {
                 table: HashMap::new(),
             }),
             end_hooks: Mutex::new(Vec::new()),
-            stats,
         }
-    }
-
-    pub fn log(&self) -> &Arc<LogManager> {
-        &self.log
-    }
-
-    pub fn locks(&self) -> &Arc<LockManager> {
-        &self.locks
-    }
-
-    pub fn rms(&self) -> &Arc<RmRegistry> {
-        &self.rms
     }
 
     /// Register a transaction-end hook (see [`EndHook`]).

@@ -2,15 +2,13 @@
 //! release locks, nested top actions chain correctly, checkpoints snapshot
 //! the fuzzy state, and misuse is rejected.
 
-use ariesim_common::stats::new_stats;
 use ariesim_common::tmp::TempDir;
 use ariesim_common::{Error, Lsn, PageBuf, PageId, Result, TxnId};
-use ariesim_lock::{LockDuration, LockManager, LockMode, LockName};
-use ariesim_storage::{BufferPool, DiskManager};
-use ariesim_txn::{RmRegistry, TransactionManager};
+use ariesim_lock::{LockDuration, LockMode, LockName};
+use ariesim_obs::Obs;
+use ariesim_txn::Core;
 use ariesim_wal::{
-    ChainLogger, CheckpointData, LogManager, LogOptions, LogRecord, RecordKind, ResourceManager,
-    RmId,
+    ChainLogger, CheckpointData, LogOptions, LogRecord, RecordKind, ResourceManager, RmId,
 };
 use parking_lot::Mutex;
 use std::sync::Arc;
@@ -36,40 +34,32 @@ impl ResourceManager for ToyRm {
     }
 }
 
+/// The engine core (`f.tm`, `f.log`, `f.locks` through `Deref`) with the toy
+/// RM registered in the heap's slot.
 struct Fix {
     _dir: TempDir,
-    log: Arc<LogManager>,
-    locks: Arc<LockManager>,
-    tm: Arc<TransactionManager>,
+    core: Arc<Core>,
     toy: Arc<ToyRm>,
+}
+
+impl std::ops::Deref for Fix {
+    type Target = Core;
+
+    fn deref(&self) -> &Core {
+        &self.core
+    }
 }
 
 fn fix() -> Fix {
     let dir = TempDir::new("txn-it");
-    let stats = new_stats();
-    let log = Arc::new(
-        LogManager::open(&dir.file("wal"), LogOptions::default(), stats.clone()).unwrap(),
-    );
-    let disk = DiskManager::open(&dir.file("db"), stats.clone()).unwrap();
-    let pool = BufferPool::new(disk, log.clone(), 256, stats.clone());
-    let locks = Arc::new(LockManager::new(stats.clone()));
-    let rms = Arc::new(RmRegistry::new());
+    let core = Core::open(dir.path(), 256, LogOptions::default(), Obs::disabled()).unwrap();
     let toy = Arc::new(ToyRm {
         undone: Mutex::new(Vec::new()),
     });
-    rms.register(toy.clone());
-    let tm = Arc::new(TransactionManager::new(
-        log.clone(),
-        locks.clone(),
-        pool,
-        rms,
-        stats,
-    ));
+    core.rms.register(toy.clone());
     Fix {
         _dir: dir,
-        log,
-        locks,
-        tm,
+        core,
         toy,
     }
 }

@@ -79,7 +79,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // Simplest page set: ask the space map for everything allocated.
         ariesim::storage::SpaceMap::new(db.pool.clone()).allocated_pages()?
     };
-    let copy = ImageCopy::take(&db.pool, &db.log, &tree_pages)?;
+    let copy = ImageCopy::take(&db, &tree_pages)?;
     println!("fuzzy image copy of {} pages taken", copy.page_ids().len());
 
     // More committed updates AFTER the dump.
@@ -92,7 +92,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // "Lose" one index leaf (pretend a disk read failed) and bring it back
     // from the dump + log roll-forward.
     let victim = tree.leaf_for_value(b"key-000500")?;
-    copy.restore_into(&db.pool, &db.log, &db.rms, victim, &db.stats)?;
+    copy.restore_into(&db, victim)?;
     println!(
         "page {victim} restored from the dump and rolled forward ({} media passes)",
         db.stats.snapshot().media_recovery_passes

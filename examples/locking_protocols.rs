@@ -9,13 +9,11 @@
 
 use ariesim::btree::fetch::FetchCond;
 use ariesim::btree::{BTree, IndexRm, LockProtocol};
-use ariesim::common::stats::new_stats;
 use ariesim::common::tmp::TempDir;
 use ariesim::common::{IndexId, IndexKey, PageId, Rid};
-use ariesim::lock::LockManager;
-use ariesim::storage::{BufferPool, DiskManager, SpaceMap, SpaceRm};
-use ariesim::txn::{RmRegistry, TransactionManager};
-use ariesim::wal::{LogManager, LogOptions};
+use ariesim::obs::Obs;
+use ariesim::txn::Core;
+use ariesim::wal::LogOptions;
 use std::sync::Arc;
 
 fn key(i: u32) -> IndexKey {
@@ -25,50 +23,32 @@ fn key(i: u32) -> IndexKey {
     )
 }
 
+/// A bare index: the engine core plus one tree, no record manager.
 struct Rig {
     _dir: TempDir,
-    stats: ariesim::common::stats::StatsHandle,
-    tm: Arc<TransactionManager>,
+    core: Arc<Core>,
     tree: Arc<BTree>,
 }
 
 fn rig(protocol: LockProtocol) -> Rig {
     let dir = TempDir::new("protocols");
-    let stats = new_stats();
-    let log = Arc::new(
-        LogManager::open(&dir.file("wal"), LogOptions::default(), stats.clone()).unwrap(),
-    );
-    let disk = DiskManager::open(&dir.file("db"), stats.clone()).unwrap();
-    let pool = BufferPool::new(disk, log.clone(), 256, stats.clone());
-    SpaceMap::initialize(&pool).unwrap();
-    let locks = Arc::new(LockManager::new(stats.clone()));
-    let rms = Arc::new(RmRegistry::new());
-    let index_rm = IndexRm::new(pool.clone(), stats.clone());
-    rms.register(index_rm.clone());
-    rms.register(Arc::new(SpaceRm::new(pool.clone())));
-    let tm = Arc::new(TransactionManager::new(
-        log.clone(),
-        locks.clone(),
-        pool.clone(),
-        rms,
-        stats.clone(),
-    ));
+    let core = Core::open(dir.path(), 256, LogOptions::default(), Obs::disabled()).unwrap();
+    let tm = &core.tm;
     let txn = tm.begin();
-    let root = BTree::create(&txn, IndexId(1), &pool, &log).unwrap();
+    let root = BTree::create(&core, &txn, IndexId(1)).unwrap();
     tm.commit(&txn).unwrap();
-    let tree = BTree::new(IndexId(1), root, false, protocol, pool, locks, log, stats.clone());
-    index_rm.register_tree(tree.clone());
+    let tree = BTree::open(&core, IndexId(1), root, false, protocol, false);
+    IndexRm::new(&core).register_tree(tree.clone());
     // Seed keys 0..1000 (even) so every op has neighbours.
     let txn = tm.begin();
     for i in (0..1000u32).step_by(2) {
         tree.insert(&txn, &key(i)).unwrap();
     }
     tm.commit(&txn).unwrap();
-    stats.reset();
+    core.stats.reset();
     Rig {
         _dir: dir,
-        stats,
-        tm,
+        core,
         tree,
     }
 }
@@ -77,30 +57,30 @@ fn measure(protocol: LockProtocol) -> [(u64, u64); 3] {
     let r = rig(protocol);
     let mut out = [(0, 0); 3];
     // Fetch 100 present keys.
-    let txn = r.tm.begin();
+    let txn = r.core.tm.begin();
     for i in (100..300u32).step_by(2) {
         r.tree.fetch(&txn, &key(i).value, FetchCond::Eq).unwrap();
     }
-    r.tm.commit(&txn).unwrap();
-    let s = r.stats.snapshot();
+    r.core.tm.commit(&txn).unwrap();
+    let s = r.core.stats.snapshot();
     out[0] = (s.locks_acquired / 100, s.locks_acquired % 100);
-    r.stats.reset();
+    r.core.stats.reset();
     // Insert 100 odd keys.
-    let txn = r.tm.begin();
+    let txn = r.core.tm.begin();
     for i in (100..300u32).step_by(2) {
         r.tree.insert(&txn, &key(i + 1)).unwrap();
     }
-    r.tm.commit(&txn).unwrap();
-    let s = r.stats.snapshot();
+    r.core.tm.commit(&txn).unwrap();
+    let s = r.core.stats.snapshot();
     out[1] = (s.locks_acquired / 100, s.locks_acquired % 100);
-    r.stats.reset();
+    r.core.stats.reset();
     // Delete those 100 keys again.
-    let txn = r.tm.begin();
+    let txn = r.core.tm.begin();
     for i in (100..300u32).step_by(2) {
         r.tree.delete(&txn, &key(i + 1)).unwrap();
     }
-    r.tm.commit(&txn).unwrap();
-    let s = r.stats.snapshot();
+    r.core.tm.commit(&txn).unwrap();
+    let s = r.core.stats.snapshot();
     out[2] = (s.locks_acquired / 100, s.locks_acquired % 100);
     out
 }

@@ -39,18 +39,16 @@
 //! | [`wal`] | `ariesim-wal` | log records, CLRs, log manager |
 //! | [`storage`] | `ariesim-storage` | disk, buffer pool, latches, space map |
 //! | [`lock`] | `ariesim-lock` | lock manager |
-//! | [`txn`] | `ariesim-txn` | transactions, NTAs, checkpoints |
+//! | [`txn`] | `ariesim-txn` | transactions, NTAs, checkpoints; `Core`, the assembled engine |
 //! | [`recovery`] | `ariesim-recovery` | restart + media recovery |
 //! | [`record`] | `ariesim-record` | heap record manager |
-//! | [`btree`] | `ariesim-btree` | **ARIES/IM itself** |
-//! | [`kvl`] | `ariesim-kvl` | ARIES/KVL baseline |
+//! | [`btree`] | `ariesim-btree` | **ARIES/IM itself**, and the ARIES/KVL baseline protocol |
 //! | [`db`] | `ariesim-db` | assembled engine facade |
 //! | [`obs`] | `ariesim-obs` | latency histograms, event tracing, invariant monitors |
 
 pub use ariesim_btree as btree;
 pub use ariesim_common as common;
 pub use ariesim_db as db;
-pub use ariesim_kvl as kvl;
 pub use ariesim_lock as lock;
 pub use ariesim_obs as obs;
 pub use ariesim_record as record;

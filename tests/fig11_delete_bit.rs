@@ -10,6 +10,7 @@
 mod support;
 
 use ariesim::btree::LockProtocol;
+use ariesim::obs::Obs;
 use support::{fix, key};
 
 /// Keys sized so a leaf holds few of them, making space exhaustion easy.
@@ -135,48 +136,11 @@ fn crash_after_space_consumed_forces_logical_undo_with_split() {
     f.log.flush_all().unwrap();
 
     // Crash: reopen the same files with a fresh stack and run restart.
-    let dir_path = f._dir.path().to_path_buf();
-    drop(f.tree);
-    drop(f.tm);
-    let stats2 = ariesim::common::stats::new_stats();
-    drop(f.locks);
-    drop(f.pool);
-    drop(f.log);
-    let log = std::sync::Arc::new(
-        ariesim::wal::LogManager::open(
-            &dir_path.join("wal"),
-            ariesim::wal::LogOptions::default(),
-            stats2.clone(),
-        )
-        .unwrap(),
-    );
-    let disk = ariesim::storage::DiskManager::open(&dir_path.join("db"), stats2.clone()).unwrap();
-    let pool = ariesim::storage::BufferPool::new(
-        disk,
-        log.clone(),
-        512,
-        stats2.clone(),
-    );
-    let locks = std::sync::Arc::new(ariesim::lock::LockManager::new(stats2.clone()));
-    let rms = std::sync::Arc::new(ariesim::txn::RmRegistry::new());
-    let index_rm = ariesim::btree::IndexRm::new(pool.clone(), stats2.clone());
-    rms.register(index_rm.clone());
-    rms.register(std::sync::Arc::new(ariesim::storage::SpaceRm::new(pool.clone())));
-    let tree = ariesim::btree::BTree::new(
-        ariesim::common::IndexId(1),
-        ariesim::common::PageId(ariesim::storage::FIRST_USER_PAGE),
-        false,
-        LockProtocol::DataOnly,
-        pool.clone(),
-        locks,
-        log.clone(),
-        stats2.clone(),
-    );
-    index_rm.register_tree(tree.clone());
-    let outcome = ariesim::recovery::restart(&log, &pool, &rms, &stats2).unwrap();
+    drop(t1);
+    let (f, outcome) = f.crash_and_restart(Obs::disabled());
     assert_eq!(outcome.losers.len(), 1, "T1 is the loser");
 
-    let s = stats2.snapshot();
+    let s = f.stats.snapshot();
     assert!(
         s.undo_logical >= 1,
         "re-inserting k05 cannot fit page-oriented: {s:?}"
@@ -187,9 +151,9 @@ fn crash_after_space_consumed_forces_logical_undo_with_split() {
     );
     assert_eq!(s.redo_traversals, 0, "redo stayed page-oriented");
     // Final state: 13 original keys (k05 restored) + T2's committed key.
-    let report = tree.check_structure().unwrap();
+    let report = f.tree.check_structure().unwrap();
     assert_eq!(report.keys, 14);
-    let keys = tree.scan_all_unlocked().unwrap();
+    let keys = f.tree.scan_all_unlocked().unwrap();
     assert!(keys.iter().any(|k| k.value.starts_with(b"k05-")));
     assert!(keys.iter().any(|k| k.value.starts_with(b"k02x-")));
 }

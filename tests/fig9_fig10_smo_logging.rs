@@ -19,7 +19,7 @@ use ariesim::common::Lsn;
 use ariesim::wal::{LogRecord, RecordKind, RmId};
 use support::{fix, nkey};
 
-fn index_records_of_txn(f: &support::Fix, txn: ariesim::common::TxnId) -> Vec<LogRecord> {
+fn index_records_of_txn(f: &support::Rig, txn: ariesim::common::TxnId) -> Vec<LogRecord> {
     f.log
         .scan(Lsn::NULL)
         .map(|r| r.unwrap())

@@ -11,18 +11,16 @@ use support::nkey;
 
 /// Build a tree with page-granularity data locks on top of the standard
 /// fixture stack.
-fn page_granularity_fix() -> (support::Fix, std::sync::Arc<BTree>) {
+fn page_granularity_fix() -> (support::Rig, std::sync::Arc<BTree>) {
     let f = support::fix(LockProtocol::DataOnly, false);
-    let tree = BTree::new_with_granularity(
+    let page_granularity = true;
+    let tree = BTree::open(
+        &f,
         IndexId(1),
         f.tree.root,
         false,
         LockProtocol::DataOnly,
-        true, // page granularity
-        f.pool.clone(),
-        f.locks.clone(),
-        f.log.clone(),
-        f.stats.clone(),
+        page_granularity,
     );
     (f, tree)
 }

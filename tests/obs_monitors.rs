@@ -14,7 +14,7 @@ use ariesim::btree::fetch::FetchCond;
 use ariesim::btree::LockProtocol;
 use ariesim::common::PageId;
 use ariesim::obs::{current_latch_depth, take_latch_high_water, EventKind, Obs};
-use support::{fix_with_obs, nkey};
+use support::{nkey, rig, FRAMES};
 
 /// Concurrent inserts driving a steady stream of page splits, mixed with
 /// readers: latch coupling must never exceed two page latches, and no
@@ -22,7 +22,7 @@ use support::{fix_with_obs, nkey};
 #[test]
 fn latch_protocol_holds_under_concurrent_splits() {
     let obs = Obs::enabled(1 << 14);
-    let f = fix_with_obs(LockProtocol::DataOnly, false, obs.clone());
+    let f = rig(LockProtocol::DataOnly, false, FRAMES, obs.clone());
     let txn = f.tm.begin();
     for i in 0..200u32 {
         f.tree.insert(&txn, &nkey(i * 100)).unwrap();
@@ -72,7 +72,7 @@ fn latch_protocol_holds_under_concurrent_splits() {
 #[test]
 fn third_held_page_latch_is_a_counted_violation() {
     let obs = Obs::enabled(1 << 10);
-    let f = fix_with_obs(LockProtocol::DataOnly, false, obs.clone());
+    let f = rig(LockProtocol::DataOnly, false, FRAMES, obs.clone());
     let before = obs.monitor.snapshot();
     assert!(before.clean() && before.max_latch_depth <= 2, "{before:?}");
     assert_eq!(current_latch_depth(), 0);
@@ -103,7 +103,7 @@ fn third_held_page_latch_is_a_counted_violation() {
 #[test]
 fn restart_redo_is_page_oriented_per_monitor() {
     let obs = Obs::enabled(1 << 12);
-    let f = fix_with_obs(LockProtocol::DataOnly, false, obs.clone());
+    let f = rig(LockProtocol::DataOnly, false, FRAMES, obs.clone());
     let txn = f.tm.begin();
     for i in 0..300u32 {
         f.tree.insert(&txn, &nkey(i)).unwrap();
@@ -115,52 +115,9 @@ fn restart_redo_is_page_oriented_per_monitor() {
     }
     f.log.flush_all().unwrap();
 
-    let dir = f._dir.path().to_path_buf();
-    let root = f.tree.root;
     drop(loser);
-    let support::Fix { _dir: keep, .. } = f;
-
-    let stats2 = ariesim::common::stats::new_stats();
     let obs2 = Obs::enabled(1 << 12);
-    let log = std::sync::Arc::new(
-        ariesim::wal::LogManager::open_with_obs(
-            &dir.join("wal"),
-            ariesim::wal::LogOptions::default(),
-            stats2.clone(),
-            obs2.clone(),
-        )
-        .unwrap(),
-    );
-    let disk = ariesim::storage::DiskManager::open(&dir.join("db"), stats2.clone()).unwrap();
-    let pool = ariesim::storage::BufferPool::new_with_obs(
-        disk,
-        log.clone(),
-        512,
-        stats2.clone(),
-        obs2.clone(),
-    );
-    let locks = std::sync::Arc::new(ariesim::lock::LockManager::new_with_obs(
-        stats2.clone(),
-        obs2.clone(),
-    ));
-    let rms = std::sync::Arc::new(ariesim::txn::RmRegistry::new());
-    let index_rm = ariesim::btree::IndexRm::new(pool.clone(), stats2.clone());
-    rms.register(index_rm.clone());
-    rms.register(std::sync::Arc::new(ariesim::storage::SpaceRm::new(
-        pool.clone(),
-    )));
-    let tree = ariesim::btree::BTree::new(
-        ariesim::common::IndexId(1),
-        root,
-        false,
-        LockProtocol::DataOnly,
-        pool.clone(),
-        locks,
-        log.clone(),
-        stats2.clone(),
-    );
-    index_rm.register_tree(tree.clone());
-    ariesim::recovery::restart(&log, &pool, &rms, &stats2).unwrap();
+    let (f, _) = f.crash_and_restart(obs2.clone());
 
     let m = obs2.monitor.snapshot();
     assert_eq!(
@@ -170,8 +127,7 @@ fn restart_redo_is_page_oriented_per_monitor() {
     assert!(m.clean(), "{m:?}");
     // The losers' undo ran through the monitored latch layer too.
     assert!(m.max_latch_depth >= 1, "restart touched no pages? {m:?}");
-    tree.check_structure().unwrap();
-    drop(keep);
+    f.tree.check_structure().unwrap();
 }
 
 /// The event ring observes real engine activity, dumps as JSONL, and every
@@ -179,7 +135,7 @@ fn restart_redo_is_page_oriented_per_monitor() {
 #[test]
 fn event_ring_dumps_jsonl_and_reparses() {
     let obs = Obs::enabled(1 << 14);
-    let f = fix_with_obs(LockProtocol::DataOnly, false, obs.clone());
+    let f = rig(LockProtocol::DataOnly, false, FRAMES, obs.clone());
     let txn = f.tm.begin();
     for i in 0..150u32 {
         f.tree.insert(&txn, &nkey(i)).unwrap();

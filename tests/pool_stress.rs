@@ -17,11 +17,11 @@
 //!    must hold for each one, eviction and flush alike.
 
 use ariesim::common::page::PageType;
-use ariesim::common::stats::new_stats;
 use ariesim::common::tmp::TempDir;
 use ariesim::common::{Lsn, PageId, TxnId};
 use ariesim::obs::{Event, EventKind, Obs, ObsHandle};
-use ariesim::storage::{BufferPool, DiskManager};
+use ariesim::storage::BufferPool;
+use ariesim::txn::Core;
 use ariesim::wal::{LogManager, LogOptions, LogRecord, RmId};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
@@ -40,19 +40,8 @@ fn ops_per_thread() -> u32 {
 
 fn build_pool(obs: ObsHandle) -> (TempDir, Arc<BufferPool>, Arc<LogManager>) {
     let dir = TempDir::new("pool-stress");
-    let stats = new_stats();
-    let log = Arc::new(
-        LogManager::open_with_obs(
-            &dir.file("wal"),
-            LogOptions::default(),
-            stats.clone(),
-            obs.clone(),
-        )
-        .unwrap(),
-    );
-    let disk = DiskManager::open(&dir.file("db"), stats.clone()).unwrap();
-    let pool = BufferPool::new_with_obs(disk, log.clone(), FRAMES, stats, obs);
-    (dir, pool, log)
+    let core = Core::open(dir.path(), FRAMES, LogOptions::default(), obs).unwrap();
+    (dir, core.pool.clone(), core.log.clone())
 }
 
 /// Format the working set: page `p` starts at version 0.

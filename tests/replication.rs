@@ -290,3 +290,47 @@ fn promoted_standby_without_sync_recovers_shipped_prefix() {
     promoted.commit(&txn).unwrap();
     assert_eq!(promoted.verify_consistency().unwrap().rows, 10);
 }
+
+/// A standby's (and a promoted standby's) log, pool and lock manager count
+/// into one `Stats` and report to one `Obs`. The hand-built standby stack
+/// gave its lock manager a disabled handle while its log and pool got the
+/// caller's; `Core::open` leaves no place to write that.
+#[test]
+fn standby_components_share_one_stats_and_one_obs() {
+    use ariesim_common::{PageId, Rid, TxnId};
+    use ariesim_lock::{LockDuration, LockMode, LockName};
+    use ariesim_obs::EventKind;
+    use ariesim_txn::Core;
+
+    fn shares_one_context(core: &Core) {
+        assert!(Arc::ptr_eq(&core.obs, core.pool.obs()));
+        let before = core.stats.snapshot();
+        let (txn, name) = (TxnId(u64::MAX - 1), LockName::Record(Rid::new(PageId(9), 0)));
+        core.locks
+            .request(txn, name, LockMode::X, LockDuration::Commit, false)
+            .unwrap();
+        core.locks.release_all(txn);
+        drop(core.pool.fix_s(PageId(1)).unwrap());
+        let d = core.stats.snapshot().since(&before);
+        assert_eq!((d.locks_acquired, d.page_fixes), (1, 1));
+    }
+
+    let dir = TempDir::new("repl-context");
+    let primary = primary_with_schema(&dir);
+    insert_committed(&primary, 0..5);
+    let obs = Obs::enabled(1 << 10);
+    let pair = ReplPair::create(primary, &dir.path().join("standby"), obs.clone()).unwrap();
+    let core = pair.standby.core();
+    assert!(Arc::ptr_eq(&core.obs, &obs));
+    obs.reset();
+    shares_one_context(core);
+    let granted = |e: &ariesim_obs::Event| e.kind == EventKind::LockGrant;
+    assert!(
+        obs.ring.snapshot().iter().any(granted),
+        "the standby's lock manager reports to another Obs"
+    );
+
+    let (primary, standby, _shipper) = pair.into_parts();
+    drop(primary);
+    shares_one_context(&standby.promote().unwrap());
+}

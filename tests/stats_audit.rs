@@ -19,6 +19,7 @@ mod support;
 
 use ariesim::btree::fetch::FetchCond;
 use ariesim::btree::LockProtocol;
+use ariesim::obs::Obs;
 use ariesim::recovery::ImageCopy;
 use ariesim::storage::SpaceMap;
 use support::{fix, nkey};
@@ -60,9 +61,9 @@ fn audited_counters_fire_under_mixed_ops_and_recovery() {
     // Media recovery: image-copy every allocated page, then roll one leaf
     // forward from the dump (one log pass).
     let pages = SpaceMap::new(f.pool.clone()).allocated_pages().unwrap();
-    let copy = ImageCopy::take(&f.pool, &f.log, &pages).unwrap();
+    let copy = ImageCopy::take(&f, &pages).unwrap();
     let victim = f.tree.leaf_for_value(&nkey(100).value).unwrap();
-    copy.recover_page(&f.log, &f.rms, victim, &f.stats).unwrap();
+    copy.recover_page(&f, victim).unwrap();
 
     // Force dirty pages out so the write path is exercised too (the pool
     // is large enough that nothing evicts on its own here).
@@ -89,52 +90,14 @@ fn audited_counters_fire_under_mixed_ops_and_recovery() {
     f.tree.insert(&loser, &nkey(91_000)).unwrap();
     f.log.flush_all().unwrap();
 
-    let dir = f._dir.path().to_path_buf();
-    let root = f.tree.root;
     drop(loser);
-    let support::Fix { _dir: keep, .. } = f;
-    let stats2 = ariesim::common::stats::new_stats();
-    let log = std::sync::Arc::new(
-        ariesim::wal::LogManager::open(
-            &dir.join("wal"),
-            ariesim::wal::LogOptions::default(),
-            stats2.clone(),
-        )
-        .unwrap(),
-    );
-    let disk = ariesim::storage::DiskManager::open(&dir.join("db"), stats2.clone()).unwrap();
-    let pool = ariesim::storage::BufferPool::new(
-        disk,
-        log.clone(),
-        512,
-        stats2.clone(),
-    );
-    let locks = std::sync::Arc::new(ariesim::lock::LockManager::new(stats2.clone()));
-    let rms = std::sync::Arc::new(ariesim::txn::RmRegistry::new());
-    let index_rm = ariesim::btree::IndexRm::new(pool.clone(), stats2.clone());
-    rms.register(index_rm.clone());
-    rms.register(std::sync::Arc::new(ariesim::storage::SpaceRm::new(
-        pool.clone(),
-    )));
-    let tree = ariesim::btree::BTree::new(
-        ariesim::common::IndexId(1),
-        root,
-        false,
-        LockProtocol::DataOnly,
-        pool.clone(),
-        locks,
-        log.clone(),
-        stats2.clone(),
-    );
-    index_rm.register_tree(tree.clone());
-    ariesim::recovery::restart(&log, &pool, &rms, &stats2).unwrap();
+    let (f, _) = f.crash_and_restart(Obs::disabled());
 
-    let s2 = stats2.snapshot();
+    let s2 = f.stats.snapshot();
     assert!(s2.redo_records_seen > 0, "redo saw no records: {s2:?}");
     assert!(s2.redo_applied > 0, "nothing redone: {s2:?}");
     assert!(s2.restart_page_reads > 0, "restart read no pages: {s2:?}");
     assert!(s2.undo_page_oriented > 0, "loser undo not page-oriented: {s2:?}");
     assert_eq!(s2.redo_traversals, 0, "redo must stay page-oriented");
-    tree.check_structure().unwrap();
-    drop(keep);
+    f.tree.check_structure().unwrap();
 }
