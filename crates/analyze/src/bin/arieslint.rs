@@ -1,10 +1,9 @@
-//! `arieslint` — run the repo's custom lint suite and/or the lockdep check.
+//! `arieslint` — run the repo's custom lint suite.
 //!
 //! ```text
 //! cargo run -p analyze --bin arieslint                      # source lints
 //! cargo run -p analyze --bin arieslint -- --census          # + census table
 //! cargo run -p analyze --bin arieslint -- --crash-points F  # + reachability
-//! cargo run -p analyze --bin arieslint -- --lockdep DUMP    # dump check only
 //! ```
 //!
 //! Exits nonzero on any finding. The allowlist is `lint.allow` at the repo
@@ -31,30 +30,24 @@ fn find_root(start: &Path) -> PathBuf {
 }
 
 fn main() -> ExitCode {
-    let mut lockdep_file: Option<PathBuf> = None;
     let mut crash_points_file: Option<PathBuf> = None;
     let mut root_arg: Option<PathBuf> = None;
     let mut census = false;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--lockdep" => lockdep_file = args.next().map(PathBuf::from),
             "--crash-points" => crash_points_file = args.next().map(PathBuf::from),
             "--root" => root_arg = args.next().map(PathBuf::from),
             "--census" => census = true,
             "--help" | "-h" => {
                 println!(
-                    "arieslint [--root DIR] [--census] [--crash-points FILE] [--lockdep DUMP]\n\
+                    "arieslint [--root DIR] [--census] [--crash-points FILE]\n\
                      \n\
-                     With no --lockdep: run the source lint suite over the workspace\n\
-                     (latch census + rank order, no-wait-under-latch, panic audit,\n\
-                     atomics-ordering census, crash-point registry, WAL-record\n\
-                     coverage), filtered through lint.allow. --crash-points adds the\n\
-                     reachability audit against a `torture --list-points` output file.\n\
-                     \n\
-                     With --lockdep: check an acquisition-order dump (JSONL from\n\
-                     ariesim_obs::lockdep::dump_jsonl) for rank violations, cycles,\n\
-                     waits-under-latch, and page-latch chain depth > 2."
+                     Run the source lint suite over the workspace (latch census +\n\
+                     rank order, no-wait-under-latch, panic audit, atomics-ordering\n\
+                     census, crash-point registry, WAL-record coverage), filtered\n\
+                     through lint.allow. --crash-points adds the reachability audit\n\
+                     against a `torture --list-points` output file."
                 );
                 return ExitCode::SUCCESS;
             }
@@ -65,78 +58,50 @@ fn main() -> ExitCode {
         }
     }
 
-    let mut findings = Vec::new();
+    let cwd = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
+    let root = root_arg.unwrap_or_else(|| find_root(&cwd));
 
-    // --- lockdep mode -----------------------------------------------------
-    if let Some(dump_path) = &lockdep_file {
-        let text = match std::fs::read_to_string(dump_path) {
-            Ok(t) => t,
+    let reached: Option<Vec<String>> = match &crash_points_file {
+        Some(p) => match std::fs::read_to_string(p) {
+            Ok(t) => Some(
+                t.lines()
+                    .filter_map(|l| l.split_whitespace().next())
+                    .map(str::to_string)
+                    .collect(),
+            ),
             Err(e) => {
-                eprintln!("arieslint: cannot read {}: {e}", dump_path.display());
+                eprintln!("arieslint: cannot read {}: {e}", p.display());
                 return ExitCode::from(2);
             }
-        };
-        let dump = analyze::lockdep::parse_dump(&text);
-        if dump.edges.is_empty() && dump.acquisitions == 0 {
-            eprintln!(
-                "arieslint: {} contains no lockdep data (release build? \
-                 the graph is recorded under debug assertions only)",
-                dump_path.display()
-            );
+        },
+        None => None,
+    };
+
+    let report = match analyze::run_source_lints(&root, reached.as_deref()) {
+        Ok(r) => r,
+        Err(e) => {
+            eprintln!("arieslint: scan failed: {e}");
             return ExitCode::from(2);
         }
-        print!("{}", analyze::lockdep::summarize(&dump));
-        findings.extend(analyze::lockdep::check_dump(
-            &dump_path.display().to_string(),
-            &dump,
-        ));
-    } else {
-        // --- source-lint mode ---------------------------------------------
-        let cwd = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
-        let root = root_arg.unwrap_or_else(|| find_root(&cwd));
+    };
+    let allow_text =
+        std::fs::read_to_string(root.join("lint.allow")).unwrap_or_default();
+    let (allow, allow_findings) = analyze::parse_allowlist(&allow_text);
+    let mut findings = analyze::apply_allowlist(report.findings, &allow);
+    findings.extend(allow_findings);
 
-        let reached: Option<Vec<String>> = match &crash_points_file {
-            Some(p) => match std::fs::read_to_string(p) {
-                Ok(t) => Some(
-                    t.lines()
-                        .filter_map(|l| l.split_whitespace().next())
-                        .map(str::to_string)
-                        .collect(),
-                ),
-                Err(e) => {
-                    eprintln!("arieslint: cannot read {}: {e}", p.display());
-                    return ExitCode::from(2);
-                }
-            },
-            None => None,
-        };
-
-        let report = match analyze::run_source_lints(&root, reached.as_deref()) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("arieslint: scan failed: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        let allow_text =
-            std::fs::read_to_string(root.join("lint.allow")).unwrap_or_default();
-        let (allow, allow_findings) = analyze::parse_allowlist(&allow_text);
-        findings.extend(analyze::apply_allowlist(report.findings, &allow));
-        findings.extend(allow_findings);
-
-        if census {
-            print!("{}", analyze::census_table(&report.census));
-            print!("{}", analyze::ordering_table(&report.ordering_sites));
-        }
-        println!(
-            "arieslint: {} latch sites, {} ordering sites, {} crash points, \
-             {} allowlist entries",
-            report.census.len(),
-            report.ordering_sites.len(),
-            report.crash_points.len(),
-            allow.len()
-        );
+    if census {
+        print!("{}", analyze::census_table(&report.census));
+        print!("{}", analyze::ordering_table(&report.ordering_sites));
     }
+    println!(
+        "arieslint: {} latch sites, {} ordering sites, {} crash points, \
+         {} allowlist entries",
+        report.census.len(),
+        report.ordering_sites.len(),
+        report.crash_points.len(),
+        allow.len()
+    );
 
     if findings.is_empty() {
         println!("arieslint: clean");

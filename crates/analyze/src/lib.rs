@@ -1,7 +1,7 @@
 //! `arieslint` — a repo-specific static-analysis pass that mechanically
 //! certifies the code-level obligations behind the paper's §4 safety
-//! argument, plus a lockdep-style checker over the runtime acquisition-order
-//! graph dumped by `ariesim_obs::lockdep`.
+//! argument. (Its dynamic counterpart is the always-on latch monitor,
+//! `ariesim_obs::monitor`.)
 //!
 //! The §4 deadlock-freedom proof rests on discipline the compiler cannot
 //! check: every latch acquisition follows the rank order (tree latch before
@@ -47,8 +47,6 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-pub mod lockdep;
-
 /// One lint finding, anchored at a file and line.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
@@ -59,7 +57,7 @@ pub struct Finding {
     /// Stable lint identifier (part of the allowlist key).
     pub lint: &'static str,
     /// Content fingerprint of the flagged line ([`fp8`]); empty for synthetic
-    /// findings with no source line (lockdep dumps, allowlist diagnostics).
+    /// findings with no source line (allowlist diagnostics).
     pub fp: String,
     pub msg: String,
 }
@@ -497,7 +495,7 @@ fn blocking_request_in(stmt: &str) -> bool {
 /// while a tracked latch guard is live.
 ///
 /// Tracks only guards bound by `let` in the same function (parameters and
-/// struct fields are out of scope — the runtime lockdep graph covers those).
+/// struct fields are out of scope — the runtime latch monitor covers those).
 /// A guard is released by `drop(g)`, `g.take()`, a bare-ident move, or the
 /// end of the function.
 pub fn lint_no_wait_under_latch(file: &str, content: &str) -> Vec<Finding> {

@@ -4,7 +4,7 @@
 
 use analyze::{
     apply_allowlist, find_crash_points, lint_crash_points, lint_latch_census, lint_no_panic,
-    lint_no_wait_under_latch, lint_ordering_census, lint_wal_coverage, lockdep, parse_allowlist,
+    lint_no_wait_under_latch, lint_ordering_census, lint_wal_coverage, parse_allowlist,
     run_source_lints, Finding, ALLOWLIST_MAX,
 };
 use std::path::{Path, PathBuf};
@@ -171,114 +171,6 @@ fn fingerprints_key_on_trimmed_content() {
     }];
     let out = apply_allowlist(f, &allow);
     assert_eq!(out.len(), 2, "finding survives and the entry goes stale");
-}
-
-// ---------------------------------------------------------------------------
-// Lockdep dump checker
-// ---------------------------------------------------------------------------
-
-fn edge(held: &str, acquired: &str) -> String {
-    format!(
-        "{{\"type\":\"edge\",\"held\":\"{held}\",\"acquired\":\"{acquired}\",\
-         \"site\":\"t.rs:1\",\"count\":3}}\n"
-    )
-}
-
-fn summary(chain: u64) -> String {
-    format!("{{\"type\":\"summary\",\"edges\":1,\"acquisitions\":100,\"max_page_latch_chain\":{chain}}}\n")
-}
-
-#[test]
-fn lockdep_accepts_the_legal_order() {
-    let text = format!(
-        "{}{}{}{}",
-        edge("TreeLatch", "PageLatch"),
-        edge("PageLatch", "PageLatch"),
-        edge("LockTable", "LockWait"),
-        summary(2)
-    );
-    let d = lockdep::parse_dump(&text);
-    assert_eq!(d.edges.len(), 3);
-    assert_eq!(d.acquisitions, 100);
-    assert!(lockdep::check_dump("dump", &d).is_empty());
-}
-
-#[test]
-fn lockdep_rejects_wait_under_latch() {
-    let text = format!("{}{}", edge("PageLatch", "LockWait"), summary(1));
-    let d = lockdep::parse_dump(&text);
-    let f = lockdep::check_dump("dump", &d);
-    assert_eq!(f.len(), 1);
-    assert!(f[0].msg.contains("blocking lock wait while holding a PageLatch"));
-}
-
-#[test]
-fn lockdep_rejects_rank_inversion_and_cycle() {
-    let text = format!(
-        "{}{}{}",
-        edge("TreeLatch", "PageLatch"),
-        edge("PageLatch", "TreeLatch"),
-        summary(2)
-    );
-    let d = lockdep::parse_dump(&text);
-    let f = lockdep::check_dump("dump", &d);
-    assert!(f.iter().any(|f| f.msg.contains("rank-order violation")));
-    assert!(f.iter().any(|f| f.msg.contains("acquisition-order cycle")));
-}
-
-#[test]
-fn lockdep_accepts_latch_then_pool_shard() {
-    // PageLatch(2) → PoolShard(3) is the legal order: guards mark pages
-    // dirty (shard mutex) while X-latched, and eviction's write-back
-    // bookkeeping relocks the shard under the frame latch.
-    let text = format!("{}{}", edge("PageLatch", "PoolShard"), summary(1));
-    let d = lockdep::parse_dump(&text);
-    assert!(lockdep::check_dump("dump", &d).is_empty());
-}
-
-#[test]
-fn lockdep_rejects_pool_shard_held_across_latch_wait() {
-    // The inverse — blocking on a page latch while holding a shard mutex —
-    // is a rank inversion (3 → 2): a shard holder stalled behind latch
-    // traffic would serialize its whole partition.
-    let text = format!("{}{}", edge("PoolShard", "PageLatch"), summary(1));
-    let d = lockdep::parse_dump(&text);
-    let f = lockdep::check_dump("dump", &d);
-    assert_eq!(f.len(), 1);
-    assert!(f[0].msg.contains("rank-order violation"));
-    assert!(f[0].msg.contains("PoolShard"));
-}
-
-#[test]
-fn lockdep_rejects_shard_to_shard_edges() {
-    // All shards share one class; a thread must never hold two shard
-    // mutexes at once, so a rank-equal PoolShard → PoolShard edge is an
-    // error (only page-latch coupling may stay within its rank).
-    let text = format!("{}{}", edge("PoolShard", "PoolShard"), summary(1));
-    let d = lockdep::parse_dump(&text);
-    let f = lockdep::check_dump("dump", &d);
-    assert_eq!(f.len(), 1);
-    assert!(f[0].msg.contains("rank-equal edge"));
-}
-
-#[test]
-fn lockdep_treats_retired_pool_mutex_as_unknown() {
-    // Dumps from pre-partitioned builds must fail loudly, not pass by
-    // accident: the retired `PoolMutex` class no longer has a rank.
-    let text = format!("{}{}", edge("PageLatch", "PoolMutex"), summary(1));
-    let d = lockdep::parse_dump(&text);
-    let f = lockdep::check_dump("dump", &d);
-    assert_eq!(f.len(), 1);
-    assert!(f[0].msg.contains("unknown class"));
-}
-
-#[test]
-fn lockdep_rejects_deep_page_latch_chains() {
-    let text = format!("{}{}", edge("PageLatch", "PageLatch"), summary(3));
-    let d = lockdep::parse_dump(&text);
-    let f = lockdep::check_dump("dump", &d);
-    assert_eq!(f.len(), 1);
-    assert!(f[0].msg.contains("chain depth 3"));
 }
 
 // ---------------------------------------------------------------------------

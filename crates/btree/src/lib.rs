@@ -205,12 +205,7 @@ impl BTree {
     /// Test/experiment hook: acquire the X tree latch, simulating an SMO in
     /// progress (used by the Figure 3 scenario and the SMO ablation bench).
     pub fn hold_tree_latch_x(&self) -> TreeXGuard<'_> {
-        ariesim_obs::lockdep::acquired(
-            ariesim_obs::lockdep::Class::TreeLatch,
-            "btree::hold_tree_latch_x",
-            true,
-        );
-        TreeXGuard(self.tree_latch.write())
+        self.tree_x() // latch-rank: 1
     }
 
     /// Test/experiment hook: set or clear the SM_Bit / Delete_Bit on a page,

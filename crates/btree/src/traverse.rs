@@ -28,26 +28,17 @@ use ariesim_common::key::SearchKey;
 use ariesim_common::page::PageType;
 use ariesim_common::stats::Bump;
 use ariesim_common::{Error, Lsn, PageBuf, PageId, Result};
-use ariesim_obs::{lockdep, EventKind, ModeTag, SpanKind};
+use ariesim_obs::monitor::{Class, Held};
+use ariesim_obs::{EventKind, ModeTag, SpanKind};
 use ariesim_storage::{PageReadGuard, PageWriteGuard};
 
-/// S-mode tree-latch guard; reports its release to the lockdep graph.
-pub struct TreeSGuard<'a>(#[allow(dead_code)] pub(crate) parking_lot::RwLockReadGuard<'a, ()>);
+/// S-mode tree-latch guard, carrying its latch-monitor report.
+#[allow(dead_code)]
+pub struct TreeSGuard<'a>(parking_lot::RwLockReadGuard<'a, ()>, Held);
 
-impl Drop for TreeSGuard<'_> {
-    fn drop(&mut self) {
-        lockdep::released(lockdep::Class::TreeLatch);
-    }
-}
-
-/// X-mode tree-latch guard; reports its release to the lockdep graph.
-pub struct TreeXGuard<'a>(#[allow(dead_code)] pub(crate) parking_lot::RwLockWriteGuard<'a, ()>);
-
-impl Drop for TreeXGuard<'_> {
-    fn drop(&mut self) {
-        lockdep::released(lockdep::Class::TreeLatch);
-    }
-}
+/// X-mode tree-latch guard, carrying its latch-monitor report.
+#[allow(dead_code)]
+pub struct TreeXGuard<'a>(parking_lot::RwLockWriteGuard<'a, ()>, Held);
 
 /// The latched leaf a traversal ends at: S for fetches, X for modifications
 /// (Figure 4's final step).
@@ -107,16 +98,15 @@ impl BTree {
     /// All S acquisitions of the tree latch use `read_recursive`, so a
     /// waiting SMO does not block new S acquirers — acceptable, since S
     /// holds are short and rare. No thread acquires the latch while holding
-    /// it (lockdep's rank-equal rule checks that on every test run).
+    /// it (the monitor counts that rank-equal wait as an order violation).
     pub(crate) fn tree_instant_s(&self) {
         self.stats.latches_tree.bump();
         self.stats.latches_tree_instant.bump();
         self.obs
             .event(EventKind::TreeLatchAcquire, ModeTag::Instant, 0, 0, 0);
-        lockdep::acquired(lockdep::Class::TreeLatch, "btree::tree_instant_s", true);
+        let _held = self.obs.monitor.acquired(Class::TreeLatch, "btree::tree_instant_s", true);
         if let Some(g) = self.tree_latch.try_read_recursive() {
             drop(g);
-            lockdep::released(lockdep::Class::TreeLatch);
             return;
         }
         self.stats.latch_tree_waits.bump();
@@ -124,18 +114,14 @@ impl BTree {
         let span = self.obs.span(SpanKind::LatchWait, 0, 0);
         drop(self.tree_latch.read_recursive());
         drop(span);
-        lockdep::released(lockdep::Class::TreeLatch);
         self.obs.hist.latch_wait_tree.record_since(wait);
     }
 
     /// Conditional S tree latch (used by boundary-key deletes, Figure 7).
     pub(crate) fn try_tree_s(&self) -> Option<TreeSGuard<'_>> {
-        let g = self.tree_latch.try_read_recursive();
-        if g.is_some() {
-            self.stats.latches_tree.bump();
-            lockdep::acquired(lockdep::Class::TreeLatch, "btree::try_tree_s", false);
-        }
-        g.map(TreeSGuard)
+        let g = self.tree_latch.try_read_recursive()?;
+        self.stats.latches_tree.bump();
+        Some(TreeSGuard(g, self.obs.monitor.acquired(Class::TreeLatch, "btree::try_tree_s", false)))
     }
 
     /// Unconditional S tree latch.
@@ -143,9 +129,9 @@ impl BTree {
         self.stats.latches_tree.bump();
         self.obs
             .event(EventKind::TreeLatchAcquire, ModeTag::S, 0, 0, 0);
-        lockdep::acquired(lockdep::Class::TreeLatch, "btree::tree_s", true);
+        let held = self.obs.monitor.acquired(Class::TreeLatch, "btree::tree_s", true);
         if let Some(g) = self.tree_latch.try_read_recursive() {
-            return TreeSGuard(g);
+            return TreeSGuard(g, held);
         }
         self.stats.latch_tree_waits.bump();
         let wait = self.obs.timer();
@@ -153,7 +139,7 @@ impl BTree {
         let g = self.tree_latch.read_recursive();
         drop(span);
         self.obs.hist.latch_wait_tree.record_since(wait);
-        TreeSGuard(g)
+        TreeSGuard(g, held)
     }
 
     /// X tree latch: serializes SMOs on this index.
@@ -161,9 +147,9 @@ impl BTree {
         self.stats.latches_tree.bump();
         self.obs
             .event(EventKind::TreeLatchAcquire, ModeTag::X, 0, 0, 0);
-        lockdep::acquired(lockdep::Class::TreeLatch, "btree::tree_x", true);
+        let held = self.obs.monitor.acquired(Class::TreeLatch, "btree::tree_x", true);
         if let Some(g) = self.tree_latch.try_write() {
-            return TreeXGuard(g);
+            return TreeXGuard(g, held);
         }
         self.stats.latch_tree_waits.bump();
         let wait = self.obs.timer();
@@ -171,7 +157,7 @@ impl BTree {
         let g = self.tree_latch.write();
         drop(span);
         self.obs.hist.latch_wait_tree.record_since(wait);
-        TreeXGuard(g)
+        TreeXGuard(g, held)
     }
 
     // --- Figure 4 ---------------------------------------------------------

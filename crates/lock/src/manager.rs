@@ -27,7 +27,7 @@ use crate::mode::{LockDuration, LockMode};
 use crate::name::LockName;
 use ariesim_common::stats::{Bump, StatsHandle};
 use ariesim_common::{Error, Result, TxnId};
-use ariesim_obs::lockdep;
+use ariesim_obs::monitor::{Class, Held};
 use ariesim_obs::{EventKind, ModeTag, ObsHandle, SpanKind};
 use parking_lot::{Condvar, Mutex};
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -99,9 +99,9 @@ pub struct LockManager {
     obs: ObsHandle,
 }
 
-/// Lock-table guard that reports its acquisition/release to the lockdep
-/// graph (class [`lockdep::Class::LockTable`]).
-struct StateGuard<'a>(parking_lot::MutexGuard<'a, State>);
+/// Lock-table guard carrying its latch-monitor report (class
+/// [`Class::LockTable`]).
+struct StateGuard<'a>(parking_lot::MutexGuard<'a, State>, #[allow(dead_code)] Held);
 
 impl std::ops::Deref for StateGuard<'_> {
     type Target = State;
@@ -114,12 +114,6 @@ impl std::ops::Deref for StateGuard<'_> {
 impl std::ops::DerefMut for StateGuard<'_> {
     fn deref_mut(&mut self) -> &mut State {
         &mut self.0
-    }
-}
-
-impl Drop for StateGuard<'_> {
-    fn drop(&mut self) {
-        lockdep::released(lockdep::Class::LockTable);
     }
 }
 
@@ -147,8 +141,8 @@ impl LockManager {
     }
 
     fn lock_state(&self, site: &'static str) -> StateGuard<'_> {
-        lockdep::acquired(lockdep::Class::LockTable, site, true);
-        StateGuard(self.state.lock())
+        let held = self.obs.monitor.acquired(Class::LockTable, site, true);
+        StateGuard(self.state.lock(), held)
     }
 
     /// Request `name` in `mode` for `duration` on behalf of `txn`.
@@ -212,12 +206,9 @@ impl LockManager {
                 cell = self.enqueue(&mut st, txn, name.clone(), mode, duration, false)?;
             }
         }
-        // Wait outside the table mutex. Blocking here while holding a page
-        // latch would violate the §2.2 protocol — the monitor checks, and
-        // lockdep records a latch-class → LockWait edge that arieslint
-        // rejects.
+        // Wait outside the table mutex. Blocking here while holding a tree
+        // or page latch would violate the §2.2 protocol — the monitor checks.
         self.obs.monitor.on_unconditional_lock_wait();
-        lockdep::acquired(lockdep::Class::LockWait, "lock::manager::wait", true);
         self.obs
             .event(EventKind::LockWait, mode_tag(mode), txn.0, 0, name_tag(&name));
         let wait_timer = self.obs.timer();
@@ -231,7 +222,6 @@ impl LockManager {
                 .timed_out()
             {
                 drop(s);
-                lockdep::released(lockdep::Class::LockWait);
                 return Err(Error::Internal(format!(
                     "lock wait wedged: {txn} waiting for {name:?} in {mode:?}"
                 )));
@@ -239,7 +229,6 @@ impl LockManager {
         }
         drop(s);
         drop(wait_span);
-        lockdep::released(lockdep::Class::LockWait);
         self.obs.hist.lock_wait.record_since(wait_timer);
         self.note_grant(txn, &name, mode, duration);
         Ok(())

@@ -9,8 +9,9 @@
 //!   windows, traversal restarts, log forces, CLR writes), dumpable as
 //!   JSONL.
 //! * [`monitor`] — live checks of the latch-protocol invariants the paper
-//!   argues for: page-latch depth ≤ 2, no unconditional lock wait while
-//!   latched, and page-oriented (traversal-free) restart redo.
+//!   argues for: page-latch depth ≤ 2, latch acquisition order, no
+//!   unconditional lock wait while latched, and page-oriented
+//!   (traversal-free) restart redo.
 //!
 //! Everything hangs off an [`Obs`] handle (an `Arc` internally). An engine
 //! is opened with one (`Core::open` hands the same handle to every
@@ -20,7 +21,6 @@
 
 pub mod hist;
 pub mod json;
-pub mod lockdep;
 pub mod monitor;
 pub mod span;
 pub mod trace;
@@ -432,12 +432,16 @@ impl Obs {
         out.push_str(&format!(
             "latch monitor: max page-latch depth {} (limit {}), \
              depth violations {}, lock-wait-while-latched {}, \
-             latch underflows {}, redo traversals {} — {}\n",
+             order violations {}{}, redo traversals {} — {}\n",
             m.max_latch_depth,
             MAX_PAGE_LATCHES,
             m.latch_depth_violations,
             m.lock_wait_with_latch_violations,
-            m.latch_underflows,
+            m.latch_order_violations,
+            m.first_order_violation.map_or(String::new(), |v| format!(
+                " (first: {:?} requested under {:?} at {})",
+                v.acquired, v.held, v.site
+            )),
             m.redo_traversal_violations,
             if m.clean() { "CLEAN" } else { "VIOLATED" },
         ));
@@ -534,7 +538,7 @@ impl Obs {
             "lock_wait_with_latch_violations",
             m.lock_wait_with_latch_violations,
         );
-        mo.field_u64("latch_underflows", m.latch_underflows);
+        mo.field_u64("latch_order_violations", m.latch_order_violations);
         mo.field_u64("redo_traversal_violations", m.redo_traversal_violations);
         mo.field_bool("clean", m.clean());
         root.field_raw("monitor", &mo.finish());
@@ -625,8 +629,7 @@ mod tests {
         obs.event(EventKind::LockDeny, ModeTag::S, 1, 2, 3);
         std::thread::scope(|s| {
             s.spawn(|| {
-                obs.monitor.on_page_latch_acquired(1);
-                obs.monitor.on_page_latch_released(1);
+                drop(obs.monitor.acquired(monitor::Class::PageLatch, "test", true));
             });
         });
         obs.reset();

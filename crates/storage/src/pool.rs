@@ -15,8 +15,8 @@
 //! ([`BufferPool::partitions`]). A hit takes one shard mutex briefly; a
 //! re-pin through an existing [`PinGuard`] (or a guard's
 //! [`PageGuard::repin`]) touches only the frame's atomics. Shard mutexes
-//! register with lockdep as `PoolShard` (rank 3 — a thread never holds two
-//! shards at once). Traffic is counted once, in `obs.pool`.
+//! report to the latch monitor as `PoolShard` (rank 3 — a thread never
+//! holds two shards at once). Traffic is counted once, in `obs.pool`.
 //!
 //! The pool implements the ARIES buffer policies (paper §1.2):
 //!
@@ -48,7 +48,7 @@ use crate::eviction::Clock;
 use ariesim_common::stats::{Bump, StatsHandle};
 use ariesim_common::{Error, Lsn, PageBuf, PageId, Result};
 use ariesim_fault::crash_point;
-use ariesim_obs::lockdep;
+use ariesim_obs::monitor::{Class, Held};
 use ariesim_obs::{EventKind, ModeTag, ObsHandle, SpanKind};
 use ariesim_wal::{DptEntry, LogManager};
 use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
@@ -74,6 +74,9 @@ struct Mode<'p, L> {
     /// latch out in the mode that was asked for.
     from_loaded: fn(WriteLatch<'p>) -> L,
 }
+
+/// The write latch a miss loads under, with its monitor report.
+type LoadLatch<'p> = (WriteLatch<'p>, Held);
 
 impl<'p> Mode<'p, ReadLatch<'p>> {
     const SHARED: Self = Mode {
@@ -138,10 +141,10 @@ struct Shard {
     inner: Mutex<ShardInner>,
 }
 
-/// Shard-mutex guard that reports its acquisition/release to the lockdep
-/// graph, so a shard-held-across-a-latch-wait bug shows up as an
-/// order-violating edge rather than a silent hang.
-struct ShardGuard<'a>(parking_lot::MutexGuard<'a, ShardInner>);
+/// Shard-mutex guard carrying its latch-monitor report, so a shard held
+/// across a latch wait is a counted order violation rather than a silent
+/// hang.
+struct ShardGuard<'a>(parking_lot::MutexGuard<'a, ShardInner>, #[allow(dead_code)] Held);
 
 impl std::ops::Deref for ShardGuard<'_> {
     type Target = ShardInner;
@@ -154,12 +157,6 @@ impl std::ops::Deref for ShardGuard<'_> {
 impl std::ops::DerefMut for ShardGuard<'_> {
     fn deref_mut(&mut self) -> &mut ShardInner {
         &mut self.0
-    }
-}
-
-impl Drop for ShardGuard<'_> {
-    fn drop(&mut self) {
-        lockdep::released(lockdep::Class::PoolShard);
     }
 }
 
@@ -257,7 +254,7 @@ impl BufferPool {
 
     fn lock_shard(&self, sid: usize, site: &'static str) -> ShardGuard<'_> {
         let shard = &self.shards[sid];
-        lockdep::acquired(lockdep::Class::PoolShard, site, true);
+        let held = self.obs.monitor.acquired(Class::PoolShard, site, true);
         let inner = match shard.inner.try_lock() {
             Some(g) => g,
             None => {
@@ -266,7 +263,7 @@ impl BufferPool {
                 shard.inner.lock()
             }
         };
-        ShardGuard(inner)
+        ShardGuard(inner, held)
     }
 
     // --- fixing ---------------------------------------------------------
@@ -300,11 +297,7 @@ impl BufferPool {
     /// standby apply).
     pub fn pin(&self, page: PageId) -> Result<PinGuard<'_>> {
         self.stats.page_fixes.bump();
-        let (pin, loaded) = self.claim(page)?;
-        if let Some(latch) = loaded {
-            drop(latch);
-            lockdep::released(lockdep::Class::PageLatch);
-        }
+        let (pin, _) = self.claim(page)?;
         Ok(pin)
     }
 
@@ -318,7 +311,7 @@ impl BufferPool {
         self.stats.page_fixes.bump();
         loop {
             let (pin, loaded) = self.claim(page)?;
-            let Some(wlatch) = loaded else {
+            let Some((wlatch, held)) = loaded else {
                 match self.latch_frame(pin, mode, conditional, site) {
                     // A concurrent failed load unwound the frame between
                     // our pin and our latch; re-fix from the page table.
@@ -326,12 +319,12 @@ impl BufferPool {
                     other => return other,
                 }
             };
-            // The latch was already acquired (and lockdep-recorded) inside
-            // `claim`, under the load I/O.
-            self.note_granted(page, mode.tag, None);
+            // The latch was already acquired (and reported) inside `claim`,
+            // under the load I/O.
+            self.note_granted(page, mode.tag);
             return Ok(PageGuard {
                 latch: (mode.from_loaded)(wlatch),
-                grant: Grant { pin, mode: mode.tag },
+                grant: Grant { _held: held, pin, mode: mode.tag },
             });
         }
     }
@@ -348,6 +341,10 @@ impl BufferPool {
         site: &'static str,
     ) -> Result<PageGuard<'p, L>> {
         let slot = &self.frames[pin.frame].buf;
+        // A blocking request is reported (and order-checked) before it can
+        // block; a conditional one only once it is granted.
+        let monitor = &self.obs.monitor;
+        let blocking = (!conditional).then(|| monitor.acquired(Class::PageLatch, site, true));
         let latch = match (mode.try_latch)(slot) {
             Some(g) => g,
             None if conditional => return Err(Error::WouldBlock),
@@ -361,36 +358,25 @@ impl BufferPool {
                 g
             }
         };
+        let held = blocking.unwrap_or_else(|| monitor.acquired(Class::PageLatch, site, false));
         // ordering: acquire pairs with the Release owner store at
         // install/unwind — seeing the new owner implies seeing the table
         // state that produced it.
         if self.frames[pin.frame].owner.load(Ordering::Acquire) != pin.page.0 {
             return Err(Error::StalePin { page: pin.page });
         }
-        self.note_granted(pin.page, mode.tag, Some((site, !conditional)));
+        self.note_granted(pin.page, mode.tag);
         Ok(PageGuard {
             latch,
-            grant: Grant { pin, mode: mode.tag },
+            grant: Grant { _held: held, pin, mode: mode.tag },
         })
     }
 
-    /// The one place a page-latch grant is reported: `Stats`, lockdep (`site`
-    /// is `None` when `claim` already recorded the load latch it hands
-    /// over), the depth monitor and the event ring.
-    fn note_granted(&self, page: PageId, mode: ModeTag, site: Option<(&'static str, bool)>) {
+    /// Count and trace a page-latch grant handed out in a guard (the
+    /// monitor heard of it where the latch was taken).
+    fn note_granted(&self, page: PageId, mode: ModeTag) {
         self.stats.latches_page.bump();
-        if let Some((site, blocking)) = site {
-            lockdep::acquired(lockdep::Class::PageLatch, site, blocking);
-        }
-        self.obs.monitor.on_page_latch_acquired(page.0);
         self.obs.event(EventKind::LatchAcquire, mode, 0, page.0, 0);
-    }
-
-    /// The one place a page-latch release is reported.
-    fn note_released(&self, page: PageId, mode: ModeTag) {
-        lockdep::released(lockdep::Class::PageLatch);
-        self.obs.monitor.on_page_latch_released(page.0);
-        self.obs.event(EventKind::LatchRelease, mode, 0, page.0, 0);
     }
 
     /// Ring evidence of the WAL rule: a dirty page hit disk at `page_lsn`
@@ -403,7 +389,7 @@ impl BufferPool {
 
     /// Pin `page`'s frame, loading it from disk if absent. On a miss the
     /// write latch the load I/O happened under comes back too, still held.
-    fn claim(&self, page: PageId) -> Result<(PinGuard<'_>, Option<WriteLatch<'_>>)> {
+    fn claim(&self, page: PageId) -> Result<(PinGuard<'_>, Option<LoadLatch<'_>>)> {
         debug_assert!(!page.is_null(), "fix of NULL page");
         let sid = self.shard_of(page);
         loop {
@@ -428,7 +414,7 @@ impl BufferPool {
             // (the conditional write latch is claimed inside the callback
             // and kept for the eviction + load I/O).
             let base = self.shards[sid].base;
-            let mut wlatch: Option<WriteLatch<'_>> = None;
+            let mut wlatch: Option<LoadLatch<'_>> = None;
             let mut latch_busy = false;
             let victim = g.clock.victim(|local| {
                 let fr = &self.frames[base + local];
@@ -438,7 +424,10 @@ impl BufferPool {
                 }
                 match fr.buf.try_write() {
                     Some(w) => {
-                        wlatch = Some(w);
+                        // A trylock: it joins the held set unchecked.
+                        let site = "storage::pool::claim.load";
+                        let held = self.obs.monitor.acquired(Class::PageLatch, site, false);
+                        wlatch = Some((w, held));
                         true
                     }
                     None => {
@@ -449,7 +438,7 @@ impl BufferPool {
                     }
                 }
             });
-            let (Some(local), Some(latch)) = (victim, wlatch) else {
+            let (Some(local), Some((mut latch, held))) = (victim, wlatch) else {
                 drop(g);
                 if latch_busy {
                     std::thread::yield_now();
@@ -466,32 +455,19 @@ impl BufferPool {
             // image in from disk while the newest version only exists here.
             //
             // I/O outside the shard mutex, under the frame's write latch.
-            // The latch was obtained with a trylock, so it joins the lockdep
-            // held set without an ordering edge.
-            lockdep::acquired(lockdep::Class::PageLatch, "storage::pool::claim.load", false);
-            let mut latch = latch;
             if old.dirty {
-                let written = (|| {
-                    crash_point!("pool.evict.begin");
-                    // WAL rule: the log must cover the page before it hits
-                    // disk.
-                    self.log.flush_to(latch.page_lsn())?;
-                    crash_point!("pool.evict.after_force");
-                    let io = self.obs.timer();
-                    {
-                        let _span = self.obs.span(SpanKind::PageWrite, 0, old.page.0);
-                        self.disk.write_page(&latch)?;
-                    }
-                    crash_point!("pool.evict.after_write");
-                    self.obs.hist.page_write.record_since(io);
-                    self.note_write_back(old.page, latch.page_lsn());
-                    Ok(())
-                })();
-                if let Err(e) = written {
-                    drop(latch);
-                    lockdep::released(lockdep::Class::PageLatch);
-                    return Err(e);
+                crash_point!("pool.evict.begin");
+                // WAL rule: the log must cover the page before it hits disk.
+                self.log.flush_to(latch.page_lsn())?;
+                crash_point!("pool.evict.after_force");
+                let io = self.obs.timer();
+                {
+                    let _span = self.obs.span(SpanKind::PageWrite, 0, old.page.0);
+                    self.disk.write_page(&latch)?;
                 }
+                crash_point!("pool.evict.after_write");
+                self.obs.hist.page_write.record_since(io);
+                self.note_write_back(old.page, latch.page_lsn());
             }
             // Re-take the shard mutex to complete the eviction. Two races
             // can void the victim while the mutex was dropped:
@@ -517,8 +493,7 @@ impl BufferPool {
                     g.dpt.remove(&old.page);
                 }
                 drop(g);
-                drop(latch);
-                lockdep::released(lockdep::Class::PageLatch);
+                drop((latch, held));
                 std::thread::yield_now();
                 continue;
             }
@@ -569,12 +544,11 @@ impl BufferPool {
                         self.frames[gidx].owner.store(PageId::NULL.0, Ordering::Release);
                     }
                 }
-                drop(latch);
-                lockdep::released(lockdep::Class::PageLatch);
+                drop((latch, held));
                 drop(pin);
                 return Err(e);
             }
-            return Ok((pin, Some(latch)));
+            return Ok((pin, Some((latch, held))));
         }
     }
 
@@ -646,9 +620,10 @@ impl BufferPool {
             resident.extend(g.table.values().map(|&local| self.shards[sid].base + local));
         }
         for idx in resident {
-            lockdep::acquired(lockdep::Class::PageLatch, "storage::pool::dpt_fence", true);
+            let site = "storage::pool::dpt_fence";
+            let held = self.obs.monitor.acquired(Class::PageLatch, site, true);
             drop(self.frames[idx].buf.read());
-            lockdep::released(lockdep::Class::PageLatch);
+            drop(held);
         }
         self.dpt_snapshot()
     }
@@ -769,16 +744,19 @@ impl Drop for PinGuard<'_> {
     }
 }
 
-/// The bookkeeping half of a held page latch: its drop reports the release,
-/// and only then lets go of the pin.
+/// The bookkeeping half of a held page latch: its drop traces the release,
+/// then (field order) reports it to the monitor, and only then lets go of
+/// the pin.
 struct Grant<'p> {
+    _held: Held,
     pin: PinGuard<'p>,
     mode: ModeTag,
 }
 
 impl Drop for Grant<'_> {
     fn drop(&mut self) {
-        self.pin.pool.note_released(self.pin.page, self.mode);
+        let (obs, page) = (&self.pin.pool.obs, self.pin.page.0);
+        obs.event(EventKind::LatchRelease, self.mode, 0, page, 0);
     }
 }
 

@@ -353,14 +353,14 @@ fn failed_load_unwind_invalidates_concurrent_pins() {
 
     let mut stale_pin = None;
     std::thread::scope(|s| {
-        let loader = s.spawn(|| pool.fix_s(PageId(1)));
+        let loader = s.spawn(|| pool.fix_s(PageId(1)).is_err());
         // The loader has installed the mapping and is inside the read;
         // pin the page through that mapping (pins don't latch, so this
         // does not wait out the load).
         entered_rx.recv().unwrap();
         let pin = pool.pin(PageId(1)).unwrap();
         release_tx.send(()).unwrap();
-        assert!(loader.join().unwrap().is_err(), "injected fault surfaces");
+        assert!(loader.join().unwrap(), "injected fault surfaces");
         stale_pin = Some(pin);
     });
     let pin = stale_pin.unwrap();

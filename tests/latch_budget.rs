@@ -4,8 +4,8 @@
 //!
 //! Our implementation matches the budget everywhere, multi-hop next-key
 //! walks included (DESIGN.md §8: the walk holds the original leaf plus one
-//! chain page). These tests pin it per operation; the lockdep dump of
-//! `deadlock_freedom` pins it under concurrency.
+//! chain page). These tests pin it per operation; the latch monitor's
+//! verdict in `deadlock_freedom` pins it under concurrency.
 
 mod support;
 

@@ -3,8 +3,8 @@
 //!
 //! ARIES/IM's concurrency story rests on invariants the `ariesim-obs`
 //! monitor checks at runtime: latch coupling never holds more than two
-//! page latches (§3), no thread waits unconditionally for a lock while
-//! latched (§2.2), and restart redo is page-oriented — zero tree
+//! page latches (§3), latches are taken in rank order (§4), no thread
+//! waits unconditionally for a lock while latched (§2.2), and restart redo is page-oriented — zero tree
 //! traversals (§10). These tests drive splits, lock contention, and a
 //! crash, then read the monitor's verdict.
 
@@ -13,6 +13,7 @@ mod support;
 use ariesim::btree::fetch::FetchCond;
 use ariesim::btree::LockProtocol;
 use ariesim::common::PageId;
+use ariesim::obs::monitor::Class;
 use ariesim::obs::{current_latch_depth, take_latch_high_water, EventKind, Obs};
 use support::{nkey, rig, FRAMES};
 
@@ -59,16 +60,15 @@ fn latch_protocol_holds_under_concurrent_splits() {
     );
     assert_eq!(m.latch_depth_violations, 0, "{m:?}");
     assert_eq!(m.lock_wait_with_latch_violations, 0, "{m:?}");
-    assert_eq!(m.latch_underflows, 0, "{m:?}");
     assert!(m.clean(), "{m:?}");
 }
 
 /// The depth tracker sees a violation through the real guards, not only
-/// through hand-fed `on_page_latch_acquired` calls: a third page latch held
-/// by one thread is counted (the monitor here does not enforce, so it counts
-/// instead of panicking), a downgrade leaves the depth alone, and dropping
-/// the guards unwinds to zero without an underflow. `tests/latch_budget.rs`
-/// reads this same per-thread high-water mark.
+/// through hand-fed `acquired` calls: a third page latch held by one thread
+/// is counted (a depth violation, not an order one — coupling is the legal
+/// rank-equal wait), a downgrade leaves the depth alone, and dropping the
+/// guards unwinds to zero. `tests/latch_budget.rs` reads this same
+/// per-thread high-water mark.
 #[test]
 fn third_held_page_latch_is_a_counted_violation() {
     let obs = Obs::enabled(1 << 10);
@@ -90,12 +90,35 @@ fn third_held_page_latch_is_a_counted_violation() {
     let m = obs.monitor.snapshot();
     assert_eq!(m.latch_depth_violations, 1, "{m:?}");
     assert_eq!(m.max_latch_depth, 3, "{m:?}");
+    assert_eq!(m.latch_order_violations, 0, "{m:?}");
 
     drop((a, b, c));
     assert_eq!(current_latch_depth(), 0);
     assert_eq!(take_latch_high_water(), 3);
-    assert_eq!(obs.monitor.snapshot().latch_underflows, 0);
     assert_eq!(f.pool.total_pins(), 0);
+}
+
+/// The order check through the real guards: asking for the tree latch while
+/// a page latch is held is §4's forbidden order, counted before the request
+/// could block and attributed to the tree-latch site.
+#[test]
+fn tree_latch_under_a_page_latch_is_an_order_violation() {
+    let obs = Obs::enabled(1 << 10);
+    let f = rig(LockProtocol::DataOnly, false, FRAMES, obs.clone());
+    assert!(obs.monitor.snapshot().clean());
+
+    let page = f.pool.fix_s(f.tree.root).unwrap();
+    drop(f.tree.hold_tree_latch_x());
+    drop(page);
+
+    let m = obs.monitor.snapshot();
+    assert_eq!(m.latch_order_violations, 1, "{m:?}");
+    let v = m.first_order_violation.expect("first violation kept");
+    assert_eq!(
+        (v.held, v.acquired, v.site),
+        (Class::PageLatch, Class::TreeLatch, "btree::tree_x")
+    );
+    assert!(!m.clean());
 }
 
 /// Crash with losers in flight, restart with a monitored pool: redo must

@@ -9,15 +9,13 @@
 //! SM_Bit is set and its page latch held while the tree latch changes
 //! hands, so the deleter — now holding tree S — parks on the root; a second
 //! thread then queues for tree X; only then is the root released. The
-//! deleter must clear the stale bit and finish under its one S latch. Lives
-//! in its own test binary because the lockdep graph it inspects is
-//! process-global.
+//! deleter must clear the stale bit and finish under its one S latch; the
+//! rig's latch monitor must have seen no rank-equal tree-latch wait.
 
 mod support;
 
 use ariesim::btree::fetch::{FetchCond, FetchResult};
 use ariesim::btree::LockProtocol;
-use ariesim::obs::lockdep;
 use std::sync::mpsc;
 use std::time::Duration;
 use support::{fix, nkey};
@@ -29,10 +27,6 @@ fn wait_for(what: &str, cond: impl Fn() -> bool) {
         assert!(std::time::Instant::now() < deadline, "never saw: {what}");
         std::thread::yield_now();
     }
-}
-
-fn acquisitions() -> u64 {
-    analyze::lockdep::parse_dump(&lockdep::dump_jsonl()).acquisitions
 }
 
 #[test]
@@ -54,7 +48,6 @@ fn boundary_delete_retry_takes_the_tree_latch_once() {
     let leaf = f.tree.leaf_for_value(&victim.value).unwrap();
     f.tree.set_page_bits_for_test(leaf, Some(false), Some(false)).unwrap();
     f.tree.set_page_bits_for_test(root, Some(false), None).unwrap();
-    lockdep::reset();
 
     let txn = f.tm.begin();
     let (done_tx, done_rx) = mpsc::channel();
@@ -80,14 +73,12 @@ fn boundary_delete_retry_takes_the_tree_latch_once() {
             f.stats.snapshot().latch_page_waits > page_waits
         });
 
-        // Next SMO queues for X behind the deleter's S. Lockdep counts the
-        // request just before it blocks; release builds record nothing, so
-        // there the request merely races (the outcome below is the same).
-        let before = acquisitions();
+        // Next SMO queues for X behind the deleter's S.
+        let tree_waits = f.stats.snapshot().latch_tree_waits;
         s.spawn(|| drop(f.tree.hold_tree_latch_x()));
-        if cfg!(debug_assertions) {
-            wait_for("second SMO queued for tree X", || acquisitions() > before);
-        }
+        wait_for("second SMO queued for tree X", || {
+            f.stats.snapshot().latch_tree_waits > tree_waits
+        });
         drop(root_x);
 
         done_rx
@@ -106,11 +97,6 @@ fn boundary_delete_retry_takes_the_tree_latch_once() {
     f.tm.commit(&check).unwrap();
     assert_eq!(f.tree.check_structure().unwrap().keys, (KEYS - 1) as usize);
 
-    let dump = analyze::lockdep::parse_dump(&lockdep::dump_jsonl());
-    let findings = analyze::lockdep::check_dump("tree_latch_recursion", &dump);
-    assert!(
-        findings.is_empty(),
-        "lockdep findings:\n{}",
-        findings.iter().map(ToString::to_string).collect::<Vec<_>>().join("\n")
-    );
+    let m = f.obs.monitor.snapshot();
+    assert!(m.clean() && m.max_latch_depth == 2, "latch monitor: {m:?}");
 }
