@@ -136,19 +136,17 @@ impl PageBuf {
     /// Rewrite the cell area so all free space is contiguous. Live slot
     /// numbers and cell contents are unchanged.
     pub fn compact(&mut self) {
-        let n = self.slot_count();
-        // Copy out live cells, then repack from the page end downward.
-        let mut cells: Vec<(u16, Vec<u8>)> = Vec::with_capacity(n as usize);
-        for i in 0..n {
-            if let Some(c) = self.cell(i) {
-                cells.push((i, c.to_vec()));
-            }
-        }
+        // Copy the page out once, then repack slot by slot from the page
+        // end downward.
+        let scratch = *self.as_bytes();
         let mut top = PAGE_SIZE;
-        for (i, data) in cells {
-            top -= data.len();
-            self.as_bytes_mut()[top..top + data.len()].copy_from_slice(&data);
-            let len = data.len();
+        for i in 0..self.slot_count() {
+            let (off, len) = self.read_slot(i);
+            if off == 0 {
+                continue;
+            }
+            top -= len;
+            self.as_bytes_mut()[top..top + len].copy_from_slice(&scratch[off..off + len]);
             self.write_slot(i, top, len);
         }
         self.set_heap_top(top);
@@ -215,7 +213,11 @@ impl PageBuf {
         Ok(data)
     }
 
-    /// Replace the cell at position `idx` with `data` (index parent updates).
+    /// Replace the cell at position `idx` with `data`, keeping its slot
+    /// number — so it serves both disciplines: index parent updates and heap
+    /// record updates (do, redo and undo). An image no longer than the old
+    /// one is overwritten in place; a longer one is allocated afresh,
+    /// compacting first if only fragments have room.
     pub fn replace_cell_at(&mut self, idx: u16, data: &[u8]) -> Result<()> {
         let n = self.slot_count();
         if idx >= n {

@@ -26,9 +26,22 @@ fn workload_correct_with_constant_eviction() {
     let db = Db::open(dir.path(), tiny_opts()).unwrap();
     db.create_table("t", 2).unwrap();
     db.create_index("t_pk", "t", 0, true).unwrap();
+    // An insert fixes one heap page (the free-space book names it), so each
+    // one is followed by an update of a scattered earlier row: the updates
+    // dirty pages all over the heap, and the pool keeps evicting them.
     let txn = db.begin();
     for i in 0..2000 {
         db.insert_row(&txn, "t", &row(i)).unwrap();
+        let key = format!("k{:06}", i as u64 * 2_654_435_761 % (i as u64 + 1));
+        let (rid, _) = db
+            .fetch_via(&txn, "t_pk", key.as_bytes(), FetchCond::Eq)
+            .unwrap()
+            .unwrap();
+        let new = Row::new(vec![
+            key.into_bytes(),
+            format!("u{}", "y".repeat(120)).into_bytes(),
+        ]);
+        db.update_row(&txn, "t", rid, &new).unwrap();
     }
     db.commit(&txn).unwrap();
     let s = db.stats.snapshot();

@@ -12,11 +12,19 @@
 //! splits.
 //!
 //! Uncommitted deletes *reserve* their freed space ([`heap`]): an insert
-//! never consumes bytes freed by an in-flight delete, so the undo of a heap
-//! delete can always re-insert page-oriented at the original RID. (Indexes
-//! don't need this — the paper instead allows the undo of a key delete to go
-//! *logical* and split the page; heap RIDs must not move, so prevention
-//! replaces cure. See DESIGN.md.)
+//! never consumes bytes freed by an in-flight delete (or given up by a
+//! shrinking update), so the undo can always restore page-oriented at the
+//! original RID. (Indexes don't need this — the paper instead allows the
+//! undo of a key delete to go *logical* and split the page; heap RIDs must
+//! not move, so prevention replaces cure. See DESIGN.md.)
+//!
+//! Inserts are placed first fit in chain order, found through an unlogged
+//! **free-space book**: per heap file, the exact free bytes of every page
+//! the manager has passed, refreshed under each page's X latch. An insert
+//! that does not grow the file latches the one page the book names and
+//! re-checks it there; only when no page in the book has room does it walk
+//! on from the book's tail. The book starts empty after open and restart,
+//! and fills by one walk on the first insert.
 
 pub mod body;
 pub mod heap;

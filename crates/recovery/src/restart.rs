@@ -6,7 +6,7 @@ use ariesim_obs::{recovery_phase, SpanKind};
 use ariesim_storage::PinGuard;
 use ariesim_txn::Core;
 use ariesim_wal::{ChainLogger, CheckpointData, LogRecord, RecordKind, TxnState};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// What restart found and did.
 #[derive(Debug, Default)]
@@ -95,6 +95,9 @@ pub fn restart(core: &Core) -> Result<RestartOutcome> {
         ckpt_lsn
     };
     let mut txns: HashMap<TxnId, TEntry> = HashMap::new();
+    // Transactions whose Commit or End lies between CkptBegin and CkptEnd:
+    // the checkpoint's snapshot may predate it, and must not revive them.
+    let mut ended: HashSet<TxnId> = HashSet::new();
     let mut dpt: HashMap<PageId, Lsn> = HashMap::new();
     let mut ckpt_seen = ckpt_lsn.is_null();
 
@@ -130,7 +133,7 @@ pub fn restart(core: &Core) -> Result<RestartOutcome> {
                             .and_modify(|l| *l = (*l).min(e.rec_lsn))
                             .or_insert(e.rec_lsn);
                     }
-                    for t in data.txns {
+                    for t in data.txns.into_iter().filter(|t| !ended.contains(&t.txn)) {
                         txns.entry(t.txn).or_insert(TEntry {
                             state: match t.state {
                                 TxnState::Aborting => TState::Aborting,
@@ -155,6 +158,9 @@ pub fn restart(core: &Core) -> Result<RestartOutcome> {
                 // Commit is forced, so a committed transaction needs no undo
                 // even if its End record is missing.
                 txns.remove(&rec.txn);
+                if !ckpt_seen {
+                    ended.insert(rec.txn);
+                }
             }
             RecordKind::Abort => {
                 if let Some(t) = txns.get_mut(&rec.txn) {

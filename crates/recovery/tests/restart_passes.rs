@@ -10,7 +10,10 @@ use ariesim_obs::Obs;
 use ariesim_recovery::restart;
 use ariesim_storage::BufferPool;
 use ariesim_txn::Core;
-use ariesim_wal::{ChainLogger, LogOptions, LogRecord, RecordKind, ResourceManager, RmId};
+use ariesim_wal::{
+    ChainLogger, CheckpointData, LogOptions, LogRecord, RecordKind, ResourceManager, RmId,
+    TxnCkptEntry, TxnState,
+};
 use parking_lot::Mutex;
 use std::sync::Arc;
 
@@ -185,6 +188,46 @@ fn committed_but_unended_transaction_is_not_undone() {
     f.log.flush_all().unwrap();
     let outcome = restart(&f).unwrap();
     assert!(outcome.losers.is_empty(), "committed txn is not a loser");
+    assert_eq!(byte_at(&f, 0), 5);
+}
+
+#[test]
+fn commit_between_snapshot_and_ckpt_end_is_not_revived() {
+    // A fuzzy checkpoint snapshots `t` as in flight; `t` then commits before
+    // CkptEnd is appended, and its End is lost. Analysis starts at CkptBegin,
+    // sees the Commit, then CkptEnd's stale entry: that entry must not make
+    // `t` a loser again.
+    let f = fix();
+    let t = f.tm.begin();
+    update(&f, &t, 0, 0, 5);
+    let ctl = |kind, body: Vec<u8>| LogRecord {
+        lsn: Lsn::NULL,
+        prev_lsn: Lsn::NULL,
+        txn: TxnId::NONE,
+        kind,
+        undo_next_lsn: Lsn::NULL,
+        rm: RmId::Txn,
+        page: PageId::NULL,
+        body,
+    };
+    let begin = f.log.append(&ctl(RecordKind::CkptBegin, Vec::new()));
+    let snapshot = TxnCkptEntry {
+        txn: t.id,
+        state: TxnState::InFlight,
+        last_lsn: t.last_lsn(),
+        undo_next_lsn: t.last_lsn(),
+    };
+    t.with_logger(&f.log, |l| l.control(RecordKind::Commit));
+    let data = CheckpointData {
+        dpt: f.pool.dpt_snapshot(),
+        txns: vec![snapshot],
+        max_txn_id: t.id.0,
+    };
+    f.log.append(&ctl(RecordKind::CkptEnd, data.encode()));
+    f.log.flush_all().unwrap();
+    f.log.write_master(begin).unwrap();
+    let outcome = restart(&f).unwrap();
+    assert!(outcome.losers.is_empty(), "committed txn revived: {:?}", outcome.losers);
     assert_eq!(byte_at(&f, 0), 5);
 }
 

@@ -42,6 +42,11 @@ impl RmRegistry {
 enum Phase {
     Active,
     Aborting,
+    /// The Commit record is appended; End is not yet. A checkpoint leaves
+    /// the transaction out of its snapshot: the checkpoint's own force makes
+    /// the Commit durable before the master moves, so restart must not see
+    /// the transaction as in flight even if End is lost.
+    Committed,
     Finished,
 }
 
@@ -109,18 +114,17 @@ impl TxnHandle {
     }
 
     fn check_active(&self) -> Result<()> {
-        let g = self.inner.lock();
-        match g.phase {
-            Phase::Active => Ok(()),
-            Phase::Aborting => Err(Error::BadTxnState {
-                txn: self.id,
-                state: "aborting",
-            }),
-            Phase::Finished => Err(Error::BadTxnState {
-                txn: self.id,
-                state: "finished",
-            }),
-        }
+        Self::active(self.id, &self.inner.lock())
+    }
+
+    fn active(txn: TxnId, inner: &TxnInner) -> Result<()> {
+        let state = match inner.phase {
+            Phase::Active => return Ok(()),
+            Phase::Aborting => "aborting",
+            Phase::Committed => "committed",
+            Phase::Finished => "finished",
+        };
+        Err(Error::BadTxnState { txn, state })
     }
 }
 
@@ -222,9 +226,17 @@ impl TransactionManager {
         // attribution can break a commit into its WAL append / fsync /
         // lock-release components.
         let _span = self.pool.obs().span(SpanKind::UserWork, txn.id.0, 0);
-        txn.check_active()?;
-        let wrote = txn.inner.lock().wrote;
-        let commit_lsn = txn.with_logger(&self.log, |l| l.control(RecordKind::Commit));
+        // Append Commit and leave `Active` in one critical section, so a
+        // checkpoint's snapshot sees either an active transaction whose
+        // Commit follows its CkptBegin, or a committed one it must skip.
+        let (wrote, commit_lsn) = {
+            let mut g = txn.inner.lock();
+            TxnHandle::active(txn.id, &g)?;
+            let lsn = ChainLogger::new(&self.log, txn.id, g.last_lsn).control(RecordKind::Commit);
+            g.last_lsn = lsn;
+            g.phase = Phase::Committed;
+            (g.wrote, lsn)
+        };
         crash_point!("txn.commit.logged");
         if wrote {
             self.log.flush_to(commit_lsn)?;
@@ -247,11 +259,8 @@ impl TransactionManager {
     pub fn rollback(&self, txn: &TxnHandle) -> Result<()> {
         {
             let mut g = txn.inner.lock();
-            if g.phase == Phase::Finished {
-                return Err(Error::BadTxnState {
-                    txn: txn.id,
-                    state: "finished",
-                });
+            if matches!(g.phase, Phase::Committed | Phase::Finished) {
+                TxnHandle::active(txn.id, &g)?;
             }
             g.phase = Phase::Aborting;
         }
@@ -300,20 +309,24 @@ impl TransactionManager {
         let dpt = self.pool.dpt_snapshot_fenced();
         let (txns, max_txn_id) = {
             let g = self.inner.lock();
+            // A committed or finished transaction's Commit / End precedes
+            // CkptEnd, which the force below makes durable with it.
             let entries = g
                 .table
                 .values()
-                .map(|t| {
+                .filter_map(|t| {
                     let ti = t.inner.lock();
-                    TxnCkptEntry {
+                    let state = match ti.phase {
+                        Phase::Active => TxnState::InFlight,
+                        Phase::Aborting => TxnState::Aborting,
+                        Phase::Committed | Phase::Finished => return None,
+                    };
+                    Some(TxnCkptEntry {
                         txn: t.id,
-                        state: match ti.phase {
-                            Phase::Aborting => TxnState::Aborting,
-                            _ => TxnState::InFlight,
-                        },
+                        state,
                         last_lsn: ti.last_lsn,
                         undo_next_lsn: ti.last_lsn,
-                    }
+                    })
                 })
                 .collect();
             (entries, g.next_txn - 1)
