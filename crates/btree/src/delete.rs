@@ -128,7 +128,7 @@ impl BTree {
                         let eq = k.value == key.value;
                         (self.key_lock(&k), None, eq)
                     }
-                    NextKey::OnNext(k, g) => {
+                    NextKey::OnNext(k, _, g) => {
                         let eq = k.value == key.value;
                         (self.key_lock(&k), Some(g), eq)
                     }
@@ -244,7 +244,7 @@ impl BTree {
         let succ = SearchKey::from_key(key);
         let (lock, _guard) = match self.next_key_after(page, idx, &succ)? {
             NextKey::OnPage(k) => (self.key_lock(&k), None),
-            NextKey::OnNext(k, g) => (self.key_lock(&k), Some(g)),
+            NextKey::OnNext(k, _, g) => (self.key_lock(&k), Some(g)),
             NextKey::Eof => (self.eof_lock(), None),
             NextKey::Ambiguous => {
                 drop(leaf);
@@ -295,7 +295,7 @@ impl BTree {
                 let eq = k.value == key.value;
                 (self.key_lock(&k), None, eq)
             }
-            NextKey::OnNext(k, ng) => {
+            NextKey::OnNext(k, _, ng) => {
                 let eq = k.value == key.value;
                 (self.key_lock(&k), Some(ng), eq)
             }

@@ -14,8 +14,19 @@
 //! unconditionally, and the leaf re-latched — if its LSN is unchanged the
 //! previously inferred answer still holds, otherwise the search repeats
 //! (Figure 5's "backup & search if needed").
+//!
+//! Fetch Next (§2.3) resumes where the previous call stopped. A [`Cursor`]
+//! holds the last key returned, its leaf, that leaf's page_LSN and the key's
+//! slot, all read while the leaf was S-latched. The next call S-latches that
+//! leaf again. If its page_LSN is unchanged, nothing on it has moved, and the
+//! next key is at the following slot or across the `next` pointer. If the
+//! LSN has moved, the call descends from the root by the last key, as Fetch
+//! does. A quiet scan therefore pays one descent, in `open_scan`. The test is
+//! Figure 5's LSN revalidation applied across calls; DESIGN.md §4 states
+//! why it is sound.
 
 use crate::node::{leaf_key, leaf_lower_bound};
+use crate::traverse::LeafGuard;
 use crate::BTree;
 use ariesim_common::key::SearchKey;
 use ariesim_common::page::PageType;
@@ -58,21 +69,25 @@ pub enum FetchResult {
     NotFound,
 }
 
-/// A range-scan cursor: remembers the last returned position so Fetch Next
-/// can usually resume without a traversal (§2.3).
+/// A range-scan cursor (§2.3): the last key returned, and where it sat when
+/// it was returned — its leaf, that leaf's page_LSN and its slot, read under
+/// the leaf's S latch. [`BTree::fetch_next`] continues at `slot + 1` while
+/// the leaf's page_LSN still reads `leaf_lsn`, and descends from the root by
+/// `last_key` once it does not.
 #[derive(Clone, Debug)]
 pub struct Cursor {
     pub(crate) last_key: IndexKey,
     pub(crate) leaf: PageId,
     pub(crate) leaf_lsn: Lsn,
+    pub(crate) slot: u16,
 }
 
 /// Where the key following a position lives.
 pub(crate) enum NextKey<'p> {
     /// At the given position on the same (still latched by caller) page.
     OnPage(IndexKey),
-    /// First key of the right neighbour; the guard keeps it latched.
-    OnNext(IndexKey, PageReadGuard<'p>),
+    /// At the given slot of a leaf to the right; the guard keeps it latched.
+    OnNext(IndexKey, u16, PageReadGuard<'p>),
     /// No higher key exists in the index.
     Eof,
     /// The right neighbour is empty or not a valid leaf — an SMO is in
@@ -122,17 +137,13 @@ impl BTree {
                 return Ok(NextKey::Eof);
             }
             let g = self.pool.fix_s(next)?; // latch-rank: 2
-            let valid = matches!(g.page_type(), Ok(PageType::IndexLeaf))
-                && g.owner() == self.index_id.0
-                && g.level() == 0
-                && g.prev() == prev;
-            if !valid {
+            if !(self.is_own_leaf(&g) && g.prev() == prev) {
                 return Ok(NextKey::Ambiguous);
             }
             let idx = leaf_lower_bound(&g, search)?;
             if idx < g.slot_count() {
                 let k = leaf_key(&g, idx)?;
-                return Ok(NextKey::OnNext(k, g));
+                return Ok(NextKey::OnNext(k, idx, g));
             }
             // Nothing ≥ search here (page emptied or shrunk by an SMO, a gap
             // between a split's halves, or a run of duplicates below a
@@ -142,38 +153,102 @@ impl BTree {
         }
     }
 
+    /// Is `page` a leaf of this index (and not a freed page, a page of
+    /// another index, a nonleaf or a heap page that reuses the id)?
+    fn is_own_leaf(&self, page: &PageBuf) -> bool {
+        matches!(page.page_type(), Ok(PageType::IndexLeaf))
+            && page.owner() == self.index_id.0
+            && page.level() == 0
+    }
+
     /// Fetch per §2.2: returns the first key satisfying (`value`, `cond`),
     /// S-locking it — or the next key / EOF on the not-found path.
     pub fn fetch(&self, txn: &TxnHandle, value: &[u8], cond: FetchCond) -> Result<FetchResult> {
-        let op = self.obs.timer();
-        let r = self.fetch_inner(txn, value, cond);
-        self.obs.hist.op_fetch.record_since(op);
-        r
+        Ok(match self.fetch_at(txn, value, cond)? {
+            Some(at) => FetchResult::Found(at.last_key),
+            None => FetchResult::NotFound,
+        })
     }
 
-    fn fetch_inner(&self, txn: &TxnHandle, value: &[u8], cond: FetchCond) -> Result<FetchResult> {
+    /// Open a scan at the first key with value ≥ (`Ge`) / > (`Gt`) / = (`Eq`)
+    /// `value`. Returns the first key (if any) and a cursor for
+    /// [`fetch_next`](Self::fetch_next), positioned where the fetch found it.
+    pub fn open_scan(
+        &self,
+        txn: &TxnHandle,
+        value: &[u8],
+        cond: FetchCond,
+    ) -> Result<(Option<IndexKey>, Option<Cursor>)> {
+        let at = self.fetch_at(txn, value, cond)?;
+        Ok((at.as_ref().map(|c| c.last_key.clone()), at))
+    }
+
+    /// Fetch, returning the found key together with its position; `None`
+    /// when nothing satisfies the condition (the next key or EOF is locked).
+    fn fetch_at(&self, txn: &TxnHandle, value: &[u8], cond: FetchCond) -> Result<Option<Cursor>> {
+        let op = self.obs.timer();
         self.stats.index_fetches.bump();
-        let search = SearchKey::value_only(value);
-        // When walking right, Gt must skip every duplicate of `value`; a
-        // maximal-RID search key positions strictly past them.
-        let max_rid = Rid::new(PageId(u32::MAX), u16::MAX);
-        let walk_search = match cond {
-            FetchCond::Gt => SearchKey::full(value, max_rid),
+        // Gt must skip every duplicate of `value`: a maximal-RID search key
+        // sorts after all of them (no data page has the id u32::MAX).
+        let from = match cond {
+            FetchCond::Gt => SearchKey::full(value, Rid::new(PageId(u32::MAX), u16::MAX)),
             _ => SearchKey::value_only(value),
         };
+        let r = self.locked_first(txn, &SearchKey::value_only(value), &from, None);
+        self.obs.hist.op_fetch.record_since(op);
+        Ok(r?.filter(|at| cond != FetchCond::Eq || at.last_key.value == value))
+    }
+
+    /// Fetch Next per §2.3: the key following the cursor position, S-locked.
+    /// Returns `None` at end of index (EOF locked). The caller enforces its
+    /// stop condition — the paper's protocol requires the terminating key to
+    /// be locked, which has already happened by the time the caller sees it.
+    pub fn fetch_next(&self, txn: &TxnHandle, cursor: &mut Cursor) -> Result<Option<IndexKey>> {
+        let op = self.obs.timer();
+        self.stats.index_fetches.bump();
+        let last = &cursor.last_key;
+        let r = self.locked_first(
+            txn,
+            &SearchKey::from_key(last),
+            &successor_search(last),
+            Some(&*cursor),
+        );
+        self.obs.hist.op_fetch.record_since(op);
+        Ok(r?.map(|at| {
+            *cursor = at;
+            cursor.last_key.clone()
+        }))
+    }
+
+    /// The first key ≥ `from`, S-locked for commit duration, and where it
+    /// sits — or `None` with the EOF name locked (§2.2, Figure 5).
+    ///
+    /// The first attempt starts on `resume`'s leaf, at the slot after its
+    /// key, if that leaf is unchanged; every other attempt starts on the
+    /// leaf a descent by `descend` reaches, at the first key ≥ `from`.
+    fn locked_first(
+        &self,
+        txn: &TxnHandle,
+        descend: &SearchKey<'_>,
+        from: &SearchKey<'_>,
+        mut resume: Option<&Cursor>,
+    ) -> Result<Option<Cursor>> {
         loop {
-            let leaf = self.traverse(&search, false, false)?;
-            let page = leaf.page();
-            let mut idx = leaf_lower_bound(page, &search)?;
-            // For Gt, skip keys equal to the value.
-            if cond == FetchCond::Gt {
-                while idx < page.slot_count() && leaf_key(page, idx)?.value == value {
-                    idx += 1;
+            let remembered = match resume.take() {
+                Some(c) => self.remembered_leaf(c)?,
+                None => None,
+            };
+            let (leaf, idx) = match remembered {
+                Some(at) => at,
+                None => {
+                    let leaf = self.traverse(descend, false, false)?;
+                    let idx = leaf_lower_bound(leaf.page(), from)?;
+                    (leaf, idx)
                 }
-            }
-            let mut found = match self.next_key_after(page, idx, &walk_search)? {
-                NextKey::OnPage(k) => Some((k, None)),
-                NextKey::OnNext(k, g) => Some((k, Some(g))),
+            };
+            let found = match self.next_key_after(leaf.page(), idx, from)? {
+                NextKey::OnPage(k) => Some((k, idx, None)),
+                NextKey::OnNext(k, slot, g) => Some((k, slot, Some(g))),
                 NextKey::Eof => None,
                 NextKey::Ambiguous => {
                     drop(leaf);
@@ -182,7 +257,7 @@ impl BTree {
                 }
             };
             let lock = match &found {
-                Some((k, _)) => self.key_lock(k),
+                Some((k, _, _)) => self.key_lock(k),
                 None => self.eof_lock(),
             };
             match self.locks.request(
@@ -193,166 +268,37 @@ impl BTree {
                 true,
             ) {
                 Ok(()) => {
-                    let result = Self::evaluate(found.take().map(|(k, _)| k), value, cond);
-                    return Ok(result);
+                    // The position is read while the key's page is latched.
+                    return Ok(found.map(|(k, slot, next)| {
+                        let page = next.as_deref().unwrap_or(leaf.page());
+                        Cursor {
+                            last_key: k,
+                            leaf: page.page_id(),
+                            leaf_lsn: page.page_lsn(),
+                            slot,
+                        }
+                    }));
                 }
                 Err(Error::WouldBlock) => {
                     // Figure 5: note LSN, unlatch, wait, revalidate.
                     let noted = leaf.lsn();
                     let leaf_id = leaf.page_id();
+                    let on_leaf = matches!(&found, Some((_, _, None)));
                     drop(found);
                     drop(leaf);
                     self.locks
                         .request(txn.id, lock, LockMode::S, LockDuration::Commit, false)?;
-                    let g = self.pool.fix_s(leaf_id)?; // latch-rank: 2 (fresh)
-                    if g.page_lsn() == noted {
-                        // Nothing changed while we waited: answer stands.
-                        // Note: `found` was dropped with its guard, so
-                        // recompute cheaply from the re-latched page.
-                        let idx2 = leaf_lower_bound(&g, &search)?;
-                        let k = if idx2 < g.slot_count() {
-                            Some(leaf_key(&g, idx2)?)
-                        } else {
-                            None
-                        };
-                        if let Some(k) = k {
-                            if cond != FetchCond::Gt || k.value != value {
-                                return Ok(Self::evaluate(Some(k), value, cond));
-                            }
-                        }
-                        // Fall through to retry for walk cases.
-                    }
-                    continue;
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    fn evaluate(found: Option<IndexKey>, value: &[u8], cond: FetchCond) -> FetchResult {
-        match found {
-            Some(k) => match cond {
-                FetchCond::Eq => {
-                    if k.value == value {
-                        FetchResult::Found(k)
-                    } else {
-                        FetchResult::NotFound
-                    }
-                }
-                FetchCond::Ge => FetchResult::Found(k),
-                FetchCond::Gt => {
-                    if k.value == value {
-                        FetchResult::NotFound // caller retries; shouldn't reach
-                    } else {
-                        FetchResult::Found(k)
-                    }
-                }
-            },
-            None => FetchResult::NotFound,
-        }
-    }
-
-    /// Open a scan at the first key with value ≥ (`Ge`) / > (`Gt`) / = (`Eq`)
-    /// `value`. Returns the first key (if any) and a cursor for
-    /// [`fetch_next`](Self::fetch_next).
-    pub fn open_scan(
-        &self,
-        txn: &TxnHandle,
-        value: &[u8],
-        cond: FetchCond,
-    ) -> Result<(Option<IndexKey>, Option<Cursor>)> {
-        match self.fetch(txn, value, cond)? {
-            FetchResult::Found(k) => {
-                let cursor = self.cursor_for(&k)?;
-                Ok((Some(k), Some(cursor)))
-            }
-            FetchResult::NotFound => Ok((None, None)),
-        }
-    }
-
-    /// Build a cursor positioned on `key` (which the caller just fetched).
-    fn cursor_for(&self, key: &IndexKey) -> Result<Cursor> {
-        let leaf = self.traverse(&SearchKey::from_key(key), false, false)?;
-        Ok(Cursor {
-            last_key: key.clone(),
-            leaf: leaf.page_id(),
-            leaf_lsn: leaf.lsn(),
-        })
-    }
-
-    /// Fetch Next per §2.3: the key following the cursor position, S-locked.
-    /// Returns `None` at end of index (EOF locked). The caller enforces its
-    /// stop condition — the paper's protocol requires the terminating key to
-    /// be locked, which has already happened by the time the caller sees it.
-    pub fn fetch_next(&self, txn: &TxnHandle, cursor: &mut Cursor) -> Result<Option<IndexKey>> {
-        let op = self.obs.timer();
-        let r = self.fetch_next_inner(txn, cursor);
-        self.obs.hist.op_fetch.record_since(op);
-        r
-    }
-
-    fn fetch_next_inner(&self, txn: &TxnHandle, cursor: &mut Cursor) -> Result<Option<IndexKey>> {
-        self.stats.index_fetches.bump();
-        let found = self.fetch_next_internal(txn, &cursor.last_key.clone())?;
-        if let Some(k) = &found {
-            cursor.last_key = k.clone();
-            // Remember the new position (best effort; a stale leaf id just
-            // means the next call re-traverses).
-            if let Ok(leaf) = self.traverse(&SearchKey::from_key(k), false, false) {
-                cursor.leaf = leaf.page_id();
-                cursor.leaf_lsn = leaf.lsn();
-            }
-        }
-        Ok(found)
-    }
-
-    /// Locked lookup of the first key strictly greater than `after`.
-    fn fetch_next_internal(
-        &self,
-        txn: &TxnHandle,
-        after: &IndexKey,
-    ) -> Result<Option<IndexKey>> {
-        let search = SearchKey::from_key(after);
-        let succ = successor_search(after);
-        loop {
-            let leaf = self.traverse(&search, false, false)?;
-            let page = leaf.page();
-            let idx = leaf_lower_bound(page, &succ)?;
-            let found = match self.next_key_after(page, idx, &succ)? {
-                NextKey::OnPage(k) => Some((k, None)),
-                NextKey::OnNext(k, g) => Some((k, Some(g))),
-                NextKey::Eof => None,
-                NextKey::Ambiguous => {
-                    drop(leaf);
-                    self.tree_instant_s(); // latch-rank: 1 (fresh)
-                    continue;
-                }
-            };
-            let lock = match &found {
-                Some((k, _)) => self.key_lock(k),
-                None => self.eof_lock(),
-            };
-            match self.locks.request(
-                txn.id,
-                lock.clone(),
-                LockMode::S,
-                LockDuration::Commit,
-                true,
-            ) {
-                Ok(()) => return Ok(found.map(|(k, _)| k)),
-                Err(Error::WouldBlock) => {
-                    let noted = leaf.lsn();
-                    let leaf_id = leaf.page_id();
-                    drop(found);
-                    drop(leaf);
-                    self.locks
-                        .request(txn.id, lock, LockMode::S, LockDuration::Commit, false)?;
-                    let g = self.pool.fix_s(leaf_id)?; // latch-rank: 2 (fresh)
-                    if g.page_lsn() == noted {
-                        // Unchanged: recompute the same answer and return it.
-                        let idx2 = leaf_lower_bound(&g, &succ)?;
-                        if idx2 < g.slot_count() {
-                            return Ok(Some(leaf_key(&g, idx2)?));
+                    if on_leaf {
+                        let g = self.pool.fix_s(leaf_id)?; // latch-rank: 2 (fresh)
+                        if g.page_lsn() == noted {
+                            // Nothing changed while we waited: the answer
+                            // stands, still at `idx`.
+                            return Ok(Some(Cursor {
+                                last_key: leaf_key(&g, idx)?,
+                                leaf: leaf_id,
+                                leaf_lsn: noted,
+                                slot: idx,
+                            }));
                         }
                     }
                     continue;
@@ -360,6 +306,17 @@ impl BTree {
                 Err(e) => return Err(e),
             }
         }
+    }
+
+    /// `c`'s leaf, S-latched, with the slot after `c`'s key — if the leaf's
+    /// page_LSN still reads `c.leaf_lsn`, else `None` (latch released).
+    /// Every change to a leaf's keys, chain pointers or identity is logged
+    /// and moves its page_LSN (DESIGN.md §4), so an equal LSN means the key
+    /// still sits at `c.slot` and no key after it has moved.
+    fn remembered_leaf(&self, c: &Cursor) -> Result<Option<(LeafGuard<'_>, u16)>> {
+        let g = self.pool.fix_s(c.leaf)?; // latch-rank: 2 (fresh)
+        let unchanged = g.page_lsn() == c.leaf_lsn && self.is_own_leaf(&g);
+        Ok(unchanged.then(|| (LeafGuard::S(g), c.slot + 1)))
     }
 
     /// Fetch by key-value *prefix* (§1.1: "a key value or a partial key
@@ -439,7 +396,7 @@ impl BTree {
         let leaf = self.traverse(&search, false, false)?;
         let idx = leaf_lower_bound(leaf.page(), &search)?;
         match self.next_key_after(leaf.page(), idx, &search)? {
-            NextKey::OnPage(k) | NextKey::OnNext(k, _) => {
+            NextKey::OnPage(k) | NextKey::OnNext(k, _, _) => {
                 Ok((k.value.as_slice() == value).then_some(k))
             }
             NextKey::Eof => Ok(None),

@@ -190,7 +190,7 @@ impl BTree {
                     let eq = k.value == key.value;
                     (self.key_lock(&k), None, eq)
                 }
-                NextKey::OnNext(k, g) => {
+                NextKey::OnNext(k, _, g) => {
                     let eq = k.value == key.value;
                     (self.key_lock(&k), Some(g), eq)
                 }
