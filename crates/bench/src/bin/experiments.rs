@@ -18,15 +18,13 @@ use ariesim_wal::RecordKind;
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
-/// Shared observability domain for the whole run when `--obs` is given;
-/// `None` means every rig gets a disabled handle (monitors stay live).
-static OBS: OnceLock<Option<ObsHandle>> = OnceLock::new();
+/// The one observability domain every rig of the run shares: enabled with
+/// `--obs`, disabled otherwise. Its latch monitor is live either way, and
+/// the run exits 1 if the monitor saw a violation.
+static OBS: OnceLock<ObsHandle> = OnceLock::new();
 
 fn obs_handle() -> ObsHandle {
-    match OBS.get().and_then(|o| o.as_ref()) {
-        Some(h) => h.clone(),
-        None => Obs::disabled(),
-    }
+    OBS.get().expect("set at the top of main").clone()
 }
 
 /// Build a rig wired to the run's observability domain (if any).
@@ -34,11 +32,12 @@ fn rig(protocol: LockProtocol, unique: bool, frames: usize) -> Rig {
     ariesim_bench::rig(protocol, unique, frames, obs_handle())
 }
 
-/// Print the observability report after an experiment, then clear the
-/// histograms/ring so the next experiment gets a fresh window. Monitor
+/// With `--obs`, print the observability report after an experiment, then
+/// clear the spans/ring so the next experiment gets a fresh window. Monitor
 /// counters persist across the run by design.
 fn obs_report() {
-    if let Some(obs) = OBS.get().and_then(|o| o.as_ref()) {
+    let obs = obs_handle();
+    if obs.on() {
         println!("--- observability report");
         print!("{}", obs.render_report());
         obs.reset();
@@ -49,8 +48,12 @@ fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let with_obs = args.iter().any(|a| a == "--obs");
     args.retain(|a| a != "--obs");
-    OBS.set(with_obs.then(|| Obs::enabled(DEFAULT_RING_CAPACITY)))
-        .ok();
+    let obs = if with_obs {
+        Obs::enabled(DEFAULT_RING_CAPACITY)
+    } else {
+        Obs::disabled()
+    };
+    OBS.set(obs).ok();
     let cmd = args.first().cloned().unwrap_or_else(|| "all".into());
     let t0 = Instant::now();
     match cmd.as_str() {
@@ -89,7 +92,7 @@ fn main() {
         other => {
             eprintln!("unknown experiment {other}");
             eprintln!("try: fig2 fig1 fig3 fig9 fig10 fig11 locks concurrency recovery deadlocks latchcost smo all");
-            eprintln!("add --obs for latency histograms, event tracing and latch-invariant reports");
+            eprintln!("add --obs for per-span latency histograms, event tracing and latch-invariant reports");
             std::process::exit(2);
         }
     }
@@ -97,6 +100,11 @@ fn main() {
         obs_report();
     }
     eprintln!("[{} done in {:.2?}]", cmd, t0.elapsed());
+    let m = obs_handle().monitor.snapshot();
+    if !m.clean() {
+        eprintln!("latch monitor VIOLATED: {m:?}");
+        std::process::exit(1);
+    }
 }
 
 fn header(title: &str, claim: &str) {

@@ -44,13 +44,6 @@ impl BTree {
     /// Delete `key`. [`Error::NotFound`] if absent (after locking the next
     /// key, so the absence is repeatable).
     pub fn delete(&self, txn: &TxnHandle, key: &IndexKey) -> Result<()> {
-        let op = self.obs.timer();
-        let r = self.delete_inner(txn, key);
-        self.obs.hist.op_delete.record_since(op);
-        r
-    }
-
-    fn delete_inner(&self, txn: &TxnHandle, key: &IndexKey) -> Result<()> {
         self.stats.index_deletes.bump();
         let search = SearchKey::from_key(key);
         let mut need_tree_s = false;

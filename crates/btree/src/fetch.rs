@@ -186,7 +186,6 @@ impl BTree {
     /// Fetch, returning the found key together with its position; `None`
     /// when nothing satisfies the condition (the next key or EOF is locked).
     fn fetch_at(&self, txn: &TxnHandle, value: &[u8], cond: FetchCond) -> Result<Option<Cursor>> {
-        let op = self.obs.timer();
         self.stats.index_fetches.bump();
         // Gt must skip every duplicate of `value`: a maximal-RID search key
         // sorts after all of them (no data page has the id u32::MAX).
@@ -194,9 +193,8 @@ impl BTree {
             FetchCond::Gt => SearchKey::full(value, Rid::new(PageId(u32::MAX), u16::MAX)),
             _ => SearchKey::value_only(value),
         };
-        let r = self.locked_first(txn, &SearchKey::value_only(value), &from, None);
-        self.obs.hist.op_fetch.record_since(op);
-        Ok(r?.filter(|at| cond != FetchCond::Eq || at.last_key.value == value))
+        let r = self.locked_first(txn, &SearchKey::value_only(value), &from, None)?;
+        Ok(r.filter(|at| cond != FetchCond::Eq || at.last_key.value == value))
     }
 
     /// Fetch Next per §2.3: the key following the cursor position, S-locked.
@@ -204,7 +202,6 @@ impl BTree {
     /// stop condition — the paper's protocol requires the terminating key to
     /// be locked, which has already happened by the time the caller sees it.
     pub fn fetch_next(&self, txn: &TxnHandle, cursor: &mut Cursor) -> Result<Option<IndexKey>> {
-        let op = self.obs.timer();
         self.stats.index_fetches.bump();
         let last = &cursor.last_key;
         let r = self.locked_first(
@@ -212,9 +209,8 @@ impl BTree {
             &SearchKey::from_key(last),
             &successor_search(last),
             Some(&*cursor),
-        );
-        self.obs.hist.op_fetch.record_since(op);
-        Ok(r?.map(|at| {
+        )?;
+        Ok(r.map(|at| {
             *cursor = at;
             cursor.last_key.clone()
         }))

@@ -55,13 +55,6 @@ impl BTree {
     /// Insert `key`. Returns [`Error::UniqueViolation`] for a duplicate key
     /// value in a unique index.
     pub fn insert(&self, txn: &TxnHandle, key: &IndexKey) -> Result<()> {
-        let op = self.obs.timer();
-        let r = self.insert_inner(txn, key);
-        self.obs.hist.op_insert.record_since(op);
-        r
-    }
-
-    fn insert_inner(&self, txn: &TxnHandle, key: &IndexKey) -> Result<()> {
         if key.value.len() > MAX_KEY_VALUE_LEN {
             return Err(Error::TooLarge {
                 len: key.value.len(),

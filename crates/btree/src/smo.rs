@@ -254,11 +254,9 @@ impl BTree {
         search: &SearchKey<'_>,
         need: usize,
     ) -> Result<PageId> {
-        let smo = self.obs.timer();
         self.obs
             .event(EventKind::SmoBegin, ModeTag::X, logger.txn.0, self.root.0, 0);
         let r = self.split_smo_inner(logger, search, need);
-        self.obs.hist.op_smo.record_since(smo);
         self.obs
             .event(EventKind::SmoEnd, ModeTag::X, logger.txn.0, self.root.0, 0);
         r
@@ -300,11 +298,9 @@ impl BTree {
         logger: &mut ChainLogger<'_>,
         search: &SearchKey<'_>,
     ) -> Result<()> {
-        let smo = self.obs.timer();
         self.obs
             .event(EventKind::SmoBegin, ModeTag::X, logger.txn.0, self.root.0, 1);
         let r = self.page_delete_smo_inner(logger, search);
-        self.obs.hist.op_smo.record_since(smo);
         self.obs
             .event(EventKind::SmoEnd, ModeTag::X, logger.txn.0, self.root.0, 1);
         r

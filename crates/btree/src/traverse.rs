@@ -110,11 +110,8 @@ impl BTree {
             return;
         }
         self.stats.latch_tree_waits.bump();
-        let wait = self.obs.timer();
-        let span = self.obs.span(SpanKind::LatchWait, 0, 0);
+        let _span = self.obs.span(SpanKind::LatchWait, 0, 0);
         drop(self.tree_latch.read_recursive());
-        drop(span);
-        self.obs.hist.latch_wait_tree.record_since(wait);
     }
 
     /// Conditional S tree latch (used by boundary-key deletes, Figure 7).
@@ -134,11 +131,9 @@ impl BTree {
             return TreeSGuard(g, held);
         }
         self.stats.latch_tree_waits.bump();
-        let wait = self.obs.timer();
         let span = self.obs.span(SpanKind::LatchWait, 0, 0);
         let g = self.tree_latch.read_recursive();
         drop(span);
-        self.obs.hist.latch_wait_tree.record_since(wait);
         TreeSGuard(g, held)
     }
 
@@ -152,11 +147,9 @@ impl BTree {
             return TreeXGuard(g, held);
         }
         self.stats.latch_tree_waits.bump();
-        let wait = self.obs.timer();
         let span = self.obs.span(SpanKind::LatchWait, 0, 0);
         let g = self.tree_latch.write();
         drop(span);
-        self.obs.hist.latch_wait_tree.record_since(wait);
         TreeXGuard(g, held)
     }
 

@@ -48,11 +48,6 @@ macro_rules! counters {
                     $( $name: self.$name.saturating_sub(earlier.$name), )*
                 }
             }
-
-            /// (name, value) pairs for table printers.
-            pub fn entries(&self) -> Vec<(&'static str, u64)> {
-                vec![ $( (stringify!($name), self.$name), )* ]
-            }
         }
     };
 }
@@ -151,18 +146,6 @@ pub fn new_stats() -> StatsHandle {
     Arc::new(Stats::default())
 }
 
-impl Stats {
-    /// Relaxed increment; use through the named counter field:
-    /// `stats.locks_acquired.bump()` reads better via the extension trait.
-    pub fn bump(counter: &AtomicU64) {
-        counter.fetch_add(1, Ordering::Relaxed); // ordering: advisory counter; nothing synchronizes-with it
-    }
-
-    pub fn add(counter: &AtomicU64, n: u64) {
-        counter.fetch_add(n, Ordering::Relaxed); // ordering: advisory counter; nothing synchronizes-with it
-    }
-}
-
 /// Extension so call sites read `stats.page_fixes.bump()`.
 pub trait Bump {
     fn bump(&self);
@@ -212,18 +195,6 @@ mod tests {
         s.smo_splits.add(3);
         s.reset();
         assert_eq!(s.snapshot(), StatsSnapshot::default());
-    }
-
-    #[test]
-    fn entries_lists_every_counter_once() {
-        let snap = new_stats().snapshot();
-        let names: Vec<_> = snap.entries().iter().map(|(n, _)| *n).collect();
-        let mut dedup = names.clone();
-        dedup.sort();
-        dedup.dedup();
-        assert_eq!(names.len(), dedup.len());
-        assert!(names.contains(&"redo_traversals"));
-        assert!(names.contains(&"locks_next_key"));
     }
 
     #[test]

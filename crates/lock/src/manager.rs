@@ -211,7 +211,6 @@ impl LockManager {
         self.obs.monitor.on_unconditional_lock_wait();
         self.obs
             .event(EventKind::LockWait, mode_tag(mode), txn.0, 0, name_tag(&name));
-        let wait_timer = self.obs.timer();
         let wait_span = self.obs.span(SpanKind::LockWait, txn.0, 0);
         self.stats.lock_waits.bump();
         let mut s = cell.state.lock();
@@ -229,7 +228,6 @@ impl LockManager {
         }
         drop(s);
         drop(wait_span);
-        self.obs.hist.lock_wait.record_since(wait_timer);
         self.note_grant(txn, &name, mode, duration);
         Ok(())
     }

@@ -1,14 +1,13 @@
 //! Power-of-two-bucket latency histograms.
 //!
 //! Bucket `i` covers durations of `[2^i, 2^(i+1))` nanoseconds (bucket 0
-//! also absorbs 0 ns). Recording is a single relaxed `fetch_add` on the hot
-//! path, so histograms can sit inside latch- and lock-acquisition paths
-//! without perturbing what they measure. Like the counters in
+//! also absorbs 0 ns). Recording is a few relaxed atomic adds, so one
+//! histogram per span kind can sit inside latch- and lock-acquisition paths
+//! without perturbing what it measures. Like the counters in
 //! `ariesim_common::stats`, they order nothing and must never be used for
 //! synchronization.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{Duration, Instant};
 
 /// Number of log2 buckets: covers up to 2^63 ns (~292 years).
 pub const BUCKETS: usize = 64;
@@ -56,18 +55,6 @@ impl LatencyHistogram {
         self.max_ns.fetch_max(ns, Ordering::Relaxed);
     }
 
-    pub fn record(&self, d: Duration) {
-        self.record_ns(d.as_nanos().min(u64::MAX as u128) as u64);
-    }
-
-    /// Record the elapsed time since `start`, if a timer was started
-    /// (`None` means observability was disabled at the timer site).
-    pub fn record_since(&self, start: Option<Instant>) {
-        if let Some(t) = start {
-            self.record(t.elapsed());
-        }
-    }
-
     pub fn snapshot(&self) -> HistogramSnapshot {
         HistogramSnapshot {
             buckets: std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed)),
@@ -108,16 +95,6 @@ impl Default for HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
-    /// Fold another snapshot into this one (for per-shard or per-run merges).
-    pub fn merge(&mut self, other: &HistogramSnapshot) {
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum_ns += other.sum_ns;
-        self.max_ns = self.max_ns.max(other.max_ns);
-    }
-
     /// Value (ns) at or below which a `q` fraction of samples fall.
     /// Resolution is one log2 bucket; the true max caps the answer.
     pub fn quantile_ns(&self, q: f64) -> u64 {
@@ -149,10 +126,6 @@ impl HistogramSnapshot {
 
     pub fn max(&self) -> u64 {
         self.max_ns
-    }
-
-    pub fn mean_ns(&self) -> u64 {
-        self.sum_ns.checked_div(self.count).unwrap_or(0)
     }
 }
 
@@ -227,7 +200,7 @@ mod tests {
         assert!(s.quantile_ns(0.89) < 256);
         assert!(s.p95() >= 524_288, "p95={}", s.p95());
         assert_eq!(s.max(), 1_000_000);
-        assert_eq!(s.mean_ns(), (90 * 100 + 10 * 1_000_000) / 100);
+        assert_eq!(s.sum_ns, 90 * 100 + 10 * 1_000_000);
     }
 
     #[test]
@@ -236,7 +209,6 @@ mod tests {
         assert_eq!((s.count, s.p50(), s.p99(), s.max()), (0, 0, 0, 0));
         assert_eq!(s.quantile_ns(0.0), 0);
         assert_eq!(s.quantile_ns(1.0), 0);
-        assert_eq!(s.mean_ns(), 0);
     }
 
     #[test]
@@ -250,7 +222,6 @@ mod tests {
         assert_eq!(s.p50(), 700);
         assert_eq!(s.p99(), 700);
         assert_eq!(s.quantile_ns(1.0), 700);
-        assert_eq!(s.mean_ns(), 700);
     }
 
     #[test]
@@ -268,20 +239,6 @@ mod tests {
         // Out-of-range q is clamped to a valid rank, not a panic.
         assert_eq!(s.quantile_ns(2.0), u64::MAX);
         assert_eq!(s.quantile_ns(-1.0), u64::MAX);
-    }
-
-    #[test]
-    fn merge_accumulates() {
-        let a = LatencyHistogram::default();
-        let b = LatencyHistogram::default();
-        a.record_ns(10);
-        b.record_ns(1000);
-        b.record_ns(2000);
-        let mut s = a.snapshot();
-        s.merge(&b.snapshot());
-        assert_eq!(s.count, 3);
-        assert_eq!(s.sum_ns, 3010);
-        assert_eq!(s.max_ns, 2000);
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! Supports exactly the subset the observability layer emits: objects,
 //! arrays, strings, non-negative numbers, and floats. The parser exists so
-//! tests can round-trip JSONL event dumps and so `dumplog --json` output is
-//! verifiable in-tree without serde.
+//! tests can read back [`Obs::to_json`](crate::Obs::to_json) and so
+//! `dumplog --json` output is verifiable in-tree without serde.
 
 /// Incremental JSON object writer.
 pub struct Object {
@@ -377,7 +377,7 @@ mod tests {
     #[test]
     fn large_u64_survives() {
         // Integer literals must round-trip exactly even above f64's 53-bit
-        // mantissa — event `aux` fields carry full 64-bit lock-name hashes.
+        // mantissa — nanosecond sums and LSNs use the full 64 bits.
         let mut o = Object::new();
         o.field_u64("aux", u64::MAX - 3);
         let v = parse(&o.finish()).unwrap();

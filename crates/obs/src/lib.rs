@@ -2,12 +2,12 @@
 //!
 //! Three pillars, all std-only and lock-free on the hot path:
 //!
-//! * [`hist`] — log2-bucket latency histograms for latch waits, lock
-//!   waits, log forces, page I/O, and whole index operations.
+//! * [`span`] — scoped timers, one per timed site (lock wait, latch wait,
+//!   WAL append and fsync, page I/O, redo apply, user work). Each kind
+//!   keeps a log2-bucket [`hist`] of inclusive times and a self-time total.
 //! * [`trace`] — a fixed-capacity seqlock event ring recording typed,
 //!   timestamped events (latch hand-offs, lock grants/waits/denials, SMO
-//!   windows, traversal restarts, log forces, CLR writes), dumpable as
-//!   JSONL.
+//!   windows, traversal restarts, log forces, CLR writes, write-backs).
 //! * [`monitor`] — live checks of the latch-protocol invariants the paper
 //!   argues for: page-latch depth ≤ 2, latch acquisition order, no
 //!   unconditional lock wait while latched, and page-oriented
@@ -15,7 +15,7 @@
 //!
 //! Everything hangs off an [`Obs`] handle (an `Arc` internally). An engine
 //! is opened with one (`Core::open` hands the same handle to every
-//! component); [`Obs::disabled`] reduces every histogram/trace call to a
+//! component); [`Obs::disabled`] reduces every span/trace call to a
 //! single branch on a `bool`. Invariant monitoring is always on — it is the
 //! cheapest pillar (a thread-local increment) and the most valuable one.
 
@@ -34,101 +34,33 @@ pub use trace::{Event, EventKind, EventRing, ModeTag, RingStats};
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Shared handle to one observability domain (typically one per `Rig`
 /// or one per database instance).
 pub type ObsHandle = Arc<Obs>;
 
-/// Latency histograms kept by an [`Obs`], one per instrumented site.
-#[derive(Default)]
-pub struct Histograms {
-    /// Time blocked acquiring a page latch (only the wait path).
-    pub latch_wait_page: LatencyHistogram,
-    /// Time blocked acquiring the index-wide tree latch.
-    pub latch_wait_tree: LatencyHistogram,
-    /// Time blocked in an unconditional lock wait.
-    pub lock_wait: LatencyHistogram,
-    /// Duration of a synchronous log force (group commit flush).
-    pub log_force: LatencyHistogram,
-    /// Disk read of one page into the buffer pool.
-    pub page_read: LatencyHistogram,
-    /// Disk write of one dirty page out of the buffer pool.
-    pub page_write: LatencyHistogram,
-    /// Whole `fetch`/`fetch_next` call.
-    pub op_fetch: LatencyHistogram,
-    /// Whole `insert` call (including any splits it triggered).
-    pub op_insert: LatencyHistogram,
-    /// Whole `delete` call (including any page deletes it triggered).
-    pub op_delete: LatencyHistogram,
-    /// One structure modification operation (split or page delete).
-    pub op_smo: LatencyHistogram,
-    /// Transaction commit, including its log force.
-    pub op_commit: LatencyHistogram,
-    /// One shipped-chunk ingest into a standby's log.
-    pub repl_ingest: LatencyHistogram,
-    /// One continuous-redo apply batch on a standby.
-    pub repl_apply: LatencyHistogram,
-    /// Group-commit batch size **in waiters, not nanoseconds**: each flush
-    /// batch records how many committers it satisfied (leader plus
-    /// riders). Reuses the log2-bucket histogram for its cheap percentile
-    /// machinery; `p50`/`mean` read as waiter counts.
-    pub wal_group_batch: LatencyHistogram,
-}
-
-impl Histograms {
-    /// Stable (name, histogram) listing used by the report and JSON
-    /// exporters; order is the order rows appear in the report.
-    pub fn named(&self) -> [(&'static str, &LatencyHistogram); 14] {
-        [
-            ("latch_wait_page", &self.latch_wait_page),
-            ("latch_wait_tree", &self.latch_wait_tree),
-            ("lock_wait", &self.lock_wait),
-            ("log_force", &self.log_force),
-            ("page_read", &self.page_read),
-            ("page_write", &self.page_write),
-            ("op_fetch", &self.op_fetch),
-            ("op_insert", &self.op_insert),
-            ("op_delete", &self.op_delete),
-            ("op_smo", &self.op_smo),
-            ("op_commit", &self.op_commit),
-            ("repl_ingest", &self.repl_ingest),
-            ("repl_apply", &self.repl_apply),
-            ("wal_group_batch", &self.wal_group_batch),
-        ]
-    }
-}
-
-/// Replication lag with explicit units.
+/// Replication lag in bytes of log.
 ///
 /// Watermark semantics: the primary's *durable end* is the LSN up to which
 /// the log is fsynced and therefore shippable; the standby's *applied LSN*
 /// is the watermark below which every record has been redone into its
 /// buffer pool (reads at or below it see a consistent prefix). Lag is
-/// `durable_end - applied`, published in two units so consumers never have
-/// to guess: `bytes` of log and `lsn_delta` in LSN units. In this engine an
-/// LSN *is* a byte offset into the log, so the two gauges currently
-/// coincide numerically — carrying both keeps the exposition honest if the
-/// LSN mapping ever changes (e.g. sharded or compressed logs).
+/// `durable_end - applied`; an LSN *is* a byte offset into the log, so the
+/// difference is a byte count.
 #[derive(Default)]
 pub struct ReplLag {
     /// Bytes of durable primary log the standby has not yet applied.
     pub bytes: Gauge,
-    /// The same lag as an LSN delta (`durable_end_lsn - applied_lsn`).
-    pub lsn_delta: Gauge,
 }
 
 impl ReplLag {
-    /// Set both units from the two watermarks (see the type-level doc).
+    /// Set the lag from the two watermarks (see the type-level doc).
     pub fn set_watermarks(&self, durable_end_lsn: u64, applied_lsn: u64) {
-        let lag = durable_end_lsn.saturating_sub(applied_lsn);
-        self.bytes.set(lag);
-        self.lsn_delta.set(lag);
+        self.bytes.set(durable_end_lsn.saturating_sub(applied_lsn));
     }
 
     pub fn reset(&self) {
         self.bytes.reset();
-        self.lsn_delta.reset();
     }
 }
 
@@ -179,28 +111,24 @@ impl RecoveryProgress {
     }
 }
 
-/// Instantaneous gauges kept by an [`Obs`]. Unlike the histograms these
-/// are always live (a gauge `set` is two relaxed stores): replication lag
-/// and recovery progress are operational signals, not profiling ones.
+/// Instantaneous gauges kept by an [`Obs`]. Unlike the spans these are
+/// always live (a gauge `set` is two relaxed stores): replication lag and
+/// recovery progress are operational signals, not profiling ones.
 #[derive(Default)]
 pub struct Gauges {
-    /// Standby replication lag (bytes and LSN delta; see [`ReplLag`]).
+    /// Standby replication lag in bytes (see [`ReplLag`]).
     pub repl_lag: ReplLag,
     /// Restart-recovery progress (see [`RecoveryProgress`]).
     pub recovery: RecoveryProgress,
 }
 
-/// Buffer-pool traffic counters, bumped by `ariesim_storage::pool` and
-/// read out by [`Obs::to_json`] / [`Obs::render_report`]. Always live
-/// (plain relaxed atomics): the pool is on every page access, so these are
-/// the cheapest possible contention telemetry. Per-partition breakdowns live in the pool
+/// Buffer-pool counters that `Stats` does not carry (fixes and misses are
+/// `page_fixes` and `page_reads` there), bumped by `ariesim_storage::pool`
+/// and read out by [`Obs::to_json`] / [`Obs::render_report`]. Always live
+/// (plain relaxed atomics). Per-partition breakdowns live in the pool
 /// itself (partition count is not known when the handle is built).
 #[derive(Default)]
 pub struct PoolCounters {
-    /// Page-table hits (frame already resident).
-    pub hits: AtomicU64,
-    /// Page-table misses (frame loaded from disk).
-    pub misses: AtomicU64,
     /// Evictions (a resident page was displaced to make room).
     pub evictions: AtomicU64,
     /// Shard-mutex acquisitions that found the mutex already held.
@@ -209,18 +137,14 @@ pub struct PoolCounters {
 
 impl PoolCounters {
     /// `(name, value)` per counter, in read-out order.
-    pub fn named(&self) -> [(&'static str, u64); 4] {
+    pub fn named(&self) -> [(&'static str, u64); 2] {
         [
-            ("hits", self.hits.load(Ordering::Relaxed)),
-            ("misses", self.misses.load(Ordering::Relaxed)),
             ("evictions", self.evictions.load(Ordering::Relaxed)),
             ("shard_contended", self.shard_contended.load(Ordering::Relaxed)),
         ]
     }
 
     pub fn reset(&self) {
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
         self.evictions.store(0, Ordering::Relaxed);
         self.shard_contended.store(0, Ordering::Relaxed);
     }
@@ -253,13 +177,12 @@ impl WalCounters {
     }
 }
 
-/// One observability domain: histograms + gauges + event ring + invariant
-/// monitor.
+/// One observability domain: spans + gauges + counters + event ring +
+/// invariant monitor.
 pub struct Obs {
     enabled: bool,
-    pub hist: Histograms,
     pub gauge: Gauges,
-    /// Exact per-kind span self-time totals (see [`span`]).
+    /// Per-kind span histograms and self-time totals (see [`span`]).
     pub spans: SpanTotals,
     /// Buffer-pool traffic counters (see [`PoolCounters`]).
     pub pool: PoolCounters,
@@ -273,13 +196,12 @@ pub struct Obs {
 pub const DEFAULT_RING_CAPACITY: usize = 4096;
 
 impl Obs {
-    /// A disabled handle: histograms and tracing compile down to one
-    /// branch; invariant monitoring stays live (it is nearly free and
-    /// guards correctness, not performance).
+    /// A disabled handle: spans and tracing compile down to one branch;
+    /// invariant monitoring stays live (it is nearly free and guards
+    /// correctness, not performance).
     pub fn disabled() -> ObsHandle {
         Arc::new(Obs {
             enabled: false,
-            hist: Histograms::default(),
             gauge: Gauges::default(),
             spans: SpanTotals::default(),
             pool: PoolCounters::default(),
@@ -293,7 +215,6 @@ impl Obs {
     pub fn enabled(ring_capacity: usize) -> ObsHandle {
         Arc::new(Obs {
             enabled: true,
-            hist: Histograms::default(),
             gauge: Gauges::default(),
             spans: SpanTotals::default(),
             pool: PoolCounters::default(),
@@ -309,17 +230,6 @@ impl Obs {
         self.enabled
     }
 
-    /// Start a timer if enabled; pair with
-    /// [`LatencyHistogram::record_since`].
-    #[inline]
-    pub fn timer(&self) -> Option<Instant> {
-        if self.enabled {
-            Some(Instant::now())
-        } else {
-            None
-        }
-    }
-
     /// Record a trace event (no-op when disabled).
     #[inline]
     pub fn event(&self, kind: EventKind, mode: ModeTag, txn: u64, page: u32, aux: u64) {
@@ -328,20 +238,18 @@ impl Obs {
         }
     }
 
-    /// Open an attribution span (see [`span`]). The returned guard closes
-    /// the span when dropped; on a disabled handle it is an inert value.
+    /// Open a span of `kind` (see [`span`]). The returned guard closes the
+    /// span when dropped; on a disabled handle it is an inert value. `txn`
+    /// and `page` are not recorded.
     #[inline]
-    pub fn span(&self, kind: SpanKind, txn: u64, page: u32) -> SpanGuard<'_> {
-        span::begin(self, kind, txn, page)
+    pub fn span(&self, kind: SpanKind, _txn: u64, _page: u32) -> SpanGuard<'_> {
+        span::begin(self, kind)
     }
 
-    /// Reset histograms, gauges, span totals, and the event ring (monitor
-    /// counters persist — a past violation should not be erasable between
-    /// report windows).
+    /// Reset spans, gauges, counters, and the event ring (monitor counters
+    /// persist — a past violation should not be erasable between report
+    /// windows).
     pub fn reset(&self) {
-        for (_, h) in self.hist.named() {
-            h.reset();
-        }
         self.gauge.repl_lag.reset();
         self.gauge.recovery.reset();
         self.spans.reset();
@@ -350,49 +258,37 @@ impl Obs {
         self.ring.reset();
     }
 
-    /// Aligned-text report: one histogram per row plus the monitor
-    /// verdict. This is what `experiments -- all --obs` prints.
+    /// Per-kind span histograms with their self-time totals, in
+    /// discriminant order.
+    fn span_rows(&self) -> impl Iterator<Item = (&'static str, HistogramSnapshot, u64)> + '_ {
+        let totals = self.spans.snapshot();
+        (0..SPAN_KIND_COUNT).map(move |i| {
+            (SPAN_NAMES[i], self.spans.hist[i].snapshot(), totals.self_ns[i])
+        })
+    }
+
+    /// Aligned-text report: one row per span kind (inclusive-time
+    /// percentiles, self time and its share), the counters and gauges, and
+    /// the monitor verdict. This is what `experiments -- all --obs` prints.
     pub fn render_report(&self) -> String {
         let mut out = String::new();
+        let total = self.spans.snapshot().total_ns().max(1);
         out.push_str(&format!(
-            "{:<18} {:>10} {:>9} {:>9} {:>9} {:>9} {:>9}\n",
-            "site", "count", "p50", "p95", "p99", "max", "mean"
+            "{:<12} {:>9} {:>9} {:>9} {:>9} {:>9} {:>10} {:>6}\n",
+            "span", "count", "p50", "p95", "p99", "max", "self", "share"
         ));
-        for (name, h) in self.hist.named() {
-            let s = h.snapshot();
-            if s.count == 0 {
-                continue;
-            }
+        for (name, s, self_ns) in self.span_rows().filter(|(_, s, _)| s.count != 0) {
             out.push_str(&format!(
-                "{:<18} {:>10} {:>9} {:>9} {:>9} {:>9} {:>9}\n",
+                "{:<12} {:>9} {:>9} {:>9} {:>9} {:>9} {:>10} {:>5.1}%\n",
                 name,
                 s.count,
                 fmt_ns(s.p50()),
                 fmt_ns(s.p95()),
                 fmt_ns(s.p99()),
                 fmt_ns(s.max()),
-                fmt_ns(s.mean_ns()),
+                fmt_ns(self_ns),
+                100.0 * self_ns as f64 / total as f64,
             ));
-        }
-        let spans = self.spans.snapshot();
-        if !spans.is_empty() {
-            let total = spans.total_ns().max(1);
-            out.push_str(&format!(
-                "{:<18} {:>10} {:>12} {:>7}\n",
-                "span", "count", "self", "share"
-            ));
-            for (name, self_ns, count) in spans.named() {
-                if count == 0 {
-                    continue;
-                }
-                out.push_str(&format!(
-                    "{:<18} {:>10} {:>12} {:>6.1}%\n",
-                    name,
-                    count,
-                    fmt_ns(self_ns),
-                    100.0 * self_ns as f64 / total as f64,
-                ));
-            }
         }
         for (label, counters) in [
             ("pool", &self.pool.named()[..]),
@@ -410,11 +306,9 @@ impl Obs {
         let lag = &self.gauge.repl_lag;
         if lag.bytes.max() != 0 {
             out.push_str(&format!(
-                "repl lag: {} bytes now, {} bytes max (lsn delta {} now, {} max)\n",
+                "repl lag: {} bytes now, {} bytes max\n",
                 lag.bytes.last(),
                 lag.bytes.max(),
-                lag.lsn_delta.last(),
-                lag.lsn_delta.max(),
             ));
         }
         let rec = &self.gauge.recovery;
@@ -454,28 +348,24 @@ impl Obs {
         if !rs.complete() {
             out.push_str(&format!(
                 "WARNING: event ring wrapped ({} events dropped, {} torn) — \
-                 a ring dump is incomplete (span totals above remain exact)\n",
+                 a ring snapshot is incomplete (span totals above remain exact)\n",
                 rs.dropped, rs.torn,
             ));
         }
         out
     }
 
-    /// Full JSON export: every histogram (buckets included), span totals,
-    /// gauges, pool and WAL counters, the monitor snapshot, and ring
-    /// metadata. One JSON object, machine-readable.
+    /// Full JSON export: one object per span kind (its histogram, buckets
+    /// included, and self time), gauges, pool and WAL counters, the
+    /// monitor snapshot, and ring metadata. One JSON object,
+    /// machine-readable.
     pub fn to_json(&self) -> String {
         let mut root = json::Object::new();
-        let mut hists = String::from("{");
-        let mut first = true;
-        for (name, h) in self.hist.named() {
-            let s = h.snapshot();
-            if !first {
-                hists.push(',');
-            }
-            first = false;
+        let mut so = json::Object::new();
+        for (name, s, self_ns) in self.span_rows() {
             let mut o = json::Object::new();
             o.field_u64("count", s.count);
+            o.field_u64("self_ns", self_ns);
             o.field_u64("sum_ns", s.sum_ns);
             o.field_u64("max_ns", s.max_ns);
             o.field_u64("p50_ns", s.p50());
@@ -484,18 +374,7 @@ impl Obs {
             // Trim trailing zero buckets to keep the export compact.
             let last = s.buckets.iter().rposition(|&b| b != 0).map_or(0, |i| i + 1);
             o.field_raw("buckets", &json::array_u64(&s.buckets[..last]));
-            hists.push_str(&format!("\"{name}\":{}", o.finish()));
-        }
-        hists.push('}');
-        root.field_raw("histograms", &hists);
-
-        let spans = self.spans.snapshot();
-        let mut so = json::Object::new();
-        for (name, self_ns, count) in spans.named() {
-            let mut sp = json::Object::new();
-            sp.field_u64("self_ns", self_ns);
-            sp.field_u64("count", count);
-            so.field_raw(name, &sp.finish());
+            so.field_raw(name, &o.finish());
         }
         root.field_raw("spans", &so.finish());
 
@@ -508,7 +387,6 @@ impl Obs {
         let mut go = json::Object::new();
         let mut lg = json::Object::new();
         lg.field_raw("bytes", &gauge_pair(&self.gauge.repl_lag.bytes));
-        lg.field_raw("lsn_delta", &gauge_pair(&self.gauge.repl_lag.lsn_delta));
         go.field_raw("repl_lag", &lg.finish());
         let rec = &self.gauge.recovery;
         let mut rg = json::Object::new();
@@ -562,59 +440,64 @@ mod tests {
     fn disabled_handle_is_inert() {
         let obs = Obs::disabled();
         assert!(!obs.on());
-        assert!(obs.timer().is_none());
         obs.event(EventKind::LogForce, ModeTag::None, 0, 0, 0);
+        drop(obs.span(SpanKind::WalFsync, 0, 0));
         assert_eq!(obs.ring.recorded(), 0);
-        obs.hist.log_force.record_since(obs.timer());
-        assert_eq!(obs.hist.log_force.snapshot().count, 0);
+        assert!(obs.spans.snapshot().is_empty());
     }
 
     #[test]
     fn enabled_handle_records() {
         let obs = Obs::enabled(64);
         assert!(obs.on());
-        let t = obs.timer();
-        assert!(t.is_some());
-        obs.hist.lock_wait.record_since(t);
+        drop(obs.span(SpanKind::LockWait, 5, 0));
         obs.event(EventKind::LockGrant, ModeTag::X, 5, 0, 99);
-        assert_eq!(obs.hist.lock_wait.snapshot().count, 1);
+        assert_eq!(obs.spans.hist(SpanKind::LockWait).snapshot().count, 1);
         assert_eq!(obs.ring.recorded(), 1);
     }
 
     #[test]
-    fn report_lists_active_sites_and_verdict() {
+    fn report_lists_active_kinds_and_verdict() {
         let obs = Obs::enabled(64);
-        obs.hist.op_insert.record_ns(1500);
-        obs.hist.op_insert.record_ns(2500);
+        drop(obs.span(SpanKind::PageRead, 0, 1));
+        drop(obs.span(SpanKind::PageRead, 0, 2));
         let report = obs.render_report();
-        assert!(report.contains("op_insert"));
-        assert!(!report.contains("op_delete")); // zero-count rows hidden
+        assert!(report.contains("page_read            2 "), "{report}");
+        assert!(!report.contains("page_write")); // zero-count rows hidden
         assert!(report.contains("CLEAN"));
     }
 
     #[test]
     fn json_export_parses_back() {
         let obs = Obs::enabled(64);
-        obs.hist.log_force.record_ns(40_000);
+        drop(obs.span(SpanKind::WalFsync, 0, 0));
         obs.event(EventKind::LogForce, ModeTag::None, 1, 0, 512);
-        obs.pool.hits.store(7, Ordering::Relaxed);
         obs.pool.shard_contended.store(2, Ordering::Relaxed);
         obs.wal.group_riders.store(3, Ordering::Relaxed);
+        obs.gauge.repl_lag.set_watermarks(900, 100);
         let text = obs.to_json();
         let v = json::parse(&text).expect("valid JSON");
         let pool = v.get("pool").unwrap();
-        assert_eq!(pool.get("hits").unwrap().as_u64(), Some(7));
-        assert_eq!(pool.get("misses").unwrap().as_u64(), Some(0));
         assert_eq!(pool.get("evictions").unwrap().as_u64(), Some(0));
         assert_eq!(pool.get("shard_contended").unwrap().as_u64(), Some(2));
+        assert!(pool.get("hits").is_none());
         let wal = v.get("wal").unwrap();
         assert_eq!(wal.get("group_batches").unwrap().as_u64(), Some(0));
         assert_eq!(wal.get("group_riders").unwrap().as_u64(), Some(3));
         let report = obs.render_report();
-        assert!(report.contains("pool: hits 7 misses 0 evictions 0 shard_contended 2\n"));
+        assert!(report.contains("pool: evictions 0 shard_contended 2\n"));
         assert!(report.contains("wal: group_batches 0 group_riders 3\n"));
-        let lf = v.get("histograms").unwrap().get("log_force").unwrap();
-        assert_eq!(lf.get("count").unwrap().as_u64(), Some(1));
+        assert!(report.contains("repl lag: 800 bytes now, 800 bytes max\n"));
+        let spans = v.get("spans").unwrap();
+        let fsync = spans.get("wal_fsync").unwrap();
+        assert_eq!(fsync.get("count").unwrap().as_u64(), Some(1));
+        assert_eq!(
+            fsync.get("self_ns").unwrap().as_u64(),
+            fsync.get("sum_ns").unwrap().as_u64()
+        );
+        assert_eq!(spans.get("lock_wait").unwrap().get("count").unwrap().as_u64(), Some(0));
+        let lag = v.get("gauges").unwrap().get("repl_lag").unwrap();
+        assert_eq!(lag.get("bytes").unwrap().get("last").unwrap().as_u64(), Some(800));
         assert_eq!(
             v.get("monitor").unwrap().get("clean"),
             Some(&json::JsonValue::Bool(true))
@@ -625,7 +508,7 @@ mod tests {
     #[test]
     fn reset_clears_measurements_not_monitor() {
         let obs = Obs::enabled(64);
-        obs.hist.op_fetch.record_ns(10);
+        drop(obs.span(SpanKind::UserWork, 0, 0));
         obs.event(EventKind::LockDeny, ModeTag::S, 1, 2, 3);
         std::thread::scope(|s| {
             s.spawn(|| {
@@ -633,7 +516,8 @@ mod tests {
             });
         });
         obs.reset();
-        assert_eq!(obs.hist.op_fetch.snapshot().count, 0);
+        assert!(obs.spans.snapshot().is_empty());
+        assert_eq!(obs.spans.hist(SpanKind::UserWork).snapshot().count, 0);
         assert_eq!(obs.ring.snapshot().len(), 0);
         assert_eq!(obs.monitor.snapshot().max_latch_depth, 1);
     }

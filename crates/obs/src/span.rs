@@ -2,18 +2,19 @@
 //!
 //! A span is a scoped region of wall time tagged with a [`SpanKind`]
 //! (lock wait, latch wait, WAL append, fsync, page I/O, standby apply, or
-//! user work). Spans nest on a per-thread stack; when a guard drops, its
-//! **self time** — elapsed time minus the time spent inside child spans —
-//! is added to the owning [`Obs`](crate::Obs)'s [`SpanTotals`] and a
-//! `SpanEnd` event carrying the self time is pushed into the event ring.
-//! Because self times never double-count nested work, the sum of all span
-//! self times over a window equals the wall time covered by the outermost
-//! spans: wrap every foreground operation in a `UserWork` span and the
-//! per-kind totals become a complete breakdown of where the time went.
+//! user work). Spans nest on a per-thread stack. A guard's drop is the one
+//! place a timed interval is recorded: its **inclusive** elapsed time goes
+//! into the kind's latency histogram, and its **self time** — elapsed time
+//! minus the time spent inside child spans — into the kind's total in the
+//! owning [`Obs`](crate::Obs)'s [`SpanTotals`]. Because self times never
+//! double-count nested work, the sum of all span self times over a window
+//! equals the wall time covered by the outermost spans: wrap every
+//! foreground operation in a `UserWork` span and the per-kind totals become
+//! a complete breakdown of where the time went.
 //!
-//! The hot path is lock-free: a thread-local `Vec` push/pop, two ring
-//! pushes, and two relaxed atomic adds. A disabled `Obs` hands out a
-//! disarmed guard whose `Drop` is a single branch.
+//! The hot path is lock-free: a thread-local `Vec` push/pop, two clock
+//! reads and relaxed atomic adds. A disabled `Obs` hands out a disarmed
+//! guard whose `Drop` is a single branch.
 //!
 //! Balance under panic is guaranteed by RAII: unwinding drops the guard,
 //! which pops the stack frame it pushed. Spans from *different* `Obs`
@@ -22,14 +23,14 @@
 //! each guard records into its own domain, so a domain's totals only
 //! include time its own spans claimed as self time.
 
-use crate::trace::{EventKind, ModeTag};
+use crate::hist::LatencyHistogram;
 use crate::Obs;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-/// What a span attributes its self time to. Discriminants are stable;
-/// they appear in `SpanBegin`/`SpanEnd` event payloads and JSONL dumps.
+/// What a span attributes its time to. Discriminants index the arrays in
+/// [`SpanTotals`] and [`SPAN_NAMES`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 #[repr(u8)]
 pub enum SpanKind {
@@ -68,70 +69,36 @@ pub const SPAN_NAMES: [&str; SPAN_KIND_COUNT] = [
     "user_work",
 ];
 
-/// Self time is packed into the high 56 bits of a `SpanEnd` event's `aux`
-/// word (the low 8 bits carry the kind), so it saturates at ~2.3 years.
-pub const MAX_PACKED_SELF_NS: u64 = (1 << 56) - 1;
-
-impl SpanKind {
-    pub fn as_str(self) -> &'static str {
-        SPAN_NAMES[self as usize]
-    }
-
-    pub fn from_u8(v: u8) -> Option<SpanKind> {
-        Some(match v {
-            0 => SpanKind::LockWait,
-            1 => SpanKind::LatchWait,
-            2 => SpanKind::WalAppend,
-            3 => SpanKind::WalFsync,
-            4 => SpanKind::PageRead,
-            5 => SpanKind::PageWrite,
-            6 => SpanKind::Apply,
-            7 => SpanKind::UserWork,
-            _ => return None,
-        })
-    }
-
-    /// Decode the kind from a `SpanBegin`/`SpanEnd` event's `aux` word.
-    pub fn from_aux(aux: u64) -> Option<SpanKind> {
-        SpanKind::from_u8((aux & 0xff) as u8)
-    }
-}
-
-/// Extract the packed self time from a `SpanEnd` event's `aux` word.
-pub fn self_ns_from_aux(aux: u64) -> u64 {
-    aux >> 8
-}
-
-/// Pack a kind and self time into a `SpanEnd` `aux` word.
-pub fn pack_end_aux(kind: SpanKind, self_ns: u64) -> u64 {
-    (self_ns.min(MAX_PACKED_SELF_NS) << 8) | kind as u64
-}
-
-/// Exact per-kind self-time totals, independent of ring capacity: even when
-/// the event ring wraps, these counters hold the complete attribution.
+/// Exact per-kind totals: self time, and a histogram of inclusive elapsed
+/// times whose sample count is the kind's span count.
 #[derive(Default)]
 pub struct SpanTotals {
     self_ns: [AtomicU64; SPAN_KIND_COUNT],
-    count: [AtomicU64; SPAN_KIND_COUNT],
+    pub(crate) hist: [LatencyHistogram; SPAN_KIND_COUNT],
 }
 
 impl SpanTotals {
-    fn add(&self, kind: SpanKind, self_ns: u64) {
+    fn add(&self, kind: SpanKind, elapsed_ns: u64, self_ns: u64) {
         self.self_ns[kind as usize].fetch_add(self_ns, Ordering::Relaxed);
-        self.count[kind as usize].fetch_add(1, Ordering::Relaxed);
+        self.hist[kind as usize].record_ns(elapsed_ns);
+    }
+
+    /// Inclusive elapsed times of the closed spans of `kind`.
+    pub fn hist(&self, kind: SpanKind) -> &LatencyHistogram {
+        &self.hist[kind as usize]
     }
 
     pub fn snapshot(&self) -> SpanSnapshot {
         SpanSnapshot {
             self_ns: std::array::from_fn(|i| self.self_ns[i].load(Ordering::Relaxed)),
-            count: std::array::from_fn(|i| self.count[i].load(Ordering::Relaxed)),
+            count: std::array::from_fn(|i| self.hist[i].snapshot().count),
         }
     }
 
     pub fn reset(&self) {
         for i in 0..SPAN_KIND_COUNT {
             self.self_ns[i].store(0, Ordering::Relaxed);
-            self.count[i].store(0, Ordering::Relaxed);
+            self.hist[i].reset();
         }
     }
 }
@@ -146,11 +113,6 @@ pub struct SpanSnapshot {
 }
 
 impl SpanSnapshot {
-    /// Stable (name, self_ns, count) rows in discriminant order.
-    pub fn named(&self) -> [(&'static str, u64, u64); SPAN_KIND_COUNT] {
-        std::array::from_fn(|i| (SPAN_NAMES[i], self.self_ns[i], self.count[i]))
-    }
-
     /// Total self time across all kinds — the wall time covered by the
     /// outermost spans.
     pub fn total_ns(&self) -> u64 {
@@ -177,32 +139,20 @@ pub fn stack_depth() -> usize {
 }
 
 /// RAII guard for one span; see [`Obs::span`](crate::Obs::span). Dropping
-/// it (normally or during unwind) closes the span and records its self
-/// time.
+/// it (normally or during unwind) closes the span and records its time.
 pub struct SpanGuard<'a> {
     armed: Option<(&'a Obs, Instant)>,
     kind: SpanKind,
-    txn: u64,
-    page: u32,
 }
 
-pub(crate) fn begin(obs: &Obs, kind: SpanKind, txn: u64, page: u32) -> SpanGuard<'_> {
+pub(crate) fn begin(obs: &Obs, kind: SpanKind) -> SpanGuard<'_> {
     if !obs.on() {
-        return SpanGuard {
-            armed: None,
-            kind,
-            txn,
-            page,
-        };
+        return SpanGuard { armed: None, kind };
     }
     STACK.with(|s| s.borrow_mut().push(Frame { child_ns: 0 }));
-    obs.ring
-        .push(EventKind::SpanBegin, ModeTag::None, txn, page, kind as u64);
     SpanGuard {
         armed: Some((obs, Instant::now())),
         kind,
-        txn,
-        page,
     }
 }
 
@@ -220,14 +170,7 @@ impl Drop for SpanGuard<'_> {
             }
             elapsed.saturating_sub(child_ns)
         });
-        obs.spans.add(self.kind, self_ns);
-        obs.ring.push(
-            EventKind::SpanEnd,
-            ModeTag::None,
-            self.txn,
-            self.page,
-            pack_end_aux(self.kind, self_ns),
-        );
+        obs.spans.add(self.kind, elapsed, self_ns);
     }
 }
 
@@ -274,22 +217,26 @@ mod tests {
     }
 
     #[test]
-    fn end_events_carry_packed_self_time() {
+    fn histogram_takes_inclusive_time_totals_take_self_time() {
         let obs = Obs::enabled(64);
         {
-            let _g = obs.span(SpanKind::PageRead, 7, 42);
+            let _outer = obs.span(SpanKind::UserWork, 1, 0);
+            std::thread::sleep(Duration::from_millis(2));
+            let _inner = obs.span(SpanKind::PageRead, 1, 7);
+            std::thread::sleep(Duration::from_millis(6));
         }
-        let evs = obs.ring.snapshot();
-        assert_eq!(evs.len(), 2);
-        assert_eq!(evs[0].kind, EventKind::SpanBegin);
-        assert_eq!(SpanKind::from_aux(evs[0].aux), Some(SpanKind::PageRead));
-        assert_eq!(evs[1].kind, EventKind::SpanEnd);
-        assert_eq!(evs[1].txn, 7);
-        assert_eq!(evs[1].page, 42);
-        assert_eq!(SpanKind::from_aux(evs[1].aux), Some(SpanKind::PageRead));
-        let packed = self_ns_from_aux(evs[1].aux);
-        let total = obs.spans.snapshot().self_ns[SpanKind::PageRead as usize];
-        assert_eq!(packed, total);
+        let s = obs.spans.snapshot();
+        let user = obs.spans.hist(SpanKind::UserWork).snapshot();
+        let read = obs.spans.hist(SpanKind::PageRead).snapshot();
+        assert_eq!((user.count, read.count), (1, 1));
+        // A childless span's self time is its elapsed time.
+        assert_eq!(read.sum_ns, s.self_ns[SpanKind::PageRead as usize]);
+        // The outer span's histogram holds the child's time too; its total
+        // does not.
+        assert!(user.sum_ns >= 8_000_000, "inclusive time too small: {}", user.sum_ns);
+        assert_eq!(user.sum_ns - read.sum_ns, s.self_ns[SpanKind::UserWork as usize]);
+        // Spans push nothing into the event ring.
+        assert_eq!(obs.ring.recorded(), 0);
     }
 
     #[test]
@@ -327,18 +274,5 @@ mod tests {
             }
         });
         assert_eq!(obs.spans.snapshot().count[SpanKind::UserWork as usize], 200);
-    }
-
-    #[test]
-    fn kind_roundtrips() {
-        for i in 0..SPAN_KIND_COUNT as u8 {
-            let k = SpanKind::from_u8(i).unwrap();
-            assert_eq!(k as u8, i);
-            assert_eq!(SPAN_NAMES[i as usize], k.as_str());
-        }
-        assert_eq!(SpanKind::from_u8(8), None);
-        let aux = pack_end_aux(SpanKind::WalFsync, u64::MAX);
-        assert_eq!(self_ns_from_aux(aux), MAX_PACKED_SELF_NS);
-        assert_eq!(SpanKind::from_aux(aux), Some(SpanKind::WalFsync));
     }
 }

@@ -9,14 +9,13 @@
 //! behaviour anywhere, and recording never blocks or allocates.
 //!
 //! The ring answers the question counters cannot: *which interleaving*
-//! happened. Dumped as JSONL, a Figure 1/3/11 run can be replayed event by
-//! event — latch hand-offs, lock waits, SMO windows, traversal restarts.
+//! happened. A [`EventRing::snapshot`] of a Figure 1/3/11 run reads event
+//! by event — latch hand-offs, lock waits, SMO windows, traversal restarts.
 
-use crate::json::{self, JsonValue};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-/// What happened. Discriminants are stable; they appear in JSONL dumps.
+/// What happened. Discriminants are stored in the ring's slots.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 #[repr(u8)]
 pub enum EventKind {
@@ -42,60 +41,14 @@ pub enum EventKind {
     ClrWrite = 9,
     /// A tree latch was acquired (`mode`; `page` unused).
     TreeLatchAcquire = 10,
-    /// An attribution span opened (`aux` = [`SpanKind`](crate::SpanKind)
-    /// discriminant).
-    SpanBegin = 11,
-    /// An attribution span closed (`aux` = kind in the low 8 bits, self
-    /// nanoseconds in the high 56; see [`crate::span::pack_end_aux`]).
-    SpanEnd = 12,
-    /// A dirty page was written back to disk by the pool (eviction, flush,
-    /// or the background writer). `page` is the page, `aux` its `page_lsn`,
-    /// and `txn` carries the log's durable LSN at the instant of the write —
-    /// so `txn >= aux` on every such event *is* the WAL rule, checkable
-    /// offline from a ring dump.
-    PageWriteBack = 13,
+    /// A dirty page was written back to disk by the pool (eviction or
+    /// flush). `page` is the page, `aux` its `page_lsn`, and `txn` carries
+    /// the log's durable LSN at the instant of the write — so `txn >= aux`
+    /// on every such event *is* the WAL rule, checkable from a snapshot.
+    PageWriteBack = 11,
 }
 
 impl EventKind {
-    pub fn as_str(self) -> &'static str {
-        match self {
-            EventKind::LatchAcquire => "latch_acquire",
-            EventKind::LatchRelease => "latch_release",
-            EventKind::LockGrant => "lock_grant",
-            EventKind::LockWait => "lock_wait",
-            EventKind::LockDeny => "lock_deny",
-            EventKind::SmoBegin => "smo_begin",
-            EventKind::SmoEnd => "smo_end",
-            EventKind::TraversalRestart => "traversal_restart",
-            EventKind::LogForce => "log_force",
-            EventKind::ClrWrite => "clr_write",
-            EventKind::TreeLatchAcquire => "tree_latch_acquire",
-            EventKind::SpanBegin => "span_begin",
-            EventKind::SpanEnd => "span_end",
-            EventKind::PageWriteBack => "page_write_back",
-        }
-    }
-
-    pub fn from_name(s: &str) -> Option<EventKind> {
-        Some(match s {
-            "latch_acquire" => EventKind::LatchAcquire,
-            "latch_release" => EventKind::LatchRelease,
-            "lock_grant" => EventKind::LockGrant,
-            "lock_wait" => EventKind::LockWait,
-            "lock_deny" => EventKind::LockDeny,
-            "smo_begin" => EventKind::SmoBegin,
-            "smo_end" => EventKind::SmoEnd,
-            "traversal_restart" => EventKind::TraversalRestart,
-            "log_force" => EventKind::LogForce,
-            "clr_write" => EventKind::ClrWrite,
-            "tree_latch_acquire" => EventKind::TreeLatchAcquire,
-            "span_begin" => EventKind::SpanBegin,
-            "span_end" => EventKind::SpanEnd,
-            "page_write_back" => EventKind::PageWriteBack,
-            _ => return None,
-        })
-    }
-
     fn from_u8(v: u8) -> Option<EventKind> {
         Some(match v {
             0 => EventKind::LatchAcquire,
@@ -109,9 +62,7 @@ impl EventKind {
             8 => EventKind::LogForce,
             9 => EventKind::ClrWrite,
             10 => EventKind::TreeLatchAcquire,
-            11 => EventKind::SpanBegin,
-            12 => EventKind::SpanEnd,
-            13 => EventKind::PageWriteBack,
+            11 => EventKind::PageWriteBack,
             _ => return None,
         })
     }
@@ -128,15 +79,6 @@ pub enum ModeTag {
 }
 
 impl ModeTag {
-    pub fn as_str(self) -> &'static str {
-        match self {
-            ModeTag::None => "-",
-            ModeTag::S => "S",
-            ModeTag::X => "X",
-            ModeTag::Instant => "instant",
-        }
-    }
-
     fn from_u8(v: u8) -> ModeTag {
         match v {
             1 => ModeTag::S,
@@ -182,7 +124,7 @@ thread_local! {
     };
 }
 
-/// Small dense per-process thread tag (thread ids are unwieldy in dumps).
+/// Small dense per-process thread tag (thread ids are unwieldy in events).
 pub fn thread_tag() -> u32 {
     THREAD_TAG.with(|t| *t)
 }
@@ -243,8 +185,8 @@ impl EventRing {
 
     /// [`snapshot`](Self::snapshot) plus a [`RingStats`] accounting for
     /// what the snapshot could *not* see: events overwritten by ring wrap
-    /// and slots skipped because a writer raced the copy, so a reader of
-    /// the dump can say "incomplete" instead of silently under-reporting.
+    /// and slots skipped because a writer raced the copy, so a reader can
+    /// say "incomplete" instead of silently under-reporting.
     pub fn snapshot_with_stats(&self) -> (Vec<Event>, RingStats) {
         let mut out = Vec::with_capacity(self.slots.len());
         let mut torn = 0u64;
@@ -293,21 +235,6 @@ impl EventRing {
         (out, stats)
     }
 
-    /// Dump the resident events as JSON Lines, preceded by a header line
-    /// (see [`RingStats::to_json_line`]) stating how many events the dump
-    /// is missing. Consumers that only want events can skip any line that
-    /// [`Event::parse_json_line`] rejects.
-    pub fn dump_jsonl(&self) -> String {
-        let (events, stats) = self.snapshot_with_stats();
-        let mut out = stats.to_json_line();
-        out.push('\n');
-        for e in events {
-            out.push_str(&e.to_json_line());
-            out.push('\n');
-        }
-        out
-    }
-
     pub fn reset(&self) {
         // Not atomic w.r.t. concurrent pushes; callers quiesce first.
         self.cursor.store(0, Ordering::Relaxed);
@@ -317,7 +244,7 @@ impl EventRing {
     }
 }
 
-/// Completeness accounting for one ring snapshot/dump.
+/// Completeness accounting for one ring snapshot.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RingStats {
     /// Events ever pushed into the ring.
@@ -337,82 +264,6 @@ impl RingStats {
     /// Whether the snapshot saw every event ever recorded.
     pub fn complete(&self) -> bool {
         self.dropped == 0 && self.torn == 0
-    }
-
-    /// The JSONL dump header line.
-    pub fn to_json_line(&self) -> String {
-        let mut o = json::Object::new();
-        o.field_str("trace", "ariesim-events-v1");
-        o.field_u64("recorded", self.recorded);
-        o.field_u64("capacity", self.capacity);
-        o.field_u64("resident", self.resident);
-        o.field_u64("dropped", self.dropped);
-        o.field_u64("torn", self.torn);
-        o.finish()
-    }
-
-    /// Parse a dump header line; `None` if the line is not a header.
-    pub fn parse_json_line(line: &str) -> Option<RingStats> {
-        let v = json::parse(line)?;
-        if v.get("trace")?.as_str() != Some("ariesim-events-v1") {
-            return None;
-        }
-        let get = |k: &str| v.get(k).and_then(JsonValue::as_u64);
-        Some(RingStats {
-            recorded: get("recorded")?,
-            capacity: get("capacity")?,
-            resident: get("resident")?,
-            dropped: get("dropped")?,
-            torn: get("torn")?,
-        })
-    }
-}
-
-impl Event {
-    pub fn to_json_line(&self) -> String {
-        let mut o = json::Object::new();
-        o.field_u64("seq", self.seq);
-        o.field_u64("ts_ns", self.ts_ns);
-        o.field_u64("thread", self.thread as u64);
-        o.field_u64("txn", self.txn);
-        o.field_str("kind", self.kind.as_str());
-        o.field_str("mode", self.mode.as_str());
-        o.field_u64("page", self.page as u64);
-        o.field_u64("aux", self.aux);
-        o.finish()
-    }
-
-    /// Parse one JSONL line produced by [`Event::to_json_line`].
-    pub fn parse_json_line(line: &str) -> Option<Event> {
-        let v = json::parse(line)?;
-        let JsonValue::Object(fields) = v else {
-            return None;
-        };
-        let get_u64 = |k: &str| -> Option<u64> {
-            fields.iter().find(|(n, _)| n == k)?.1.as_u64()
-        };
-        let get_str = |k: &str| -> Option<String> {
-            match fields.iter().find(|(n, _)| n == k)? {
-                (_, JsonValue::String(s)) => Some(s.clone()),
-                _ => None,
-            }
-        };
-        let mode = match get_str("mode")?.as_str() {
-            "S" => ModeTag::S,
-            "X" => ModeTag::X,
-            "instant" => ModeTag::Instant,
-            _ => ModeTag::None,
-        };
-        Some(Event {
-            seq: get_u64("seq")?,
-            ts_ns: get_u64("ts_ns")?,
-            thread: get_u64("thread")? as u32,
-            txn: get_u64("txn")?,
-            kind: EventKind::from_name(&get_str("kind")?)?,
-            mode,
-            page: get_u64("page")? as u32,
-            aux: get_u64("aux")?,
-        })
     }
 }
 
@@ -449,26 +300,6 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_roundtrip() {
-        let r = EventRing::new(8);
-        r.push(EventKind::SmoBegin, ModeTag::X, 9, 4, 0);
-        r.push(EventKind::ClrWrite, ModeTag::None, 9, 0, 12345);
-        let dump = r.dump_jsonl();
-        let header = RingStats::parse_json_line(dump.lines().next().unwrap())
-            .expect("first line is the header");
-        assert_eq!(header.resident, 2);
-        assert!(header.complete());
-        let parsed: Vec<Event> = dump
-            .lines()
-            .skip(1)
-            .map(|l| Event::parse_json_line(l).expect("parses"))
-            .collect();
-        assert_eq!(parsed, r.snapshot());
-        // The header line is not itself a parseable event.
-        assert!(Event::parse_json_line(dump.lines().next().unwrap()).is_none());
-    }
-
-    #[test]
     fn wrap_reports_dropped_events() {
         let r = EventRing::new(8);
         for i in 0..20u64 {
@@ -480,8 +311,6 @@ mod tests {
         assert_eq!(stats.dropped, 12);
         assert_eq!(stats.resident, 8);
         assert!(!stats.complete());
-        let header = RingStats::parse_json_line(r.dump_jsonl().lines().next().unwrap());
-        assert_eq!(header, Some(stats));
     }
 
     #[test]

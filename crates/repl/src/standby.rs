@@ -156,9 +156,7 @@ impl Standby {
                 })?;
         };
         if whole > 0 {
-            let t = self.db.obs.timer();
             self.db.log.ingest_frames(at, &chunk[..whole])?;
-            self.db.obs.hist.repl_ingest.record_since(t);
             crash_point!("repl.recv.ingested");
         }
         let master = self.transport.master()?;
@@ -176,7 +174,6 @@ impl Standby {
         loop {
             let _w = self.gate.write();
             let mut cur = self.cursor.lock();
-            let t = self.db.obs.timer();
             let span = self.db.obs.span(SpanKind::Apply, 0, 0);
             let examined = apply_redo(&self.db.core, &mut cur, upto, APPLY_BATCH)?;
             // ordering: publishes the pages applied above; applied_lsn readers see a page image at least this new
@@ -185,7 +182,6 @@ impl Standby {
             if examined == 0 {
                 break;
             }
-            self.db.obs.hist.repl_apply.record_since(t);
             drop(cur);
             drop(_w);
             crash_point!("repl.apply.batch");

@@ -16,7 +16,9 @@
 //! re-pin through an existing [`PinGuard`] (or a guard's
 //! [`PageGuard::repin`]) touches only the frame's atomics. Shard mutexes
 //! report to the latch monitor as `PoolShard` (rank 3 — a thread never
-//! holds two shards at once). Traffic is counted once, in `obs.pool`.
+//! holds two shards at once). Fixes and misses are counted once, in `Stats`
+//! (`page_fixes`, `page_reads`); `obs.pool` holds evictions and shard
+//! contention.
 //!
 //! The pool implements the ARIES buffer policies (paper §1.2):
 //!
@@ -350,12 +352,8 @@ impl BufferPool {
             None if conditional => return Err(Error::WouldBlock),
             None => {
                 self.stats.latch_page_waits.bump();
-                let wait = self.obs.timer();
-                let span = self.obs.span(SpanKind::LatchWait, 0, pin.page.0);
-                let g = (mode.wait_latch)(slot);
-                drop(span);
-                self.obs.hist.latch_wait_page.record_since(wait);
-                g
+                let _span = self.obs.span(SpanKind::LatchWait, 0, pin.page.0);
+                (mode.wait_latch)(slot)
             }
         };
         let held = blocking.unwrap_or_else(|| monitor.acquired(Class::PageLatch, site, false));
@@ -400,8 +398,6 @@ impl BufferPool {
                 self.frames[gidx].pins.fetch_add(1, Ordering::AcqRel);
                 g.clock.on_hit(local);
                 drop(g);
-                // ordering: advisory counter; nothing synchronizes-with it
-                self.obs.pool.hits.fetch_add(1, Ordering::Relaxed);
                 let pin = PinGuard {
                     pool: self,
                     frame: gidx,
@@ -460,13 +456,11 @@ impl BufferPool {
                 // WAL rule: the log must cover the page before it hits disk.
                 self.log.flush_to(latch.page_lsn())?;
                 crash_point!("pool.evict.after_force");
-                let io = self.obs.timer();
                 {
                     let _span = self.obs.span(SpanKind::PageWrite, 0, old.page.0);
                     self.disk.write_page(&latch)?;
                 }
                 crash_point!("pool.evict.after_write");
-                self.obs.hist.page_write.record_since(io);
                 self.note_write_back(old.page, latch.page_lsn());
             }
             // Re-take the shard mutex to complete the eviction. Two races
@@ -510,25 +504,19 @@ impl BufferPool {
             let prev = self.frames[gidx].pins.fetch_add(1, Ordering::AcqRel);
             debug_assert_eq!(prev, 0, "victim frame was pinned");
             drop(g);
-            // ordering: advisory counters; nothing synchronizes-with them
-            self.obs.pool.misses.fetch_add(1, Ordering::Relaxed);
             if !old.page.is_null() {
-                self.obs.pool.evictions.fetch_add(1, Ordering::Relaxed); // ordering: as above
+                // ordering: advisory counter; nothing synchronizes-with it
+                self.obs.pool.evictions.fetch_add(1, Ordering::Relaxed);
             }
             let pin = PinGuard {
                 pool: self,
                 frame: gidx,
                 page,
             };
-            let loaded = (|| {
-                let io = self.obs.timer();
-                {
-                    let _span = self.obs.span(SpanKind::PageRead, 0, page.0);
-                    self.disk.read_page(page, &mut latch)?;
-                }
-                self.obs.hist.page_read.record_since(io);
-                Ok(())
-            })();
+            let loaded = {
+                let _span = self.obs.span(SpanKind::PageRead, 0, page.0);
+                self.disk.read_page(page, &mut latch)
+            };
             if let Err(e) = loaded {
                 // Unwind the install: drop the mapping (the frame holds
                 // garbage for `page`) before releasing latch and pin. The
@@ -575,13 +563,11 @@ impl BufferPool {
             crash_point!("pool.flush.begin");
             self.log.flush_to(guard.page_lsn())?;
             crash_point!("pool.flush.after_force");
-            let io = self.obs.timer();
             {
                 let _span = self.obs.span(SpanKind::PageWrite, 0, page.0);
                 self.disk.write_page(&guard)?;
             }
             crash_point!("pool.flush.after_write");
-            self.obs.hist.page_write.record_since(io);
             self.note_write_back(page, guard.page_lsn());
             let mut g = self.lock_shard(sid, "storage::pool::flush_page");
             if let Some(&local) = g.table.get(&page) {

@@ -17,7 +17,7 @@ use ariesim_common::page::PageType;
 use ariesim_common::stats::new_stats;
 use ariesim_common::tmp::TempDir;
 use ariesim_common::{Lsn, PageId, TxnId};
-use ariesim_obs::{Event, EventKind, Obs};
+use ariesim_obs::{EventKind, Obs};
 use ariesim_storage::eviction::Clock;
 use ariesim_storage::{BufferPool, DiskManager};
 use ariesim_wal::{LogManager, LogOptions, LogRecord, RmId};
@@ -123,15 +123,13 @@ proptest! {
             // if it was evicted at some point, the WAL covered it (below).
         }
         // Every write-back event carries durable-LSN >= page_lsn.
-        for line in obs.ring.dump_jsonl().lines() {
-            if let Some(ev) = Event::parse_json_line(line) {
-                if ev.kind == EventKind::PageWriteBack {
-                    prop_assert!(
-                        ev.txn >= ev.aux,
-                        "WAL rule: page {} written at lsn {} with log durable to {}",
-                        ev.page, ev.aux, ev.txn
-                    );
-                }
+        for ev in obs.ring.snapshot() {
+            if ev.kind == EventKind::PageWriteBack {
+                prop_assert!(
+                    ev.txn >= ev.aux,
+                    "WAL rule: page {} written at lsn {} with log durable to {}",
+                    ev.page, ev.aux, ev.txn
+                );
             }
         }
     }

@@ -221,10 +221,8 @@ impl TransactionManager {
     /// losing its commit record in a crash is unobservable, and in a
     /// read-mostly workload the elided waits dominate the commit path.
     pub fn commit(&self, txn: &TxnHandle) -> Result<()> {
-        let op = self.pool.obs().timer();
-        // Tag the commit window with the txn id so per-transaction
-        // attribution can break a commit into its WAL append / fsync /
-        // lock-release components.
+        // The commit window is user work; its WAL append and fsync spans
+        // nest inside it and claim their own time.
         let _span = self.pool.obs().span(SpanKind::UserWork, txn.id.0, 0);
         // Append Commit and leave `Active` in one critical section, so a
         // checkpoint's snapshot sees either an active transaction whose
@@ -248,7 +246,6 @@ impl TransactionManager {
         crash_point!("txn.commit.ended");
         txn.inner.lock().phase = Phase::Finished;
         self.inner.lock().table.remove(&txn.id);
-        self.pool.obs().hist.op_commit.record_since(op);
         Ok(())
     }
 

@@ -588,7 +588,6 @@ impl Shared {
         if from == to {
             return Ok(());
         }
-        let force = self.obs.timer();
         let _span = self.obs.span(SpanKind::WalFsync, 0, 0);
         crash_point!("wal.flush.begin");
         g.file.seek(SeekFrom::Start(from as u64))?;
@@ -608,7 +607,6 @@ impl Shared {
         // ordering: Release publishes the fsync'd prefix; Acquire readers of `flushed` may then skip the lock
         self.flushed.store(g.durable_end.0, Ordering::Release);
         self.stats.log_forces.bump();
-        self.obs.hist.log_force.record_since(force);
         self.obs.event(
             EventKind::LogForce,
             ModeTag::None,
@@ -648,11 +646,6 @@ impl Shared {
         self.obs.wal.group_batches.fetch_add(1, Ordering::Relaxed);
         // ordering: Relaxed — plain telemetry counter, no protocol role
         self.obs.wal.group_riders.fetch_add(n - 1, Ordering::Relaxed);
-        if self.obs.on() {
-            // Batch *size* (a count, not nanoseconds) through the log2
-            // histogram machinery; see `Histograms::wal_group_batch`.
-            self.obs.hist.wal_group_batch.record_ns(n);
-        }
     }
 
     /// Slow path of [`LogManager::flush_to`]: group commit by leader

@@ -19,7 +19,7 @@
 use ariesim::common::page::PageType;
 use ariesim::common::tmp::TempDir;
 use ariesim::common::{Lsn, PageId, TxnId};
-use ariesim::obs::{Event, EventKind, Obs, ObsHandle};
+use ariesim::obs::{EventKind, Obs, ObsHandle};
 use ariesim::storage::BufferPool;
 use ariesim::txn::Core;
 use ariesim::wal::{LogManager, LogOptions, LogRecord, RmId};
@@ -168,12 +168,8 @@ fn storm_clock_policy() {
     }
 
     // Oracle 3: WAL rule on every observed write-back.
-    let dump = obs.ring.dump_jsonl();
     let mut write_backs = 0u32;
-    for line in dump.lines() {
-        let Some(ev) = Event::parse_json_line(line) else {
-            continue;
-        };
+    for ev in obs.ring.snapshot() {
         if ev.kind == EventKind::PageWriteBack {
             write_backs += 1;
             assert!(
