@@ -145,15 +145,6 @@ pub fn restart(core: &Core) -> Result<RestartOutcome> {
                     ckpt_seen = true;
                 }
             }
-            RecordKind::Begin => {
-                txns.insert(
-                    rec.txn,
-                    TEntry {
-                        state: TState::InFlight,
-                        last_lsn: rec.lsn,
-                    },
-                );
-            }
             RecordKind::Commit | RecordKind::End => {
                 // Commit is forced, so a committed transaction needs no undo
                 // even if its End record is missing.
@@ -250,9 +241,6 @@ pub fn restart(core: &Core) -> Result<RestartOutcome> {
             }
             RecordKind::Clr | RecordKind::DummyClr => {
                 next_undo.insert(txn, rec.undo_next_lsn);
-            }
-            RecordKind::Begin => {
-                next_undo.insert(txn, Lsn::NULL);
             }
             _ => {
                 next_undo.insert(txn, rec.prev_lsn);

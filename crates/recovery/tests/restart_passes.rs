@@ -272,3 +272,97 @@ fn max_txn_id_reported_for_id_resumption() {
     let outcome = restart(&f).unwrap();
     assert!(outcome.max_txn_id >= b.id.0);
 }
+
+/// The checkpoint record pair, hand-built so a test can place records
+/// between CkptBegin and CkptEnd.
+fn ckpt_record(kind: RecordKind, body: Vec<u8>) -> LogRecord {
+    LogRecord {
+        lsn: Lsn::NULL,
+        prev_lsn: Lsn::NULL,
+        txn: TxnId::NONE,
+        kind,
+        undo_next_lsn: Lsn::NULL,
+        rm: RmId::Txn,
+        page: PageId::NULL,
+        body,
+    }
+}
+
+#[test]
+fn losers_without_a_begin_record_are_undone_and_ended() {
+    // There is no begin record: a transaction's chain starts at whatever it
+    // appends first. `nta` opens with a nested top action taken before any
+    // write, so its first record is a dummy CLR whose undo_next is NULL.
+    // `late` writes its first update after the checkpoint's snapshot left it
+    // out (it had not written), i.e. between CkptBegin and CkptEnd.
+    let f = fix();
+    let nta = f.tm.begin();
+    let token = nta.begin_nta();
+    assert!(token.is_null(), "a fresh transaction's NTA token is NULL");
+    let dummy = nta.end_nta(&f.log, token);
+    update(&f, &nta, 0, 0, 1);
+
+    let late = f.tm.begin();
+    let begin = f.log.append(&ckpt_record(RecordKind::CkptBegin, Vec::new()));
+    let data = CheckpointData {
+        dpt: f.pool.dpt_snapshot(),
+        txns: vec![TxnCkptEntry {
+            txn: nta.id,
+            state: TxnState::InFlight,
+            last_lsn: nta.last_lsn(),
+            undo_next_lsn: nta.last_lsn(),
+        }],
+        max_txn_id: late.id.0,
+    };
+    update(&f, &late, 1, 0, 2);
+    f.log.append(&ckpt_record(RecordKind::CkptEnd, data.encode()));
+    f.log.flush_all().unwrap();
+    f.log.write_master(begin).unwrap();
+
+    let first = f.log.read(dummy).unwrap();
+    assert_eq!(first.kind, RecordKind::DummyClr);
+    assert!(first.prev_lsn.is_null() && first.undo_next_lsn.is_null());
+
+    let outcome = restart(&f).unwrap();
+    assert_eq!(outcome.losers, vec![nta.id, late.id]);
+    assert_eq!(outcome.undone, 2);
+    assert_eq!(byte_at(&f, 0), 0);
+    assert_eq!(byte_at(&f, 1), 0);
+    for t in [nta.id, late.id] {
+        let ends = f
+            .log
+            .scan(Lsn::NULL)
+            .map(|r| r.unwrap())
+            .filter(|r| r.kind == RecordKind::End && r.txn == t)
+            .count();
+        assert_eq!(ends, 1, "{t:?} gets exactly one End");
+    }
+}
+
+#[test]
+fn a_writers_txn_id_is_never_reissued_after_restart() {
+    // `old` commits before the checkpoint, so restart's scan (from CkptBegin)
+    // never meets its records: the checkpoint's max_txn_id must cover it.
+    // `new` writes after the checkpoint. `reader` never writes, so no log
+    // record carries its id and restart may hand that id out again. That is
+    // harmless: a read-only transaction left no log record, its locks died
+    // with the crash, and it stamped no page.
+    let f = fix();
+    let old = f.tm.begin();
+    update(&f, &old, 0, 0, 1);
+    f.tm.commit(&old).unwrap();
+    f.tm.checkpoint().unwrap();
+    let new = f.tm.begin();
+    update(&f, &new, 1, 0, 2);
+    f.tm.commit(&new).unwrap();
+    let reader = f.tm.begin();
+    f.tm.commit(&reader).unwrap();
+    assert!(reader.id > new.id && new.id > old.id);
+
+    let (core2, _) = open(&f._dir);
+    let outcome = restart(&core2).unwrap();
+    assert!(outcome.ckpt_lsn > Lsn::NULL, "restart began at the checkpoint");
+    let next = core2.tm.begin();
+    assert!(next.id > new.id, "{:?} reissues a writer's id", next.id);
+    core2.tm.commit(&next).unwrap();
+}

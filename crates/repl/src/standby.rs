@@ -5,9 +5,12 @@
 //! never runs and no transaction ever begins**: its log is a byte-identical
 //! prefix of the primary's (base backup + ingested chunks), and its only
 //! writer is the continuous redo applier. Keeping the standby
-//! transaction-free is load-bearing: even beginning a read-only transaction
-//! would append a Begin record and fork the standby's log away from the
-//! primary's.
+//! transaction-free is load-bearing. A transaction is the unit that may
+//! write, and any record it appended would fork the standby's log away from
+//! the primary's. Its id would not be safe either: restart never runs here,
+//! so the transaction manager never learns the ids in the shipped log and
+//! would hand out ones the primary already used. And its locks would guard
+//! nothing, because the applier takes none.
 //!
 //! Reads are therefore latch-only snapshot reads at the **applied-LSN
 //! watermark**: an `RwLock` excludes the applier (writer) from readers, so

@@ -51,14 +51,10 @@ enum Phase {
 }
 
 struct TxnInner {
+    /// NULL until the first update, CLR or NTA dummy CLR: while it is, the
+    /// transaction is read-only and absent from the log.
     last_lsn: Lsn,
     phase: Phase,
-    /// Whether any record was appended through the chain logger after
-    /// Begin (updates, CLRs, NTA dummies — anything a resource manager
-    /// logs). A transaction that never wrote is read-only: its commit
-    /// record carries no durability obligation and need not force the log
-    /// (the classic ARIES read-only commit optimization).
-    wrote: bool,
 }
 
 /// A live transaction. Handles are cheap to clone; one transaction is driven
@@ -84,12 +80,8 @@ impl TxnHandle {
         f: impl FnOnce(&mut ChainLogger<'_>) -> R,
     ) -> R {
         let mut g = self.inner.lock();
-        let prev = g.last_lsn;
-        let mut logger = ChainLogger::new(log, self.id, prev);
+        let mut logger = ChainLogger::new(log, self.id, g.last_lsn);
         let r = f(&mut logger);
-        if logger.last_lsn != prev {
-            g.wrote = true;
-        }
         g.last_lsn = logger.last_lsn;
         r
     }
@@ -189,7 +181,8 @@ impl TransactionManager {
         }
     }
 
-    /// Start a transaction. Writes its Begin record.
+    /// Start a transaction. Appends nothing: the transaction enters the log
+    /// with its first update, CLR or NTA dummy CLR, whose `prev_lsn` is NULL.
     pub fn begin(&self) -> Arc<TxnHandle> {
         let id = {
             let mut g = self.inner.lock();
@@ -202,13 +195,8 @@ impl TransactionManager {
             inner: Mutex::new(TxnInner {
                 last_lsn: Lsn::NULL,
                 phase: Phase::Active,
-                wrote: false,
             }),
         });
-        let lsn = self
-            .log
-            .append(&LogRecord::control(id, Lsn::NULL, RecordKind::Begin));
-        handle.inner.lock().last_lsn = lsn;
         self.inner.lock().table.insert(id, handle.clone());
         handle
     }
@@ -216,10 +204,9 @@ impl TransactionManager {
     /// Commit: write and **force** the commit record, release locks, write
     /// End. (The force is the only synchronous I/O a transaction requires —
     /// the paper's §1 efficiency measure.) A read-only transaction — one
-    /// whose chain logger never appended after Begin — still writes its
-    /// control records but skips the force entirely: it changed nothing, so
-    /// losing its commit record in a crash is unobservable, and in a
-    /// read-mostly workload the elided waits dominate the commit path.
+    /// whose chain logger never appended — only releases its locks and runs
+    /// the end hooks: it changed nothing, so it needs no Commit, no force
+    /// and no End, and stays absent from the log.
     pub fn commit(&self, txn: &TxnHandle) -> Result<()> {
         // The commit window is user work; its WAL append and fsync spans
         // nest inside it and claim their own time.
@@ -227,29 +214,33 @@ impl TransactionManager {
         // Append Commit and leave `Active` in one critical section, so a
         // checkpoint's snapshot sees either an active transaction whose
         // Commit follows its CkptBegin, or a committed one it must skip.
-        let (wrote, commit_lsn) = {
+        let commit_lsn = {
             let mut g = txn.inner.lock();
             TxnHandle::active(txn.id, &g)?;
-            let lsn = ChainLogger::new(&self.log, txn.id, g.last_lsn).control(RecordKind::Commit);
-            g.last_lsn = lsn;
             g.phase = Phase::Committed;
-            (g.wrote, lsn)
+            let wrote = !g.last_lsn.is_null();
+            if wrote {
+                g.last_lsn =
+                    ChainLogger::new(&self.log, txn.id, g.last_lsn).control(RecordKind::Commit);
+            }
+            wrote.then_some(g.last_lsn)
         };
         crash_point!("txn.commit.logged");
-        if wrote {
-            self.log.flush_to(commit_lsn)?;
+        if let Some(lsn) = commit_lsn {
+            self.log.flush_to(lsn)?;
         }
         crash_point!("txn.commit.forced");
         self.locks.release_all(txn.id);
         self.run_end_hooks(txn.id);
-        txn.with_logger(&self.log, |l| l.control(RecordKind::End));
+        self.log_control(txn, RecordKind::End);
         crash_point!("txn.commit.ended");
         txn.inner.lock().phase = Phase::Finished;
         self.inner.lock().table.remove(&txn.id);
         Ok(())
     }
 
-    /// Total rollback: undo the whole chain, then release locks and End.
+    /// Total rollback: undo the whole chain, then release locks and End (a
+    /// read-only transaction appends neither Abort nor End).
     ///
     /// Per paper §4, the undo path requests **no locks** (only latches), so a
     /// rolling-back transaction can never join a deadlock.
@@ -261,7 +252,7 @@ impl TransactionManager {
             }
             g.phase = Phase::Aborting;
         }
-        txn.with_logger(&self.log, |l| l.control(RecordKind::Abort));
+        self.log_control(txn, RecordKind::Abort);
         crash_point!("txn.rollback.logged");
         let last = txn.last_lsn();
         let new_last = undo_chain(&self.log, &self.rms, txn.id, last, Lsn::NULL, false)?;
@@ -272,10 +263,19 @@ impl TransactionManager {
         }
         self.locks.release_all(txn.id);
         self.run_end_hooks(txn.id);
-        txn.with_logger(&self.log, |l| l.control(RecordKind::End));
+        self.log_control(txn, RecordKind::End);
         txn.inner.lock().phase = Phase::Finished;
         self.inner.lock().table.remove(&txn.id);
         Ok(())
+    }
+
+    /// Append a control record unless `txn` is read-only (absent from the log).
+    fn log_control(&self, txn: &TxnHandle, kind: RecordKind) {
+        txn.with_logger(&self.log, |l| {
+            if !l.last_lsn.is_null() {
+                l.control(kind);
+            }
+        });
     }
 
     /// Partial rollback to a savepoint taken with [`TxnHandle::savepoint`]:
@@ -307,12 +307,17 @@ impl TransactionManager {
         let (txns, max_txn_id) = {
             let g = self.inner.lock();
             // A committed or finished transaction's Commit / End precedes
-            // CkptEnd, which the force below makes durable with it.
+            // CkptEnd, which the force below makes durable with it. A
+            // read-only one has nothing to undo; analysis meets any later
+            // first record in its scan from CkptBegin.
             let entries = g
                 .table
                 .values()
                 .filter_map(|t| {
                     let ti = t.inner.lock();
+                    if ti.last_lsn.is_null() {
+                        return None;
+                    }
                     let state = match ti.phase {
                         Phase::Active => TxnState::InFlight,
                         Phase::Aborting => TxnState::Aborting,

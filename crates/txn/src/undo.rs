@@ -49,7 +49,6 @@ pub fn undo_chain(
                 ariesim_fault::crash_point!("undo.skip_clr");
                 next = rec.undo_next_lsn;
             }
-            RecordKind::Begin => break,
             _ => next = rec.prev_lsn,
         }
     }

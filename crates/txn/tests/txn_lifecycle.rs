@@ -86,7 +86,6 @@ fn commit_forces_exactly_to_the_commit_record() {
     assert_eq!(
         kinds,
         vec![
-            RecordKind::Begin,
             RecordKind::Update,
             RecordKind::Commit,
             RecordKind::End
@@ -106,7 +105,6 @@ fn rollback_writes_abort_then_clrs_then_end() {
     assert_eq!(
         kinds,
         vec![
-            RecordKind::Begin,
             RecordKind::Update,
             RecordKind::Update,
             RecordKind::Abort,
@@ -115,6 +113,33 @@ fn rollback_writes_abort_then_clrs_then_end() {
             RecordKind::End,
         ]
     );
+}
+
+#[test]
+fn read_only_transaction_appends_nothing() {
+    let f = fix();
+    let ended = Arc::new(Mutex::new(Vec::new()));
+    let e = ended.clone();
+    f.tm.on_end(Arc::new(move |t| e.lock().push(t)));
+    for do_commit in [true, false] {
+        let before = f.log.next_lsn();
+        let txn = f.tm.begin();
+        assert!(txn.last_lsn().is_null(), "begin logs nothing");
+        let name = LockName::Record(ariesim_common::Rid::new(PageId(5), 1));
+        f.locks
+            .request(txn.id, name, LockMode::S, LockDuration::Commit, false)
+            .unwrap();
+        if do_commit {
+            f.tm.commit(&txn).unwrap();
+        } else {
+            f.tm.rollback(&txn).unwrap();
+        }
+        assert_eq!(f.log.next_lsn(), before, "no Commit, Abort or End");
+        assert_eq!(f.locks.held_count(txn.id), 0);
+        assert_eq!(ended.lock().last(), Some(&txn.id), "end hook ran");
+    }
+    assert_eq!(ended.lock().len(), 2);
+    assert_eq!(f.tm.active_count(), 0);
 }
 
 #[test]
@@ -194,6 +219,32 @@ fn checkpoint_records_fuzzy_transaction_table() {
     assert!(!ids.contains(&t2.id), "finished txn absent");
     assert!(data.max_txn_id >= t2.id.0);
     f.tm.rollback(&t1).unwrap();
+}
+
+#[test]
+fn checkpoint_omits_a_transaction_that_has_not_written() {
+    let f = fix();
+    let reader = f.tm.begin();
+    let name = LockName::Record(ariesim_common::Rid::new(PageId(5), 1));
+    f.locks
+        .request(reader.id, name, LockMode::S, LockDuration::Commit, false)
+        .unwrap();
+    let writer = f.tm.begin();
+    log_something(&f, &writer, b"w");
+    let ckpt_lsn = f.tm.checkpoint().unwrap();
+    let end = f
+        .log
+        .scan(ckpt_lsn)
+        .map(|r| r.unwrap())
+        .find(|r| r.kind == RecordKind::CkptEnd)
+        .unwrap();
+    let data = CheckpointData::decode(end.lsn, &end.body).unwrap();
+    let ids: Vec<TxnId> = data.txns.iter().map(|t| t.txn).collect();
+    assert_eq!(ids, vec![writer.id], "only the writer is in flight");
+    // The reader's id still counts toward the id high-water mark.
+    assert!(data.max_txn_id >= reader.id.0.max(writer.id.0));
+    f.tm.commit(&reader).unwrap();
+    f.tm.rollback(&writer).unwrap();
 }
 
 #[test]

@@ -910,7 +910,6 @@ mod tests {
         let dir = TempDir::new("wal");
         let m = mgr(&dir);
         for kind in [
-            RecordKind::Begin,
             RecordKind::Commit,
             RecordKind::Abort,
             RecordKind::End,

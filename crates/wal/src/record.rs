@@ -35,33 +35,32 @@ impl RmId {
     }
 }
 
-/// The kind of a log record, from the envelope's point of view.
+/// The kind of a log record (the discriminant is the on-disk byte). There is
+/// no begin record: a transaction's first update, CLR or dummy CLR has
+/// `prev_lsn` NULL, and one that never writes appends nothing at all.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 #[repr(u8)]
 pub enum RecordKind {
     /// Normal redo-undo update written during forward processing — and, per
     /// the paper §3 ("Undo Processing"), also by SMOs performed *during*
     /// undo, which must themselves be undoable.
-    Update,
+    Update = 0,
     /// Compensation log record: redo-only; `undo_next_lsn` names the next
     /// record of the transaction still to be undone.
-    Clr,
+    Clr = 1,
     /// Dummy CLR ending a nested top action (paper §1.2). Redo-only, no body
     /// effect on any page; exists purely for its `undo_next_lsn`.
-    DummyClr,
-    /// Transaction begin. (Written for readability of dumps; ARIES proper can
-    /// infer begins, and analysis here does not rely on it.)
-    Begin,
+    DummyClr = 2,
     /// Transaction commit: forced to stable storage before commit returns.
-    Commit,
+    Commit = 4,
     /// Transaction entered rollback.
-    Abort,
+    Abort = 5,
     /// Transaction finished (after commit processing or total rollback).
-    End,
+    End = 6,
     /// Fuzzy checkpoint begin.
-    CkptBegin,
+    CkptBegin = 7,
     /// Fuzzy checkpoint end; body is [`CheckpointData`].
-    CkptEnd,
+    CkptEnd = 8,
 }
 
 impl RecordKind {
@@ -71,7 +70,6 @@ impl RecordKind {
             0 => Update,
             1 => Clr,
             2 => DummyClr,
-            3 => Begin,
             4 => Commit,
             5 => Abort,
             6 => End,
@@ -169,7 +167,7 @@ impl LogRecord {
     pub fn control(txn: TxnId, prev_lsn: Lsn, kind: RecordKind) -> LogRecord {
         debug_assert!(matches!(
             kind,
-            RecordKind::Begin | RecordKind::Commit | RecordKind::Abort | RecordKind::End
+            RecordKind::Commit | RecordKind::Abort | RecordKind::End
         ));
         LogRecord {
             lsn: Lsn::NULL,
@@ -374,12 +372,16 @@ mod tests {
 
     #[test]
     fn bad_kind_byte_is_corrupt() {
-        let mut enc = LogRecord::control(TxnId(1), Lsn::NULL, RecordKind::Begin).encode();
-        enc[16] = 200; // kind byte offset: 8 (prev) + 8 (txn)
-        assert!(matches!(
-            LogRecord::decode(Lsn(1), &enc),
-            Err(Error::CorruptLog { .. })
-        ));
+        let mut enc = LogRecord::control(TxnId(1), Lsn::NULL, RecordKind::Commit).encode();
+        // Kind byte offset: 8 (prev) + 8 (txn). 3 was the retired begin
+        // record's code; it is no longer a kind.
+        for bad in [3, 200] {
+            enc[16] = bad;
+            assert!(matches!(
+                LogRecord::decode(Lsn(1), &enc),
+                Err(Error::CorruptLog { .. })
+            ));
+        }
     }
 
     #[test]
@@ -416,7 +418,7 @@ mod tests {
     #[test]
     fn only_updates_are_undoable() {
         use RecordKind::*;
-        for k in [Clr, DummyClr, Begin, Commit, Abort, End, CkptBegin, CkptEnd] {
+        for k in [Clr, DummyClr, Commit, Abort, End, CkptBegin, CkptEnd] {
             assert!(!k.is_undoable(), "{k:?}");
         }
         assert!(Update.is_undoable());

@@ -54,7 +54,7 @@ fn figure9_split_log_sequence() {
 
     // T1's insert triggers the split.
     let t1 = f.tm.begin();
-    let pre_smo_lsn = t1.last_lsn(); // = Begin record
+    let pre_smo_lsn = t1.last_lsn(); // NULL: t1 has not written yet
     let mut j = 330u32;
     while f.stats.snapshot().smo_splits == 0 {
         f.tree.insert(&t1, &nkey(j * 2)).unwrap();
