@@ -220,18 +220,104 @@ pub fn u64_at(b: &[u8], off: usize) -> u64 {
     u64::from_le_bytes(le_at(b, off))
 }
 
-/// CRC-32 (Castagnoli polynomial, bitwise) used to frame log records so that
-/// restart can distinguish "end of log" from a torn tail. Slow-but-simple is
-/// fine: it is only on the log append/scan path, not the page path.
-pub fn crc32c(data: &[u8]) -> u32 {
-    const POLY: u32 = 0x82F6_3B78; // reflected CRC-32C
-    let mut crc = !0u32;
-    for &b in data {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (POLY & mask);
+/// Reflected CRC-32C (Castagnoli) polynomial.
+const CRC32C_POLY: u32 = 0x82F6_3B78;
+
+/// Slicing-by-8 tables: `CRC_TABLES[0][b]` is the CRC step of one byte `b`,
+/// and `CRC_TABLES[k][b]` is that byte's contribution `k` bytes further back,
+/// so eight table lookups consume eight bytes at once.
+static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            c = (c >> 1) ^ (CRC32C_POLY & (c & 1).wrapping_neg());
+            bit += 1;
         }
+        t[0][i] = c;
+        i += 1;
+    }
+    let mut i = 0;
+    while i < 256 {
+        let mut k = 1;
+        while k < 8 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            k += 1;
+        }
+        i += 1;
+    }
+    t
+}
+
+/// CRC-32C of `data`. It frames every log record, so that restart can tell
+/// "end of log" from a torn tail, and every log read and restart pass runs it
+/// over each frame, so it must run at memory speed: it uses the SSE4.2
+/// `crc32` instruction where the CPU has it, and slicing-by-8 tables
+/// elsewhere. Both give the same checksum.
+pub fn crc32c(data: &[u8]) -> u32 {
+    crc32c_append(0, data)
+}
+
+/// Extend `crc`, the CRC-32C of some bytes `a`, to the CRC-32C of `a`
+/// followed by `data`: `crc32c_append(crc32c(a), b) == crc32c(a ++ b)`, and
+/// `crc32c_append(0, b) == crc32c(b)`. This checksums a record's envelope
+/// and body without concatenating them.
+pub fn crc32c_append(crc: u32, data: &[u8]) -> u32 {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("sse4.2") {
+        // SAFETY: `crc32c_sse42` requires SSE4.2, which the CPU was just
+        // found to have.
+        return unsafe { crc32c_sse42(crc, data) };
+    }
+    crc32c_tables(crc, data)
+}
+
+/// [`crc32c_append`] on the SSE4.2 `crc32` instruction, eight bytes a step.
+///
+/// # Safety
+///
+/// The CPU must support SSE4.2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "sse4.2")]
+unsafe fn crc32c_sse42(crc: u32, data: &[u8]) -> u32 {
+    use std::arch::x86_64::{_mm_crc32_u64, _mm_crc32_u8};
+    let mut c = u64::from(!crc);
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        let word = u64::from_le_bytes([w[0], w[1], w[2], w[3], w[4], w[5], w[6], w[7]]);
+        c = _mm_crc32_u64(c, word);
+    }
+    // The instruction leaves the upper half zero: the state is 32 bits.
+    let mut c = c as u32;
+    for &b in words.remainder() {
+        c = _mm_crc32_u8(c, b);
+    }
+    !c
+}
+
+/// [`crc32c_append`] on the slicing-by-8 tables, for any CPU.
+fn crc32c_tables(crc: u32, data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let mut crc = !crc;
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][w[4] as usize]
+            ^ t[2][w[5] as usize]
+            ^ t[1][w[6] as usize]
+            ^ t[0][w[7] as usize];
+    }
+    for &b in words.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
     }
     !crc
 }
@@ -291,12 +377,76 @@ mod tests {
         assert!(r.bytes().is_err());
     }
 
+    /// The bitwise CRC-32C, one shift/xor step per bit: the test oracle.
+    fn crc32c_bitwise(data: &[u8]) -> u32 {
+        let mut crc = !0u32;
+        for &b in data {
+            crc ^= b as u32;
+            for _ in 0..8 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (CRC32C_POLY & mask);
+            }
+        }
+        !crc
+    }
+
+    /// `data`'s CRC-32C by every path this CPU can run, each called
+    /// directly: the dispatching entry point, the tables, and SSE4.2.
+    fn crc_by_every_path(data: &[u8]) -> Vec<u32> {
+        let mut crcs = vec![crc32c(data), crc32c_tables(0, data)];
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("sse4.2") {
+            // SAFETY: SSE4.2 was just detected.
+            crcs.push(unsafe { crc32c_sse42(0, data) });
+        }
+        crcs
+    }
+
     #[test]
-    fn crc32c_known_vector() {
-        // RFC 3720 test vector: 32 bytes of zeros.
-        assert_eq!(crc32c(&[0u8; 32]), 0x8A91_36AA);
-        // "123456789"
-        assert_eq!(crc32c(b"123456789"), 0xE306_9283);
+    fn crc32c_known_vectors() {
+        // RFC 3720 appendix B.4, then the common check value.
+        let ascending: Vec<u8> = (0..32).collect();
+        let descending: Vec<u8> = (0..32).rev().collect();
+        let vectors: [(&[u8], u32); 6] = [
+            (&[0u8; 32], 0x8A91_36AA),
+            (&[0xFFu8; 32], 0x62A8_AB43),
+            (&ascending, 0x46DD_794E),
+            (&descending, 0x113F_DB5C),
+            (b"123456789", 0xE306_9283),
+            (b"", 0),
+        ];
+        for (data, want) in vectors {
+            assert_eq!(crc32c_bitwise(data), want, "oracle on {data:?}");
+            for got in crc_by_every_path(data) {
+                assert_eq!(got, want, "{data:?}");
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn crc32c_equals_bitwise_oracle(
+            bytes in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..9_008),
+            start in 0usize..8,
+        ) {
+            // Unaligned starts: both word loops read 8-byte words from
+            // wherever the slice begins.
+            let data = &bytes[start.min(bytes.len())..];
+            let want = crc32c_bitwise(data);
+            for got in crc_by_every_path(data) {
+                proptest::prop_assert_eq!(got, want);
+            }
+        }
+
+        #[test]
+        fn crc32c_append_split_anywhere_equals_one_shot(
+            bytes in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..600),
+            cut in 0usize..600,
+        ) {
+            let (a, b) = bytes.split_at(cut.min(bytes.len()));
+            proptest::prop_assert_eq!(crc32c_append(crc32c(a), b), crc32c(&bytes));
+            proptest::prop_assert_eq!(crc32c_append(0, &bytes), crc32c(&bytes));
+        }
     }
 
     #[test]

@@ -8,8 +8,12 @@
 //!
 //! The LSN of a record is the byte offset of its frame in the log file, so
 //! LSNs are dense, monotonic, and directly seekable.
+//!
+//! A frame is built in place in the ring: the appender computes its header
+//! with [`frame_header`] and copies header, record envelope and RM body
+//! straight into its reserved range, with no frame buffer of its own.
 
-use ariesim_common::codec::crc32c;
+use ariesim_common::codec::{crc32c, crc32c_append};
 use ariesim_common::{Lsn, Result};
 
 /// Bytes of framing overhead per record.
@@ -22,13 +26,11 @@ pub const LOG_MAGIC: &[u8; 16] = b"ARIESIM-LOG-v01\0";
 /// nonzero, so [`Lsn::NULL`] never collides with a real record.
 pub const FIRST_LSN: Lsn = Lsn(LOG_MAGIC.len() as u64);
 
-/// Serialize a frame around an encoded record body.
-pub fn encode_frame(body: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(FRAME_HEADER_LEN + body.len());
-    out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32c(body).to_le_bytes());
-    out.extend_from_slice(body);
-    out
+/// Header of the frame whose body is `parts` in order: length, then CRC.
+pub fn frame_header(parts: &[&[u8]]) -> [u8; FRAME_HEADER_LEN] {
+    let len: usize = parts.iter().map(|p| p.len()).sum();
+    let crc = parts.iter().fold(0, |crc, p| crc32c_append(crc, p));
+    (u64::from(crc) << 32 | u64::from(len as u32)).to_le_bytes()
 }
 
 /// Total on-disk size of a record with the given body length.
@@ -79,7 +81,8 @@ mod tests {
     fn log_with(bodies: &[&[u8]]) -> Vec<u8> {
         let mut buf = LOG_MAGIC.to_vec();
         for b in bodies {
-            buf.extend_from_slice(&encode_frame(b));
+            buf.extend_from_slice(&frame_header(&[b]));
+            buf.extend_from_slice(b);
         }
         buf
     }
@@ -108,11 +111,9 @@ mod tests {
 
     #[test]
     fn torn_tail_body() {
-        let mut buf = log_with(&[b"complete"]);
-        let end = Lsn(buf.len() as u64);
-        let mut frame = encode_frame(b"this record was cut short");
-        frame.truncate(frame.len() - 5);
-        buf.extend_from_slice(&frame);
+        let mut buf = log_with(&[b"complete", b"this record was cut short"]);
+        let end = Lsn(FIRST_LSN.0 + frame_len(b"complete".len()));
+        buf.truncate(buf.len() - 5);
         assert_eq!(read_frame(&buf, end).unwrap(), FrameRead::End { at: end });
     }
 

@@ -4,7 +4,7 @@
 //!
 //! 1. **Lock-free append.** An appender claims its (LSN, byte-range) with a
 //!    single `fetch_add` into the in-memory segment ring ([`crate::buffer`]),
-//!    copies its pre-encoded frame into the reserved slice without any lock,
+//!    writes its frame into the reserved slice without any lock,
 //!    and publishes completion via the ring's per-segment filled counters.
 //!    The old design serialized every append (and its memcpy) behind one
 //!    mutex; now the only shared-section work per append is two atomic RMWs.
@@ -33,7 +33,8 @@
 
 use crate::buffer::LogBuffer;
 use crate::frame::{self, FrameRead, FIRST_LSN, LOG_MAGIC};
-use crate::record::{LogRecord, RecordKind};
+use crate::record::{LogRecord, RecordKind, ENVELOPE_LEN};
+use ariesim_common::codec::u32_at;
 use ariesim_common::stats::{Bump, StatsHandle};
 use ariesim_fault::crash_point;
 use ariesim_obs::{EventKind, ModeTag, Obs, ObsHandle, SpanKind};
@@ -226,19 +227,17 @@ impl LogManager {
 
     /// Append a record (buffered, not yet durable). Returns its LSN.
     ///
-    /// Lock-free: encoding and checksumming happen fully outside any shared
-    /// section, the (LSN, range) claim is one `fetch_add`, and the frame
-    /// copy goes straight into the reserved ring slice.
+    /// Lock-free and allocation-free: the envelope is encoded on the stack
+    /// and checksummed with the body outside any shared section, the (LSN,
+    /// range) claim is one `fetch_add`, and the frame is written straight
+    /// into the reserved ring slice.
     pub fn append(&self, rec: &LogRecord) -> Lsn {
         let sh = &self.sh;
         let _span = sh.obs.span(SpanKind::WalAppend, rec.txn.0, 0);
-        let body = rec.encode();
-        let len = frame::frame_len(body.len());
-        let framed = frame::encode_frame(&body);
-        // The reservation is taken for `frame_len` bytes and the copy is of
-        // the encoded frame; they must agree exactly or the log would have
-        // a permanent hole or overlap at this LSN.
-        assert_eq!(framed.len() as u64, len, "reserved length != framed length");
+        let envelope = rec.envelope();
+        let header = frame::frame_header(&[&envelope, &rec.body]);
+        let len = frame::frame_len(ENVELOPE_LEN + rec.body.len());
+        debug_assert_eq!(frame::frame_len(u32_at(&header, 0) as usize), len);
         assert!(
             len <= sh.buf.max_reservation(),
             "log record ({len} bytes) exceeds the ring's largest reservation ({}); raise LogOptions::ring_*",
@@ -255,7 +254,10 @@ impl LogManager {
             }
             ariesim_common::yield_point!();
         }
-        sh.buf.copy_in(start, &framed);
+        let body_at = start + frame::FRAME_HEADER_LEN as u64;
+        sh.buf.copy_in(start, &header);
+        sh.buf.copy_in(body_at, &envelope);
+        sh.buf.copy_in(body_at + ENVELOPE_LEN as u64, &rec.body);
         sh.buf.publish(start, len);
         crash_point!("wal.append.tail");
         // ordering: Relaxed — monotone register, no payload to publish (the
@@ -591,14 +593,13 @@ impl Shared {
         let _span = self.obs.span(SpanKind::WalFsync, 0, 0);
         crash_point!("wal.flush.begin");
         g.file.seek(SeekFrom::Start(from as u64))?;
-        let slice: Vec<u8> = g.image[from..to].to_vec();
         // Two writes with a crash point between them: crashing at
         // "wal.flush.mid" leaves a genuinely torn tail (first half of the
-        // slice on disk, durable_end not advanced) for the torn-tail scan.
-        let half = slice.len() / 2;
-        g.file.write_all(&slice[..half])?;
+        // range on disk, durable_end not advanced) for the torn-tail scan.
+        let half = from + (to - from) / 2;
+        g.file.write_all(&g.image[from..half])?;
         crash_point!("wal.flush.mid");
-        g.file.write_all(&slice[half..])?;
+        g.file.write_all(&g.image[half..to])?;
         if self.opts.fsync {
             g.file.sync_data()?;
         }
@@ -909,11 +910,7 @@ mod tests {
     fn control_records_roundtrip_all_kinds() {
         let dir = TempDir::new("wal");
         let m = mgr(&dir);
-        for kind in [
-            RecordKind::Commit,
-            RecordKind::Abort,
-            RecordKind::End,
-        ] {
+        for kind in [RecordKind::Commit, RecordKind::Abort, RecordKind::End] {
             let lsn = m.append(&LogRecord::control(TxnId(3), Lsn::NULL, kind));
             assert_eq!(m.read(lsn).unwrap().kind, kind);
         }

@@ -90,6 +90,9 @@ impl RecordKind {
     }
 }
 
+/// Serialized envelope: prev_lsn, txn, kind, undo_next_lsn, rm, page.
+pub const ENVELOPE_LEN: usize = 8 + 8 + 1 + 8 + 1 + 4;
+
 /// A fully decoded log record.
 #[derive(Clone, Debug)]
 pub struct LogRecord {
@@ -181,21 +184,20 @@ impl LogRecord {
         }
     }
 
-    /// Serialize the record (without the frame; see [`crate::frame`]).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::with_capacity(32 + self.body.len());
-        w.lsn(self.prev_lsn)
-            .txn_id(self.txn)
-            .u8(self.kind as u8)
-            .lsn(self.undo_next_lsn)
-            .u8(self.rm as u8)
-            .page_id(self.page)
-            .raw(&self.body);
-        w.into_vec()
+    /// The serialized envelope, which precedes the body in a stored record.
+    pub fn envelope(&self) -> [u8; ENVELOPE_LEN] {
+        let mut e = [0u8; ENVELOPE_LEN];
+        e[0..8].copy_from_slice(&self.prev_lsn.0.to_le_bytes());
+        e[8..16].copy_from_slice(&self.txn.0.to_le_bytes());
+        e[16] = self.kind as u8;
+        e[17..25].copy_from_slice(&self.undo_next_lsn.0.to_le_bytes());
+        e[25] = self.rm as u8;
+        e[26..30].copy_from_slice(&self.page.0.to_le_bytes());
+        e
     }
 
-    /// Decode a record serialized by [`encode`](Self::encode). `lsn` is the
-    /// frame's position, supplied by the reader.
+    /// Decode a record stored as its [`envelope`](Self::envelope) then its
+    /// body. `lsn` is the frame's position, supplied by the reader.
     pub fn decode(lsn: Lsn, buf: &[u8]) -> Result<LogRecord> {
         let mut r = Reader::new(buf);
         let prev_lsn = r.lsn()?;
@@ -339,7 +341,7 @@ mod tests {
             PageId(3),
             b"body-bytes".to_vec(),
         );
-        let enc = rec.encode();
+        let enc = [&rec.envelope()[..], &rec.body].concat();
         let dec = LogRecord::decode(Lsn(555), &enc).unwrap();
         assert_eq!(dec.lsn, Lsn(555));
         assert_eq!(dec.prev_lsn, Lsn(100));
@@ -353,7 +355,7 @@ mod tests {
     #[test]
     fn clr_carries_undo_next() {
         let rec = LogRecord::clr(TxnId(1), Lsn(50), RmId::Heap, PageId(9), Lsn(20), vec![1]);
-        let dec = LogRecord::decode(Lsn(60), &rec.encode()).unwrap();
+        let dec = LogRecord::decode(Lsn(60), &[&rec.envelope()[..], &rec.body].concat()).unwrap();
         assert_eq!(dec.kind, RecordKind::Clr);
         assert_eq!(dec.undo_next_lsn, Lsn(20));
         assert!(!dec.kind.is_undoable());
@@ -372,7 +374,7 @@ mod tests {
 
     #[test]
     fn bad_kind_byte_is_corrupt() {
-        let mut enc = LogRecord::control(TxnId(1), Lsn::NULL, RecordKind::Commit).encode();
+        let mut enc = LogRecord::control(TxnId(1), Lsn::NULL, RecordKind::Commit).envelope();
         // Kind byte offset: 8 (prev) + 8 (txn). 3 was the retired begin
         // record's code; it is no longer a kind.
         for bad in [3, 200] {

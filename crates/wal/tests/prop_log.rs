@@ -90,4 +90,44 @@ proptest! {
         let l = m.append(&LogRecord::update(TxnId(9), Lsn::NULL, RmId::Heap, PageId(2), vec![1]));
         prop_assert_eq!(m.read(l).unwrap().body, vec![1]);
     }
+
+    #[test]
+    fn any_single_bit_flip_truncates_at_its_frame(
+        bodies in proptest::collection::vec(
+            proptest::collection::vec(any::<u8>(), 0..120),
+            1..12,
+        ),
+        frame_pick in any::<u64>(),
+        bit_pick in any::<u64>(),
+    ) {
+        let dir = TempDir::new("prop-wal");
+        let path = dir.file("wal");
+        let m = open(&dir);
+        let mut prev = Lsn::NULL;
+        let mut lsns = Vec::new();
+        for b in &bodies {
+            prev = m.append(&LogRecord::update(TxnId(1), prev, RmId::Heap, PageId(1), b.clone()));
+            lsns.push(prev);
+        }
+        lsns.push(m.next_lsn());
+        m.flush_all().unwrap();
+        drop(m);
+        // Flip one bit anywhere in one frame: its length, its CRC, its
+        // envelope or its body.
+        let victim = (frame_pick % bodies.len() as u64) as usize;
+        let (start, end) = (lsns[victim].0, lsns[victim + 1].0);
+        let bit = start * 8 + bit_pick % ((end - start) * 8);
+        let mut raw = std::fs::read(&path).unwrap();
+        raw[(bit / 8) as usize] ^= 1 << (bit % 8);
+        std::fs::write(&path, &raw).unwrap();
+        let m = open(&dir);
+        // The log now ends exactly where the damaged frame began.
+        prop_assert_eq!(m.next_lsn(), lsns[victim]);
+        prop_assert_eq!(std::fs::metadata(&path).unwrap().len(), lsns[victim].0);
+        let recs: Vec<LogRecord> = m.scan(Lsn::NULL).map(|r| r.unwrap()).collect();
+        prop_assert_eq!(recs.len(), victim);
+        for (rec, body) in recs.iter().zip(&bodies) {
+            prop_assert_eq!(&rec.body, body);
+        }
+    }
 }
