@@ -13,14 +13,14 @@ use ariesim_btree::LockProtocol;
 use ariesim_common::stats::StatsSnapshot;
 use ariesim_common::Lsn;
 use ariesim_lock::{LockDuration, LockMode, LockName};
-use ariesim_obs::{Obs, ObsHandle, DEFAULT_RING_CAPACITY};
+use ariesim_obs::{Obs, ObsHandle};
 use ariesim_wal::RecordKind;
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 /// The one observability domain every rig of the run shares: enabled with
-/// `--obs`, disabled otherwise. Its latch monitor is live either way, and
-/// the run exits 1 if the monitor saw a violation.
+/// `--obs`, disabled otherwise. Its monitor (latch protocol and WAL rule)
+/// is live either way, and the run exits 1 if it saw a violation.
 static OBS: OnceLock<ObsHandle> = OnceLock::new();
 
 fn obs_handle() -> ObsHandle {
@@ -33,8 +33,8 @@ fn rig(protocol: LockProtocol, unique: bool, frames: usize) -> Rig {
 }
 
 /// With `--obs`, print the observability report after an experiment, then
-/// clear the spans/ring so the next experiment gets a fresh window. Monitor
-/// counters persist across the run by design.
+/// clear the spans and counters so the next experiment gets a fresh
+/// window. Monitor counters persist across the run by design.
 fn obs_report() {
     let obs = obs_handle();
     if obs.on() {
@@ -49,7 +49,7 @@ fn main() {
     let with_obs = args.iter().any(|a| a == "--obs");
     args.retain(|a| a != "--obs");
     let obs = if with_obs {
-        Obs::enabled(DEFAULT_RING_CAPACITY)
+        Obs::enabled(4096)
     } else {
         Obs::disabled()
     };
@@ -92,7 +92,7 @@ fn main() {
         other => {
             eprintln!("unknown experiment {other}");
             eprintln!("try: fig2 fig1 fig3 fig9 fig10 fig11 locks concurrency recovery deadlocks latchcost smo all");
-            eprintln!("add --obs for per-span latency histograms, event tracing and latch-invariant reports");
+            eprintln!("add --obs for per-span latency histograms and latch/WAL-rule invariant reports");
             std::process::exit(2);
         }
     }
@@ -102,7 +102,7 @@ fn main() {
     eprintln!("[{} done in {:.2?}]", cmd, t0.elapsed());
     let m = obs_handle().monitor.snapshot();
     if !m.clean() {
-        eprintln!("latch monitor VIOLATED: {m:?}");
+        eprintln!("monitor VIOLATED: {m:?}");
         std::process::exit(1);
     }
 }

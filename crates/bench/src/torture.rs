@@ -410,7 +410,8 @@ pub fn copy_dir(src: &Path, dst: &Path) -> Result<()> {
 }
 
 /// One workload-phase run: arm `point` at `hit`, drive the trace to the
-/// crash, recover, verify.
+/// crash, check the crashed engine's monitor (the WAL rule at every
+/// write-back up to the crash, and the latch protocol), recover, verify.
 fn workload_run(
     point: &str,
     hit: u64,
@@ -431,6 +432,7 @@ fn workload_run(
     }
     fault::activate();
     let mut started = Vec::new();
+    let crashed_obs = db.obs().clone();
     let out = fault::run_to_crash(|| drive_steps(db, trace, &mut started));
     fault::disarm();
     fault::clear_pre_crash_hook();
@@ -448,6 +450,10 @@ fn workload_run(
             false
         }
     };
+    let mon = crashed_obs.monitor.snapshot();
+    if error.is_none() && !mon.clean() {
+        error = Some(format!("monitor violations before the crash: {mon:?}"));
+    }
     if error.is_none() {
         match Db::open(dir.path(), db_options()) {
             Err(e) => error = Some(format!("recovery failed: {e}")),

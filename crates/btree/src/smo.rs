@@ -27,7 +27,6 @@ use crate::body::IndexBody;
 use crate::node::{node_cell, node_find_child, node_search, raw_cells, NodeCell};
 use crate::BTree;
 use ariesim_fault::crash_point;
-use ariesim_obs::{EventKind, ModeTag};
 use ariesim_common::key::SearchKey;
 use ariesim_common::slotted::SLOT_LEN;
 use ariesim_common::stats::Bump;
@@ -254,20 +253,6 @@ impl BTree {
         search: &SearchKey<'_>,
         need: usize,
     ) -> Result<PageId> {
-        self.obs
-            .event(EventKind::SmoBegin, ModeTag::X, logger.txn.0, self.root.0, 0);
-        let r = self.split_smo_inner(logger, search, need);
-        self.obs
-            .event(EventKind::SmoEnd, ModeTag::X, logger.txn.0, self.root.0, 0);
-        r
-    }
-
-    fn split_smo_inner(
-        &self,
-        logger: &mut ChainLogger<'_>,
-        search: &SearchKey<'_>,
-        need: usize,
-    ) -> Result<PageId> {
         let token = logger.last_lsn;
         let mut path = self.descend_path(search)?;
         let leaf = path_leaf(&path)?;
@@ -294,19 +279,6 @@ impl BTree {
     /// (`logger.last_lsn` is that record — the dummy CLR will point at it).
     /// Deletes every empty page on the search path bottom-up.
     pub(crate) fn page_delete_smo(
-        &self,
-        logger: &mut ChainLogger<'_>,
-        search: &SearchKey<'_>,
-    ) -> Result<()> {
-        self.obs
-            .event(EventKind::SmoBegin, ModeTag::X, logger.txn.0, self.root.0, 1);
-        let r = self.page_delete_smo_inner(logger, search);
-        self.obs
-            .event(EventKind::SmoEnd, ModeTag::X, logger.txn.0, self.root.0, 1);
-        r
-    }
-
-    fn page_delete_smo_inner(
         &self,
         logger: &mut ChainLogger<'_>,
         search: &SearchKey<'_>,

@@ -29,7 +29,7 @@ use ariesim_common::page::PageType;
 use ariesim_common::stats::Bump;
 use ariesim_common::{Error, Lsn, PageBuf, PageId, Result};
 use ariesim_obs::monitor::{Class, Held};
-use ariesim_obs::{EventKind, ModeTag, SpanKind};
+use ariesim_obs::SpanKind;
 use ariesim_storage::{PageReadGuard, PageWriteGuard};
 
 /// S-mode tree-latch guard, carrying its latch-monitor report.
@@ -102,8 +102,6 @@ impl BTree {
     pub(crate) fn tree_instant_s(&self) {
         self.stats.latches_tree.bump();
         self.stats.latches_tree_instant.bump();
-        self.obs
-            .event(EventKind::TreeLatchAcquire, ModeTag::Instant, 0, 0, 0);
         let _held = self.obs.monitor.acquired(Class::TreeLatch, "btree::tree_instant_s", true);
         if let Some(g) = self.tree_latch.try_read_recursive() {
             drop(g);
@@ -124,8 +122,6 @@ impl BTree {
     /// Unconditional S tree latch.
     pub(crate) fn tree_s(&self) -> TreeSGuard<'_> {
         self.stats.latches_tree.bump();
-        self.obs
-            .event(EventKind::TreeLatchAcquire, ModeTag::S, 0, 0, 0);
         let held = self.obs.monitor.acquired(Class::TreeLatch, "btree::tree_s", true);
         if let Some(g) = self.tree_latch.try_read_recursive() {
             return TreeSGuard(g, held);
@@ -140,8 +136,6 @@ impl BTree {
     /// X tree latch: serializes SMOs on this index.
     pub(crate) fn tree_x(&self) -> TreeXGuard<'_> {
         self.stats.latches_tree.bump();
-        self.obs
-            .event(EventKind::TreeLatchAcquire, ModeTag::X, 0, 0, 0);
         let held = self.obs.monitor.acquired(Class::TreeLatch, "btree::tree_x", true);
         if let Some(g) = self.tree_latch.try_write() {
             return TreeXGuard(g, held);
@@ -211,13 +205,6 @@ impl BTree {
                     let ambiguous_page = parent.page_id();
                     drop(parent);
                     self.stats.traversal_restarts.bump();
-                    self.obs.event(
-                        EventKind::TraversalRestart,
-                        ModeTag::None,
-                        0,
-                        ambiguous_page.0,
-                        0,
-                    );
                     {
                         let _t = (!tree_latched).then(|| self.tree_s()); // latch-rank: 1 (fresh)
                         let mut g = self.pool.fix_x(ambiguous_page)?; // latch-rank: 2
@@ -242,8 +229,6 @@ impl BTree {
                     if !valid_page(&child, self, 0) {
                         drop(child);
                         self.stats.traversal_restarts.bump();
-                        self.obs
-                            .event(EventKind::TraversalRestart, ModeTag::None, 0, child_id.0, 0);
                         if !tree_latched {
                             self.tree_instant_s(); // latch-rank: 1 (fresh)
                         }
@@ -256,8 +241,6 @@ impl BTree {
                 if !valid_page(&child, self, child_level) {
                     drop(child);
                     self.stats.traversal_restarts.bump();
-                    self.obs
-                        .event(EventKind::TraversalRestart, ModeTag::None, 0, child_id.0, 0);
                     if !tree_latched {
                         self.tree_instant_s(); // latch-rank: 1 (fresh)
                     }

@@ -28,10 +28,9 @@ use crate::name::LockName;
 use ariesim_common::stats::{Bump, StatsHandle};
 use ariesim_common::{Error, Result, TxnId};
 use ariesim_obs::monitor::{Class, Held};
-use ariesim_obs::{EventKind, ModeTag, ObsHandle, SpanKind};
+use ariesim_obs::{ObsHandle, SpanKind};
 use parking_lot::{Condvar, Mutex};
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -117,20 +116,6 @@ impl std::ops::DerefMut for StateGuard<'_> {
     }
 }
 
-/// Stable tag for a lock name in trace events (names don't fit in a u64).
-fn name_tag(name: &LockName) -> u64 {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    name.hash(&mut h);
-    h.finish()
-}
-
-fn mode_tag(mode: LockMode) -> ModeTag {
-    match mode {
-        LockMode::S | LockMode::IS => ModeTag::S,
-        LockMode::X | LockMode::IX | LockMode::SIX => ModeTag::X,
-    }
-}
-
 impl LockManager {
     pub fn new(stats: StatsHandle, obs: ObsHandle) -> LockManager {
         LockManager {
@@ -138,6 +123,11 @@ impl LockManager {
             stats,
             obs,
         }
+    }
+
+    /// The observability handle the manager reports to.
+    pub fn obs(&self) -> &ObsHandle {
+        &self.obs
     }
 
     fn lock_state(&self, site: &'static str) -> StateGuard<'_> {
@@ -171,7 +161,7 @@ impl LockManager {
                     if duration > head.granted[gi].duration {
                         head.granted[gi].duration = duration;
                     }
-                    self.note_grant(txn, &name, mode, duration);
+                    self.note_grant(&name, duration);
                     return Ok(());
                 }
                 // Conversion.
@@ -180,13 +170,11 @@ impl LockManager {
                     if duration > head.granted[gi].duration {
                         head.granted[gi].duration = duration;
                     }
-                    self.note_grant(txn, &name, mode, duration);
+                    self.note_grant(&name, duration);
                     return Ok(());
                 }
                 if conditional {
                     self.stats.lock_conditional_denials.bump();
-                    self.obs
-                        .event(EventKind::LockDeny, mode_tag(mode), txn.0, 0, name_tag(&name));
                     return Err(Error::WouldBlock);
                 }
                 cell = self.enqueue(&mut st, txn, name.clone(), mode, duration, true)?;
@@ -194,13 +182,11 @@ impl LockManager {
                 let grantable = head.queue.is_empty() && head.compatible_with_others(txn, mode);
                 if grantable {
                     self.grant_now(&mut st, txn, &name, mode, duration);
-                    self.note_grant(txn, &name, mode, duration);
+                    self.note_grant(&name, duration);
                     return Ok(());
                 }
                 if conditional {
                     self.stats.lock_conditional_denials.bump();
-                    self.obs
-                        .event(EventKind::LockDeny, mode_tag(mode), txn.0, 0, name_tag(&name));
                     return Err(Error::WouldBlock);
                 }
                 cell = self.enqueue(&mut st, txn, name.clone(), mode, duration, false)?;
@@ -209,8 +195,6 @@ impl LockManager {
         // Wait outside the table mutex. Blocking here while holding a tree
         // or page latch would violate the §2.2 protocol — the monitor checks.
         self.obs.monitor.on_unconditional_lock_wait();
-        self.obs
-            .event(EventKind::LockWait, mode_tag(mode), txn.0, 0, name_tag(&name));
         let wait_span = self.obs.span(SpanKind::LockWait, txn.0, 0);
         self.stats.lock_waits.bump();
         let mut s = cell.state.lock();
@@ -228,15 +212,12 @@ impl LockManager {
         }
         drop(s);
         drop(wait_span);
-        self.note_grant(txn, &name, mode, duration);
+        self.note_grant(&name, duration);
         Ok(())
     }
 
-    /// Record the grant (mode/duration/kind) in the stats counters and
-    /// the trace ring.
-    fn note_grant(&self, txn: TxnId, name: &LockName, mode: LockMode, duration: LockDuration) {
-        self.obs
-            .event(EventKind::LockGrant, mode_tag(mode), txn.0, 0, name_tag(name));
+    /// Count the grant (duration and lock-name kind) in the stats counters.
+    fn note_grant(&self, name: &LockName, duration: LockDuration) {
         self.stats.locks_acquired.bump();
         match duration {
             LockDuration::Instant => self.stats.locks_instant.bump(),

@@ -1,36 +1,31 @@
 //! `ariesim-obs` — runtime observability for the ARIES/IM reproduction.
 //!
-//! Three pillars, all std-only and lock-free on the hot path:
+//! Two pillars, both std-only and lock-free on the hot path:
 //!
 //! * [`span`] — scoped timers, one per timed site (lock wait, latch wait,
 //!   WAL append and fsync, page I/O, redo apply, user work). Each kind
 //!   keeps a log2-bucket [`hist`] of inclusive times and a self-time total.
-//! * [`trace`] — a fixed-capacity seqlock event ring recording typed,
-//!   timestamped events (latch hand-offs, lock grants/waits/denials, SMO
-//!   windows, traversal restarts, log forces, CLR writes, write-backs).
-//! * [`monitor`] — live checks of the latch-protocol invariants the paper
-//!   argues for: page-latch depth ≤ 2, latch acquisition order, no
-//!   unconditional lock wait while latched, and page-oriented
-//!   (traversal-free) restart redo.
+//! * [`monitor`] — live checks of the protocol invariants the paper argues
+//!   for: page-latch depth ≤ 2, latch acquisition order, no unconditional
+//!   lock wait while latched, page-oriented (traversal-free) restart redo,
+//!   and the WAL rule at every page write-back.
 //!
 //! Everything hangs off an [`Obs`] handle (an `Arc` internally). An engine
 //! is opened with one (`Core::open` hands the same handle to every
-//! component); [`Obs::disabled`] reduces every span/trace call to a
-//! single branch on a `bool`. Invariant monitoring is always on — it is the
-//! cheapest pillar (a thread-local increment) and the most valuable one.
+//! component); [`Obs::disabled`] reduces every span to a single branch on a
+//! `bool`. Invariant monitoring is always on — it is the cheapest pillar (a
+//! thread-local increment) and the most valuable one.
 
 pub mod hist;
 pub mod json;
 pub mod monitor;
 pub mod span;
-pub mod trace;
 
 pub use hist::{fmt_ns, Gauge, HistogramSnapshot, LatencyHistogram};
 pub use monitor::{
     current_latch_depth, take_latch_high_water, Monitor, MonitorSnapshot, MAX_PAGE_LATCHES,
 };
 pub use span::{SpanGuard, SpanKind, SpanSnapshot, SpanTotals, SPAN_KIND_COUNT, SPAN_NAMES};
-pub use trace::{Event, EventKind, EventRing, ModeTag, RingStats};
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -177,8 +172,7 @@ impl WalCounters {
     }
 }
 
-/// One observability domain: spans + gauges + counters + event ring +
-/// invariant monitor.
+/// One observability domain: spans + gauges + counters + invariant monitor.
 pub struct Obs {
     enabled: bool,
     pub gauge: Gauges,
@@ -188,54 +182,38 @@ pub struct Obs {
     pub pool: PoolCounters,
     /// WAL group-commit counters (see [`WalCounters`]).
     pub wal: WalCounters,
-    pub ring: EventRing,
     pub monitor: Monitor,
 }
 
-/// Default event-ring capacity for enabled handles (power of two).
-pub const DEFAULT_RING_CAPACITY: usize = 4096;
-
 impl Obs {
-    /// A disabled handle: spans and tracing compile down to one branch;
-    /// invariant monitoring stays live (it is nearly free and guards
-    /// correctness, not performance).
+    fn new(enabled: bool) -> ObsHandle {
+        Arc::new(Obs {
+            enabled,
+            gauge: Gauges::default(),
+            spans: SpanTotals::default(),
+            pool: PoolCounters::default(),
+            wal: WalCounters::default(),
+            monitor: Monitor::default(),
+        })
+    }
+
+    /// A disabled handle: spans compile down to one branch; invariant
+    /// monitoring stays live (it is nearly free and guards correctness,
+    /// not performance).
     pub fn disabled() -> ObsHandle {
-        Arc::new(Obs {
-            enabled: false,
-            gauge: Gauges::default(),
-            spans: SpanTotals::default(),
-            pool: PoolCounters::default(),
-            wal: WalCounters::default(),
-            ring: EventRing::new(8),
-            monitor: Monitor::default(),
-        })
+        Obs::new(false)
     }
 
-    /// An enabled handle with an event ring of (at least) `ring_capacity`.
-    pub fn enabled(ring_capacity: usize) -> ObsHandle {
-        Arc::new(Obs {
-            enabled: true,
-            gauge: Gauges::default(),
-            spans: SpanTotals::default(),
-            pool: PoolCounters::default(),
-            wal: WalCounters::default(),
-            ring: EventRing::new(ring_capacity),
-            monitor: Monitor::default(),
-        })
+    /// An enabled handle: spans are timed. The argument is ignored; it is
+    /// kept for the callers that pass one.
+    pub fn enabled(_ring_capacity: usize) -> ObsHandle {
+        Obs::new(true)
     }
 
-    /// Whether timing/tracing is active. Monitors ignore this.
+    /// Whether timing is active. Monitors ignore this.
     #[inline]
     pub fn on(&self) -> bool {
         self.enabled
-    }
-
-    /// Record a trace event (no-op when disabled).
-    #[inline]
-    pub fn event(&self, kind: EventKind, mode: ModeTag, txn: u64, page: u32, aux: u64) {
-        if self.enabled {
-            self.ring.push(kind, mode, txn, page, aux);
-        }
     }
 
     /// Open a span of `kind` (see [`span`]). The returned guard closes the
@@ -246,16 +224,14 @@ impl Obs {
         span::begin(self, kind)
     }
 
-    /// Reset spans, gauges, counters, and the event ring (monitor counters
-    /// persist — a past violation should not be erasable between report
-    /// windows).
+    /// Reset spans, gauges and counters (monitor counters persist — a past
+    /// violation should not be erasable between report windows).
     pub fn reset(&self) {
         self.gauge.repl_lag.reset();
         self.gauge.recovery.reset();
         self.spans.reset();
         self.pool.reset();
         self.wal.reset();
-        self.ring.reset();
     }
 
     /// Per-kind span histograms with their self-time totals, in
@@ -324,9 +300,10 @@ impl Obs {
         }
         let m = self.monitor.snapshot();
         out.push_str(&format!(
-            "latch monitor: max page-latch depth {} (limit {}), \
+            "monitor: max page-latch depth {} (limit {}), \
              depth violations {}, lock-wait-while-latched {}, \
-             order violations {}{}, redo traversals {} — {}\n",
+             order violations {}{}, redo traversals {}, \
+             WAL-rule violations {}{} — {}\n",
             m.max_latch_depth,
             MAX_PAGE_LATCHES,
             m.latch_depth_violations,
@@ -337,28 +314,19 @@ impl Obs {
                 v.acquired, v.held, v.site
             )),
             m.redo_traversal_violations,
+            m.wal_rule_violations,
+            m.first_wal_violation.map_or(String::new(), |v| format!(
+                " (first: page {} at page_LSN {} with the log durable to {})",
+                v.page, v.page_lsn, v.durable
+            )),
             if m.clean() { "CLEAN" } else { "VIOLATED" },
         ));
-        let (_, rs) = self.ring.snapshot_with_stats();
-        out.push_str(&format!(
-            "event ring: {} events recorded, {} resident (capacity {}), \
-             {} dropped, {} torn\n",
-            rs.recorded, rs.resident, rs.capacity, rs.dropped, rs.torn,
-        ));
-        if !rs.complete() {
-            out.push_str(&format!(
-                "WARNING: event ring wrapped ({} events dropped, {} torn) — \
-                 a ring snapshot is incomplete (span totals above remain exact)\n",
-                rs.dropped, rs.torn,
-            ));
-        }
         out
     }
 
     /// Full JSON export: one object per span kind (its histogram, buckets
-    /// included, and self time), gauges, pool and WAL counters, the
-    /// monitor snapshot, and ring metadata. One JSON object,
-    /// machine-readable.
+    /// included, and self time), gauges, pool and WAL counters, and the
+    /// monitor snapshot. One JSON object, machine-readable.
     pub fn to_json(&self) -> String {
         let mut root = json::Object::new();
         let mut so = json::Object::new();
@@ -418,16 +386,16 @@ impl Obs {
         );
         mo.field_u64("latch_order_violations", m.latch_order_violations);
         mo.field_u64("redo_traversal_violations", m.redo_traversal_violations);
+        mo.field_u64("wal_rule_violations", m.wal_rule_violations);
+        if let Some(v) = m.first_wal_violation {
+            let mut wo = json::Object::new();
+            wo.field_u64("page", v.page as u64);
+            wo.field_u64("page_lsn", v.page_lsn);
+            wo.field_u64("durable", v.durable);
+            mo.field_raw("first_wal_violation", &wo.finish());
+        }
         mo.field_bool("clean", m.clean());
         root.field_raw("monitor", &mo.finish());
-
-        let (_, rs) = self.ring.snapshot_with_stats();
-        let mut ro = json::Object::new();
-        ro.field_u64("recorded", rs.recorded);
-        ro.field_u64("capacity", rs.capacity);
-        ro.field_u64("dropped", rs.dropped);
-        ro.field_u64("torn", rs.torn);
-        root.field_raw("ring", &ro.finish());
         root.finish()
     }
 }
@@ -437,23 +405,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn disabled_handle_is_inert() {
-        let obs = Obs::disabled();
-        assert!(!obs.on());
-        obs.event(EventKind::LogForce, ModeTag::None, 0, 0, 0);
-        drop(obs.span(SpanKind::WalFsync, 0, 0));
-        assert_eq!(obs.ring.recorded(), 0);
-        assert!(obs.spans.snapshot().is_empty());
-    }
-
-    #[test]
-    fn enabled_handle_records() {
-        let obs = Obs::enabled(64);
-        assert!(obs.on());
-        drop(obs.span(SpanKind::LockWait, 5, 0));
-        obs.event(EventKind::LockGrant, ModeTag::X, 5, 0, 99);
-        assert_eq!(obs.spans.hist(SpanKind::LockWait).snapshot().count, 1);
-        assert_eq!(obs.ring.recorded(), 1);
+    fn only_an_enabled_handle_times_spans() {
+        for (obs, on) in [(Obs::disabled(), false), (Obs::enabled(64), true)] {
+            assert_eq!(obs.on(), on);
+            drop(obs.span(SpanKind::LockWait, 5, 0));
+            assert_eq!(obs.spans.hist(SpanKind::LockWait).snapshot().count, on as u64);
+        }
     }
 
     #[test]
@@ -471,7 +428,7 @@ mod tests {
     fn json_export_parses_back() {
         let obs = Obs::enabled(64);
         drop(obs.span(SpanKind::WalFsync, 0, 0));
-        obs.event(EventKind::LogForce, ModeTag::None, 1, 0, 512);
+        obs.monitor.on_write_back(9, 512, 512);
         obs.pool.shard_contended.store(2, Ordering::Relaxed);
         obs.wal.group_riders.store(3, Ordering::Relaxed);
         obs.gauge.repl_lag.set_watermarks(900, 100);
@@ -498,18 +455,21 @@ mod tests {
         assert_eq!(spans.get("lock_wait").unwrap().get("count").unwrap().as_u64(), Some(0));
         let lag = v.get("gauges").unwrap().get("repl_lag").unwrap();
         assert_eq!(lag.get("bytes").unwrap().get("last").unwrap().as_u64(), Some(800));
-        assert_eq!(
-            v.get("monitor").unwrap().get("clean"),
-            Some(&json::JsonValue::Bool(true))
-        );
-        assert_eq!(v.get("ring").unwrap().get("recorded").unwrap().as_u64(), Some(1));
+        let monitor = v.get("monitor").unwrap();
+        assert_eq!(monitor.get("clean"), Some(&json::JsonValue::Bool(false)));
+        assert_eq!(monitor.get("wal_rule_violations").unwrap().as_u64(), Some(1));
+        let first = monitor.get("first_wal_violation").unwrap();
+        assert_eq!(first.get("page").unwrap().as_u64(), Some(9));
+        assert!(report.contains(
+            "WAL-rule violations 1 (first: page 9 at page_LSN 512 with the log durable to 512) \
+             — VIOLATED\n"
+        ));
     }
 
     #[test]
     fn reset_clears_measurements_not_monitor() {
         let obs = Obs::enabled(64);
         drop(obs.span(SpanKind::UserWork, 0, 0));
-        obs.event(EventKind::LockDeny, ModeTag::S, 1, 2, 3);
         std::thread::scope(|s| {
             s.spawn(|| {
                 drop(obs.monitor.acquired(monitor::Class::PageLatch, "test", true));
@@ -518,7 +478,6 @@ mod tests {
         obs.reset();
         assert!(obs.spans.snapshot().is_empty());
         assert_eq!(obs.spans.hist(SpanKind::UserWork).snapshot().count, 0);
-        assert_eq!(obs.ring.snapshot().len(), 0);
         assert_eq!(obs.monitor.snapshot().max_latch_depth, 1);
     }
 }

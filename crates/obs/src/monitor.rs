@@ -1,6 +1,7 @@
-//! Live latch-protocol invariant monitor — the engine's one dynamic checker.
+//! Live protocol invariant monitor — the engine's one dynamic checker.
 //!
-//! ARIES/IM's concurrency claims rest on four checkable invariants:
+//! ARIES/IM's concurrency and recovery claims rest on five checkable
+//! invariants:
 //!
 //! 1. **Latch depth ≤ 2** — traversal uses latch coupling, so a thread
 //!    never holds more than two page latches at once (parent + child;
@@ -15,6 +16,10 @@
 //!    release on denial) instead.
 //! 4. **Page-oriented redo** — restart redo never re-traverses the tree;
 //!    `redo_traversals` must be exactly 0 after recovery (§10).
+//! 5. **The WAL rule** — a dirty page reaches disk only after the log
+//!    record at its page_LSN is durable (§1.2). The durable end is
+//!    exclusive, so the rule is `page_lsn < durable` (checked by
+//!    [`Monitor::on_write_back`] before every page write).
 //!
 //! What a thread holds is one thread-local word (latches and mutexes are
 //! thread-owned, never transferred), updated where the latch word changes
@@ -141,6 +146,15 @@ pub struct OrderViolation {
     pub site: &'static str,
 }
 
+/// The first page write-back that broke the WAL rule.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct WalViolation {
+    pub page: u32,
+    pub page_lsn: u64,
+    /// The log's exclusive durable end when the page was written.
+    pub durable: u64,
+}
+
 /// Always-on invariant monitor; one per [`crate::Obs`].
 #[derive(Default)]
 pub struct Monitor {
@@ -155,6 +169,9 @@ pub struct Monitor {
     first_order_violation: OnceLock<OrderViolation>,
     /// Tree traversals observed during restart redo (must stay 0).
     redo_traversal_violations: AtomicU64,
+    /// Page write-backs whose page_LSN the log did not yet cover.
+    wal_rule_violations: AtomicU64,
+    first_wal_violation: OnceLock<WalViolation>,
 }
 
 impl Monitor {
@@ -216,6 +233,22 @@ impl Monitor {
             .fetch_add(redo_traversals, Ordering::Relaxed);
     }
 
+    /// `page` (page_LSN `page_lsn`) is about to be written to disk while the
+    /// log is durable up to the exclusive end `durable`. The record at
+    /// `page_lsn` must already be durable; a page never stamped (NULL,
+    /// i.e. 0) needs no log.
+    pub fn on_write_back(&self, page: u32, page_lsn: u64, durable: u64) {
+        if page_lsn != 0 && page_lsn >= durable {
+            self.wal_rule_violations.fetch_add(1, Ordering::Relaxed);
+            let first = WalViolation {
+                page,
+                page_lsn,
+                durable,
+            };
+            let _ = self.first_wal_violation.set(first);
+        }
+    }
+
     pub fn snapshot(&self) -> MonitorSnapshot {
         MonitorSnapshot {
             max_latch_depth: self.max_latch_depth.load(Ordering::Relaxed),
@@ -226,6 +259,8 @@ impl Monitor {
             latch_order_violations: self.latch_order_violations.load(Ordering::Relaxed),
             first_order_violation: self.first_order_violation.get().copied(),
             redo_traversal_violations: self.redo_traversal_violations.load(Ordering::Relaxed),
+            wal_rule_violations: self.wal_rule_violations.load(Ordering::Relaxed),
+            first_wal_violation: self.first_wal_violation.get().copied(),
         }
     }
 }
@@ -239,6 +274,8 @@ pub struct MonitorSnapshot {
     pub latch_order_violations: u64,
     pub first_order_violation: Option<OrderViolation>,
     pub redo_traversal_violations: u64,
+    pub wal_rule_violations: u64,
+    pub first_wal_violation: Option<WalViolation>,
 }
 
 impl MonitorSnapshot {
@@ -248,6 +285,7 @@ impl MonitorSnapshot {
             && self.lock_wait_with_latch_violations == 0
             && self.latch_order_violations == 0
             && self.redo_traversal_violations == 0
+            && self.wal_rule_violations == 0
     }
 }
 
@@ -393,5 +431,20 @@ mod tests {
         assert!(m.snapshot().clean());
         m.on_restart_complete(3);
         assert_eq!(m.snapshot().redo_traversal_violations, 3);
+    }
+
+    #[test]
+    fn write_back_needs_the_page_lsn_record_durable() {
+        let m = Monitor::default();
+        m.on_write_back(1, 100, 101); // record at 100 lies below the end
+        m.on_write_back(2, 0, 0); // never stamped: needs no log
+        assert!(m.snapshot().clean(), "{:?}", m.snapshot());
+        m.on_write_back(3, 100, 100); // the end is exclusive: one too early
+        m.on_write_back(4, 200, 100); // counted, not first
+        let s = m.snapshot();
+        assert_eq!(s.wal_rule_violations, 2, "{s:?}");
+        let first = s.first_wal_violation.map(|v| (v.page, v.page_lsn, v.durable));
+        assert_eq!(first, Some((3, 100, 100)));
+        assert!(!s.clean());
     }
 }

@@ -187,7 +187,6 @@ mod tests {
             let _g = obs.span(SpanKind::UserWork, 1, 0);
             assert_eq!(stack_depth(), 0);
         }
-        assert_eq!(obs.ring.recorded(), 0);
         assert!(obs.spans.snapshot().is_empty());
     }
 
@@ -235,8 +234,6 @@ mod tests {
         // does not.
         assert!(user.sum_ns >= 8_000_000, "inclusive time too small: {}", user.sum_ns);
         assert_eq!(user.sum_ns - read.sum_ns, s.self_ns[SpanKind::UserWork as usize]);
-        // Spans push nothing into the event ring.
-        assert_eq!(obs.ring.recorded(), 0);
     }
 
     #[test]

@@ -146,8 +146,8 @@ pub fn restart(core: &Core) -> Result<RestartOutcome> {
                 }
             }
             RecordKind::Commit | RecordKind::End => {
-                // Commit is forced, so a committed transaction needs no undo
-                // even if its End record is missing.
+                // Commit is forced and ends a committed transaction (commit
+                // appends no End); End closes a finished rollback.
                 txns.remove(&rec.txn);
                 if !ckpt_seen {
                     ended.insert(rec.txn);

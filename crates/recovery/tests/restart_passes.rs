@@ -178,12 +178,12 @@ fn undo_sweep_is_reverse_chronological_across_transactions() {
 
 #[test]
 fn committed_but_unended_transaction_is_not_undone() {
-    // Crash between the (forced) Commit record and the End record: analysis
-    // must treat the transaction as committed.
+    // A committed writer's log ends at its forced Commit (commit appends no
+    // End): analysis must treat the transaction as committed.
     let f = fix();
     let t = f.tm.begin();
     update(&f, &t, 0, 0, 5);
-    // Hand-write the commit record without the End.
+    // Hand-write the commit record.
     t.with_logger(&f.log, |l| l.control(RecordKind::Commit));
     f.log.flush_all().unwrap();
     let outcome = restart(&f).unwrap();
@@ -194,7 +194,7 @@ fn committed_but_unended_transaction_is_not_undone() {
 #[test]
 fn commit_between_snapshot_and_ckpt_end_is_not_revived() {
     // A fuzzy checkpoint snapshots `t` as in flight; `t` then commits before
-    // CkptEnd is appended, and its End is lost. Analysis starts at CkptBegin,
+    // CkptEnd is appended (a Commit, no End). Analysis starts at CkptBegin,
     // sees the Commit, then CkptEnd's stale entry: that entry must not make
     // `t` a loser again.
     let f = fix();

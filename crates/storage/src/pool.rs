@@ -51,7 +51,7 @@ use ariesim_common::stats::{Bump, StatsHandle};
 use ariesim_common::{Error, Lsn, PageBuf, PageId, Result};
 use ariesim_fault::crash_point;
 use ariesim_obs::monitor::{Class, Held};
-use ariesim_obs::{EventKind, ModeTag, ObsHandle, SpanKind};
+use ariesim_obs::{ObsHandle, SpanKind};
 use ariesim_wal::{DptEntry, LogManager};
 use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::collections::HashMap;
@@ -67,9 +67,8 @@ type ReadLatch<'p> = RwLockReadGuard<'p, PageBuf>;
 type WriteLatch<'p> = RwLockWriteGuard<'p, PageBuf>;
 
 /// One latch mode, as the fix and latch routines see it: how the frame's
-/// `RwLock` is taken, and how the grant is tagged in reports.
+/// `RwLock` is taken.
 struct Mode<'p, L> {
-    tag: ModeTag,
     try_latch: fn(&'p Slot) -> Option<L>,
     wait_latch: fn(&'p Slot) -> L,
     /// A miss loads under the write latch (see `claim`); this hands that
@@ -82,7 +81,6 @@ type LoadLatch<'p> = (WriteLatch<'p>, Held);
 
 impl<'p> Mode<'p, ReadLatch<'p>> {
     const SHARED: Self = Mode {
-        tag: ModeTag::S,
         try_latch: RwLock::try_read,
         wait_latch: RwLock::read,
         from_loaded: RwLockWriteGuard::downgrade,
@@ -91,7 +89,6 @@ impl<'p> Mode<'p, ReadLatch<'p>> {
 
 impl<'p> Mode<'p, WriteLatch<'p>> {
     const EXCLUSIVE: Self = Mode {
-        tag: ModeTag::X,
         try_latch: RwLock::try_write,
         wait_latch: RwLock::write,
         from_loaded: std::convert::identity,
@@ -323,10 +320,11 @@ impl BufferPool {
             };
             // The latch was already acquired (and reported) inside `claim`,
             // under the load I/O.
-            self.note_granted(page, mode.tag);
+            self.stats.latches_page.bump();
             return Ok(PageGuard {
                 latch: (mode.from_loaded)(wlatch),
-                grant: Grant { _held: held, pin, mode: mode.tag },
+                _held: held,
+                pin,
             });
         }
     }
@@ -363,26 +361,22 @@ impl BufferPool {
         if self.frames[pin.frame].owner.load(Ordering::Acquire) != pin.page.0 {
             return Err(Error::StalePin { page: pin.page });
         }
-        self.note_granted(pin.page, mode.tag);
+        self.stats.latches_page.bump();
         Ok(PageGuard {
             latch,
-            grant: Grant { _held: held, pin, mode: mode.tag },
+            _held: held,
+            pin,
         })
     }
 
-    /// Count and trace a page-latch grant handed out in a guard (the
-    /// monitor heard of it where the latch was taken).
-    fn note_granted(&self, page: PageId, mode: ModeTag) {
-        self.stats.latches_page.bump();
-        self.obs.event(EventKind::LatchAcquire, mode, 0, page.0, 0);
-    }
-
-    /// Ring evidence of the WAL rule: a dirty page hit disk at `page_lsn`
-    /// while the log was durable to `durable` (`durable >= page_lsn` must
-    /// hold on every such event; tests check the dump).
-    fn note_write_back(&self, page: PageId, page_lsn: Lsn) {
+    /// Write a dirty page's latched `image` to disk. The monitor checks the
+    /// WAL rule first: the log must already be durable past the record at
+    /// the image's page_LSN (the caller forced it).
+    fn write_back(&self, page: PageId, image: &PageBuf) -> Result<()> {
         let durable = self.log.flushed_lsn().0;
-        self.obs.event(EventKind::PageWriteBack, ModeTag::None, durable, page.0, page_lsn.0);
+        self.obs.monitor.on_write_back(page.0, image.page_lsn().0, durable);
+        let _span = self.obs.span(SpanKind::PageWrite, 0, page.0);
+        self.disk.write_page(image)
     }
 
     /// Pin `page`'s frame, loading it from disk if absent. On a miss the
@@ -456,12 +450,8 @@ impl BufferPool {
                 // WAL rule: the log must cover the page before it hits disk.
                 self.log.flush_to(latch.page_lsn())?;
                 crash_point!("pool.evict.after_force");
-                {
-                    let _span = self.obs.span(SpanKind::PageWrite, 0, old.page.0);
-                    self.disk.write_page(&latch)?;
-                }
+                self.write_back(old.page, &latch)?;
                 crash_point!("pool.evict.after_write");
-                self.note_write_back(old.page, latch.page_lsn());
             }
             // Re-take the shard mutex to complete the eviction. Two races
             // can void the victim while the mutex was dropped:
@@ -563,12 +553,8 @@ impl BufferPool {
             crash_point!("pool.flush.begin");
             self.log.flush_to(guard.page_lsn())?;
             crash_point!("pool.flush.after_force");
-            {
-                let _span = self.obs.span(SpanKind::PageWrite, 0, page.0);
-                self.disk.write_page(&guard)?;
-            }
+            self.write_back(page, &guard)?;
             crash_point!("pool.flush.after_write");
-            self.note_write_back(page, guard.page_lsn());
             let mut g = self.lock_shard(sid, "storage::pool::flush_page");
             if let Some(&local) = g.table.get(&page) {
                 g.meta[local].dirty = false;
@@ -730,29 +716,15 @@ impl Drop for PinGuard<'_> {
     }
 }
 
-/// The bookkeeping half of a held page latch: its drop traces the release,
-/// then (field order) reports it to the monitor, and only then lets go of
-/// the pin.
-struct Grant<'p> {
-    _held: Held,
-    pin: PinGuard<'p>,
-    mode: ModeTag,
-}
-
-impl Drop for Grant<'_> {
-    fn drop(&mut self) {
-        let (obs, page) = (&self.pin.pool.obs, self.pin.page.0);
-        obs.event(EventKind::LatchRelease, self.mode, 0, page, 0);
-    }
-}
-
 /// A fixed page, latched in the mode `L` for as long as the guard lives.
 /// Dereferences to the page image.
 pub struct PageGuard<'p, L> {
     // Field order is drop order: the latch is released, the release is
-    // reported, the pin goes last — preserving "pins==0 ⇒ latch free".
+    // reported to the monitor, the pin goes last — preserving "pins==0 ⇒
+    // latch free".
     latch: L,
-    grant: Grant<'p>,
+    _held: Held,
+    pin: PinGuard<'p>,
 }
 
 /// Shared (S-latched) fixed page.
@@ -764,7 +736,7 @@ impl<'p, L> PageGuard<'p, L> {
     /// Take an extra pin on this page (one atomic; no shard lookup), so it
     /// stays resident after the guard is dropped.
     pub fn repin(&self) -> PinGuard<'p> {
-        self.grant.pin.clone()
+        self.pin.clone()
     }
 }
 
@@ -788,22 +760,17 @@ impl<'p> PageWriteGuard<'p> {
     /// Mark dirty without stamping an LSN (used when formatting pages whose
     /// changes are covered by a following logged update).
     pub fn mark_dirty_raw(&mut self, rec_lsn: Lsn) {
-        let pin = &self.grant.pin;
-        pin.pool.mark_dirty(pin.page, rec_lsn);
+        self.pin.pool.mark_dirty(self.pin.page, rec_lsn);
     }
 
     /// Downgrade to a shared guard without releasing the latch or the pin
-    /// (the held depth does not change; only the event ring sees the mode
-    /// switch).
+    /// (the held depth does not change, so the monitor is not told).
     pub fn downgrade(self) -> PageReadGuard<'p> {
-        let PageGuard { latch, mut grant } = self;
-        let (obs, page) = (&grant.pin.pool.obs, grant.pin.page.0);
-        obs.event(EventKind::LatchRelease, ModeTag::X, 0, page, 0);
-        obs.event(EventKind::LatchAcquire, ModeTag::S, 0, page, 0);
-        grant.mode = ModeTag::S;
+        let PageGuard { latch, _held, pin } = self;
         PageGuard {
             latch: RwLockWriteGuard::downgrade(latch),
-            grant,
+            _held,
+            pin,
         }
     }
 }

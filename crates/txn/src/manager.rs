@@ -201,12 +201,14 @@ impl TransactionManager {
         handle
     }
 
-    /// Commit: write and **force** the commit record, release locks, write
-    /// End. (The force is the only synchronous I/O a transaction requires —
-    /// the paper's §1 efficiency measure.) A read-only transaction — one
-    /// whose chain logger never appended — only releases its locks and runs
-    /// the end hooks: it changed nothing, so it needs no Commit, no force
-    /// and no End, and stays absent from the log.
+    /// Commit: write and **force** the commit record, then release locks.
+    /// (The force is the only synchronous I/O a transaction requires — the
+    /// paper's §1 efficiency measure.) No End follows: restart reads the
+    /// forced Commit as the transaction's end, so an End record would carry
+    /// nothing. A read-only transaction — one whose chain logger never
+    /// appended — only releases its locks and runs the end hooks: it changed
+    /// nothing, so it needs no Commit and no force, and stays absent from
+    /// the log.
     pub fn commit(&self, txn: &TxnHandle) -> Result<()> {
         // The commit window is user work; its WAL append and fsync spans
         // nest inside it and claim their own time.
@@ -232,8 +234,6 @@ impl TransactionManager {
         crash_point!("txn.commit.forced");
         self.locks.release_all(txn.id);
         self.run_end_hooks(txn.id);
-        self.log_control(txn, RecordKind::End);
-        crash_point!("txn.commit.ended");
         txn.inner.lock().phase = Phase::Finished;
         self.inner.lock().table.remove(&txn.id);
         Ok(())

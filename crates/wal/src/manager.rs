@@ -33,11 +33,11 @@
 
 use crate::buffer::LogBuffer;
 use crate::frame::{self, FrameRead, FIRST_LSN, LOG_MAGIC};
-use crate::record::{LogRecord, RecordKind, ENVELOPE_LEN};
+use crate::record::{LogRecord, ENVELOPE_LEN};
 use ariesim_common::codec::u32_at;
 use ariesim_common::stats::{Bump, StatsHandle};
 use ariesim_fault::crash_point;
-use ariesim_obs::{EventKind, ModeTag, Obs, ObsHandle, SpanKind};
+use ariesim_obs::{Obs, ObsHandle, SpanKind};
 use ariesim_common::{Error, Lsn, Result};
 use parking_lot::{sched, Mutex, Parker};
 use std::fs::{File, OpenOptions};
@@ -265,12 +265,6 @@ impl LogManager {
         sh.last_lsn.fetch_max(start, Ordering::Relaxed);
         sh.stats.log_records.bump();
         sh.stats.log_bytes.add(len);
-        // CLRs (including the dummy CLRs ending nested top actions) are the
-        // trace hooks for rollback progress; every write site funnels here.
-        if matches!(rec.kind, RecordKind::Clr | RecordKind::DummyClr) {
-            sh.obs
-                .event(EventKind::ClrWrite, ModeTag::None, rec.txn.0, 0, start);
-        }
         crash_point!("wal.group.publish");
         Lsn(start)
     }
@@ -608,13 +602,6 @@ impl Shared {
         // ordering: Release publishes the fsync'd prefix; Acquire readers of `flushed` may then skip the lock
         self.flushed.store(g.durable_end.0, Ordering::Release);
         self.stats.log_forces.bump();
-        self.obs.event(
-            EventKind::LogForce,
-            ModeTag::None,
-            0,
-            0,
-            (to - from) as u64,
-        );
         Ok(())
     }
 

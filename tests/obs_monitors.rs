@@ -1,21 +1,23 @@
-//! Live latch-protocol invariant monitors, exercised against the real
-//! engine under contention and across a crash-restart.
+//! Live protocol invariant monitors, exercised against the real engine
+//! under contention and across a crash-restart.
 //!
-//! ARIES/IM's concurrency story rests on invariants the `ariesim-obs`
-//! monitor checks at runtime: latch coupling never holds more than two
-//! page latches (§3), latches are taken in rank order (§4), no thread
-//! waits unconditionally for a lock while latched (§2.2), and restart redo is page-oriented — zero tree
-//! traversals (§10). These tests drive splits, lock contention, and a
-//! crash, then read the monitor's verdict.
+//! ARIES/IM's concurrency and recovery story rests on invariants the
+//! `ariesim-obs` monitor checks at runtime: latch coupling never holds more
+//! than two page latches (§3), latches are taken in rank order (§4), no
+//! thread waits unconditionally for a lock while latched (§2.2), restart
+//! redo is page-oriented — zero tree traversals (§10) — and no dirty page
+//! reaches disk before the log covers its page_LSN (the WAL rule, §1.2).
+//! These tests drive splits, lock contention, a crash and seeded
+//! write-backs ahead of the log, then read the monitor's verdict.
 
 mod support;
 
 use ariesim::btree::fetch::FetchCond;
 use ariesim::btree::LockProtocol;
-use ariesim::common::PageId;
+use ariesim::common::{Lsn, PageId};
 use ariesim::obs::monitor::Class;
 use ariesim::obs::{
-    current_latch_depth, take_latch_high_water, EventKind, Obs, SpanKind, SPAN_NAMES,
+    current_latch_depth, take_latch_high_water, Obs, SpanKind, SPAN_NAMES,
 };
 use std::time::{Duration, Instant};
 use support::{nkey, rig, FRAMES};
@@ -156,39 +158,60 @@ fn restart_redo_is_page_oriented_per_monitor() {
     f.tree.check_structure().unwrap();
 }
 
-/// The event ring observes real engine activity: a snapshot holds the core
-/// event vocabulary, in publication order, and nothing was lost.
+/// Stamp the tree's root with a page_LSN past the end of the log: no force
+/// can make that record durable (`flush_to` returns once the whole log is),
+/// so the root's next write-back breaks the WAL rule. Returns the LSN.
+fn stamp_root_ahead_of_the_log(f: &support::Rig) -> Lsn {
+    let lsn = Lsn(f.log.next_lsn().0 + 4096);
+    f.pool.fix_x(f.tree.root).unwrap().record_update(lsn);
+    lsn
+}
+
+/// The monitor's verdict after one seeded write-back of the root.
+fn assert_one_wal_violation(obs: &Obs, f: &support::Rig, page_lsn: Lsn) {
+    let m = obs.monitor.snapshot();
+    assert_eq!(m.wal_rule_violations, 1, "{m:?}");
+    let v = m.first_wal_violation.expect("first violation kept");
+    assert_eq!((v.page, v.page_lsn), (f.tree.root.0, page_lsn.0), "{v:?}");
+    assert_eq!(v.durable, f.log.flushed_lsn().0, "{v:?}");
+    assert!(!m.clean());
+}
+
+/// Seeded WAL-rule violation on the flush path: `flush_page` writes a page
+/// whose page_LSN the log does not cover, and the monitor counts it.
 #[test]
-fn event_ring_records_the_core_vocabulary() {
-    let obs = Obs::enabled(1 << 14);
+fn write_back_ahead_of_the_log_is_counted_on_flush() {
+    let obs = Obs::enabled(1 << 10);
     let f = rig(LockProtocol::DataOnly, false, FRAMES, obs.clone());
-    let txn = f.tm.begin();
-    for i in 0..150u32 {
-        f.tree.insert(&txn, &nkey(i)).unwrap();
-    }
-    f.tree.delete(&txn, &nkey(10)).unwrap();
-    f.tree.fetch(&txn, &nkey(20).value, FetchCond::Eq).unwrap();
-    f.tm.commit(&txn).unwrap();
+    f.log.flush_all().unwrap();
+    f.pool.flush_all().unwrap();
+    assert!(obs.monitor.snapshot().clean());
 
-    let (events, stats) = obs.ring.snapshot_with_stats();
-    assert!(!events.is_empty(), "engine activity recorded no events");
-    assert!(stats.complete(), "unwrapped ring must report completeness");
-    assert_eq!(stats.resident, events.len() as u64);
+    let lsn = stamp_root_ahead_of_the_log(&f);
+    f.pool.flush_page(f.tree.root).unwrap();
+    assert_one_wal_violation(&obs, &f, lsn);
+}
 
-    // The mixed workload must have produced the core event vocabulary.
-    for kind in [
-        EventKind::LatchAcquire,
-        EventKind::LatchRelease,
-        EventKind::LockGrant,
-        EventKind::LogForce,
-    ] {
-        assert!(
-            events.iter().any(|e| e.kind == kind),
-            "no {kind:?} event in trace"
-        );
+/// Seeded WAL-rule violation on the eviction path: a 16-frame pool pushes
+/// the stamped root out while fixing other pages, and the monitor counts
+/// its write-back.
+#[test]
+fn write_back_ahead_of_the_log_is_counted_on_eviction() {
+    let obs = Obs::enabled(1 << 10);
+    let f = rig(LockProtocol::DataOnly, false, 16, obs.clone());
+    f.log.flush_all().unwrap();
+    f.pool.flush_all().unwrap();
+    assert!(obs.monitor.snapshot().clean());
+
+    let lsn = stamp_root_ahead_of_the_log(&f);
+    let evictions = || obs.pool.evictions.load(std::sync::atomic::Ordering::Relaxed);
+    let before = evictions();
+    // Never-written pages read back zeroed; 64 of them cycle the pool.
+    for p in 0..64u32 {
+        drop(f.pool.fix_s(PageId(1_000_000 + p)).unwrap());
     }
-    // Sequence numbers are strictly increasing (seqlock publication order).
-    assert!(events.windows(2).all(|w| w[0].seq < w[1].seq));
+    assert!(evictions() > before && !f.pool.is_cached(f.tree.root));
+    assert_one_wal_violation(&obs, &f, lsn);
 }
 
 /// Spin until `done` holds (another thread has reached its wait).

@@ -11,15 +11,16 @@
 //!    (its `owner` word), updated only under the X latch in lockstep with a
 //!    shared oracle array; after the storm every page read back through the
 //!    pool (i.e. possibly from disk, after eviction) matches the oracle.
-//! 3. **WAL rule** — every `page_write_back` event in the obs ring records
-//!    the log's durable LSN at the instant of the write (`txn` field) and
-//!    the written page's `page_lsn` (`aux` field); `durable >= page_lsn`
-//!    must hold for each one, eviction and flush alike.
+//! 3. **WAL rule** — the pool reports every write-back to the monitor
+//!    before the write, with the log's durable end at that instant; the
+//!    monitor must have counted no write-back of a page whose page_LSN the
+//!    log did not yet cover, eviction and flush alike.
 
 use ariesim::common::page::PageType;
 use ariesim::common::tmp::TempDir;
 use ariesim::common::{Lsn, PageId, TxnId};
-use ariesim::obs::{EventKind, Obs, ObsHandle};
+use ariesim::common::stats::StatsHandle;
+use ariesim::obs::{Obs, ObsHandle};
 use ariesim::storage::BufferPool;
 use ariesim::txn::Core;
 use ariesim::wal::{LogManager, LogOptions, LogRecord, RmId};
@@ -38,10 +39,10 @@ fn ops_per_thread() -> u32 {
         .unwrap_or(400)
 }
 
-fn build_pool(obs: ObsHandle) -> (TempDir, Arc<BufferPool>, Arc<LogManager>) {
+fn build_pool(obs: ObsHandle) -> (TempDir, Arc<BufferPool>, Arc<LogManager>, StatsHandle) {
     let dir = TempDir::new("pool-stress");
     let core = Core::open(dir.path(), FRAMES, LogOptions::default(), obs).unwrap();
-    (dir, core.pool.clone(), core.log.clone())
+    (dir, core.pool.clone(), core.log.clone(), core.stats.clone())
 }
 
 /// Format the working set: page `p` starts at version 0.
@@ -81,8 +82,9 @@ impl XorShift {
 #[test]
 fn storm_clock_policy() {
     let obs = Obs::enabled(1 << 14);
-    let (_dir, pool, log) = build_pool(obs.clone());
+    let (_dir, pool, log, stats) = build_pool(obs.clone());
     populate(&pool, &log);
+    let before = stats.snapshot();
 
     // Oracle: expected `owner` stamp per page. Updated while the X latch is
     // held, so whenever the latch is free the page and its slot agree.
@@ -157,9 +159,8 @@ fn storm_clock_policy() {
     assert_eq!(pool.total_pins(), 0, "leaked pins after the storm");
     pool.validate_mappings();
 
-    // Flush so the freshest ring events include write-backs, then verify
-    // every page — faulting evicted ones back in from disk — against the
-    // oracle.
+    // Flush, then verify every page — faulting evicted ones back in from
+    // disk — against the oracle.
     pool.flush_all().unwrap();
     for p in 1..=PAGES {
         let g = pool.fix_s(PageId(p)).unwrap();
@@ -167,23 +168,13 @@ fn storm_clock_policy() {
         assert_eq!(g.owner(), want, "page {p} lost its last stamp after flush");
     }
 
-    // Oracle 3: WAL rule on every observed write-back.
-    let mut write_backs = 0u32;
-    for ev in obs.ring.snapshot() {
-        if ev.kind == EventKind::PageWriteBack {
-            write_backs += 1;
-            assert!(
-                ev.txn >= ev.aux,
-                "WAL rule violated: page {} written at page_lsn {} with log durable only to {}",
-                ev.page,
-                ev.aux,
-                ev.txn
-            );
-        }
-    }
+    // Oracle 3: WAL rule on every write-back.
+    let m = obs.monitor.snapshot();
+    assert_eq!(m.wal_rule_violations, 0, "WAL rule violated: {m:?}");
+    assert!(m.clean(), "{m:?}");
     assert!(
-        write_backs > 0,
-        "storm produced no observable page write-backs — eviction pressure too low"
+        stats.snapshot().since(&before).page_writes > 0,
+        "storm produced no page write-backs — eviction pressure too low"
     );
 
     // Sanity of the partitioned layout itself: traffic spread over shards.
@@ -200,7 +191,7 @@ fn storm_clock_policy() {
 #[test]
 fn cross_thread_pin_balance() {
     let obs = Obs::enabled(1 << 10);
-    let (_dir, pool, log) = build_pool(obs);
+    let (_dir, pool, log, _) = build_pool(obs);
     populate(&pool, &log);
 
     let hot = pool.pin(PageId(7)).unwrap();
