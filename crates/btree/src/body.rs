@@ -7,7 +7,7 @@
 //! *undone* page-oriented too, which is how partially completed SMOs are
 //! rolled back to restore structural consistency.
 
-use crate::node::{decode_cells_blob, encode_cells_blob, NodeCell};
+use crate::node::{decode_cells_blob, encode_cells_blob};
 use ariesim_common::codec::{Reader, Writer};
 use ariesim_common::{Error, IndexId, IndexKey, PageId, Result};
 
@@ -360,11 +360,6 @@ impl IndexBody {
             other => return Err(Error::Internal(format!("bad index body op {other}"))),
         })
     }
-}
-
-/// Convenience: decode a nonleaf cell blob into typed cells.
-pub fn decode_node_cells(raw: &[Vec<u8>]) -> Result<Vec<NodeCell>> {
-    raw.iter().map(|c| NodeCell::decode(c)).collect()
 }
 
 #[cfg(test)]

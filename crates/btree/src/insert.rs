@@ -304,11 +304,6 @@ impl BTree {
         Ok(Step::Done)
     }
 
-    /// Current-key lock name helper exposed for the KVL baseline and tests.
-    pub fn key_lock_name(&self, key: &IndexKey) -> LockName {
-        self.key_lock(key)
-    }
-
     /// EOF lock name helper for tests.
     pub fn eof_lock_name(&self) -> LockName {
         self.eof_lock()

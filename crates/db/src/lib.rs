@@ -111,10 +111,7 @@ impl Db {
     /// here (its only writer is continuous redo); nothing else may use the
     /// result before recovery has run.
     pub fn assemble(dir: &Path, opts: DbOptions, obs: ariesim_obs::ObsHandle) -> Result<Db> {
-        let log_opts = LogOptions {
-            fsync: opts.fsync,
-            ..LogOptions::default()
-        };
+        let log_opts = LogOptions { fsync: opts.fsync };
         let core = Core::open(dir, opts.frames, log_opts, obs)?;
         let heap = HeapManager::new(&core, opts.page_granularity);
         let index_rm = IndexRm::new(&core);

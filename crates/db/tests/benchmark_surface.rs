@@ -134,6 +134,8 @@ fn engine_calls_of_ladder_rs() {
     log.flush_all().unwrap();
     assert!(log.next_lsn().0 - log.first_lsn().0 > 150);
     assert_eq!(log.scan(Lsn::NULL).filter(|r| r.is_ok()).count(), 1);
+    // `fsync` is the only field now, but this is the benchmark's spelling.
+    #[allow(clippy::needless_update)]
     let opts = LogOptions {
         fsync: true,
         ..LogOptions::default()

@@ -91,10 +91,10 @@ pub fn registry() -> Vec<Harness> {
             body: wal::flush_mirror,
         },
         Harness {
-            name: "wal_ring_publish",
-            about: "lock-free append ring with frames spanning segment boundaries: the durable mirror must never read ahead of published bytes",
+            name: "wal_mirror_behind_file",
+            about: "a poller of the durable-LSN mirror vs an append+flush_to: the mirror never leads the bytes in the log file",
             expect: Expect::Pass,
-            body: wal::ring_publish,
+            body: wal::mirror_behind_file,
         },
         Harness {
             name: "wal_group_commit",

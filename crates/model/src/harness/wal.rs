@@ -1,18 +1,16 @@
-//! WAL harnesses: the lock-free append/flush pipeline.
+//! WAL harnesses: the append/flush pipeline.
 //!
 //! Three protocols, checked separately:
 //!
 //! * [`flush_mirror`] — `LogManager` keeps the durable end of the log
-//!   twice: the truth inside the inner mutex, and an `AtomicU64` mirror
+//!   twice: the truth inside the flush mutex, and an `AtomicU64` mirror
 //!   that `flush_to`'s fast path and `flushed_lsn()` read without the
 //!   lock. The mirror may *lag* the locked truth but never lead it — a
 //!   mirror that ran ahead would let `flush_to` return before the log hit
 //!   disk, breaking the WAL rule.
-//! * [`ring_publish`] — the lock-free reservation ring with segments so
-//!   small that every frame spans a segment boundary, forcing torn
-//!   (multi-window) publications. The drain side must only advance over
-//!   fully published prefixes, so the durable mirror can never read ahead
-//!   of the published watermark.
+//! * [`mirror_behind_file`] — the same mirror against the bytes on disk:
+//!   a poller must never read a durable LSN the log file does not yet
+//!   hold, which is what the WAL rule at page write-back stands on.
 //! * [`group_commit`] — append + leader-elected group flush racing a
 //!   concurrent append + buffered read: flush_to must return only once the
 //!   caller's LSN is durable, and a buffered record must read back while a
@@ -57,55 +55,42 @@ pub fn flush_mirror(env: &mut Env) {
     assert!(log.flushed_lsn() > base, "mirror never advanced");
 }
 
-/// Torn multi-window publications: 2 appenders into a 2×64-byte ring of
-/// 56-byte frames, so the second frame straddles the segment boundary and
-/// publishes in two `fetch_add`s (frames are capped at one segment by the
-/// ring's cross-lap backpressure, so a frame can span at most one edge).
-/// The durable mirror must never read ahead of the published watermark,
-/// and each appender must read its own record back.
-pub fn ring_publish(env: &mut Env) {
-    let dir = TempDir::new("model-wal-ring");
-    let opts = LogOptions {
-        ring_segments: 2,
-        ring_segment_bytes: 64,
-        ..LogOptions::default()
-    };
-    let log = Arc::new(
-        LogManager::open(&dir.file("wal"), opts, new_stats()).expect("open log"),
-    );
-    for t in 0..2u32 {
+/// One thread appends and forces; the other polls the durable mirror and
+/// checks the log file against it. The mirror is stored only after the
+/// write, so the file is never shorter than a durable LSN a reader saw.
+pub fn mirror_behind_file(env: &mut Env) {
+    let dir = TempDir::new("model-wal-file");
+    let path = dir.file("wal");
+    let log =
+        Arc::new(LogManager::open(&path, LogOptions::default(), new_stats()).expect("open log"));
+    {
         let log = log.clone();
         env.spawn(move || {
             let lsn = log.append(&LogRecord::update(
-                TxnId(u64::from(t) + 1),
+                TxnId(1),
                 Lsn::NULL,
                 RmId::Heap,
-                PageId(t + 1),
-                vec![t as u8; 18], // 56-byte frame: the 2nd spans the 64B edge
+                PageId(1),
+                b"forced".to_vec(),
             ));
-            // Snapshot order matters: mirror first, then published. The
-            // mirror only covers drained (hence published) bytes, so a
-            // mirror that leads publication is a protocol violation.
-            let mirror = log.flushed_lsn();
-            let published = log.published_lsn();
-            assert!(
-                mirror <= published,
-                "durable mirror {mirror:?} leads published watermark {published:?}"
-            );
-            // Reading the own record drains through any torn reservation
-            // the *other* appender has in flight (spin-to-stable).
-            let rec = log.read(lsn).expect("read own buffered record");
-            assert_eq!(rec.body, vec![t as u8; 18]);
+            log.flush_to(lsn).expect("flush_to");
+        });
+    }
+    {
+        let log = log.clone();
+        env.spawn(move || {
+            for _ in 0..2 {
+                let durable = log.flushed_lsn();
+                let on_disk = std::fs::metadata(&path).expect("stat log").len();
+                assert!(
+                    on_disk >= durable.0,
+                    "durable mirror {durable:?} leads the log file ({on_disk} bytes)"
+                );
+            }
         });
     }
     env.join();
-    log.flush_all().expect("flush_all");
-    assert_eq!(log.scan(Lsn::NULL).count(), 2, "a published record was lost");
-    assert_eq!(
-        log.flushed_lsn(),
-        log.next_lsn(),
-        "flush_all left published bytes non-durable"
-    );
+    assert_eq!(log.scan(Lsn::NULL).count(), 1);
 }
 
 /// Leader-based group commit: one committer appends and forces, another

@@ -54,6 +54,8 @@ fn fixed_protocols_pass_exhaustively_at_bound_2() {
         "pool_pin_vs_evict",
         "pool_failed_load_unwind",
         "wal_flush_mirror",
+        "wal_mirror_behind_file",
+        "wal_group_commit",
     ] {
         let h = harness::find(name).unwrap();
         let res = harness::run(&h, &ModelOptions::default());

@@ -11,8 +11,8 @@
 //!
 //! The pieces:
 //!
-//! * [`LogTransport`] ([`transport`]) — the shipped byte stream, in-process
-//!   or spool-file backed, plus the out-of-band master record.
+//! * [`InProcessTransport`] ([`transport`]) — the shipped byte stream,
+//!   plus the out-of-band master record.
 //! * [`Shipper`] ([`ship`]) — walks the primary's durable log in
 //!   whole-frame chunks; stateless across restarts.
 //! * [`Standby`] ([`standby`]) — ingests chunks into its own (durable)
@@ -33,7 +33,7 @@ pub mod transport;
 
 pub use ship::Shipper;
 pub use standby::Standby;
-pub use transport::{FileTransport, InProcessTransport, LogTransport};
+pub use transport::InProcessTransport;
 
 use ariesim_common::{Error, Lsn, Result};
 use ariesim_db::Db;
@@ -51,7 +51,6 @@ use std::sync::Arc;
 pub fn fork_standby(
     primary: &Arc<Db>,
     standby_dir: &Path,
-    make_transport: impl FnOnce(Lsn) -> Result<Arc<dyn LogTransport>>,
     obs: ObsHandle,
 ) -> Result<(Arc<Standby>, Shipper)> {
     if primary.tm.active_count() != 0 {
@@ -62,14 +61,7 @@ pub fn fork_standby(
     primary.checkpoint()?;
     primary.log.flush_all()?;
     primary.pool.flush_all()?;
-    let base = primary.log.flushed_lsn();
-    let transport = make_transport(base)?;
-    if transport.end()? != base {
-        return Err(Error::Internal(format!(
-            "transport stream ends at {}, base backup at {base}",
-            transport.end()?
-        )));
-    }
+    let transport = Arc::new(InProcessTransport::new(primary.log.flushed_lsn()));
     copy_flat_dir(primary.dir(), standby_dir)?;
     let standby = Standby::open(
         standby_dir,
@@ -77,7 +69,7 @@ pub fn fork_standby(
         transport.clone(),
         obs,
     )?;
-    let shipper = Shipper::new(primary.log.clone(), transport)?;
+    let shipper = Shipper::new(primary.log.clone(), transport);
     Ok((standby, shipper))
 }
 
@@ -97,12 +89,7 @@ impl ReplPair {
         standby_dir: &Path,
         standby_obs: ObsHandle,
     ) -> Result<ReplPair> {
-        let (standby, shipper) = fork_standby(
-            &primary,
-            standby_dir,
-            |base| Ok(Arc::new(InProcessTransport::new(base))),
-            standby_obs,
-        )?;
+        let (standby, shipper) = fork_standby(&primary, standby_dir, standby_obs)?;
         Ok(ReplPair {
             primary,
             standby,

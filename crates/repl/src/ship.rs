@@ -6,7 +6,7 @@
 //! resumes from wherever the transport stream ends — the transport's
 //! contiguity check makes double-shipping impossible.
 
-use crate::transport::LogTransport;
+use crate::transport::InProcessTransport;
 use ariesim_common::{Lsn, Result};
 use ariesim_fault::crash_point;
 use ariesim_wal::LogManager;
@@ -18,7 +18,7 @@ pub const DEFAULT_CHUNK: usize = 32 * 1024;
 /// Streams a primary's durable log into a transport.
 pub struct Shipper {
     log: Arc<LogManager>,
-    transport: Arc<dyn LogTransport>,
+    transport: Arc<InProcessTransport>,
     /// Next LSN to ship (everything below is in the transport).
     shipped: Lsn,
     chunk: usize,
@@ -27,14 +27,14 @@ pub struct Shipper {
 impl Shipper {
     /// A shipper resuming from the transport's current end (for a fresh
     /// pair this is the stream base = the base-backup boundary).
-    pub fn new(log: Arc<LogManager>, transport: Arc<dyn LogTransport>) -> Result<Shipper> {
-        let shipped = transport.end()?;
-        Ok(Shipper {
+    pub fn new(log: Arc<LogManager>, transport: Arc<InProcessTransport>) -> Shipper {
+        let shipped = transport.end();
+        Shipper {
             log,
             transport,
             shipped,
             chunk: DEFAULT_CHUNK,
-        })
+        }
     }
 
     /// Override the per-send chunk size (tests use tiny chunks to exercise
@@ -42,11 +42,6 @@ impl Shipper {
     pub fn with_chunk(mut self, chunk: usize) -> Shipper {
         self.chunk = chunk.max(1);
         self
-    }
-
-    /// Next LSN to ship.
-    pub fn shipped_lsn(&self) -> Lsn {
-        self.shipped
     }
 
     /// Durable primary log not yet shipped, in bytes.
@@ -65,8 +60,8 @@ impl Shipper {
             self.shipped = next;
         }
         let master = self.log.read_master()?;
-        if !master.is_null() && master < self.shipped && self.transport.master()? != master {
-            self.transport.publish_master(master)?;
+        if !master.is_null() && master < self.shipped && self.transport.master() != master {
+            self.transport.publish_master(master);
         }
         Ok(chunk.len() as u64)
     }

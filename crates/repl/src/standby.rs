@@ -25,14 +25,13 @@
 //! checkpoint, redo of the unapplied suffix, undo of in-flight (loser)
 //! transactions shipped from the primary.
 
-use crate::transport::LogTransport;
+use crate::transport::InProcessTransport;
 use ariesim_common::{Error, Lsn, Result, Rid};
 use ariesim_db::{Db, DbOptions, Row};
 use ariesim_fault::crash_point;
 use ariesim_obs::{ObsHandle, SpanKind};
 use ariesim_recovery::{apply_redo, RedoCursor};
 use ariesim_txn::Core;
-use ariesim_wal::frame::{self, FrameRead};
 use parking_lot::{Mutex, RwLock};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -41,32 +40,12 @@ use std::sync::Arc;
 /// Records applied per gate acquisition: readers interleave at this grain.
 const APPLY_BATCH: u64 = 32;
 
-/// Receive chunk size (grown on demand up to [`MAX_RECV_CHUNK`] when a
-/// single shipped frame is wider than the window).
-const RECV_CHUNK: usize = 64 * 1024;
-
-/// Hard ceiling on the receive window; a "frame" wider than this is
-/// stream corruption, not a big record.
-const MAX_RECV_CHUNK: usize = 64 * 1024 * 1024;
-
-/// Length of the longest prefix of `chunk` that is entirely whole, valid
-/// frames (the transport is a byte stream and may hand us a torn tail).
-fn whole_frame_prefix(chunk: &[u8]) -> Result<usize> {
-    let mut off = 0u64;
-    loop {
-        match frame::read_frame(chunk, Lsn(off))? {
-            FrameRead::Ok { next, .. } => off = next.0,
-            FrameRead::End { .. } => return Ok(off as usize),
-        }
-    }
-}
-
 /// A continuously-redoing replica over a shipped log stream.
 pub struct Standby {
     /// Assembled, never restarted, never handed out: the applier below is
     /// its only writer.
     db: Db,
-    transport: Arc<dyn LogTransport>,
+    transport: Arc<InProcessTransport>,
     /// Serializes receive+ingest so concurrent pumpers cannot interleave
     /// between reading the ingest point and extending the log.
     recv_lock: Mutex<()>,
@@ -85,7 +64,7 @@ impl Standby {
     pub fn open(
         dir: &Path,
         opts: DbOptions,
-        transport: Arc<dyn LogTransport>,
+        transport: Arc<InProcessTransport>,
         obs: ObsHandle,
     ) -> Result<Arc<Standby>> {
         let this = Standby {
@@ -123,51 +102,28 @@ impl Standby {
     /// (computed against the transport's stream end; the primary may be
     /// further ahead still).
     pub fn lag_bytes(&self) -> u64 {
-        self.transport
-            .end()
-            .map(|e| e.0.saturating_sub(self.applied_lsn().0))
-            .unwrap_or(0)
+        self.transport.end().0.saturating_sub(self.applied_lsn().0)
     }
 
-    /// Receive and ingest at most one chunk from the transport, and adopt
-    /// the primary's master record once the checkpoint it names has been
-    /// shipped. Returns bytes ingested (0 = nothing new).
-    ///
-    /// The transport is a byte stream, so a bounded `recv` can cut the
-    /// last frame in half; only the whole-frame prefix is ingested and the
-    /// remainder is re-fetched next cycle. A lone frame wider than the
-    /// window widens it.
+    /// Receive and ingest everything the transport holds past this log's
+    /// end, and adopt the primary's master record once the checkpoint it
+    /// names has been shipped. Returns bytes ingested (0 = nothing new).
+    /// The shipper sends only whole frames; `ingest_frames` still checks
+    /// every one and rejects a torn or corrupt chunk.
     pub fn recv_once(&self) -> Result<u64> {
         let _recv = self.recv_lock.lock();
-        let at = self.db.log.next_lsn();
-        let mut max = RECV_CHUNK;
-        let (chunk, whole) = loop {
-            let chunk = self.transport.recv(at, max)?;
-            let whole = whole_frame_prefix(&chunk)?;
-            // A full window with no complete frame means the next frame is
-            // wider than the window; anything short of a full window is
-            // simply all the stream has right now.
-            if whole > 0 || chunk.len() < max {
-                break (chunk, whole);
-            }
-            max = max
-                .checked_mul(2)
-                .filter(|&m| m <= MAX_RECV_CHUNK)
-                .ok_or_else(|| Error::CorruptLog {
-                    lsn: at,
-                    reason: "shipped frame wider than the receive limit".into(),
-                })?;
-        };
-        if whole > 0 {
-            self.db.log.ingest_frames(at, &chunk[..whole])?;
+        let log = &self.db.log;
+        let at = log.next_lsn();
+        let chunk = self.transport.recv(at)?;
+        if !chunk.is_empty() {
+            log.ingest_frames(at, &chunk)?;
             crash_point!("repl.recv.ingested");
         }
-        let master = self.transport.master()?;
-        let log = &self.db.log;
+        let master = self.transport.master();
         if !master.is_null() && master < log.next_lsn() && log.read_master()? != master {
             log.write_master(master)?;
         }
-        Ok(whole as u64)
+        Ok(chunk.len() as u64)
     }
 
     /// Apply all ingested-but-unapplied log, a batch at a time; readers
@@ -205,7 +161,7 @@ impl Standby {
         let n = self.recv_once()?;
         let lag = &self.db.obs.gauge.repl_lag;
         let before = self.applied_lsn();
-        let end = self.transport.end().unwrap_or(before);
+        let end = self.transport.end();
         lag.set_watermarks(end.0, before.0);
         let applied = self.apply_once()?;
         lag.set_watermarks(end.0, applied.0);

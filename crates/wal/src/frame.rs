@@ -9,9 +9,10 @@
 //! The LSN of a record is the byte offset of its frame in the log file, so
 //! LSNs are dense, monotonic, and directly seekable.
 //!
-//! A frame is built in place in the ring: the appender computes its header
-//! with [`frame_header`] and copies header, record envelope and RM body
-//! straight into its reserved range, with no frame buffer of its own.
+//! A frame is built in place at the end of the log image: the appender
+//! computes its header with [`frame_header`] and pushes header, record
+//! envelope and RM body straight onto the image, with no frame buffer of
+//! its own.
 
 use ariesim_common::codec::{crc32c, crc32c_append};
 use ariesim_common::{Lsn, Result};

@@ -22,7 +22,6 @@
 //! ARIES's resource-manager architecture: recovery dispatches bodies back to
 //! the RM identified by [`record::RmId`].
 
-pub mod buffer;
 pub mod frame;
 pub mod manager;
 pub mod record;

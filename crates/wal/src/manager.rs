@@ -1,37 +1,33 @@
 //! The log manager.
 //!
-//! Owns the log's durability boundary, as a two-stage pipeline:
+//! Owns the log's durability boundary with one buffer and two locks:
 //!
-//! 1. **Lock-free append.** An appender claims its (LSN, byte-range) with a
-//!    single `fetch_add` into the in-memory segment ring ([`crate::buffer`]),
-//!    writes its frame into the reserved slice without any lock,
-//!    and publishes completion via the ring's per-segment filled counters.
-//!    The old design serialized every append (and its memcpy) behind one
-//!    mutex; now the only shared-section work per append is two atomic RMWs.
+//! 1. **Append.** The appender encodes its frame header, envelope and CRC
+//!    outside any lock, then takes the `image` mutex just long enough to
+//!    push the frame onto the end of the in-memory log image. The LSN is
+//!    the image length before the push, so appends are in LSN order and
+//!    every frame in the image is whole.
 //!
 //! 2. **Group flush.** [`LogManager::flush_to`] makes everything up to (at
 //!    least) a given LSN durable — the operation the WAL protocol and commit
-//!    processing force. A drain step moves the ring's fully *published*
-//!    prefix into the durable image (spinning to a stable watermark across
-//!    torn multi-segment reservations, and advancing a frame-aligned
-//!    boundary so no torn frame is ever written), then one `write_all` +
-//!    optional fsync covers every waiter whose LSN rode along. The batch
-//!    forms by **leader election**: the first committer to win `try_lock`
-//!    flushes for everyone queued on the commit barrier; losers spin
-//!    briefly on the durable mirror, then park on a futex-style [`Parker`]
-//!    and re-elect on timeout, so no dedicated thread is needed.
+//!    processing force. The batch forms by **leader election**: the first
+//!    committer to win `try_lock` on the `flush` mutex copies the unflushed
+//!    tail of the image into its scratch buffer (holding `image` only for
+//!    the copy), then writes and optionally fsyncs it for everyone queued on
+//!    the commit barrier. Appenders never wait on a write or an fsync.
+//!    Losers spin briefly on the durable mirror, then park on a futex-style
+//!    [`Parker`] and re-elect on timeout, so no dedicated thread is needed.
 //!
 //! A crash loses exactly the unflushed tail, which is what the crash tests
 //! rely on: dropping the manager without flushing and reopening the file
 //! reproduces the post-crash stable state.
 //!
-//! The manager also keeps the whole durable log memory-resident. At the
-//! scale of this reproduction (logs of at most a few hundred MB) this is a
+//! The manager also keeps the whole log memory-resident. At the scale of
+//! this reproduction (logs of at most a few hundred MB) this is a
 //! deliberate simplification that changes no protocol behaviour: reads
 //! during rollback and restart hit the same byte image they would read from
 //! disk.
 
-use crate::buffer::LogBuffer;
 use crate::frame::{self, FrameRead, FIRST_LSN, LOG_MAGIC};
 use crate::record::{LogRecord, ENVELOPE_LEN};
 use ariesim_common::codec::u32_at;
@@ -45,34 +41,25 @@ use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
-// The durable-LSN mirror and the ring watermarks are model-checkable facade
-// atomics: their protocol against concurrent appenders/leaders is covered
-// by `crates/model`'s WAL harnesses.
+// The durable-LSN mirror is a model-checkable facade atomic: its protocol
+// against concurrent appenders and leaders is covered by `crates/model`'s
+// WAL harnesses.
 use ariesim_common::msync::AtomicU64;
 use std::sync::atomic::{AtomicU64 as PlainAtomicU64, Ordering};
 
-/// Tuning and durability options.
-#[derive(Clone, Debug)]
+/// Durability options.
+#[derive(Clone, Debug, Default)]
 pub struct LogOptions {
     /// Call `sync_data` after each flush. Off by default: the tests simulate
     /// crashes at the process level, where "written to the file" is durable.
     pub fsync: bool,
-    /// Number of ring segments (power of two).
-    pub ring_segments: u64,
-    /// Bytes per ring segment (power of two). Total ring capacity bounds
-    /// the largest single record.
-    pub ring_segment_bytes: u64,
 }
 
-impl Default for LogOptions {
-    fn default() -> LogOptions {
-        LogOptions {
-            fsync: false,
-            ring_segments: 16,
-            ring_segment_bytes: 64 << 10,
-        }
-    }
-}
+/// Spare capacity the log image keeps past its end, so an append between
+/// two flushes pushes into memory it already owns and allocates nothing.
+/// Open reserves it and every flush restores it; an append larger than
+/// what is left simply grows the image.
+pub const IMAGE_HEADROOM: usize = 1 << 20;
 
 /// How long a rider parks before re-trying the leader election
 /// (the leader may have exited between flushing and this rider's enqueue).
@@ -102,35 +89,36 @@ fn spin_polls() -> u32 {
     SPIN_POLLS
 }
 
-struct Inner {
+/// The flush side: whoever holds it is the one writer of the log file.
+struct Flush {
     file: File,
-    /// Complete drained log image, magic included: `image[0..durable_end]`
-    /// mirrors the file; `image[durable_end..]` is the unflushed tail.
-    /// Bytes still in the ring (published or in-flight) are *not* here yet.
-    image: Vec<u8>,
-    /// Everything below this offset is stable. Always frame-aligned.
+    /// Everything below this offset is on disk. Always a frame boundary.
     durable_end: Lsn,
-    /// Drained watermark (= image.len() = the ring's `drained`).
-    tail: Lsn,
-    /// Largest frame boundary ≤ `tail`. A multi-segment frame can drain in
-    /// pieces, so `tail` may rest mid-frame; flushing past `aligned` would
-    /// write a torn frame and falsely ack durability for it.
-    aligned: Lsn,
+    /// The leader's copy of `image[durable_end..]`, written without
+    /// holding `image`.
+    scratch: Vec<u8>,
 }
 
 /// One committer waiting on the barrier: its LSN and how to wake it.
 type Waiter = (u64, Arc<Parker>);
 
 /// State behind the manager's `&self` methods.
+//
+// lock order: page latches → `flush` → `image`. `image` is a leaf lock:
+// nothing is acquired while it is held, and no file I/O happens under it
+// except in `ingest_frames` on a standby, which has no appenders.
 struct Shared {
-    inner: Mutex<Inner>,
-    /// The lock-free append ring.
-    buf: LogBuffer,
-    /// Mirror of `Inner::durable_end`, updated under the inner lock but
-    /// readable without it: the fast path of [`LogManager::flush_to`] (and
-    /// [`LogManager::flushed_lsn`]) must not serialize behind an in-flight
-    /// flush when the requested LSN is already durable — the WAL-rule check
-    /// on every page write-back hits this path constantly.
+    flush: Mutex<Flush>,
+    /// The whole log, magic included: `image[..durable_end]` mirrors the
+    /// file, `image[durable_end..]` is the unflushed tail. Every frame in
+    /// it is whole, so its length is the next LSN.
+    image: Mutex<Vec<u8>>,
+    /// Mirror of `Flush::durable_end`, stored only after the write, and
+    /// readable without either lock: the fast path of
+    /// [`LogManager::flush_to`] (and [`LogManager::flushed_lsn`]) must not
+    /// serialize behind an in-flight flush when the requested LSN is already
+    /// durable — the WAL-rule check on every page write-back hits this path
+    /// constantly.
     flushed: AtomicU64,
     /// LSN of the most recently appended record (largest start LSN);
     /// `Lsn::NULL` (0) if the log is empty, so `fetch_max` is sound.
@@ -177,11 +165,13 @@ impl LogManager {
             .create(true)
             .truncate(false)
             .open(path)?;
-        let mut raw = Vec::new();
+        // Sized once, headroom included: growing a log-sized buffer later
+        // would hold two copies of the log at once.
+        let mut raw = Vec::with_capacity(file.metadata()?.len() as usize + IMAGE_HEADROOM);
         file.read_to_end(&mut raw)?;
         if raw.is_empty() {
             file.write_all(LOG_MAGIC)?;
-            raw = LOG_MAGIC.to_vec();
+            raw.extend_from_slice(LOG_MAGIC);
         } else if raw.len() < LOG_MAGIC.len() || &raw[..LOG_MAGIC.len()] != LOG_MAGIC {
             return Err(Error::CorruptLog {
                 lsn: Lsn::NULL,
@@ -206,14 +196,12 @@ impl LogManager {
         file.set_len(raw.len() as u64)?;
         let end = Lsn(raw.len() as u64);
         let sh = Shared {
-            inner: Mutex::new(Inner {
+            flush: Mutex::new(Flush {
                 file,
-                image: raw,
                 durable_end: end,
-                tail: end,
-                aligned: end,
+                scratch: Vec::new(),
             }),
-            buf: LogBuffer::new(end.0, opts.ring_segment_bytes, opts.ring_segments),
+            image: Mutex::new(raw),
             flushed: AtomicU64::new(end.0),
             last_lsn: PlainAtomicU64::new(last_lsn.0),
             barrier: Mutex::new(Vec::new()),
@@ -227,10 +215,9 @@ impl LogManager {
 
     /// Append a record (buffered, not yet durable). Returns its LSN.
     ///
-    /// Lock-free and allocation-free: the envelope is encoded on the stack
-    /// and checksummed with the body outside any shared section, the (LSN,
-    /// range) claim is one `fetch_add`, and the frame is written straight
-    /// into the reserved ring slice.
+    /// Allocation-free while the image has headroom: the envelope is encoded
+    /// on the stack and checksummed with the body outside any lock, and the
+    /// `image` mutex covers only the push of the frame onto its end.
     pub fn append(&self, rec: &LogRecord) -> Lsn {
         let sh = &self.sh;
         let _span = sh.obs.span(SpanKind::WalAppend, rec.txn.0, 0);
@@ -238,41 +225,27 @@ impl LogManager {
         let header = frame::frame_header(&[&envelope, &rec.body]);
         let len = frame::frame_len(ENVELOPE_LEN + rec.body.len());
         debug_assert_eq!(frame::frame_len(u32_at(&header, 0) as usize), len);
-        assert!(
-            len <= sh.buf.max_reservation(),
-            "log record ({len} bytes) exceeds the ring's largest reservation ({}); raise LogOptions::ring_*",
-            sh.buf.max_reservation()
-        );
-        let start = sh.buf.reserve(len);
-        crash_point!("wal.group.reserve");
-        // Backpressure: wait for the range `cap` below to be drained. Help
-        // drain instead of only spinning: with no committer flushing, nobody
-        // else would ever empty a full ring.
-        while !sh.buf.has_space(start + len) {
-            if let Some(mut g) = sh.inner.try_lock() {
-                sh.drain_locked(&mut g);
-            }
-            ariesim_common::yield_point!();
-        }
-        let body_at = start + frame::FRAME_HEADER_LEN as u64;
-        sh.buf.copy_in(start, &header);
-        sh.buf.copy_in(body_at, &envelope);
-        sh.buf.copy_in(body_at + ENVELOPE_LEN as u64, &rec.body);
-        sh.buf.publish(start, len);
+        let start = {
+            let mut image = sh.image.lock();
+            let start = image.len() as u64;
+            image.extend_from_slice(&header);
+            image.extend_from_slice(&envelope);
+            image.extend_from_slice(&rec.body);
+            start
+        };
         crash_point!("wal.append.tail");
         // ordering: Relaxed — monotone register, no payload to publish (the
-        // record bytes are published by the ring's Release in `publish`).
+        // record bytes are published by the image mutex).
         sh.last_lsn.fetch_max(start, Ordering::Relaxed);
         sh.stats.log_records.bump();
         sh.stats.log_bytes.add(len);
-        crash_point!("wal.group.publish");
         Lsn(start)
     }
 
     /// Make every record with LSN ≤ `lsn` durable. Group commit: one flush
     /// covers every committer whose LSN rode along.
     pub fn flush_to(&self, lsn: Lsn) -> Result<()> {
-        // Fast path: already durable. Must not take the inner lock, or every
+        // Fast path: already durable. Must not take a lock, or every
         // WAL-rule check during page write-back would serialize behind an
         // in-flight group flush. `flushed` only ever grows, so a stale read
         // is safe — we just fall through to the slow path.
@@ -283,14 +256,12 @@ impl LogManager {
         self.sh.group_wait(lsn)
     }
 
-    /// Make the entire published log durable. (A reservation still being
-    /// copied by a concurrent appender does not ride along — this drains
-    /// the published prefix, never spins for in-flight appends.)
+    /// Make the entire appended log durable.
     pub fn flush_all(&self) -> Result<()> {
         let sh = &self.sh;
-        let mut g = sh.inner.lock();
-        while sh.drain_locked(&mut g) {}
-        sh.flush_locked(&mut g)
+        let mut f = sh.flush.lock();
+        sh.copy_out(&mut f);
+        sh.write_out(&mut f)
     }
 
     /// LSN below which everything is stable.
@@ -299,47 +270,29 @@ impl LogManager {
         Lsn(self.sh.flushed.load(Ordering::Acquire))
     }
 
-    /// Largest LSN such that every byte below it is published in the ring
-    /// (or already drained). Exposed for the model harnesses: the durable
-    /// mirror must never read ahead of this watermark.
-    pub fn published_lsn(&self) -> Lsn {
-        Lsn(self.sh.buf.published())
-    }
-
     /// LSN of the most recently appended record; NULL if the log is empty.
     pub fn last_lsn(&self) -> Lsn {
         // ordering: Relaxed — monotone register (see the store in `append`)
         Lsn(self.sh.last_lsn.load(Ordering::Relaxed))
     }
 
-    /// LSN the next append will receive (the ring's reservation watermark).
+    /// LSN the next append will receive (the image length).
     pub fn next_lsn(&self) -> Lsn {
-        Lsn(self.sh.buf.reserved())
+        Lsn(self.sh.image.lock().len() as u64)
     }
 
     /// Read and decode the record at `lsn` (flushed or still buffered —
     /// rollback during normal processing reads records that may not yet be
-    /// durable). A record still in the ring is drained into the image first.
+    /// durable).
     pub fn read(&self, lsn: Lsn) -> Result<LogRecord> {
-        let sh = &self.sh;
-        let end = sh.buf.reserved();
-        if lsn.is_null() || lsn < FIRST_LSN || lsn.0 >= end {
+        let image = self.sh.image.lock();
+        if lsn.is_null() || lsn < FIRST_LSN || lsn.0 >= image.len() as u64 {
             return Err(Error::CorruptLog {
                 lsn,
-                reason: format!("lsn out of range (log ends at {})", Lsn(end)),
+                reason: format!("lsn out of range (log ends at {})", image.len()),
             });
         }
-        let mut g = sh.inner.lock();
-        // Spin-to-stable: the frame at `lsn` may still be mid-publish by a
-        // concurrent appender (which needs no lock to finish).
-        while g.aligned <= lsn {
-            let progressed = sh.drain_locked(&mut g);
-            if !progressed && g.tail.0 == sh.buf.reserved() {
-                break; // stable: nothing unpublished remains
-            }
-            ariesim_common::yield_point!();
-        }
-        match frame::read_frame(&g.image, lsn)? {
+        match frame::read_frame(&image, lsn)? {
             FrameRead::Ok { body, .. } => LogRecord::decode(lsn, body),
             FrameRead::End { .. } => Err(Error::CorruptLog {
                 lsn,
@@ -349,7 +302,7 @@ impl LogManager {
     }
 
     /// Iterate records in LSN order starting at `from` (or the log start if
-    /// `from` is NULL). Each `next()` re-acquires the internal lock, so the
+    /// `from` is NULL). Each `next()` re-acquires the image lock, so the
     /// iterator may observe records appended after it was created.
     pub fn scan(&self, from: Lsn) -> LogIter<'_> {
         LogIter {
@@ -391,15 +344,16 @@ impl LogManager {
     /// frames never ship: only log the primary cannot lose may reach a
     /// standby.
     pub fn read_durable_chunk(&self, from: Lsn, max_bytes: usize) -> Result<(Vec<u8>, Lsn)> {
-        let g = self.sh.inner.lock();
+        let durable_end = self.flushed_lsn();
         let from = if from.is_null() { FIRST_LSN } else { from };
-        if from < FIRST_LSN || from > g.durable_end {
+        if from < FIRST_LSN || from > durable_end {
             return Err(Error::CorruptLog {
                 lsn: from,
-                reason: format!("chunk start outside durable log (ends at {})", g.durable_end),
+                reason: format!("chunk start outside durable log (ends at {durable_end})"),
             });
         }
-        let durable = &g.image[..g.durable_end.0 as usize];
+        let image = self.sh.image.lock();
+        let durable = &image[..durable_end.0 as usize];
         let mut at = from;
         while let FrameRead::Ok { next, .. } = frame::read_frame(durable, at)? {
             if at > from && (next.0 - from.0) as usize > max_bytes {
@@ -410,7 +364,7 @@ impl LogManager {
                 break;
             }
         }
-        Ok((g.image[from.0 as usize..at.0 as usize].to_vec(), at))
+        Ok((image[from.0 as usize..at.0 as usize].to_vec(), at))
     }
 
     /// Splice a shipped chunk (whole frames, as produced by
@@ -421,19 +375,20 @@ impl LogManager {
     /// CRC-validated frame by frame before any state changes, then written
     /// through to the file immediately: shipped log was already durable on
     /// the primary, and the standby must not apply records it could lose.
+    /// Holds both locks throughout (a standby has no appenders to block).
     pub fn ingest_frames(&self, at: Lsn, chunk: &[u8]) -> Result<()> {
         let sh = &self.sh;
-        let mut g = sh.inner.lock();
-        while sh.drain_locked(&mut g) {}
-        if g.durable_end != g.tail {
+        let mut f = sh.flush.lock();
+        let mut image = sh.image.lock();
+        if f.durable_end.0 != image.len() as u64 {
             return Err(Error::Internal(
                 "ingest_frames on a log with a buffered append tail".into(),
             ));
         }
-        if at != g.tail {
+        if at != f.durable_end {
             return Err(Error::CorruptLog {
                 lsn: at,
-                reason: format!("ingest chunk at {at}, but the log ends at {}", g.tail),
+                reason: format!("ingest chunk at {at}, but the log ends at {}", f.durable_end),
             });
         }
         if chunk.is_empty() {
@@ -457,37 +412,22 @@ impl LogManager {
                 }
             }
         }
-        // Claim the chunk's LSN range in the ring so append LSNs stay
-        // consistent. A plain store would race a concurrent appender's
-        // fetch-add; the CAS fails instead and preserves the old contract
-        // ("no buffered append tail during ingest").
-        if !sh.buf.try_reserve_at(at.0, chunk.len() as u64) {
-            return Err(Error::Internal(
-                "ingest_frames raced a concurrent append".into(),
-            ));
-        }
         // Write-through, with a crash point splitting the write so the
         // torture harness can leave a genuinely torn standby tail.
-        g.file.seek(SeekFrom::Start(at.0))?;
+        f.file.seek(SeekFrom::Start(at.0))?;
         let half = chunk.len() / 2;
-        g.file.write_all(&chunk[..half])?;
+        f.file.write_all(&chunk[..half])?;
         crash_point!("wal.ingest.mid");
-        g.file.write_all(&chunk[half..])?;
+        f.file.write_all(&chunk[half..])?;
         if sh.opts.fsync {
-            g.file.sync_data()?;
+            f.file.sync_data()?;
         }
-        g.image.extend_from_slice(chunk);
-        g.tail = Lsn(g.image.len() as u64);
-        g.durable_end = g.tail;
-        g.aligned = g.tail;
-        // The bytes bypassed the ring's slab; account for them so later
-        // ring appends still publish and drain cleanly.
-        sh.buf.skip(at.0, chunk.len() as u64);
-        sh.buf.mark_drained(g.tail.0);
+        image.extend_from_slice(chunk);
+        f.durable_end = Lsn(image.len() as u64);
         // ordering: Relaxed — monotone register (see `append`)
         sh.last_lsn.fetch_max(last.0, Ordering::Relaxed);
         // ordering: Release publishes the fsync'd prefix; Acquire readers of `flushed` may then skip the lock
-        sh.flushed.store(g.durable_end.0, Ordering::Release);
+        sh.flushed.store(f.durable_end.0, Ordering::Release);
         sh.stats.log_records.add(frames);
         sh.stats.log_bytes.add(chunk.len() as u64);
         Ok(())
@@ -519,95 +459,45 @@ impl LogManager {
 }
 
 impl Shared {
-    /// Copy the ring's published prefix into the image and advance the
-    /// drain + frame-aligned watermarks. Returns whether bytes moved.
-    /// Caller holds the inner lock (there is exactly one drainer at a time).
-    fn drain_locked(&self, g: &mut Inner) -> bool {
-        let from = g.tail.0;
-        let to = self.buf.published_to(from);
-        if to == from {
-            return false;
-        }
-        self.buf.copy_out(from, to, &mut g.image);
-        g.tail = Lsn(to);
-        self.buf.mark_drained(to);
-        // Advance the frame-boundary watermark with a cheap length-header
-        // walk (no CRC — these bytes were published by a successful append).
-        // Flushing past a frame boundary would write a torn frame, and a
-        // crash right after would falsely ack durability for it.
-        let mut at = g.aligned.0 as usize;
-        loop {
-            if at + frame::FRAME_HEADER_LEN > g.image.len() {
-                break;
-            }
-            let len = ariesim_common::codec::u32_at(&g.image, at) as usize;
-            debug_assert!(len > 0, "zero-length frame in drained log at {at}");
-            let next = at + frame::FRAME_HEADER_LEN + len;
-            if next > g.image.len() {
-                break;
-            }
-            at = next;
-        }
-        g.aligned = Lsn(at as u64);
-        true
+    /// Copy the unflushed tail `image[durable_end..]` into the scratch
+    /// buffer, holding `image` only for the copy, and restore the image's
+    /// headroom while it is held. Caller holds `flush`.
+    fn copy_out(&self, f: &mut Flush) {
+        let mut image = self.image.lock();
+        f.scratch.clear();
+        f.scratch.extend_from_slice(&image[f.durable_end.0 as usize..]);
+        image.reserve(IMAGE_HEADROOM);
     }
 
-    /// Drain until the frame containing `lsn` is wholly in the image
-    /// (`aligned > lsn`, which alignment makes equivalent to "the frame at
-    /// `lsn` is complete"), or the ring is stable with nothing unpublished.
-    /// Spin-to-stable: a reservation below `lsn` may still be mid-copy, and
-    /// its publisher needs no lock to finish, so spinning here is live.
-    fn drain_until(&self, g: &mut Inner, lsn: Lsn) {
-        loop {
-            self.drain_locked(g);
-            if g.aligned > lsn || g.tail.0 == self.buf.reserved() {
-                return;
-            }
-            ariesim_common::yield_point!();
-        }
-    }
-
-    /// One group flush: drain up to `target`, then write + (optionally)
-    /// fsync the whole unflushed aligned prefix.
-    fn group_flush(&self, g: &mut Inner, target: Lsn) -> Result<()> {
-        self.drain_until(g, target);
-        // Window: reservation published and drained, but nothing durable.
-        crash_point!("wal.group.flush_mid");
-        self.flush_locked(g)?;
-        crash_point!("wal.group.flush_done");
-        Ok(())
-    }
-
-    fn flush_locked(&self, g: &mut Inner) -> Result<()> {
-        let from = g.durable_end.0 as usize;
-        let to = g.aligned.0 as usize;
-        if from == to {
+    /// Write and (optionally) fsync the scratch buffer at `durable_end`,
+    /// then advance `durable_end` and its mirror. Caller holds `flush`.
+    fn write_out(&self, f: &mut Flush) -> Result<()> {
+        if f.scratch.is_empty() {
             return Ok(());
         }
         let _span = self.obs.span(SpanKind::WalFsync, 0, 0);
         crash_point!("wal.flush.begin");
-        g.file.seek(SeekFrom::Start(from as u64))?;
+        f.file.seek(SeekFrom::Start(f.durable_end.0))?;
         // Two writes with a crash point between them: crashing at
         // "wal.flush.mid" leaves a genuinely torn tail (first half of the
         // range on disk, durable_end not advanced) for the torn-tail scan.
-        let half = from + (to - from) / 2;
-        g.file.write_all(&g.image[from..half])?;
+        // It is a schedule point too, so the model checker runs readers of
+        // the durable mirror against a half-written batch.
+        let half = f.scratch.len() / 2;
+        f.file.write_all(&f.scratch[..half])?;
         crash_point!("wal.flush.mid");
-        g.file.write_all(&g.image[half..to])?;
+        ariesim_common::yield_point!();
+        f.file.write_all(&f.scratch[half..])?;
         if self.opts.fsync {
-            g.file.sync_data()?;
+            f.file.sync_data()?;
         }
         crash_point!("wal.flush.end");
-        g.durable_end = g.aligned;
+        f.durable_end = Lsn(f.durable_end.0 + f.scratch.len() as u64);
+        f.scratch.clear();
         // ordering: Release publishes the fsync'd prefix; Acquire readers of `flushed` may then skip the lock
-        self.flushed.store(g.durable_end.0, Ordering::Release);
+        self.flushed.store(f.durable_end.0, Ordering::Release);
         self.stats.log_forces.bump();
         Ok(())
-    }
-
-    /// Largest LSN currently enqueued on the barrier, if any.
-    fn barrier_max(&self) -> Option<u64> {
-        self.barrier.lock().iter().map(|(l, _)| *l).max()
     }
 
     /// Wake every waiter whose LSN is durable now; returns how many.
@@ -637,10 +527,11 @@ impl Shared {
     }
 
     /// Slow path of [`LogManager::flush_to`]: group commit by leader
-    /// election. Whoever finds the inner lock free flushes the barrier
-    /// maximum for everyone queued; everyone else polls the durable mirror
-    /// for about one batch's duration, then parks and re-elects on timeout
-    /// so a vanished leader can never strand a rider.
+    /// election. Whoever finds the `flush` lock free flushes the whole
+    /// appended log — every LSN queued on the barrier included — for
+    /// everyone; everyone else polls the durable mirror for about one
+    /// batch's duration, then parks and re-elects on timeout so a vanished
+    /// leader can never strand a rider.
     fn group_wait(&self, lsn: Lsn) -> Result<()> {
         let polls = spin_polls();
         let mut registered = false;
@@ -652,17 +543,20 @@ impl Shared {
                 // park loops re-check their predicate, so that's harmless.
                 return Ok(());
             }
-            if let Some(mut g) = self.inner.try_lock() {
-                let target = Lsn(self.barrier_max().map_or(lsn.0, |m| m.max(lsn.0)));
-                self.group_flush(&mut g, target)?;
-                drop(g);
+            if let Some(mut f) = self.flush.try_lock() {
+                self.copy_out(&mut f);
+                // Window: the batch is copied out, nothing of it durable.
+                crash_point!("wal.group.flush_mid");
+                self.write_out(&mut f)?;
+                crash_point!("wal.group.flush_done");
+                drop(f);
                 let woken = self.wake_satisfied();
                 // A leader that had already enqueued as a rider was counted
                 // (and unparked) by its own wake pass.
                 self.note_batch(if registered { woken.max(1) } else { woken + 1 });
                 // ordering: Acquire pairs with the Release store after fsync
                 let durable = self.flushed.load(Ordering::Acquire);
-                if lsn.0 >= durable && durable == self.buf.reserved() {
+                if lsn.0 >= durable && durable == self.image.lock().len() as u64 {
                     // `lsn` lies beyond everything ever appended; the whole
                     // log is durable, which is all a flush can promise.
                     return Ok(());
@@ -709,18 +603,11 @@ impl Iterator for LogIter<'_> {
     type Item = Result<LogRecord>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        let sh = &self.mgr.sh;
-        let mut g = sh.inner.lock();
-        if self.at >= g.aligned {
-            sh.drain_locked(&mut g);
-        }
-        if self.at >= g.tail {
-            return None;
-        }
-        match frame::read_frame(&g.image, self.at) {
-            Ok(FrameRead::Ok { body, .. }) => {
+        let image = self.mgr.sh.image.lock();
+        match frame::read_frame(&image, self.at) {
+            Ok(FrameRead::Ok { body, next }) => {
                 let rec = LogRecord::decode(self.at, body);
-                self.at = Lsn(self.at.0 + frame::frame_len(body.len()));
+                self.at = next;
                 Some(rec)
             }
             Ok(FrameRead::End { .. }) => None,
@@ -823,9 +710,9 @@ mod tests {
         let m = mgr(&dir);
         let l1 = m.append(&upd(1, Lsn::NULL, b"a"));
         m.flush_to(l1).unwrap();
-        // Simulate an in-flight flush by holding the inner lock; a flush_to
+        // Simulate an in-flight flush by holding the flush lock; a flush_to
         // for an already-durable LSN must return without acquiring it.
-        let _held = m.sh.inner.lock();
+        let _held = m.sh.flush.lock();
         let (tx, rx) = std::sync::mpsc::channel();
         std::thread::scope(|s| {
             s.spawn(|| {
@@ -833,7 +720,27 @@ mod tests {
                 tx.send(()).unwrap();
             });
             rx.recv_timeout(std::time::Duration::from_secs(2))
-                .expect("no-op flush blocked behind held inner lock");
+                .expect("no-op flush blocked behind held flush lock");
+        });
+    }
+
+    #[test]
+    fn append_and_read_do_not_wait_on_an_inflight_flush() {
+        let dir = TempDir::new("wal");
+        let m = mgr(&dir);
+        // A leader mid-write holds the flush lock; appenders and readers
+        // need only the image lock.
+        let _held = m.sh.flush.lock();
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let lsn = m.append(&upd(1, Lsn::NULL, b"a"));
+                tx.send(m.read(lsn).unwrap().body).unwrap();
+            });
+            let body = rx
+                .recv_timeout(std::time::Duration::from_secs(2))
+                .expect("append blocked behind held flush lock");
+            assert_eq!(body, b"a");
         });
     }
 
@@ -1026,41 +933,13 @@ mod tests {
     }
 
     #[test]
-    fn tiny_ring_wraps_and_backpressures() {
-        let dir = TempDir::new("wal");
-        // 2 segments × 64 bytes (62-byte frames, just under the one-segment
-        // reservation cap): every frame wraps, and sustained appends
-        // exercise the has_space help-drain path.
-        let opts = LogOptions {
-            ring_segments: 2,
-            ring_segment_bytes: 64,
-            ..LogOptions::default()
-        };
-        let m = LogManager::open(&dir.file("wal"), opts, new_stats()).unwrap();
-        let mut prev = Lsn::NULL;
-        for i in 0..50u8 {
-            prev = m.append(&upd(1, prev, &[i; 24]));
-        }
-        m.flush_to(prev).unwrap();
-        assert!(m.flushed_lsn() > prev);
-        let bodies: Vec<_> = m.scan(Lsn::NULL).map(|r| r.unwrap().body).collect();
-        assert_eq!(bodies.len(), 50);
-        for (i, b) in bodies.iter().enumerate() {
-            assert_eq!(b, &vec![i as u8; 24]);
-        }
-    }
-
-    #[test]
-    fn mirror_never_leads_published_watermark() {
+    fn mirror_never_leads_the_appended_log() {
         let dir = TempDir::new("wal");
         let m = mgr(&dir);
         let mut prev = Lsn::NULL;
         for i in 0..20u8 {
             prev = m.append(&upd(1, prev, &[i; 8]));
-            // Read order matters: mirror first, then published.
-            let mirror = m.flushed_lsn();
-            let published = m.published_lsn();
-            assert!(mirror <= published, "durable mirror leads publication");
+            assert!(m.flushed_lsn() <= m.next_lsn(), "durable mirror leads the log");
             if i % 5 == 0 {
                 m.flush_to(prev).unwrap();
             }

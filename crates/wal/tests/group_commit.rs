@@ -13,12 +13,13 @@ fn upd(txn: u64, body: &[u8]) -> LogRecord {
 
 /// 8 committers × 200 commits each: every flush_to must return only once
 /// the record is durable, and the final log must contain every record.
-fn hammer(opts: LogOptions) {
+#[test]
+fn committers_race_leader_election() {
     const THREADS: u64 = 8;
     const COMMITS: u64 = 200;
     let dir = TempDir::new("wal-gc");
     let path = dir.file("wal");
-    let m = LogManager::open(&path, opts, new_stats()).unwrap();
+    let m = LogManager::open(&path, LogOptions::default(), new_stats()).unwrap();
     std::thread::scope(|s| {
         for t in 0..THREADS {
             let m = &m;
@@ -43,22 +44,6 @@ fn hammer(opts: LogOptions) {
         per_thread[r.body[0] as usize] += 1;
     }
     assert_eq!(per_thread, [COMMITS; THREADS as usize]);
-}
-
-#[test]
-fn committers_race_leader_election() {
-    hammer(LogOptions::default());
-}
-
-#[test]
-fn tiny_ring_backpressure_under_contention() {
-    // 4 × 256-byte segments: the ring wraps constantly and appenders hit
-    // the help-drain backpressure path while leaders drain.
-    hammer(LogOptions {
-        ring_segments: 4,
-        ring_segment_bytes: 256,
-        ..LogOptions::default()
-    });
 }
 
 #[test]

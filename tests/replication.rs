@@ -10,7 +10,7 @@ use ariesim_common::tmp::TempDir;
 use ariesim_common::Lsn;
 use ariesim_db::{Db, DbOptions, FetchCond, Row};
 use ariesim_obs::Obs;
-use ariesim_repl::{fork_standby, InProcessTransport, ReplPair, Shipper};
+use ariesim_repl::{fork_standby, ReplPair, Shipper};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -98,13 +98,7 @@ fn standby_never_serves_past_its_watermark() {
     let primary = primary_with_schema(&dir);
 
     let base_dir = dir.path().join("standby");
-    let (standby, shipper) = fork_standby(
-        &primary,
-        &base_dir,
-        |base| Ok(Arc::new(InProcessTransport::new(base))),
-        Obs::disabled(),
-    )
-    .unwrap();
+    let (standby, shipper) = fork_standby(&primary, &base_dir, Obs::disabled()).unwrap();
     // Tiny chunks so the stream advances a record or two at a time.
     let mut shipper: Shipper = shipper.with_chunk(48);
 
