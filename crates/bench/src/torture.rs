@@ -30,7 +30,7 @@ use ariesim_common::{Error, Lsn, Result};
 use ariesim_db::{Db, DbOptions, FetchCond, Row};
 use ariesim_fault as fault;
 use ariesim_obs::{recovery_phase, Obs, ObsHandle};
-use ariesim_repl::ReplPair;
+use ariesim_repl::fork_standby;
 use ariesim_wal::RecordKind;
 use std::collections::BTreeSet;
 use std::path::Path;
@@ -120,10 +120,10 @@ pub fn standard_trace(seed: u64) -> Vec<Step> {
 }
 
 /// The replication torture trace, plus the step index at which the standby
-/// is forked. The pre-fork phase commits a base population (shipped as base
+/// is forked. The pre-fork phase commits a base population (copied as base
 /// backup); the post-fork phase commits, rolls back, deletes, and leaves a
-/// loser in flight — all of it shipped chunk by chunk and, at the end,
-/// survived through promotion.
+/// loser in flight — all of it pulled by the standby after each step and,
+/// at the end, survived through promotion.
 pub fn repl_trace(seed: u64) -> (Vec<Step>, usize) {
     let mut rng = XorShift(seed | 3);
     let trace = vec![
@@ -137,7 +137,7 @@ pub fn repl_trace(seed: u64) -> (Vec<Step>, usize) {
             kind: TxnKind::Commit,
             ops: perm_ops(&mut rng, 120, 200),
         },
-        // A checkpoint whose master-record pointer must ship out of band.
+        // A checkpoint whose master-record pointer the standby must adopt.
         Step::Checkpoint,
         Step::Txn {
             kind: TxnKind::Rollback,
@@ -473,11 +473,10 @@ fn workload_run(
 }
 
 /// The post-fork half of the replication scenario, run on the harness
-/// thread (crash arming is thread-scoped, so the shipper and the standby's
-/// ingest/apply are pumped inline, not on a pumper thread): fork a standby
-/// of `primary`, drive the post-fork trace steps with a full
-/// ship-ingest-apply drain after each, then fail the primary over and
-/// promote. Extends `started` with `(txn_id, combined-trace index)` as it
+/// thread (crash arming is thread-scoped, so the standby's pull, ingest and
+/// apply are pumped inline, not on a pumper thread): fork a standby of
+/// `primary`, drive the post-fork trace steps with a full pull-ingest-apply
+/// drain after each, then fail the primary over and promote. Extends `started` with `(txn_id, combined-trace index)` as it
 /// goes, so the oracle survives a crash anywhere inside.
 fn drive_repl_scenario(
     primary: Arc<Db>,
@@ -486,20 +485,19 @@ fn drive_repl_scenario(
     fork_at: usize,
     started: &mut Vec<(u64, usize)>,
 ) -> Result<Arc<Db>> {
-    let pair = ReplPair::create(primary, standby_dir, ariesim_obs::Obs::disabled())?;
+    let standby = fork_standby(&primary, standby_dir, ariesim_obs::Obs::disabled())?;
     for (i, step) in trace[fork_at..].iter().enumerate() {
         let mut tmp = Vec::new();
-        drive_steps(pair.primary.clone(), std::slice::from_ref(step), &mut tmp)?;
+        drive_steps(primary.clone(), std::slice::from_ref(step), &mut tmp)?;
         started.extend(tmp.into_iter().map(|(t, _)| (t, fork_at + i)));
-        pair.sync()?;
+        standby.sync()?;
     }
-    let (primary, standby, _shipper) = pair.into_parts();
     drop(primary);
     standby.promote()
 }
 
 /// One replication-phase run: drive the pre-fork trace cold, arm `point`
-/// at `hit`, run the fork/ship/apply/promote scenario to the crash, then
+/// at `hit`, run the fork/pull/apply/promote scenario to the crash, then
 /// recover the standby's directory and verify it against the oracle — the
 /// standby's own recovered log decides which transactions count as
 /// committed, exactly as an unplanned failover would.
@@ -587,9 +585,9 @@ pub fn list_points(cfg: &TortureConfig) -> Result<Vec<(String, u64)>> {
         }
     }
 
-    // The replication scenario reaches the ship/ingest/apply/promote points
-    // none of the above can: fork a standby mid-trace, drain the channel
-    // after every step, promote at the end.
+    // The replication scenario reaches the pull/ingest/apply/promote points
+    // none of the above can: fork a standby mid-trace, drain it after every
+    // step, promote at the end.
     let (rtrace, fork_at) = repl_trace(cfg.seed);
     let rdir = TempDir::new("torture-list-repl");
     let db = prologue(&rdir.path().join("primary"))?;
@@ -819,7 +817,7 @@ pub fn run_torture(cfg: &TortureConfig) -> Result<TortureReport> {
     }
 
     // ---- Phase 3: crash inside the replication machinery -----------------
-    // Record the points the fork/ship/apply/promote scenario reaches, check
+    // Record the points the fork/pull/apply/promote scenario reaches, check
     // that the completed scenario satisfies the failover oracle, then crash
     // at each replication-specific point and re-verify. Phase 1 already
     // covers the engine-internal points the scenario re-hits.

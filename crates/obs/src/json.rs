@@ -1,9 +1,8 @@
 //! Minimal JSON writer and parser (std-only; no external dependencies).
 //!
-//! Supports exactly the subset the observability layer emits: objects,
-//! arrays, strings, non-negative numbers, and floats. The parser exists so
-//! tests can read back [`Obs::to_json`](crate::Obs::to_json) and so
-//! `dumplog --json` output is verifiable in-tree without serde.
+//! Supports exactly the subset `dumplog --json` and the benchmark's report
+//! emit: objects, arrays, strings, non-negative numbers, and floats. The
+//! parser exists so that output is readable back in-tree without serde.
 
 /// Incremental JSON object writer.
 pub struct Object {
@@ -78,19 +77,6 @@ impl Object {
         out.push('}');
         out
     }
-}
-
-/// Render a slice of u64s as a JSON array.
-pub fn array_u64(vals: &[u64]) -> String {
-    let mut s = String::from("[");
-    for (i, v) in vals.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&v.to_string());
-    }
-    s.push(']');
-    s
 }
 
 fn escape_into(buf: &mut String, s: &str) {
@@ -366,12 +352,6 @@ mod tests {
         assert!(parse("{").is_none());
         assert!(parse("{}x").is_none());
         assert!(parse(r#"{"a":}"#).is_none());
-    }
-
-    #[test]
-    fn array_u64_renders() {
-        assert_eq!(array_u64(&[1, 2, 3]), "[1,2,3]");
-        assert_eq!(array_u64(&[]), "[]");
     }
 
     #[test]

@@ -119,9 +119,9 @@ pub struct Gauges {
 
 /// Buffer-pool counters that `Stats` does not carry (fixes and misses are
 /// `page_fixes` and `page_reads` there), bumped by `ariesim_storage::pool`
-/// and read out by [`Obs::to_json`] / [`Obs::render_report`]. Always live
-/// (plain relaxed atomics). Per-partition breakdowns live in the pool
-/// itself (partition count is not known when the handle is built).
+/// and read out by [`Obs::render_report`]. Always live (plain relaxed
+/// atomics). Per-partition breakdowns live in the pool itself (partition
+/// count is not known when the handle is built).
 #[derive(Default)]
 pub struct PoolCounters {
     /// Evictions (a resident page was displaced to make room).
@@ -323,81 +323,6 @@ impl Obs {
         ));
         out
     }
-
-    /// Full JSON export: one object per span kind (its histogram, buckets
-    /// included, and self time), gauges, pool and WAL counters, and the
-    /// monitor snapshot. One JSON object, machine-readable.
-    pub fn to_json(&self) -> String {
-        let mut root = json::Object::new();
-        let mut so = json::Object::new();
-        for (name, s, self_ns) in self.span_rows() {
-            let mut o = json::Object::new();
-            o.field_u64("count", s.count);
-            o.field_u64("self_ns", self_ns);
-            o.field_u64("sum_ns", s.sum_ns);
-            o.field_u64("max_ns", s.max_ns);
-            o.field_u64("p50_ns", s.p50());
-            o.field_u64("p95_ns", s.p95());
-            o.field_u64("p99_ns", s.p99());
-            // Trim trailing zero buckets to keep the export compact.
-            let last = s.buckets.iter().rposition(|&b| b != 0).map_or(0, |i| i + 1);
-            o.field_raw("buckets", &json::array_u64(&s.buckets[..last]));
-            so.field_raw(name, &o.finish());
-        }
-        root.field_raw("spans", &so.finish());
-
-        let gauge_pair = |g: &Gauge| {
-            let mut o = json::Object::new();
-            o.field_u64("last", g.last());
-            o.field_u64("max", g.max());
-            o.finish()
-        };
-        let mut go = json::Object::new();
-        let mut lg = json::Object::new();
-        lg.field_raw("bytes", &gauge_pair(&self.gauge.repl_lag.bytes));
-        go.field_raw("repl_lag", &lg.finish());
-        let rec = &self.gauge.recovery;
-        let mut rg = json::Object::new();
-        rg.field_raw("phase", &gauge_pair(&rec.phase));
-        rg.field_raw("current_lsn", &gauge_pair(&rec.current_lsn));
-        rg.field_raw("target_lsn", &gauge_pair(&rec.target_lsn));
-        rg.field_raw("pages_redone", &gauge_pair(&rec.pages_redone));
-        rg.field_raw("losers_remaining", &gauge_pair(&rec.losers_remaining));
-        go.field_raw("recovery", &rg.finish());
-        root.field_raw("gauges", &go.finish());
-
-        let counters = |named: &[(&'static str, u64)]| {
-            let mut o = json::Object::new();
-            for &(name, v) in named {
-                o.field_u64(name, v);
-            }
-            o.finish()
-        };
-        root.field_raw("pool", &counters(&self.pool.named()));
-        root.field_raw("wal", &counters(&self.wal.named()));
-
-        let m = self.monitor.snapshot();
-        let mut mo = json::Object::new();
-        mo.field_u64("max_latch_depth", m.max_latch_depth);
-        mo.field_u64("latch_depth_violations", m.latch_depth_violations);
-        mo.field_u64(
-            "lock_wait_with_latch_violations",
-            m.lock_wait_with_latch_violations,
-        );
-        mo.field_u64("latch_order_violations", m.latch_order_violations);
-        mo.field_u64("redo_traversal_violations", m.redo_traversal_violations);
-        mo.field_u64("wal_rule_violations", m.wal_rule_violations);
-        if let Some(v) = m.first_wal_violation {
-            let mut wo = json::Object::new();
-            wo.field_u64("page", v.page as u64);
-            wo.field_u64("page_lsn", v.page_lsn);
-            wo.field_u64("durable", v.durable);
-            mo.field_raw("first_wal_violation", &wo.finish());
-        }
-        mo.field_bool("clean", m.clean());
-        root.field_raw("monitor", &mo.finish());
-        root.finish()
-    }
 }
 
 #[cfg(test)]
@@ -422,44 +347,16 @@ mod tests {
         assert!(report.contains("page_read            2 "), "{report}");
         assert!(!report.contains("page_write")); // zero-count rows hidden
         assert!(report.contains("CLEAN"));
-    }
 
-    #[test]
-    fn json_export_parses_back() {
-        let obs = Obs::enabled(64);
-        drop(obs.span(SpanKind::WalFsync, 0, 0));
+        // Counters, the lag gauge and the first WAL-rule offender.
         obs.monitor.on_write_back(9, 512, 512);
         obs.pool.shard_contended.store(2, Ordering::Relaxed);
         obs.wal.group_riders.store(3, Ordering::Relaxed);
         obs.gauge.repl_lag.set_watermarks(900, 100);
-        let text = obs.to_json();
-        let v = json::parse(&text).expect("valid JSON");
-        let pool = v.get("pool").unwrap();
-        assert_eq!(pool.get("evictions").unwrap().as_u64(), Some(0));
-        assert_eq!(pool.get("shard_contended").unwrap().as_u64(), Some(2));
-        assert!(pool.get("hits").is_none());
-        let wal = v.get("wal").unwrap();
-        assert_eq!(wal.get("group_batches").unwrap().as_u64(), Some(0));
-        assert_eq!(wal.get("group_riders").unwrap().as_u64(), Some(3));
         let report = obs.render_report();
         assert!(report.contains("pool: evictions 0 shard_contended 2\n"));
         assert!(report.contains("wal: group_batches 0 group_riders 3\n"));
         assert!(report.contains("repl lag: 800 bytes now, 800 bytes max\n"));
-        let spans = v.get("spans").unwrap();
-        let fsync = spans.get("wal_fsync").unwrap();
-        assert_eq!(fsync.get("count").unwrap().as_u64(), Some(1));
-        assert_eq!(
-            fsync.get("self_ns").unwrap().as_u64(),
-            fsync.get("sum_ns").unwrap().as_u64()
-        );
-        assert_eq!(spans.get("lock_wait").unwrap().get("count").unwrap().as_u64(), Some(0));
-        let lag = v.get("gauges").unwrap().get("repl_lag").unwrap();
-        assert_eq!(lag.get("bytes").unwrap().get("last").unwrap().as_u64(), Some(800));
-        let monitor = v.get("monitor").unwrap();
-        assert_eq!(monitor.get("clean"), Some(&json::JsonValue::Bool(false)));
-        assert_eq!(monitor.get("wal_rule_violations").unwrap().as_u64(), Some(1));
-        let first = monitor.get("first_wal_violation").unwrap();
-        assert_eq!(first.get("page").unwrap().as_u64(), Some(9));
         assert!(report.contains(
             "WAL-rule violations 1 (first: page 9 at page_LSN 512 with the log durable to 512) \
              — VIOLATED\n"

@@ -32,6 +32,6 @@ pub mod continuous;
 pub mod media;
 pub mod restart;
 
-pub use continuous::{apply_redo, RedoCursor};
+pub use continuous::apply_redo;
 pub use media::ImageCopy;
 pub use restart::{restart, RestartOutcome};

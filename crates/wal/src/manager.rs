@@ -335,40 +335,26 @@ impl LogManager {
 
     // --- replication streaming -------------------------------------------
 
-    /// Read a chunk of the durable log image for shipping to a standby:
-    /// whole frames starting at `from` (log start if NULL), totalling at
-    /// most `max_bytes` — except that the first frame always ships whole,
-    /// so one oversized record cannot wedge the stream. Returns the raw
-    /// bytes and the LSN one past the chunk (the `from` of the next call).
-    /// An empty chunk means `from` is the durable end. Buffered-tail
-    /// frames never ship: only log the primary cannot lose may reach a
-    /// standby.
-    pub fn read_durable_chunk(&self, from: Lsn, max_bytes: usize) -> Result<(Vec<u8>, Lsn)> {
+    /// The durable log image from `from` (log start if NULL) to the durable
+    /// end, for a standby to ingest. The durable end is always a frame
+    /// boundary, so this is whole frames whenever `from` is one; a
+    /// misaligned `from` fails the ingesting side's CRC check. Empty means
+    /// `from` is the durable end. Buffered-tail frames are never returned:
+    /// only log the primary cannot lose may reach a standby.
+    pub fn read_durable(&self, from: Lsn) -> Result<Vec<u8>> {
         let durable_end = self.flushed_lsn();
         let from = if from.is_null() { FIRST_LSN } else { from };
         if from < FIRST_LSN || from > durable_end {
             return Err(Error::CorruptLog {
                 lsn: from,
-                reason: format!("chunk start outside durable log (ends at {durable_end})"),
+                reason: format!("read start outside durable log (ends at {durable_end})"),
             });
         }
-        let image = self.sh.image.lock();
-        let durable = &image[..durable_end.0 as usize];
-        let mut at = from;
-        while let FrameRead::Ok { next, .. } = frame::read_frame(durable, at)? {
-            if at > from && (next.0 - from.0) as usize > max_bytes {
-                break;
-            }
-            at = next;
-            if (at.0 - from.0) as usize >= max_bytes {
-                break;
-            }
-        }
-        Ok((image[from.0 as usize..at.0 as usize].to_vec(), at))
+        Ok(self.sh.image.lock()[from.0 as usize..durable_end.0 as usize].to_vec())
     }
 
     /// Splice a shipped chunk (whole frames, as produced by
-    /// [`LogManager::read_durable_chunk`] on a primary) onto this log at
+    /// [`LogManager::read_durable`] on a primary) onto this log at
     /// exactly the current tail. The standby's log stays a byte-identical
     /// prefix of the primary's, so primary LSNs are valid here verbatim;
     /// `at` guards against gaps, duplicates, and reordering. The chunk is
@@ -817,36 +803,12 @@ mod tests {
         let l1 = m.append(&upd(1, Lsn::NULL, b"durable"));
         m.flush_all().unwrap();
         m.append(&upd(1, l1, b"still buffered"));
-        let (chunk, next) = m.read_durable_chunk(Lsn::NULL, 1 << 20).unwrap();
+        let chunk = m.read_durable(Lsn::NULL).unwrap();
+        let next = Lsn(m.first_lsn().0 + chunk.len() as u64);
         assert_eq!(next, m.flushed_lsn());
         assert!(!chunk.is_empty());
         // The buffered record is not in the chunk.
-        let (rest, end) = m.read_durable_chunk(next, 1 << 20).unwrap();
-        assert!(rest.is_empty());
-        assert_eq!(end, next);
-    }
-
-    #[test]
-    fn durable_chunk_respects_max_bytes_on_frame_boundaries() {
-        let dir = TempDir::new("wal");
-        let m = mgr(&dir);
-        let mut prev = Lsn::NULL;
-        for i in 0..8u8 {
-            prev = m.append(&upd(1, prev, &[i; 32]));
-        }
-        m.flush_all().unwrap();
-        // Walk the log in tiny chunks; every chunk must parse as whole
-        // frames, and concatenated they must equal one big chunk.
-        let (all, end) = m.read_durable_chunk(Lsn::NULL, 1 << 20).unwrap();
-        let mut walked = Vec::new();
-        let mut at = m.first_lsn();
-        while at < end {
-            let (chunk, next) = m.read_durable_chunk(at, 40).unwrap();
-            assert!(next > at, "no progress at {at}");
-            walked.extend_from_slice(&chunk);
-            at = next;
-        }
-        assert_eq!(walked, all);
+        assert!(m.read_durable(next).unwrap().is_empty());
     }
 
     #[test]
@@ -856,20 +818,17 @@ mod tests {
         let standby_path = dir.file("s");
         let standby =
             LogManager::open(&standby_path, LogOptions::default(), new_stats()).unwrap();
+        // Two pulls, each taking everything durable past the standby's end.
         let mut prev = Lsn::NULL;
-        for i in 0..5u8 {
-            prev = m_append(&primary, i, prev);
-        }
-        primary.flush_all().unwrap();
-        let mut at = standby.next_lsn();
-        loop {
-            let (chunk, next) = primary.read_durable_chunk(at, 64).unwrap();
-            if chunk.is_empty() {
-                break;
+        for batch in [0..3u8, 3..5] {
+            for i in batch {
+                prev = m_append(&primary, i, prev);
             }
-            standby.ingest_frames(at, &chunk).unwrap();
-            at = next;
+            primary.flush_all().unwrap();
+            let at = standby.next_lsn();
+            standby.ingest_frames(at, &primary.read_durable(at).unwrap()).unwrap();
         }
+        assert!(primary.read_durable(standby.next_lsn()).unwrap().is_empty());
         assert_eq!(standby.next_lsn(), primary.flushed_lsn());
         assert_eq!(standby.last_lsn(), primary.last_lsn());
         // Ingested log is durable without any flush call.
@@ -893,7 +852,8 @@ mod tests {
             LogManager::open(&dir.file("s2"), LogOptions::default(), new_stats()).unwrap();
         primary.append(&upd(1, Lsn::NULL, b"x"));
         primary.flush_all().unwrap();
-        let (chunk, next) = primary.read_durable_chunk(Lsn::NULL, 1 << 20).unwrap();
+        let chunk = primary.read_durable(Lsn::NULL).unwrap();
+        let next = primary.flushed_lsn();
         // Wrong position: chunk claims to start past the standby's tail.
         assert!(standby.ingest_frames(next, &chunk).is_err());
         // Corrupt payload: flip a byte.

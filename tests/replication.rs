@@ -2,7 +2,7 @@
 //! contract, and failover.
 //!
 //! The watermark contract under test is the one `crates/repl` documents:
-//! a standby read reflects the shipped log *exactly* up to `applied_lsn()`
+//! a standby read reflects the pulled log *exactly* up to `applied_lsn()`
 //! — a key is never visible before its insert has been applied, and is
 //! always visible once the watermark has passed its transaction's commit.
 
@@ -10,7 +10,7 @@ use ariesim_common::tmp::TempDir;
 use ariesim_common::Lsn;
 use ariesim_db::{Db, DbOptions, FetchCond, Row};
 use ariesim_obs::Obs;
-use ariesim_repl::{fork_standby, ReplPair, Shipper};
+use ariesim_repl::{fork_standby, Standby};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -36,6 +36,10 @@ fn primary_with_schema(dir: &TempDir) -> Arc<Db> {
     db
 }
 
+fn fork(primary: &Arc<Db>, dir: &TempDir) -> Arc<Standby> {
+    fork_standby(primary, &dir.path().join("standby"), Obs::disabled()).unwrap()
+}
+
 fn insert_committed(db: &Arc<Db>, ids: std::ops::Range<u32>) {
     let txn = db.begin();
     for i in ids {
@@ -50,60 +54,56 @@ fn round_trip_reads_follow_the_stream() {
     let primary = primary_with_schema(&dir);
     insert_committed(&primary, 0..20);
 
-    let pair = ReplPair::create(primary, &dir.path().join("standby"), Obs::disabled()).unwrap();
+    let standby = fork(&primary, &dir);
 
     // Base backup: pre-fork keys are served immediately.
-    let (_, r) = pair.standby.read("kv_pk", &key(7)).unwrap().unwrap();
+    let (_, r) = standby.read("kv_pk", &key(7)).unwrap().unwrap();
     assert_eq!(r.field(1).unwrap(), format!("payload-{}", 7).as_bytes());
-    assert_eq!(pair.standby.count("kv_pk").unwrap(), 20);
+    assert_eq!(standby.count("kv_pk").unwrap(), 20);
 
-    // Post-fork commits are invisible until shipped + applied...
-    insert_committed(&pair.primary, 20..40);
-    assert!(pair.standby.read("kv_pk", &key(25)).unwrap().is_none());
-    assert!(pair.lag_bytes() > 0);
+    // Post-fork commits are invisible until pulled + applied...
+    insert_committed(&primary, 20..40);
+    assert!(standby.read("kv_pk", &key(25)).unwrap().is_none());
+    assert!(standby.lag_bytes() > 0);
 
     // ...and visible after a sync, watermark at the primary's log end.
-    pair.sync().unwrap();
-    assert_eq!(pair.lag_bytes(), 0);
-    assert!(pair.standby.read("kv_pk", &key(25)).unwrap().is_some());
-    assert_eq!(pair.standby.count("kv_pk").unwrap(), 40);
+    standby.sync().unwrap();
+    assert_eq!(standby.lag_bytes(), 0);
+    assert!(standby.read("kv_pk", &key(25)).unwrap().is_some());
+    assert_eq!(standby.count("kv_pk").unwrap(), 40);
 
     // Updates and deletes replicate too.
-    let txn = pair.primary.begin();
-    let (rid, _) = pair
-        .primary
+    let txn = primary.begin();
+    let (rid, _) = primary
         .fetch_via(&txn, "kv_pk", &key(3), FetchCond::Eq)
         .unwrap()
         .unwrap();
-    pair.primary
+    primary
         .update_row(&txn, "kv", rid, &Row::new(vec![key(3), b"updated".to_vec()]))
         .unwrap();
-    let (rid9, _) = pair
-        .primary
+    let (rid9, _) = primary
         .fetch_via(&txn, "kv_pk", &key(9), FetchCond::Eq)
         .unwrap()
         .unwrap();
-    pair.primary.delete_row(&txn, "kv", rid9).unwrap();
-    pair.primary.commit(&txn).unwrap();
-    pair.sync().unwrap();
-    let (_, r) = pair.standby.read("kv_pk", &key(3)).unwrap().unwrap();
+    primary.delete_row(&txn, "kv", rid9).unwrap();
+    primary.commit(&txn).unwrap();
+    standby.sync().unwrap();
+    let (_, r) = standby.read("kv_pk", &key(3)).unwrap().unwrap();
     assert_eq!(r.field(1).unwrap(), b"updated");
-    assert!(pair.standby.read("kv_pk", &key(9)).unwrap().is_none());
-    assert_eq!(pair.standby.count("kv_pk").unwrap(), 39);
+    assert!(standby.read("kv_pk", &key(9)).unwrap().is_none());
+    assert_eq!(standby.count("kv_pk").unwrap(), 39);
 }
 
 #[test]
 fn standby_never_serves_past_its_watermark() {
     let dir = TempDir::new("repl-watermark");
     let primary = primary_with_schema(&dir);
-
-    let base_dir = dir.path().join("standby");
-    let (standby, shipper) = fork_standby(&primary, &base_dir, Obs::disabled()).unwrap();
-    // Tiny chunks so the stream advances a record or two at a time.
-    let mut shipper: Shipper = shipper.with_chunk(48);
+    let standby = fork(&primary, &dir);
 
     // Commit keys one per transaction, bracketing each with log positions:
     // below `before` the key cannot exist; at or past `after` it must.
+    // After each commit, pump once and check all 30 keys against the
+    // watermark (a key not yet inserted has `before` = its future start).
     let mut window: Vec<(u32, Lsn, Lsn)> = Vec::new();
     for i in 0..30 {
         let before = primary.log.next_lsn();
@@ -111,29 +111,23 @@ fn standby_never_serves_past_its_watermark() {
         primary.insert_row(&txn, "kv", &row(i)).unwrap();
         primary.commit(&txn).unwrap();
         window.push((i, before, primary.log.next_lsn()));
-    }
-    primary.log.flush_all().unwrap();
-
-    // Walk the stream chunk by chunk, checking every key against the
-    // watermark after each step.
-    loop {
-        let shipped = shipper.pump().unwrap();
         standby.pump().unwrap();
         let w = standby.applied_lsn();
-        for &(i, before, after) in &window {
-            let present = standby.read("kv_pk", &key(i)).unwrap().is_some();
+        for j in 0..30 {
+            let present = standby.read("kv_pk", &key(j)).unwrap().is_some();
+            let Some(&(_, before, after)) = window.get(j as usize) else {
+                assert!(!present, "key {j} visible at {w} before its insert");
+                continue;
+            };
             if present {
                 assert!(
                     w > before,
-                    "key {i} visible at watermark {w}, inserted only at {before}"
+                    "key {j} visible at watermark {w}, inserted only at {before}"
                 );
             }
             if w >= after {
-                assert!(present, "key {i} missing at watermark {w} >= commit end {after}");
+                assert!(present, "key {j} missing at watermark {w} >= {after}");
             }
-        }
-        if shipped == 0 && standby.applied_lsn() >= primary.log.flushed_lsn() {
-            break;
         }
     }
     assert_eq!(standby.count("kv_pk").unwrap(), 30);
@@ -144,14 +138,14 @@ fn standby_serves_reads_while_primary_writers_run() {
     let dir = TempDir::new("repl-concurrent");
     let primary = primary_with_schema(&dir);
     insert_committed(&primary, 0..50);
-    let pair = ReplPair::create(primary, &dir.path().join("standby"), Obs::disabled()).unwrap();
+    let standby = fork(&primary, &dir);
 
     let writers_done = AtomicBool::new(false);
     let standby_reads = AtomicU64::new(0);
     std::thread::scope(|s| {
         let writers: Vec<_> = (0..2u32)
             .map(|w| {
-                let (primary, standby_reads) = (&pair.primary, &standby_reads);
+                let (primary, standby_reads) = (&primary, &standby_reads);
                 s.spawn(move || {
                     for i in 0..100 {
                         if i == 50 {
@@ -166,12 +160,12 @@ fn standby_serves_reads_while_primary_writers_run() {
                 })
             })
             .collect();
-        // Ship, apply and read until both writers are done.
+        // Pull, apply and read until both writers are done.
         s.spawn(|| {
             while !writers_done.load(Ordering::Acquire) {
-                pair.pump().unwrap();
+                standby.pump().unwrap();
                 for i in (0..50).step_by(7) {
-                    assert!(pair.standby.read("kv_pk", &key(i)).unwrap().is_some());
+                    assert!(standby.read("kv_pk", &key(i)).unwrap().is_some());
                     standby_reads.fetch_add(1, Ordering::Release);
                 }
             }
@@ -183,10 +177,10 @@ fn standby_serves_reads_while_primary_writers_run() {
     });
 
     // Drained: the standby agrees with the primary.
-    pair.sync().unwrap();
-    let primary_rows = pair.primary.verify_consistency().unwrap().rows;
+    standby.sync().unwrap();
+    let primary_rows = primary.verify_consistency().unwrap().rows;
     assert_eq!(primary_rows, 250);
-    assert_eq!(pair.standby.count("kv_pk").unwrap(), primary_rows);
+    assert_eq!(standby.count("kv_pk").unwrap(), primary_rows);
 }
 
 #[test]
@@ -194,27 +188,26 @@ fn failover_loses_no_committed_key_and_rolls_back_losers() {
     let dir = TempDir::new("repl-failover");
     let primary = primary_with_schema(&dir);
     insert_committed(&primary, 0..50);
-    let pair = ReplPair::create(primary, &dir.path().join("standby"), Obs::disabled()).unwrap();
-    insert_committed(&pair.primary, 50..80);
+    let standby = fork(&primary, &dir);
+    insert_committed(&primary, 50..80);
 
     // A rolled-back transaction: its keys must not survive failover.
-    let txn = pair.primary.begin();
+    let txn = primary.begin();
     for i in 100..110 {
-        pair.primary.insert_row(&txn, "kv", &row(i)).unwrap();
+        primary.insert_row(&txn, "kv", &row(i)).unwrap();
     }
-    pair.primary.rollback(&txn).unwrap();
+    primary.rollback(&txn).unwrap();
 
     // An in-flight transaction at failover time: a loser for the promoted
     // standby's undo pass.
-    let loser = pair.primary.begin();
+    let loser = primary.begin();
     for i in 200..210 {
-        pair.primary.insert_row(&loser, "kv", &row(i)).unwrap();
+        primary.insert_row(&loser, "kv", &row(i)).unwrap();
     }
-    pair.primary.log.flush_all().unwrap();
+    primary.log.flush_all().unwrap();
 
-    // Semi-sync failover: drain the channel, then the primary "fails".
-    pair.sync().unwrap();
-    let (primary, standby, _shipper) = pair.into_parts();
+    // Semi-sync failover: drain the standby, then the primary "fails".
+    standby.sync().unwrap();
     drop(loser);
     drop(primary);
 
@@ -252,19 +245,83 @@ fn failover_loses_no_committed_key_and_rolls_back_losers() {
     assert_eq!(promoted.verify_consistency().unwrap().rows, 85);
 }
 
+/// A loser whose only records precede the last checkpoint is known to the
+/// promoted standby only through that checkpoint's transaction table, so
+/// the standby must never adopt a master record naming a checkpoint whose
+/// `CkptEnd` it lacks: analysis would start at the `CkptBegin`, never meet
+/// the loser, and keep its row.
+#[test]
+fn failover_rolls_back_a_loser_whose_records_precede_the_last_checkpoint() {
+    let dir = TempDir::new("repl-ckpt-failover");
+    let primary = primary_with_schema(&dir);
+    let standby = fork(&primary, &dir);
+
+    let loser = primary.begin();
+    primary.insert_row(&loser, "kv", &row(1)).unwrap();
+    standby.sync().unwrap();
+    primary.checkpoint().unwrap();
+    standby.sync().unwrap();
+    assert_eq!(
+        standby.core().log.read_master().unwrap(),
+        primary.log.read_master().unwrap()
+    );
+    drop(loser);
+    drop(primary);
+
+    let promoted = standby.promote().unwrap();
+    let outcome = promoted.restart_outcome.as_ref().unwrap();
+    assert_eq!(outcome.losers.len(), 1, "the in-flight txn is a loser");
+    let txn = promoted.begin();
+    assert!(promoted
+        .fetch_via(&txn, "kv_pk", &key(1), FetchCond::Eq)
+        .unwrap()
+        .is_none());
+    promoted.commit(&txn).unwrap();
+    assert_eq!(promoted.verify_consistency().unwrap().rows, 0);
+}
+
+/// The same rule under a race: while the primary checkpoints over and over,
+/// every master record the pumping standby adopts names a checkpoint whose
+/// `CkptEnd` is already in the standby's own log.
+#[test]
+fn standby_adopts_only_checkpoints_it_holds_whole() {
+    use ariesim_wal::RecordKind;
+    let dir = TempDir::new("repl-ckpt-race");
+    let primary = primary_with_schema(&dir);
+    let standby = fork(&primary, &dir);
+    let done = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            for _ in 0..300 {
+                primary.checkpoint().unwrap();
+            }
+            done.store(true, Ordering::Release);
+        });
+        let log = &standby.core().log;
+        while !done.load(Ordering::Acquire) {
+            standby.pump().unwrap();
+            let master = log.read_master().unwrap();
+            let whole = log
+                .scan(master)
+                .map(|r| r.unwrap().kind)
+                .any(|k| k == RecordKind::CkptEnd);
+            assert!(whole, "master {master} names a checkpoint without its CkptEnd");
+        }
+    });
+}
+
 #[test]
 fn promoted_standby_without_sync_recovers_shipped_prefix() {
-    // Unplanned failover: whatever was shipped is recovered, exactly like
+    // Unplanned failover: whatever was pulled is recovered, exactly like
     // a crash losing the unflushed tail. The oracle is the standby's own
-    // log: committed-in-shipped-prefix keys live, the rest don't.
+    // log: committed-in-pulled-prefix keys live, the rest don't.
     let dir = TempDir::new("repl-unplanned");
     let primary = primary_with_schema(&dir);
-    let pair = ReplPair::create(primary, &dir.path().join("standby"), Obs::disabled()).unwrap();
+    let standby = fork(&primary, &dir);
 
-    insert_committed(&pair.primary, 0..10);
-    pair.sync().unwrap(); // first batch fully shipped
-    insert_committed(&pair.primary, 10..20); // second batch never shipped
-    let (primary, standby, _shipper) = pair.into_parts();
+    insert_committed(&primary, 0..10);
+    standby.sync().unwrap(); // first batch fully pulled
+    insert_committed(&primary, 10..20); // second batch never pulled
     drop(primary);
 
     let promoted = standby.promote().unwrap();
@@ -316,12 +373,11 @@ fn standby_components_share_one_stats_and_one_obs() {
     let primary = primary_with_schema(&dir);
     insert_committed(&primary, 0..5);
     let obs = Obs::enabled(1 << 10);
-    let pair = ReplPair::create(primary, &dir.path().join("standby"), obs.clone()).unwrap();
-    let core = pair.standby.core();
+    let standby = fork_standby(&primary, &dir.path().join("standby"), obs.clone()).unwrap();
+    let core = standby.core();
     assert!(Arc::ptr_eq(&core.obs, &obs));
     shares_one_context(core);
 
-    let (primary, standby, _shipper) = pair.into_parts();
     drop(primary);
     shares_one_context(&standby.promote().unwrap());
 }
