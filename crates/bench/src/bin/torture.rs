@@ -9,17 +9,15 @@
 //! Usage: `cargo run --release -p ariesim-bench --bin torture -- [--quick]
 //! [--verbose] [--progress] [--seed=N]`
 
-use ariesim_bench::torture::{list_points, run_torture, TortureConfig};
+use ariesim_bench::torture::{run_torture, TortureConfig};
 
 fn main() {
     let mut cfg = TortureConfig::default();
-    let mut list_only = false;
     for arg in std::env::args().skip(1) {
         match arg.as_str() {
             "--quick" => cfg.quick = true,
             "--verbose" | "-v" => cfg.verbose = true,
             "--progress" => cfg.progress = true,
-            "--list-points" => list_only = true,
             s if s.starts_with("--seed=") => match s["--seed=".len()..].parse() {
                 Ok(n) => cfg.seed = n,
                 Err(_) => {
@@ -29,38 +27,20 @@ fn main() {
             },
             "--help" | "-h" => {
                 println!(
-                    "torture [--quick] [--verbose] [--progress] [--seed=N] [--list-points]\n\
+                    "torture [--quick] [--verbose] [--progress] [--seed=N]\n\
                      \n\
                      --quick        bounded enumeration for CI (first hit per point,\n\
                      \u{20}              forced-tail variants only for SMO windows)\n\
                      --verbose      one line per armed run\n\
                      --progress     after the matrix, recover the crash image once\n\
                      \u{20}              more with live phase/LSN/pages gauges printed\n\
-                     --seed=N       workload seed (default 0x5eedca5e)\n\
-                     --list-points  print `name hits` for every crash point the\n\
-                     \u{20}              workload+recovery reaches, without arming any\n\
-                     \u{20}              (input for `arieslint --crash-points`)"
+                     --seed=N       workload seed (default 0x5eedca5e)"
                 );
                 return;
             }
             other => {
                 eprintln!("torture: unknown argument {other:?} (try --help)");
                 std::process::exit(2);
-            }
-        }
-    }
-
-    if list_only {
-        match list_points(&cfg) {
-            Ok(points) => {
-                for (name, hits) in points {
-                    println!("{name} {hits}");
-                }
-                return;
-            }
-            Err(e) => {
-                eprintln!("torture: harness error: {e}");
-                std::process::exit(1);
             }
         }
     }

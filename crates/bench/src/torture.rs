@@ -553,67 +553,6 @@ fn repl_run(
     })
 }
 
-/// Enumerate the crash points the standard workload (plus the restart of its
-/// crash image) reaches, without arming any of them. One record pass, no
-/// armed runs: this is the ground truth for `arieslint --crash-points`.
-pub fn list_points(cfg: &TortureConfig) -> Result<Vec<(String, u64)>> {
-    let _x = fault::exclusive();
-    let trace = standard_trace(cfg.seed);
-    let dir = TempDir::new("torture-list");
-    let db = prologue(dir.path())?;
-    fault::record();
-    fault::activate();
-    let mut started = Vec::new();
-    let db = drive_steps(db, &trace, &mut started)?;
-    fault::disarm();
-    let mut points: Vec<(String, u64)> = fault::recorded()
-        .into_iter()
-        .map(|(n, h)| (n.to_string(), h))
-        .collect();
-    let image = db.crash();
-    let recdir = dir.path().join("rec");
-    copy_dir(&image, &recdir)?;
-    fault::record();
-    fault::activate();
-    let db = Db::open(&recdir, db_options())?;
-    fault::disarm();
-    drop(db);
-    for (name, hits) in fault::recorded() {
-        match points.iter_mut().find(|(n, _)| n == name) {
-            Some((_, h)) => *h += hits,
-            None => points.push((name.to_string(), hits)),
-        }
-    }
-
-    // The replication scenario reaches the pull/ingest/apply/promote points
-    // none of the above can: fork a standby mid-trace, drain it after every
-    // step, promote at the end.
-    let (rtrace, fork_at) = repl_trace(cfg.seed);
-    let rdir = TempDir::new("torture-list-repl");
-    let db = prologue(&rdir.path().join("primary"))?;
-    let mut rstarted = Vec::new();
-    let db = drive_steps(db, &rtrace[..fork_at], &mut rstarted)?;
-    fault::record();
-    fault::activate();
-    let promoted = drive_repl_scenario(
-        db,
-        &rdir.path().join("standby"),
-        &rtrace,
-        fork_at,
-        &mut rstarted,
-    )?;
-    fault::disarm();
-    drop(promoted);
-    for (name, hits) in fault::recorded() {
-        match points.iter_mut().find(|(n, _)| n == name) {
-            Some((_, h)) => *h += hits,
-            None => points.push((name.to_string(), hits)),
-        }
-    }
-    points.sort();
-    Ok(points)
-}
-
 /// Print one progress line when the recovery gauges moved. The restart
 /// thread's gauge stores are relaxed and a sample may catch adjacent
 /// instants, so within one phase a sample that would step the redo LSN or

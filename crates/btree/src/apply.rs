@@ -33,6 +33,7 @@ fn fill_cells(page: &mut PageBuf, cells: &[Vec<u8>]) -> Result<()> {
 
 /// Apply (redo) `body` to `page`. `page_id` is the envelope's page — needed
 /// when the body reformats the page from scratch.
+#[deny(clippy::wildcard_enum_match_arm)]
 pub fn apply_body(page: &mut PageBuf, page_id: PageId, body: &IndexBody) -> Result<()> {
     match body {
         IndexBody::InsertKey { key, .. } => {
@@ -198,6 +199,7 @@ pub fn apply_body(page: &mut PageBuf, page_id: PageId, body: &IndexBody) -> Resu
 /// Page-oriented inverse of an SMO body (incomplete-SMO rollback only).
 /// Key bodies (`InsertKey`/`DeleteKey`) are handled by the resource
 /// manager's richer undo logic, never here.
+#[deny(clippy::wildcard_enum_match_arm)]
 pub fn undo_body(page: &mut PageBuf, page_id: PageId, body: &IndexBody) -> Result<()> {
     match body {
         IndexBody::PageFormat { .. } => {

@@ -37,7 +37,7 @@ impl BTree {
             nonleaves: 0,
             keys: 0,
         };
-        let root = self.pool.fix_s(self.root)?; // latch-rank: 2
+        let root = self.pool.fix_s(self.root)?;
         report.height = root.level();
         drop(root);
         let mut leaf_chain: Vec<PageId> = Vec::new();
@@ -63,7 +63,7 @@ impl BTree {
         // Leaf chain must match in-order traversal.
         let mut prev = PageId::NULL;
         for (i, &leaf) in leaf_chain.iter().enumerate() {
-            let g = self.pool.fix_s(leaf)?; // latch-rank: 2
+            let g = self.pool.fix_s(leaf)?;
             if g.prev() != prev {
                 return Err(Error::Internal(format!(
                     "leaf {leaf}: prev is {} expected {prev}",
@@ -100,7 +100,7 @@ impl BTree {
         leaf_chain: &mut Vec<PageId>,
         all_keys: &mut Vec<IndexKey>,
     ) -> Result<()> {
-        let g = self.pool.fix_s(page_id)?; // latch-rank: 2
+        let g = self.pool.fix_s(page_id)?;
         let ty = g.page_type()?;
         if g.owner() != self.index_id.0 {
             return Err(Error::Internal(format!(
@@ -183,7 +183,7 @@ impl BTree {
                 for c in &cells {
                     // Child level check happens inside recursion via type; also
                     // verify directly.
-                    let cg = self.pool.fix_s(c.child)?; // latch-rank: 2
+                    let cg = self.pool.fix_s(c.child)?;
                     if cg.level() != child_level_expected {
                         return Err(Error::Internal(format!(
                             "child {} of {page_id} at level {}, expected {child_level_expected}",

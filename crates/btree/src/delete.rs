@@ -55,7 +55,7 @@ impl BTree {
             // holding a latch, and the tree latch is a latch.
             let mut tree_s_guard = if need_tree_s {
                 need_tree_s = false;
-                Some(self.tree_s()) // latch-rank: 1
+                Some(self.tree_s())
             } else {
                 None
             };
@@ -67,7 +67,7 @@ impl BTree {
                     // Our own tree S latch covered the descent: no SMO could
                     // have moved the leaf's range since; safe to proceed.
                     leaf.as_x()?.set_sm_bit(false);
-                } else if self.try_tree_s().is_some() { // latch-rank: 1 (conditional)
+                } else if self.try_tree_s().is_some() { // conditional: legal under the leaf latch
                     leaf.as_x()?.set_sm_bit(false);
                     // The set bit proves an SMO touched this page after our
                     // descent: the key may have been moved to a new right
@@ -78,7 +78,7 @@ impl BTree {
                     continue;
                 } else {
                     drop(leaf);
-                    self.tree_instant_s(); // latch-rank: 1 (fresh)
+                    self.tree_instant_s();
                     continue;
                 }
             }
@@ -129,7 +129,7 @@ impl BTree {
                     NextKey::Ambiguous => {
                         drop(leaf);
                         if !holding_tree_s {
-                            self.tree_instant_s(); // latch-rank: 1 (fresh)
+                            self.tree_instant_s();
                         }
                         continue;
                     }
@@ -165,7 +165,7 @@ impl BTree {
             // --- boundary key: hold the S tree latch (Figure 7) --------------
             let _hold_to_end = tree_s_guard; // keep (if any) across the delete
             if (idx == 0 || idx == n - 1) && !holding_tree_s {
-                match self.try_tree_s() { // latch-rank: 1 (conditional)
+                match self.try_tree_s() { // conditional: legal under the leaf latch
                     Some(g) => {
                         // Hold it across the delete below.
                         let _held = g;
@@ -241,7 +241,7 @@ impl BTree {
             NextKey::Eof => (self.eof_lock(), None),
             NextKey::Ambiguous => {
                 drop(leaf);
-                self.tree_instant_s(); // latch-rank: 1 (fresh)
+                self.tree_instant_s();
                 // Simplest correct behaviour: report after one retry-free
                 // lock of EOF is not possible; just re-run the delete.
                 return self.delete(txn, key);
@@ -270,11 +270,11 @@ impl BTree {
     /// Conditional-lock denials bubble out as [`DelStep::WaitLock`] — per §4
     /// no lock is waited for while the tree latch is held.
     fn delete_under_tree_x(&self, txn: &TxnHandle, key: &IndexKey) -> Result<DelStep> {
-        let _tx = self.tree_x(); // latch-rank: 1
+        let _tx = self.tree_x();
         let search = SearchKey::from_key(key);
         let path = self.descend_path(&search)?;
         let leaf_id = crate::smo::path_leaf(&path)?;
-        let mut g = self.pool.fix_x(leaf_id)?; // latch-rank: 2
+        let mut g = self.pool.fix_x(leaf_id)?;
         // We hold the tree latch: no SMO in progress; reset stale bits.
         g.set_sm_bit(false);
         let Some(idx) = leaf_contains(&g, key)? else {

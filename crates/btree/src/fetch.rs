@@ -136,7 +136,7 @@ impl BTree {
             if next.is_null() {
                 return Ok(NextKey::Eof);
             }
-            let g = self.pool.fix_s(next)?; // latch-rank: 2
+            let g = self.pool.fix_s(next)?;
             if !(self.is_own_leaf(&g) && g.prev() == prev) {
                 return Ok(NextKey::Ambiguous);
             }
@@ -248,7 +248,7 @@ impl BTree {
                 NextKey::Eof => None,
                 NextKey::Ambiguous => {
                     drop(leaf);
-                    self.tree_instant_s(); // latch-rank: 1 (fresh)
+                    self.tree_instant_s();
                     continue;
                 }
             };
@@ -285,7 +285,8 @@ impl BTree {
                     self.locks
                         .request(txn.id, lock, LockMode::S, LockDuration::Commit, false)?;
                     if on_leaf {
-                        let g = self.pool.fix_s(leaf_id)?; // latch-rank: 2 (fresh)
+                        // Every latch was released before the lock wait.
+                        let g = self.pool.fix_s(leaf_id)?;
                         if g.page_lsn() == noted {
                             // Nothing changed while we waited: the answer
                             // stands, still at `idx`.
@@ -310,7 +311,7 @@ impl BTree {
     /// and moves its page_LSN (DESIGN.md §4), so an equal LSN means the key
     /// still sits at `c.slot` and no key after it has moved.
     fn remembered_leaf(&self, c: &Cursor) -> Result<Option<(LeafGuard<'_>, u16)>> {
-        let g = self.pool.fix_s(c.leaf)?; // latch-rank: 2 (fresh)
+        let g = self.pool.fix_s(c.leaf)?; // a cursor holds no latch between calls
         let unchanged = g.page_lsn() == c.leaf_lsn && self.is_own_leaf(&g);
         Ok(unchanged.then(|| (LeafGuard::S(g), c.slot + 1)))
     }
@@ -359,10 +360,10 @@ impl BTree {
     pub fn scan_all_unlocked(&self) -> Result<Vec<IndexKey>> {
         let mut out = Vec::new();
         // Find the leftmost leaf.
-        let mut g = self.pool.fix_s(self.root)?; // latch-rank: 2
+        let mut g = self.pool.fix_s(self.root)?;
         while g.level() > 0 {
             let child = crate::node::node_cell(&g, 0)?.child;
-            let cg = self.pool.fix_s(child)?; // latch-rank: 2
+            let cg = self.pool.fix_s(child)?;
             drop(g);
             g = cg;
         }
@@ -374,7 +375,7 @@ impl BTree {
             if next.is_null() {
                 break;
             }
-            let ng = self.pool.fix_s(next)?; // latch-rank: 2
+            let ng = self.pool.fix_s(next)?;
             drop(g);
             g = ng;
         }

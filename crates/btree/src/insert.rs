@@ -83,11 +83,11 @@ impl BTree {
                 Step::NeedSplit => {
                     // Figure 8: split first, insert after, all under the X
                     // tree latch.
-                    let tree_guard = self.tree_x(); // latch-rank: 1
+                    let tree_guard = self.tree_x();
                     let leaf_id = txn.with_logger(&self.log, |logger| {
                         self.split_smo(logger, &search, key.wire_len())
                     })?;
-                    let leaf = LeafGuard::X(self.pool.fix_x(leaf_id)?); // latch-rank: 2
+                    let leaf = LeafGuard::X(self.pool.fix_x(leaf_id)?);
                     match self.insert_action(txn, leaf, key, true)? {
                         Step::Done => return Ok(()),
                         Step::Retry => {
@@ -131,7 +131,7 @@ impl BTree {
                 let g = leaf.as_x()?;
                 g.set_sm_bit(false);
                 g.set_delete_bit(false);
-            } else if self.try_tree_s().is_some() { // latch-rank: 1 (conditional)
+            } else if self.try_tree_s().is_some() { // conditional: legal under the leaf latch
                 // Instant S tree latch granted: no SMO in progress; a POSC
                 // exists. Reset the bits (an unlogged hint — see DESIGN.md).
                 self.stats.latches_tree_instant.bump();
@@ -150,7 +150,7 @@ impl BTree {
             } else {
                 // SMO in progress: wait for it without holding latches.
                 drop(leaf);
-                self.tree_instant_s(); // latch-rank: 1 (fresh)
+                self.tree_instant_s();
                 return Ok(Step::Retry);
             }
         }
@@ -193,7 +193,7 @@ impl BTree {
                     // Holding the X tree latch, an instant S would
                     // self-deadlock; the caller drops the latch on Retry.
                     if !under_tree_latch {
-                        self.tree_instant_s(); // latch-rank: 1 (fresh)
+                        self.tree_instant_s();
                     }
                     return Ok(Step::Retry);
                 }

@@ -30,6 +30,10 @@
 //! (lock the record the key's RID names) or [`LockProtocol::IndexSpecific`]
 //! (lock the individual key); [`LockProtocol::KeyValue`] is the ARIES/KVL baseline.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+
 pub mod apply;
 pub mod body;
 pub mod check;
@@ -160,7 +164,7 @@ impl BTree {
         let space = SpaceMap::new(core.pool.clone());
         txn.with_logger(&core.log, |logger| {
             let root = space.allocate(logger)?;
-            let mut g = core.pool.fix_x(root)?; // latch-rank: 2
+            let mut g = core.pool.fix_x(root)?;
             g.format(root, PageType::IndexLeaf, index_id.0, 0);
             let lsn = logger.update(
                 RmId::Index,
@@ -205,7 +209,7 @@ impl BTree {
     /// Test/experiment hook: acquire the X tree latch, simulating an SMO in
     /// progress (used by the Figure 3 scenario and the SMO ablation bench).
     pub fn hold_tree_latch_x(&self) -> TreeXGuard<'_> {
-        self.tree_x() // latch-rank: 1
+        self.tree_x()
     }
 
     /// Test/experiment hook: set or clear the SM_Bit / Delete_Bit on a page,
@@ -217,7 +221,7 @@ impl BTree {
         sm_bit: Option<bool>,
         delete_bit: Option<bool>,
     ) -> Result<()> {
-        let mut g = self.pool.fix_x(page)?; // latch-rank: 2
+        let mut g = self.pool.fix_x(page)?;
         if let Some(v) = sm_bit {
             g.set_sm_bit(v);
         }

@@ -105,7 +105,7 @@ impl IndexRm {
         };
         // Page-oriented attempt.
         {
-            let mut g = self.pool.fix_x(rec.page)?; // latch-rank: 2
+            let mut g = self.pool.fix_x(rec.page)?;
             if Self::is_leaf_of(&g, tree)
                 && leaf_contains(&g, key)?.is_some()
                 && g.slot_count() > 1
@@ -121,12 +121,12 @@ impl IndexRm {
         // run a page-delete SMO if removing the key empties the page —
         // condition 4).
         self.stats.undo_logical.bump();
-        let _tx = tree.tree_x(); // latch-rank: 1 (fresh)
+        let _tx = tree.tree_x();
         let search = SearchKey::from_key(key);
         let path = tree.descend_path(&search)?;
         let leaf_id = crate::smo::path_leaf(&path)?;
         let now_empty = {
-            let mut g = self.pool.fix_x(leaf_id)?; // latch-rank: 2
+            let mut g = self.pool.fix_x(leaf_id)?;
             if leaf_contains(&g, key)?.is_none() {
                 return Err(Error::CorruptPage {
                     page: leaf_id,
@@ -162,7 +162,7 @@ impl IndexRm {
         // Page-oriented attempt: right page, key *bounded* on it
         // (condition 3), and space available (condition 1).
         {
-            let mut g = self.pool.fix_x(rec.page)?; // latch-rank: 2
+            let mut g = self.pool.fix_x(rec.page)?;
             if Self::is_leaf_of(&g, tree) {
                 let idx = leaf_lower_bound(&g, &SearchKey::from_key(key))?;
                 let bounded = idx > 0 && idx < g.slot_count();
@@ -180,10 +180,10 @@ impl IndexRm {
         // (condition 1 — the SMO is logged with regular records and its own
         // dummy CLR, *before* the compensating insert, Figure 8's ordering).
         self.stats.undo_logical.bump();
-        let _tx = tree.tree_x(); // latch-rank: 1 (fresh)
+        let _tx = tree.tree_x();
         let search = SearchKey::from_key(key);
         let leaf_id = tree.split_smo(logger, &search, key.wire_len())?;
-        let mut g = self.pool.fix_x(leaf_id)?; // latch-rank: 2
+        let mut g = self.pool.fix_x(leaf_id)?;
         apply_body(&mut g, leaf_id, &clr_body)?;
         let lsn = logger.clr(RmId::Index, leaf_id, rec.prev_lsn, clr_body.encode());
         g.record_update(lsn);
@@ -201,6 +201,7 @@ impl ResourceManager for IndexRm {
         apply_body(page, rec.page, &body)
     }
 
+    #[deny(clippy::wildcard_enum_match_arm)]
     fn undo(&self, logger: &mut ChainLogger<'_>, rec: &LogRecord) -> Result<()> {
         let body = IndexBody::decode(&rec.body)?;
         match &body {
@@ -216,9 +217,17 @@ impl ResourceManager for IndexRm {
                 "PageRestore is a CLR body and can never be undone".into(),
             )),
             // SMO bodies: page-oriented inverse + physical restore CLR.
-            smo => {
-                let mut g = self.pool.fix_x(rec.page)?; // latch-rank: 2
-                undo_body(&mut g, rec.page, smo)?;
+            IndexBody::PageFormat { .. }
+            | IndexBody::SplitShrink { .. }
+            | IndexBody::ChainNext { .. }
+            | IndexBody::ChainPrev { .. }
+            | IndexBody::AddSeparator { .. }
+            | IndexBody::RemoveSeparator { .. }
+            | IndexBody::FreePage { .. }
+            | IndexBody::RootReplace { .. }
+            | IndexBody::RootCollapse { .. } => {
+                let mut g = self.pool.fix_x(rec.page)?;
+                undo_body(&mut g, rec.page, &body)?;
                 let clr_body = snapshot_restore_body(&g, body.index())?;
                 let lsn = logger.clr(RmId::Index, rec.page, rec.prev_lsn, clr_body.encode());
                 g.record_update(lsn);

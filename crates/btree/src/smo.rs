@@ -39,10 +39,10 @@ impl BTree {
     /// no ambiguity handling is needed).
     pub(crate) fn descend_path(&self, search: &SearchKey<'_>) -> Result<Vec<PageId>> {
         let mut path = vec![self.root];
-        let mut g = self.pool.fix_s(self.root)?; // latch-rank: 2
+        let mut g = self.pool.fix_s(self.root)?;
         while g.level() > 0 {
             let (_, child) = node_search(&g, search)?;
-            let cg = self.pool.fix_s(child)?; // latch-rank: 2
+            let cg = self.pool.fix_s(child)?;
             drop(g);
             g = cg;
             path.push(child);
@@ -52,7 +52,7 @@ impl BTree {
 
     /// Fix `page` exclusive, apply `body`, log it, stamp the page LSN.
     fn smo_action(&self, logger: &mut ChainLogger<'_>, page: PageId, body: IndexBody) -> Result<()> {
-        let mut g = self.pool.fix_x(page)?; // latch-rank: 2
+        let mut g = self.pool.fix_x(page)?;
         apply_body(&mut g, page, &body)?;
         let lsn = logger.update(RmId::Index, page, body.encode());
         g.record_update(lsn);
@@ -63,12 +63,12 @@ impl BTree {
     /// the root becomes a nonleaf one level higher whose only child is it.
     /// Returns the new child holding the old content.
     fn root_grow(&self, logger: &mut ChainLogger<'_>) -> Result<PageId> {
-        let mut g = self.pool.fix_x(self.root)?; // latch-rank: 2
+        let mut g = self.pool.fix_x(self.root)?;
         let cells = raw_cells(&g)?;
         let level = g.level();
         let child = self.space.allocate(logger)?;
         {
-            let mut cg = self.pool.fix_x(child)?; // latch-rank: 2
+            let mut cg = self.pool.fix_x(child)?;
             let body = IndexBody::PageFormat {
                 index: self.index_id,
                 level,
@@ -108,7 +108,7 @@ impl BTree {
             idx = 1;
         }
         let target = path[idx];
-        let mut g = self.pool.fix_x(target)?; // latch-rank: 2
+        let mut g = self.pool.fix_x(target)?;
         let cells = raw_cells(&g)?;
         if cells.len() < 2 {
             return Err(Error::Internal(format!(
@@ -145,7 +145,7 @@ impl BTree {
         let new_page = self.space.allocate(logger)?;
         crash_point!("smo.split.allocated");
         {
-            let mut ng = self.pool.fix_x(new_page)?; // latch-rank: 2
+            let mut ng = self.pool.fix_x(new_page)?;
             let body = IndexBody::PageFormat {
                 index: self.index_id,
                 level,
@@ -206,7 +206,7 @@ impl BTree {
     ) -> Result<()> {
         loop {
             let pa = path[idx];
-            let mut g = self.pool.fix_x(pa)?; // latch-rank: 2
+            let mut g = self.pool.fix_x(pa)?;
             let slot = node_find_child(&g, left)?;
             // Worst-case growth: the replaced cell grows by sep's bytes and
             // one new cell (≈ the old cell's size) plus a slot is added.
@@ -234,7 +234,7 @@ impl BTree {
             let sibling = self.split_one(logger, path, idx)?;
             idx += path.len() - depth;
             let pa = path[idx];
-            let g = self.pool.fix_s(pa)?; // latch-rank: 2 (fresh)
+            let g = self.pool.fix_s(pa)?;
             let in_left = node_find_child(&g, left).is_ok();
             drop(g);
             if !in_left {
@@ -257,7 +257,7 @@ impl BTree {
         let mut path = self.descend_path(search)?;
         let leaf = path_leaf(&path)?;
         {
-            let g = self.pool.fix_s(leaf)?; // latch-rank: 2
+            let g = self.pool.fix_s(leaf)?;
             if g.total_free() >= need + SLOT_LEN {
                 return Ok(leaf); // someone already made room
             }
@@ -292,7 +292,7 @@ impl BTree {
             if victim_idx == 0 {
                 // The root is never freed. If it is an empty nonleaf (its
                 // last child was just deleted), collapse it to an empty leaf.
-                let mut g = self.pool.fix_x(self.root)?; // latch-rank: 2
+                let mut g = self.pool.fix_x(self.root)?;
                 if g.level() > 0 && g.slot_count() == 0 {
                     let body = IndexBody::RootCollapse {
                         index: self.index_id,
@@ -307,7 +307,7 @@ impl BTree {
                 break;
             }
             let (prev, next, level, empty) = {
-                let g = self.pool.fix_s(victim)?; // latch-rank: 2
+                let g = self.pool.fix_s(victim)?;
                 (g.prev(), g.next(), g.level(), g.slot_count() == 0)
             };
             if !empty {
@@ -340,7 +340,7 @@ impl BTree {
             // Remove the parent's separator for the victim.
             let pa = path[victim_idx - 1];
             let pa_empty = {
-                let mut g = self.pool.fix_x(pa)?; // latch-rank: 2
+                let mut g = self.pool.fix_x(pa)?;
                 let slot = node_find_child(&g, victim)?;
                 let cell = node_cell(&g, slot)?;
                 let dropped_high = if cell.high_key.is_none() && slot > 0 {
@@ -363,7 +363,7 @@ impl BTree {
             crash_point!("smo.delete.sep_removed");
             // Free the victim page.
             {
-                let mut g = self.pool.fix_x(victim)?; // latch-rank: 2
+                let mut g = self.pool.fix_x(victim)?;
                 let body = IndexBody::FreePage {
                     index: self.index_id,
                     level,

@@ -164,13 +164,13 @@ impl BTree {
             // Latch the root; upgrade to X if it is itself the leaf we must
             // modify. (The root's identity is fixed, but its *level* can
             // change under an SMO, hence the re-checks.)
-            let root_guard = self.pool.fix_s(self.root)?; // latch-rank: 2
+            let root_guard = self.pool.fix_s(self.root)?;
             let mut parent: PageReadGuard = if root_guard.level() == 0 {
                 if !for_update {
                     return Ok(LeafGuard::S(root_guard));
                 }
                 drop(root_guard);
-                let gx = self.pool.fix_x(self.root)?; // latch-rank: 2 (fresh)
+                let gx = self.pool.fix_x(self.root)?;
                 if gx.level() == 0 {
                     return Ok(LeafGuard::X(gx));
                 }
@@ -206,8 +206,8 @@ impl BTree {
                     drop(parent);
                     self.stats.traversal_restarts.bump();
                     {
-                        let _t = (!tree_latched).then(|| self.tree_s()); // latch-rank: 1 (fresh)
-                        let mut g = self.pool.fix_x(ambiguous_page)?; // latch-rank: 2
+                        let _t = (!tree_latched).then(|| self.tree_s());
+                        let mut g = self.pool.fix_x(ambiguous_page)?;
                         if g.sm_bit()
                             && g.owner() == self.index_id.0
                             && matches!(g.page_type(), Ok(PageType::IndexNonLeaf))
@@ -224,25 +224,25 @@ impl BTree {
                 let (_slot, child_id) = node_search(&parent, search)?;
                 let child_level = level - 1;
                 if child_level == 0 && for_update {
-                    let child = self.pool.fix_x(child_id)?; // latch-rank: 2
+                    let child = self.pool.fix_x(child_id)?;
                     drop(parent);
                     if !valid_page(&child, self, 0) {
                         drop(child);
                         self.stats.traversal_restarts.bump();
                         if !tree_latched {
-                            self.tree_instant_s(); // latch-rank: 1 (fresh)
+                            self.tree_instant_s();
                         }
                         continue 'restart;
                     }
                     return Ok(LeafGuard::X(child));
                 }
-                let child = self.pool.fix_s(child_id)?; // latch-rank: 2
+                let child = self.pool.fix_s(child_id)?;
                 drop(parent);
                 if !valid_page(&child, self, child_level) {
                     drop(child);
                     self.stats.traversal_restarts.bump();
                     if !tree_latched {
-                        self.tree_instant_s(); // latch-rank: 1 (fresh)
+                        self.tree_instant_s();
                     }
                     continue 'restart;
                 }

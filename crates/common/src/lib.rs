@@ -10,6 +10,10 @@
 //!
 //! Nothing here knows about transactions, logging, or B+-trees.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+
 pub mod codec;
 pub mod error;
 pub mod ids;

@@ -16,6 +16,10 @@ pub struct TempDir {
 
 impl TempDir {
     /// Create a fresh directory, e.g. `/tmp/ariesim-12345-7-mylabel`.
+    #[expect(
+        clippy::expect_used,
+        reason = "test-support only; tmpdir creation failure is unrecoverable environment breakage"
+    )]
     pub fn new(label: &str) -> TempDir {
         let n = NEXT.fetch_add(1, Ordering::Relaxed); // ordering: unique-id counter; only uniqueness matters, not order
         let path = std::env::temp_dir().join(format!(

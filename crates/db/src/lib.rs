@@ -16,6 +16,10 @@
 //! crash at an *earlier* instant (e.g. mid-SMO, before a dummy CLR reached
 //! disk — the Figure 11 family of states).
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+
 pub mod catalog;
 pub mod table;
 pub mod verify;

@@ -184,7 +184,7 @@ impl Db {
         let Some(mut key) = first else {
             return Ok(out);
         };
-        let mut cursor = cursor.expect("cursor accompanies a found key");
+        let mut cursor = cursor.ok_or_else(|| Error::Internal("key without a cursor".into()))?;
         loop {
             if key.value.as_slice() >= to {
                 break; // the stop key is locked: the range edge is protected

@@ -20,6 +20,10 @@
 //! the ARIES/KVL baseline, and the per-index EOF name used when a fetch runs
 //! off the right edge of the index (paper §2.2).
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+
 pub mod manager;
 pub mod mode;
 pub mod name;

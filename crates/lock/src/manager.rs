@@ -148,9 +148,15 @@ impl LockManager {
         duration: LockDuration,
         conditional: bool,
     ) -> Result<()> {
+        if !conditional {
+            // §2.2: a request that may wait holds no tree or page latch,
+            // whether or not it waits.
+            self.obs.monitor.on_unconditional_lock_request();
+        }
         let cell;
         {
-            let mut st = self.lock_state("lock::manager::request");
+            let mut guard = self.lock_state("lock::manager::request");
+            let st = &mut *guard;
             let head = st.heads.entry(name.clone()).or_default();
 
             if let Some(gi) = head.find_granted(txn) {
@@ -177,11 +183,19 @@ impl LockManager {
                     self.stats.lock_conditional_denials.bump();
                     return Err(Error::WouldBlock);
                 }
-                cell = self.enqueue(&mut st, txn, name.clone(), mode, duration, true)?;
+                cell = self.enqueue(st, txn, name.clone(), mode, duration, true)?;
             } else {
                 let grantable = head.queue.is_empty() && head.compatible_with_others(txn, mode);
                 if grantable {
-                    self.grant_now(&mut st, txn, &name, mode, duration);
+                    // An instant lock evaporates on grant: it is never recorded.
+                    if duration != LockDuration::Instant {
+                        head.granted.push(Granted {
+                            txn,
+                            mode,
+                            duration,
+                        });
+                        st.txn_locks.entry(txn).or_default().insert(name.clone());
+                    }
                     self.note_grant(&name, duration);
                     return Ok(());
                 }
@@ -189,12 +203,10 @@ impl LockManager {
                     self.stats.lock_conditional_denials.bump();
                     return Err(Error::WouldBlock);
                 }
-                cell = self.enqueue(&mut st, txn, name.clone(), mode, duration, false)?;
+                cell = self.enqueue(st, txn, name.clone(), mode, duration, false)?;
             }
         }
-        // Wait outside the table mutex. Blocking here while holding a tree
-        // or page latch would violate the §2.2 protocol — the monitor checks.
-        self.obs.monitor.on_unconditional_lock_wait();
+        // Wait outside the table mutex.
         let wait_span = self.obs.span(SpanKind::LockWait, txn.0, 0);
         self.stats.lock_waits.bump();
         let mut s = cell.state.lock();
@@ -232,29 +244,12 @@ impl LockManager {
         }
     }
 
-    fn grant_now(
-        &self,
-        st: &mut State,
-        txn: TxnId,
-        name: &LockName,
-        mode: LockMode,
-        duration: LockDuration,
-    ) {
-        if duration == LockDuration::Instant {
-            // Never recorded: the lock evaporates on grant.
-            return;
-        }
-        let head = st.heads.get_mut(name).expect("head exists");
-        head.granted.push(Granted {
-            txn,
-            mode,
-            duration,
-        });
-        st.txn_locks.entry(txn).or_default().insert(name.clone());
-    }
-
     /// Queue a waiter; returns its wait cell, or `Error::Deadlock` if adding
     /// the edge would close a waits-for cycle through `txn`.
+    #[expect(
+        clippy::expect_used,
+        reason = "head exists: key re-checked under the same state-mutex critical section (two identical sites)"
+    )]
     fn enqueue(
         &self,
         st: &mut State,
@@ -289,12 +284,7 @@ impl LockManager {
         if self.would_deadlock(st, txn) {
             // Remove the waiter we just added and fail the request.
             let head = st.heads.get_mut(&name).expect("head exists");
-            let pos = head
-                .queue
-                .iter()
-                .position(|w| w.txn == txn && Arc::ptr_eq(&w.cell, &cell))
-                .expect("waiter we just queued");
-            head.queue.remove(pos);
+            head.queue.retain(|w| !Arc::ptr_eq(&w.cell, &cell));
             self.stats.deadlocks.bump();
             return Err(Error::Deadlock { txn });
         }
@@ -381,6 +371,10 @@ impl LockManager {
                 };
 
                 if grantable {
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "index came from enumerate() over the same queue under the mutex"
+                    )]
                     let w = head.queue.remove(i).expect("index in range");
                     if w.duration != LockDuration::Instant {
                         match head.granted.iter_mut().find(|g| g.txn == w.txn) {

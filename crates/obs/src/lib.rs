@@ -16,6 +16,10 @@
 //! `bool`. Invariant monitoring is always on — it is the cheapest pillar (a
 //! thread-local increment) and the most valuable one.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+
 pub mod hist;
 pub mod json;
 pub mod monitor;

@@ -162,7 +162,7 @@ pub struct Monitor {
     max_latch_depth: AtomicU64,
     /// Times a thread exceeded [`MAX_PAGE_LATCHES`].
     latch_depth_violations: AtomicU64,
-    /// Times a thread blocked unconditionally on a lock while latched.
+    /// Unconditional lock requests made while latched.
     lock_wait_with_latch_violations: AtomicU64,
     /// Blocking acquisitions against the rank order.
     latch_order_violations: AtomicU64,
@@ -217,9 +217,10 @@ impl Monitor {
         });
     }
 
-    /// The calling thread is about to block (unconditionally) on a lock.
-    /// Legal only with no tree or page latch held (§2.2).
-    pub fn on_unconditional_lock_wait(&self) {
+    /// The calling thread makes an unconditional lock request, one that
+    /// may block. Legal only with no tree or page latch held (§2.2), whether
+    /// or not this request ends up waiting.
+    pub fn on_unconditional_lock_request(&self) {
         if HELD.get() & (Class::TreeLatch.field() | Class::PageLatch.field()) != 0 {
             self.lock_wait_with_latch_violations
                 .fetch_add(1, Ordering::Relaxed);
@@ -314,7 +315,7 @@ mod tests {
     #[test]
     fn legal_order_is_clean() {
         let s = run(|m| {
-            m.on_unconditional_lock_wait(); // nothing held: fine
+            m.on_unconditional_lock_request(); // nothing held: fine
             let tree = m.acquired(TreeLatch, "tree", true);
             let parent = m.acquired(PageLatch, "parent", true);
             let child = m.acquired(PageLatch, "child", true); // coupling
@@ -344,7 +345,7 @@ mod tests {
     fn lock_wait_under_a_page_latch_is_counted() {
         let s = run(|m| {
             let _page = m.acquired(PageLatch, "fix", true);
-            m.on_unconditional_lock_wait();
+            m.on_unconditional_lock_request();
         });
         assert_eq!(s.lock_wait_with_latch_violations, 1, "{s:?}");
     }
@@ -353,7 +354,7 @@ mod tests {
     fn lock_wait_under_the_tree_latch_is_counted() {
         let s = run(|m| {
             let _tree = m.acquired(TreeLatch, "smo", true);
-            m.on_unconditional_lock_wait();
+            m.on_unconditional_lock_request();
         });
         assert_eq!(s.lock_wait_with_latch_violations, 1, "{s:?}");
     }

@@ -200,7 +200,7 @@ impl HeapManager {
     pub fn create_file(&self, txn: &TxnHandle, table: TableId) -> Result<PageId> {
         txn.with_logger(&self.log, |logger| {
             let page = self.space_map.allocate(logger)?;
-            let mut g = self.pool.fix_x(page)?; // latch-rank: 2
+            let mut g = self.pool.fix_x(page)?;
             g.format(page, PageType::Heap, table.0, 0);
             let lsn = logger.update(RmId::Heap, page, HeapBody::Format { table }.encode());
             g.record_update(lsn);
@@ -234,7 +234,7 @@ impl HeapManager {
             let picked = self.space.lock().pick(first_page, need);
             let (page, mut g) = match picked {
                 Ok(page) => {
-                    let g = self.pool.fix_x(page)?; // latch-rank: 2
+                    let g = self.pool.fix_x(page)?;
                     if !self.has_room(first_page, PageId::NULL, page, &g, need) {
                         continue; // another transaction took the room first
                     }
@@ -336,7 +336,7 @@ impl HeapManager {
         need: usize,
     ) -> Result<(PageId, PageWriteGuard<'_>)> {
         let mut prev = PageId::NULL;
-        let mut g = self.pool.fix_x(page)?; // latch-rank: 2
+        let mut g = self.pool.fix_x(page)?;
         loop {
             if self.has_room(file, prev, page, &g, need) {
                 return Ok((page, g));
@@ -348,7 +348,7 @@ impl HeapManager {
             } else {
                 drop(g);
                 page = next;
-                g = self.pool.fix_x(page)?; // latch-rank: 2
+                g = self.pool.fix_x(page)?;
             }
         }
     }
@@ -366,7 +366,7 @@ impl HeapManager {
         let token = txn.begin_nta();
         let (new_page, ng) = txn.with_logger(&self.log, |logger| -> Result<_> {
             let new_page = self.space_map.allocate(logger)?;
-            let mut ng = self.pool.fix_x(new_page)?; // latch-rank: 2
+            let mut ng = self.pool.fix_x(new_page)?;
             ng.format(new_page, PageType::Heap, table.0, 0);
             let lsn = logger.update(RmId::Heap, new_page, HeapBody::Format { table }.encode());
             ng.record_update(lsn);
@@ -399,7 +399,7 @@ impl HeapManager {
             LockDuration::Commit,
             false,
         )?;
-        let mut g = self.pool.fix_x(rid.page)?; // latch-rank: 2
+        let mut g = self.pool.fix_x(rid.page)?;
         let data = g.free_cell(rid.slot).map_err(|_| Error::BadRid { rid })?;
         let lsn = txn.with_logger(&self.log, |l| {
             l.update(
@@ -436,7 +436,7 @@ impl HeapManager {
                 false,
             )?;
         }
-        let g = self.pool.fix_s(rid.page)?; // latch-rank: 2
+        let g = self.pool.fix_s(rid.page)?;
         g.cell(rid.slot.0)
             .map(|c| c.to_vec())
             .ok_or(Error::BadRid { rid })
@@ -456,7 +456,7 @@ impl HeapManager {
             LockDuration::Commit,
             false,
         )?;
-        let mut g = self.pool.fix_x(rid.page)?; // latch-rank: 2
+        let mut g = self.pool.fix_x(rid.page)?;
         let old = g.cell(rid.slot.0).ok_or(Error::BadRid { rid })?.to_vec();
         let reserved = self.space.lock().resv.reserved(rid.page);
         if new.len() > old.len() && g.total_free() + old.len() < new.len() + reserved {
@@ -494,7 +494,7 @@ impl HeapManager {
         let mut out = Vec::new();
         let mut page = first_page;
         while !page.is_null() {
-            let g = self.pool.fix_s(page)?; // latch-rank: 2
+            let g = self.pool.fix_s(page)?;
             for i in 0..g.slot_count() {
                 if let Some(c) = g.cell(i) {
                     out.push((
@@ -517,6 +517,7 @@ impl ResourceManager for HeapManager {
         RmId::Heap
     }
 
+    #[deny(clippy::wildcard_enum_match_arm)]
     fn redo(&self, page: &mut PageBuf, rec: &LogRecord) -> Result<()> {
         match HeapBody::decode(&rec.body)? {
             HeapBody::Insert { slot, data, .. } => page.alloc_cell_at(slot, &data),
@@ -534,10 +535,11 @@ impl ResourceManager for HeapManager {
         }
     }
 
+    #[deny(clippy::wildcard_enum_match_arm)]
     fn undo(&self, logger: &mut ChainLogger<'_>, rec: &LogRecord) -> Result<()> {
         // Heap undo is always page-oriented: RIDs are stable, and
         // reservations guarantee re-insert space.
-        let mut g = self.pool.fix_x(rec.page)?; // latch-rank: 2
+        let mut g = self.pool.fix_x(rec.page)?;
         let clr_body = match HeapBody::decode(&rec.body)? {
             HeapBody::Insert { table, slot, data } => {
                 g.free_cell(slot)?;

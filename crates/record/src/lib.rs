@@ -26,6 +26,10 @@
 //! on from the book's tail. The book starts empty after open and restart,
 //! and fills by one walk on the first insert.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+
 pub mod body;
 pub mod heap;
 

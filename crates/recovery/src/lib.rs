@@ -22,11 +22,14 @@
 //! Media recovery ([`media`]): fuzzy image copy + per-page roll-forward, the
 //! paper's §5 claim that index pages are recoverable page-oriented from a
 //! dump without any tree traversal.
-
 //!
 //! Continuous redo ([`continuous`]): the redo pass in resumable form, for a
 //! log-shipping standby that repeats history forever and only runs the full
 //! three passes when promoted.
+
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
 
 pub mod continuous;
 pub mod media;

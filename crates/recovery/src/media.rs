@@ -32,7 +32,7 @@ impl ImageCopy {
         let start_lsn = core.log.next_lsn();
         let mut map = HashMap::with_capacity(pages.len());
         for &p in pages {
-            let g = core.pool.fix_s(p)?; // latch-rank: 2
+            let g = core.pool.fix_s(p)?;
             map.insert(p, PageBuf::from_bytes(g.as_bytes().as_slice())?);
         }
         Ok(ImageCopy {
@@ -77,7 +77,7 @@ impl ImageCopy {
     /// the buffer pool (used after simulating the loss of a disk page).
     pub fn restore_into(&self, core: &Core, page: PageId) -> Result<()> {
         let img = self.recover_page(core, page)?;
-        let mut g = core.pool.fix_x(page)?; // latch-rank: 2
+        let mut g = core.pool.fix_x(page)?;
         let lsn = img.page_lsn();
         *g.as_bytes_mut() = *img.as_bytes();
         g.record_update(lsn);

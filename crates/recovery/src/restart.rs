@@ -58,7 +58,7 @@ pub(crate) fn redo_record<'p>(
         Some(p) if p.page() == rec.page => p,
         _ => core.pool.pin(rec.page)?,
     };
-    let mut g = pin.latch_x()?; // latch-rank: 2
+    let mut g = pin.latch_x()?;
     *pinned = Some(pin);
     if g.page_lsn() >= rec.lsn {
         return Ok(false);
@@ -73,6 +73,7 @@ pub(crate) fn redo_record<'p>(
 /// trees logical undo needs) must already be registered. Call before any new
 /// transaction starts; the core must be freshly opened over the crashed
 /// directory.
+#[deny(clippy::wildcard_enum_match_arm)]
 pub fn restart(core: &Core) -> Result<RestartOutcome> {
     let Core {
         log,
@@ -242,7 +243,11 @@ pub fn restart(core: &Core) -> Result<RestartOutcome> {
             RecordKind::Clr | RecordKind::DummyClr => {
                 next_undo.insert(txn, rec.undo_next_lsn);
             }
-            _ => {
+            RecordKind::Commit
+            | RecordKind::Abort
+            | RecordKind::End
+            | RecordKind::CkptBegin
+            | RecordKind::CkptEnd => {
                 next_undo.insert(txn, rec.prev_lsn);
             }
         }

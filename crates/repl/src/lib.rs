@@ -23,6 +23,10 @@
 //! what was pulled, the replication analogue of losing the unflushed log
 //! tail in a crash.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+
 pub mod standby;
 
 pub use standby::Standby;

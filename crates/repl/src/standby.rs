@@ -173,7 +173,7 @@ impl Standby {
             match tree.get_unlocked(value) {
                 Ok(None) => return Ok(None),
                 Ok(Some(key)) => {
-                    let g = self.db.pool.fix_s(key.rid.page)?; // latch-rank: 2
+                    let g = self.db.pool.fix_s(key.rid.page)?;
                     let bytes = g
                         .cell(key.rid.slot.0)
                         .map(|c| c.to_vec())

@@ -20,6 +20,10 @@
 //! stable state a crash would leave — only flushed log and previously
 //! written pages survive.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+
 pub mod disk;
 pub mod eviction;
 pub mod pool;

@@ -25,6 +25,10 @@
 //! transaction manager over one `Stats` and one `Obs` — and [`Core::open`]
 //! the one place that assembles it.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+
 pub mod core;
 pub mod manager;
 pub mod undo;

@@ -19,6 +19,7 @@ use crate::manager::RmRegistry;
 ///
 /// `restart` selects restart-undo behaviour in the resource managers (no
 /// lock acquisition).
+#[deny(clippy::wildcard_enum_match_arm)]
 pub fn undo_chain(
     log: &LogManager,
     rms: &RmRegistry,
@@ -49,7 +50,11 @@ pub fn undo_chain(
                 ariesim_fault::crash_point!("undo.skip_clr");
                 next = rec.undo_next_lsn;
             }
-            _ => next = rec.prev_lsn,
+            RecordKind::Commit
+            | RecordKind::Abort
+            | RecordKind::End
+            | RecordKind::CkptBegin
+            | RecordKind::CkptEnd => next = rec.prev_lsn,
         }
     }
     Ok(logger.last_lsn)

@@ -22,6 +22,10 @@
 //! ARIES's resource-manager architecture: recovery dispatches bodies back to
 //! the RM identified by [`record::RmId`].
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+
 pub mod frame;
 pub mod manager;
 pub mod record;

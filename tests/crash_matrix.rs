@@ -8,6 +8,37 @@
 //! keeps CI honest without the extra hit-count variants.
 
 use ariesim_bench::torture::{run_torture, TortureConfig};
+use std::collections::BTreeMap;
+use std::fs;
+use std::path::Path;
+
+/// Each `crash_point!("name")` in `crates/*/src` with its number of
+/// declarations, skipping comment lines and a file's trailing
+/// `#[cfg(test)] mod`.
+fn declared_crash_points() -> BTreeMap<String, usize> {
+    let crates = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates");
+    let (mut names, mut todo) = (BTreeMap::new(), vec![crates.clone()]);
+    while let Some(path) = todo.pop() {
+        let in_src = path.strip_prefix(&crates).unwrap().iter().nth(1) == Some("src".as_ref());
+        if path.is_dir() {
+            todo.extend(fs::read_dir(&path).unwrap().map(|e| e.unwrap().path()));
+        } else if in_src && path.extension() == Some("rs".as_ref()) {
+            let text = fs::read_to_string(&path).unwrap();
+            let code = text.lines().filter(|l| !l.trim_start().starts_with("//"));
+            let lines: Vec<&str> = code.collect();
+            let test_mod =
+                |w: &[&str]| w[0].trim() == "#[cfg(test)]" && w[1].trim().starts_with("mod ");
+            let end = lines.windows(2).position(test_mod).unwrap_or(lines.len());
+            for line in &lines[..end] {
+                for rest in line.split("crash_point!(\"").skip(1) {
+                    let name = rest.split('"').next().unwrap_or_default();
+                    *names.entry(name.to_string()).or_insert(0) += 1;
+                }
+            }
+        }
+    }
+    names
+}
 
 #[test]
 fn crash_matrix_bounded_enumeration() {
@@ -33,13 +64,13 @@ fn crash_matrix_bounded_enumeration() {
         failures.join("\n  ")
     );
 
-    // The workload must keep reaching the instrumented boundaries: ISSUE 3's
-    // acceptance floor is 25 distinct registered points.
-    assert!(
-        report.points.len() >= 25,
-        "only {} distinct crash points enumerated (expected >= 25): {:?}",
-        report.points.len(),
-        report.points
+    // Every crash point in the source is declared once and reached by the
+    // workload, and the workload reaches no other.
+    let reached: BTreeMap<String, usize> = report.points.iter().map(|p| (p.clone(), 1)).collect();
+    assert_eq!(
+        declared_crash_points(),
+        reached,
+        "crash_point! names in crates/*/src (left) against the names torture reached (right)"
     );
 
     // Every armed run must actually have crashed — an unfired hit-1 arm of a
@@ -54,21 +85,4 @@ fn crash_matrix_bounded_enumeration() {
         unfired.is_empty(),
         "recorded points did not fire when armed (nondeterministic workload?): {unfired:?}"
     );
-
-    // Spot-check the coverage: the Figure 9/10 dummy-CLR windows and the WAL
-    // torn-tail point must be in the enumeration.
-    for must in [
-        "smo.split.before_dummy_clr",
-        "smo.split.after_dummy_clr",
-        "smo.delete.before_dummy_clr",
-        "smo.delete.after_dummy_clr",
-        "wal.flush.mid",
-        "recovery.undo.step",
-    ] {
-        assert!(
-            report.points.iter().any(|p| p == must),
-            "crash point {must} missing from enumeration: {:?}",
-            report.points
-        );
-    }
 }

@@ -4,7 +4,7 @@
 //! ARIES/IM's concurrency and recovery story rests on invariants the
 //! `ariesim-obs` monitor checks at runtime: latch coupling never holds more
 //! than two page latches (§3), latches are taken in rank order (§4), no
-//! thread waits unconditionally for a lock while latched (§2.2), restart
+//! thread requests a lock unconditionally while latched (§2.2), restart
 //! redo is page-oriented — zero tree traversals (§10) — and no dirty page
 //! reaches disk before the log covers its page_LSN (the WAL rule, §1.2).
 //! These tests drive splits, lock contention, a crash and seeded
@@ -123,6 +123,33 @@ fn tree_latch_under_a_page_latch_is_an_order_violation() {
         (v.held, v.acquired, v.site),
         (Class::PageLatch, Class::TreeLatch, "btree::tree_x")
     );
+    assert!(!m.clean());
+}
+
+/// The no-wait rule is checked at the request, not only at the wait: an
+/// unconditional request made under a page latch is counted even when the
+/// lock is free and granted at once. A conditional request there is the
+/// legal §2.2 pattern and is not.
+#[test]
+fn unconditional_lock_request_under_a_page_latch_is_counted() {
+    use ariesim::lock::{LockDuration, LockMode, LockName};
+    let obs = Obs::enabled(1 << 10);
+    let f = rig(LockProtocol::DataOnly, false, FRAMES, obs.clone());
+    assert!(obs.monitor.snapshot().clean());
+
+    let txn = f.tm.begin();
+    let page = f.pool.fix_s(f.tree.root).unwrap();
+    let (x, c) = (LockMode::X, LockDuration::Commit);
+    let name = |n| LockName::Record(support::rid(n));
+    f.locks.request(txn.id, name(7), x, c, true).unwrap();
+    let conditional = obs.monitor.snapshot();
+    f.locks.request(txn.id, name(8), x, c, false).unwrap();
+    drop(page);
+    f.tm.commit(&txn).unwrap();
+
+    assert!(conditional.clean(), "a conditional request is legal");
+    let m = obs.monitor.snapshot();
+    assert_eq!(m.lock_wait_with_latch_violations, 1, "{m:?}");
     assert!(!m.clean());
 }
 
