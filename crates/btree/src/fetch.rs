@@ -24,6 +24,13 @@
 //! does. A quiet scan therefore pays one descent, in `open_scan`. The test is
 //! Figure 5's LSN revalidation applied across calls; DESIGN.md §4 states
 //! why it is sound.
+//!
+//! Fetch Next also runs: [`BTree::fetch_next_run`] locks the next key as
+//! Fetch Next does and then, under the same S latch, the keys after it on
+//! that leaf by conditional requests, up to the leaf's end, the first denial
+//! or the first key at or past a stop value. A range scan then pays one leaf
+//! latch per leaf rather than per key, and takes the same locks in the same
+//! order.
 
 use crate::node::{leaf_key, leaf_lower_bound};
 use crate::traverse::LeafGuard;
@@ -194,7 +201,7 @@ impl BTree {
             _ => SearchKey::value_only(value),
         };
         let r = self.locked_first(txn, &SearchKey::value_only(value), &from, None)?;
-        Ok(r.filter(|at| cond != FetchCond::Eq || at.last_key.value == value))
+        Ok(r.map(|(at, _)| at).filter(|at| cond != FetchCond::Eq || at.last_key.value == value))
     }
 
     /// Fetch Next per §2.3: the key following the cursor position, S-locked.
@@ -202,22 +209,118 @@ impl BTree {
     /// stop condition — the paper's protocol requires the terminating key to
     /// be locked, which has already happened by the time the caller sees it.
     pub fn fetch_next(&self, txn: &TxnHandle, cursor: &mut Cursor) -> Result<Option<IndexKey>> {
+        Ok(self.next_run(txn, cursor, None)?.then(|| cursor.last_key.clone()))
+    }
+
+    /// Open a scan at the first key with value ≥ `from`, as
+    /// [`open_scan`](Self::open_scan) does, and lock a run of the keys after
+    /// it as [`fetch_next_run`](Self::fetch_next_run) does. Appends the
+    /// locked keys to `run` and returns the cursor at the last of them,
+    /// or `None` with EOF locked and `run` untouched.
+    pub fn open_run(
+        &self,
+        txn: &TxnHandle,
+        from: &[u8],
+        stop: &[u8],
+        run: &mut Vec<IndexKey>,
+    ) -> Result<Option<Cursor>> {
+        self.stats.index_fetches.bump();
+        let from = SearchKey::value_only(from);
+        let Some((mut at, page)) = self.locked_first(txn, &from, &from, None)? else {
+            return Ok(None);
+        };
+        self.extend_run(txn, page.page(), &mut at, stop, run)?;
+        Ok(Some(at))
+    }
+
+    /// Fetch Next in runs: lock the key after the cursor exactly as
+    /// [`fetch_next`](Self::fetch_next) does, then, under the same S latch,
+    /// the keys after it on the same leaf by conditional requests. The run
+    /// ends at the end of that leaf, at the first key another transaction
+    /// holds (the next call waits for it the Figure 5 way), or right after
+    /// the first key with value ≥ `stop`, which is locked like the rest, so
+    /// the range edge is protected. Appends the locked keys to `run`, in key
+    /// order, and leaves the cursor at the last; returns `false`, with
+    /// nothing appended, once EOF is locked.
+    pub fn fetch_next_run(
+        &self,
+        txn: &TxnHandle,
+        cursor: &mut Cursor,
+        stop: &[u8],
+        run: &mut Vec<IndexKey>,
+    ) -> Result<bool> {
+        self.next_run(txn, cursor, Some((stop, run)))
+    }
+
+    /// The one Fetch Next path: lock the key after `cursor`, then extend
+    /// `run` along its leaf if one is given.
+    fn next_run(
+        &self,
+        txn: &TxnHandle,
+        cursor: &mut Cursor,
+        run: Option<(&[u8], &mut Vec<IndexKey>)>,
+    ) -> Result<bool> {
         self.stats.index_fetches.bump();
         let last = &cursor.last_key;
-        let r = self.locked_first(
+        let found = self.locked_first(
             txn,
             &SearchKey::from_key(last),
             &successor_search(last),
             Some(&*cursor),
         )?;
-        Ok(r.map(|at| {
-            *cursor = at;
-            cursor.last_key.clone()
-        }))
+        let Some((at, page)) = found else {
+            return Ok(false);
+        };
+        *cursor = at;
+        if let Some((stop, run)) = run {
+            self.extend_run(txn, page.page(), cursor, stop, run)?;
+        }
+        Ok(true)
     }
 
-    /// The first key ≥ `from`, S-locked for commit duration, and where it
-    /// sits — or `None` with the EOF name locked (§2.2, Figure 5).
+    /// Append `at`'s key to `run`, then lock the keys after it on `page`
+    /// (`at`'s page, still S-latched by the caller) conditionally, one at a
+    /// time in key order, until the page ends, a request is denied, or a key
+    /// with value ≥ `stop` has been locked. `at` moves to the last key
+    /// locked; its page_LSN needs no update, as the latch has been held
+    /// throughout.
+    fn extend_run(
+        &self,
+        txn: &TxnHandle,
+        page: &PageBuf,
+        at: &mut Cursor,
+        stop: &[u8],
+        run: &mut Vec<IndexKey>,
+    ) -> Result<()> {
+        run.push(at.last_key.clone());
+        let mut slot = at.slot;
+        while slot + 1 < page.slot_count() && run.last().is_some_and(|k| k.value.as_slice() < stop) {
+            let k = leaf_key(page, slot + 1)?;
+            match self.locks.request(
+                txn.id,
+                self.key_lock(&k),
+                LockMode::S,
+                LockDuration::Commit,
+                true,
+            ) {
+                Ok(()) => {}
+                Err(Error::WouldBlock) => break,
+                Err(e) => return Err(e),
+            }
+            slot += 1;
+            run.push(k);
+        }
+        self.stats.index_fetches.add(u64::from(slot - at.slot));
+        if let Some(k) = run.last().filter(|_| slot != at.slot) {
+            at.last_key = k.clone();
+            at.slot = slot;
+        }
+        Ok(())
+    }
+
+    /// The first key ≥ `from`, S-locked for commit duration, where it sits,
+    /// and the S-latched page it sits on — or `None` with the EOF name
+    /// locked (§2.2, Figure 5).
     ///
     /// The first attempt starts on `resume`'s leaf, at the slot after its
     /// key, if that leaf is unchanged; every other attempt starts on the
@@ -228,7 +331,7 @@ impl BTree {
         descend: &SearchKey<'_>,
         from: &SearchKey<'_>,
         mut resume: Option<&Cursor>,
-    ) -> Result<Option<Cursor>> {
+    ) -> Result<Option<(Cursor, LeafGuard<'_>)>> {
         loop {
             let remembered = match resume.take() {
                 Some(c) => self.remembered_leaf(c)?,
@@ -264,15 +367,17 @@ impl BTree {
                 true,
             ) {
                 Ok(()) => {
-                    // The position is read while the key's page is latched.
+                    // The position is read while the key's page is latched;
+                    // a key on the right neighbour lets go of `leaf`.
                     return Ok(found.map(|(k, slot, next)| {
-                        let page = next.as_deref().unwrap_or(leaf.page());
-                        Cursor {
+                        let page = next.map_or(leaf, LeafGuard::S);
+                        let at = Cursor {
                             last_key: k,
                             leaf: page.page_id(),
-                            leaf_lsn: page.page_lsn(),
+                            leaf_lsn: page.lsn(),
                             slot,
-                        }
+                        };
+                        (at, page)
                     }));
                 }
                 Err(Error::WouldBlock) => {
@@ -290,12 +395,13 @@ impl BTree {
                         if g.page_lsn() == noted {
                             // Nothing changed while we waited: the answer
                             // stands, still at `idx`.
-                            return Ok(Some(Cursor {
+                            let at = Cursor {
                                 last_key: leaf_key(&g, idx)?,
                                 leaf: leaf_id,
                                 leaf_lsn: noted,
                                 slot: idx,
-                            }));
+                            };
+                            return Ok(Some((at, LeafGuard::S(g))));
                         }
                     }
                     continue;

@@ -40,6 +40,9 @@ impl Row {
             .ok_or_else(|| Error::Internal(format!("row has no field {i}")))
     }
 
+    /// The row's stored image. Panics if a field is longer than
+    /// `u16::MAX` bytes; the engine encodes through
+    /// [`try_encode`](Self::try_encode).
     pub fn encode(&self) -> Vec<u8> {
         let mut w = Writer::new();
         w.u16(self.fields.len() as u16);
@@ -47,6 +50,17 @@ impl Row {
             w.bytes(f);
         }
         w.into_vec()
+    }
+
+    /// The row's stored image, or [`Error::TooLarge`] when the field count
+    /// or a field's length does not fit the image's u16 length prefix.
+    pub fn try_encode(&self) -> Result<Vec<u8>> {
+        let max = usize::from(u16::MAX);
+        let mut lens = std::iter::once(self.fields.len()).chain(self.fields.iter().map(Vec::len));
+        match lens.find(|&len| len > max) {
+            Some(len) => Err(Error::TooLarge { len, max }),
+            None => Ok(self.encode()),
+        }
     }
 
     pub fn decode(buf: &[u8]) -> Result<Row> {
@@ -98,7 +112,7 @@ impl Db {
         }
         let rid = self
             .heap
-            .insert(txn, tdef.id, tdef.first_page, &row.encode())?;
+            .insert(txn, tdef.id, tdef.first_page, &row.try_encode()?)?;
         for (column, tree) in indexes {
             let key = IndexKey::new(row.field(column)?.to_vec(), rid);
             tree.insert(txn, &key)?;
@@ -131,7 +145,8 @@ impl Db {
                 tdef.columns
             )));
         }
-        let old = Row::decode(&self.heap.update(txn, tdef.id, rid, &new.encode())?)?;
+        let image = new.try_encode()?;
+        let old = Row::decode(&self.heap.update(txn, tdef.id, rid, &image)?)?;
         for (column, tree) in indexes {
             let (ov, nv) = (old.field(column)?, new.field(column)?);
             if ov == nv {
@@ -154,22 +169,20 @@ impl Db {
         cond: FetchCond,
     ) -> Result<Option<(Rid, Row)>> {
         let tree = self.tree_by_name(index)?;
-        match tree.fetch(txn, value, cond)? {
-            FetchResult::Found(key) => {
-                let already_locked =
-                    tree.protocol == ariesim_btree::LockProtocol::DataOnly;
-                if !already_locked {
-                    // Index-specific locking: the record manager locks too.
-                }
-                let bytes = self.heap.fetch(txn, key.rid, already_locked)?;
-                Ok(Some((key.rid, Row::decode(&bytes)?)))
-            }
-            FetchResult::NotFound => Ok(None),
-        }
+        let FetchResult::Found(key) = tree.fetch(txn, value, cond)? else {
+            return Ok(None);
+        };
+        let mut rows = Vec::with_capacity(1);
+        self.read_rows(txn, &tree, &[key.rid], &mut rows)?;
+        Ok(rows.pop())
     }
 
     /// Range scan via an index: rows with indexed value in
     /// [`from`, `to`) — RR-correct (the terminating key gets locked too).
+    ///
+    /// The scan alternates two batched steps with no latch held between
+    /// them: lock a run of keys along one leaf under its S latch (§2.3),
+    /// then read the rows of the keys below `to`, one fix per heap page.
     pub fn scan_range(
         &self,
         txn: &TxnHandle,
@@ -178,25 +191,44 @@ impl Db {
         to: &[u8],
     ) -> Result<Vec<(Rid, Row)>> {
         let tree = self.tree_by_name(index)?;
-        let already_locked = tree.protocol == ariesim_btree::LockProtocol::DataOnly;
         let mut out = Vec::new();
-        let (first, cursor) = tree.open_scan(txn, from, FetchCond::Ge)?;
-        let Some(mut key) = first else {
-            return Ok(out);
+        let mut run = Vec::new();
+        let Some(mut cursor) = tree.open_run(txn, from, to, &mut run)? else {
+            return Ok(out); // EOF locked
         };
-        let mut cursor = cursor.ok_or_else(|| Error::Internal("key without a cursor".into()))?;
+        let mut rids = Vec::new();
         loop {
-            if key.value.as_slice() >= to {
+            let below = run.partition_point(|k| k.value.as_slice() < to);
+            rids.clear();
+            rids.extend(run[..below].iter().map(|k| k.rid));
+            self.read_rows(txn, &tree, &rids, &mut out)?;
+            if below < run.len() {
                 break; // the stop key is locked: the range edge is protected
             }
-            let bytes = self.heap.fetch(txn, key.rid, already_locked)?;
-            out.push((key.rid, Row::decode(&bytes)?));
-            match tree.fetch_next(txn, &mut cursor)? {
-                Some(k) => key = k,
-                None => break, // EOF lock taken by fetch_next
+            run.clear();
+            if !tree.fetch_next_run(txn, &mut cursor, to, &mut run)? {
+                break; // EOF locked
             }
         }
         Ok(out)
+    }
+
+    /// Append the rows at `rids`, found through `tree`, to `out`, each
+    /// decoded in place on its heap page. Under data-only locking the
+    /// tree's key locks are the record locks (§2.1); otherwise the record
+    /// manager locks the records first.
+    fn read_rows(
+        &self,
+        txn: &TxnHandle,
+        tree: &BTree,
+        rids: &[Rid],
+        out: &mut Vec<(Rid, Row)>,
+    ) -> Result<()> {
+        let already_locked = tree.protocol == ariesim_btree::LockProtocol::DataOnly;
+        self.heap.fetch_run(txn, rids, already_locked, |rid, cell| {
+            out.push((rid, Row::decode(cell)?));
+            Ok(())
+        })
     }
 
     /// Look up an opened tree handle by index name.

@@ -260,3 +260,40 @@ fn scan_range_honours_bounds() {
     assert_eq!(hits[9].1.field(0).unwrap(), b"0029");
     db.commit(&txn).unwrap();
 }
+
+#[test]
+fn a_field_too_long_for_a_row_image_is_refused_before_the_heap() {
+    let dir = TempDir::new("db");
+    let db = open(&dir);
+    setup_accounts(&db);
+    let txn = db.begin();
+    let rid = db.insert_row(&txn, "accounts", &account(1, "north", 100)).unwrap();
+    db.commit(&txn).unwrap();
+    let first_page = db.table_first_page("accounts").unwrap();
+    let before = db.heap.scan_all(first_page).unwrap();
+
+    let huge = |mut row: Row| {
+        row.fields[2] = vec![b'9'; 70_000];
+        row
+    };
+    let txn = db.begin();
+    let err = db.insert_row(&txn, "accounts", &huge(account(2, "south", 200)));
+    assert!(matches!(err, Err(Error::TooLarge { len: 70_000, .. })), "{err:?}");
+    let err = db.update_row(&txn, "accounts", rid, &huge(account(1, "north", 100)));
+    assert!(matches!(err, Err(Error::TooLarge { len: 70_000, .. })), "{err:?}");
+    db.commit(&txn).unwrap();
+
+    assert_eq!(db.heap.scan_all(first_page).unwrap(), before);
+    let txn = db.begin();
+    let (_, row) = db
+        .fetch_via(&txn, "accounts_pk", b"acct-000001", FetchCond::Eq)
+        .unwrap()
+        .unwrap();
+    assert_eq!(row, account(1, "north", 100));
+    assert!(db
+        .fetch_via(&txn, "accounts_pk", b"acct-000002", FetchCond::Eq)
+        .unwrap()
+        .is_none());
+    db.commit(&txn).unwrap();
+    db.verify_consistency().unwrap();
+}

@@ -420,26 +420,51 @@ impl HeapManager {
         Ok(data)
     }
 
-    /// Fetch the record at `rid`.
+    /// Fetch the record at `rid`: [`fetch_run`](Self::fetch_run) of one RID.
+    pub fn fetch(&self, txn: &TxnHandle, rid: Rid, already_locked: bool) -> Result<Vec<u8>> {
+        let mut out = Vec::new();
+        self.fetch_run(txn, &[rid], already_locked, |_, cell| {
+            out.extend_from_slice(cell);
+            Ok(())
+        })?;
+        Ok(out)
+    }
+
+    /// Hand the record at each of `rids` to `f`, in order, in place on its
+    /// S-latched page: `f` must take no latch or lock.
     ///
     /// With data-only locking the index manager has usually *already* locked
-    /// this RID on the caller's behalf (paper §2.1: "the record manager does
-    /// not have to lock the corresponding record"), so `already_locked`
-    /// suppresses the S lock.
-    pub fn fetch(&self, txn: &TxnHandle, rid: Rid, already_locked: bool) -> Result<Vec<u8>> {
+    /// these RIDs on the caller's behalf (paper §2.1: "the record manager
+    /// does not have to lock the corresponding record"), so `already_locked`
+    /// suppresses the S locks. Otherwise every lock is requested, in order,
+    /// before any latch is taken. Each maximal run of RIDs on one page then
+    /// costs one fix of that page.
+    pub fn fetch_run(
+        &self,
+        txn: &TxnHandle,
+        rids: &[Rid],
+        already_locked: bool,
+        mut f: impl FnMut(Rid, &[u8]) -> Result<()>,
+    ) -> Result<()> {
         if !already_locked {
-            self.locks.request(
-                txn.id,
-                self.data_lock(rid),
-                LockMode::S,
-                LockDuration::Commit,
-                false,
-            )?;
+            for &rid in rids {
+                self.locks.request(
+                    txn.id,
+                    self.data_lock(rid),
+                    LockMode::S,
+                    LockDuration::Commit,
+                    false,
+                )?;
+            }
         }
-        let g = self.pool.fix_s(rid.page)?;
-        g.cell(rid.slot.0)
-            .map(|c| c.to_vec())
-            .ok_or(Error::BadRid { rid })
+        for on_page in rids.chunk_by(|a, b| a.page == b.page) {
+            let Some(first) = on_page.first() else { continue };
+            let g = self.pool.fix_s(first.page)?;
+            for &rid in on_page {
+                f(rid, g.cell(rid.slot.0).ok_or(Error::BadRid { rid })?)?;
+            }
+        }
+        Ok(())
     }
 
     /// Replace the record at `rid` in place, returning the replaced image

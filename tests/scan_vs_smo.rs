@@ -7,7 +7,10 @@
 //! ever adds and removes odd keys between two of them, enough at once that
 //! the gap grows leaves of its own, which the deletes then empty and free.
 //! Every scan must be strictly ascending and hold every even key from its
-//! start on exactly once, whatever odd keys it also meets.
+//! start on exactly once, whatever odd keys it also meets. The scanner walks
+//! by `fetch_next`, a key per call, in one test, and by `fetch_next_run`, a
+//! run of one leaf's keys per call locked under that leaf's one latch, in
+//! the other.
 //!
 //! A full scan holds S locks on every key behind its cursor, so no other
 //! transaction can move a slot before it. Every other scan therefore starts
@@ -17,10 +20,12 @@
 
 mod support;
 
-use ariesim::btree::fetch::FetchCond;
-use ariesim::btree::LockProtocol;
+use ariesim::btree::fetch::{Cursor, FetchCond};
+use ariesim::btree::{BTree, LockProtocol};
 use ariesim::common::IndexKey;
+use ariesim::txn::TxnHandle;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::{Mutex, PoisonError};
 use support::{fix, key};
 
 /// Gaps between permanent keys; key `2 * GAP * g` is permanent.
@@ -39,8 +44,35 @@ fn number(key: &IndexKey) -> u32 {
     std::str::from_utf8(&key.value[..10]).unwrap().parse().unwrap()
 }
 
+/// Append every key after `cursor` to `seen`, one per `fetch_next`.
+fn walk_by_key(tree: &BTree, txn: &TxnHandle, cursor: &mut Cursor, seen: &mut Vec<IndexKey>) {
+    while let Some(next) = tree.fetch_next(txn, cursor).unwrap() {
+        seen.push(next);
+    }
+}
+
+/// Append every key after `cursor` to `seen`, a leaf's run per
+/// `fetch_next_run`; the stop value sorts above every key.
+fn walk_by_run(tree: &BTree, txn: &TxnHandle, cursor: &mut Cursor, seen: &mut Vec<IndexKey>) {
+    while tree.fetch_next_run(txn, cursor, &[0xff], seen).unwrap() {}
+}
+
 #[test]
 fn scans_stay_exact_while_leaves_split_and_vanish() {
+    race(walk_by_key);
+}
+
+#[test]
+fn runs_stay_exact_while_leaves_split_and_vanish() {
+    race(walk_by_run);
+}
+
+/// One scanner walking by `walk` against the splitting and freeing writer.
+/// The two tests take turns: run side by side on a small host, each race's
+/// threads slow the other's, and the slot-shifting windows close.
+fn race(walk: fn(&BTree, &TxnHandle, &mut Cursor, &mut Vec<IndexKey>)) {
+    static TURN: Mutex<()> = Mutex::new(());
+    let _turn = TURN.lock().unwrap_or_else(PoisonError::into_inner);
     let f = fix(LockProtocol::DataOnly, false);
     let evens: Vec<u32> = (0..GAPS).map(|g| 2 * GAP * g).collect();
     let setup = f.tm.begin();
@@ -83,10 +115,7 @@ fn scans_stay_exact_while_leaves_split_and_vanish() {
             let txn = f.tm.begin();
             let (first, cursor) = f.tree.open_scan(&txn, &k(start).value, FetchCond::Ge).unwrap();
             let mut seen: Vec<IndexKey> = first.into_iter().collect();
-            let mut cursor = cursor.unwrap();
-            while let Some(next) = f.tree.fetch_next(&txn, &mut cursor).unwrap() {
-                seen.push(next);
-            }
+            walk(&f.tree, &txn, &mut cursor.unwrap(), &mut seen);
             f.tm.commit(&txn).unwrap();
             for w in seen.windows(2) {
                 assert!(w[0] < w[1], "scan {scans} not ascending: {:?} then {:?}", w[0], w[1]);
