@@ -814,7 +814,7 @@ pub fn run_torture(cfg: &TortureConfig) -> Result<TortureReport> {
 
     // ---- Optional: one more recovery with live progress gauges -----------
     if cfg.progress {
-        println!("  recovery progress over the pristine crash image:");
+        println!("  recovery progress over the pristine crash image (redo is the one forward pass):");
         let d = scratch.path().join("rec-progress");
         copy_dir(&pristine, &d)?;
         recover_with_progress(&d)?;

@@ -118,7 +118,8 @@ counters! {
     index_fetches,
 
     // --- recovery ---------------------------------------------------------------
-    /// Log records examined during the redo pass.
+    /// Redoable log records examined by restart's forward pass (a
+    /// standby's included).
     redo_records_seen,
     /// Updates actually redone (page_lsn < record LSN).
     redo_applied,
@@ -129,8 +130,8 @@ counters! {
     undo_page_oriented,
     /// Undo actions that required a logical undo (retraversal from root).
     undo_logical,
-    /// Page accesses by restart's redo pass: one per redoable record that
-    /// survives the dirty-page-table filter, whether or not the page was
+    /// Page accesses by restart's forward pass: one per redoable record
+    /// that survives the dirty-page-table filter, whether or not the page was
     /// already in the pool (the paper's §1 measure of pages touched during
     /// restart — not a count of disk reads, which is `page_reads`).
     restart_page_reads,

@@ -75,8 +75,9 @@ pub struct Db {
     pub heap: Arc<HeapManager>,
     pub index_rm: Arc<IndexRm>,
     pub(crate) catalog: Mutex<Catalog>,
-    /// Outcome of the restart recovery this open performed; `None` for an
-    /// engine that was only [assembled](Db::assemble).
+    /// Outcome of the restart recovery this open (or a standby's
+    /// promotion) performed; `None` for an engine that was only
+    /// [assembled](Db::assemble).
     pub restart_outcome: Option<RestartOutcome>,
 }
 
@@ -111,9 +112,10 @@ impl Db {
     /// Everything [`Db::open`] does short of restart recovery: open the
     /// core, build the heap and index managers over it, load the catalog
     /// and open every index it names — registered with the index manager,
-    /// because logical undo needs the trees. A log-shipping standby stops
-    /// here (its only writer is continuous redo); nothing else may use the
-    /// result before recovery has run.
+    /// because logical undo needs the trees. A log-shipping standby starts
+    /// here and runs restart's forward pass over it as log arrives, then its
+    /// undo at promotion, when it sets `restart_outcome`; nothing else may
+    /// use the result before recovery has run.
     pub fn assemble(dir: &Path, opts: DbOptions, obs: ariesim_obs::ObsHandle) -> Result<Db> {
         let log_opts = LogOptions { fsync: opts.fsync };
         let core = Core::open(dir, opts.frames, log_opts, obs)?;

@@ -64,16 +64,16 @@ impl ReplLag {
 }
 
 /// Restart-recovery phases as published by the `recovery_phase` gauge.
+/// There is no separate analysis phase: REDO is the one forward pass, which
+/// also rebuilds the transaction table.
 pub mod recovery_phase {
     pub const IDLE: u64 = 0;
-    pub const ANALYSIS: u64 = 1;
-    pub const REDO: u64 = 2;
-    pub const UNDO: u64 = 3;
-    pub const COMPLETE: u64 = 4;
+    pub const REDO: u64 = 1;
+    pub const UNDO: u64 = 2;
+    pub const COMPLETE: u64 = 3;
 
     pub fn name(v: u64) -> &'static str {
         match v {
-            ANALYSIS => "analysis",
             REDO => "redo",
             UNDO => "undo",
             COMPLETE => "complete",
@@ -82,17 +82,20 @@ pub mod recovery_phase {
     }
 }
 
-/// Live restart-recovery progress, written by `recovery::restart` as it
-/// scans and sampled by progress watchers (`torture --progress`). All
-/// gauges are relaxed stores; a sampler may see the phase and LSN from
+/// Live restart-recovery progress, written by restart's forward pass
+/// (`recovery::ForwardPass`: phase REDO while it decodes, then UNDO, then
+/// COMPLETE) and sampled by progress watchers (`torture --progress`). A
+/// standby's pass publishes here too, in phase REDO until it is promoted.
+/// All gauges are relaxed stores; a sampler may see the phase and LSN from
 /// adjacent instants, so it should tolerate small inconsistencies.
 #[derive(Default)]
 pub struct RecoveryProgress {
     /// Current phase (see [`recovery_phase`]).
     pub phase: Gauge,
-    /// LSN the current pass has reached.
+    /// LSN the forward pass has reached.
     pub current_lsn: Gauge,
-    /// LSN the pass is driving toward (end of log).
+    /// LSN the pass is driving toward (end of log, or a standby's ingested
+    /// end).
     pub target_lsn: Gauge,
     /// Pages to which redo has actually been applied so far.
     pub pages_redone: Gauge,

@@ -1,17 +1,20 @@
 //! ARIES restart recovery (paper §1.2) and media recovery (§5).
 //!
-//! Restart is the classic three passes:
+//! Restart is one forward pass and one backward sweep ([`ForwardPass`]):
 //!
-//! 1. **Analysis**: scan from the last complete checkpoint,
-//!    rebuilding the transaction table (who was in flight) and the dirty
-//!    page table (which pages might be missing updates, each with its
-//!    recovery LSN). Determines where redo must begin.
-//! 2. **Redo**: *repeat history* — reapply every logged update
-//!    (including those of loser transactions and CLRs) whose effect is not
-//!    yet in the page, decided purely by the `page_lsn` comparison. Redo is
-//!    strictly **page-oriented**: the only page ever touched is the one in
-//!    the record's envelope; the `redo_traversals` counter stays zero by
-//!    construction, which experiment E10 asserts.
+//! 1. **Seed**: read the last complete checkpoint — its transaction table
+//!    and its dirty page table (which pages might be missing updates, each
+//!    with its recovery LSN). The pass starts at the older of the
+//!    checkpoint's begin and its oldest recovery LSN.
+//! 2. **Forward pass**: decode each record once. *Repeat history* —
+//!    reapply every logged update (including those of loser transactions
+//!    and CLRs) that may be missing from its page, decided by the
+//!    `page_lsn` comparison — and, from the checkpoint's begin on, keep
+//!    the transaction table. Redo is strictly **page-oriented**: the only
+//!    page ever touched is the one in the record's envelope; the
+//!    `redo_traversals` counter stays zero by construction, which
+//!    experiment E10 asserts. That is what lets the records that rebuild
+//!    the transaction table be redone in the same read.
 //! 3. **Undo**: roll back every loser in one backward sweep of
 //!    the log, following each transaction's chain (and jumping over
 //!    already-compensated work via CLR `undo_next_lsn`s — including whole
@@ -19,22 +22,19 @@
 //!    completed page splits survive the rollback of the transaction that
 //!    performed them while *incomplete* splits are backed out).
 //!
+//! The pass is resumable: a log-shipping standby seeds it at open, steps
+//! it as log arrives, and runs only the undo when promoted.
+//!
 //! Media recovery ([`media`]): fuzzy image copy + per-page roll-forward, the
 //! paper's §5 claim that index pages are recoverable page-oriented from a
 //! dump without any tree traversal.
-//!
-//! Continuous redo ([`continuous`]): the redo pass in resumable form, for a
-//! log-shipping standby that repeats history forever and only runs the full
-//! three passes when promoted.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
 #![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
 
-pub mod continuous;
 pub mod media;
 pub mod restart;
 
-pub use continuous::apply_redo;
 pub use media::ImageCopy;
-pub use restart::{restart, RestartOutcome};
+pub use restart::{restart, ForwardPass, RestartOutcome};

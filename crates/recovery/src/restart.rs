@@ -1,21 +1,21 @@
-//! The three restart passes.
+//! Restart: one forward pass over the log, then undo.
 
 use ariesim_common::stats::Bump;
-use ariesim_common::{Lsn, PageId, Result, TxnId};
+use ariesim_common::{Error, Lsn, PageId, Result, TxnId};
 use ariesim_obs::{recovery_phase, SpanKind};
 use ariesim_storage::PinGuard;
 use ariesim_txn::Core;
-use ariesim_wal::{ChainLogger, CheckpointData, LogRecord, RecordKind, TxnState};
-use std::collections::{HashMap, HashSet};
+use ariesim_wal::{ChainLogger, CheckpointData, LogRecord, RecordKind};
+use std::collections::HashMap;
 
 /// What restart found and did.
 #[derive(Debug, Default)]
 pub struct RestartOutcome {
-    /// LSN of the checkpoint the analysis pass started from (NULL if none).
+    /// LSN of the checkpoint the forward pass was seeded from (NULL if none).
     pub ckpt_lsn: Lsn,
-    /// Where the redo pass began.
+    /// Where the forward pass began.
     pub redo_start: Lsn,
-    /// Records examined by analysis.
+    /// Records the forward pass decoded, each once.
     pub analyzed: u64,
     /// Redoable records examined / actually reapplied.
     pub redo_seen: u64,
@@ -29,27 +29,15 @@ pub struct RestartOutcome {
     pub max_txn_id: u64,
 }
 
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum TState {
-    InFlight,
-    Aborting,
-}
-
-struct TEntry {
-    state: TState,
-    last_lsn: Lsn,
-}
-
-/// The redo step, shared by restart's redo pass and continuous redo: X-latch
-/// the record's page and reapply the record iff the page has not seen it
-/// (`page_lsn < rec.lsn`) — page-oriented, never a traversal. Returns whether
-/// it was applied.
+/// The redo step: X-latch the record's page and reapply the record iff the
+/// page has not seen it (`page_lsn < rec.lsn`) — page-oriented, never a
+/// traversal. Returns whether it was applied.
 ///
 /// Redo hits the same page in runs (updates cluster); `pinned` is a
 /// one-entry pin cache that re-latches those through the pin (one atomic)
 /// instead of a page-table probe per record, and keeps the frame resident
 /// between consecutive records against it.
-pub(crate) fn redo_record<'p>(
+fn redo_record<'p>(
     core: &'p Core,
     pinned: &mut Option<PinGuard<'p>>,
     rec: &LogRecord,
@@ -69,199 +57,246 @@ pub(crate) fn redo_record<'p>(
     Ok(true)
 }
 
-/// Run full restart recovery over `core`, whose resource managers (and the
-/// trees logical undo needs) must already be registered. Call before any new
-/// transaction starts; the core must be freshly opened over the crashed
-/// directory.
-#[deny(clippy::wildcard_enum_match_arm)]
-pub fn restart(core: &Core) -> Result<RestartOutcome> {
-    let Core {
-        log,
-        rms,
-        stats,
-        obs,
-        ..
-    } = core;
-    let mut out = RestartOutcome::default();
-    // ARIES/IM redo is page-oriented: this restart must add nothing to
-    // `redo_traversals` (checked against the monitor at the end).
-    let redo_traversals_before = stats.snapshot().redo_traversals;
+/// Restart's one forward pass, resumable. [`ForwardPass::seed`] reads the
+/// checkpoint the master record names; [`ForwardPass::step`] decodes each
+/// later record once, redoes it if its page may lack it and keeps the
+/// transaction table; [`ForwardPass::finish`] undoes the losers.
+/// [`restart`] runs the three back to back. A standby seeds at open, steps
+/// as log arrives and finishes when promoted.
+pub struct ForwardPass {
+    /// The next record to decode.
+    at: Lsn,
+    /// The seed checkpoint's CkptBegin (NULL without one). A record at or
+    /// past it is always redone and updates the transaction table.
+    ckpt_begin: Lsn,
+    /// The checkpoint's dirty page table, never changed: below
+    /// `ckpt_begin` a record is redone only if its page is listed here and
+    /// it is at or past that page's recovery LSN.
+    dpt: HashMap<PageId, Lsn>,
+    /// The transaction table: each transaction that may still need undo,
+    /// with the LSN of its last record.
+    txns: HashMap<TxnId, Lsn>,
+    out: RestartOutcome,
+    redo_traversals_before: u64,
+}
 
-    // ---------------- Analysis ------------------------------------------------
-    let ckpt_lsn = log.read_master()?;
-    out.ckpt_lsn = ckpt_lsn;
-    let scan_from = if ckpt_lsn.is_null() {
-        log.first_lsn()
-    } else {
-        ckpt_lsn
-    };
-    let mut txns: HashMap<TxnId, TEntry> = HashMap::new();
-    // Transactions whose Commit or End lies between CkptBegin and CkptEnd:
-    // the checkpoint's snapshot may predate it, and must not revive them.
-    let mut ended: HashSet<TxnId> = HashSet::new();
-    let mut dpt: HashMap<PageId, Lsn> = HashMap::new();
-    let mut ckpt_seen = ckpt_lsn.is_null();
+impl ForwardPass {
+    /// Seed the pass from the checkpoint the master record names: its
+    /// transaction table, `max_txn_id` and dirty page table, found by a
+    /// bounded scan from its CkptBegin to its CkptEnd. The pass starts at
+    /// the older of CkptBegin and the oldest recovery LSN. With no master
+    /// it starts at the log's first record with empty tables.
+    pub fn seed(core: &Core) -> Result<ForwardPass> {
+        let log = &core.log;
+        let ckpt_begin = log.read_master()?;
+        let mut pass = ForwardPass {
+            at: log.first_lsn(),
+            ckpt_begin,
+            dpt: HashMap::new(),
+            txns: HashMap::new(),
+            out: RestartOutcome::default(),
+            // ARIES/IM redo is page-oriented: the pass must add nothing to
+            // `redo_traversals` (checked against the monitor in `finish`).
+            redo_traversals_before: core.stats.snapshot().redo_traversals,
+        };
+        if !ckpt_begin.is_null() {
+            let end = log
+                .scan(ckpt_begin)
+                .find(|r| r.as_ref().map_or(true, |r| r.kind == RecordKind::CkptEnd))
+                .transpose()?
+                .ok_or_else(|| Error::CorruptLog {
+                    lsn: ckpt_begin,
+                    reason: "the master names a checkpoint with no CkptEnd".into(),
+                })?;
+            let data = CheckpointData::decode(end.lsn, &end.body)?;
+            pass.out.max_txn_id = data.max_txn_id;
+            pass.dpt = data.dpt.iter().map(|e| (e.page, e.rec_lsn)).collect();
+            pass.at = pass.dpt.values().copied().fold(ckpt_begin, Lsn::min);
+            pass.txns = data.txns.iter().map(|t| (t.txn, t.last_lsn)).collect();
+        }
+        pass.out.ckpt_lsn = ckpt_begin;
+        pass.out.redo_start = pass.at;
+        // Live progress for `--progress` samplers: phase, current-vs-target
+        // LSN, pages redone, losers remaining. Relaxed gauge stores — cheap
+        // enough to update per record.
+        let prog = &core.obs.gauge.recovery;
+        prog.phase.set(recovery_phase::REDO);
+        prog.current_lsn.set(pass.at.0);
+        ariesim_fault::crash_point!("recovery.analysis.done");
+        Ok(pass)
+    }
 
-    // Live progress for `--progress` samplers: phase, current-vs-target
-    // LSN, pages redone, losers remaining. Relaxed gauge stores — cheap
-    // enough to update per record.
-    let prog = &obs.gauge.recovery;
-    prog.phase.set(recovery_phase::ANALYSIS);
-    prog.target_lsn.set(log.next_lsn().0);
-    prog.current_lsn.set(scan_from.0);
+    /// The LSN of the next record to decode: everything below it is
+    /// applied and tracked.
+    pub fn position(&self) -> Lsn {
+        self.at
+    }
 
-    for rec in log.scan(scan_from) {
-        let rec = rec?;
-        out.analyzed += 1;
-        prog.current_lsn.set(rec.lsn.0);
-        out.max_txn_id = out.max_txn_id.max(rec.txn.0);
-        match rec.kind {
-            RecordKind::CkptBegin => {}
-            RecordKind::CkptEnd => {
-                if !ckpt_seen {
-                    // Merge the checkpoint's fuzzy tables. For the DPT the
-                    // OLDER rec_lsn must win: rec_lsn is the oldest possibly-
-                    // unapplied update, and records scanned between CkptBegin
-                    // and CkptEnd may have inserted a newer one for a page
-                    // the checkpoint knew was dirty much earlier. (Taking the
-                    // newer value made redo start too late and skip, e.g., a
-                    // page-format record — caught by the fuzzy-checkpoint
-                    // crash test.)
-                    let data = CheckpointData::decode(rec.lsn, &rec.body)?;
-                    out.max_txn_id = out.max_txn_id.max(data.max_txn_id);
-                    for e in data.dpt {
-                        dpt.entry(e.page)
-                            .and_modify(|l| *l = (*l).min(e.rec_lsn))
-                            .or_insert(e.rec_lsn);
-                    }
-                    for t in data.txns.into_iter().filter(|t| !ended.contains(&t.txn)) {
-                        txns.entry(t.txn).or_insert(TEntry {
-                            state: match t.state {
-                                TxnState::Aborting => TState::Aborting,
-                                TxnState::InFlight => TState::InFlight,
-                            },
-                            last_lsn: t.last_lsn,
-                        });
-                    }
-                    ckpt_seen = true;
+    /// Decode at most `max_records` records of `[position, upto)`, each
+    /// once. Returns how many it decoded; `0` means the pass has reached
+    /// `upto` (or the end of the log). Never reads at or past `upto`.
+    pub fn step(&mut self, core: &Core, upto: Lsn, max_records: u64) -> Result<u64> {
+        let prog = &core.obs.gauge.recovery;
+        prog.target_lsn.set(upto.0);
+        let _span = core.obs.span(SpanKind::Apply, 0, 0);
+        let mut scan = core.log.scan(self.at);
+        let mut pinned = None;
+        let mut decoded = 0u64;
+        while decoded < max_records && scan.position() < upto {
+            let Some(rec) = scan.next().transpose()? else {
+                break;
+            };
+            prog.current_lsn.set(rec.lsn.0);
+            self.apply(core, &mut pinned, &rec)?;
+            prog.pages_redone.set(self.out.redo_applied);
+            self.at = scan.position();
+            decoded += 1;
+        }
+        Ok(decoded)
+    }
+
+    /// One record: redo it if its page may lack it, then, at or past the
+    /// seed's CkptBegin, bring its transaction's entry up to date.
+    #[deny(clippy::wildcard_enum_match_arm)]
+    fn apply<'p>(
+        &mut self,
+        core: &'p Core,
+        pinned: &mut Option<PinGuard<'p>>,
+        rec: &LogRecord,
+    ) -> Result<()> {
+        self.out.analyzed += 1;
+        self.out.max_txn_id = self.out.max_txn_id.max(rec.txn.0);
+        let tracked = rec.lsn >= self.ckpt_begin;
+        if rec.kind.is_redoable() && !rec.page.is_null() {
+            self.out.redo_seen += 1;
+            core.stats.redo_records_seen.bump();
+            let stale = tracked || self.dpt.get(&rec.page).is_some_and(|&l| rec.lsn >= l);
+            if stale {
+                core.stats.restart_page_reads.bump();
+                if redo_record(core, pinned, rec)? {
+                    self.out.redo_applied += 1;
+                    ariesim_fault::crash_point!("recovery.redo.applied");
                 }
             }
+        }
+        if !tracked {
+            return Ok(());
+        }
+        match rec.kind {
+            RecordKind::CkptBegin | RecordKind::CkptEnd => {}
             RecordKind::Commit | RecordKind::End => {
                 // Commit is forced and ends a committed transaction (commit
-                // appends no End); End closes a finished rollback.
-                txns.remove(&rec.txn);
-                if !ckpt_seen {
-                    ended.insert(rec.txn);
-                }
+                // appends no End); End closes a finished rollback. Either
+                // also removes a seeded entry the checkpoint's snapshot
+                // took before this record.
+                self.txns.remove(&rec.txn);
             }
             RecordKind::Abort => {
-                if let Some(t) = txns.get_mut(&rec.txn) {
-                    t.state = TState::Aborting;
-                    t.last_lsn = rec.lsn;
+                // Undo treats a rollback in progress like any loser: its
+                // chain's CLRs skip what is already compensated.
+                if let Some(last) = self.txns.get_mut(&rec.txn) {
+                    *last = rec.lsn;
                 }
             }
             RecordKind::Update | RecordKind::Clr | RecordKind::DummyClr => {
-                let t = txns.entry(rec.txn).or_insert(TEntry {
-                    state: TState::InFlight,
-                    last_lsn: rec.lsn,
-                });
-                t.last_lsn = rec.lsn;
-                if rec.kind.is_redoable() && !rec.page.is_null() {
-                    dpt.entry(rec.page).or_insert(rec.lsn);
+                self.txns.insert(rec.txn, rec.lsn);
+            }
+        }
+        Ok(())
+    }
+
+    /// Zero the decode and redo counts, so the outcome [`finish`] returns
+    /// counts only what the pass does from here on.
+    ///
+    /// [`finish`]: ForwardPass::finish
+    pub fn reset_counts(&mut self) {
+        self.out.analyzed = 0;
+        self.out.redo_seen = 0;
+        self.out.redo_applied = 0;
+    }
+
+    /// Roll back every transaction still in the table in one backward
+    /// sweep, force the log and resume transaction ids past the highest
+    /// seen. The pass must have reached the end of the log.
+    #[deny(clippy::wildcard_enum_match_arm)]
+    pub fn finish(self, core: &Core) -> Result<RestartOutcome> {
+        let Core {
+            log,
+            rms,
+            stats,
+            obs,
+            ..
+        } = core;
+        let ForwardPass {
+            txns,
+            mut out,
+            redo_traversals_before,
+            ..
+        } = self;
+        let prog = &obs.gauge.recovery;
+        out.losers = txns.keys().copied().collect();
+        out.losers.sort();
+        // next-undo pointer per loser; process the globally largest LSN first.
+        let mut next_undo = txns.clone();
+        let mut chain_end = txns;
+        prog.phase.set(recovery_phase::UNDO);
+        prog.losers_remaining.set(next_undo.len() as u64);
+
+        while let Some((&txn, &lsn)) = next_undo.iter().max_by_key(|(_, &l)| l) {
+            if lsn.is_null() {
+                // This loser is fully undone: write its End record.
+                let mut logger = ChainLogger::for_restart(log, txn, chain_end[&txn]);
+                logger.control(RecordKind::End);
+                next_undo.remove(&txn);
+                chain_end.remove(&txn);
+                prog.losers_remaining.set(next_undo.len() as u64);
+                continue;
+            }
+            let rec: LogRecord = log.read(lsn)?;
+            debug_assert_eq!(rec.txn, txn);
+            match rec.kind {
+                RecordKind::Update => {
+                    let mut logger = ChainLogger::for_restart(log, txn, chain_end[&txn]);
+                    let rm = rms.get(rec.rm)?;
+                    rm.undo(&mut logger, &rec)?;
+                    out.undone += 1;
+                    chain_end.insert(txn, logger.last_lsn);
+                    next_undo.insert(txn, rec.prev_lsn);
+                    ariesim_fault::crash_point!("recovery.undo.step");
+                }
+                RecordKind::Clr | RecordKind::DummyClr => {
+                    next_undo.insert(txn, rec.undo_next_lsn);
+                }
+                RecordKind::Commit
+                | RecordKind::Abort
+                | RecordKind::End
+                | RecordKind::CkptBegin
+                | RecordKind::CkptEnd => {
+                    next_undo.insert(txn, rec.prev_lsn);
                 }
             }
         }
+
+        log.flush_all()?;
+        prog.phase.set(recovery_phase::COMPLETE);
+        // Undo appended CLRs and End records, so the end of log moved; republish
+        // the target so current == target reads as "done".
+        prog.target_lsn.set(log.next_lsn().0);
+        prog.current_lsn.set(log.next_lsn().0);
+        ariesim_fault::crash_point!("recovery.done");
+        obs.monitor
+            .on_restart_complete(stats.snapshot().redo_traversals - redo_traversals_before);
+        core.tm.resume_txn_ids_after(out.max_txn_id);
+        Ok(out)
     }
+}
 
-    ariesim_fault::crash_point!("recovery.analysis.done");
-
-    // ---------------- Redo: repeat history ------------------------------------
-    let redo_start = dpt.values().copied().min().unwrap_or(log.next_lsn());
-    out.redo_start = redo_start;
-    prog.phase.set(recovery_phase::REDO);
-    prog.current_lsn.set(redo_start.0);
-    let redo_span = obs.span(SpanKind::Apply, 0, 0);
-    let mut pinned = None;
-    for rec in log.scan(redo_start) {
-        let rec = rec?;
-        prog.current_lsn.set(rec.lsn.0);
-        if !rec.kind.is_redoable() || rec.page.is_null() {
-            continue;
-        }
-        out.redo_seen += 1;
-        stats.redo_records_seen.bump();
-        let Some(&rec_lsn) = dpt.get(&rec.page) else {
-            continue; // page was never (possibly) stale
-        };
-        if rec.lsn < rec_lsn {
-            continue; // older than the page's first possibly-missing update
-        }
-        stats.restart_page_reads.bump();
-        if redo_record(core, &mut pinned, &rec)? {
-            out.redo_applied += 1;
-            prog.pages_redone.set(out.redo_applied);
-            ariesim_fault::crash_point!("recovery.redo.applied");
-        }
-    }
-    drop(redo_span);
-
-    // ---------------- Undo: roll back losers in one backward sweep -----------
-    // next-undo pointer per loser; process the globally largest LSN first.
-    let mut next_undo: HashMap<TxnId, Lsn> = HashMap::new();
-    let mut chain_end: HashMap<TxnId, Lsn> = HashMap::new();
-    for (txn, t) in &txns {
-        next_undo.insert(*txn, t.last_lsn);
-        chain_end.insert(*txn, t.last_lsn);
-        out.losers.push(*txn);
-    }
-    out.losers.sort();
-    prog.phase.set(recovery_phase::UNDO);
-    prog.losers_remaining.set(next_undo.len() as u64);
-
-    while let Some((&txn, &lsn)) = next_undo.iter().max_by_key(|(_, &l)| l) {
-        if lsn.is_null() {
-            // This loser is fully undone: write its End record.
-            let mut logger = ChainLogger::for_restart(log, txn, chain_end[&txn]);
-            logger.control(RecordKind::End);
-            next_undo.remove(&txn);
-            chain_end.remove(&txn);
-            prog.losers_remaining.set(next_undo.len() as u64);
-            continue;
-        }
-        let rec: LogRecord = log.read(lsn)?;
-        debug_assert_eq!(rec.txn, txn);
-        match rec.kind {
-            RecordKind::Update => {
-                let mut logger = ChainLogger::for_restart(log, txn, chain_end[&txn]);
-                let rm = rms.get(rec.rm)?;
-                rm.undo(&mut logger, &rec)?;
-                out.undone += 1;
-                chain_end.insert(txn, logger.last_lsn);
-                next_undo.insert(txn, rec.prev_lsn);
-                ariesim_fault::crash_point!("recovery.undo.step");
-            }
-            RecordKind::Clr | RecordKind::DummyClr => {
-                next_undo.insert(txn, rec.undo_next_lsn);
-            }
-            RecordKind::Commit
-            | RecordKind::Abort
-            | RecordKind::End
-            | RecordKind::CkptBegin
-            | RecordKind::CkptEnd => {
-                next_undo.insert(txn, rec.prev_lsn);
-            }
-        }
-    }
-
-    log.flush_all()?;
-    prog.phase.set(recovery_phase::COMPLETE);
-    // Undo appended CLRs and End records, so the end of log moved; republish
-    // the target so current == target reads as "done".
-    prog.target_lsn.set(log.next_lsn().0);
-    prog.current_lsn.set(log.next_lsn().0);
-    ariesim_fault::crash_point!("recovery.done");
-    obs.monitor
-        .on_restart_complete(stats.snapshot().redo_traversals - redo_traversals_before);
-    core.tm.resume_txn_ids_after(out.max_txn_id);
-    Ok(out)
+/// Run full restart recovery over `core`, whose resource managers (and the
+/// trees logical undo needs) must already be registered: seed, step to the
+/// end of the log, finish. Call before any new transaction starts; the core
+/// must be freshly opened over the crashed directory.
+pub fn restart(core: &Core) -> Result<RestartOutcome> {
+    let mut pass = ForwardPass::seed(core)?;
+    pass.step(core, core.log.next_lsn(), u64::MAX)?;
+    pass.finish(core)
 }

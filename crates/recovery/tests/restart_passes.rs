@@ -1,6 +1,6 @@
-//! Unit-level tests of the three restart passes over hand-built logs: the
-//! analysis pass's transaction and dirty-page bookkeeping, the redo pass's
-//! LSN-comparison discipline, and the undo pass's reverse-chronological
+//! Unit-level tests of restart over hand-built logs: the forward pass's
+//! transaction and dirty-page bookkeeping, its one decode per record, its
+//! LSN-comparison redo discipline, and the undo pass's reverse-chronological
 //! multi-transaction sweep.
 
 use ariesim_common::page::PageType;
@@ -11,8 +11,8 @@ use ariesim_recovery::restart;
 use ariesim_storage::BufferPool;
 use ariesim_txn::Core;
 use ariesim_wal::{
-    ChainLogger, CheckpointData, LogOptions, LogRecord, RecordKind, ResourceManager, RmId,
-    TxnCkptEntry, TxnState,
+    ChainLogger, CheckpointData, DptEntry, LogOptions, LogRecord, RecordKind, ResourceManager,
+    RmId, TxnCkptEntry, TxnState,
 };
 use parking_lot::Mutex;
 use std::sync::Arc;
@@ -365,4 +365,63 @@ fn a_writers_txn_id_is_never_reissued_after_restart() {
     let next = core2.tm.begin();
     assert!(next.id > new.id, "{:?} reissues a writer's id", next.id);
     core2.tm.commit(&next).unwrap();
+}
+
+#[test]
+fn the_forward_pass_decodes_each_record_once_from_the_oldest_rec_lsn() {
+    // Page 3 is dirty from before the checkpoint, so its DPT entry predates
+    // CkptBegin and the pass starts there. Page 4's update also precedes
+    // CkptBegin, but the hand-built checkpoint lists page 4 as clean: the
+    // pass must neither read page 4 for redo nor reapply its update.
+    let f = fix();
+    {
+        let mut g = f.pool.fix_x(PageId(4)).unwrap();
+        g.format(PageId(4), PageType::Heap, 0, 0);
+        g.record_update(Lsn(1));
+    }
+    f.pool.flush_all().unwrap();
+    let t = f.tm.begin();
+    update(&f, &t, 0, 0, 1);
+    let rec_lsn = t.last_lsn();
+    {
+        let mut g = f.pool.fix_x(PageId(4)).unwrap();
+        g.as_bytes_mut()[BODY_BASE] = 9;
+        let lsn = t.with_logger(&f.log, |l| {
+            l.update(RmId::Heap, PageId(4), BlobRm::body(0, 0, 9))
+        });
+        g.record_update(lsn);
+    }
+    f.tm.commit(&t).unwrap();
+    let begin = f.log.append(&ckpt_record(RecordKind::CkptBegin, Vec::new()));
+    let data = CheckpointData {
+        dpt: vec![DptEntry {
+            page: PageId(3),
+            rec_lsn,
+        }],
+        txns: Vec::new(),
+        max_txn_id: t.id.0,
+    };
+    f.log.append(&ckpt_record(RecordKind::CkptEnd, data.encode()));
+    let t2 = f.tm.begin();
+    update(&f, &t2, 1, 0, 2);
+    f.tm.commit(&t2).unwrap();
+    f.log.flush_all().unwrap();
+    f.log.write_master(begin).unwrap();
+    let records = f.log.scan(rec_lsn).count() as u64;
+    assert!(f.log.scan(begin).count() < records as usize);
+
+    // Reopen over the disk state: none of the three updates reached a page.
+    let (core2, _) = open(&f._dir);
+    let outcome = restart(&core2).unwrap();
+    assert_eq!((outcome.ckpt_lsn, outcome.redo_start), (begin, rec_lsn));
+    assert_eq!(outcome.analyzed, records, "one decode per record in [redo_start, end)");
+    assert_eq!(outcome.redo_seen, 3);
+    assert_eq!(core2.stats.snapshot().restart_page_reads, 2, "page 4 was read");
+    assert_eq!(outcome.redo_applied, 2);
+    let byte = |page, slot: usize| {
+        let g = core2.pool.fix_s(page).unwrap();
+        g.as_bytes()[BODY_BASE + slot]
+    };
+    assert_eq!((byte(PageId(3), 0), byte(PageId(3), 1)), (1, 2));
+    assert_eq!(byte(PageId(4), 0), 0, "page 4's update was reapplied");
 }

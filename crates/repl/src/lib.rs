@@ -5,17 +5,17 @@
 //! 1. **LSNs are byte offsets** into the log file, so a standby whose log
 //!    is a byte-identical prefix of the primary's can use primary LSNs
 //!    verbatim — in page LSNs, in the master record, everywhere.
-//! 2. **Redo is page-oriented and idempotent** (the `page_lsn` test), so
-//!    "continuously apply pulled log" is restart's redo pass running
-//!    forever, with no analysis and no dirty page table.
+//! 2. **Restart is one resumable forward pass** (redo is page-oriented and
+//!    idempotent), so "continuously apply pulled log" is restart left
+//!    running, and failover is its undo.
 //!
 //! The pieces:
 //!
 //! * [`fork_standby`] — base backup by copying a quiesced primary's
 //!   directory.
 //! * [`Standby`] ([`standby`]) — pulls the primary's durable log into its
-//!   own log, continuously redoes it, serves latch-only snapshot reads at
-//!   the applied-LSN watermark, and promotes by completing recovery.
+//!   own log, runs the forward pass over it, serves latch-only snapshot
+//!   reads at the applied-LSN watermark, and promotes by undoing losers.
 //!
 //! Replication is asynchronous: a primary commit does not wait for the
 //! standby. A failover that must lose no committed transaction therefore

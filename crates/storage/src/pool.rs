@@ -29,7 +29,7 @@
 //!   eviction write pages;
 //! * a **dirty page table** records, for every dirty cached page, its
 //!   `rec_lsn` — the LSN of the first record that dirtied it — which fuzzy
-//!   checkpoints persist and restart's analysis pass rebuilds. It is kept
+//!   checkpoints persist and restart's forward pass reads. It is kept
 //!   per-shard (a page's DPT entry lives in the shard that owns its frame)
 //!   and merged on snapshot.
 //!
@@ -581,10 +581,11 @@ impl BufferPool {
     /// both inside the page's X-latch critical section. A checkpoint that
     /// snapshots the DPT right after appending CkptBegin could miss a page
     /// whose record (LSN < CkptBegin) is logged but not yet registered —
-    /// and restart's analysis never scans below CkptBegin, losing the
-    /// update. Waiting for each held latch once guarantees every update
-    /// logged before the fence has completed its registration. New updates
-    /// (LSN > CkptBegin) are covered by the analysis scan itself.
+    /// and restart's forward pass redoes a record below CkptBegin only on a
+    /// page the snapshot lists, losing the update. Waiting for each held
+    /// latch once guarantees every update logged before the fence has
+    /// completed its registration. New updates (LSN > CkptBegin) are always
+    /// redone by the forward pass.
     pub fn dpt_snapshot_fenced(&self) -> Vec<DptEntry> {
         let mut resident = Vec::new();
         for sid in 0..self.shards.len() {

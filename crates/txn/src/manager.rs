@@ -308,8 +308,8 @@ impl TransactionManager {
             let g = self.inner.lock();
             // A committed or finished transaction's Commit / End precedes
             // CkptEnd, which the force below makes durable with it. A
-            // read-only one has nothing to undo; analysis meets any later
-            // first record in its scan from CkptBegin.
+            // read-only one has nothing to undo; restart's forward pass
+            // meets any later first record, since it tracks from CkptBegin.
             let entries = g
                 .table
                 .values()

@@ -3,8 +3,8 @@
 //! A [`LogRecord`] is the typed header every subsystem shares plus an opaque
 //! body interpreted only by the resource manager that wrote it. The envelope
 //! carries everything ARIES's passes need without understanding bodies:
-//! analysis reads `kind`/`txn`/`page`, redo reads `page`/`rm`, undo follows
-//! `prev_lsn`/`undo_next_lsn` chains.
+//! restart's forward pass reads `kind`/`txn` for its transaction table and
+//! `page`/`rm` to redo, undo follows `prev_lsn`/`undo_next_lsn` chains.
 
 use ariesim_common::codec::{Reader, Writer};
 use ariesim_common::{Error, Lsn, PageId, Result, TxnId};

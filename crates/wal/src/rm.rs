@@ -11,7 +11,7 @@
 //! linked via `prev_lsn`. Both forward processing (through the transaction
 //! manager) and undo (normal or restart) write through it — during restart
 //! undo there is no live transaction object, so recovery reconstructs a
-//! `ChainLogger` from the transaction table built by the analysis pass.
+//! `ChainLogger` from the transaction table built by the forward pass.
 
 use crate::manager::LogManager;
 use crate::record::{LogRecord, RecordKind, RmId};

@@ -147,7 +147,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let db = Db::open(&path, DbOptions::default())?;
     let outcome = db.restart_outcome.as_ref().unwrap();
     println!(
-        "restart: {} records analyzed, {} redone, {} losers undone",
+        "restart: {} records decoded, {} redone, {} losers undone",
         outcome.analyzed,
         outcome.redo_applied,
         outcome.losers.len()

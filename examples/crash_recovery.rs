@@ -1,5 +1,5 @@
-//! A guided crash-recovery drill: watch the three ARIES passes do their
-//! work, including the undo of a loser transaction whose key delete must be
+//! A guided crash-recovery drill: watch ARIES restart's one forward pass
+//! and its undo sweep do their work, including the undo of a loser transaction whose key delete must be
 //! undone *logically* (the paper's Figure 1/11 machinery), and a
 //! fuzzy-image-copy media recovery of a single damaged page (§5).
 //!
@@ -35,7 +35,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         db.stats.snapshot().smo_splits
     );
 
-    // A checkpoint bounds the analysis/redo work.
+    // A checkpoint bounds the forward pass.
     let ckpt = db.checkpoint()?;
     println!("fuzzy checkpoint at {ckpt}");
 
@@ -57,8 +57,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let db = Db::open(&path, DbOptions::default())?;
     let o = db.restart_outcome.as_ref().unwrap();
     println!("--- ARIES restart ---");
-    println!("analysis: started at checkpoint {:?}, {} records scanned", o.ckpt_lsn, o.analyzed);
-    println!("redo:     started at {:?}, {} records reapplied (repeat history)", o.redo_start, o.redo_applied);
+    println!(
+        "forward:  seeded from checkpoint {:?}, started at {:?}, {} records decoded once",
+        o.ckpt_lsn, o.redo_start, o.analyzed
+    );
+    println!(
+        "redo:     {} of {} redoable records reapplied (repeat history)",
+        o.redo_applied, o.redo_seen
+    );
     println!("undo:     {} loser(s), {} actions undone", o.losers.len(), o.undone);
     let s = db.stats.snapshot();
     println!(

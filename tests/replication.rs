@@ -381,3 +381,100 @@ fn standby_components_share_one_stats_and_one_obs() {
     drop(primary);
     shares_one_context(&standby.promote().unwrap());
 }
+
+/// Promotion is the forward pass's undo on the live engine: nothing is
+/// redone again, no page is read from disk (the standby's pool already
+/// holds every page the loser touched), and the promoted engine counts
+/// into the standby's own `Stats` — the engine was neither dropped nor
+/// reopened.
+#[test]
+fn promote_is_undo_on_the_live_engine() {
+    let dir = TempDir::new("repl-promote-undo");
+    let primary = primary_with_schema(&dir);
+    insert_committed(&primary, 0..20);
+    let standby = fork(&primary, &dir);
+    insert_committed(&primary, 20..30);
+    let loser = primary.begin();
+    for i in 100..105 {
+        primary.insert_row(&loser, "kv", &row(i)).unwrap();
+    }
+    standby.sync().unwrap();
+    let loser_id = loser.id;
+    drop(loser);
+    drop(primary);
+
+    let stats = standby.core().stats.clone();
+    let reads = stats.snapshot().page_reads;
+    let promoted = standby.promote().unwrap();
+    assert!(Arc::ptr_eq(&stats, &promoted.stats), "promote reopened the engine");
+    assert_eq!(promoted.stats.snapshot().page_reads, reads, "promote read a page");
+    let outcome = promoted.restart_outcome.as_ref().unwrap();
+    assert_eq!(outcome.redo_seen, 0, "promote redid pulled log again");
+    assert_eq!(outcome.losers, vec![loser_id]);
+    assert_eq!(outcome.undone, 10, "5 heap inserts + 5 key inserts");
+    assert_eq!(promoted.verify_consistency().unwrap().rows, 30);
+    insert_committed(&promoted, 200..201);
+    assert_eq!(promoted.verify_consistency().unwrap().rows, 31);
+}
+
+/// `Standby::open` over a standby's own directory seeds the forward pass
+/// from the master record the standby adopted. Its checkpoint's
+/// transaction table is the only place the loser appears, since every
+/// record of the loser precedes that checkpoint.
+#[test]
+fn reopened_standby_seeds_from_its_adopted_checkpoint() {
+    let dir = TempDir::new("repl-reopen-seed");
+    let primary = primary_with_schema(&dir);
+    let standby = fork(&primary, &dir);
+    insert_committed(&primary, 0..10);
+    let loser = primary.begin();
+    primary.insert_row(&loser, "kv", &row(100)).unwrap();
+    standby.sync().unwrap();
+    let master = primary.checkpoint().unwrap();
+    standby.sync().unwrap();
+    assert_eq!(standby.core().log.read_master().unwrap(), master);
+    drop(standby);
+
+    let standby_dir = dir.path().join("standby");
+    let standby = Standby::open(&standby_dir, opts(), primary.log.clone(), Obs::disabled()).unwrap();
+    standby.pump().unwrap();
+    drop(loser);
+    drop(primary);
+
+    let promoted = standby.promote().unwrap();
+    let outcome = promoted.restart_outcome.as_ref().unwrap();
+    assert_eq!(outcome.ckpt_lsn, master, "the pass was seeded from the adopted master");
+    assert_eq!(outcome.losers.len(), 1, "the checkpoint's loser");
+    let txn = promoted.begin();
+    assert!(promoted
+        .fetch_via(&txn, "kv_pk", &key(100), FetchCond::Eq)
+        .unwrap()
+        .is_none());
+    promoted.commit(&txn).unwrap();
+    assert_eq!(promoted.verify_consistency().unwrap().rows, 10);
+}
+
+/// A checkpoint's dirty page table describes the primary's pages, not the
+/// standby's. Here the primary flushes before it checkpoints, so the table
+/// is empty while the standby's pool still holds every pulled insert
+/// unwritten. The standby flushes before it adopts the master, so a
+/// standby that stops without flushing and is reopened (seeding from that
+/// master) still has every row.
+#[test]
+fn reopened_standby_keeps_rows_the_primary_flushed_before_its_checkpoint() {
+    let dir = TempDir::new("repl-reopen-flushed");
+    let primary = primary_with_schema(&dir);
+    let standby = fork(&primary, &dir);
+    insert_committed(&primary, 0..20);
+    standby.sync().unwrap();
+    primary.pool.flush_all().unwrap();
+    primary.checkpoint().unwrap();
+    standby.sync().unwrap();
+    drop(standby);
+
+    let standby_dir = dir.path().join("standby");
+    let standby = Standby::open(&standby_dir, opts(), primary.log.clone(), Obs::disabled()).unwrap();
+    assert_eq!(standby.count("kv_pk").unwrap(), 20);
+    drop(primary);
+    assert_eq!(standby.promote().unwrap().verify_consistency().unwrap().rows, 20);
+}
