@@ -95,26 +95,26 @@ impl BTree {
     /// Instant-duration S tree latch: wait for any in-progress SMO to finish
     /// (establishes a POSC), then release immediately.
     ///
-    /// All S acquisitions of the tree latch use `read_recursive`, so a
-    /// waiting SMO does not block new S acquirers — acceptable, since S
-    /// holds are short and rare. No thread acquires the latch while holding
-    /// it (the monitor counts that rank-equal wait as an order violation).
+    /// A queued SMO stops new S acquirers, as a queued writer does on a
+    /// page latch: `read` waits behind it and `try_read` fails. That cannot
+    /// deadlock: no thread acquires the latch while holding it (the monitor
+    /// counts that rank-equal wait as an order violation).
     pub(crate) fn tree_instant_s(&self) {
         self.stats.latches_tree.bump();
         self.stats.latches_tree_instant.bump();
         let _held = self.obs.monitor.acquired(Class::TreeLatch, "btree::tree_instant_s", true);
-        if let Some(g) = self.tree_latch.try_read_recursive() {
+        if let Some(g) = self.tree_latch.try_read() {
             drop(g);
             return;
         }
         self.stats.latch_tree_waits.bump();
         let _span = self.obs.span(SpanKind::LatchWait, 0, 0);
-        drop(self.tree_latch.read_recursive());
+        drop(self.tree_latch.read());
     }
 
     /// Conditional S tree latch (used by boundary-key deletes, Figure 7).
     pub(crate) fn try_tree_s(&self) -> Option<TreeSGuard<'_>> {
-        let g = self.tree_latch.try_read_recursive()?;
+        let g = self.tree_latch.try_read()?;
         self.stats.latches_tree.bump();
         Some(TreeSGuard(g, self.obs.monitor.acquired(Class::TreeLatch, "btree::try_tree_s", false)))
     }
@@ -123,12 +123,12 @@ impl BTree {
     pub(crate) fn tree_s(&self) -> TreeSGuard<'_> {
         self.stats.latches_tree.bump();
         let held = self.obs.monitor.acquired(Class::TreeLatch, "btree::tree_s", true);
-        if let Some(g) = self.tree_latch.try_read_recursive() {
+        if let Some(g) = self.tree_latch.try_read() {
             return TreeSGuard(g, held);
         }
         self.stats.latch_tree_waits.bump();
         let span = self.obs.span(SpanKind::LatchWait, 0, 0);
-        let g = self.tree_latch.read_recursive();
+        let g = self.tree_latch.read();
         drop(span);
         TreeSGuard(g, held)
     }

@@ -230,10 +230,10 @@ struct LockState {
 fn classify(kind: OpKind, st: &LockState) -> (bool, bool) {
     match kind {
         OpKind::MutexLock => (!st.excl, true),
-        OpKind::RwShared | OpKind::RwSharedRecursive => (!st.excl, true),
+        OpKind::RwShared => (!st.excl, true),
         OpKind::RwExclusive => (!st.excl && st.shared == 0, true),
         OpKind::MutexTryLock => (true, !st.excl),
-        OpKind::RwTryShared | OpKind::RwTrySharedRecursive => (true, !st.excl),
+        OpKind::RwTryShared => (true, !st.excl),
         OpKind::RwTryExclusive => (true, !st.excl && st.shared == 0),
         _ => (true, true),
     }
@@ -242,9 +242,9 @@ fn classify(kind: OpKind, st: &LockState) -> (bool, bool) {
 fn apply_acquire(st: &mut LockState, kind: OpKind, ok: bool) {
     match kind {
         OpKind::MutexLock | OpKind::RwExclusive => st.excl = true,
-        OpKind::RwShared | OpKind::RwSharedRecursive => st.shared += 1,
+        OpKind::RwShared => st.shared += 1,
         OpKind::MutexTryLock | OpKind::RwTryExclusive if ok => st.excl = true,
-        OpKind::RwTryShared | OpKind::RwTrySharedRecursive if ok => st.shared += 1,
+        OpKind::RwTryShared if ok => st.shared += 1,
         _ => {}
     }
 }

@@ -95,19 +95,6 @@ impl<'p> Mode<'p, WriteLatch<'p>> {
     };
 }
 
-#[derive(Clone, Copy)]
-struct FrameMeta {
-    page: PageId,
-    dirty: bool,
-}
-
-impl FrameMeta {
-    const FREE: FrameMeta = FrameMeta {
-        page: PageId::NULL,
-        dirty: false,
-    };
-}
-
 /// One buffer frame: the latched page image plus its pin count. The pin
 /// count is outside every mutex — pinning from a hit happens under the
 /// owning shard's mutex (so eviction, which also holds it, cannot race),
@@ -128,8 +115,10 @@ struct Frame {
 struct ShardInner {
     /// Page → partition-local frame index.
     table: HashMap<PageId, usize>,
-    meta: Vec<FrameMeta>,
-    /// Dirty page table slice: page → rec_lsn, for pages framed here.
+    /// Partition-local frame index → the page it holds (NULL while free).
+    meta: Vec<PageId>,
+    /// Dirty page table slice: page → rec_lsn, for pages framed here. The
+    /// one record of dirtiness: a page is dirty iff it has an entry.
     dpt: HashMap<PageId, Lsn>,
     clock: Clock,
 }
@@ -192,7 +181,7 @@ impl BufferPool {
                 base,
                 inner: Mutex::new(ShardInner {
                     table: HashMap::new(),
-                    meta: vec![FrameMeta::FREE; len],
+                    meta: vec![PageId::NULL; len],
                     dpt: HashMap::new(),
                     clock: Clock::new(len),
                 }),
@@ -437,6 +426,7 @@ impl BufferPool {
                 return Err(Error::BufferPoolFull);
             };
             let old = g.meta[local];
+            let old_dirty = g.dpt.contains_key(&old);
             let gidx = base + local;
             drop(g);
             // The old mapping stays in the table until the write-back below
@@ -445,12 +435,12 @@ impl BufferPool {
             // image in from disk while the newest version only exists here.
             //
             // I/O outside the shard mutex, under the frame's write latch.
-            if old.dirty {
+            if old_dirty {
                 crash_point!("pool.evict.begin");
                 // WAL rule: the log must cover the page before it hits disk.
                 self.log.flush_to(latch.page_lsn())?;
                 crash_point!("pool.evict.after_force");
-                self.write_back(old.page, &latch)?;
+                self.write_back(old, &latch)?;
                 crash_point!("pool.evict.after_write");
             }
             // Re-take the shard mutex to complete the eviction. Two races
@@ -472,21 +462,20 @@ impl BufferPool {
             if self.frames[gidx].pins.load(Ordering::Acquire) != 0
                 || g.table.contains_key(&page)
             {
-                if old.dirty {
-                    g.meta[local].dirty = false;
-                    g.dpt.remove(&old.page);
+                if old_dirty {
+                    g.dpt.remove(&old);
                 }
                 drop(g);
                 drop((latch, held));
                 std::thread::yield_now();
                 continue;
             }
-            if !old.page.is_null() {
-                g.table.remove(&old.page);
-                g.dpt.remove(&old.page);
+            if !old.is_null() {
+                g.table.remove(&old);
+                g.dpt.remove(&old);
             }
             g.table.insert(page, local);
-            g.meta[local] = FrameMeta { page, dirty: false };
+            g.meta[local] = page;
             // ordering: Release publishes the table/meta state that produced this owner; stale-pin re-checks load it with Acquire
             self.frames[gidx].owner.store(page.0, Ordering::Release);
             g.clock.on_load(local);
@@ -494,7 +483,7 @@ impl BufferPool {
             let prev = self.frames[gidx].pins.fetch_add(1, Ordering::AcqRel);
             debug_assert_eq!(prev, 0, "victim frame was pinned");
             drop(g);
-            if !old.page.is_null() {
+            if !old.is_null() {
                 // ordering: advisory counter; nothing synchronizes-with it
                 self.obs.pool.evictions.fetch_add(1, Ordering::Relaxed);
             }
@@ -517,7 +506,7 @@ impl BufferPool {
                     let mut g = self.lock_shard(sid, "storage::pool::claim.unwind");
                     if g.table.get(&page) == Some(&local) {
                         g.table.remove(&page);
-                        g.meta[local] = FrameMeta::FREE;
+                        g.meta[local] = PageId::NULL;
                         // ordering: Release publishes the table removal; a pinned reader's Acquire owner re-check must see NULL and fail
                         self.frames[gidx].owner.store(PageId::NULL.0, Ordering::Release);
                     }
@@ -533,33 +522,31 @@ impl BufferPool {
     fn mark_dirty(&self, page: PageId, rec_lsn: Lsn) {
         let sid = self.shard_of(page);
         let mut g = self.lock_shard(sid, "storage::pool::mark_dirty");
-        if let Some(&local) = g.table.get(&page) {
-            g.meta[local].dirty = true;
-        }
         g.dpt.entry(page).or_insert(rec_lsn);
     }
 
     // --- flushing -----------------------------------------------------------
 
     /// Write `page` to disk if it is cached and dirty (WAL rule enforced).
+    /// A page that is not dirty is not fixed: fixing an evicted page would
+    /// read it back from disk, and could evict another, only to find it
+    /// clean.
     pub fn flush_page(&self, page: PageId) -> Result<()> {
-        let guard = self.fix_s(page)?;
         let sid = self.shard_of(page);
-        let dirty = {
-            let g = self.lock_shard(sid, "storage::pool::flush_page");
-            g.table.get(&page).is_some_and(|&l| g.meta[l].dirty)
-        };
-        if dirty {
+        let dirty = || self.lock_shard(sid, "storage::pool::flush_page").dpt.contains_key(&page);
+        if !dirty() {
+            return Ok(());
+        }
+        let guard = self.fix_s(page)?;
+        // Re-checked under the latch: an eviction or another flush may have
+        // written the page back since.
+        if dirty() {
             crash_point!("pool.flush.begin");
             self.log.flush_to(guard.page_lsn())?;
             crash_point!("pool.flush.after_force");
             self.write_back(page, &guard)?;
             crash_point!("pool.flush.after_write");
-            let mut g = self.lock_shard(sid, "storage::pool::flush_page");
-            if let Some(&local) = g.table.get(&page) {
-                g.meta[local].dirty = false;
-            }
-            g.dpt.remove(&page);
+            self.lock_shard(sid, "storage::pool::flush_page").dpt.remove(&page);
         }
         Ok(())
     }
@@ -625,7 +612,8 @@ impl BufferPool {
     /// Test oracle: every shard's page table, frame metadata and frame
     /// owner words agree — each table entry points at a frame holding that
     /// page, and every non-free frame is reachable through exactly its own
-    /// table entry. A double-installed page would show up here as an
+    /// table entry, and every dirty page table entry names a page resident
+    /// in its shard. A double-installed page would show up here as an
     /// orphaned frame (resident metadata with no table entry), the
     /// signature of two racing misses splitting a page across two frames.
     /// Panics on violation; safe to call concurrently with pool traffic
@@ -636,7 +624,7 @@ impl BufferPool {
             let base = self.shards[sid].base;
             for (&page, &local) in g.table.iter() {
                 assert_eq!(
-                    g.meta[local].page, page,
+                    g.meta[local], page,
                     "table entry names a frame holding another page"
                 );
                 assert_eq!(
@@ -646,12 +634,17 @@ impl BufferPool {
                     "frame owner word drifted from the page table"
                 );
             }
-            for (local, m) in g.meta.iter().enumerate() {
+            for (local, &m) in g.meta.iter().enumerate() {
                 assert!(
-                    m.page.is_null() || g.table.get(&m.page) == Some(&local),
-                    "orphaned frame: {:?} resident in frame {} without a table entry",
-                    m.page,
+                    m.is_null() || g.table.get(&m) == Some(&local),
+                    "orphaned frame: {m:?} resident in frame {} without a table entry",
                     base + local
+                );
+            }
+            for page in g.dpt.keys() {
+                assert!(
+                    g.table.contains_key(page),
+                    "dirty page table names {page:?}, which is not resident in its shard"
                 );
             }
         }

@@ -3,7 +3,7 @@
 //! fault-hook regressions for the claim/install and failed-load-unwind races.
 
 use ariesim_common::page::PageType;
-use ariesim_common::stats::new_stats;
+use ariesim_common::stats::{new_stats, StatsHandle};
 use ariesim_common::tmp::TempDir;
 use ariesim_common::{Error, Lsn, PageId};
 use ariesim_storage::{BufferPool, DiskManager};
@@ -12,14 +12,19 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 fn setup(frames: usize) -> (TempDir, Arc<BufferPool>, Arc<LogManager>) {
+    let (dir, pool, log, _stats) = setup_with_stats(frames);
+    (dir, pool, log)
+}
+
+fn setup_with_stats(frames: usize) -> (TempDir, Arc<BufferPool>, Arc<LogManager>, StatsHandle) {
     let dir = TempDir::new("pool");
     let stats = new_stats();
     let log = Arc::new(
         LogManager::open(&dir.file("wal"), LogOptions::default(), stats.clone()).unwrap(),
     );
     let disk = DiskManager::open(&dir.file("db"), stats.clone()).unwrap();
-    let pool = BufferPool::new(disk, log.clone(), frames, stats, ariesim_obs::Obs::disabled());
-    (dir, pool, log)
+    let pool = BufferPool::new(disk, log.clone(), frames, stats.clone(), ariesim_obs::Obs::disabled());
+    (dir, pool, log, stats)
 }
 
 fn format_page(pool: &Arc<BufferPool>, id: PageId) {
@@ -127,6 +132,24 @@ fn flush_page_clears_dirty_and_dpt() {
     let mut img = ariesim_common::PageBuf::zeroed();
     pool.disk().read_page(PageId(3), &mut img).unwrap();
     assert_eq!(img.page_id(), PageId(3));
+}
+
+/// `flush_all`'s DPT snapshot can race an eviction: flushing a page that is
+/// no longer resident (or never was) must not read it back from disk.
+#[test]
+fn flush_page_of_a_page_not_cached_reads_nothing() {
+    let (_d, pool, _log, stats) = setup_with_stats(8);
+    format_page(&pool, PageId(1));
+    for i in 2..20u32 {
+        format_page(&pool, PageId(i));
+    }
+    assert!(!pool.is_cached(PageId(1)), "page 1 should be evicted");
+    let reads = stats.snapshot().page_reads;
+    pool.flush_page(PageId(1)).unwrap();
+    pool.flush_page(PageId(500)).unwrap();
+    assert_eq!(stats.snapshot().page_reads, reads, "flush_page read a page");
+    assert!(!pool.is_cached(PageId(1)) && !pool.is_cached(PageId(500)));
+    pool.validate_mappings();
 }
 
 #[test]

@@ -48,8 +48,6 @@ pub enum OpKind {
     MutexUnlock,
     RwShared,
     RwTryShared,
-    RwSharedRecursive,
-    RwTrySharedRecursive,
     RwExclusive,
     RwTryExclusive,
     RwUnlockShared,
@@ -68,10 +66,7 @@ impl OpKind {
     pub fn is_try(self) -> bool {
         matches!(
             self,
-            OpKind::MutexTryLock
-                | OpKind::RwTryShared
-                | OpKind::RwTrySharedRecursive
-                | OpKind::RwTryExclusive
+            OpKind::MutexTryLock | OpKind::RwTryShared | OpKind::RwTryExclusive
         )
     }
 
@@ -84,8 +79,6 @@ impl OpKind {
             OpKind::MutexUnlock => "mutex_unlock",
             OpKind::RwShared => "rw_shared",
             OpKind::RwTryShared => "rw_try_shared",
-            OpKind::RwSharedRecursive => "rw_shared_recursive",
-            OpKind::RwTrySharedRecursive => "rw_try_shared_recursive",
             OpKind::RwExclusive => "rw_exclusive",
             OpKind::RwTryExclusive => "rw_try_exclusive",
             OpKind::RwUnlockShared => "rw_unlock_shared",
@@ -107,8 +100,6 @@ impl OpKind {
             "mutex_unlock" => OpKind::MutexUnlock,
             "rw_shared" => OpKind::RwShared,
             "rw_try_shared" => OpKind::RwTryShared,
-            "rw_shared_recursive" => OpKind::RwSharedRecursive,
-            "rw_try_shared_recursive" => OpKind::RwTrySharedRecursive,
             "rw_exclusive" => OpKind::RwExclusive,
             "rw_try_exclusive" => OpKind::RwTryExclusive,
             "rw_unlock_shared" => OpKind::RwUnlockShared,

@@ -56,5 +56,5 @@ fn every_atomic_ordering_is_justified() {
         bare.join("\n")
     );
     // A scanner that stopped seeing the atomics would pass vacuously.
-    assert!(sites >= 45, "only {sites} atomic-ordering sites found");
+    assert!(sites >= 42, "only {sites} atomic-ordering sites found");
 }

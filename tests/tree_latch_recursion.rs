@@ -16,15 +16,27 @@ mod support;
 
 use ariesim::btree::fetch::{FetchCond, FetchResult};
 use ariesim::btree::LockProtocol;
+use std::io::Write;
 use std::sync::mpsc;
 use std::time::Duration;
 use support::{fix, nkey};
+
+/// Fail the run from inside the thread scope. A panic there would make the
+/// scope join its threads, and a latch deadlock never lets them finish: exit
+/// the process instead, so a deadlock is a failure, not a hang. The message
+/// goes to the real stderr: the harness's output capture dies with it.
+fn fail(why: &str) -> ! {
+    let _ = writeln!(std::io::stderr(), "tree_latch_recursion: {why}");
+    std::process::exit(1)
+}
 
 /// Spin until `cond` holds; a stuck predicate is a test failure, not a hang.
 fn wait_for(what: &str, cond: impl Fn() -> bool) {
     let deadline = std::time::Instant::now() + Duration::from_secs(20);
     while !cond() {
-        assert!(std::time::Instant::now() < deadline, "never saw: {what}");
+        if std::time::Instant::now() >= deadline {
+            fail(&format!("never saw: {what}"));
+        }
         std::thread::yield_now();
     }
 }
@@ -81,10 +93,10 @@ fn boundary_delete_retry_takes_the_tree_latch_once() {
         });
         drop(root_x);
 
-        done_rx
-            .recv_timeout(Duration::from_secs(20))
-            .expect("boundary delete hung: tree-latch self-deadlock")
-            .expect("boundary delete failed");
+        match done_rx.recv_timeout(Duration::from_secs(20)) {
+            Ok(done) => done.expect("boundary delete failed"),
+            Err(_) => fail("boundary delete hung: tree-latch self-deadlock"),
+        }
     });
     f.tm.commit(&txn).unwrap();
 
