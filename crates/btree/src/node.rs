@@ -42,28 +42,33 @@ impl NodeCell {
         };
         Ok(NodeCell { child, high_key })
     }
+
+    /// The still-encoded high key of an encoded cell, or `None` if it has
+    /// none: what [`Self::decode`] would decode, left in place.
+    pub fn encoded_high_key(buf: &[u8]) -> Result<Option<&[u8]>> {
+        let mut r = Reader::new(buf);
+        let has_high = r.u8()? != 0;
+        r.page_id()?;
+        Ok(has_high.then(|| r.rest()))
+    }
+}
+
+/// The raw bytes of the cell at slot `i`; `what` names it in the error.
+fn cell<'p>(page: &'p PageBuf, i: u16, what: &str) -> Result<&'p [u8]> {
+    page.cell(i).ok_or_else(|| Error::CorruptPage {
+        page: page.page_id(),
+        reason: format!("missing {what} cell {i}"),
+    })
 }
 
 /// Decode the leaf key at slot `i`.
 pub fn leaf_key(page: &PageBuf, i: u16) -> Result<IndexKey> {
-    let cell = page
-        .cell(i)
-        .ok_or_else(|| Error::CorruptPage {
-            page: page.page_id(),
-            reason: format!("missing leaf cell {i}"),
-        })?;
-    IndexKey::decode(cell)
+    IndexKey::decode(cell(page, i, "leaf")?)
 }
 
 /// Decode the nonleaf cell at slot `i`.
 pub fn node_cell(page: &PageBuf, i: u16) -> Result<NodeCell> {
-    let cell = page
-        .cell(i)
-        .ok_or_else(|| Error::CorruptPage {
-            page: page.page_id(),
-            reason: format!("missing node cell {i}"),
-        })?;
-    NodeCell::decode(cell)
+    NodeCell::decode(cell(page, i, "node")?)
 }
 
 /// Binary-search a leaf for the first slot whose key is ≥ `search`.
@@ -72,8 +77,7 @@ pub fn leaf_lower_bound(page: &PageBuf, search: &SearchKey<'_>) -> Result<u16> {
     let (mut lo, mut hi) = (0u16, page.slot_count());
     while lo < hi {
         let mid = lo + (hi - lo) / 2;
-        let k = leaf_key(page, mid)?;
-        match search.cmp_key(&k) {
+        match search.cmp_encoded(cell(page, mid, "leaf")?)? {
             Ordering::Greater => lo = mid + 1,
             _ => hi = mid,
         }
@@ -154,13 +158,14 @@ pub fn node_search(page: &PageBuf, search: &SearchKey<'_>) -> Result<(u16, PageI
     let (mut lo, mut hi) = (0u16, n - 1);
     while lo < hi {
         let mid = lo + (hi - lo) / 2;
-        let cell = node_cell(page, mid)?;
-        let high = cell.high_key.as_ref().ok_or_else(|| Error::CorruptPage {
-            page: page.page_id(),
-            reason: format!("cell {mid} of {} missing high key", page.page_id()),
-        })?;
+        let Some(high) = NodeCell::encoded_high_key(cell(page, mid, "node")?)? else {
+            return Err(Error::CorruptPage {
+                page: page.page_id(),
+                reason: format!("cell {mid} of {} missing high key", page.page_id()),
+            });
+        };
         // Child covers keys strictly below its high key.
-        match search.cmp_key(high) {
+        match search.cmp_encoded(high)? {
             Ordering::Less => hi = mid,
             _ => lo = mid + 1,
         }

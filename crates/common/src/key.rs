@@ -126,6 +126,21 @@ impl<'a> SearchKey<'a> {
         }
     }
 
+    /// [`Self::cmp_key`] against a key in its wire encoding
+    /// ([`IndexKey::encode`]), compared in place: nothing is decoded into
+    /// an owned key, so a binary search over a page allocates nothing.
+    pub fn cmp_encoded(&self, encoded: &[u8]) -> Result<Ordering> {
+        let mut r = Reader::new(encoded);
+        Ok(match self.value.as_ref().cmp(r.bytes()?) {
+            Ordering::Equal => match self.rid {
+                Some(rid) => rid.cmp(&r.rid()?),
+                // Value-only searches sort before all (value, rid) keys.
+                None => Ordering::Less,
+            },
+            ord => ord,
+        })
+    }
+
     /// True if `key` matches this search key's value (ignoring the RID when
     /// the search is value-only).
     pub fn value_matches(&self, key: &IndexKey) -> bool {
@@ -196,6 +211,33 @@ mod tests {
         assert_eq!(s.cmp_key(&k1), Ordering::Equal);
         assert!(!s.value_matches(&k0));
         assert!(s.value_matches(&k1));
+    }
+
+    #[test]
+    fn cmp_encoded_agrees_with_cmp_key() {
+        let keys = [
+            IndexKey::new(b"dup".to_vec(), rid(1, 0)),
+            IndexKey::new(b"dup".to_vec(), rid(1, 1)),
+            IndexKey::new(b"dup".to_vec(), rid(2, 0)),
+            IndexKey::new(b"du".to_vec(), rid(9, 9)),
+            IndexKey::new(b"dupe".to_vec(), rid(0, 0)),
+            IndexKey::new(Vec::new(), rid(1, 0)),
+        ];
+        let searches = [
+            SearchKey::value_only(b"dup"),
+            SearchKey::value_only(b""),
+            SearchKey::full(b"dup", rid(1, 0)),
+            SearchKey::full(b"dup", rid(1, 1)),
+            SearchKey::full(b"dup", rid(1, 2)),
+            SearchKey::full(b"dup", rid(0, 7)),
+            SearchKey::full(b"du", rid(9, 9)),
+        ];
+        for s in &searches {
+            for k in &keys {
+                assert_eq!(s.cmp_encoded(&k.encode()).unwrap(), s.cmp_key(k), "{s:?} vs {k:?}");
+            }
+        }
+        assert!(SearchKey::value_only(b"dup").cmp_encoded(&[3, 0, b'd']).is_err());
     }
 
     #[test]

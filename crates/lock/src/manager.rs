@@ -1,7 +1,12 @@
 //! The lock manager proper.
 //!
-//! A single hash table of lock heads guarded by one mutex, with per-waiter
-//! condition variables. Grant policy:
+//! One lock table guarded by one mutex, with per-waiter condition
+//! variables. The table is a slab of lock heads, found by one probe of a
+//! name → slot map (std's keyed hasher: key-value names carry user key
+//! bytes). Each transaction keeps a recycled list of the slots it holds
+//! grants on, so [`LockManager::release_all`] walks that list and probes
+//! the name map only to drop a head that has become empty. A name has a
+//! head exactly while someone holds it or waits for it. Grant policy:
 //!
 //! * a **new** request is granted iff its mode is compatible with every lock
 //!   granted to *other* transactions and no one is already queued (strict
@@ -30,6 +35,7 @@ use ariesim_common::{Error, Result, TxnId};
 use ariesim_obs::monitor::{Class, Held};
 use ariesim_obs::{ObsHandle, SpanKind};
 use parking_lot::{Condvar, Mutex};
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 use std::time::Duration;
@@ -66,8 +72,9 @@ struct Waiter {
     cell: Arc<WaitCell>,
 }
 
-#[derive(Default)]
 struct Head {
+    /// The name this head is for; stale while the slot is free.
+    name: LockName,
     granted: Vec<Granted>,
     queue: VecDeque<Waiter>,
 }
@@ -84,11 +91,52 @@ impl Head {
     }
 }
 
+/// The head slots each transaction holds a recorded grant on.
+#[derive(Default)]
+struct Holders {
+    lists: HashMap<TxnId, Vec<u32>>,
+    /// Emptied lists, reused so that a transaction's first grant allocates
+    /// nothing.
+    spare: Vec<Vec<u32>>,
+}
+
+impl Holders {
+    fn add(&mut self, txn: TxnId, slot: u32) {
+        let spare = &mut self.spare;
+        self.lists
+            .entry(txn)
+            .or_insert_with(|| spare.pop().unwrap_or_default())
+            .push(slot);
+    }
+
+    fn remove(&mut self, txn: TxnId, slot: u32) {
+        let Some(list) = self.lists.get_mut(&txn) else {
+            return;
+        };
+        if let Some(i) = list.iter().rposition(|&s| s == slot) {
+            list.swap_remove(i);
+        }
+        if list.is_empty() {
+            if let Some(list) = self.lists.remove(&txn) {
+                self.recycle(list);
+            }
+        }
+    }
+
+    fn recycle(&mut self, mut list: Vec<u32>) {
+        list.clear();
+        self.spare.push(list);
+    }
+}
+
 #[derive(Default)]
 struct State {
-    heads: HashMap<LockName, Head>,
-    /// Names on which each transaction has a recorded grant.
-    txn_locks: HashMap<TxnId, HashSet<LockName>>,
+    /// Name → slot of its head in `heads`.
+    slots: HashMap<LockName, u32>,
+    heads: Vec<Head>,
+    /// Slots of `heads` no name maps to: no grant, no waiter.
+    free: Vec<u32>,
+    holders: Holders,
 }
 
 /// The lock manager. Thread-safe; one per database.
@@ -153,59 +201,79 @@ impl LockManager {
             // whether or not it waits.
             self.obs.monitor.on_unconditional_lock_request();
         }
-        let cell;
-        {
+        let (cell, name) = {
             let mut guard = self.lock_state("lock::manager::request");
             let st = &mut *guard;
-            let head = st.heads.entry(name.clone()).or_default();
-
-            if let Some(gi) = head.find_granted(txn) {
-                let held = head.granted[gi].mode;
-                let target = held.sup(mode);
-                if target == held {
-                    // Already covered: just strengthen the duration.
-                    if duration > head.granted[gi].duration {
-                        head.granted[gi].duration = duration;
+            let slot = match st.slots.entry(name) {
+                Entry::Occupied(e) => *e.get(),
+                Entry::Vacant(e) => {
+                    // Nobody holds or waits for the name: grantable at once.
+                    // An instant lock evaporates on grant, leaving no head.
+                    if duration == LockDuration::Instant {
+                        self.note_grant(e.key(), duration);
+                        return Ok(());
                     }
-                    self.note_grant(&name, duration);
-                    return Ok(());
+                    let slot = match st.free.pop() {
+                        Some(slot) => {
+                            st.heads[slot as usize].name = e.key().clone();
+                            slot
+                        }
+                        None => {
+                            st.heads.push(Head {
+                                name: e.key().clone(),
+                                granted: Vec::new(),
+                                queue: VecDeque::new(),
+                            });
+                            (st.heads.len() - 1) as u32
+                        }
+                    };
+                    *e.insert(slot)
                 }
-                // Conversion.
-                if head.compatible_with_others(txn, target) {
-                    head.granted[gi].mode = target;
-                    if duration > head.granted[gi].duration {
-                        head.granted[gi].duration = duration;
+            };
+            let head = &mut st.heads[slot as usize];
+            let convert = match head.find_granted(txn) {
+                Some(gi) => {
+                    let held = head.granted[gi].mode;
+                    let target = held.sup(mode);
+                    // Already covered, or a conversion no other grant stands
+                    // in the way of: convert in place and strengthen the
+                    // duration.
+                    if target == held || head.compatible_with_others(txn, target) {
+                        let g = &mut head.granted[gi];
+                        g.mode = target;
+                        if duration > g.duration {
+                            g.duration = duration;
+                        }
+                        self.note_grant(&head.name, duration);
+                        return Ok(());
                     }
-                    self.note_grant(&name, duration);
-                    return Ok(());
+                    true
                 }
-                if conditional {
-                    self.stats.lock_conditional_denials.bump();
-                    return Err(Error::WouldBlock);
-                }
-                cell = self.enqueue(st, txn, name.clone(), mode, duration, true)?;
-            } else {
-                let grantable = head.queue.is_empty() && head.compatible_with_others(txn, mode);
-                if grantable {
-                    // An instant lock evaporates on grant: it is never recorded.
-                    if duration != LockDuration::Instant {
-                        head.granted.push(Granted {
-                            txn,
-                            mode,
-                            duration,
-                        });
-                        st.txn_locks.entry(txn).or_default().insert(name.clone());
+                None => {
+                    if head.queue.is_empty() && head.compatible_with_others(txn, mode) {
+                        // An instant lock evaporates on grant: it is never
+                        // recorded.
+                        if duration != LockDuration::Instant {
+                            head.granted.push(Granted {
+                                txn,
+                                mode,
+                                duration,
+                            });
+                            st.holders.add(txn, slot);
+                        }
+                        self.note_grant(&head.name, duration);
+                        return Ok(());
                     }
-                    self.note_grant(&name, duration);
-                    return Ok(());
+                    false
                 }
-                if conditional {
-                    self.stats.lock_conditional_denials.bump();
-                    return Err(Error::WouldBlock);
-                }
-                cell = self.enqueue(st, txn, name.clone(), mode, duration, false)?;
+            };
+            if conditional {
+                self.stats.lock_conditional_denials.bump();
+                return Err(Error::WouldBlock);
             }
-        }
+            let cell = self.enqueue(st, slot as usize, txn, mode, duration, convert)?;
+            (cell, st.heads[slot as usize].name.clone())
+        };
         // Wait outside the table mutex.
         let wait_span = self.obs.span(SpanKind::LockWait, txn.0, 0);
         self.stats.lock_waits.bump();
@@ -244,17 +312,14 @@ impl LockManager {
         }
     }
 
-    /// Queue a waiter; returns its wait cell, or `Error::Deadlock` if adding
-    /// the edge would close a waits-for cycle through `txn`.
-    #[expect(
-        clippy::expect_used,
-        reason = "head exists: key re-checked under the same state-mutex critical section (two identical sites)"
-    )]
+    /// Queue a waiter on the head at `slot`; returns its wait cell, or
+    /// `Error::Deadlock` if adding the edge would close a waits-for cycle
+    /// through `txn`.
     fn enqueue(
         &self,
         st: &mut State,
+        slot: usize,
         txn: TxnId,
-        name: LockName,
         mode: LockMode,
         duration: LockDuration,
         convert: bool,
@@ -270,21 +335,18 @@ impl LockManager {
             convert,
             cell: cell.clone(),
         };
-        {
-            let head = st.heads.get_mut(&name).expect("head exists");
-            if convert {
-                // Conversions go ahead of new requests but behind existing
-                // conversions (FIFO among converters).
-                let pos = head.queue.iter().take_while(|w| w.convert).count();
-                head.queue.insert(pos, waiter);
-            } else {
-                head.queue.push_back(waiter);
-            }
+        let queue = &mut st.heads[slot].queue;
+        if convert {
+            // Conversions go ahead of new requests but behind existing
+            // conversions (FIFO among converters).
+            let pos = queue.iter().take_while(|w| w.convert).count();
+            queue.insert(pos, waiter);
+        } else {
+            queue.push_back(waiter);
         }
         if self.would_deadlock(st, txn) {
             // Remove the waiter we just added and fail the request.
-            let head = st.heads.get_mut(&name).expect("head exists");
-            head.queue.retain(|w| !Arc::ptr_eq(&w.cell, &cell));
+            st.heads[slot].queue.retain(|w| !Arc::ptr_eq(&w.cell, &cell));
             self.stats.deadlocks.bump();
             return Err(Error::Deadlock { txn });
         }
@@ -300,7 +362,7 @@ impl LockManager {
     /// compatible predecessors resolve transitively through their own edges).
     fn would_deadlock(&self, st: &State, start: TxnId) -> bool {
         let mut edges: HashMap<TxnId, Vec<TxnId>> = HashMap::new();
-        for head in st.heads.values() {
+        for head in &st.heads {
             for (i, w) in head.queue.iter().enumerate() {
                 let target = if w.convert {
                     head.granted
@@ -340,75 +402,70 @@ impl LockManager {
         false
     }
 
-    /// Re-examine a head after its granted set changed, waking every waiter
-    /// that can now be granted.
-    fn grant_waiters(&self, st: &mut State, name: &LockName) {
+    /// Re-examine the head at `slot` after its granted set changed, waking
+    /// every waiter that can now be granted, and drop the head if it is
+    /// left with no grant and no waiter.
+    fn grant_waiters(&self, st: &mut State, slot: usize) {
         let mut to_wake: Vec<Arc<WaitCell>> = Vec::new();
-        {
-            let Some(head) = st.heads.get_mut(name) else {
-                return;
-            };
-            let mut blocked_regular = false;
-            let mut i = 0;
-            while i < head.queue.len() {
-                let w = &head.queue[i];
-                let (grantable, target) = if w.convert {
-                    match head.granted.iter().position(|g| g.txn == w.txn) {
-                        Some(gi) => {
-                            let target = head.granted[gi].mode.sup(w.mode);
-                            (head.compatible_with_others(w.txn, target), target)
-                        }
-                        // Holder vanished (rollback released it): treat as new.
-                        None => (
-                            !blocked_regular && head.compatible_with_others(w.txn, w.mode),
-                            w.mode,
-                        ),
+        let head = &mut st.heads[slot];
+        let mut blocked_regular = false;
+        let mut i = 0;
+        while i < head.queue.len() {
+            let w = &head.queue[i];
+            let (grantable, target) = if w.convert {
+                match head.granted.iter().position(|g| g.txn == w.txn) {
+                    Some(gi) => {
+                        let target = head.granted[gi].mode.sup(w.mode);
+                        (head.compatible_with_others(w.txn, target), target)
                     }
-                } else if blocked_regular {
-                    (false, w.mode)
-                } else {
-                    (head.compatible_with_others(w.txn, w.mode), w.mode)
-                };
-
-                if grantable {
-                    #[expect(
-                        clippy::expect_used,
-                        reason = "index came from enumerate() over the same queue under the mutex"
-                    )]
-                    let w = head.queue.remove(i).expect("index in range");
-                    if w.duration != LockDuration::Instant {
-                        match head.granted.iter_mut().find(|g| g.txn == w.txn) {
-                            Some(g) => {
-                                g.mode = target;
-                                if w.duration > g.duration {
-                                    g.duration = w.duration;
-                                }
-                            }
-                            None => {
-                                head.granted.push(Granted {
-                                    txn: w.txn,
-                                    mode: target,
-                                    duration: w.duration,
-                                });
-                                st.txn_locks
-                                    .entry(w.txn)
-                                    .or_default()
-                                    .insert(name.clone());
-                            }
-                        }
-                    }
-                    to_wake.push(w.cell);
-                    // Do not advance i: queue shifted left.
-                } else {
-                    if !w.convert {
-                        blocked_regular = true;
-                    }
-                    i += 1;
+                    // Holder vanished (rollback released it): treat as new.
+                    None => (
+                        !blocked_regular && head.compatible_with_others(w.txn, w.mode),
+                        w.mode,
+                    ),
                 }
+            } else if blocked_regular {
+                (false, w.mode)
+            } else {
+                (head.compatible_with_others(w.txn, w.mode), w.mode)
+            };
+
+            if grantable {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "index is below the queue's length, checked by the loop under the mutex"
+                )]
+                let w = head.queue.remove(i).expect("index in range");
+                if w.duration != LockDuration::Instant {
+                    match head.granted.iter_mut().find(|g| g.txn == w.txn) {
+                        Some(g) => {
+                            g.mode = target;
+                            if w.duration > g.duration {
+                                g.duration = w.duration;
+                            }
+                        }
+                        None => {
+                            head.granted.push(Granted {
+                                txn: w.txn,
+                                mode: target,
+                                duration: w.duration,
+                            });
+                            st.holders.add(w.txn, slot as u32);
+                        }
+                    }
+                }
+                to_wake.push(w.cell);
+                // Do not advance i: queue shifted left.
+            } else {
+                if !w.convert {
+                    blocked_regular = true;
+                }
+                i += 1;
             }
-            if head.granted.is_empty() && head.queue.is_empty() {
-                st.heads.remove(name);
-            }
+        }
+        if head.granted.is_empty() && head.queue.is_empty() {
+            st.slots.remove(&head.name);
+            st.free.push(slot as u32);
         }
         for cell in to_wake {
             *cell.state.lock() = WaitOutcome::Granted;
@@ -418,68 +475,67 @@ impl LockManager {
 
     /// Release one manual lock.
     pub fn release(&self, txn: TxnId, name: &LockName) {
-        let mut st = self.lock_state("lock::manager::release");
-        if let Some(head) = st.heads.get_mut(name) {
-            if let Some(gi) = head.find_granted(txn) {
-                head.granted.remove(gi);
-                if let Some(set) = st.txn_locks.get_mut(&txn) {
-                    set.remove(name);
-                }
-                self.grant_waiters(&mut st, name);
-            }
+        let mut guard = self.lock_state("lock::manager::release");
+        let st = &mut *guard;
+        let Some(&slot) = st.slots.get(name) else {
+            return;
+        };
+        let head = &mut st.heads[slot as usize];
+        if let Some(gi) = head.find_granted(txn) {
+            head.granted.swap_remove(gi);
+            st.holders.remove(txn, slot);
+            self.grant_waiters(st, slot as usize);
         }
     }
 
     /// Release every lock held by `txn` (commit or rollback completion).
     pub fn release_all(&self, txn: TxnId) {
-        let mut st = self.lock_state("lock::manager::release_all");
-        let names: Vec<LockName> = st
-            .txn_locks
-            .remove(&txn)
-            .map(|s| s.into_iter().collect())
-            .unwrap_or_default();
-        for name in names {
-            if let Some(head) = st.heads.get_mut(&name) {
-                if let Some(gi) = head.find_granted(txn) {
-                    head.granted.remove(gi);
-                }
-                self.grant_waiters(&mut st, &name);
+        let mut guard = self.lock_state("lock::manager::release_all");
+        let st = &mut *guard;
+        let Some(slots) = st.holders.lists.remove(&txn) else {
+            return;
+        };
+        for &slot in &slots {
+            let head = &mut st.heads[slot as usize];
+            if let Some(gi) = head.find_granted(txn) {
+                head.granted.swap_remove(gi);
             }
+            self.grant_waiters(st, slot as usize);
         }
+        st.holders.recycle(slots);
+    }
+
+    /// The grant `txn` holds on `name`, if any, read by `f`.
+    fn with_grant<T>(&self, txn: TxnId, name: &LockName, f: fn(&Granted) -> T) -> Option<T> {
+        let st = self.lock_state("lock::manager::holds");
+        let &slot = st.slots.get(name)?;
+        st.heads[slot as usize]
+            .granted
+            .iter()
+            .find(|g| g.txn == txn)
+            .map(f)
     }
 
     /// Mode in which `txn` currently holds `name`, if any. For assertions.
     pub fn holds(&self, txn: TxnId, name: &LockName) -> Option<LockMode> {
-        let st = self.lock_state("lock::manager::holds");
-        st.heads
-            .get(name)?
-            .granted
-            .iter()
-            .find(|g| g.txn == txn)
-            .map(|g| g.mode)
+        self.with_grant(txn, name, |g| g.mode)
     }
 
     /// Duration recorded for `txn`'s grant on `name`, if any. For assertions.
     pub fn holds_duration(&self, txn: TxnId, name: &LockName) -> Option<LockDuration> {
-        let st = self.lock_state("lock::manager::holds_duration");
-        st.heads
-            .get(name)?
-            .granted
-            .iter()
-            .find(|g| g.txn == txn)
-            .map(|g| g.duration)
+        self.with_grant(txn, name, |g| g.duration)
     }
 
     /// Number of recorded grants held by `txn`. For assertions.
     pub fn held_count(&self, txn: TxnId) -> usize {
         let st = self.lock_state("lock::manager::held_count");
-        st.txn_locks.get(&txn).map_or(0, |s| s.len())
+        st.holders.lists.get(&txn).map_or(0, Vec::len)
     }
 
     /// True if any transaction is queued anywhere. For assertions.
     pub fn has_waiters(&self) -> bool {
         let st = self.lock_state("lock::manager::has_waiters");
-        st.heads.values().any(|h| !h.queue.is_empty())
+        st.heads.iter().any(|h| !h.queue.is_empty())
     }
 }
 
@@ -547,6 +603,31 @@ mod tests {
         assert_eq!(m.holds(TxnId(1), &rec(0)), None);
         // Another txn can take it right away.
         m.request(TxnId(2), rec(0), X, Commit, true).unwrap();
+    }
+
+    /// The table holds nothing but what is held or awaited: instant grants
+    /// on names nobody holds create no head, and once every transaction
+    /// has released, no head and no per-transaction list is left.
+    #[test]
+    fn released_table_holds_no_heads() {
+        let m = lm();
+        let empty = |m: &LockManager| {
+            let st = m.state.lock();
+            st.slots.is_empty() && st.free.len() == st.heads.len() && st.holders.lists.is_empty()
+        };
+        for n in 0..1000 {
+            m.request(TxnId(1), rec(n), X, Instant, false).unwrap();
+        }
+        assert!(empty(&m), "instant grants left heads behind");
+        m.request(TxnId(1), rec(0), S, Commit, false).unwrap();
+        m.request(TxnId(2), rec(0), S, Manual, false).unwrap();
+        m.request(TxnId(2), rec(1), IX, Commit, false).unwrap();
+        m.request(TxnId(2), rec(1), S, Commit, false).unwrap();
+        m.request(TxnId(3), rec(2), X, Commit, false).unwrap();
+        m.release(TxnId(3), &rec(2));
+        m.release_all(TxnId(1));
+        m.release_all(TxnId(2));
+        assert!(empty(&m), "released locks left heads or lists behind");
     }
 
     #[test]

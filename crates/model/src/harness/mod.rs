@@ -10,8 +10,8 @@
 //! * [`Expect::Pass`] — the protocol is believed correct; exploration must
 //!   complete (or exhaust its budget) without a failure;
 //! * [`Expect::Race`] — the harness is *supposed* to fail: a toy with a
-//!   deliberate race ([`toy`]), two of them shaped like the races the pool
-//!   once shipped with. The checker proving it still finds those is the
+//!   deliberate race ([`toy`]), three of them shaped like races the pool
+//!   shipped with or guards against. The checker proving it still finds those is the
 //!   regression oracle for the checker itself.
 
 use crate::explore::{explore, replay, ExploreResult, ModelOptions, ReplayOutcome};
@@ -61,6 +61,12 @@ pub fn registry() -> Vec<Harness> {
             body: toy::latch_no_owner_check,
         },
         Harness {
+            name: "toy_hit_no_owner_check",
+            about: "a page-map hit pins and latches a frame an eviction is taking, without validating the owner word; the checker must find the stale read",
+            expect: Expect::Race,
+            body: toy::hit_no_owner_check,
+        },
+        Harness {
             name: "toy_mutex_counter",
             about: "the correct twin of toy_lost_update: increments under a mutex",
             expect: Expect::Pass,
@@ -83,6 +89,12 @@ pub fn registry() -> Vec<Harness> {
             about: "failed read I/O unwinds an installed mapping while another thread pinned it; owner re-check must catch the stale pin",
             expect: Expect::Pass,
             body: pool::failed_load_unwind,
+        },
+        Harness {
+            name: "pool_hit_vs_evict",
+            about: "a mutex-free page-map hit vs an eviction of its frame, then a failed reload of its page: the owner check must catch the hit that lost the race",
+            expect: Expect::Pass,
+            body: pool::hit_vs_evict,
         },
         Harness {
             name: "wal_flush_mirror",

@@ -1,5 +1,6 @@
-//! Toy harnesses: known-racy and known-correct counters, and the two
-//! races the buffer pool once shipped with, reduced to a few lines each.
+//! Toy harnesses: known-racy and known-correct counters, and three races
+//! the buffer pool shipped with or would ship with without its re-checks,
+//! reduced to a few lines each.
 //!
 //! These exercise the checker itself (facade atomics, `yield_point!`, mutex
 //! modeling, failure capture) with a state space small enough to enumerate
@@ -134,4 +135,43 @@ pub fn latch_no_owner_check(env: &mut Env) {
     env.join();
     // ordering: single-threaded again after join.
     assert_eq!(owner.load(Ordering::Acquire), NO_PAGE, "unwind left an owner");
+}
+
+/// Deliberate race, the shape of a page-map hit without the owner check: a
+/// reader reads the page's map entry, pins the frame and latches it
+/// **without validating the owner word**, while an evictor, holding the
+/// frame's write latch and seeing no pin, clears the entry and loads
+/// another page into the frame. The reader then reads a page it never
+/// fixed (the real pool's latch path checks the owner and reports
+/// `StalePin`).
+pub fn hit_no_owner_check(env: &mut Env) {
+    const OTHER: u32 = 8;
+    let entry = Arc::new(AtomicU32::new(1));
+    let pins = Arc::new(AtomicU32::new(0));
+    let frame = Arc::new(parking_lot::RwLock::new(PAGE));
+    {
+        let (entry, pins, frame) = (entry.clone(), pins.clone(), frame.clone());
+        env.spawn(move || {
+            let mut image = frame.write();
+            // ordering: Acquire/AcqRel as on the pool's pin word; the race
+            // under test is the reader never loading the owner.
+            if pins.load(Ordering::Acquire) != 0 {
+                return; // pinned: not a victim
+            }
+            // ordering: Release, as the pool's map entry stores.
+            entry.store(0, Ordering::Release);
+            *image = OTHER;
+        });
+    }
+    env.spawn(move || {
+        // ordering: Acquire, as the pool's map entry loads.
+        if entry.load(Ordering::Acquire) == 0 {
+            return; // miss
+        }
+        // ordering: see the evictor's pin load.
+        pins.fetch_add(1, Ordering::AcqRel);
+        let image = frame.read();
+        assert_eq!(*image, PAGE, "stale hit: latched a frame an eviction took");
+    });
+    env.join();
 }

@@ -1,5 +1,5 @@
-//! The checker's regression oracle: it must find the two toy races shaped
-//! like the pool's historical bugs within the default (`--quick`) budget,
+//! The checker's regression oracle: it must find the three toy races shaped
+//! like the pool's bugs within the default (`--quick`) budget,
 //! replay each discovery from its trace, and pass the fixed protocols
 //! exhaustively at the same bound.
 
@@ -45,6 +45,11 @@ fn finds_stale_pin_race() {
     assert_bug_found("toy_latch_no_owner_check", "stale pin");
 }
 
+#[test]
+fn finds_stale_hit_race() {
+    assert_bug_found("toy_hit_no_owner_check", "stale hit");
+}
+
 /// The fixed protocols pass *exhaustively* at the same preemption bound
 /// the discoveries used.
 #[test]
@@ -53,6 +58,7 @@ fn fixed_protocols_pass_exhaustively_at_bound_2() {
         "pool_claim_install",
         "pool_pin_vs_evict",
         "pool_failed_load_unwind",
+        "pool_hit_vs_evict",
         "wal_flush_mirror",
         "wal_mirror_behind_file",
         "wal_group_commit",

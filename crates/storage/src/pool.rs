@@ -8,15 +8,23 @@
 //! anywhere on the release path. Pins and page guards *borrow* the pool:
 //! a fix touches no reference count, only the frame's own words.
 //!
-//! **Partitioning.** The page table is split into N partitions ("shards"):
-//! `hash(PageId) → shard`, each shard owning a contiguous slice of the frame
-//! array plus its own mutex, page table, dirty-page bookkeeping and
-//! [`Clock`] hand. The shard count follows from the frame count alone
-//! ([`BufferPool::partitions`]). A hit takes one shard mutex briefly; a
-//! re-pin through an existing [`PinGuard`] (or a guard's
-//! [`PageGuard::repin`]) touches only the frame's atomics. Shard mutexes
-//! report to the latch monitor as `PoolShard` (rank 3 — a thread never
-//! holds two shards at once). Fixes and misses are counted once, in `Stats`
+//! **The page map.** Which frame holds a page is one atomic word per page
+//! in a page-indexed array ([`PageMap`]), allocated in 4096-page chunks on
+//! first use so an entry never moves. A `fix_*` hit reads the entry, pins
+//! the frame and latches it: no mutex and no hash. The frame may be evicted
+//! between the read and the pin; the owner word every latcher validates
+//! after acquiring the latch then fails ([`Error::StalePin`]) and `fix_*`
+//! retries. A re-pin through an existing [`PinGuard`] (or a guard's
+//! [`PageGuard::repin`]) touches only the frame's atomics.
+//!
+//! **Partitioning.** Misses, eviction, [`BufferPool::pin`], the dirty page
+//! table and flushing go through N partitions ("shards"): `hash(PageId) →
+//! shard`, each shard owning a contiguous slice of the frame array plus its
+//! own mutex, dirty-page bookkeeping and [`Clock`] hand; a page's map entry
+//! is written only under its shard's mutex. The shard count follows from
+//! the frame count alone ([`BufferPool::partitions`]). Shard mutexes report
+//! to the latch monitor as `PoolShard` (rank 3 — a thread never holds two
+//! shards at once). Fixes and misses are counted once, in `Stats`
 //! (`page_fixes`, `page_reads`); `obs.pool` holds evictions and shard
 //! contention.
 //!
@@ -33,20 +41,20 @@
 //!   per-shard (a page's DPT entry lives in the shard that owns its frame)
 //!   and merged on snapshot.
 //!
-//! **Failed loads.** A miss installs its page-table mapping *before* the
-//! read I/O, so concurrent fixes of the same page hit the loading frame and
-//! wait on the loader's latch instead of double-loading. If the read fails
-//! the install is unwound; any pin taken on the frame in that window turns
-//! into [`Error::StalePin`] at its next latch attempt (the frame's atomic
-//! owner word is validated after every latch acquisition). `fix_*` retries
-//! the fix transparently; explicit [`PinGuard`] holders see the error.
+//! **Failed loads.** A miss installs its page-map entry *before* the read
+//! I/O, so concurrent fixes of the same page hit the loading frame and wait
+//! on the loader's latch instead of double-loading. If the read fails the
+//! install is unwound; any pin taken on the frame in that window turns into
+//! [`Error::StalePin`] at its next latch attempt, exactly as a hit that
+//! raced an eviction does. `fix_*` retries the fix transparently; explicit
+//! [`PinGuard`] holders see the error.
 //!
 //! Latch acquisition supports conditional (`try_`) variants, used by the
 //! B+-tree to obey the paper's rule that nothing waits for a latch while
 //! holding an incompatible one out of order.
 
 use crate::disk::DiskManager;
-use crate::eviction::Clock;
+use crate::eviction::{Clock, Hand};
 use ariesim_common::stats::{Bump, StatsHandle};
 use ariesim_common::{Error, Lsn, PageBuf, PageId, Result};
 use ariesim_fault::crash_point;
@@ -55,12 +63,12 @@ use ariesim_obs::{ObsHandle, SpanKind};
 use ariesim_wal::{DptEntry, LogManager};
 use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::collections::HashMap;
-// The per-frame protocol words (`pins`, `owner`) are model-checkable facade
-// atomics — their interleavings are what `crates/model`'s pool harnesses
-// explore.
+// The per-frame protocol words (`pins`, `owner`) and the page map's entries
+// are model-checkable facade atomics — their interleavings are what
+// `crates/model`'s pool harnesses explore.
 use ariesim_common::msync::AtomicU32;
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 type Slot = RwLock<PageBuf>;
 type ReadLatch<'p> = RwLockReadGuard<'p, PageBuf>;
@@ -96,36 +104,117 @@ impl<'p> Mode<'p, WriteLatch<'p>> {
 }
 
 /// One buffer frame: the latched page image plus its pin count. The pin
-/// count is outside every mutex — pinning from a hit happens under the
-/// owning shard's mutex (so eviction, which also holds it, cannot race),
-/// re-pinning from an existing pin and *all* unpinning are plain atomics.
+/// count is outside every mutex: a page-map hit, re-pinning from an
+/// existing pin and *all* unpinning are plain atomics; only
+/// [`BufferPool::pin`] and a miss pin under the shard mutex.
 struct Frame {
     buf: Slot,
     pins: AtomicU32,
     /// PageId this frame currently holds (NULL while free), written only
-    /// under the owning shard's mutex at install/unwind. Latchers validate
-    /// it against their pin after acquiring the latch: a failed load
-    /// unwinds a frame while foreign pins may exist, and those pins must
-    /// fail loudly ([`Error::StalePin`]) rather than read whatever image
-    /// the frame holds now.
+    /// under the owning shard's mutex and the frame's write latch, at
+    /// install/unwind. Latchers validate it against their pin after
+    /// acquiring the latch: a hit may pin a frame an eviction is taking, and
+    /// a failed load unwinds a frame while foreign pins may exist; those
+    /// pins must fail loudly ([`Error::StalePin`]) rather than read whatever
+    /// image the frame holds now.
     owner: AtomicU32,
+}
+
+/// Pages per chunk of the page map.
+const MAP_CHUNK: usize = 4096;
+/// Chunks per block of the page map: 1024 blocks of 1024 chunks cover
+/// every `PageId`.
+const MAP_BLOCK: usize = 1024;
+
+/// `MAP_CHUNK` entries.
+type MapChunk = Box<[AtomicU32]>;
+/// `MAP_BLOCK` chunks, each allocated on first use.
+type MapBlock = Box<[OnceLock<MapChunk>]>;
+
+/// Page → frame, read with no mutex. One entry per page: the global frame
+/// index plus one, 0 while the page is not resident. Chunks (and the
+/// blocks that point at them) are allocated on first use and never freed,
+/// so an entry never moves. An entry is written only under the shard mutex
+/// of its page's partition.
+struct PageMap {
+    blocks: Box<[OnceLock<MapBlock>]>,
+}
+
+impl PageMap {
+    fn new() -> PageMap {
+        PageMap {
+            blocks: (0..MAP_BLOCK).map(|_| OnceLock::new()).collect(),
+        }
+    }
+
+    fn split(page: PageId) -> (usize, usize, usize) {
+        let p = page.0 as usize;
+        (p / (MAP_CHUNK * MAP_BLOCK), p / MAP_CHUNK % MAP_BLOCK, p % MAP_CHUNK)
+    }
+
+    /// `page`'s entry, if its chunk exists.
+    fn entry(&self, page: PageId) -> Option<&AtomicU32> {
+        let (b, c, i) = Self::split(page);
+        Some(&self.blocks[b].get()?[c].get()?[i])
+    }
+
+    /// The frame holding `page`, if it is resident.
+    fn get(&self, page: PageId) -> Option<usize> {
+        // ordering: Acquire pairs with the Release stores in `set`/`clear`; the frame found is still validated against its owner word under the latch
+        match self.entry(page)?.load(Ordering::Acquire) {
+            0 => None,
+            f => Some(f as usize - 1),
+        }
+    }
+
+    fn set(&self, page: PageId, frame: usize) {
+        let (b, c, i) = Self::split(page);
+        let block = self.blocks[b].get_or_init(|| (0..MAP_BLOCK).map(|_| OnceLock::new()).collect());
+        let chunk = block[c].get_or_init(|| (0..MAP_CHUNK).map(|_| AtomicU32::new(0)).collect());
+        // ordering: Release publishes the install (meta, DPT) to a hit that Acquire-loads the entry
+        chunk[i].store(frame as u32 + 1, Ordering::Release);
+    }
+
+    fn clear(&self, page: PageId) {
+        if let Some(e) = self.entry(page) {
+            // ordering: Release, as in `set`
+            e.store(0, Ordering::Release);
+        }
+    }
+
+    /// Every page with an entry (test oracle).
+    fn pages(&self) -> Vec<PageId> {
+        let mut out = Vec::new();
+        for (b, block) in self.blocks.iter().enumerate() {
+            for (c, chunk) in block.get().into_iter().flat_map(|cs| cs.iter().enumerate()) {
+                for (i, e) in chunk.get().into_iter().flat_map(|es| es.iter().enumerate()) {
+                    // ordering: Acquire, as in `get`
+                    if e.load(Ordering::Acquire) != 0 {
+                        out.push(PageId(((b * MAP_BLOCK + c) * MAP_CHUNK + i) as u32));
+                    }
+                }
+            }
+        }
+        out
+    }
 }
 
 /// Mutable state of one partition, guarded by the shard mutex.
 struct ShardInner {
-    /// Page → partition-local frame index.
-    table: HashMap<PageId, usize>,
     /// Partition-local frame index → the page it holds (NULL while free).
     meta: Vec<PageId>,
     /// Dirty page table slice: page → rec_lsn, for pages framed here. The
     /// one record of dirtiness: a page is dirty iff it has an entry.
     dpt: HashMap<PageId, Lsn>,
-    clock: Clock,
+    hand: Hand,
 }
 
 struct Shard {
     /// Global index of this partition's frame 0.
     base: usize,
+    /// Reference bits of this partition's frames, set by hits outside the
+    /// mutex.
+    clock: Clock,
     inner: Mutex<ShardInner>,
 }
 
@@ -151,6 +240,7 @@ impl std::ops::DerefMut for ShardGuard<'_> {
 /// The buffer pool. Page guards and pins borrow it.
 pub struct BufferPool {
     frames: Vec<Frame>,
+    map: PageMap,
     shards: Vec<Shard>,
     disk: DiskManager,
     log: Arc<LogManager>,
@@ -167,7 +257,7 @@ impl BufferPool {
         obs: ObsHandle,
     ) -> Arc<BufferPool> {
         assert!(frames >= 8, "pool too small to be useful");
-        // Page-table partition count: 8, but every partition must own
+        // Partition count: 8, but every partition must own
         // enough frames (16) for the deepest simultaneous pin chain with
         // slack, so a tiny pool collapses to one partition rather than
         // starving a partition of frames for its pin chains.
@@ -179,11 +269,11 @@ impl BufferPool {
             let len = frames / n + usize::from(sid < frames % n);
             shards.push(Shard {
                 base,
+                clock: Clock::new(len),
                 inner: Mutex::new(ShardInner {
-                    table: HashMap::new(),
                     meta: vec![PageId::NULL; len],
                     dpt: HashMap::new(),
-                    clock: Clock::new(len),
+                    hand: Hand::new(len),
                 }),
             });
             base += len;
@@ -196,6 +286,7 @@ impl BufferPool {
                     owner: AtomicU32::new(PageId::NULL.0),
                 })
                 .collect(),
+            map: PageMap::new(),
             shards,
             disk,
             log,
@@ -212,16 +303,19 @@ impl BufferPool {
         &self.disk
     }
 
-    /// Number of page-table partitions in use.
+    /// Number of partitions in use.
     pub fn partitions(&self) -> usize {
         self.shards.len()
     }
 
-    /// Resident pages per partition, counted from the page tables (test
-    /// oracle for how pages spread over the shards).
+    /// Resident pages per partition (test oracle for how pages spread over
+    /// the shards).
     pub fn shard_occupancy(&self) -> Vec<usize> {
         (0..self.shards.len())
-            .map(|sid| self.lock_shard(sid, "storage::pool::shard_occupancy").table.len())
+            .map(|sid| {
+                let g = self.lock_shard(sid, "storage::pool::shard_occupancy");
+                g.meta.iter().filter(|m| !m.is_null()).count()
+            })
             .collect()
     }
 
@@ -298,11 +392,15 @@ impl BufferPool {
     ) -> Result<PageGuard<'p, L>> {
         self.stats.page_fixes.bump();
         loop {
-            let (pin, loaded) = self.claim(page)?;
+            let (pin, loaded) = match self.hit(page) {
+                Some(pin) => (pin, None),
+                None => self.claim(page)?,
+            };
             let Some((wlatch, held)) = loaded else {
                 match self.latch_frame(pin, mode, conditional, site) {
-                    // A concurrent failed load unwound the frame between
-                    // our pin and our latch; re-fix from the page table.
+                    // An eviction took the frame, or a concurrent failed
+                    // load unwound it, between our pin and our latch;
+                    // re-fix from the page map.
                     Err(Error::StalePin { .. }) => continue,
                     other => return other,
                 }
@@ -345,7 +443,7 @@ impl BufferPool {
         };
         let held = blocking.unwrap_or_else(|| monitor.acquired(Class::PageLatch, site, false));
         // ordering: acquire pairs with the Release owner store at
-        // install/unwind — seeing the new owner implies seeing the table
+        // install/unwind — seeing the new owner implies seeing the map
         // state that produced it.
         if self.frames[pin.frame].owner.load(Ordering::Acquire) != pin.page.0 {
             return Err(Error::StalePin { page: pin.page });
@@ -368,34 +466,44 @@ impl BufferPool {
         self.disk.write_page(image)
     }
 
-    /// Pin `page`'s frame, loading it from disk if absent. On a miss the
-    /// write latch the load I/O happened under comes back too, still held.
+    /// Pin `page`'s frame through the page map: an entry load and a pin.
+    /// `fix` calls it with no shard mutex, so an eviction may take the
+    /// frame between the two; the post-latch owner check then fails with
+    /// `StalePin`. A miss calls it again under the shard mutex.
+    fn hit(&self, page: PageId) -> Option<PinGuard<'_>> {
+        let frame = self.map.get(page)?;
+        // ordering: AcqRel pin increment pairs with the install's pin re-check — a pin it misses belongs to a hit whose owner check will fail
+        self.frames[frame].pins.fetch_add(1, Ordering::AcqRel);
+        let shard = &self.shards[self.shard_of(page)];
+        shard.clock.on_hit(frame - shard.base);
+        Some(PinGuard {
+            pool: self,
+            frame,
+            page,
+        })
+    }
+
+    /// Pin `page`'s frame under its shard mutex, loading it from disk if
+    /// absent. On a miss the write latch the load I/O happened under comes
+    /// back too, still held.
     fn claim(&self, page: PageId) -> Result<(PinGuard<'_>, Option<LoadLatch<'_>>)> {
         debug_assert!(!page.is_null(), "fix of NULL page");
         let sid = self.shard_of(page);
+        let shard = &self.shards[sid];
         loop {
             let mut g = self.lock_shard(sid, "storage::pool::claim");
-            if let Some(&local) = g.table.get(&page) {
-                let gidx = self.shards[sid].base + local;
-                // ordering: AcqRel pin increment pairs with the install/eviction pin checks — a nonzero count must imply a visible frame
-                self.frames[gidx].pins.fetch_add(1, Ordering::AcqRel);
-                g.clock.on_hit(local);
+            if let Some(pin) = self.hit(page) {
                 drop(g);
-                let pin = PinGuard {
-                    pool: self,
-                    frame: gidx,
-                    page,
-                };
                 return Ok((pin, None));
             }
             // Miss: the clock proposes victims among this shard's frames;
             // a frame is accepted only if unpinned *and* its latch is free
             // (the conditional write latch is claimed inside the callback
             // and kept for the eviction + load I/O).
-            let base = self.shards[sid].base;
+            let base = shard.base;
             let mut wlatch: Option<LoadLatch<'_>> = None;
             let mut latch_busy = false;
-            let victim = g.clock.victim(|local| {
+            let victim = shard.clock.victim(&mut g.hand, |local| {
                 let fr = &self.frames[base + local];
                 // ordering: pairs with the AcqRel pin RMWs; a frame seen unpinned here is re-checked under its write latch before eviction
                 if fr.pins.load(Ordering::Acquire) != 0 {
@@ -429,7 +537,7 @@ impl BufferPool {
             let old_dirty = g.dpt.contains_key(&old);
             let gidx = base + local;
             drop(g);
-            // The old mapping stays in the table until the write-back below
+            // The old mapping stays in the map until the write-back below
             // completes: a concurrent fix of the old page must HIT this
             // frame (and block on our latch), never miss and fault a stale
             // image in from disk while the newest version only exists here.
@@ -460,7 +568,7 @@ impl BufferPool {
             // ordering: pin re-check pairs with the AcqRel pin increments; a
             // hit that pinned this frame during the I/O must be visible here.
             if self.frames[gidx].pins.load(Ordering::Acquire) != 0
-                || g.table.contains_key(&page)
+                || self.map.get(page).is_some()
             {
                 if old_dirty {
                     g.dpt.remove(&old);
@@ -470,18 +578,26 @@ impl BufferPool {
                 std::thread::yield_now();
                 continue;
             }
+            // A hit that read the old entry may still pin the frame from
+            // here on, so the install's own pin need not be the only one:
+            // such a pin fails its owner check under the latch. What holds
+            // instead is that a frame is remapped only under its write
+            // latch, which this miss has held since the victim scan.
+            debug_assert!(
+                old.is_null() || self.map.get(old) == Some(gidx),
+                "victim frame remapped under its write latch"
+            );
             if !old.is_null() {
-                g.table.remove(&old);
+                self.map.clear(old);
                 g.dpt.remove(&old);
             }
-            g.table.insert(page, local);
+            self.map.set(page, gidx);
             g.meta[local] = page;
-            // ordering: Release publishes the table/meta state that produced this owner; stale-pin re-checks load it with Acquire
+            // ordering: Release publishes the map/meta state that produced this owner; stale-pin re-checks load it with Acquire
             self.frames[gidx].owner.store(page.0, Ordering::Release);
-            g.clock.on_load(local);
+            shard.clock.on_hit(local);
             // ordering: AcqRel pin increment pairs with eviction pin checks
-            let prev = self.frames[gidx].pins.fetch_add(1, Ordering::AcqRel);
-            debug_assert_eq!(prev, 0, "victim frame was pinned");
+            self.frames[gidx].pins.fetch_add(1, Ordering::AcqRel);
             drop(g);
             if !old.is_null() {
                 // ordering: advisory counter; nothing synchronizes-with it
@@ -504,10 +620,10 @@ impl BufferPool {
                 // their latch instead of this non-image.
                 {
                     let mut g = self.lock_shard(sid, "storage::pool::claim.unwind");
-                    if g.table.get(&page) == Some(&local) {
-                        g.table.remove(&page);
+                    if self.map.get(page) == Some(gidx) {
+                        self.map.clear(page);
                         g.meta[local] = PageId::NULL;
-                        // ordering: Release publishes the table removal; a pinned reader's Acquire owner re-check must see NULL and fail
+                        // ordering: Release publishes the map removal; a pinned reader's Acquire owner re-check must see NULL and fail
                         self.frames[gidx].owner.store(PageId::NULL.0, Ordering::Release);
                     }
                 }
@@ -577,7 +693,8 @@ impl BufferPool {
         let mut resident = Vec::new();
         for sid in 0..self.shards.len() {
             let g = self.lock_shard(sid, "storage::pool::dpt_fence");
-            resident.extend(g.table.values().map(|&local| self.shards[sid].base + local));
+            let base = self.shards[sid].base;
+            resident.extend((0..g.meta.len()).filter(|&l| !g.meta[l].is_null()).map(|l| base + l));
         }
         for idx in resident {
             let site = "storage::pool::dpt_fence";
@@ -605,45 +722,54 @@ impl BufferPool {
 
     /// True if `page` is currently cached (for tests).
     pub fn is_cached(&self, page: PageId) -> bool {
-        let sid = self.shard_of(page);
-        self.lock_shard(sid, "storage::pool::is_cached").table.contains_key(&page)
+        self.map.get(page).is_some()
     }
 
-    /// Test oracle: every shard's page table, frame metadata and frame
-    /// owner words agree — each table entry points at a frame holding that
-    /// page, and every non-free frame is reachable through exactly its own
-    /// table entry, and every dirty page table entry names a page resident
-    /// in its shard. A double-installed page would show up here as an
-    /// orphaned frame (resident metadata with no table entry), the
+    /// Test oracle: the page map, every shard's frame metadata and the
+    /// frame owner words agree — each map entry points at a frame of its
+    /// page's shard holding that page, every non-free frame is reachable
+    /// through exactly its own map entry, and every dirty page table entry
+    /// names a resident page. A double-installed page would show up here as
+    /// an orphaned frame (resident metadata with no map entry), the
     /// signature of two racing misses splitting a page across two frames.
     /// Panics on violation; safe to call concurrently with pool traffic
-    /// (each shard is checked under its own mutex).
+    /// (each shard is checked under its own mutex, which its pages' map
+    /// entries are written under).
     pub fn validate_mappings(&self) {
+        let pages = self.map.pages();
         for sid in 0..self.shards.len() {
             let g = self.lock_shard(sid, "storage::pool::validate");
             let base = self.shards[sid].base;
-            for (&page, &local) in g.table.iter() {
-                assert_eq!(
-                    g.meta[local], page,
-                    "table entry names a frame holding another page"
+            for &page in pages.iter().filter(|&&p| self.shard_of(p) == sid) {
+                // Re-read under the mutex: the snapshot may predate it.
+                let Some(frame) = self.map.get(page) else { continue };
+                assert!(
+                    frame >= base && frame - base < g.meta.len(),
+                    "map entry for {page:?} names frame {frame}, outside its shard"
                 );
                 assert_eq!(
-                    // ordering: pairs with the Release owner stores; validation must see the table state that set the owner
-                    self.frames[base + local].owner.load(Ordering::Acquire),
+                    g.meta[frame - base], page,
+                    "map entry names a frame holding another page"
+                );
+                assert_eq!(
+                    // ordering: pairs with the Release owner stores; validation must see the map state that set the owner
+                    self.frames[frame].owner.load(Ordering::Acquire),
                     page.0,
-                    "frame owner word drifted from the page table"
+                    "frame owner word drifted from the page map"
                 );
             }
             for (local, &m) in g.meta.iter().enumerate() {
                 assert!(
-                    m.is_null() || g.table.get(&m) == Some(&local),
-                    "orphaned frame: {m:?} resident in frame {} without a table entry",
+                    m.is_null() || self.map.get(m) == Some(base + local),
+                    "orphaned frame: {m:?} resident in frame {} without a map entry",
                     base + local
                 );
             }
             for page in g.dpt.keys() {
                 assert!(
-                    g.table.contains_key(page),
+                    self.map
+                        .get(*page)
+                        .is_some_and(|f| f >= base && f - base < g.meta.len() && g.meta[f - base] == *page),
                     "dirty page table names {page:?}, which is not resident in its shard"
                 );
             }

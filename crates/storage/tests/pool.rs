@@ -1,6 +1,7 @@
 //! Buffer-pool behaviour through the public API: fix/latch modes, eviction
-//! under the WAL rule, the dirty page table, pins, partitioning, and the two
-//! fault-hook regressions for the claim/install and failed-load-unwind races.
+//! under the WAL rule, the dirty page table, pins, partitioning, page-map
+//! hits racing evictions, and the two fault-hook regressions for the
+//! claim/install and failed-load-unwind races.
 
 use ariesim_common::page::PageType;
 use ariesim_common::stats::{new_stats, StatsHandle};
@@ -224,6 +225,45 @@ fn concurrent_fixes_stress() {
     // All pins released.
     assert_eq!(pool.total_pins(), 0);
     assert!(pool.fix_s(PageId(1)).is_ok());
+}
+
+/// Page-map hits, which take no shard mutex, race a stream of evictions
+/// on a one-shard pool: every guard must show the page it was fixed for,
+/// with that page's own contents. A hit that pinned a frame an eviction
+/// then took fails its owner check and `fix_s` retries, invisibly. The
+/// race shows in release.
+#[test]
+fn hits_racing_evictions_see_only_their_page() {
+    const HOT: u32 = 4;
+    const PAGES: u32 = 24;
+    let (_d, pool, _log) = setup(8);
+    for i in 1..=PAGES {
+        let mut g = pool.fix_x(PageId(i)).unwrap();
+        g.format(PageId(i), PageType::Heap, 1000 + i, 0);
+        g.record_update(Lsn(1));
+    }
+    pool.flush_all().unwrap();
+    std::thread::scope(|s| {
+        for t in 0..4u32 {
+            let pool = pool.clone();
+            s.spawn(move || {
+                for i in 0..50_000u32 {
+                    // Two threads keep re-fixing the hot pages; two sweep
+                    // the cold ones, evicting hot frames between hits.
+                    let id = if t < 2 {
+                        PageId(1 + (i + t) % HOT)
+                    } else {
+                        PageId(HOT + 1 + (i * 7 + t) % (PAGES - HOT))
+                    };
+                    let g = pool.fix_s(id).unwrap();
+                    assert_eq!(g.page_id(), id, "guard shows another page");
+                    assert_eq!(g.owner(), 1000 + id.0, "guard shows another page's image");
+                }
+            });
+        }
+    });
+    assert_eq!(pool.total_pins(), 0);
+    pool.validate_mappings();
 }
 
 #[test]

@@ -18,7 +18,7 @@ use ariesim_common::stats::new_stats;
 use ariesim_common::tmp::TempDir;
 use ariesim_common::{Lsn, PageId, TxnId};
 use ariesim_obs::Obs;
-use ariesim_storage::eviction::Clock;
+use ariesim_storage::eviction::{Clock, Hand};
 use ariesim_storage::{BufferPool, DiskManager};
 use ariesim_wal::{LogManager, LogOptions, LogRecord, RmId};
 use proptest::prelude::*;
@@ -27,15 +27,12 @@ use std::sync::Arc;
 
 const FRAMES: usize = 8;
 
-/// Replay a trace of (hit|load, frame) events into a fresh policy.
-fn replay(trace: &[(bool, usize)]) -> Clock {
-    let mut p = Clock::new(FRAMES);
-    for &(is_hit, f) in trace {
-        if is_hit {
-            p.on_hit(f % FRAMES);
-        } else {
-            p.on_load(f % FRAMES);
-        }
+/// Replay a trace of frame references (hits and loads alike) into a
+/// fresh policy.
+fn replay(trace: &[usize]) -> Clock {
+    let p = Clock::new(FRAMES);
+    for &f in trace {
+        p.on_hit(f % FRAMES);
     }
     p
 }
@@ -47,12 +44,12 @@ proptest! {
     /// or latched frame can never be chosen, no matter the trace.
     #[test]
     fn policies_only_evict_approved_frames(
-        trace in proptest::collection::vec((any::<bool>(), 0usize..FRAMES), 0..60),
+        trace in proptest::collection::vec(0usize..FRAMES, 0..60),
         blocked in proptest::collection::vec(any::<bool>(), FRAMES..FRAMES + 1),
     ) {
-        let mut p = replay(&trace);
+        let p = replay(&trace);
         let mut approved = [false; FRAMES];
-        let victim = p.victim(&mut |f| {
+        let victim = p.victim(&mut Hand::new(FRAMES), |f| {
             if blocked[f] {
                 false
             } else {
