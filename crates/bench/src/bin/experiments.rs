@@ -575,9 +575,9 @@ fn latchcost() {
     let t = Instant::now();
     for _ in 0..N {
         r.locks
-            .request(txn.id, name.clone(), LockMode::S, LockDuration::Manual, false)
+            .request(txn.id, name.clone(), LockMode::S, LockDuration::Commit, false)
             .unwrap();
-        r.locks.release(txn.id, &name);
+        r.locks.release_all(txn.id);
     }
     let lock_ns = t.elapsed().as_nanos() as f64 / N as f64;
     r.tm.commit(&txn).unwrap();

@@ -7,11 +7,12 @@
 
 use ariesim_btree::BTree;
 use ariesim_common::codec::{Reader, Writer};
-use ariesim_common::page::PageType;
+use ariesim_common::page::{PageType, PAGE_SIZE};
+use ariesim_common::slotted::SLOT_LEN;
 use ariesim_common::{Error, IndexId, Lsn, PageId, Result, TableId};
 use ariesim_storage::BufferPool;
-use std::collections::HashMap;
-use std::sync::Arc;
+use parking_lot::Mutex;
+use std::sync::{Arc, OnceLock};
 
 /// Page 2 holds the catalog (page 0 is the NULL sentinel, page 1 the space
 /// map).
@@ -35,29 +36,88 @@ pub struct IndexDef {
     pub unique: bool,
 }
 
-/// In-memory catalog plus the opened B+-tree handles.
+/// An index definition and its open tree.
+pub struct OpenIndex {
+    pub def: IndexDef,
+    pub tree: Arc<BTree>,
+}
+
+/// The most entries of one kind the catalog page can hold: an entry takes
+/// at least 13 bytes (a table's, with an empty name) and a slot.
+const CAPACITY: usize = PAGE_SIZE / (SLOT_LEN + 13);
+
+/// Write-once slots, filled in order and read with no lock: the catalog only
+/// grows (there is no DROP), so a published entry never changes, and the
+/// filled slots are a prefix.
+struct Slots<T>(Box<[OnceLock<T>]>);
+
+impl<T> Slots<T> {
+    fn new() -> Slots<T> {
+        Slots((0..CAPACITY).map(|_| OnceLock::new()).collect())
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &T> {
+        self.0.iter().map_while(OnceLock::get)
+    }
+
+    /// Publish `entry` in the first free slot. Callers are serialised by
+    /// [`Catalog::ddl`].
+    fn push(&self, entry: T) -> Result<()> {
+        match self.0.iter().find(|slot| slot.get().is_none()) {
+            Some(slot) if slot.set(entry).is_ok() => Ok(()),
+            _ => Err(Error::Internal(format!(
+                "the catalog holds at most {CAPACITY} entries of a kind"
+            ))),
+        }
+    }
+}
+
+/// The next table and index ids.
+pub(crate) struct NextIds {
+    table: u32,
+    index: u32,
+}
+
+impl NextIds {
+    pub(crate) fn table(&mut self) -> TableId {
+        let id = TableId(self.table);
+        self.table += 1;
+        id
+    }
+
+    pub(crate) fn index(&mut self) -> IndexId {
+        let id = IndexId(self.index);
+        self.index += 1;
+        id
+    }
+}
+
+/// The catalog: published table definitions and open indexes, which row
+/// operations read with no mutex, no `RwLock` and no `Arc` clone, each
+/// being a write to a cache line every client shares. DDL holds
+/// [`Catalog::ddl`] from its name check to its publish.
 pub struct Catalog {
-    tables: HashMap<String, TableDef>,
-    indexes: HashMap<String, IndexDef>,
-    trees: HashMap<IndexId, Arc<BTree>>,
-    next_table: u32,
-    next_index: u32,
+    tables: Slots<TableDef>,
+    indexes: Slots<OpenIndex>,
+    pub(crate) ddl: Mutex<NextIds>,
 }
 
 impl Catalog {
-    /// Load the catalog from its page. A database that has seen no DDL yet
-    /// has never written the page ([`Catalog::persist`] formats it on every
-    /// write); it reads as zeroes, which is a page with no cells — the empty
-    /// catalog.
-    pub fn load(pool: &Arc<BufferPool>) -> Result<Catalog> {
+    /// Load the catalog from its page, opening each index with `open`. A
+    /// database that has seen no DDL yet has never written the page
+    /// ([`Catalog::persist`] formats it on every write); it reads as zeroes,
+    /// which is a page with no cells — the empty catalog.
+    pub fn load(
+        pool: &Arc<BufferPool>,
+        mut open: impl FnMut(&IndexDef) -> Arc<BTree>,
+    ) -> Result<Catalog> {
         let g = pool.fix_s(CATALOG_PAGE)?;
-        let mut cat = Catalog {
-            tables: HashMap::new(),
-            indexes: HashMap::new(),
-            trees: HashMap::new(),
-            next_table: 1,
-            next_index: 1,
+        let cat = Catalog {
+            tables: Slots::new(),
+            indexes: Slots::new(),
+            ddl: Mutex::new(NextIds { table: 1, index: 1 }),
         };
+        let mut next = cat.ddl.lock();
         for i in 0..g.slot_count() {
             let Some(cell) = g.cell(i) else { continue };
             let mut r = Reader::new(cell);
@@ -67,16 +127,13 @@ impl Catalog {
                     let first_page = r.page_id()?;
                     let columns = r.u16()?;
                     let name = String::from_utf8_lossy(r.bytes()?).into_owned();
-                    cat.next_table = cat.next_table.max(id.0 + 1);
-                    cat.tables.insert(
-                        name.clone(),
-                        TableDef {
-                            id,
-                            name,
-                            first_page,
-                            columns,
-                        },
-                    );
+                    next.table = next.table.max(id.0 + 1);
+                    cat.tables.push(TableDef {
+                        id,
+                        name,
+                        first_page,
+                        columns,
+                    })?;
                 }
                 2 => {
                     let id = r.index_id()?;
@@ -85,18 +142,17 @@ impl Catalog {
                     let column = r.u16()?;
                     let unique = r.u8()? != 0;
                     let name = String::from_utf8_lossy(r.bytes()?).into_owned();
-                    cat.next_index = cat.next_index.max(id.0 + 1);
-                    cat.indexes.insert(
-                        name.clone(),
-                        IndexDef {
-                            id,
-                            name,
-                            table,
-                            root,
-                            column,
-                            unique,
-                        },
-                    );
+                    next.index = next.index.max(id.0 + 1);
+                    let def = IndexDef {
+                        id,
+                        name,
+                        table,
+                        root,
+                        column,
+                        unique,
+                    };
+                    let tree = open(&def);
+                    cat.indexes.push(OpenIndex { def, tree })?;
                 }
                 other => {
                     return Err(Error::CorruptPage {
@@ -106,6 +162,7 @@ impl Catalog {
                 }
             }
         }
+        drop(next);
         Ok(cat)
     }
 
@@ -114,7 +171,7 @@ impl Catalog {
         let mut g = pool.fix_x(CATALOG_PAGE)?;
         g.format(CATALOG_PAGE, PageType::Header, 0, 0);
         let mut slot = 0u16;
-        for t in self.tables.values() {
+        for t in self.tables.iter() {
             let mut w = Writer::new();
             w.u8(1)
                 .table_id(t.id)
@@ -124,7 +181,7 @@ impl Catalog {
             g.insert_cell_at(slot, &w.into_vec())?;
             slot += 1;
         }
-        for ix in self.indexes.values() {
+        for OpenIndex { def: ix, .. } in self.indexes.iter() {
             let mut w = Writer::new();
             w.u8(2)
                 .index_id(ix.id)
@@ -140,64 +197,41 @@ impl Catalog {
         Ok(())
     }
 
-    pub fn next_table_id(&mut self) -> TableId {
-        let id = TableId(self.next_table);
-        self.next_table += 1;
-        id
+    /// Publish a table. The caller holds [`Catalog::ddl`].
+    pub fn add_table(&self, def: TableDef) -> Result<()> {
+        self.tables.push(def)
     }
 
-    pub fn next_index_id(&mut self) -> IndexId {
-        let id = IndexId(self.next_index);
-        self.next_index += 1;
-        id
+    /// Publish an index and its open tree. The caller holds
+    /// [`Catalog::ddl`].
+    pub fn add_index(&self, def: IndexDef, tree: Arc<BTree>) -> Result<()> {
+        self.indexes.push(OpenIndex { def, tree })
     }
 
-    pub fn add_table(&mut self, def: TableDef) {
-        self.tables.insert(def.name.clone(), def);
+    pub fn table(&self, name: &str) -> Result<&TableDef> {
+        self.tables
+            .iter()
+            .find(|t| t.name == name)
+            .ok_or_else(|| Error::Internal(format!("no table {name}")))
     }
 
-    pub fn add_index(&mut self, def: IndexDef, tree: Arc<BTree>) {
-        self.trees.insert(def.id, tree);
-        self.indexes.insert(def.name.clone(), def);
+    pub fn index(&self, name: &str) -> Result<&OpenIndex> {
+        self.indexes
+            .iter()
+            .find(|ix| ix.def.name == name)
+            .ok_or_else(|| Error::Internal(format!("no index {name}")))
     }
 
-    pub fn attach_tree(&mut self, tree: Arc<BTree>) {
-        self.trees.insert(tree.index_id, tree);
+    pub fn tables(&self) -> impl Iterator<Item = &TableDef> {
+        self.tables.iter()
     }
 
-    pub fn table(&self, name: &str) -> Option<&TableDef> {
-        self.tables.get(name)
+    pub fn indexes(&self) -> impl Iterator<Item = &OpenIndex> {
+        self.indexes.iter()
     }
 
-    pub fn index(&self, name: &str) -> Option<&IndexDef> {
-        self.indexes.get(name)
-    }
-
-    pub fn tree(&self, id: IndexId) -> Option<Arc<BTree>> {
-        self.trees.get(&id).cloned()
-    }
-
-    pub fn tables(&self) -> Vec<TableDef> {
-        let mut v: Vec<TableDef> = self.tables.values().cloned().collect();
-        v.sort_by_key(|t| t.id);
-        v
-    }
-
-    pub fn indexes(&self) -> Vec<IndexDef> {
-        let mut v: Vec<IndexDef> = self.indexes.values().cloned().collect();
-        v.sort_by_key(|i| i.id);
-        v
-    }
-
-    /// Indexes defined on a table, in id order.
-    pub fn indexes_on(&self, table: TableId) -> Vec<IndexDef> {
-        let mut v: Vec<IndexDef> = self
-            .indexes
-            .values()
-            .filter(|i| i.table == table)
-            .cloned()
-            .collect();
-        v.sort_by_key(|i| i.id);
-        v
+    /// Indexes defined on a table.
+    pub fn indexes_on(&self, table: TableId) -> impl Iterator<Item = &OpenIndex> {
+        self.indexes.iter().filter(move |ix| ix.def.table == table)
     }
 }

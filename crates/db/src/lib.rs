@@ -31,7 +31,6 @@ use ariesim_recovery::RestartOutcome;
 use ariesim_txn::{Core, TxnHandle};
 use ariesim_wal::LogOptions;
 use catalog::{Catalog, IndexDef, TableDef};
-use parking_lot::Mutex;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -74,7 +73,7 @@ pub struct Db {
     pub core: Arc<Core>,
     pub heap: Arc<HeapManager>,
     pub index_rm: Arc<IndexRm>,
-    pub(crate) catalog: Mutex<Catalog>,
+    pub(crate) catalog: Catalog,
     /// Outcome of the restart recovery this open (or a standby's
     /// promotion) performed; `None` for an engine that was only
     /// [assembled](Db::assemble).
@@ -121,8 +120,7 @@ impl Db {
         let core = Core::open(dir, opts.frames, log_opts, obs)?;
         let heap = HeapManager::new(&core, opts.page_granularity);
         let index_rm = IndexRm::new(&core);
-        let mut catalog = Catalog::load(&core.pool)?;
-        for def in catalog.indexes() {
+        let catalog = Catalog::load(&core.pool, |def| {
             let tree = BTree::open(
                 &core,
                 def.id,
@@ -132,15 +130,15 @@ impl Db {
                 opts.page_granularity,
             );
             index_rm.register_tree(tree.clone());
-            catalog.attach_tree(tree);
-        }
+            tree
+        })?;
         Ok(Db {
             dir: dir.to_path_buf(),
             opts,
             core,
             heap,
             index_rm,
-            catalog: Mutex::new(catalog),
+            catalog,
             restart_outcome: None,
         })
     }
@@ -197,15 +195,16 @@ impl Db {
 
     /// Create a table with `columns` columns.
     pub fn create_table(&self, name: &str, columns: usize) -> Result<TableId> {
-        let mut cat = self.catalog.lock();
-        if cat.table(name).is_some() {
+        let cat = &self.catalog;
+        let mut ids = cat.ddl.lock();
+        if cat.table(name).is_ok() {
             return Err(Error::Internal(format!("table {name} already exists")));
         }
         let columns = u16::try_from(columns).map_err(|_| {
             Error::Internal(format!("table {name}: {columns} columns exceed {}", u16::MAX))
         })?;
         let txn = self.tm.begin();
-        let id = cat.next_table_id();
+        let id = ids.table();
         let first_page = match self.heap.create_file(&txn, id) {
             Ok(page) => page,
             Err(e) => {
@@ -219,7 +218,7 @@ impl Db {
             name: name.to_string(),
             first_page,
             columns,
-        });
+        })?;
         cat.persist(&self.pool)?;
         self.pool.flush_all()?;
         Ok(id)
@@ -236,12 +235,10 @@ impl Db {
         column: usize,
         unique: bool,
     ) -> Result<IndexId> {
-        let mut cat = self.catalog.lock();
-        let tdef = cat
-            .table(table)
-            .ok_or_else(|| Error::Internal(format!("no table {table}")))?
-            .clone();
-        if cat.index(name).is_some() {
+        let cat = &self.catalog;
+        let mut ids = cat.ddl.lock();
+        let tdef = cat.table(table)?.clone();
+        if cat.index(name).is_ok() {
             return Err(Error::Internal(format!("index {name} already exists")));
         }
         let column = u16::try_from(column)
@@ -249,7 +246,7 @@ impl Db {
             .filter(|c| *c < tdef.columns)
             .ok_or_else(|| Error::Internal(format!("table {table} has no column {column}")))?;
         let txn = self.tm.begin();
-        let id = cat.next_index_id();
+        let id = ids.index();
         let tree = match self.build_index(&txn, id, &tdef, column, unique) {
             Ok(tree) => tree,
             Err(e) => {
@@ -269,7 +266,7 @@ impl Db {
             column,
             unique,
         };
-        cat.add_index(def, tree);
+        cat.add_index(def, tree)?;
         cat.persist(&self.pool)?;
         self.pool.flush_all()?;
         Ok(id)

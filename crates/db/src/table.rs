@@ -7,7 +7,6 @@
 //! * an index fetch's commit S lock on the key (= the RID) means the record
 //!   read that follows takes no lock of its own.
 
-use crate::catalog::TableDef;
 use crate::{Db, FetchCond};
 use ariesim_btree::fetch::FetchResult;
 use ariesim_btree::BTree;
@@ -73,36 +72,11 @@ impl Row {
     }
 }
 
-/// The indexed column and the open tree of each index on a table, in id
-/// order.
-type OpenIndexes = Vec<(usize, Arc<BTree>)>;
-
 impl Db {
-    /// What a row operation needs from the catalog, read in one critical
-    /// section: the table and its open indexes.
-    fn resolve(&self, table: &str) -> Result<(TableDef, OpenIndexes)> {
-        let cat = self.catalog.lock();
-        let tdef = cat
-            .table(table)
-            .ok_or_else(|| Error::Internal(format!("no table {table}")))?
-            .clone();
-        let indexes = cat
-            .indexes_on(tdef.id)
-            .into_iter()
-            .map(|ix| {
-                let tree = cat
-                    .tree(ix.id)
-                    .ok_or_else(|| Error::Internal(format!("index {} not open", ix.name)))?;
-                Ok((ix.column as usize, tree))
-            })
-            .collect::<Result<_>>()?;
-        Ok((tdef, indexes))
-    }
-
     /// Insert a row: heap insert (which takes the commit X record lock),
     /// then one key insert per index on the table. Returns the RID.
     pub fn insert_row(&self, txn: &TxnHandle, table: &str, row: &Row) -> Result<Rid> {
-        let (tdef, indexes) = self.resolve(table)?;
+        let tdef = self.catalog.table(table)?;
         if row.fields.len() != tdef.columns as usize {
             return Err(Error::Internal(format!(
                 "row has {} fields, table {table} has {}",
@@ -113,9 +87,9 @@ impl Db {
         let rid = self
             .heap
             .insert(txn, tdef.id, tdef.first_page, &row.try_encode()?)?;
-        for (column, tree) in indexes {
-            let key = IndexKey::new(row.field(column)?.to_vec(), rid);
-            tree.insert(txn, &key)?;
+        for ix in self.catalog.indexes_on(tdef.id) {
+            let key = IndexKey::new(row.field(ix.def.column as usize)?.to_vec(), rid);
+            ix.tree.insert(txn, &key)?;
         }
         Ok(rid)
     }
@@ -123,12 +97,12 @@ impl Db {
     /// Delete the row at `rid`: heap delete (commit X record lock), then one
     /// key delete per index.
     pub fn delete_row(&self, txn: &TxnHandle, table: &str, rid: Rid) -> Result<Row> {
-        let (tdef, indexes) = self.resolve(table)?;
+        let tdef = self.catalog.table(table)?;
         let old = self.heap.delete(txn, tdef.id, rid)?;
         let row = Row::decode(&old)?;
-        for (column, tree) in indexes {
-            let key = IndexKey::new(row.field(column)?.to_vec(), rid);
-            tree.delete(txn, &key)?;
+        for ix in self.catalog.indexes_on(tdef.id) {
+            let key = IndexKey::new(row.field(ix.def.column as usize)?.to_vec(), rid);
+            ix.tree.delete(txn, &key)?;
         }
         Ok(row)
     }
@@ -137,7 +111,7 @@ impl Db {
     /// which under data-only locking covers the index keys too), then a key
     /// delete + insert on every index whose column actually changed.
     pub fn update_row(&self, txn: &TxnHandle, table: &str, rid: Rid, new: &Row) -> Result<()> {
-        let (tdef, indexes) = self.resolve(table)?;
+        let tdef = self.catalog.table(table)?;
         if new.fields.len() != tdef.columns as usize {
             return Err(Error::Internal(format!(
                 "row has {} fields, table {table} has {}",
@@ -147,13 +121,14 @@ impl Db {
         }
         let image = new.try_encode()?;
         let old = Row::decode(&self.heap.update(txn, tdef.id, rid, &image)?)?;
-        for (column, tree) in indexes {
+        for ix in self.catalog.indexes_on(tdef.id) {
+            let column = ix.def.column as usize;
             let (ov, nv) = (old.field(column)?, new.field(column)?);
             if ov == nv {
                 continue;
             }
-            tree.delete(txn, &IndexKey::new(ov.to_vec(), rid))?;
-            tree.insert(txn, &IndexKey::new(nv.to_vec(), rid))?;
+            ix.tree.delete(txn, &IndexKey::new(ov.to_vec(), rid))?;
+            ix.tree.insert(txn, &IndexKey::new(nv.to_vec(), rid))?;
         }
         Ok(())
     }
@@ -168,12 +143,12 @@ impl Db {
         value: &[u8],
         cond: FetchCond,
     ) -> Result<Option<(Rid, Row)>> {
-        let tree = self.tree_by_name(index)?;
+        let tree = &self.catalog.index(index)?.tree;
         let FetchResult::Found(key) = tree.fetch(txn, value, cond)? else {
             return Ok(None);
         };
         let mut rows = Vec::with_capacity(1);
-        self.read_rows(txn, &tree, &[key.rid], &mut rows)?;
+        self.read_rows(txn, tree, &[key.rid], &mut rows)?;
         Ok(rows.pop())
     }
 
@@ -190,7 +165,7 @@ impl Db {
         from: &[u8],
         to: &[u8],
     ) -> Result<Vec<(Rid, Row)>> {
-        let tree = self.tree_by_name(index)?;
+        let tree = &self.catalog.index(index)?.tree;
         let mut out = Vec::new();
         let mut run = Vec::new();
         let Some(mut cursor) = tree.open_run(txn, from, to, &mut run)? else {
@@ -201,7 +176,7 @@ impl Db {
             let below = run.partition_point(|k| k.value.as_slice() < to);
             rids.clear();
             rids.extend(run[..below].iter().map(|k| k.rid));
-            self.read_rows(txn, &tree, &rids, &mut out)?;
+            self.read_rows(txn, tree, &rids, &mut out)?;
             if below < run.len() {
                 break; // the stop key is locked: the range edge is protected
             }
@@ -233,20 +208,11 @@ impl Db {
 
     /// Look up an opened tree handle by index name.
     pub fn tree_by_name(&self, index: &str) -> Result<Arc<BTree>> {
-        let cat = self.catalog.lock();
-        let def = cat
-            .index(index)
-            .ok_or_else(|| Error::Internal(format!("no index {index}")))?;
-        cat.tree(def.id)
-            .ok_or_else(|| Error::Internal(format!("index {index} not open")))
+        Ok(self.catalog.index(index)?.tree.clone())
     }
 
     /// First heap page of a table (verification helpers).
     pub fn table_first_page(&self, table: &str) -> Result<ariesim_common::PageId> {
-        let cat = self.catalog.lock();
-        Ok(cat
-            .table(table)
-            .ok_or_else(|| Error::Internal(format!("no table {table}")))?
-            .first_page)
+        Ok(self.catalog.table(table)?.first_page)
     }
 }

@@ -10,6 +10,7 @@
 //! and is used after restart to demonstrate the paper's recovery guarantees:
 //! committed effects present, loser effects gone, structure intact.
 
+use crate::catalog::OpenIndex;
 use crate::{Db, Row};
 use ariesim_common::{Error, IndexKey, Result};
 use std::collections::BTreeSet;
@@ -26,24 +27,16 @@ pub struct DbReport {
 impl Db {
     /// Full consistency check; call quiesced (no running transactions).
     pub fn verify_consistency(&self) -> Result<DbReport> {
-        let (tables, indexes) = {
-            let cat = self.catalog.lock();
-            (cat.tables(), cat.indexes())
-        };
+        let cat = &self.catalog;
         let mut report = DbReport {
-            tables: tables.len(),
-            indexes: indexes.len(),
+            tables: cat.tables().count(),
+            indexes: cat.indexes().count(),
             ..Default::default()
         };
-        for t in &tables {
+        for t in cat.tables() {
             let rows = self.heap.scan_all(t.first_page)?;
             report.rows += rows.len();
-            for ix in indexes.iter().filter(|i| i.table == t.id) {
-                let tree = {
-                    let cat = self.catalog.lock();
-                    cat.tree(ix.id)
-                        .ok_or_else(|| Error::Internal(format!("index {} not open", ix.name)))?
-                };
+            for OpenIndex { def: ix, tree } in cat.indexes_on(t.id) {
                 tree.check_structure()?;
                 let keys = tree.scan_all_unlocked()?;
                 report.index_keys += keys.len();

@@ -2,11 +2,13 @@
 //!
 //! Implements the locking substrate ARIES/IM assumes (paper §1.2, §2.1):
 //!
-//! * modes **S, X, IS, IX, SIX** with the standard Gray compatibility matrix
-//!   and conversion lattice ([`mode`]);
+//! * modes **S, X, IX, SIX** with Gray's compatibility matrix and
+//!   conversion lattice ([`mode`]); `IX` is the ARIES/KVL baseline's insert
+//!   lock on a key value;
 //! * **durations**: *instant* (the lock is released the moment it is granted
-//!   — used for next-key locks during inserts), *manual*, and *commit*
-//!   (held until the transaction ends) ([`LockDuration`]);
+//!   — used for next-key locks during inserts) and *commit* (held until the
+//!   transaction ends, released by [`LockManager::release_all`])
+//!   ([`LockDuration`]);
 //! * **conditional requests**: fail immediately with
 //!   [`ariesim_common::Error::WouldBlock`] instead of queueing — the paper's
 //!   §2.2 rule is that no lock is ever waited for while page latches are

@@ -1,12 +1,13 @@
 //! Lock modes, the compatibility matrix, the conversion lattice, and
 //! durations — per \[Gray78\], as the paper assumes (§1.2).
 
-/// Lock mode. `IS`/`IX`/`SIX` are intention modes used on coarser granules
-/// (table/file) when record- or key-level locking is in effect.
+/// Lock mode. `IX` is the commit lock the ARIES/KVL baseline's insert takes
+/// on the key *value* it inserts \[Moha90a\]: inserters of one value coexist,
+/// readers of it wait. `SIX` is where a transaction's `S` and `IX` grants on
+/// one name meet.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 #[repr(u8)]
 pub enum LockMode {
-    IS,
     IX,
     S,
     SIX,
@@ -19,15 +20,8 @@ impl LockMode {
     pub fn compatible_with(self, held: LockMode) -> bool {
         use LockMode::*;
         match (self, held) {
-            (IS, X) => false,
-            (IS, _) => true,
-            (IX, IS) | (IX, IX) => true,
-            (IX, _) => false,
-            (S, IS) | (S, S) => true,
-            (S, _) => false,
-            (SIX, IS) => true,
-            (SIX, _) => false,
-            (X, _) => false,
+            (IX, IX) | (S, S) => true,
+            (IX, _) | (S, _) | (SIX, _) | (X, _) => false,
         }
     }
 
@@ -37,7 +31,6 @@ impl LockMode {
         use LockMode::*;
         match (self, other) {
             (X, _) | (_, X) => X,
-            (IS, m) | (m, IS) => m,
             (IX, IX) => IX,
             (S, S) => S,
             (IX, S) | (S, IX) | (SIX, _) | (_, SIX) => SIX,
@@ -60,8 +53,6 @@ pub enum LockDuration {
     /// X next-key lock (Figure 2) because the inserted key itself becomes the
     /// tripping point afterwards (§2.6).
     Instant,
-    /// Held until explicitly released (or transaction end).
-    Manual,
     /// Held until the transaction commits or finishes rollback. Deletes hold
     /// their next-key X lock for commit duration (Figure 2, §2.6).
     Commit,
@@ -72,18 +63,17 @@ mod tests {
     use super::*;
     use LockMode::*;
 
-    const ALL: [LockMode; 5] = [IS, IX, S, SIX, X];
+    const ALL: [LockMode; 4] = [IX, S, SIX, X];
 
     #[test]
     fn compatibility_matrix_matches_gray() {
         // (requested, held) -> compatible
         let expect = [
-            // IS   IX     S     SIX    X       <- held
-            (IS, [true, true, true, true, false]),
-            (IX, [true, true, false, false, false]),
-            (S, [true, false, true, false, false]),
-            (SIX, [true, false, false, false, false]),
-            (X, [false, false, false, false, false]),
+            // IX   S      SIX    X       <- held
+            (IX, [true, false, false, false]),
+            (S, [false, true, false, false]),
+            (SIX, [false, false, false, false]),
+            (X, [false, false, false, false]),
         ];
         for (req, row) in expect {
             for (held, want) in ALL.iter().zip(row) {
@@ -122,7 +112,7 @@ mod tests {
     fn sup_specific_values() {
         assert_eq!(IX.sup(S), SIX);
         assert_eq!(S.sup(IX), SIX);
-        assert_eq!(IS.sup(X), X);
+        assert_eq!(IX.sup(X), X);
         assert_eq!(SIX.sup(IX), SIX);
         assert_eq!(S.sup(X), X);
     }
@@ -130,7 +120,6 @@ mod tests {
     #[test]
     fn covers_examples() {
         assert!(X.covers(S));
-        assert!(X.covers(IS));
         assert!(SIX.covers(S) && SIX.covers(IX));
         assert!(!S.covers(X));
         assert!(!IX.covers(S));
@@ -138,7 +127,6 @@ mod tests {
 
     #[test]
     fn duration_ordering_instant_weakest() {
-        assert!(LockDuration::Instant < LockDuration::Manual);
-        assert!(LockDuration::Manual < LockDuration::Commit);
+        assert!(LockDuration::Instant < LockDuration::Commit);
     }
 }

@@ -9,14 +9,12 @@
 //! [`LockName::Eof`] is the "special lock name unique to this index" used
 //! when a fetch finds no higher key (§2.2).
 
-use ariesim_common::{IndexId, PageId, Rid, TableId};
+use ariesim_common::{IndexId, PageId, Rid};
 use std::fmt;
 
 /// A lockable object's name.
 #[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum LockName {
-    /// A table/file: intention locks for multi-granularity locking.
-    Table(TableId),
     /// A data page: used when the locking granularity of a table is `page`
     /// rather than `record` ("or the data page ID which is part of the record
     /// ID, if the locking granularity is a page", §2.1).
@@ -50,7 +48,6 @@ impl LockName {
 impl fmt::Debug for LockName {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            LockName::Table(t) => write!(f, "L:{t}"),
             LockName::Page(p) => write!(f, "L:{p}"),
             LockName::Record(r) => write!(f, "L:{r}"),
             LockName::KeyValue(i, v) => {
@@ -82,7 +79,6 @@ mod tests {
     fn distinct_names_are_unequal() {
         let rid = Rid::new(PageId(3), 4);
         let names = [
-            LockName::Table(TableId(1)),
             LockName::Page(PageId(3)),
             LockName::Record(rid),
             LockName::key_value(IndexId(1), b"k".to_vec()),

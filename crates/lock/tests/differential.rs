@@ -1,6 +1,6 @@
 //! Differential test of the lock table: random single-threaded sequences
-//! of conditional requests (every mode, every duration), single releases
-//! and `release_all`, over 3 transactions × 4 names, checked step by step
+//! of conditional requests (every mode, every duration) and `release_all`,
+//! over 3 transactions × 4 names of every kind, checked step by step
 //! against a naive reference table — every `WouldBlock`, and afterwards
 //! `holds`, `holds_duration` and `held_count` for every transaction and
 //! name.
@@ -8,21 +8,21 @@
 //! Conditional requests never queue, so the reference is a flat list of
 //! grants: a request is granted iff the target mode (`sup` of the held and
 //! the requested mode, for a conversion) is compatible with every other
-//! transaction's grant on the name; an instant grant is not recorded; a
-//! duration only strengthens.
+//! transaction's grant on the name; an instant grant is not recorded, so
+//! every recorded grant is commit-duration.
 
 use ariesim_common::stats::new_stats;
-use ariesim_common::{Error, IndexId, PageId, Rid, TableId, TxnId};
+use ariesim_common::{Error, IndexId, PageId, Rid, TxnId};
 use ariesim_lock::{LockDuration, LockManager, LockMode, LockName};
 use proptest::prelude::*;
 
 const TXNS: u64 = 3;
-const MODES: [LockMode; 5] = [LockMode::IS, LockMode::IX, LockMode::S, LockMode::SIX, LockMode::X];
-const DURATIONS: [LockDuration; 3] = [LockDuration::Instant, LockDuration::Manual, LockDuration::Commit];
+const MODES: [LockMode; 4] = [LockMode::IX, LockMode::S, LockMode::SIX, LockMode::X];
+const DURATIONS: [LockDuration; 2] = [LockDuration::Instant, LockDuration::Commit];
 
 fn names() -> [LockName; 4] {
     [
-        LockName::Table(TableId(1)),
+        LockName::Page(PageId(3)),
         LockName::Record(Rid::new(PageId(7), 0)),
         LockName::key_value(IndexId(1), b"k".to_vec()),
         LockName::Eof(IndexId(1)),
@@ -32,15 +32,13 @@ fn names() -> [LockName; 4] {
 #[derive(Clone, Copy, Debug)]
 enum Op {
     Request(u64, usize, LockMode, LockDuration),
-    Release(u64, usize),
     ReleaseAll(u64),
 }
 
 fn op() -> impl Strategy<Value = Op> {
     (0u8..8, 0..TXNS, 0usize..4, 0usize..MODES.len(), 0usize..DURATIONS.len()).prop_map(
         |(kind, t, n, m, d)| match kind {
-            0 => Op::Release(t, n),
-            1 => Op::ReleaseAll(t),
+            0 => Op::ReleaseAll(t),
             _ => Op::Request(t, n, MODES[m], DURATIONS[d]),
         },
     )
@@ -50,7 +48,6 @@ struct Grant {
     txn: u64,
     name: usize,
     mode: LockMode,
-    duration: LockDuration,
 }
 
 /// The naive reference table.
@@ -75,24 +72,11 @@ impl Reference {
             return false;
         }
         match held {
-            Some(i) => {
-                let g = &mut self.grants[i];
-                g.mode = target;
-                g.duration = g.duration.max(duration);
-            }
-            None if duration != LockDuration::Instant => self.grants.push(Grant {
-                txn,
-                name,
-                mode,
-                duration,
-            }),
+            Some(i) => self.grants[i].mode = target,
+            None if duration != LockDuration::Instant => self.grants.push(Grant { txn, name, mode }),
             None => {}
         }
         true
-    }
-
-    fn release(&mut self, txn: u64, name: usize) {
-        self.grants.retain(|g| !(g.txn == txn && g.name == name));
     }
 
     fn release_all(&mut self, txn: u64) {
@@ -118,10 +102,6 @@ proptest! {
                         "step {step} {op:?}: got {got:?}, reference granted {want}"
                     );
                 }
-                Op::Release(t, n) => {
-                    m.release(TxnId(t), &names[n]);
-                    reference.release(t, n);
-                }
                 Op::ReleaseAll(t) => {
                     m.release_all(TxnId(t));
                     reference.release_all(t);
@@ -139,7 +119,7 @@ proptest! {
                     );
                     prop_assert_eq!(
                         m.holds_duration(TxnId(t), name),
-                        want.map(|g| g.duration),
+                        want.map(|_| LockDuration::Commit),
                         "step {step} {op:?}: duration of T{t} on {name:?}"
                     );
                 }

@@ -1,10 +1,9 @@
-//! Additional lock-manager protocol tests: intention modes on coarse
-//! granules, conversion queue priority, instant-duration waiters in FIFO
-//! order, and multi-granularity compatibility — the [Gray78] machinery §1.2
-//! assumes.
+//! Additional lock-manager protocol tests: the ARIES/KVL baseline's IX and
+//! SIX modes on a key value, conversion queue priority, instant-duration
+//! waiters in FIFO order — the [Gray78] machinery §1.2 assumes.
 
 use ariesim_common::stats::new_stats;
-use ariesim_common::{Error, PageId, Rid, TableId, TxnId};
+use ariesim_common::{Error, IndexId, PageId, Rid, TxnId};
 use ariesim_lock::{LockDuration, LockManager, LockMode, LockName};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -17,8 +16,8 @@ fn lm() -> Arc<LockManager> {
     Arc::new(LockManager::new(new_stats(), ariesim_obs::Obs::disabled()))
 }
 
-fn table() -> LockName {
-    LockName::Table(TableId(1))
+fn value() -> LockName {
+    LockName::key_value(IndexId(1), b"v".to_vec())
 }
 
 fn rec(n: u16) -> LockName {
@@ -26,34 +25,31 @@ fn rec(n: u16) -> LockName {
 }
 
 #[test]
-fn intention_modes_coexist_on_the_table() {
+fn ix_holders_coexist_and_exclude_readers() {
     let m = lm();
-    // Record-locking transactions take IS/IX on the table.
-    m.request(TxnId(1), table(), IX, Commit, false).unwrap();
-    m.request(TxnId(2), table(), IX, Commit, false).unwrap();
-    m.request(TxnId(3), table(), IS, Commit, false).unwrap();
-    // A table-scan reader's S conflicts with the writers' IX.
+    // KVL inserters of one value each take IX on it.
+    m.request(TxnId(1), value(), IX, Commit, false).unwrap();
+    m.request(TxnId(2), value(), IX, Commit, false).unwrap();
+    // A reader's S conflicts with the inserters' IX.
     assert!(matches!(
-        m.request(TxnId(4), table(), S, Commit, true),
+        m.request(TxnId(4), value(), S, Commit, true),
         Err(Error::WouldBlock)
     ));
     m.release_all(TxnId(1));
     m.release_all(TxnId(2));
-    // With only IS holders left, S is grantable.
-    m.request(TxnId(4), table(), S, Commit, true).unwrap();
+    m.request(TxnId(4), value(), S, Commit, true).unwrap();
 }
 
 #[test]
-fn six_blocks_other_readers_but_not_is() {
+fn six_blocks_readers_and_inserters() {
     let m = lm();
-    m.request(TxnId(1), table(), SIX, Commit, false).unwrap();
-    m.request(TxnId(2), table(), IS, Commit, true).unwrap();
+    m.request(TxnId(1), value(), SIX, Commit, false).unwrap();
     assert!(matches!(
-        m.request(TxnId(3), table(), S, Commit, true),
+        m.request(TxnId(3), value(), S, Commit, true),
         Err(Error::WouldBlock)
     ));
     assert!(matches!(
-        m.request(TxnId(4), table(), IX, Commit, true),
+        m.request(TxnId(4), value(), IX, Commit, true),
         Err(Error::WouldBlock)
     ));
 }
@@ -61,19 +57,19 @@ fn six_blocks_other_readers_but_not_is() {
 #[test]
 fn s_plus_ix_converts_to_six() {
     let m = lm();
-    m.request(TxnId(1), table(), S, Commit, false).unwrap();
-    m.request(TxnId(1), table(), IX, Commit, false).unwrap();
-    assert_eq!(m.holds(TxnId(1), &table()), Some(SIX));
+    m.request(TxnId(1), value(), S, Commit, false).unwrap();
+    m.request(TxnId(1), value(), IX, Commit, false).unwrap();
+    assert_eq!(m.holds(TxnId(1), &value()), Some(SIX));
 }
 
 #[test]
 fn conversion_jumps_the_queue_ahead_of_new_requests() {
     let m = lm();
     // T1 and T2 both hold S; T3 queues for X (new request).
-    m.request(TxnId(1), rec(0), S, Manual, false).unwrap();
-    m.request(TxnId(2), rec(0), S, Manual, false).unwrap();
+    m.request(TxnId(1), rec(0), S, Commit, false).unwrap();
+    m.request(TxnId(2), rec(0), S, Commit, false).unwrap();
     let m3 = m.clone();
-    let t3 = std::thread::spawn(move || m3.request(TxnId(3), rec(0), X, Manual, false));
+    let t3 = std::thread::spawn(move || m3.request(TxnId(3), rec(0), X, Commit, false));
     while !m.has_waiters() {
         std::thread::yield_now();
     }
@@ -83,23 +79,23 @@ fn conversion_jumps_the_queue_ahead_of_new_requests() {
     let m1 = m.clone();
     let g1 = granted_first.clone();
     let t1 = std::thread::spawn(move || {
-        m1.request(TxnId(1), rec(0), X, Manual, false).unwrap();
+        m1.request(TxnId(1), rec(0), X, Commit, false).unwrap();
         g1.compare_exchange(0, 1, Ordering::SeqCst, Ordering::SeqCst).ok();
-        m1.release(TxnId(1), &rec(0));
+        m1.release_all(TxnId(1));
     });
     std::thread::sleep(Duration::from_millis(50));
     // Release T2's S: the converter must win over the queued X.
-    m.release(TxnId(2), &rec(0));
+    m.release_all(TxnId(2));
     t1.join().unwrap();
     assert_eq!(granted_first.load(Ordering::SeqCst), 1);
     t3.join().unwrap().unwrap();
-    m.release(TxnId(3), &rec(0));
+    m.release_all(TxnId(3));
 }
 
 #[test]
 fn instant_waiters_unblock_in_order_and_leave_no_residue() {
     let m = lm();
-    m.request(TxnId(1), rec(0), X, Manual, false).unwrap();
+    m.request(TxnId(1), rec(0), X, Commit, false).unwrap();
     let done = Arc::new(AtomicU64::new(0));
     let mut handles = Vec::new();
     for t in 2..6u64 {
@@ -112,7 +108,7 @@ fn instant_waiters_unblock_in_order_and_leave_no_residue() {
     }
     std::thread::sleep(Duration::from_millis(50));
     assert_eq!(done.load(Ordering::SeqCst), 0);
-    m.release(TxnId(1), &rec(0));
+    m.release_all(TxnId(1));
     for h in handles {
         h.join().unwrap();
     }

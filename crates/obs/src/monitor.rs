@@ -43,7 +43,9 @@ pub enum Class {
     /// One of the buffer pool's partition mutexes. Shards share the class:
     /// a thread never holds two at once.
     PoolShard,
-    /// The lock manager's hash-table mutex.
+    /// One of the lock table's shard mutexes. Shards share the class: a
+    /// thread holds two only in the wait path's sweep, which locks every
+    /// shard in index order and reports as one acquisition.
     LockTable,
 }
 

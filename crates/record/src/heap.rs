@@ -9,7 +9,7 @@ use ariesim_lock::{LockDuration, LockManager, LockMode, LockName};
 use ariesim_storage::{BufferPool, PageWriteGuard, SpaceMap};
 use ariesim_txn::{Core, TxnHandle};
 use ariesim_wal::{ChainLogger, LogManager, LogRecord, ResourceManager, RmId};
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -24,14 +24,18 @@ struct Reservations {
 }
 
 impl Reservations {
-    fn add(&mut self, txn: TxnId, page: PageId, bytes: usize) {
+    /// Reserve `bytes` on `page` for `txn`; true when it is `txn`'s first
+    /// reservation.
+    fn add(&mut self, txn: TxnId, page: PageId, bytes: usize) -> bool {
         *self.per_page.entry(page).or_insert(0) += bytes;
+        let first = !self.per_txn.contains_key(&txn);
         *self
             .per_txn
             .entry(txn)
             .or_default()
             .entry(page)
             .or_insert(0) += bytes;
+        first
     }
 
     fn release(&mut self, txn: TxnId, page: PageId, bytes: usize) {
@@ -150,8 +154,9 @@ pub struct HeapManager {
     space_map: SpaceMap,
     locks: Arc<LockManager>,
     log: Arc<LogManager>,
-    /// Never held while acquiring a latch or a lock.
-    space: Mutex<Space>,
+    /// Never held while acquiring a latch or a lock. Shared with the
+    /// end-of-transaction action that drops a deleter's reservations.
+    space: Arc<Mutex<Space>>,
     /// Lock data pages instead of records (the paper's §2.1 page
     /// granularity), selectable per database.
     pub page_granularity: bool,
@@ -159,7 +164,7 @@ pub struct HeapManager {
 
 impl HeapManager {
     /// The heap manager of `core`'s engine, registered as its
-    /// [`RmId::Heap`] resource manager and told when transactions end. When
+    /// [`RmId::Heap`] resource manager. When
     /// `page_granularity` is true, record operations lock the data *page*
     /// instead of the record (§2.1's coarser granule).
     pub fn new(core: &Core, page_granularity: bool) -> Arc<HeapManager> {
@@ -168,18 +173,23 @@ impl HeapManager {
             pool: core.pool.clone(),
             locks: core.locks.clone(),
             log: core.log.clone(),
-            space: Mutex::new(Space::default()),
+            space: Arc::default(),
             page_granularity,
         });
         core.rms.register(heap.clone());
-        let hook = heap.clone();
-        core.tm.on_end(Arc::new(move |txn| hook.on_txn_end(txn)));
         heap
     }
 
-    /// Transaction-end hook body: drop the transaction's reservations.
-    fn on_txn_end(&self, txn: TxnId) {
-        self.space.lock().resv.release_txn(txn);
+    /// Reserve `bytes` on `page` for `txn`'s undo, with the space book held
+    /// as `space`. On `txn`'s first reservation, have the transaction's end
+    /// drop them all: only a transaction that reserved pays for that.
+    fn reserve(&self, mut space: MutexGuard<'_, Space>, txn: &TxnHandle, page: PageId, bytes: usize) {
+        let first = space.resv.add(txn.id, page, bytes);
+        drop(space);
+        if first {
+            let (space, id) = (self.space.clone(), txn.id);
+            txn.at_end(move || space.lock().resv.release_txn(id));
+        }
     }
 
     fn data_lock(&self, rid: Rid) -> LockName {
@@ -415,8 +425,8 @@ impl HeapManager {
         });
         g.record_update(lsn);
         let mut space = self.space.lock();
-        space.resv.add(txn.id, rid.page, data.len());
         space.refresh(rid.page, g.total_free());
+        self.reserve(space, txn, rid.page, data.len());
         Ok(data)
     }
 
@@ -506,10 +516,10 @@ impl HeapManager {
         });
         g.record_update(lsn);
         let mut space = self.space.lock();
-        if new.len() < old.len() {
-            space.resv.add(txn.id, rid.page, old.len() - new.len());
-        }
         space.refresh(rid.page, g.total_free());
+        if new.len() < old.len() {
+            self.reserve(space, txn, rid.page, old.len() - new.len());
+        }
         Ok(old)
     }
 

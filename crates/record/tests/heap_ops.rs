@@ -247,22 +247,37 @@ fn reservation_prevents_space_theft() {
     f.tm.commit(&txn).unwrap();
 }
 
+/// A deleter's reservation lasts until the deleter ends, whichever way: the
+/// transaction's end drops it (the heap registers that with the
+/// transaction at its first reservation), so after a commit the space is
+/// free for real, and after a rollback — whose undo puts the record back —
+/// nothing of it stays reserved.
 #[test]
-fn reservation_released_after_commit() {
-    let f = fix();
-    let big = vec![1u8; 3900];
-    let txn = f.tm.begin();
-    let r1 = f.heap.insert(&txn, f.table, f.first_page, &big).unwrap();
-    let _r2 = f.heap.insert(&txn, f.table, f.first_page, &big).unwrap();
-    f.tm.commit(&txn).unwrap();
-    let t1 = f.tm.begin();
-    f.heap.delete(&t1, f.table, r1).unwrap();
-    f.tm.commit(&t1).unwrap();
-    // Space is free for real now.
-    let t2 = f.tm.begin();
-    let r3 = f.heap.insert(&t2, f.table, f.first_page, &big).unwrap();
-    assert_eq!(r3.page, f.first_page);
-    f.tm.commit(&t2).unwrap();
+fn reservation_released_at_commit_and_at_rollback() {
+    for commit in [true, false] {
+        let f = fix();
+        let big = vec![1u8; 3900];
+        let txn = f.tm.begin();
+        let r1 = f.heap.insert(&txn, f.table, f.first_page, &big).unwrap();
+        let _r2 = f.heap.insert(&txn, f.table, f.first_page, &big).unwrap();
+        f.tm.commit(&txn).unwrap();
+        let t1 = f.tm.begin();
+        f.heap.delete(&t1, f.table, r1).unwrap();
+        if commit {
+            f.tm.commit(&t1).unwrap();
+        } else {
+            f.tm.rollback(&t1).unwrap();
+            let t = f.tm.begin();
+            assert_eq!(f.heap.fetch(&t, r1, false).unwrap(), big, "undo restored r1");
+            f.heap.delete(&t, f.table, r1).unwrap();
+            f.tm.commit(&t).unwrap();
+        }
+        // Space is free for real now.
+        let t2 = f.tm.begin();
+        let r3 = f.heap.insert(&t2, f.table, f.first_page, &big).unwrap();
+        assert_eq!(r3.page, f.first_page, "commit {commit}: reserved space not released");
+        f.tm.commit(&t2).unwrap();
+    }
 }
 
 #[test]

@@ -425,3 +425,46 @@ fn the_forward_pass_decodes_each_record_once_from_the_oldest_rec_lsn() {
     assert_eq!((byte(PageId(3), 0), byte(PageId(3), 1)), (1, 2));
     assert_eq!(byte(PageId(4), 0), 0, "page 4's update was reapplied");
 }
+
+/// A checkpoint racing a transaction's first append. The transaction enters
+/// the table of writers just before its first record, so a checkpoint whose
+/// `CkptBegin` follows that record finds it there (and waits for the append
+/// to finish to read its last LSN). Restart's forward pass tracks
+/// transactions only from `CkptBegin`, so had the checkpoint missed it, the
+/// stolen page would keep the loser's update for good.
+#[test]
+fn checkpoint_racing_a_first_append_records_the_writer() {
+    let f = fix();
+    let t = f.tm.begin();
+    let (lsn, ckpt) = t.with_logger(&f.log, |l| {
+        let lsn = l.update(RmId::Heap, PageId(3), BlobRm::body(0, 0, 9));
+        // Checkpoint between the first append and the logger's return. One
+        // that finds `t` in the table waits here for the logger; one that
+        // does not, finishes at once.
+        let (core, (done_tx, done)) = (f.core.clone(), std::sync::mpsc::channel());
+        let ckpt = std::thread::spawn(move || {
+            let begin = core.tm.checkpoint();
+            let _ = done_tx.send(());
+            begin
+        });
+        let _ = done.recv_timeout(std::time::Duration::from_millis(500));
+        (lsn, ckpt)
+    });
+    let ckpt_lsn = ckpt.join().unwrap().unwrap();
+    assert!(lsn < ckpt_lsn, "the first record precedes CkptBegin");
+    // The update reaches the page, which is then stolen: no dirty-page
+    // entry leads restart back to the record.
+    {
+        let mut g = f.pool.fix_x(PageId(3)).unwrap();
+        g.as_bytes_mut()[BODY_BASE] = 9;
+        g.record_update(lsn);
+    }
+    f.pool.flush_all().unwrap();
+    f.log.flush_all().unwrap();
+    let (core, _) = open(&f._dir);
+    let outcome = restart(&core).unwrap();
+    assert_eq!(outcome.ckpt_lsn, ckpt_lsn);
+    assert_eq!(outcome.losers, vec![t.id], "the writer missed the checkpoint");
+    let g = core.pool.fix_s(PageId(3)).unwrap();
+    assert_eq!(g.as_bytes()[BODY_BASE], 0, "the loser's update was undone");
+}

@@ -40,13 +40,14 @@ use std::sync::Arc;
 /// Provision a standby from a quiesced primary: checkpoint, flush
 /// everything, copy the database directory, and open a [`Standby`] over
 /// the copy that pulls from the primary's log. The primary must have no
-/// active transactions (base backup by copy is only byte-stable on a
-/// quiesced engine; a fuzzy backup would use `ariesim_recovery::media`
-/// instead).
+/// writer in flight — no transaction that has appended and not ended (base
+/// backup by copy is only byte-stable on a quiesced engine; a fuzzy backup
+/// would use `ariesim_recovery::media` instead). Readers in flight do not
+/// count: they have appended nothing.
 pub fn fork_standby(primary: &Arc<Db>, standby_dir: &Path, obs: ObsHandle) -> Result<Arc<Standby>> {
     if primary.tm.active_count() != 0 {
         return Err(Error::Internal(
-            "fork_standby requires a quiesced primary (active transactions)".into(),
+            "fork_standby requires a quiesced primary (writers in flight)".into(),
         ));
     }
     primary.checkpoint()?;

@@ -50,10 +50,17 @@ impl Clock {
     }
 
     /// `frame` was found resident (page-map hit) or just had a page
-    /// installed (miss path).
+    /// installed (miss path). Sets the frame's bit only if it is clear:
+    /// sixteen frames' bits share a cache line, so a store on every hit
+    /// would take that line from the other cores each time; a load leaves
+    /// it shared.
     pub fn on_hit(&self, frame: usize) {
+        let bit = &self.refbit[frame];
         // ordering: a reference bit is a replacement hint; nothing is published through it
-        self.refbit[frame].store(1, Ordering::Relaxed);
+        if bit.load(Ordering::Relaxed) == 0 {
+            // ordering: as above
+            bit.store(1, Ordering::Relaxed);
+        }
     }
 
     /// Choose an eviction victim. `evictable(frame)` is `true` iff the

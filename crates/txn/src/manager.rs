@@ -12,7 +12,8 @@ use ariesim_wal::{
 };
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Weak};
 
 /// Registry of resource managers, indexed by [`RmId`].
 #[derive(Default)]
@@ -50,12 +51,20 @@ enum Phase {
     Finished,
 }
 
+/// What a resource manager asked to run when the transaction ends.
+type AtEnd = Box<dyn FnOnce() + Send>;
+
 struct TxnInner {
     /// NULL until the first update, CLR or NTA dummy CLR: while it is, the
     /// transaction is read-only and absent from the log.
     last_lsn: Lsn,
     phase: Phase,
+    at_end: Vec<AtEnd>,
 }
+
+/// The transactions that have appended to the log and not yet ended: what a
+/// checkpoint records. A read-only transaction never enters it.
+type Writers = Mutex<HashMap<TxnId, Arc<TxnHandle>>>;
 
 /// A live transaction. Handles are cheap to clone; one transaction is driven
 /// by one thread at a time (the engine's sessions model), but the handle is
@@ -63,9 +72,41 @@ struct TxnInner {
 pub struct TxnHandle {
     pub id: TxnId,
     inner: Mutex<TxnInner>,
+    /// This handle, for entering `writers`.
+    me: Weak<TxnHandle>,
+    /// The manager's table (weak: the table holds the handles it lists).
+    writers: Weak<Writers>,
+    /// Set once the handle is in `writers`.
+    entered: AtomicBool,
 }
 
 impl TxnHandle {
+    /// Enter the manager's table of writers, if not yet in it. Called just
+    /// before an append, with `inner` not held: the checkpoint takes the
+    /// table and then each transaction's `inner`, so the reverse order
+    /// would deadlock. Entering *before* the first append means a record
+    /// that precedes a checkpoint's `CkptBegin` belongs to a transaction
+    /// that checkpoint's snapshot sees.
+    fn enter(&self) {
+        // ordering: only the thread driving the transaction sets or reads the flag; the table's mutex orders the entry itself
+        if self.entered.load(Ordering::Relaxed) {
+            return;
+        }
+        if let (Some(me), Some(writers)) = (self.me.upgrade(), self.writers.upgrade()) {
+            writers.lock().insert(self.id, me);
+        }
+        // ordering: as above
+        self.entered.store(true, Ordering::Relaxed);
+    }
+
+    /// Run `f` once this transaction ends, after commit or total rollback
+    /// has released its locks. A resource manager registers here what it
+    /// keeps for the transaction (the heap's delete reservations); one that
+    /// registers nothing ends without touching anything shared.
+    pub fn at_end(&self, f: impl FnOnce() + Send + 'static) {
+        self.inner.lock().at_end.push(Box::new(f));
+    }
+
     /// LSN of this transaction's most recent log record.
     pub fn last_lsn(&self) -> Lsn {
         self.inner.lock().last_lsn
@@ -79,6 +120,7 @@ impl TxnHandle {
         log: &LogManager,
         f: impl FnOnce(&mut ChainLogger<'_>) -> R,
     ) -> R {
+        self.enter();
         let mut g = self.inner.lock();
         let mut logger = ChainLogger::new(log, self.id, g.last_lsn);
         let r = f(&mut logger);
@@ -120,24 +162,16 @@ impl TxnHandle {
     }
 }
 
-struct TmInner {
-    next_txn: u64,
-    table: HashMap<TxnId, Arc<TxnHandle>>,
-}
-
-/// Callback invoked when a transaction finishes (commit or total rollback),
-/// after its locks are released. Resource managers use this to drop
-/// transaction-scoped state (e.g. the heap manager's space reservations).
-pub type EndHook = Arc<dyn Fn(TxnId) + Send + Sync>;
-
-/// The transaction manager.
+/// The transaction manager. Beginning a transaction takes an id from an
+/// atomic counter; a read-only transaction then touches nothing of the
+/// manager's again, and its commit or rollback only releases its locks.
 pub struct TransactionManager {
     log: Arc<LogManager>,
     locks: Arc<LockManager>,
     pool: Arc<BufferPool>,
     rms: Arc<RmRegistry>,
-    inner: Mutex<TmInner>,
-    end_hooks: Mutex<Vec<EndHook>>,
+    next_txn: AtomicU64,
+    writers: Arc<Writers>,
 }
 
 impl TransactionManager {
@@ -152,53 +186,53 @@ impl TransactionManager {
             locks,
             pool,
             rms,
-            inner: Mutex::new(TmInner {
-                next_txn: 1,
-                table: HashMap::new(),
-            }),
-            end_hooks: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// Register a transaction-end hook (see [`EndHook`]).
-    pub fn on_end(&self, hook: EndHook) {
-        self.end_hooks.lock().push(hook);
-    }
-
-    fn run_end_hooks(&self, txn: TxnId) {
-        let hooks: Vec<EndHook> = self.end_hooks.lock().clone();
-        for h in hooks {
-            h(txn);
+            next_txn: AtomicU64::new(1),
+            writers: Arc::default(),
         }
     }
 
     /// Restart recovery tells the manager the highest transaction id seen in
     /// the log, so new ids never collide with pre-crash ones.
     pub fn resume_txn_ids_after(&self, max_seen: u64) {
-        let mut g = self.inner.lock();
-        if g.next_txn <= max_seen {
-            g.next_txn = max_seen + 1;
-        }
+        // ordering: the counter publishes nothing but itself
+        self.next_txn.fetch_max(max_seen + 1, Ordering::Relaxed);
     }
 
     /// Start a transaction. Appends nothing: the transaction enters the log
-    /// with its first update, CLR or NTA dummy CLR, whose `prev_lsn` is NULL.
+    /// with its first update, CLR or NTA dummy CLR, whose `prev_lsn` is NULL,
+    /// and the table of writers just before it.
     pub fn begin(&self) -> Arc<TxnHandle> {
-        let id = {
-            let mut g = self.inner.lock();
-            let id = TxnId(g.next_txn);
-            g.next_txn += 1;
-            id
-        };
-        let handle = Arc::new(TxnHandle {
+        // ordering: as in `resume_txn_ids_after`
+        let id = TxnId(self.next_txn.fetch_add(1, Ordering::Relaxed));
+        Arc::new_cyclic(|me| TxnHandle {
             id,
             inner: Mutex::new(TxnInner {
                 last_lsn: Lsn::NULL,
                 phase: Phase::Active,
+                at_end: Vec::new(),
             }),
-        });
-        self.inner.lock().table.insert(id, handle.clone());
-        handle
+            me: me.clone(),
+            writers: Arc::downgrade(&self.writers),
+            entered: AtomicBool::new(false),
+        })
+    }
+
+    /// The end of `txn`, whose locks are released: run what resource
+    /// managers registered with [`TxnHandle::at_end`], and leave the table
+    /// of writers.
+    fn finish(&self, txn: &TxnHandle) {
+        let at_end = {
+            let mut g = txn.inner.lock();
+            g.phase = Phase::Finished;
+            std::mem::take(&mut g.at_end)
+        };
+        for f in at_end {
+            f();
+        }
+        // ordering: see `TxnHandle::enter`
+        if txn.entered.load(Ordering::Relaxed) {
+            self.writers.lock().remove(&txn.id);
+        }
     }
 
     /// Commit: write and **force** the commit record, then release locks.
@@ -206,9 +240,9 @@ impl TransactionManager {
     /// paper's §1 efficiency measure.) No End follows: restart reads the
     /// forced Commit as the transaction's end, so an End record would carry
     /// nothing. A read-only transaction — one whose chain logger never
-    /// appended — only releases its locks and runs the end hooks: it changed
-    /// nothing, so it needs no Commit and no force, and stays absent from
-    /// the log.
+    /// appended — only releases its locks: it changed nothing, so it needs
+    /// no Commit and no force, and stays absent from the log and from the
+    /// table of writers.
     pub fn commit(&self, txn: &TxnHandle) -> Result<()> {
         // The commit window is user work; its WAL append and fsync spans
         // nest inside it and claim their own time.
@@ -233,9 +267,7 @@ impl TransactionManager {
         }
         crash_point!("txn.commit.forced");
         self.locks.release_all(txn.id);
-        self.run_end_hooks(txn.id);
-        txn.inner.lock().phase = Phase::Finished;
-        self.inner.lock().table.remove(&txn.id);
+        self.finish(txn);
         Ok(())
     }
 
@@ -262,20 +294,18 @@ impl TransactionManager {
             g.last_lsn = new_last;
         }
         self.locks.release_all(txn.id);
-        self.run_end_hooks(txn.id);
         self.log_control(txn, RecordKind::End);
-        txn.inner.lock().phase = Phase::Finished;
-        self.inner.lock().table.remove(&txn.id);
+        self.finish(txn);
         Ok(())
     }
 
-    /// Append a control record unless `txn` is read-only (absent from the log).
+    /// Append a control record unless `txn` is read-only (absent from the
+    /// log, and so from the table of writers).
     fn log_control(&self, txn: &TxnHandle, kind: RecordKind) {
-        txn.with_logger(&self.log, |l| {
-            if !l.last_lsn.is_null() {
-                l.control(kind);
-            }
-        });
+        let mut g = txn.inner.lock();
+        if !g.last_lsn.is_null() {
+            g.last_lsn = ChainLogger::new(&self.log, txn.id, g.last_lsn).control(kind);
+        }
     }
 
     /// Partial rollback to a savepoint taken with [`TxnHandle::savepoint`]:
@@ -304,14 +334,15 @@ impl TransactionManager {
         });
         crash_point!("txn.ckpt.begin_logged");
         let dpt = self.pool.dpt_snapshot_fenced();
-        let (txns, max_txn_id) = {
-            let g = self.inner.lock();
+        // ordering: as in `resume_txn_ids_after`; an id taken after this load belongs to a transaction whose records follow CkptBegin
+        let max_txn_id = self.next_txn.load(Ordering::Relaxed) - 1;
+        let txns = {
             // A committed or finished transaction's Commit / End precedes
-            // CkptEnd, which the force below makes durable with it. A
-            // read-only one has nothing to undo; restart's forward pass
+            // CkptEnd, which the force below makes durable with it. One that
+            // has not appended has nothing to undo; restart's forward pass
             // meets any later first record, since it tracks from CkptBegin.
-            let entries = g
-                .table
+            self.writers
+                .lock()
                 .values()
                 .filter_map(|t| {
                     let ti = t.inner.lock();
@@ -330,8 +361,7 @@ impl TransactionManager {
                         undo_next_lsn: ti.last_lsn,
                     })
                 })
-                .collect();
-            (entries, g.next_txn - 1)
+                .collect()
         };
         let data = CheckpointData {
             dpt,
@@ -355,8 +385,9 @@ impl TransactionManager {
         Ok(begin_lsn)
     }
 
-    /// Number of live transactions (for assertions).
+    /// Number of live transactions that have appended to the log: the
+    /// ones a checkpoint records. Read-only transactions are not counted.
     pub fn active_count(&self) -> usize {
-        self.inner.lock().table.len()
+        self.writers.lock().len()
     }
 }

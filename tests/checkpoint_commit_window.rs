@@ -1,13 +1,12 @@
-//! A fuzzy checkpoint taken between a transaction's forced Commit and its
-//! End record. `commit` releases locks and runs end hooks before it appends
-//! End (unforced); a checkpoint in that window must not record the
-//! transaction as in flight, or a crash that loses End makes restart — whose
-//! analysis starts at the checkpoint, after the Commit — undo a committed
-//! transaction whole.
+//! A fuzzy checkpoint taken after a transaction's Commit is forced and
+//! before the transaction has left the table of writers. Commit appends no
+//! End, so a checkpoint in that window must not record the transaction as
+//! in flight, or restart — whose forward pass starts at the checkpoint,
+//! after the Commit — undoes a committed transaction whole.
 
 use ariesim::common::tmp::TempDir;
 use ariesim::db::{Db, DbOptions, FetchCond, Row};
-use std::sync::atomic::{AtomicBool, Ordering};
+use ariesim_fault as fault;
 use std::sync::Arc;
 
 const ROWS: u32 = 50;
@@ -28,22 +27,23 @@ fn checkpoint_in_the_commit_window_keeps_the_committed_transaction() {
         let row = Row::new(vec![key(i), b"payload".to_vec()]);
         db.insert_row(&txn, "t", &row).unwrap();
     }
-    // The next transaction end takes a checkpoint, once. The hook holds a
-    // `Weak` so it does not keep the engine alive past its crash.
-    let armed = Arc::new(AtomicBool::new(true));
-    let (fire, weak) = (armed.clone(), Arc::downgrade(&db));
-    db.tm.on_end(Arc::new(move |_| {
-        if fire.swap(false, Ordering::SeqCst) {
-            if let Some(db) = weak.upgrade() {
-                db.checkpoint().unwrap();
-            }
+    // Crash at the point after the Commit's force, having taken a checkpoint
+    // there: a forced-tail crash runs the pre-crash hook first. The hook
+    // holds a `Weak` so it does not keep the engine alive past its crash.
+    let _serial = fault::exclusive();
+    let weak = Arc::downgrade(&db);
+    fault::set_pre_crash_hook(move || {
+        if let Some(db) = weak.upgrade() {
+            db.checkpoint().unwrap();
         }
-    }));
-    db.commit(&txn).unwrap();
-    assert!(!armed.load(Ordering::SeqCst), "the end hook took its checkpoint");
-
-    // Crash: the checkpoint forced the log through CkptEnd; End was appended
-    // after it and is lost.
+    });
+    fault::arm_forced("txn.commit.forced", 1);
+    fault::activate();
+    let crashed = fault::run_to_crash(|| db.commit(&txn)).crashed();
+    fault::disarm();
+    fault::clear_pre_crash_hook();
+    assert!(crashed.is_some(), "commit reached its forced point");
+    drop(txn);
     let dir_path = db.crash();
     let db = Db::open(&dir_path, DbOptions::default()).unwrap();
     let outcome = db.restart_outcome.as_ref().unwrap();

@@ -48,6 +48,26 @@ fn insert_committed(db: &Arc<Db>, ids: std::ops::Range<u32>) {
     db.commit(&txn).unwrap();
 }
 
+/// A fork needs a quiesced primary, and only writers count: a reader in
+/// flight has appended nothing, so the base backup holds nothing of it.
+#[test]
+fn fork_refuses_a_writer_in_flight_but_not_a_reader() {
+    let dir = TempDir::new("repl-fork-quiesce");
+    let primary = primary_with_schema(&dir);
+    insert_committed(&primary, 0..5);
+    let reader = primary.begin();
+    let found = primary.fetch_via(&reader, "kv_pk", &key(3), FetchCond::Eq).unwrap();
+    assert!(found.is_some());
+    let writer = primary.begin();
+    primary.insert_row(&writer, "kv", &row(10)).unwrap();
+    let refused = fork_standby(&primary, &dir.path().join("refused"), Obs::disabled());
+    assert!(refused.is_err(), "a writer in flight refuses the fork");
+    primary.rollback(&writer).unwrap();
+    let standby = fork(&primary, &dir);
+    primary.commit(&reader).unwrap();
+    assert_eq!(standby.count("kv_pk").unwrap(), 5);
+}
+
 #[test]
 fn round_trip_reads_follow_the_stream() {
     let dir = TempDir::new("repl-roundtrip");
