@@ -560,33 +560,46 @@ fn latchcost() {
         "E12 — latch vs lock pathlength (§3, §5)",
         "acquiring a latch costs tens of instructions vs hundreds for a lock",
     );
-    let r = rig(LockProtocol::DataOnly, false, 256);
+    // Pathlength, not tracing: the rig's observability is off, `--obs` or
+    // not (on, it would add a span to every fix). The two loops run in
+    // alternating blocks and each side's median block is compared, so a
+    // slow spell of the host falls on both sides.
+    let r = ariesim_bench::rig(LockProtocol::DataOnly, false, 256, Obs::disabled());
     seed(&r, 1);
     let page = r.tree.leaf_for_value(&nkey(0).value).unwrap();
-    const N: u32 = 200_000;
-    let t = Instant::now();
-    for _ in 0..N {
-        let g = r.pool.fix_s(page).unwrap();
-        std::hint::black_box(&*g);
-    }
-    let latch_ns = t.elapsed().as_nanos() as f64 / N as f64;
     let txn = r.tm.begin();
     let name = LockName::Record(nkey(0).rid);
-    let t = Instant::now();
-    for _ in 0..N {
-        r.locks
-            .request(txn.id, name.clone(), LockMode::S, LockDuration::Commit, false)
-            .unwrap();
-        r.locks.release_all(txn.id);
+    const BLOCKS: usize = 21;
+    const N: u32 = 10_000;
+    fn per_op(mut op: impl FnMut()) -> f64 {
+        let t = Instant::now();
+        for _ in 0..N {
+            op();
+        }
+        t.elapsed().as_nanos() as f64 / f64::from(N)
     }
-    let lock_ns = t.elapsed().as_nanos() as f64 / N as f64;
+    let (mut latch, mut lock) = (Vec::new(), Vec::new());
+    for _ in 0..BLOCKS {
+        latch.push(per_op(|| {
+            let g = r.pool.fix_s(page).unwrap();
+            std::hint::black_box(&*g);
+        }));
+        lock.push(per_op(|| {
+            r.locks
+                .request(txn.id, name.clone(), LockMode::S, LockDuration::Commit, false)
+                .unwrap();
+            r.locks.release_all(txn.id);
+        }));
+    }
     r.tm.commit(&txn).unwrap();
+    let median = |mut v: Vec<f64>| {
+        v.sort_by(f64::total_cmp);
+        v[v.len() / 2]
+    };
+    let (latch_ns, lock_ns) = (median(latch), median(lock));
     let bare = parking_lot::RwLock::new(());
-    let t = Instant::now();
-    for _ in 0..N {
-        drop(std::hint::black_box(bare.read()));
-    }
-    let bare_ns = t.elapsed().as_nanos() as f64 / N as f64;
+    let bare_ns = per_op(|| drop(std::hint::black_box(bare.read())));
+    println!("  median of {BLOCKS} alternating blocks of {N}:");
     println!("  page latch (fix+S-latch+unfix): {latch_ns:>8.0} ns");
     println!("  lock (request+release):         {lock_ns:>8.0} ns");
     println!("  bare RwLock (read+release):     {bare_ns:>8.0} ns");

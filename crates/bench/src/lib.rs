@@ -58,7 +58,7 @@ impl Rig {
         frames: usize,
     ) -> Rig {
         let tree = BTree::open(&core, IndexId(1), root, unique, protocol, false);
-        IndexRm::new(&core).register_tree(tree.clone());
+        IndexRm::new(&core).unwrap().register_tree(tree.clone());
         Rig {
             _dir: dir,
             core,

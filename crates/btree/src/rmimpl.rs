@@ -55,14 +55,14 @@ pub struct IndexRm {
 impl IndexRm {
     /// The index resource manager of `core`'s engine, registered as its
     /// [`RmId::Index`] resource manager.
-    pub fn new(core: &Core) -> Arc<IndexRm> {
+    pub fn new(core: &Core) -> Result<Arc<IndexRm>> {
         let rm = Arc::new(IndexRm {
             pool: core.pool.clone(),
             trees: RwLock::new(HashMap::new()),
             stats: core.stats.clone(),
         });
-        core.rms.register(rm.clone());
-        rm
+        core.rms.register(rm.clone())?;
+        Ok(rm)
     }
 
     /// Register an index so its records can be logically undone.

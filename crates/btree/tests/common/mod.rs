@@ -30,7 +30,7 @@ impl std::ops::Deref for Fix {
 pub fn fix_with(unique: bool, protocol: LockProtocol, frames: usize) -> Fix {
     let dir = TempDir::new("btree-it");
     let core = Core::open(dir.path(), frames, LogOptions::default(), Obs::disabled()).unwrap();
-    let index_rm = IndexRm::new(&core);
+    let index_rm = IndexRm::new(&core).unwrap();
     let txn = core.tm.begin();
     let root = BTree::create(&core, &txn, IndexId(1)).unwrap();
     core.tm.commit(&txn).unwrap();

@@ -3,7 +3,8 @@
 //! (`crates/model`).
 //!
 //! The engine's lock-free protocol words — the buffer pool's per-frame pin
-//! count and owner word, the WAL's durable-LSN mirror — are the state whose
+//! count and owner word, the WAL's durable-LSN mirror, the lock table's
+//! shard directory and spill count — are the state whose
 //! interleavings the checker must control, so those fields use these
 //! wrappers. Plain relaxed statistics counters deliberately do **not**:
 //! every facade operation is a scheduling decision, and instrumenting
@@ -65,6 +66,12 @@ macro_rules! model_atomic {
             pub fn fetch_sub(&self, v: $prim, order: Ordering) -> $prim {
                 self.point(OpKind::AtomicRmw);
                 self.inner.fetch_sub(v, order)
+            }
+
+            #[inline]
+            pub fn fetch_or(&self, v: $prim, order: Ordering) -> $prim {
+                self.point(OpKind::AtomicRmw);
+                self.inner.fetch_or(v, order)
             }
 
             #[inline]
@@ -138,7 +145,8 @@ mod tests {
         );
         let b = AtomicU64::new(1);
         assert_eq!(b.fetch_max(9, Ordering::AcqRel), 1);
-        assert_eq!(b.into_inner(), 9);
+        assert_eq!(b.fetch_or(6, Ordering::AcqRel), 9);
+        assert_eq!(b.into_inner(), 15);
     }
 
     #[test]

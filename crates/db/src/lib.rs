@@ -118,8 +118,8 @@ impl Db {
     pub fn assemble(dir: &Path, opts: DbOptions, obs: ariesim_obs::ObsHandle) -> Result<Db> {
         let log_opts = LogOptions { fsync: opts.fsync };
         let core = Core::open(dir, opts.frames, log_opts, obs)?;
-        let heap = HeapManager::new(&core, opts.page_granularity);
-        let index_rm = IndexRm::new(&core);
+        let heap = HeapManager::new(&core, opts.page_granularity)?;
+        let index_rm = IndexRm::new(&core)?;
         let catalog = Catalog::load(&core.pool, |def| {
             let tree = BTree::open(
                 &core,

@@ -40,17 +40,18 @@
 
 use crate::mode::{LockDuration, LockMode};
 use crate::name::LockName;
+use ariesim_common::msync::{AtomicU32, AtomicU64};
 use ariesim_common::stats::{Bump, StatsHandle};
 use ariesim_common::{Error, Result, TxnId};
 use ariesim_obs::monitor::{Class, Held};
 use ariesim_obs::{ObsHandle, SpanKind};
-use parking_lot::{Condvar, Mutex, MutexGuard};
+use parking_lot::{Mutex, MutexGuard, Parker};
 use std::collections::hash_map::{Entry, RandomState};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// How long an unconditional wait may take before the manager declares the
 /// system wedged. This is a test-harness backstop, not part of the protocol:
@@ -112,24 +113,14 @@ struct Granted {
     mode: LockMode,
 }
 
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum WaitOutcome {
-    Waiting,
-    Granted,
-}
-
-struct WaitCell {
-    state: Mutex<WaitOutcome>,
-    cv: Condvar,
-}
-
 struct Waiter {
     txn: TxnId,
     mode: LockMode,
     duration: LockDuration,
     /// Conversion of an existing grant (takes queue priority).
     convert: bool,
-    cell: Arc<WaitCell>,
+    /// The waiting thread's parker, unparked by the grant.
+    parker: Arc<Parker>,
 }
 
 struct Head {
@@ -143,12 +134,14 @@ impl Head {
     fn find_granted(&self, txn: TxnId) -> Option<usize> {
         self.granted.iter().position(|g| g.txn == txn)
     }
+}
 
-    fn compatible_with_others(&self, txn: TxnId, mode: LockMode) -> bool {
-        self.granted
-            .iter()
-            .all(|g| g.txn == txn || mode.compatible_with(g.mode))
-    }
+/// Whether `mode` is compatible with every lock in `granted` held by a
+/// transaction other than `txn`.
+fn compatible(granted: &[Granted], txn: TxnId, mode: LockMode) -> bool {
+    granted
+        .iter()
+        .all(|g| g.txn == txn || mode.compatible_with(g.mode))
 }
 
 /// The head slots each transaction holds a recorded grant on, in one shard.
@@ -240,7 +233,7 @@ pub struct LockManager {
     /// Live (transaction, shard) pairs recorded in a shard's `spilled` list
     /// instead of the directory. While any is, `release_all` sweeps every
     /// shard.
-    spills: AtomicUsize,
+    spills: AtomicU32,
     /// The keyed hasher of key-value names.
     keyed: RandomState,
     stats: StatsHandle,
@@ -276,7 +269,7 @@ impl LockManager {
         LockManager {
             shards: Default::default(),
             dir: (0..DIR_WORDS).map(|_| DirWord::default()).collect(),
-            spills: AtomicUsize::new(0),
+            spills: AtomicU32::new(0),
             keyed: RandomState::new(),
             stats,
             obs,
@@ -353,44 +346,49 @@ impl LockManager {
         // Deadlock detection reads every shard: drop this one and lock them
         // all in index order, then try again, since the shard may have
         // changed in between.
-        let cell = {
+        let parker = Parker::current();
+        {
             let mut all = self.lock_all();
             let table = &mut *all.0[s];
             let (slot, convert) = match self.attempt(s, table, key.clone(), txn, mode, duration) {
                 Attempt::Granted => return Ok(()),
                 Attempt::Blocked { slot, convert } => (slot, convert),
             };
-            let cell = Arc::new(WaitCell {
-                state: Mutex::new(WaitOutcome::Waiting),
-                cv: Condvar::new(),
-            });
             let waiter = Waiter {
                 txn,
                 mode,
                 duration,
                 convert,
-                cell: cell.clone(),
+                parker: parker.clone(),
             };
             self.enqueue(&mut all, s, slot as usize, waiter)?;
-            cell
-        };
-        // Wait outside the table's mutexes.
+        }
+        // Wait outside the table's mutexes, until the request has left its
+        // queue: a queued request leaves it only by being granted, so a
+        // leftover token or a spurious return costs one more look.
         let wait_span = self.obs.span(SpanKind::LockWait, txn.0, 0);
         self.stats.lock_waits.bump();
-        let mut state = cell.state.lock();
-        while *state == WaitOutcome::Waiting {
-            if cell.cv.wait_for(&mut state, WAIT_WEDGE_TIMEOUT).timed_out() {
-                drop(state);
+        let deadline = Instant::now() + WAIT_WEDGE_TIMEOUT;
+        while self.queued(s, &key, txn) {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
                 return Err(Error::Internal(format!(
                     "lock wait wedged: {txn} waiting for {:?} in {mode:?}",
                     key.name
                 )));
             }
+            parker.park_timeout(left);
         }
-        drop(state);
         drop(wait_span);
         self.note_grant(&key.name, duration);
         Ok(())
+    }
+
+    /// Whether `txn` still has a request queued on `key` in shard `s`.
+    fn queued(&self, s: usize, key: &Key, txn: TxnId) -> bool {
+        let table = self.lock_shard(s, "lock::manager::queued");
+        let slot = table.slots.get(key);
+        slot.is_some_and(|&i| table.heads[i as usize].queue.iter().any(|w| w.txn == txn))
     }
 
     /// Grant `txn`'s request on `key` in shard `s` if the policy allows it
@@ -437,7 +435,7 @@ impl LockManager {
                 let target = held.sup(mode);
                 // Already covered, or a conversion no other grant stands in
                 // the way of: convert in place.
-                if target == held || head.compatible_with_others(txn, target) {
+                if target == held || compatible(&head.granted, txn, target) {
                     head.granted[gi].mode = target;
                     self.note_grant(&head.key.name, duration);
                     return Attempt::Granted;
@@ -445,7 +443,7 @@ impl LockManager {
                 true
             }
             None => {
-                if head.queue.is_empty() && head.compatible_with_others(txn, mode) {
+                if head.queue.is_empty() && compatible(&head.granted, txn, mode) {
                     // An instant lock evaporates on grant: it is never
                     // recorded.
                     if duration != LockDuration::Instant {
@@ -472,7 +470,7 @@ impl LockManager {
         let word = &self.dir[txn.0 as usize % DIR_WORDS].0;
         let me = owner(txn);
         let bit = 1 << s;
-        // ordering: a word is read for its own value only. Its owner's bits are set by the thread driving that transaction, or by a releaser granting it a waited-for lock, which then wakes it through the wait cell's mutex; either way before the owner's `release_all` reads them
+        // ordering: a word is read for its own value only. Its owner's bits are set by the thread driving that transaction, or by a releaser granting it a waited-for lock under the shard mutex the waiter then takes to see the grant; either way before the owner's `release_all` reads them
         let mut cur = word.load(Ordering::Relaxed);
         loop {
             if cur & !MASK == me {
@@ -484,7 +482,7 @@ impl LockManager {
                 break;
             }
             // ordering: as above
-            match word.compare_exchange_weak(0, me | bit, Ordering::Relaxed, Ordering::Relaxed) {
+            match word.compare_exchange(0, me | bit, Ordering::Relaxed, Ordering::Relaxed) {
                 Ok(_) => return,
                 Err(now) => cur = now,
             }
@@ -518,21 +516,19 @@ impl LockManager {
         slot: usize,
         waiter: Waiter,
     ) -> Result<()> {
-        let (txn, cell) = (waiter.txn, waiter.cell.clone());
+        let txn = waiter.txn;
         let queue = &mut all.0[s].heads[slot].queue;
-        if waiter.convert {
-            // Conversions go ahead of new requests but behind existing
-            // conversions (FIFO among converters).
-            let pos = queue.iter().take_while(|w| w.convert).count();
-            queue.insert(pos, waiter);
+        // Conversions go ahead of new requests but behind existing
+        // conversions (FIFO among converters).
+        let pos = if waiter.convert {
+            queue.iter().take_while(|w| w.convert).count()
         } else {
-            queue.push_back(waiter);
-        }
+            queue.len()
+        };
+        queue.insert(pos, waiter);
         if Self::would_deadlock(all, txn) {
             // Remove the waiter we just added and fail the request.
-            all.0[s].heads[slot]
-                .queue
-                .retain(|w| !Arc::ptr_eq(&w.cell, &cell));
+            all.0[s].heads[slot].queue.remove(pos);
             self.stats.deadlocks.bump();
             return Err(Error::Deadlock { txn });
         }
@@ -592,70 +588,50 @@ impl LockManager {
     /// changed, waking every waiter that can now be granted, and drop the
     /// head if it is left with no grant and no waiter.
     fn grant_waiters(&self, table: &mut Table, s: usize, slot: usize) {
-        let mut to_wake: Vec<Arc<WaitCell>> = Vec::new();
         let mut new_holders: Vec<TxnId> = Vec::new();
-        let head = &mut table.heads[slot];
+        let Head {
+            key,
+            granted,
+            queue,
+        } = &mut table.heads[slot];
         let mut blocked_regular = false;
-        let mut i = 0;
-        while i < head.queue.len() {
-            let w = &head.queue[i];
-            let (grantable, target) = if w.convert {
-                match head.granted.iter().position(|g| g.txn == w.txn) {
-                    Some(gi) => {
-                        let target = head.granted[gi].mode.sup(w.mode);
-                        (head.compatible_with_others(w.txn, target), target)
-                    }
-                    // Holder vanished (rollback released it): treat as new.
-                    None => (
-                        !blocked_regular && head.compatible_with_others(w.txn, w.mode),
-                        w.mode,
-                    ),
-                }
-            } else if blocked_regular {
-                (false, w.mode)
-            } else {
-                (head.compatible_with_others(w.txn, w.mode), w.mode)
-            };
-
-            if grantable {
-                #[expect(
-                    clippy::expect_used,
-                    reason = "index is below the queue's length, checked by the loop under the mutex"
-                )]
-                let w = head.queue.remove(i).expect("index in range");
-                if w.duration != LockDuration::Instant {
-                    match head.granted.iter_mut().find(|g| g.txn == w.txn) {
-                        Some(g) => g.mode = target,
-                        None => {
-                            head.granted.push(Granted {
-                                txn: w.txn,
-                                mode: target,
-                            });
-                            new_holders.push(w.txn);
-                        }
-                    }
-                }
-                to_wake.push(w.cell);
-                // Do not advance i: queue shifted left.
-            } else {
-                if !w.convert {
-                    blocked_regular = true;
-                }
-                i += 1;
+        queue.retain(|w| {
+            let held = granted
+                .iter()
+                .position(|g| g.txn == w.txn)
+                .filter(|_| w.convert);
+            let target = held.map_or(w.mode, |gi| granted[gi].mode.sup(w.mode));
+            // A conversion passes blocked new requests; one whose grant
+            // vanished (rollback released it) is treated as new.
+            let grantable =
+                (held.is_some() || !blocked_regular) && compatible(granted, w.txn, target);
+            if !grantable {
+                blocked_regular |= !w.convert;
+                return true;
             }
-        }
-        if head.granted.is_empty() && head.queue.is_empty() {
-            table.slots.remove(&head.key);
+            if w.duration != LockDuration::Instant {
+                match held {
+                    Some(gi) => granted[gi].mode = target,
+                    None => {
+                        granted.push(Granted {
+                            txn: w.txn,
+                            mode: target,
+                        });
+                        new_holders.push(w.txn);
+                    }
+                }
+            }
+            w.parker.unpark();
+            false
+        });
+        if granted.is_empty() && queue.is_empty() {
+            table.slots.remove(key);
             table.free.push(slot as u32);
         }
         for txn in new_holders {
             if table.holders.add(txn, slot as u32) {
                 self.note_shard(table, s, txn);
             }
-        }
-        for cell in to_wake {
-            *cell.state.lock() = WaitOutcome::Granted;
-            cell.cv.notify_all();
         }
     }
 
@@ -729,6 +705,23 @@ impl LockManager {
                 table.holders.lists.get(&txn).map_or(0, Vec::len)
             })
             .sum()
+    }
+
+    /// True if the table is empty: no name has a head, no transaction a
+    /// holder list or a spill, and every directory word is free. For
+    /// assertions, once every transaction has released.
+    pub fn is_empty(&self) -> bool {
+        // ordering: read after every transaction's `release_all` returned
+        let dir_free = self.dir.iter().all(|w| w.0.load(Ordering::Relaxed) == 0);
+        // ordering: as above
+        let no_spill = self.spills.load(Ordering::Relaxed) == 0;
+        dir_free
+            && no_spill
+            && (0..SHARDS).all(|s| {
+                let t = self.lock_shard(s, "lock::manager::is_empty");
+                let no_holder = t.holders.lists.is_empty() && t.spilled.is_empty();
+                no_holder && t.slots.is_empty() && t.free.len() == t.heads.len()
+            })
     }
 
     /// True if any transaction is queued anywhere. For assertions.
@@ -806,21 +799,6 @@ mod tests {
         m.request(TxnId(2), rec(0), X, Commit, true).unwrap();
     }
 
-    /// Whether every shard is empty: no name mapped, every head slot free,
-    /// no holder list, no spill, and every directory word free.
-    fn empty(m: &LockManager) -> bool {
-        let shards_empty = m.shards.iter().all(|sh| {
-            let t = sh.0.lock();
-            t.slots.is_empty()
-                && t.free.len() == t.heads.len()
-                && t.holders.lists.is_empty()
-                && t.spilled.is_empty()
-        });
-        shards_empty
-            && m.spills.load(Ordering::Relaxed) == 0
-            && m.dir.iter().all(|w| w.0.load(Ordering::Relaxed) == 0)
-    }
-
     /// The table holds nothing but what is held or awaited: instant grants
     /// on names nobody holds create no head, and once every transaction
     /// has released, no shard keeps a head, a holder list or a spill, and
@@ -832,7 +810,7 @@ mod tests {
         for n in 0..1000 {
             m.request(TxnId(1), rec(n), X, Instant, false).unwrap();
         }
-        assert!(empty(&m), "instant grants left heads behind");
+        assert!(m.is_empty(), "instant grants left heads behind");
         let page = |p: u32| LockName::Record(Rid::new(PageId(p), 0));
         let crowded = TxnId(2 + DIR_WORDS as u64);
         m.request(TxnId(1), rec(0), S, Commit, false).unwrap();
@@ -848,7 +826,7 @@ mod tests {
             SHARDS,
             "the spilled holder is counted"
         );
-        assert_eq!(m.spills.load(Ordering::Relaxed), SHARDS);
+        assert_eq!(m.spills.load(Ordering::Relaxed), SHARDS as u32);
         m.release_all(TxnId(3));
         m.release_all(TxnId(1));
         m.release_all(TxnId(2));
@@ -859,7 +837,7 @@ mod tests {
         );
         m.release_all(crowded);
         assert!(
-            empty(&m),
+            m.is_empty(),
             "released locks left heads, lists or words behind"
         );
     }
@@ -894,6 +872,36 @@ mod tests {
         h.join().unwrap();
         assert!(granted.load(Ordering::SeqCst));
         assert_eq!(m.holds(TxnId(2), &rec(0)), Some(X));
+    }
+
+    /// A waiter whose parker holds a leftover token (say, from a group
+    /// commit it stopped waiting for) must not take that token for its
+    /// grant: the request returns only after the holder releases.
+    #[test]
+    fn stale_token_does_not_end_a_wait() {
+        let m = Arc::new(lm());
+        m.request(TxnId(1), rec(0), X, Commit, false).unwrap();
+        let granted = Arc::new(AtomicBool::new(false));
+        let h = {
+            let (m, granted) = (m.clone(), granted.clone());
+            std::thread::spawn(move || {
+                Parker::current().unpark();
+                m.request(TxnId(2), rec(0), S, Commit, false).unwrap();
+                granted.store(true, Ordering::SeqCst);
+            })
+        };
+        while !m.has_waiters() {
+            std::thread::yield_now();
+        }
+        std::thread::sleep(Duration::from_millis(50));
+        assert!(
+            !granted.load(Ordering::SeqCst),
+            "the leftover token ended the wait before the holder released"
+        );
+        m.release_all(TxnId(1));
+        h.join().unwrap();
+        assert!(granted.load(Ordering::SeqCst));
+        assert_eq!(m.holds(TxnId(2), &rec(0)), Some(S));
     }
 
     #[test]

@@ -18,6 +18,7 @@ use crate::explore::{explore, replay, ExploreResult, ModelOptions, ReplayOutcome
 use crate::runtime::Env;
 use crate::trace::Trace;
 
+pub mod lock;
 pub mod pool;
 pub mod toy;
 pub mod wal;
@@ -67,6 +68,12 @@ pub fn registry() -> Vec<Harness> {
             body: toy::hit_no_owner_check,
         },
         Harness {
+            name: "toy_grant_without_unpark",
+            about: "a lock grant dequeues a parked waiter without unparking it; the checker must find the waiter that sleeps forever",
+            expect: Expect::Race,
+            body: toy::grant_without_unpark,
+        },
+        Harness {
             name: "toy_mutex_counter",
             about: "the correct twin of toy_lost_update: increments under a mutex",
             expect: Expect::Pass,
@@ -113,6 +120,18 @@ pub fn registry() -> Vec<Harness> {
             about: "leader-elected group commit vs a concurrent append+buffered-read: flush_to returns only once the caller's LSN is durable",
             expect: Expect::Pass,
             body: wal::group_commit,
+        },
+        Harness {
+            name: "lock_wait_grant",
+            about: "a lock waiter granted by the holder's release_all across two shards, its transaction sharing the holder's directory word: the table ends empty",
+            expect: Expect::Pass,
+            body: lock::wait_grant,
+        },
+        Harness {
+            name: "lock_deadlock_victim",
+            about: "two transactions request each other's lock: exactly one is the deadlock victim, the other is granted after the victim releases",
+            expect: Expect::Pass,
+            body: lock::deadlock_victim,
         },
     ]
 }

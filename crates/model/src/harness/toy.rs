@@ -1,6 +1,6 @@
-//! Toy harnesses: known-racy and known-correct counters, and three races
-//! the buffer pool shipped with or would ship with without its re-checks,
-//! reduced to a few lines each.
+//! Toy harnesses: known-racy and known-correct counters, three races the
+//! buffer pool shipped with or would ship with without its re-checks, and
+//! a lock wait whose grant forgets the wakeup, reduced to a few lines each.
 //!
 //! These exercise the checker itself (facade atomics, `yield_point!`, mutex
 //! modeling, failure capture) with a state space small enough to enumerate
@@ -12,6 +12,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use ariesim_common::msync::AtomicU32;
+use parking_lot::Parker;
 
 use crate::runtime::Env;
 
@@ -172,6 +173,48 @@ pub fn hit_no_owner_check(env: &mut Env) {
         pins.fetch_add(1, Ordering::AcqRel);
         let image = frame.read();
         assert_eq!(*image, PAGE, "stale hit: latched a frame an eviction took");
+    });
+    env.join();
+}
+
+/// The lock table's wait/grant handshake, reduced to one name.
+struct OneName {
+    held: bool,
+    /// The queued waiter's parker.
+    waiter: Option<Arc<Parker>>,
+}
+
+/// Deliberate race, a grant that forgets the wakeup: a waiter queues its
+/// parker on a held name and parks until its queue entry is gone; the
+/// holder's release grants it by dequeuing it **without unparking** it. A
+/// waiter that parked before the grant sleeps forever (the real lock
+/// manager unparks every waiter it grants).
+pub fn grant_without_unpark(env: &mut Env) {
+    let table = Arc::new(parking_lot::Mutex::new(OneName {
+        held: true,
+        waiter: None,
+    }));
+    {
+        let table = table.clone();
+        env.spawn(move || {
+            let me = Parker::current();
+            {
+                let mut t = table.lock();
+                if !t.held {
+                    return; // granted at once
+                }
+                t.waiter = Some(me.clone());
+            }
+            while table.lock().waiter.is_some() {
+                me.park();
+            }
+        });
+    }
+    env.spawn(move || {
+        let mut t = table.lock();
+        t.held = false;
+        // The grant: the waiter leaves the queue, and is never unparked.
+        t.waiter.take();
     });
     env.join();
 }

@@ -2,14 +2,18 @@
 //!
 //! Virtual threads are real OS threads, but the controller lets exactly one
 //! run at a time: each thread blocks in its [`ThreadHook`] at every schedule
-//! point (lock acquires, facade atomics, `yield_point!`s) until the
-//! controller grants it the next step. Blocking acquires are granted only
-//! when the controller's ownership model says they cannot block, so the
-//! *real* `std` primitives underneath never park a granted thread — the
-//! model's enabledness decisions, not OS arbitration, pick every winner.
+//! point (lock acquires, parks and unparks, facade atomics, `yield_point!`s)
+//! until the controller grants it the next step. Blocking acquires are
+//! granted only when the controller's ownership model says they cannot
+//! block, so the *real* `std` primitives underneath never park a granted
+//! thread — the model's enabledness decisions, not OS arbitration, pick
+//! every winner.
 //! Try-acquires are always grantable; the grant dictates their outcome and
 //! the real try runs only on model-success (under the one-runner invariant
-//! the real primitive then agrees with the model).
+//! the real primitive then agrees with the model). A park is granted once
+//! its parker's token is set; a timed park also when no other thread can
+//! run, which is the timeout firing. An untimed park nothing unparks is a
+//! deadlock, like a lock nothing releases.
 //!
 //! The harness body runs on its own unregistered thread: setup and final
 //! assertions pass through the hooks unscheduled, and only the code between
@@ -219,17 +223,20 @@ pub(crate) struct ExecOutcome {
     pub pruned: bool,
 }
 
-/// The controller's model of one lock's ownership. Atomics/yields carry no
-/// state; mutexes only ever set `excl`.
+/// The controller's model of one object: a lock's ownership, or a
+/// parker's token. Atomics/yields carry no state; mutexes only ever set
+/// `excl`.
 #[derive(Default)]
 struct LockState {
     excl: bool,
     shared: u32,
+    token: bool,
 }
 
 fn classify(kind: OpKind, st: &LockState) -> (bool, bool) {
     match kind {
         OpKind::MutexLock => (!st.excl, true),
+        OpKind::Park | OpKind::ParkTimeout => (st.token, true),
         OpKind::RwShared => (!st.excl, true),
         OpKind::RwExclusive => (!st.excl && st.shared == 0, true),
         OpKind::MutexTryLock => (true, !st.excl),
@@ -245,6 +252,8 @@ fn apply_acquire(st: &mut LockState, kind: OpKind, ok: bool) {
         OpKind::RwShared => st.shared += 1,
         OpKind::MutexTryLock | OpKind::RwTryExclusive if ok => st.excl = true,
         OpKind::RwTryShared if ok => st.shared += 1,
+        OpKind::Unpark => st.token = true,
+        OpKind::Park | OpKind::ParkTimeout => st.token = false,
         _ => {}
     }
 }
@@ -374,7 +383,7 @@ where
         let mut prev: Option<usize> = None;
         let mut run_len = 0usize;
         while threads.iter().any(|t| !matches!(t.state, TState::Done)) {
-            let pending: Vec<PendingOp> = threads
+            let mut pending: Vec<PendingOp> = threads
                 .iter()
                 .enumerate()
                 .filter_map(|(tid, t)| match t.state {
@@ -393,6 +402,12 @@ where
                     _ => None,
                 })
                 .collect();
+            if !pending.iter().any(|p| p.enabled) {
+                // Nothing else can run: time passes, and timed parks return.
+                for p in &mut pending {
+                    p.enabled |= p.kind == OpKind::ParkTimeout;
+                }
+            }
             if !pending.iter().any(|p| p.enabled) {
                 failure = Some(format!("deadlock: {}", describe(&pending)));
                 abort_all(&mut threads, &rx);

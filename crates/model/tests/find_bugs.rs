@@ -1,5 +1,6 @@
 //! The checker's regression oracle: it must find the three toy races shaped
-//! like the pool's bugs within the default (`--quick`) budget,
+//! like the pool's bugs and the lost lock-grant wakeup within the default
+//! (`--quick`) budget,
 //! replay each discovery from its trace, and pass the fixed protocols
 //! exhaustively at the same bound.
 
@@ -50,6 +51,11 @@ fn finds_stale_hit_race() {
     assert_bug_found("toy_hit_no_owner_check", "stale hit");
 }
 
+#[test]
+fn finds_grant_without_unpark() {
+    assert_bug_found("toy_grant_without_unpark", "blocked at park");
+}
+
 /// The fixed protocols pass *exhaustively* at the same preemption bound
 /// the discoveries used.
 #[test]
@@ -62,6 +68,8 @@ fn fixed_protocols_pass_exhaustively_at_bound_2() {
         "wal_flush_mirror",
         "wal_mirror_behind_file",
         "wal_group_commit",
+        "lock_wait_grant",
+        "lock_deadlock_victim",
     ] {
         let h = harness::find(name).unwrap();
         let res = harness::run(&h, &ModelOptions::default());

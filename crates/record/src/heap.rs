@@ -167,7 +167,7 @@ impl HeapManager {
     /// [`RmId::Heap`] resource manager. When
     /// `page_granularity` is true, record operations lock the data *page*
     /// instead of the record (§2.1's coarser granule).
-    pub fn new(core: &Core, page_granularity: bool) -> Arc<HeapManager> {
+    pub fn new(core: &Core, page_granularity: bool) -> Result<Arc<HeapManager>> {
         let heap = Arc::new(HeapManager {
             space_map: SpaceMap::new(core.pool.clone()),
             pool: core.pool.clone(),
@@ -176,8 +176,8 @@ impl HeapManager {
             space: Arc::default(),
             page_granularity,
         });
-        core.rms.register(heap.clone());
-        heap
+        core.rms.register(heap.clone())?;
+        Ok(heap)
     }
 
     /// Reserve `bytes` on `page` for `txn`'s undo, with the space book held

@@ -25,7 +25,7 @@ struct Fix {
 /// until [`fix`] creates the file.
 fn open(dir: TempDir, first_page: PageId) -> Fix {
     let core = Core::open(dir.path(), 256, LogOptions::default(), Obs::disabled()).unwrap();
-    let heap = HeapManager::new(&core, false);
+    let heap = HeapManager::new(&core, false).unwrap();
     Fix {
         _dir: dir,
         tm: core.tm.clone(),

@@ -83,7 +83,7 @@ fn open(dir: &TempDir) -> (Arc<Core>, Arc<BlobRm>) {
         pool: core.pool.clone(),
         undo_order: Mutex::new(Vec::new()),
     });
-    core.rms.register(rm.clone());
+    core.rms.register(rm.clone()).unwrap();
     (core, rm)
 }
 

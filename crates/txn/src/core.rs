@@ -65,7 +65,7 @@ impl Core {
         }
         let locks = Arc::new(LockManager::new(stats.clone(), obs.clone()));
         let rms = Arc::new(RmRegistry::new());
-        rms.register(Arc::new(SpaceRm::new(pool.clone())));
+        rms.register(Arc::new(SpaceRm::new(pool.clone())))?;
         let tm = Arc::new(TransactionManager::new(
             log.clone(),
             locks.clone(),

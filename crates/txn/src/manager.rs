@@ -13,12 +13,12 @@ use ariesim_wal::{
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::{Arc, OnceLock, Weak};
 
-/// Registry of resource managers, indexed by [`RmId`].
+/// Registry of resource managers: one slot per [`RmId`], each set once.
 #[derive(Default)]
 pub struct RmRegistry {
-    slots: Mutex<HashMap<u8, Arc<dyn ResourceManager>>>,
+    slots: [OnceLock<Arc<dyn ResourceManager>>; 4],
 }
 
 impl RmRegistry {
@@ -26,16 +26,16 @@ impl RmRegistry {
         RmRegistry::default()
     }
 
-    pub fn register(&self, rm: Arc<dyn ResourceManager>) {
-        self.slots.lock().insert(rm.rm_id() as u8, rm);
+    /// Register `rm` under its id; a second one for the same id is refused.
+    pub fn register(&self, rm: Arc<dyn ResourceManager>) -> Result<()> {
+        let id = rm.rm_id();
+        let twice = |_| Error::Internal(format!("a second resource manager for {id:?}"));
+        self.slots[id as usize].set(rm).map_err(twice)
     }
 
-    pub fn get(&self, id: RmId) -> Result<Arc<dyn ResourceManager>> {
-        self.slots
-            .lock()
-            .get(&(id as u8))
-            .cloned()
-            .ok_or_else(|| Error::Internal(format!("no resource manager registered for {id:?}")))
+    pub fn get(&self, id: RmId) -> Result<&dyn ResourceManager> {
+        let rm = self.slots[id as usize].get().map(|rm| &**rm);
+        rm.ok_or_else(|| Error::Internal(format!("no resource manager registered for {id:?}")))
     }
 }
 

@@ -101,7 +101,7 @@ mod tests {
         let toy = Arc::new(ToyRm {
             undone: Mutex::new(Vec::new()),
         });
-        rms.register(toy.clone());
+        rms.register(toy.clone()).unwrap();
         (dir, log, rms, toy)
     }
 

@@ -4,9 +4,9 @@
 
 use ariesim_common::page::PageType;
 use ariesim_common::tmp::TempDir;
-use ariesim_common::PageId;
+use ariesim_common::{Error, PageId};
 use ariesim_obs::Obs;
-use ariesim_storage::{SpaceMap, FIRST_USER_PAGE, SPACE_MAP_PAGE};
+use ariesim_storage::{SpaceMap, SpaceRm, FIRST_USER_PAGE, SPACE_MAP_PAGE};
 use ariesim_txn::Core;
 use ariesim_wal::{LogOptions, RmId};
 use std::sync::Arc;
@@ -39,6 +39,20 @@ fn fresh_directory_gets_a_space_map_and_its_resource_manager() {
     assert!(Arc::ptr_eq(&core.obs, core.pool.obs()));
     let s = core.stats.snapshot();
     assert!(s.page_fixes > 0 && s.log_records > 0 && s.log_forces > 0);
+}
+
+/// One resource manager per id: a second registration is refused and the
+/// first stays in place.
+#[test]
+fn a_second_registration_of_one_id_is_refused() {
+    let dir = TempDir::new("core-twice");
+    let core = open(&dir);
+    let first: *const () = core.rms.get(RmId::Space).unwrap() as *const _ as *const ();
+    let again = core.rms.register(Arc::new(SpaceRm::new(core.pool.clone())));
+    assert!(matches!(again, Err(Error::Internal(_))), "{again:?}");
+    let kept: *const () = core.rms.get(RmId::Space).unwrap() as *const _ as *const ();
+    assert_eq!(first, kept, "the second registration replaced the first");
+    assert_eq!(allocate(&core, 1), vec![PageId(FIRST_USER_PAGE)]);
 }
 
 #[test]

@@ -56,7 +56,7 @@ fn fix() -> Fix {
     let toy = Arc::new(ToyRm {
         undone: Mutex::new(Vec::new()),
     });
-    core.rms.register(toy.clone());
+    core.rms.register(toy.clone()).unwrap();
     Fix {
         _dir: dir,
         core,

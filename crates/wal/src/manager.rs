@@ -15,7 +15,7 @@
 //!    tail of the image into its scratch buffer (holding `image` only for
 //!    the copy), then writes and optionally fsyncs it for everyone queued on
 //!    the commit barrier. Appenders never wait on a write or an fsync.
-//!    Losers spin briefly on the durable mirror, then park on a futex-style
+//!    Losers spin briefly on the durable mirror, then park on their thread's
 //!    [`Parker`] and re-elect on timeout, so no dedicated thread is needed.
 //!
 //! A crash loses exactly the unflushed tail, which is what the crash tests
@@ -135,14 +135,6 @@ struct Shared {
 /// The write-ahead log manager. Thread-safe; all methods take `&self`.
 pub struct LogManager {
     sh: Shared,
-}
-
-thread_local! {
-    /// Per-thread parker reused across `flush_to` calls (a thread waits on
-    /// at most one flush at a time). A stale wakeup from a previous round
-    /// only makes the next park return early; every wait loops on its
-    /// predicate, so that is harmless.
-    static PARKER: Arc<Parker> = Arc::new(Parker::new());
 }
 
 impl LogManager {
@@ -549,7 +541,7 @@ impl Shared {
                 }
             } else {
                 if !registered {
-                    PARKER.with(|p| self.barrier.lock().push((lsn.0, Arc::clone(p))));
+                    self.barrier.lock().push((lsn.0, Parker::current()));
                     registered = true;
                 }
                 // A flush is in flight and its batch may already cover this
@@ -565,7 +557,7 @@ impl Shared {
                     std::hint::spin_loop();
                 }
                 if !rode {
-                    PARKER.with(|p| p.park_timeout(RIDER_RETRY));
+                    Parker::current().park_timeout(RIDER_RETRY);
                 }
             }
         }

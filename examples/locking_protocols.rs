@@ -38,7 +38,7 @@ fn rig(protocol: LockProtocol) -> Rig {
     let root = BTree::create(&core, &txn, IndexId(1)).unwrap();
     tm.commit(&txn).unwrap();
     let tree = BTree::open(&core, IndexId(1), root, false, protocol, false);
-    IndexRm::new(&core).register_tree(tree.clone());
+    IndexRm::new(&core).unwrap().register_tree(tree.clone());
     // Seed keys 0..1000 (even) so every op has neighbours.
     let txn = tm.begin();
     for i in (0..1000u32).step_by(2) {

@@ -5,11 +5,12 @@
 //! the workspace actually calls:
 //!
 //! * [`Mutex`] / [`MutexGuard`] — poison-ignoring, guard returned directly;
-//! * [`Condvar`] with `wait` / `wait_for` taking `&mut MutexGuard`;
 //! * [`RwLock`] — poison-ignoring, with conditional acquisition
 //!   (`try_read` / `try_write`) and `RwLockWriteGuard::downgrade` as an
 //!   associated fn;
-//! * [`Parker`], the WAL group commit's one-token wakeup.
+//! * [`Parker`], the one way a thread waits for another: a WAL group-commit
+//!   rider and a blocked lock request both park on their thread's parker
+//!   ([`Parker::current`]) and loop on their own predicate.
 //!
 //! **What the `RwLock` is.** Every page latch and the tree latch is one of
 //! these. It holds a [`std::sync::RwLock`] and nothing else: on Linux that
@@ -25,14 +26,15 @@
 //!   read phases;
 //! * `try_*` never blocks.
 //!
-//! Every acquire and release also reports to the model checker's
-//! schedule-point hooks (see [`sched`]): acquires before the std call,
-//! releases after the std unlock. On ordinary threads that is a single
-//! thread-local flag read. The controller grants an acquire only when its
-//! ownership model says it cannot block, so under the model the std lock is
-//! never contended.
+//! Every acquire and release, every park and every unpark also reports to
+//! the model checker's schedule-point hooks (see [`sched`]): acquires before
+//! the std call, releases after the std unlock. On ordinary threads that is
+//! a single thread-local flag read. The controller grants an acquire only
+//! when its ownership model says it cannot block, and a park only when its
+//! token is set (or, for a timed park, when no other thread can run), so
+//! under the model no std primitive ever blocks.
 
-use std::sync::{PoisonError, TryLockError};
+use std::sync::{Arc, PoisonError, TryLockError};
 use std::time::Duration;
 
 pub mod sched;
@@ -76,22 +78,20 @@ impl<T> Mutex<T> {
 
 impl<T: ?Sized> Mutex<T> {
     pub fn lock(&self) -> MutexGuard<'_, T> {
-        let obj = obj_id(self);
-        sched::acquire_point(OpKind::MutexLock, obj);
+        sched::acquire_point(OpKind::MutexLock, obj_id(self));
         MutexGuard {
-            inner: Some(self.inner.lock().unwrap_or_else(|e| e.into_inner())),
-            obj,
+            inner: self.inner.lock().unwrap_or_else(PoisonError::into_inner),
+            _release: Release(OpKind::MutexUnlock, obj_id(self)),
         }
     }
 
     pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        let obj = obj_id(self);
-        if !sched::acquire_point(OpKind::MutexTryLock, obj) {
+        if !sched::acquire_point(OpKind::MutexTryLock, obj_id(self)) {
             return None;
         }
         Some(MutexGuard {
-            inner: Some(granted(self.inner.try_lock())?),
-            obj,
+            inner: granted(self.inner.try_lock())?,
+            _release: Release(OpKind::MutexUnlock, obj_id(self)),
         })
     }
 
@@ -106,130 +106,53 @@ impl<T: Default> Default for Mutex<T> {
     }
 }
 
-/// Guard for [`Mutex`]. The inner `Option` exists so [`Condvar::wait_for`]
-/// can temporarily take the std guard by value.
+/// Guard for [`Mutex`].
 pub struct MutexGuard<'a, T: ?Sized> {
-    inner: Option<std::sync::MutexGuard<'a, T>>,
-    /// Lock identity for the release schedule point.
-    obj: sched::ObjId,
-}
-
-impl<T: ?Sized> Drop for MutexGuard<'_, T> {
-    fn drop(&mut self) {
-        // Real unlock first (dropping the std guard), then notify: the
-        // controller must never grant a waiter before the lock is free.
-        self.inner.take();
-        sched::release_point(OpKind::MutexUnlock, self.obj);
-    }
+    inner: std::sync::MutexGuard<'a, T>,
+    _release: Release,
 }
 
 impl<T: ?Sized> std::ops::Deref for MutexGuard<'_, T> {
     type Target = T;
 
     fn deref(&self) -> &T {
-        self.inner.as_ref().expect("guard present")
+        &self.inner
     }
 }
 
 impl<T: ?Sized> std::ops::DerefMut for MutexGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
-        self.inner.as_mut().expect("guard present")
-    }
-}
-
-// --- Condvar ---------------------------------------------------------------
-
-/// Result of [`Condvar::wait_for`].
-#[derive(Clone, Copy, Debug)]
-pub struct WaitTimeoutResult {
-    timed_out: bool,
-}
-
-impl WaitTimeoutResult {
-    pub fn timed_out(&self) -> bool {
-        self.timed_out
-    }
-}
-
-/// Wrapper over [`std::sync::Condvar`] with the parking_lot calling
-/// convention (`&mut MutexGuard` instead of guard-by-value).
-#[derive(Default)]
-pub struct Condvar {
-    inner: std::sync::Condvar,
-}
-
-impl Condvar {
-    pub const fn new() -> Condvar {
-        Condvar {
-            inner: std::sync::Condvar::new(),
-        }
-    }
-
-    pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
-        // The model checker intercepts locks and atomics but not condvars
-        // (nothing it models uses one); a wait would park the virtual
-        // thread outside the controller's view and hang the schedule.
-        assert!(
-            !sched::thread_armed(),
-            "Condvar::wait is not supported under the model checker"
-        );
-        let g = guard.inner.take().expect("guard present");
-        let g = self.inner.wait(g).unwrap_or_else(|e| e.into_inner());
-        guard.inner = Some(g);
-    }
-
-    pub fn wait_for<T>(
-        &self,
-        guard: &mut MutexGuard<'_, T>,
-        timeout: Duration,
-    ) -> WaitTimeoutResult {
-        assert!(
-            !sched::thread_armed(),
-            "Condvar::wait_for is not supported under the model checker"
-        );
-        let g = guard.inner.take().expect("guard present");
-        let (g, res) = match self.inner.wait_timeout(g, timeout) {
-            Ok((g, res)) => (g, res),
-            Err(e) => {
-                let (g, res) = e.into_inner();
-                (g, res)
-            }
-        };
-        guard.inner = Some(g);
-        WaitTimeoutResult {
-            timed_out: res.timed_out(),
-        }
-    }
-
-    pub fn notify_one(&self) {
-        self.inner.notify_one();
-    }
-
-    pub fn notify_all(&self) {
-        self.inner.notify_all();
+        &mut self.inner
     }
 }
 
 // --- Parker ----------------------------------------------------------------
 
-/// Futex-style one-token parker, the blocking primitive of the WAL group
-/// commit barrier: committers park until a group leader unparks them, and
-/// an `unpark` that races ahead of the `park` is never lost (the token
-/// stays set).
+/// Futex-style one-token parker, the one blocking primitive a thread waits
+/// on for another: a WAL group-commit rider parks until a group leader
+/// unparks it, and a blocked lock request until a release grants it. An
+/// `unpark` that races ahead of the `park` is never lost (the token stays
+/// set).
 ///
-/// Under the model checker, `park`/`park_timeout` never block: they consume
-/// the token if present and otherwise return **spuriously** after a
-/// schedule point — a blocked virtual thread outside the controller's view
-/// would hang the schedule. Every caller must therefore loop on its actual
-/// predicate (durable LSN reached, queue non-empty, …), treating the parker
-/// purely as a wakeup hint. That is also the correct discipline against
-/// real spurious wakeups.
+/// A park may return with no token (a timeout, or a spurious wakeup), and a
+/// token may be left over from a wait the thread gave up. Every caller
+/// therefore loops on its actual predicate (durable LSN reached, request no
+/// longer queued), treating the parker purely as a wakeup hint.
+///
+/// Under the model checker a park blocks nothing real: the controller grants
+/// it only once the token is set, or, for [`Parker::park_timeout`], when no
+/// other thread can run (the timeout fires). An untimed park no unpark ever
+/// reaches is a deadlock the checker reports.
 #[derive(Default)]
 pub struct Parker {
     /// 1 = a wakeup is pending; `park` consumes it with a swap.
     token: std::sync::atomic::AtomicU32,
     mu: std::sync::Mutex<()>,
     cv: std::sync::Condvar,
+}
+
+thread_local! {
+    static CURRENT: Arc<Parker> = Arc::new(Parker::new());
 }
 
 impl Parker {
@@ -241,68 +164,61 @@ impl Parker {
         }
     }
 
+    /// The calling thread's parker: every wait the thread makes parks on it
+    /// and hands it to whoever will wake the thread.
+    pub fn current() -> Arc<Parker> {
+        CURRENT.with(Arc::clone)
+    }
+
     /// Consume a pending token, or block until one arrives (may also return
     /// spuriously; callers loop on their predicate).
     pub fn park(&self) {
-        self.park_inner(None);
+        self.park_inner(OpKind::Park, None);
     }
 
     /// [`Parker::park`] with an upper bound on the blocking time.
     pub fn park_timeout(&self, timeout: Duration) {
-        self.park_inner(Some(timeout));
+        self.park_inner(OpKind::ParkTimeout, Some(timeout));
     }
 
-    fn park_inner(&self, timeout: Option<Duration>) {
-        // This crate sits *below* the msync facade (ariesim_common depends
-        // on us), so the schedule point is reported directly: the token RMW
-        // is a real interleaving choice the model controller must own.
-        sched::acquire_point(OpKind::AtomicRmw, obj_id(self));
+    /// Consume the token; true if one was pending.
+    fn take(&self) -> bool {
         // ordering: Acquire pairs with the Release store in `unpark`, so
         // state written before the unpark is visible after a consumed park.
-        if self.token.swap(0, std::sync::atomic::Ordering::Acquire) == 1 {
+        self.token.swap(0, std::sync::atomic::Ordering::Acquire) == 1
+    }
+
+    fn park_inner(&self, kind: OpKind, timeout: Option<Duration>) {
+        // This crate sits *below* the msync facade (ariesim_common depends
+        // on us), so the schedule point is reported directly.
+        sched::acquire_point(kind, obj_id(self));
+        if self.take() || sched::thread_armed() {
             return;
         }
-        if sched::thread_armed() {
-            // Under the model a park is a spurious return: blocking here
-            // would park the virtual thread outside the controller's view.
+        let g = self.mu.lock().unwrap_or_else(PoisonError::into_inner);
+        // Re-checked under the mutex: an unpark between the first check and
+        // the wait takes the mutex before it notifies, so it is not missed.
+        if self.take() {
             return;
         }
-        let mut g = self.mu.lock().unwrap_or_else(|e| e.into_inner());
-        loop {
-            // ordering: Acquire — as above; re-checked under the mutex so a
-            // wakeup between the first check and the wait is not missed.
-            if self.token.swap(0, std::sync::atomic::Ordering::Acquire) == 1 {
-                return;
-            }
-            match timeout {
-                None => {
-                    g = self.cv.wait(g).unwrap_or_else(|e| e.into_inner());
-                }
-                Some(t) => {
-                    let (g2, res) = match self.cv.wait_timeout(g, t) {
-                        Ok(p) => p,
-                        Err(e) => e.into_inner(),
-                    };
-                    g = g2;
-                    if res.timed_out() {
-                        return;
-                    }
-                }
-            }
+        match timeout {
+            None => drop(self.cv.wait(g)),
+            Some(t) => drop(self.cv.wait_timeout(g, t)),
         }
+        self.take();
     }
 
     /// Make the next (or current) `park` return. Never lost: if no thread
     /// is parked, the token satisfies the next park.
     pub fn unpark(&self) {
-        sched::acquire_point(OpKind::AtomicStore, obj_id(self));
+        sched::acquire_point(OpKind::Unpark, obj_id(self));
         // ordering: Release publishes the waker's writes to the Acquire
         // swap in `park`.
         self.token.store(1, std::sync::atomic::Ordering::Release);
         // Briefly take the mutex so a parker between its token re-check and
         // its wait cannot miss the notification (classic missed-wakeup
         // fence), then notify.
-        drop(self.mu.lock().unwrap_or_else(|e| e.into_inner()));
+        drop(self.mu.lock().unwrap_or_else(PoisonError::into_inner));
         self.cv.notify_all();
     }
 }
@@ -478,15 +394,25 @@ mod tests {
     }
 
     #[test]
-    fn mutex_and_condvar_wait_for() {
+    fn mutex_excludes_until_the_guard_drops() {
         let m = Mutex::new(0u32);
-        let cv = Condvar::new();
         let mut g = m.lock();
-        let res = cv.wait_for(&mut g, Duration::from_millis(10));
-        assert!(res.timed_out());
         *g += 1;
+        assert!(m.try_lock().is_none(), "a held mutex was taken twice");
         drop(g);
-        assert_eq!(*m.lock(), 1);
+        *m.try_lock().expect("free once the guard drops") += 1;
+        assert_eq!(m.into_inner(), 2);
+    }
+
+    /// One parker per thread, the same one every time the thread asks.
+    #[test]
+    fn current_parker_is_per_thread() {
+        let mine = Parker::current();
+        assert!(Arc::ptr_eq(&mine, &Parker::current()));
+        let theirs = std::thread::spawn(|| Arc::as_ptr(&Parker::current()) as usize)
+            .join()
+            .unwrap();
+        assert_ne!(Arc::as_ptr(&mine) as usize, theirs);
     }
 
     #[test]

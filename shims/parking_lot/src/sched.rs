@@ -2,10 +2,10 @@
 //!
 //! The model checker (`crates/model`) runs N "virtual" threads under a
 //! single logical thread of control: every synchronization operation —
-//! Mutex/RwLock acquire and release, facade atomics (see
-//! `ariesim_common::msync`), and explicit `yield_point!()`s — reports to a
-//! per-thread [`ThreadHook`] before (acquires) or after (releases) touching
-//! the real primitive. The hook blocks the thread until the controller
+//! Mutex/RwLock acquire and release, `Parker` park and unpark, facade
+//! atomics (see `ariesim_common::msync`), and explicit `yield_point!()`s —
+//! reports to a per-thread [`ThreadHook`] before (acquires) or after
+//! (releases) touching the real primitive. The hook blocks the thread until the controller
 //! grants it the next step, which is what turns preemption into an
 //! enumerable choice instead of an accident of OS timing.
 //!
@@ -57,6 +57,14 @@ pub enum OpKind {
     AtomicLoad,
     AtomicStore,
     AtomicRmw,
+    /// [`Parker::park`](crate::Parker::park): enabled once the parker's
+    /// token is set.
+    Park,
+    /// [`Parker::park_timeout`](crate::Parker::park_timeout): as `Park`,
+    /// and also when no other thread can run (the timeout fires).
+    ParkTimeout,
+    /// [`Parker::unpark`](crate::Parker::unpark): sets the token.
+    Unpark,
     Yield,
 }
 
@@ -87,6 +95,9 @@ impl OpKind {
             OpKind::AtomicLoad => "atomic_load",
             OpKind::AtomicStore => "atomic_store",
             OpKind::AtomicRmw => "atomic_rmw",
+            OpKind::Park => "park",
+            OpKind::ParkTimeout => "park_timeout",
+            OpKind::Unpark => "unpark",
             OpKind::Yield => "yield",
         }
     }
@@ -108,6 +119,9 @@ impl OpKind {
             "atomic_load" => OpKind::AtomicLoad,
             "atomic_store" => OpKind::AtomicStore,
             "atomic_rmw" => OpKind::AtomicRmw,
+            "park" => OpKind::Park,
+            "park_timeout" => OpKind::ParkTimeout,
+            "unpark" => OpKind::Unpark,
             "yield" => OpKind::Yield,
             _ => return None,
         })
