@@ -15,6 +15,11 @@
 //! * [`deadlock_victim`] — two transactions request each other's lock:
 //!   exactly one is the victim, and the other is granted once the victim
 //!   releases.
+//!
+//! The lock wait is a timed park (the 30 s wedge backstop), so a grant that
+//! forgot to unpark its waiter would still end under the model, by the
+//! timeout; both harnesses therefore also require that no schedule needed
+//! a forced timeout ([`Env::forced_timeouts`]).
 
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
@@ -64,6 +69,11 @@ pub fn wait_grant(env: &mut Env) {
         });
     }
     env.join();
+    assert_eq!(
+        env.forced_timeouts(),
+        0,
+        "lost wakeup: a lock waiter slept out its timeout"
+    );
     assert!(
         m.is_empty(),
         "the released table kept a head, a holder, a spill or a directory word"
@@ -101,6 +111,11 @@ pub fn deadlock_victim(env: &mut Env) {
         });
     }
     env.join();
+    assert_eq!(
+        env.forced_timeouts(),
+        0,
+        "lost wakeup: a lock waiter slept out its timeout"
+    );
     // ordering: every virtual thread has finished.
     let victims = victims.load(Ordering::Relaxed);
     assert_eq!(victims, 1, "{victims} deadlock victims, not one");

@@ -69,7 +69,7 @@ pub fn registry() -> Vec<Harness> {
         },
         Harness {
             name: "toy_grant_without_unpark",
-            about: "a lock grant dequeues a parked waiter without unparking it; the checker must find the waiter that sleeps forever",
+            about: "a lock grant dequeues a parked waiter without unparking it; the checker must find the waiter that sleeps out its timeout",
             expect: Expect::Race,
             body: toy::grant_without_unpark,
         },

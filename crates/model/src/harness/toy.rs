@@ -10,6 +10,7 @@
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
+use std::time::Duration;
 
 use ariesim_common::msync::AtomicU32;
 use parking_lot::Parker;
@@ -185,10 +186,12 @@ struct OneName {
 }
 
 /// Deliberate race, a grant that forgets the wakeup: a waiter queues its
-/// parker on a held name and parks until its queue entry is gone; the
-/// holder's release grants it by dequeuing it **without unparking** it. A
-/// waiter that parked before the grant sleeps forever (the real lock
-/// manager unparks every waiter it grants).
+/// parker on a held name and parks, with a timeout as the lock manager's
+/// waiters do, until its queue entry is gone; the holder's release grants
+/// it by dequeuing it **without unparking** it. A waiter that parked before
+/// the grant wakes only when its timeout runs out (the real lock manager
+/// unparks every waiter it grants), which the checker counts as a forced
+/// timeout.
 pub fn grant_without_unpark(env: &mut Env) {
     let table = Arc::new(parking_lot::Mutex::new(OneName {
         held: true,
@@ -206,7 +209,7 @@ pub fn grant_without_unpark(env: &mut Env) {
                 t.waiter = Some(me.clone());
             }
             while table.lock().waiter.is_some() {
-                me.park();
+                me.park_timeout(Duration::from_secs(30));
             }
         });
     }
@@ -217,4 +220,9 @@ pub fn grant_without_unpark(env: &mut Env) {
         t.waiter.take();
     });
     env.join();
+    assert_eq!(
+        env.forced_timeouts(),
+        0,
+        "lost wakeup: a waiter slept out its timeout"
+    );
 }

@@ -26,9 +26,10 @@
 //!   writer never sits in the real wait queue (acquires are granted only
 //!   when they cannot block), so real try-acquires agree with the model and
 //!   the explored space is a superset of the shim's fair schedules;
-//! * a timed park times out only when no other thread can run, so a wakeup
-//!   a timed wait can do without (the lock wait's 30 s backstop) is not
-//!   checked for being lost;
+//! * a timed park may return at any step, so a lost wakeup on a timed wait
+//!   does not hang the model; a harness sees it only by asserting that no
+//!   schedule needed a forced timeout ([`Env::forced_timeouts`]),
+//!   as the lock harnesses do;
 //! * guards must be released on the virtual thread that acquired them.
 
 mod explore;

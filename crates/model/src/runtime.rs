@@ -10,10 +10,15 @@
 //! every winner.
 //! Try-acquires are always grantable; the grant dictates their outcome and
 //! the real try runs only on model-success (under the one-runner invariant
-//! the real primitive then agrees with the model). A park is granted once
-//! its parker's token is set; a timed park also when no other thread can
-//! run, which is the timeout firing. An untimed park nothing unparks is a
-//! deadlock, like a lock nothing releases.
+//! the real primitive then agrees with the model). An untimed park is
+//! granted once its parker's token is set, so one nothing unparks is a
+//! deadlock, like a lock nothing releases. A timed park is always grantable
+//! (it consumes the token if one is set, else it is a timeout or a
+//! spurious return); one granted when every runnable thread is in a
+//! tokenless timed park is a *forced timeout* — the run only went on
+//! because the waiter sat out its whole timeout — and
+//! [`Env::forced_timeouts`] counts them for harnesses whose waits must
+//! always be ended by a wakeup.
 //!
 //! The harness body runs on its own unregistered thread: setup and final
 //! assertions pass through the hooks unscheduled, and only the code between
@@ -26,6 +31,7 @@ use std::any::Any;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Once};
 
@@ -124,16 +130,27 @@ pub struct Env {
     handles: Vec<std::thread::JoinHandle<()>>,
     spawned: usize,
     joined: bool,
+    forced_timeouts: Arc<AtomicUsize>,
 }
 
 impl Env {
-    fn new(ctrl: Sender<Event>) -> Env {
+    fn new(ctrl: Sender<Event>, forced_timeouts: Arc<AtomicUsize>) -> Env {
         Env {
             ctrl,
             handles: Vec::new(),
             spawned: 0,
             joined: false,
+            forced_timeouts,
         }
+    }
+
+    /// Timed parks this schedule granted when every runnable thread was in
+    /// a timed park with no token: in a real run, nothing would have woken
+    /// the waiter before its timeout. Final after [`Env::join`].
+    pub fn forced_timeouts(&self) -> usize {
+        // ordering: the controller counts before it sends the grant, and
+        // `join` has joined every thread a grant reached.
+        self.forced_timeouts.load(Ordering::Relaxed)
     }
 
     /// Spawn a virtual thread. It blocks before running any user code and
@@ -236,7 +253,7 @@ struct LockState {
 fn classify(kind: OpKind, st: &LockState) -> (bool, bool) {
     match kind {
         OpKind::MutexLock => (!st.excl, true),
-        OpKind::Park | OpKind::ParkTimeout => (st.token, true),
+        OpKind::Park => (st.token, true),
         OpKind::RwShared => (!st.excl, true),
         OpKind::RwExclusive => (!st.excl && st.shared == 0, true),
         OpKind::MutexTryLock => (true, !st.excl),
@@ -301,11 +318,13 @@ where
     let (tx, rx) = channel::<Event>();
     let body_tx = tx.clone();
     drop(tx);
+    let forced_timeouts = Arc::new(AtomicUsize::new(0));
+    let body_forced = forced_timeouts.clone();
     let body_handle = std::thread::Builder::new()
         .name("model-body".into())
         .spawn(move || {
             QUIET.with(|q| q.set(true));
-            let mut env = Env::new(body_tx.clone());
+            let mut env = Env::new(body_tx.clone(), body_forced);
             let res = catch_unwind(AssertUnwindSafe(|| (*body)(&mut env)));
             let panic = match res {
                 Ok(()) if !env.joined && env.spawned > 0 => {
@@ -383,7 +402,7 @@ where
         let mut prev: Option<usize> = None;
         let mut run_len = 0usize;
         while threads.iter().any(|t| !matches!(t.state, TState::Done)) {
-            let mut pending: Vec<PendingOp> = threads
+            let pending: Vec<PendingOp> = threads
                 .iter()
                 .enumerate()
                 .filter_map(|(tid, t)| match t.state {
@@ -402,12 +421,6 @@ where
                     _ => None,
                 })
                 .collect();
-            if !pending.iter().any(|p| p.enabled) {
-                // Nothing else can run: time passes, and timed parks return.
-                for p in &mut pending {
-                    p.enabled |= p.kind == OpKind::ParkTimeout;
-                }
-            }
             if !pending.iter().any(|p| p.enabled) {
                 failure = Some(format!("deadlock: {}", describe(&pending)));
                 abort_all(&mut threads, &rx);
@@ -430,6 +443,13 @@ where
                 .find(|p| p.tid == tid)
                 .expect("model: scheduler chose a thread with no pending op");
             assert!(p.enabled, "model: scheduler chose a disabled thread");
+            let tokenless_park = |q: &PendingOp| {
+                q.kind == OpKind::ParkTimeout && !locks.get(&q.obj).is_some_and(|st| st.token)
+            };
+            if pending.iter().filter(|q| q.enabled).all(tokenless_park) {
+                // ordering: read by the body only after `join`.
+                forced_timeouts.fetch_add(1, Ordering::Relaxed);
+            }
             apply_acquire(locks.entry(p.obj).or_default(), p.kind, p.try_ok);
             threads[tid].state = TState::Running;
             threads[tid]

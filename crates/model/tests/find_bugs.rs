@@ -53,7 +53,7 @@ fn finds_stale_hit_race() {
 
 #[test]
 fn finds_grant_without_unpark() {
-    assert_bug_found("toy_grant_without_unpark", "blocked at park");
+    assert_bug_found("toy_grant_without_unpark", "lost wakeup");
 }
 
 /// The fixed protocols pass *exhaustively* at the same preemption bound

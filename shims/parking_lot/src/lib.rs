@@ -30,9 +30,9 @@
 //! the model checker's schedule-point hooks (see [`sched`]): acquires before
 //! the std call, releases after the std unlock. On ordinary threads that is
 //! a single thread-local flag read. The controller grants an acquire only
-//! when its ownership model says it cannot block, and a park only when its
-//! token is set (or, for a timed park, when no other thread can run), so
-//! under the model no std primitive ever blocks.
+//! when its ownership model says it cannot block, and an untimed park only
+//! when its token is set (a timed park may return at any step, as a timeout
+//! or a spurious wakeup), so under the model no std primitive ever blocks.
 
 use std::sync::{Arc, PoisonError, TryLockError};
 use std::time::Duration;
@@ -140,9 +140,9 @@ impl<T: ?Sized> std::ops::DerefMut for MutexGuard<'_, T> {
 /// longer queued), treating the parker purely as a wakeup hint.
 ///
 /// Under the model checker a park blocks nothing real: the controller grants
-/// it only once the token is set, or, for [`Parker::park_timeout`], when no
-/// other thread can run (the timeout fires). An untimed park no unpark ever
-/// reaches is a deadlock the checker reports.
+/// an untimed park only once the token is set, so one no unpark ever
+/// reaches is a deadlock the checker reports; a [`Parker::park_timeout`]
+/// may be granted at any step, consuming the token if one is set.
 #[derive(Default)]
 pub struct Parker {
     /// 1 = a wakeup is pending; `park` consumes it with a swap.

@@ -60,8 +60,9 @@ pub enum OpKind {
     /// [`Parker::park`](crate::Parker::park): enabled once the parker's
     /// token is set.
     Park,
-    /// [`Parker::park_timeout`](crate::Parker::park_timeout): as `Park`,
-    /// and also when no other thread can run (the timeout fires).
+    /// [`Parker::park_timeout`](crate::Parker::park_timeout): always
+    /// enabled; consumes the token if one is set, else it is a timeout or a
+    /// spurious return.
     ParkTimeout,
     /// [`Parker::unpark`](crate::Parker::unpark): sets the token.
     Unpark,
