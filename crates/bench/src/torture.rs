@@ -4,7 +4,8 @@
 //! rolled-back transaction spanning an SMO, deletes emptying pages, a fuzzy
 //! checkpoint, a pool flush, and a loser left in flight), enumerates every
 //! [`ariesim_fault`] crash point the workload reaches, then re-runs the
-//! workload once per point with that point armed: the run crashes there,
+//! workload with that point armed at its first and last hit, and once more
+//! with the whole log tail forced at the crash: the run crashes there,
 //! restart recovery runs, and the recovered database is checked against a
 //! trace-derived oracle:
 //!
@@ -17,8 +18,10 @@
 //!
 //! A second phase crashes *inside recovery itself*: the harness builds a
 //! crash image with dirty pages and a loser, records every point reached by
-//! restart, and for each one crashes mid-recovery and recovers again —
-//! ARIES restart must be restartable.
+//! restart, and for each one crashes mid-recovery, checks what restart's
+//! progress gauges read at the crash, and recovers again — ARIES restart
+//! must be restartable. A third phase crashes inside a standby's pull,
+//! apply and promotion, and recovers the standby.
 //!
 //! The oracle needs no guessing about the ambiguous crash-during-commit
 //! window: a transaction counts as committed exactly when its Commit record
@@ -34,9 +37,7 @@ use ariesim_repl::fork_standby;
 use ariesim_wal::RecordKind;
 use std::collections::BTreeSet;
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 // ---------------------------------------------------------------------------
 // Workload trace
@@ -336,31 +337,6 @@ pub fn verify_recovered(
 // The torture runner
 // ---------------------------------------------------------------------------
 
-/// Runner knobs.
-#[derive(Clone, Debug)]
-pub struct TortureConfig {
-    pub seed: u64,
-    /// Bounded enumeration for CI: first hit of each point only, forced-tail
-    /// variants only for the SMO windows.
-    pub quick: bool,
-    /// Print one line per run.
-    pub verbose: bool,
-    /// After the matrix, recover the pristine crash image once more with
-    /// live progress gauges sampled to stdout (`--progress`).
-    pub progress: bool,
-}
-
-impl Default for TortureConfig {
-    fn default() -> Self {
-        TortureConfig {
-            seed: 0x5eed_ca5e,
-            quick: false,
-            verbose: false,
-            progress: false,
-        }
-    }
-}
-
 /// Outcome of one armed run.
 #[derive(Clone, Debug)]
 pub struct RunResult {
@@ -380,21 +356,6 @@ pub struct TortureReport {
     /// Distinct crash-point names enumerated (workload + recovery phases).
     pub points: Vec<String>,
     pub runs: Vec<RunResult>,
-    pub elapsed: Duration,
-}
-
-impl TortureReport {
-    pub fn failures(&self) -> Vec<&RunResult> {
-        self.runs.iter().filter(|r| r.error.is_some()).collect()
-    }
-
-    pub fn crashes(&self) -> usize {
-        self.runs.iter().filter(|r| r.fired).count()
-    }
-
-    pub fn ok(&self) -> bool {
-        self.runs.iter().all(|r| r.error.is_none())
-    }
 }
 
 /// Copy a database directory file-by-file (crash images are flat).
@@ -485,7 +446,7 @@ fn drive_repl_scenario(
     fork_at: usize,
     started: &mut Vec<(u64, usize)>,
 ) -> Result<Arc<Db>> {
-    let standby = fork_standby(&primary, standby_dir, ariesim_obs::Obs::disabled())?;
+    let standby = fork_standby(&primary, standby_dir, Obs::disabled())?;
     for (i, step) in trace[fork_at..].iter().enumerate() {
         let mut tmp = Vec::new();
         drive_steps(primary.clone(), std::slice::from_ref(step), &mut tmp)?;
@@ -553,77 +514,48 @@ fn repl_run(
     })
 }
 
-/// Print one progress line when the recovery gauges moved. The restart
-/// thread's gauge stores are relaxed and a sample may catch adjacent
-/// instants, so within one phase a sample that would step the redo LSN or
-/// page count *backwards* is discarded as stale — the printed sequence is
-/// monotone per phase by construction.
-fn print_recovery_sample(obs: &ObsHandle, last: &mut Option<(u64, u64, u64, u64, u64)>) {
+/// Check restart's progress gauges. After a crash inside recovery at
+/// `Some(point)`: REDO in the forward pass, UNDO with a loser left at an
+/// undo step, COMPLETE with the LSN at its target once done; the page and
+/// log I/O points restart also reaches have no rule. After a finished
+/// restart (`None`): COMPLETE at the target, no loser left, and each of the
+/// `redo_applied` redos counted.
+fn check_gauges(
+    obs: &ObsHandle,
+    point: Option<&str>,
+    redo_applied: u64,
+) -> std::result::Result<(), String> {
+    use recovery_phase::{COMPLETE, REDO, UNDO};
     let r = &obs.gauge.recovery;
-    let now = (
-        r.phase.last(),
-        r.current_lsn.last(),
-        r.target_lsn.last(),
-        r.pages_redone.last(),
-        r.losers_remaining.last(),
-    );
-    if let Some(prev) = *last {
-        if now == prev {
-            return;
-        }
-        if now.0 == prev.0 && (now.1 < prev.1 || now.3 < prev.3) {
-            return; // stale cross-gauge read within a phase
-        }
+    let (phase, lsn, target) = (r.phase.last(), r.current_lsn.last(), r.target_lsn.last());
+    let (pages, losers) = (r.pages_redone.last(), r.losers_remaining.last());
+    let ok = match point {
+        None => phase == COMPLETE && lsn == target && losers == 0 && pages == redo_applied,
+        Some("recovery.analysis.done" | "recovery.redo.applied") => phase == REDO,
+        Some("recovery.undo.step") => phase == UNDO && losers >= 1,
+        Some("recovery.done") => phase == COMPLETE && lsn == target,
+        Some(_) => true,
+    };
+    if ok {
+        return Ok(());
     }
-    println!(
-        "    recovery: phase {:<8} lsn {}/{} pages_redone {} losers_remaining {}",
-        recovery_phase::name(now.0),
-        now.1,
-        now.2,
-        now.3,
-        now.4
-    );
-    *last = Some(now);
+    let after = point.map_or(format!("restart ({redo_applied} redos applied)"), |p| {
+        format!("a crash at {p}")
+    });
+    Err(format!(
+        "progress gauges after {after}: phase {} lsn {lsn}/{target} pages_redone {pages} \
+         losers_remaining {losers}",
+        recovery_phase::name(phase),
+    ))
 }
 
-/// Recover a crash image once with an enabled obs domain, sampling the
-/// live recovery-progress gauges from a second thread (the `--progress`
-/// surface). A final synchronous sample guarantees at least one line even
-/// when recovery finishes between two sampler wakeups.
-pub fn recover_with_progress(image: &Path) -> Result<()> {
-    let obs = Obs::enabled(4096);
-    let stop = AtomicBool::new(false);
-    let db = std::thread::scope(|s| {
-        let sampler_obs = obs.clone();
-        let stop = &stop;
-        let sampler = s.spawn(move || {
-            let mut last = None;
-            while !stop.load(Ordering::Acquire) {
-                print_recovery_sample(&sampler_obs, &mut last);
-                std::thread::sleep(Duration::from_micros(200));
-            }
-        });
-        let db = Db::open_with_obs(image, db_options(), obs.clone());
-        stop.store(true, Ordering::Release);
-        sampler.join().expect("progress sampler panicked");
-        db
-    })?;
-    print_recovery_sample(&obs, &mut None);
-    let mon = db.pool.obs().monitor.snapshot();
-    if !mon.clean() {
-        return Err(Error::Internal(format!(
-            "monitor violations during progress recovery: {mon:?}"
-        )));
-    }
-    Ok(())
-}
-
-/// Full torture run. Must not be called while holding [`fault::exclusive`]
-/// (the runner takes it itself).
-pub fn run_torture(cfg: &TortureConfig) -> Result<TortureReport> {
+/// Full torture run over the seeded standard and replication traces.
+/// Must not be called while holding [`fault::exclusive`] (the runner takes
+/// it itself).
+pub fn run_torture() -> Result<TortureReport> {
     let _x = fault::exclusive();
-    let start = Instant::now();
-    let trace = standard_trace(cfg.seed);
+    let seed = 0x5eed_ca5e;
+    let trace = standard_trace(seed);
     let touched = touched_keys(&trace);
     let mut report = TortureReport::default();
 
@@ -656,32 +588,19 @@ pub fn run_torture(cfg: &TortureConfig) -> Result<TortureReport> {
     for (name, hits) in &workload_points {
         report.points.push(name.to_string());
         let mut variants: Vec<(u64, bool)> = vec![(1, false)];
-        if !cfg.quick && *hits > 1 {
+        if *hits > 1 {
             variants.push((*hits, false));
         }
-        // Forced-tail (whole log tail durable at the crash instant) is the
-        // adversarial case for the SMO windows: the partial SMO's records
-        // ARE in the log. Never valid for wal.* points (the pre-crash hook
-        // re-enters the log manager).
-        if !name.starts_with("wal.") && (!cfg.quick || name.starts_with("smo.")) {
+        // Forced-tail: the whole log tail is durable at the crash instant,
+        // so a partial SMO's records ARE in the log. Never valid for wal.*
+        // points (the pre-crash hook re-enters the log manager).
+        if !name.starts_with("wal.") {
             variants.push((1, true));
         }
         for (hit, forced) in variants {
-            let run = workload_run(name, hit, forced, &trace, &touched)?;
-            if cfg.verbose {
-                println!(
-                    "  {:-<44} {:>7} hit {:>3}  {}",
-                    format!("{} ", run.point),
-                    run.mode,
-                    run.hit,
-                    match (&run.error, run.fired) {
-                        (Some(e), _) => format!("FAIL: {e}"),
-                        (None, true) => "crashed, recovered ok".to_string(),
-                        (None, false) => "unfired, recovered ok".to_string(),
-                    }
-                );
-            }
-            report.runs.push(run);
+            report
+                .runs
+                .push(workload_run(name, hit, forced, &trace, &touched)?);
         }
     }
 
@@ -691,11 +610,16 @@ pub fn run_torture(cfg: &TortureConfig) -> Result<TortureReport> {
     copy_dir(&pristine, &recdir)?;
     fault::record();
     fault::activate();
-    let db = Db::open(&recdir, db_options())?;
+    let obs = Obs::disabled();
+    let db = Db::open_with_obs(&recdir, db_options(), obs.clone())?;
     fault::disarm();
     let recovery_points = fault::recorded();
     let expected0 = expected_keys(&db, &trace, &started0);
-    if let Some(e) = verify_recovered(&db, &expected0, &touched).err() {
+    let applied = db.restart_outcome.as_ref().map_or(0, |o| o.redo_applied);
+    if let Some(e) = check_gauges(&obs, None, applied)
+        .and_then(|()| verify_recovered(&db, &expected0, &touched))
+        .err()
+    {
         return Err(Error::Internal(format!("baseline recovery failed: {e}")));
     }
     drop(db);
@@ -708,11 +632,15 @@ pub fn run_torture(cfg: &TortureConfig) -> Result<TortureReport> {
         copy_dir(&pristine, &d)?;
         fault::arm(name, 1);
         fault::activate();
-        let out = fault::run_to_crash(|| Db::open(&d, db_options()));
+        let obs = Obs::disabled();
+        let out = fault::run_to_crash(|| Db::open_with_obs(&d, db_options(), obs.clone()));
         fault::disarm();
         let mut error = None;
         let fired = match out {
-            fault::Outcome::Crashed(_) => true,
+            fault::Outcome::Crashed(_) => {
+                error = check_gauges(&obs, Some(name), 0).err();
+                true
+            }
             fault::Outcome::Completed(r) => {
                 match r {
                     Ok(db) => drop(db),
@@ -732,27 +660,13 @@ pub fn run_torture(cfg: &TortureConfig) -> Result<TortureReport> {
                 }
             }
         }
-        let run = RunResult {
+        report.runs.push(RunResult {
             point: name.to_string(),
             mode: "recovery",
             hit: 1,
             fired,
             error,
-        };
-        if cfg.verbose {
-            println!(
-                "  {:-<44} {:>7} hit {:>3}  {}",
-                format!("{} ", run.point),
-                run.mode,
-                run.hit,
-                match (&run.error, run.fired) {
-                    (Some(e), _) => format!("FAIL: {e}"),
-                    (None, true) => "crashed mid-recovery, re-recovered ok".to_string(),
-                    (None, false) => "unfired, recovered ok".to_string(),
-                }
-            );
-        }
-        report.runs.push(run);
+        });
     }
 
     // ---- Phase 3: crash inside the replication machinery -----------------
@@ -760,7 +674,7 @@ pub fn run_torture(cfg: &TortureConfig) -> Result<TortureReport> {
     // that the completed scenario satisfies the failover oracle, then crash
     // at each replication-specific point and re-verify. Phase 1 already
     // covers the engine-internal points the scenario re-hits.
-    let (rtrace, fork_at) = repl_trace(cfg.seed);
+    let (rtrace, fork_at) = repl_trace(seed);
     let rtouched = touched_keys(&rtrace);
     let rdir = TempDir::new("torture-repl-record");
     let standby0 = rdir.path().join("standby");
@@ -790,36 +704,15 @@ pub fn run_torture(cfg: &TortureConfig) -> Result<TortureReport> {
             report.points.push(name.to_string());
         }
         let mut variants: Vec<u64> = vec![1];
-        if !cfg.quick && *hits > 1 {
+        if *hits > 1 {
             variants.push(*hits);
         }
         for hit in variants {
-            let run = repl_run(name, hit, &rtrace, fork_at, &rtouched)?;
-            if cfg.verbose {
-                println!(
-                    "  {:-<44} {:>7} hit {:>3}  {}",
-                    format!("{} ", run.point),
-                    run.mode,
-                    run.hit,
-                    match (&run.error, run.fired) {
-                        (Some(e), _) => format!("FAIL: {e}"),
-                        (None, true) => "crashed, failed over ok".to_string(),
-                        (None, false) => "unfired, failed over ok".to_string(),
-                    }
-                );
-            }
-            report.runs.push(run);
+            report
+                .runs
+                .push(repl_run(name, hit, &rtrace, fork_at, &rtouched)?);
         }
     }
 
-    // ---- Optional: one more recovery with live progress gauges -----------
-    if cfg.progress {
-        println!("  recovery progress over the pristine crash image (redo is the one forward pass):");
-        let d = scratch.path().join("rec-progress");
-        copy_dir(&pristine, &d)?;
-        recover_with_progress(&d)?;
-    }
-
-    report.elapsed = start.elapsed();
     Ok(report)
 }

@@ -84,7 +84,8 @@ pub mod recovery_phase {
 
 /// Live restart-recovery progress, written by restart's forward pass
 /// (`recovery::ForwardPass`: phase REDO while it decodes, then UNDO, then
-/// COMPLETE) and sampled by progress watchers (`torture --progress`). A
+/// COMPLETE), read by the observability report and checked at each crash
+/// inside recovery by the crash matrix (`tests/crash_matrix.rs`). A
 /// standby's pass publishes here too, in phase REDO until it is promoted.
 /// All gauges are relaxed stores; a sampler may see the phase and LSN from
 /// adjacent instants, so it should tolerate small inconsistencies.

@@ -25,7 +25,7 @@
 //! thread-owned, never transferred), updated where the latch word changes
 //! hands: by [`Monitor::acquired`], and by dropping the [`Held`] token it
 //! returns, which the latch's guard carries. Violations are counted;
-//! [`MonitorSnapshot::clean`] is the verdict tests, `torture` and the
+//! [`MonitorSnapshot::clean`] is the verdict tests, the crash matrix and the
 //! `--obs` report read.
 
 use std::cell::Cell;

@@ -116,9 +116,9 @@ impl ForwardPass {
         }
         pass.out.ckpt_lsn = ckpt_begin;
         pass.out.redo_start = pass.at;
-        // Live progress for `--progress` samplers: phase, current-vs-target
-        // LSN, pages redone, losers remaining. Relaxed gauge stores — cheap
-        // enough to update per record.
+        // Live progress gauges: phase, current-vs-target LSN, pages redone,
+        // losers remaining. Relaxed gauge stores — cheap enough to update
+        // per record.
         let prog = &core.obs.gauge.recovery;
         prog.phase.set(recovery_phase::REDO);
         prog.current_lsn.set(pass.at.0);

@@ -1,13 +1,13 @@
-//! The bounded crash matrix: torture enumeration under `cargo test`.
+//! The crash matrix: the full torture enumeration under `cargo test`.
 //!
-//! Runs the quick-mode torture harness — every crash point the seeded
-//! workload reaches is armed once (plus forced-tail variants for the SMO
-//! windows) and the recovery guarantees are checked at each — then crashes
-//! inside recovery itself at every point restart reaches. The full
-//! (`--quick`-less) enumeration lives in the `torture` binary; this test
-//! keeps CI honest without the extra hit-count variants.
+//! Every crash point the seeded workload reaches is armed at its first and
+//! last hit, and with the log tail forced (all but the `wal.*` points), and
+//! the recovery guarantees are checked at each; then the harness crashes
+//! inside recovery itself at every point restart reaches, checking
+//! restart's progress gauges at each crash, and inside a standby's pull,
+//! apply and promotion.
 
-use ariesim_bench::torture::{run_torture, TortureConfig};
+use ariesim_bench::torture::run_torture;
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::Path;
@@ -42,11 +42,7 @@ fn declared_crash_points() -> BTreeMap<String, usize> {
 
 #[test]
 fn crash_matrix_bounded_enumeration() {
-    let report = run_torture(&TortureConfig {
-        quick: true,
-        ..TortureConfig::default()
-    })
-    .expect("torture harness must run");
+    let report = run_torture().expect("torture harness must run");
 
     let failures: Vec<String> = report
         .runs
@@ -73,8 +69,8 @@ fn crash_matrix_bounded_enumeration() {
         "crash_point! names in crates/*/src (left) against the names torture reached (right)"
     );
 
-    // Every armed run must actually have crashed — an unfired hit-1 arm of a
-    // recorded point means record and replay diverged (lost determinism).
+    // Every armed run must actually have crashed — an unfired arm of a
+    // recorded hit means record and replay diverged (lost determinism).
     let unfired: Vec<&str> = report
         .runs
         .iter()

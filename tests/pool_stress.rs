@@ -24,6 +24,7 @@ use ariesim::obs::{Obs, ObsHandle};
 use ariesim::storage::BufferPool;
 use ariesim::txn::Core;
 use ariesim::wal::{LogManager, LogOptions, LogRecord, RmId};
+use ariesim_bench::XorShift;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
@@ -32,12 +33,8 @@ const FRAMES: usize = 64;
 const PAGES: u32 = 192;
 const THREADS: u32 = 8;
 
-fn ops_per_thread() -> u32 {
-    std::env::var("POOL_STRESS_OPS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(400)
-}
+/// Operations per thread: the release run takes the longer storm.
+const OPS_PER_THREAD: u32 = if cfg!(debug_assertions) { 400 } else { 1500 };
 
 fn build_pool(obs: ObsHandle) -> (TempDir, Arc<BufferPool>, Arc<LogManager>, StatsHandle) {
     let dir = TempDir::new("pool-stress");
@@ -68,17 +65,6 @@ fn append_update(log: &Arc<LogManager>, page: u32) -> Lsn {
     ))
 }
 
-struct XorShift(u64);
-
-impl XorShift {
-    fn next(&mut self) -> u64 {
-        self.0 ^= self.0 << 13;
-        self.0 ^= self.0 >> 7;
-        self.0 ^= self.0 << 17;
-        self.0
-    }
-}
-
 #[test]
 fn storm_clock_policy() {
     let obs = Obs::enabled(1 << 14);
@@ -98,7 +84,7 @@ fn storm_clock_policy() {
             let expected = expected.clone();
             s.spawn(move || {
                 let mut rng = XorShift(0x9E3779B97F4A7C15 ^ (t as u64 + 1));
-                for i in 0..ops_per_thread() {
+                for i in 0..OPS_PER_THREAD {
                     let p = 1 + (rng.next() as u32) % PAGES;
                     match rng.next() % 10 {
                         // Logged write: bump the version stamp under X.
