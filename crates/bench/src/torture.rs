@@ -18,10 +18,11 @@
 //!
 //! A second phase crashes *inside recovery itself*: the harness builds a
 //! crash image with dirty pages and a loser, records every point reached by
-//! restart, and for each one crashes mid-recovery, checks what restart's
-//! progress gauges read at the crash, and recovers again — ARIES restart
-//! must be restartable. A third phase crashes inside a standby's pull,
-//! apply and promotion, and recovers the standby.
+//! restart, and for each one crashes mid-recovery at its first and last
+//! hit, checks what restart's progress gauges read at the crash, and
+//! recovers again — ARIES restart must be restartable. A third phase
+//! crashes inside a standby's pull, apply and promotion, and recovers the
+//! standby.
 //!
 //! The oracle needs no guessing about the ambiguous crash-during-commit
 //! window: a transaction counts as committed exactly when its Commit record
@@ -82,7 +83,8 @@ fn perm_ops(rng: &mut XorShift, lo: u32, hi: u32) -> Vec<Op> {
 /// pool and the padded keys below) the workload provably crosses every SMO
 /// boundary: leaf splits with rechaining, a split inside a transaction that
 /// rolls back (dummy-CLR skip during undo), page deletions up the left edge,
-/// dirty-page eviction, a fuzzy checkpoint, and an in-flight loser.
+/// dirty-page eviction, a fuzzy checkpoint, and an in-flight loser whose
+/// inserts split leaves too, so restart's undo skips dummy CLRs.
 pub fn standard_trace(seed: u64) -> Vec<Step> {
     let mut rng = XorShift(seed | 1);
     let mut perm = |lo: u32, hi: u32| -> Vec<Op> { perm_ops(&mut rng, lo, hi) };
@@ -115,7 +117,7 @@ pub fn standard_trace(seed: u64) -> Vec<Step> {
         },
         Step::Txn {
             kind: TxnKind::LeaveOpen,
-            ops: perm(400, 430),
+            ops: perm(400, 480),
         },
     ]
 }
@@ -514,15 +516,18 @@ fn repl_run(
     })
 }
 
-/// Check restart's progress gauges. After a crash inside recovery at
-/// `Some(point)`: REDO in the forward pass, UNDO with a loser left at an
-/// undo step, COMPLETE with the LSN at its target once done; the page and
-/// log I/O points restart also reaches have no rule. After a finished
-/// restart (`None`): COMPLETE at the target, no loser left, and each of the
-/// `redo_applied` redos counted.
+/// Check restart's progress gauges. After a crash inside recovery at hit
+/// `hit` of `Some(point)`: REDO in the forward pass, with the LSN at or
+/// below its target and, at the N-th applied redo, N − 1 pages counted
+/// redone; UNDO with a loser left at an undo step; COMPLETE with the LSN at
+/// its target once done; the page and log I/O points restart also reaches
+/// have no rule. After a finished restart (`None`, `hit` unused): COMPLETE
+/// at the target, no loser left, and each of the `redo_applied` redos
+/// counted.
 fn check_gauges(
     obs: &ObsHandle,
     point: Option<&str>,
+    hit: u64,
     redo_applied: u64,
 ) -> std::result::Result<(), String> {
     use recovery_phase::{COMPLETE, REDO, UNDO};
@@ -531,8 +536,11 @@ fn check_gauges(
     let (pages, losers) = (r.pages_redone.last(), r.losers_remaining.last());
     let ok = match point {
         None => phase == COMPLETE && lsn == target && losers == 0 && pages == redo_applied,
-        Some("recovery.analysis.done" | "recovery.redo.applied") => phase == REDO,
-        Some("recovery.undo.step") => phase == UNDO && losers >= 1,
+        Some("recovery.analysis.done") => phase == REDO && lsn <= target,
+        Some("recovery.redo.applied") => phase == REDO && lsn <= target && pages == hit - 1,
+        Some(
+            "recovery.undo.step" | "undo.before_action" | "undo.after_action" | "undo.skip_clr",
+        ) => phase == UNDO && losers >= 1,
         Some("recovery.done") => phase == COMPLETE && lsn == target,
         Some(_) => true,
     };
@@ -540,13 +548,62 @@ fn check_gauges(
         return Ok(());
     }
     let after = point.map_or(format!("restart ({redo_applied} redos applied)"), |p| {
-        format!("a crash at {p}")
+        format!("a crash at {p} hit {hit}")
     });
     Err(format!(
         "progress gauges after {after}: phase {} lsn {lsn}/{target} pages_redone {pages} \
          losers_remaining {losers}",
         recovery_phase::name(phase),
     ))
+}
+
+/// One recovery-phase run: restart the crash image in `dir` with `point`
+/// armed at `hit`, check the progress gauges at the crash, then recover
+/// again and verify against the oracle.
+fn recovery_run(
+    point: &str,
+    hit: u64,
+    dir: &Path,
+    expected: &BTreeSet<u32>,
+    touched: &BTreeSet<u32>,
+) -> RunResult {
+    fault::arm(point, hit);
+    fault::activate();
+    let obs = Obs::disabled();
+    let out = fault::run_to_crash(|| Db::open_with_obs(dir, db_options(), obs.clone()));
+    fault::disarm();
+    let mut error = None;
+    let fired = match out {
+        fault::Outcome::Crashed(_) => {
+            error = check_gauges(&obs, Some(point), hit, 0).err();
+            true
+        }
+        fault::Outcome::Completed(r) => {
+            match r {
+                Ok(db) => drop(db),
+                Err(e) => error = Some(format!("first recovery error: {e}")),
+            }
+            false
+        }
+    };
+    if error.is_none() {
+        // Recover again from the mid-recovery crash; restart must be
+        // restartable (repeating history is idempotent, CLR chains
+        // bound the undo).
+        match Db::open(dir, db_options()) {
+            Err(e) => error = Some(format!("re-recovery failed: {e}")),
+            Ok(db) => {
+                error = verify_recovered(&db, expected, touched).err();
+            }
+        }
+    }
+    RunResult {
+        point: point.to_string(),
+        mode: "recovery",
+        hit,
+        fired,
+        error,
+    }
 }
 
 /// Full torture run over the seeded standard and replication traces.
@@ -616,7 +673,7 @@ pub fn run_torture() -> Result<TortureReport> {
     let recovery_points = fault::recorded();
     let expected0 = expected_keys(&db, &trace, &started0);
     let applied = db.restart_outcome.as_ref().map_or(0, |o| o.redo_applied);
-    if let Some(e) = check_gauges(&obs, None, applied)
+    if let Some(e) = check_gauges(&obs, None, 0, applied)
         .and_then(|()| verify_recovered(&db, &expected0, &touched))
         .err()
     {
@@ -624,49 +681,21 @@ pub fn run_torture() -> Result<TortureReport> {
     }
     drop(db);
 
-    for (i, (name, _)) in recovery_points.iter().enumerate() {
+    for (i, (name, hits)) in recovery_points.iter().enumerate() {
         if !report.points.iter().any(|p| p == name) {
             report.points.push(name.to_string());
         }
-        let d = scratch.path().join(format!("rec-{i}"));
-        copy_dir(&pristine, &d)?;
-        fault::arm(name, 1);
-        fault::activate();
-        let obs = Obs::disabled();
-        let out = fault::run_to_crash(|| Db::open_with_obs(&d, db_options(), obs.clone()));
-        fault::disarm();
-        let mut error = None;
-        let fired = match out {
-            fault::Outcome::Crashed(_) => {
-                error = check_gauges(&obs, Some(name), 0).err();
-                true
-            }
-            fault::Outcome::Completed(r) => {
-                match r {
-                    Ok(db) => drop(db),
-                    Err(e) => error = Some(format!("first recovery error: {e}")),
-                }
-                false
-            }
-        };
-        if error.is_none() {
-            // Recover again from the mid-recovery crash; restart must be
-            // restartable (repeating history is idempotent, CLR chains
-            // bound the undo).
-            match Db::open(&d, db_options()) {
-                Err(e) => error = Some(format!("re-recovery failed: {e}")),
-                Ok(db) => {
-                    error = verify_recovered(&db, &expected0, &touched).err();
-                }
-            }
+        let mut variants: Vec<u64> = vec![1];
+        if *hits > 1 {
+            variants.push(*hits);
         }
-        report.runs.push(RunResult {
-            point: name.to_string(),
-            mode: "recovery",
-            hit: 1,
-            fired,
-            error,
-        });
+        for hit in variants {
+            let d = scratch.path().join(format!("rec-{i}-{hit}"));
+            copy_dir(&pristine, &d)?;
+            report
+                .runs
+                .push(recovery_run(name, hit, &d, &expected0, &touched));
+        }
     }
 
     // ---- Phase 3: crash inside the replication machinery -----------------

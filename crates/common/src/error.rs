@@ -32,11 +32,6 @@ pub enum Error {
     CorruptLog { lsn: Lsn, reason: String },
     /// The buffer pool has no evictable frame.
     BufferPoolFull,
-    /// A pinned buffer frame no longer holds the pinned page: the load that
-    /// installed the page failed in a concurrent thread and was unwound
-    /// while this pin was held. Re-fixing the page through the pool retries
-    /// the read.
-    StalePin { page: PageId },
     /// A record was not where the caller said it was.
     BadRid { rid: Rid },
     /// The transaction is not in a state that allows the operation
@@ -59,9 +54,6 @@ impl fmt::Display for Error {
             Error::CorruptPage { page, reason } => write!(f, "corrupt page {page}: {reason}"),
             Error::CorruptLog { lsn, reason } => write!(f, "corrupt log record at {lsn}: {reason}"),
             Error::BufferPoolFull => write!(f, "buffer pool full: no evictable frame"),
-            Error::StalePin { page } => {
-                write!(f, "stale pin: {page} was unloaded after a failed read")
-            }
             Error::BadRid { rid } => write!(f, "no record at {rid}"),
             Error::BadTxnState { txn, state } => {
                 write!(f, "operation invalid for {txn} in state {state}")
@@ -93,10 +85,7 @@ impl Error {
     /// True if the operation may succeed when retried after the conflicting
     /// transaction finishes (deadlock victims are retried by workload drivers).
     pub fn is_retryable(&self) -> bool {
-        matches!(
-            self,
-            Error::Deadlock { .. } | Error::WouldBlock | Error::StalePin { .. }
-        )
+        matches!(self, Error::Deadlock { .. } | Error::WouldBlock)
     }
 }
 

@@ -86,12 +86,6 @@ pub fn registry() -> Vec<Harness> {
             body: pool::fix_race,
         },
         Harness {
-            name: "pool_pin_vs_evict",
-            about: "PinGuard clone/drop vs a concurrent eviction: a held pin must keep its frame",
-            expect: Expect::Pass,
-            body: pool::pin_vs_evict,
-        },
-        Harness {
             name: "pool_failed_load_unwind",
             about: "failed read I/O unwinds an installed mapping while another thread pinned it; owner re-check must catch the stale pin",
             expect: Expect::Pass,

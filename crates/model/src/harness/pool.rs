@@ -1,7 +1,7 @@
 //! Buffer-pool harnesses: the claim/install/unwind protocol and the
 //! mutex-free page-map hit under the model.
 //!
-//! All four use an 8-frame pool (the smallest the pool allows; that few
+//! All three use an 8-frame pool (the smallest the pool allows; that few
 //! frames collapse to one shard, which keeps every thread contending on
 //! the same page table — the regime the protocols were written for). Pages
 //! are seeded directly through the `DiskManager` on the body thread so the
@@ -63,38 +63,6 @@ pub fn fix_race(env: &mut Env) {
     assert_eq!(pool.total_pins(), 0, "pin leaked");
 }
 
-/// A held pin must keep its frame across a concurrent eviction: the pool is
-/// filled, one thread pins page 1 (clones the pin, drops the original —
-/// the refcount, not the guard object, is what protects the frame) and
-/// latches through the clone, while another thread fixes a ninth page and
-/// forces an eviction. The victim scan must skip the pinned frame.
-pub fn pin_vs_evict(env: &mut Env) {
-    let (_dir, pool) = setup(9);
-    for p in 1..=8 {
-        pool.fix_s(PageId(p)).expect("warm pool");
-    }
-    {
-        let pool = pool.clone();
-        env.spawn(move || {
-            let pin = pool.pin(PageId(1)).expect("pin");
-            let pin2 = pin.clone();
-            drop(pin);
-            let g = pin2.latch_s().expect("latch through a live pin");
-            assert_eq!(g.page_id(), PageId(1), "pinned frame was evicted");
-        });
-    }
-    {
-        let pool = pool.clone();
-        env.spawn(move || {
-            let g = pool.fix_s(PageId(9)).expect("eviction with 7 free frames");
-            assert_eq!(g.page_id(), PageId(9), "guard shows the wrong page");
-        });
-    }
-    env.join();
-    pool.validate_mappings();
-    assert_eq!(pool.total_pins(), 0, "pin leaked");
-}
-
 /// Fail the first read of `page` with an injected I/O error.
 fn fail_first_read(pool: &BufferPool, page: PageId) {
     let tripped = AtomicBool::new(false);
@@ -111,9 +79,9 @@ fn fail_first_read(pool: &BufferPool, page: PageId) {
 
 /// The first read of page 1 fails, so the loser of the install race unwinds
 /// the mapping while the other thread may already hold a pin on the frame.
-/// Latch acquisition's owner re-check must turn that pin into
-/// `Error::StalePin` (and `fix_s` then retries cleanly); the historical bug
-/// skipped the re-check and handed out a latch on a frame holding garbage.
+/// Latch acquisition's owner re-check must catch that pin (and `fix_s` then
+/// retries cleanly); the historical bug skipped the re-check and handed out
+/// a latch on a frame holding garbage.
 pub fn failed_load_unwind(env: &mut Env) {
     let (_dir, pool) = setup(1);
     fail_first_read(&pool, PageId(1));

@@ -108,7 +108,7 @@ pub fn install_no_recheck(env: &mut Env) {
 /// frame latch. A reader that found the short-lived mapping latches the
 /// frame afterwards **without validating the owner word** and reads a frame
 /// that never held the page (the real pool's latch path checks the owner
-/// and reports `StalePin`).
+/// and retries the fix).
 pub fn latch_no_owner_check(env: &mut Env) {
     let mapped = Arc::new(parking_lot::Mutex::new(false));
     let owner = Arc::new(AtomicU32::new(NO_PAGE));
@@ -144,8 +144,8 @@ pub fn latch_no_owner_check(env: &mut Env) {
 /// **without validating the owner word**, while an evictor, holding the
 /// frame's write latch and seeing no pin, clears the entry and loads
 /// another page into the frame. The reader then reads a page it never
-/// fixed (the real pool's latch path checks the owner and reports
-/// `StalePin`).
+/// fixed (the real pool's latch path checks the owner and retries the
+/// fix).
 pub fn hit_no_owner_check(env: &mut Env) {
     const OTHER: u32 = 8;
     let entry = Arc::new(AtomicU32::new(1));

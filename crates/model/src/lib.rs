@@ -12,9 +12,9 @@
 //! `Parker`, so no engine wait escapes the controller.
 //!
 //! What it checks today ([`harness`]): the buffer pool's claim / install /
-//! failed-load-unwind protocol and pin-vs-eviction dance, the WAL's
-//! lock-free durable-LSN mirror and group commit, and the lock table's
-//! wait/grant handshake and deadlock victim across shards. Toy harnesses
+//! failed-load-unwind protocol and a page-map hit racing an eviction, the
+//! WAL's lock-free durable-LSN mirror and group commit, and the lock
+//! table's wait/grant handshake and deadlock victim across shards. Toy harnesses
 //! shaped like the races the pool once shipped with (install without a
 //! page-table re-check, latch without an owner-word check) and like a lock
 //! grant that forgets its wakeup are the checker's own regression oracle:

@@ -8,9 +8,10 @@
 //! The copy is *fuzzy*: pages are copied one at a time through the buffer
 //! pool (each under its S latch, so no torn images) without quiescing
 //! updates. Because a copied image may already contain updates logged after
-//! the copy began, roll-forward relies on the same `page_lsn` comparison as
-//! restart redo — updates already present are skipped idempotently.
+//! the copy began, roll-forward takes restart's redo step on the image —
+//! the same `page_lsn` comparison skips updates already present.
 
+use crate::restart::redo_step;
 use ariesim_common::stats::Bump;
 use ariesim_common::{Error, Lsn, PageBuf, PageId, Result};
 use ariesim_txn::Core;
@@ -64,11 +65,7 @@ impl ImageCopy {
             if rec.page != page || !rec.kind.is_redoable() {
                 continue;
             }
-            if img.page_lsn() < rec.lsn {
-                let rm = core.rms.get(rec.rm)?;
-                rm.redo(&mut img, &rec)?;
-                img.set_page_lsn(rec.lsn);
-            }
+            redo_step(&core.rms, &mut img, &rec)?;
         }
         Ok(img)
     }

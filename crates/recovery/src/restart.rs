@@ -1,10 +1,10 @@
 //! Restart: one forward pass over the log, then undo.
 
 use ariesim_common::stats::Bump;
-use ariesim_common::{Error, Lsn, PageId, Result, TxnId};
+use ariesim_common::{Error, Lsn, PageBuf, PageId, Result, TxnId};
 use ariesim_obs::{recovery_phase, SpanKind};
-use ariesim_storage::PinGuard;
-use ariesim_txn::Core;
+use ariesim_txn::undo::undo_step;
+use ariesim_txn::{Core, RmRegistry};
 use ariesim_wal::{ChainLogger, CheckpointData, LogRecord, RecordKind};
 use std::collections::HashMap;
 
@@ -29,30 +29,27 @@ pub struct RestartOutcome {
     pub max_txn_id: u64,
 }
 
-/// The redo step: X-latch the record's page and reapply the record iff the
-/// page has not seen it (`page_lsn < rec.lsn`) — page-oriented, never a
-/// traversal. Returns whether it was applied.
-///
-/// Redo hits the same page in runs (updates cluster); `pinned` is a
-/// one-entry pin cache that re-latches those through the pin (one atomic)
-/// instead of a page-table probe per record, and keeps the frame resident
-/// between consecutive records against it.
-fn redo_record<'p>(
-    core: &'p Core,
-    pinned: &mut Option<PinGuard<'p>>,
-    rec: &LogRecord,
-) -> Result<bool> {
-    let pin = match pinned.take() {
-        Some(p) if p.page() == rec.page => p,
-        _ => core.pool.pin(rec.page)?,
-    };
-    let mut g = pin.latch_x()?;
-    *pinned = Some(pin);
-    if g.page_lsn() >= rec.lsn {
+/// The redo step, shared by restart and media recovery: reapply `rec` to
+/// `page`, the image of its page, iff the page has not seen it
+/// (`page_lsn < rec.lsn`), and stamp the page with its LSN. Page-oriented:
+/// the resource manager touches no other page. Returns whether it applied.
+pub(crate) fn redo_step(rms: &RmRegistry, page: &mut PageBuf, rec: &LogRecord) -> Result<bool> {
+    if page.page_lsn() >= rec.lsn {
         return Ok(false);
     }
-    core.rms.get(rec.rm)?.redo(&mut g, rec)?;
-    g.record_update(rec.lsn);
+    rms.get(rec.rm)?.redo(page, rec)?;
+    page.set_page_lsn(rec.lsn);
+    Ok(true)
+}
+
+/// Restart's redo of one record: fix its page exclusive, as an update does,
+/// and take the redo step on it. Returns whether it applied.
+fn redo_record(core: &Core, rec: &LogRecord) -> Result<bool> {
+    let mut g = core.pool.fix_x(rec.page)?;
+    if !redo_step(&core.rms, &mut g, rec)? {
+        return Ok(false);
+    }
+    g.mark_dirty_raw(rec.lsn);
     core.stats.redo_applied.bump();
     Ok(true)
 }
@@ -122,6 +119,7 @@ impl ForwardPass {
         let prog = &core.obs.gauge.recovery;
         prog.phase.set(recovery_phase::REDO);
         prog.current_lsn.set(pass.at.0);
+        prog.target_lsn.set(log.next_lsn().0);
         ariesim_fault::crash_point!("recovery.analysis.done");
         Ok(pass)
     }
@@ -140,14 +138,13 @@ impl ForwardPass {
         prog.target_lsn.set(upto.0);
         let _span = core.obs.span(SpanKind::Apply, 0, 0);
         let mut scan = core.log.scan(self.at);
-        let mut pinned = None;
         let mut decoded = 0u64;
         while decoded < max_records && scan.position() < upto {
             let Some(rec) = scan.next().transpose()? else {
                 break;
             };
             prog.current_lsn.set(rec.lsn.0);
-            self.apply(core, &mut pinned, &rec)?;
+            self.apply(core, &rec)?;
             prog.pages_redone.set(self.out.redo_applied);
             self.at = scan.position();
             decoded += 1;
@@ -158,12 +155,7 @@ impl ForwardPass {
     /// One record: redo it if its page may lack it, then, at or past the
     /// seed's CkptBegin, bring its transaction's entry up to date.
     #[deny(clippy::wildcard_enum_match_arm)]
-    fn apply<'p>(
-        &mut self,
-        core: &'p Core,
-        pinned: &mut Option<PinGuard<'p>>,
-        rec: &LogRecord,
-    ) -> Result<()> {
+    fn apply(&mut self, core: &Core, rec: &LogRecord) -> Result<()> {
         self.out.analyzed += 1;
         self.out.max_txn_id = self.out.max_txn_id.max(rec.txn.0);
         let tracked = rec.lsn >= self.ckpt_begin;
@@ -173,7 +165,7 @@ impl ForwardPass {
             let stale = tracked || self.dpt.get(&rec.page).is_some_and(|&l| rec.lsn >= l);
             if stale {
                 core.stats.restart_page_reads.bump();
-                if redo_record(core, pinned, rec)? {
+                if redo_record(core, rec)? {
                     self.out.redo_applied += 1;
                     ariesim_fault::crash_point!("recovery.redo.applied");
                 }
@@ -216,9 +208,9 @@ impl ForwardPass {
     }
 
     /// Roll back every transaction still in the table in one backward
-    /// sweep, force the log and resume transaction ids past the highest
+    /// sweep, largest LSN first, taking rollback's undo step on each
+    /// record; force the log and resume transaction ids past the highest
     /// seen. The pass must have reached the end of the log.
-    #[deny(clippy::wildcard_enum_match_arm)]
     pub fn finish(self, core: &Core) -> Result<RestartOutcome> {
         let Core {
             log,
@@ -243,37 +235,21 @@ impl ForwardPass {
         prog.losers_remaining.set(next_undo.len() as u64);
 
         while let Some((&txn, &lsn)) = next_undo.iter().max_by_key(|(_, &l)| l) {
+            let mut logger = ChainLogger::new(log, txn, chain_end[&txn]);
             if lsn.is_null() {
                 // This loser is fully undone: write its End record.
-                let mut logger = ChainLogger::for_restart(log, txn, chain_end[&txn]);
                 logger.control(RecordKind::End);
                 next_undo.remove(&txn);
                 chain_end.remove(&txn);
                 prog.losers_remaining.set(next_undo.len() as u64);
                 continue;
             }
-            let rec: LogRecord = log.read(lsn)?;
-            debug_assert_eq!(rec.txn, txn);
-            match rec.kind {
-                RecordKind::Update => {
-                    let mut logger = ChainLogger::for_restart(log, txn, chain_end[&txn]);
-                    let rm = rms.get(rec.rm)?;
-                    rm.undo(&mut logger, &rec)?;
-                    out.undone += 1;
-                    chain_end.insert(txn, logger.last_lsn);
-                    next_undo.insert(txn, rec.prev_lsn);
-                    ariesim_fault::crash_point!("recovery.undo.step");
-                }
-                RecordKind::Clr | RecordKind::DummyClr => {
-                    next_undo.insert(txn, rec.undo_next_lsn);
-                }
-                RecordKind::Commit
-                | RecordKind::Abort
-                | RecordKind::End
-                | RecordKind::CkptBegin
-                | RecordKind::CkptEnd => {
-                    next_undo.insert(txn, rec.prev_lsn);
-                }
+            let (next, undone) = undo_step(rms, &mut logger, &log.read(lsn)?)?;
+            chain_end.insert(txn, logger.last_lsn);
+            next_undo.insert(txn, next);
+            if undone {
+                out.undone += 1;
+                ariesim_fault::crash_point!("recovery.undo.step");
             }
         }
 

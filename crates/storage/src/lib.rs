@@ -30,5 +30,5 @@ pub mod pool;
 pub mod space;
 
 pub use disk::{DiskManager, ReadFaultHook, WriteFaultHook};
-pub use pool::{BufferPool, PageReadGuard, PageWriteGuard, PinGuard};
+pub use pool::{BufferPool, PageReadGuard, PageWriteGuard};
 pub use space::{SpaceMap, SpaceRm, FIRST_USER_PAGE, SPACE_MAP_PAGE};

@@ -2,31 +2,30 @@
 //!
 //! Each buffer frame owns an `RwLock<PageBuf>` inline; holding the lock *is*
 //! holding the page latch, in the mode the lock was taken in. Frames
-//! additionally carry an explicit atomic pin count: guards hold a
-//! [`PinGuard`] (an RAII pin), so a latched (or merely fixed) page can never
-//! be evicted, and unpinning is one atomic decrement — no pool-wide lock
-//! anywhere on the release path. Pins and page guards *borrow* the pool:
-//! a fix touches no reference count, only the frame's own words.
+//! additionally carry an atomic pin count: every page guard holds a pin, so
+//! a latched page can never be evicted, and unpinning is one atomic
+//! decrement — no pool-wide lock anywhere on the release path. Page guards
+//! *borrow* the pool: a fix touches no reference count, only the frame's
+//! own words. The pin is private to the guard; there is no way to hold a
+//! frame without its latch.
 //!
 //! **The page map.** Which frame holds a page is one atomic word per page
 //! in a page-indexed array ([`PageMap`]), allocated in 4096-page chunks on
 //! first use so an entry never moves. A `fix_*` hit reads the entry, pins
 //! the frame and latches it: no mutex and no hash. The frame may be evicted
-//! between the read and the pin; the owner word every latcher validates
-//! after acquiring the latch then fails ([`Error::StalePin`]) and `fix_*`
-//! retries. A re-pin through an existing [`PinGuard`] (or a guard's
-//! [`PageGuard::repin`]) touches only the frame's atomics.
+//! between the read and the pin; the owner word the latcher validates after
+//! acquiring the latch then no longer names the page, and `fix_*` drops the
+//! latch and pin and retries from the page map.
 //!
-//! **Partitioning.** Misses, eviction, [`BufferPool::pin`], the dirty page
-//! table and flushing go through N partitions ("shards"): `hash(PageId) →
-//! shard`, each shard owning a contiguous slice of the frame array plus its
-//! own mutex, dirty-page bookkeeping and [`Clock`] hand; a page's map entry
-//! is written only under its shard's mutex. The shard count follows from
-//! the frame count alone ([`BufferPool::partitions`]). Shard mutexes report
-//! to the latch monitor as `PoolShard` (rank 3 — a thread never holds two
-//! shards at once). Fixes and misses are counted once, in `Stats`
-//! (`page_fixes`, `page_reads`); `obs.pool` holds evictions and shard
-//! contention.
+//! **Partitioning.** Misses, eviction, the dirty page table and flushing go
+//! through N partitions ("shards"): `hash(PageId) → shard`, each shard
+//! owning a contiguous slice of the frame array plus its own mutex,
+//! dirty-page bookkeeping and [`Clock`] hand; a page's map entry is written
+//! only under its shard's mutex. The shard count follows from the frame
+//! count alone ([`BufferPool::partitions`]). Shard mutexes report to the
+//! latch monitor as `PoolShard` (rank 3 — a thread never holds two shards
+//! at once). Fixes and misses are counted once, in `Stats` (`page_fixes`,
+//! `page_reads`); `obs.pool` holds evictions and shard contention.
 //!
 //! The pool implements the ARIES buffer policies (paper §1.2):
 //!
@@ -44,10 +43,9 @@
 //! **Failed loads.** A miss installs its page-map entry *before* the read
 //! I/O, so concurrent fixes of the same page hit the loading frame and wait
 //! on the loader's latch instead of double-loading. If the read fails the
-//! install is unwound; any pin taken on the frame in that window turns into
-//! [`Error::StalePin`] at its next latch attempt, exactly as a hit that
-//! raced an eviction does. `fix_*` retries the fix transparently; explicit
-//! [`PinGuard`] holders see the error.
+//! install is unwound and the frame's owner word cleared; a fix that hit
+//! the frame in that window fails its owner check once it gets the latch,
+//! exactly as a hit that raced an eviction does, and retries the fix.
 //!
 //! Latch acquisition supports conditional (`try_`) variants, used by the
 //! B+-tree to obey the paper's rule that nothing waits for a latch while
@@ -104,19 +102,17 @@ impl<'p> Mode<'p, WriteLatch<'p>> {
 }
 
 /// One buffer frame: the latched page image plus its pin count. The pin
-/// count is outside every mutex: a page-map hit, re-pinning from an
-/// existing pin and *all* unpinning are plain atomics; only
-/// [`BufferPool::pin`] and a miss pin under the shard mutex.
+/// count is outside every mutex: a page-map hit and *all* unpinning are
+/// plain atomics; only a miss pins under the shard mutex.
 struct Frame {
     buf: Slot,
     pins: AtomicU32,
     /// PageId this frame currently holds (NULL while free), written only
     /// under the owning shard's mutex and the frame's write latch, at
-    /// install/unwind. Latchers validate it against their pin after
-    /// acquiring the latch: a hit may pin a frame an eviction is taking, and
-    /// a failed load unwinds a frame while foreign pins may exist; those
-    /// pins must fail loudly ([`Error::StalePin`]) rather than read whatever
-    /// image the frame holds now.
+    /// install/unwind. A fix validates it against its pin after acquiring
+    /// the latch: a hit may pin a frame an eviction is taking, and a failed
+    /// load unwinds a frame while foreign pins may exist; such a fix must
+    /// retry rather than read whatever image the frame holds now.
     owner: AtomicU32,
 }
 
@@ -237,7 +233,7 @@ impl std::ops::DerefMut for ShardGuard<'_> {
     }
 }
 
-/// The buffer pool. Page guards and pins borrow it.
+/// The buffer pool. Page guards borrow it.
 pub struct BufferPool {
     frames: Vec<Frame>,
     map: PageMap,
@@ -372,17 +368,6 @@ impl BufferPool {
         self.fix(page, &Mode::EXCLUSIVE, true, "storage::pool::fix_x")
     }
 
-    /// Fix `page` without latching it: the returned pin keeps the frame
-    /// resident, and its [`PinGuard::latch_s`]/[`PinGuard::latch_x`] latch
-    /// the page again without any shard lookup. This is the fast re-access
-    /// path for callers that revisit the same page repeatedly (redo loops,
-    /// standby apply).
-    pub fn pin(&self, page: PageId) -> Result<PinGuard<'_>> {
-        self.stats.page_fixes.bump();
-        let (pin, _) = self.claim(page)?;
-        Ok(pin)
-    }
-
     fn fix<'p, L>(
         &'p self,
         page: PageId,
@@ -397,12 +382,12 @@ impl BufferPool {
                 None => self.claim(page)?,
             };
             let Some((wlatch, held)) = loaded else {
-                match self.latch_frame(pin, mode, conditional, site) {
-                    // An eviction took the frame, or a concurrent failed
-                    // load unwound it, between our pin and our latch;
-                    // re-fix from the page map.
-                    Err(Error::StalePin { .. }) => continue,
-                    other => return other,
+                // `None`: an eviction took the frame, or a concurrent failed
+                // load unwound it, between our pin and our latch; re-fix
+                // from the page map.
+                match self.latch_frame(pin, mode, conditional, site)? {
+                    Some(guard) => return Ok(guard),
+                    None => continue,
                 }
             };
             // The latch was already acquired (and reported) inside `claim`,
@@ -418,15 +403,21 @@ impl BufferPool {
 
     /// Latch an already-pinned frame. On a conditional miss the pin is
     /// dropped (one atomic) and [`Error::WouldBlock`] returned; if the
-    /// frame stopped holding the pinned page (a concurrent failed load
-    /// unwound it), [`Error::StalePin`].
+    /// frame stopped holding the pinned page (an eviction took it or a
+    /// concurrent failed load unwound it), the latch and pin are dropped
+    /// and `None` returned.
+    ///
+    /// Kept out of line: inlined into `fix`, its one caller, it made the
+    /// benchmark's `write_mixed` insert, update and delete p50s 12–20%
+    /// slower in 10 of 10 alternating pairs on a 2-vCPU host.
+    #[inline(never)]
     fn latch_frame<'p, L>(
         &'p self,
         pin: PinGuard<'p>,
         mode: &Mode<'p, L>,
         conditional: bool,
         site: &'static str,
-    ) -> Result<PageGuard<'p, L>> {
+    ) -> Result<Option<PageGuard<'p, L>>> {
         let slot = &self.frames[pin.frame].buf;
         // A blocking request is reported (and order-checked) before it can
         // block; a conditional one only once it is granted.
@@ -446,14 +437,14 @@ impl BufferPool {
         // install/unwind — seeing the new owner implies seeing the map
         // state that produced it.
         if self.frames[pin.frame].owner.load(Ordering::Acquire) != pin.page.0 {
-            return Err(Error::StalePin { page: pin.page });
+            return Ok(None);
         }
         self.stats.latches_page.bump();
-        Ok(PageGuard {
+        Ok(Some(PageGuard {
             latch,
             _held: held,
             pin,
-        })
+        }))
     }
 
     /// Write a dirty page's latched `image` to disk. The monitor checks the
@@ -468,8 +459,8 @@ impl BufferPool {
 
     /// Pin `page`'s frame through the page map: an entry load and a pin.
     /// `fix` calls it with no shard mutex, so an eviction may take the
-    /// frame between the two; the post-latch owner check then fails with
-    /// `StalePin`. A miss calls it again under the shard mutex.
+    /// frame between the two; the post-latch owner check then fails and the
+    /// fix retries. A miss calls it again under the shard mutex.
     fn hit(&self, page: PageId) -> Option<PinGuard<'_>> {
         let frame = self.map.get(page)?;
         // ordering: AcqRel pin increment pairs with the install's pin re-check — a pin it misses belongs to a hit whose owner check will fail
@@ -616,8 +607,8 @@ impl BufferPool {
                 // Unwind the install: drop the mapping (the frame holds
                 // garbage for `page`) before releasing latch and pin. The
                 // owner word goes back to NULL so threads that pinned the
-                // frame through the short-lived mapping get `StalePin` from
-                // their latch instead of this non-image.
+                // frame through the short-lived mapping fail their owner
+                // check and retry instead of reading this non-image.
                 {
                     let mut g = self.lock_shard(sid, "storage::pool::claim.unwind");
                     if self.map.get(page) == Some(gidx) {
@@ -777,55 +768,14 @@ impl BufferPool {
     }
 }
 
-/// An RAII pin on one buffer frame: while any pin is live the frame cannot
-/// be evicted, so the page stays resident and re-latchable. Cloning a pin
-/// and dropping one are single atomic operations — no shard mutex, which is
-/// what makes the re-pin path of repeated page visits contention-free.
-pub struct PinGuard<'p> {
+/// An RAII pin on one buffer frame, private to the [`PageGuard`] that holds
+/// it: while any pin is live the frame cannot be evicted. Dropping one is a
+/// single atomic decrement — no shard mutex.
+struct PinGuard<'p> {
     pool: &'p BufferPool,
     /// Global frame index.
     frame: usize,
     page: PageId,
-}
-
-impl<'p> PinGuard<'p> {
-    /// The pinned page.
-    pub fn page(&self) -> PageId {
-        self.page
-    }
-
-    /// S-latch the pinned page (blocking). No shard lookup: the pin keeps
-    /// the frame's identity stable. The only failure is
-    /// [`Error::StalePin`] — a concurrent failed load unwound the frame
-    /// after this pin was taken; re-fix the page through the pool to retry.
-    pub fn latch_s(&self) -> Result<PageReadGuard<'p>> {
-        self.pool.latch_frame(self.clone(), &Mode::SHARED, false, "storage::pool::pin.latch_s")
-    }
-
-    /// Conditionally S-latch the pinned page.
-    pub fn try_latch_s(&self) -> Result<PageReadGuard<'p>> {
-        self.pool.latch_frame(self.clone(), &Mode::SHARED, true, "storage::pool::pin.latch_s")
-    }
-
-    /// X-latch the pinned page (blocking); failure modes as [`Self::latch_s`].
-    pub fn latch_x(&self) -> Result<PageWriteGuard<'p>> {
-        self.pool.latch_frame(self.clone(), &Mode::EXCLUSIVE, false, "storage::pool::pin.latch_x")
-    }
-
-    /// Conditionally X-latch the pinned page.
-    pub fn try_latch_x(&self) -> Result<PageWriteGuard<'p>> {
-        self.pool.latch_frame(self.clone(), &Mode::EXCLUSIVE, true, "storage::pool::pin.latch_x")
-    }
-}
-
-impl Clone for PinGuard<'_> {
-    fn clone(&self) -> Self {
-        // Safe without the shard mutex: we hold a pin, so the count is ≥ 1
-        // and eviction (which requires 0) cannot race the increment.
-        // ordering: AcqRel pin increment pairs with eviction pin checks
-        self.pool.frames[self.frame].pins.fetch_add(1, Ordering::AcqRel);
-        PinGuard { ..*self }
-    }
 }
 
 impl Drop for PinGuard<'_> {
@@ -851,14 +801,6 @@ pub struct PageGuard<'p, L> {
 pub type PageReadGuard<'p> = PageGuard<'p, ReadLatch<'p>>;
 /// Exclusive (X-latched) fixed page.
 pub type PageWriteGuard<'p> = PageGuard<'p, WriteLatch<'p>>;
-
-impl<'p, L> PageGuard<'p, L> {
-    /// Take an extra pin on this page (one atomic; no shard lookup), so it
-    /// stays resident after the guard is dropped.
-    pub fn repin(&self) -> PinGuard<'p> {
-        self.pin.clone()
-    }
-}
 
 impl<L: std::ops::Deref<Target = PageBuf>> std::ops::Deref for PageGuard<'_, L> {
     type Target = PageBuf;

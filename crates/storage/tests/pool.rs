@@ -1,6 +1,6 @@
 //! Buffer-pool behaviour through the public API: fix/latch modes, eviction
-//! under the WAL rule, the dirty page table, pins, partitioning, page-map
-//! hits racing evictions, and the two fault-hook regressions for the
+//! under the WAL rule, the dirty page table, pin balance, partitioning,
+//! page-map hits racing evictions, and the two fault-hook regressions for the
 //! claim/install and failed-load-unwind races.
 
 use ariesim_common::page::PageType;
@@ -282,45 +282,6 @@ fn partitions_spread_pages_and_auto_clamp() {
     assert_eq!(resident.iter().sum::<usize>(), 64);
 }
 
-#[test]
-fn pin_guard_keeps_page_resident_and_relatches() {
-    let (_d, pool, _log) = setup(8);
-    format_page(&pool, PageId(1));
-    let pin = pool.pin(PageId(1)).unwrap();
-    // Hammer the pool so an unpinned page 1 would be evicted.
-    for i in 2..=30u32 {
-        format_page(&pool, PageId(i));
-    }
-    assert!(pool.is_cached(PageId(1)), "pin must prevent eviction");
-    {
-        let g = pin.latch_s().unwrap();
-        assert_eq!(g.page_id(), PageId(1));
-    }
-    {
-        let mut g = pin.latch_x().unwrap();
-        g.record_update(Lsn(9));
-    }
-    assert_eq!(pool.dpt_snapshot().len(), pool.dpt_snapshot().len());
-    drop(pin);
-    assert_eq!(pool.total_pins(), 0);
-}
-
-#[test]
-fn repin_from_guard_is_lock_free_and_balanced() {
-    let (_d, pool, _log) = setup(8);
-    format_page(&pool, PageId(2));
-    let pin = {
-        let g = pool.fix_s(PageId(2)).unwrap();
-        g.repin()
-    };
-    assert_eq!(pool.total_pins(), 1);
-    let g2 = pin.try_latch_s().unwrap();
-    assert_eq!(g2.page_id(), PageId(2));
-    drop(g2);
-    drop(pin);
-    assert_eq!(pool.total_pins(), 0);
-}
-
 /// Two concurrent misses on the same page must resolve to a single
 /// frame: the loser of the install race aborts its eviction and retries
 /// as a hit. The interleaving is forced deterministically — a write
@@ -382,13 +343,14 @@ fn concurrent_misses_on_same_page_install_one_frame() {
     pool.validate_mappings();
 }
 
-/// A pin taken through the short-lived mapping of an in-flight load
-/// whose read then fails must not silently observe a recycled frame:
-/// the unwind clears the frame's owner word, latching through the stale
-/// pin reports `StalePin`, and re-fixing through the pool retries the
-/// read.
+/// A fix that hits the short-lived mapping of an in-flight load whose read
+/// then fails must not hand out the frame: it pins the loading frame and
+/// blocks on the loader's latch; the unwind clears the frame's owner word,
+/// so once latched the fix fails its owner check, retries from the page
+/// map, reloads page 1 and returns it — never the failed frame's bytes.
 #[test]
 fn failed_load_unwind_invalidates_concurrent_pins() {
+    use std::sync::atomic::AtomicBool;
     use std::sync::mpsc;
 
     let (_d, pool, _log) = setup(8);
@@ -400,13 +362,14 @@ fn failed_load_unwind_invalidates_concurrent_pins() {
     }
     assert!(!pool.is_cached(PageId(1)), "page 1 must start evicted");
 
-    // Hook: announce entry into the read, hold the load open until
-    // released, then fail it.
+    // Hook: the first read of page 1 announces itself, is held open until
+    // released, then fails; later reads pass.
     let (entered_tx, entered_rx) = mpsc::channel::<()>();
     let (release_tx, release_rx) = mpsc::channel::<()>();
     let release_rx = std::sync::Mutex::new(release_rx);
+    let tripped = AtomicBool::new(false);
     pool.disk().set_read_hook(Some(Arc::new(move |id: PageId| {
-        if id == PageId(1) {
+        if id == PageId(1) && !tripped.swap(true, Ordering::AcqRel) {
             entered_tx.send(()).unwrap();
             release_rx.lock().unwrap().recv().unwrap();
             return Err(Error::Io(std::io::Error::other("injected read fault")));
@@ -414,32 +377,30 @@ fn failed_load_unwind_invalidates_concurrent_pins() {
         Ok(())
     })));
 
-    let mut stale_pin = None;
     std::thread::scope(|s| {
         let loader = s.spawn(|| pool.fix_s(PageId(1)).is_err());
-        // The loader has installed the mapping and is inside the read;
-        // pin the page through that mapping (pins don't latch, so this
-        // does not wait out the load).
+        // The loader has installed the mapping and is inside the read.
         entered_rx.recv().unwrap();
-        let pin = pool.pin(PageId(1)).unwrap();
+        let second = s.spawn(|| {
+            let g = pool.fix_s(PageId(1)).unwrap();
+            (g.page_id(), g.page_lsn())
+        });
+        // The second fix has pinned the loading frame through that
+        // mapping (the loader holds the other pin); it waits on the
+        // loader's latch until the read fails.
+        while pool.total_pins() < 2 {
+            std::thread::yield_now();
+        }
         release_tx.send(()).unwrap();
         assert!(loader.join().unwrap(), "injected fault surfaces");
-        stale_pin = Some(pin);
+        assert_eq!(
+            second.join().unwrap(),
+            (PageId(1), Lsn(1)),
+            "the second fix returned a frame the failed load unwound"
+        );
     });
-    let pin = stale_pin.unwrap();
 
-    // The unwind freed the frame out from under the pin: latching must
-    // fail loudly rather than hand back whatever the frame holds now.
-    assert!(matches!(pin.latch_s(), Err(Error::StalePin { page }) if page == PageId(1)));
-    assert!(matches!(pin.try_latch_x(), Err(Error::StalePin { page }) if page == PageId(1)));
-
-    // Re-fixing through the pool retries the read and succeeds once the
-    // fault is cleared.
     pool.disk().set_read_hook(None);
-    let g = pool.fix_s(PageId(1)).unwrap();
-    assert_eq!(g.page_id(), PageId(1));
-    drop(g);
-    drop(pin);
     assert_eq!(pool.total_pins(), 0);
     pool.validate_mappings();
 }

@@ -287,7 +287,7 @@ impl TransactionManager {
         self.log_control(txn, RecordKind::Abort);
         crash_point!("txn.rollback.logged");
         let last = txn.last_lsn();
-        let new_last = undo_chain(&self.log, &self.rms, txn.id, last, Lsn::NULL, false)?;
+        let new_last = undo_chain(&self.log, &self.rms, txn.id, last, Lsn::NULL)?;
         crash_point!("txn.rollback.undone");
         {
             let mut g = txn.inner.lock();
@@ -314,7 +314,7 @@ impl TransactionManager {
     pub fn rollback_to(&self, txn: &TxnHandle, savepoint: Lsn) -> Result<()> {
         txn.check_active()?;
         let last = txn.last_lsn();
-        let new_last = undo_chain(&self.log, &self.rms, txn.id, last, savepoint, false)?;
+        let new_last = undo_chain(&self.log, &self.rms, txn.id, last, savepoint)?;
         txn.inner.lock().last_lsn = new_last;
         Ok(())
     }

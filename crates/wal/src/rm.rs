@@ -8,10 +8,12 @@
 //!
 //! [`ChainLogger`] is the one writer of a transaction's backward log chain:
 //! it owns the `last_lsn` cursor, so every record it appends is correctly
-//! linked via `prev_lsn`. Both forward processing (through the transaction
-//! manager) and undo (normal or restart) write through it — during restart
-//! undo there is no live transaction object, so recovery reconstructs a
-//! `ChainLogger` from the transaction table built by the forward pass.
+//! linked via `prev_lsn`. Forward processing (through the transaction
+//! manager) and undo write through it. Undo is the same at restart as in a
+//! rollback: with no live transaction object, restart builds a plain
+//! `ChainLogger` from the transaction table of its forward pass, and the
+//! resource managers undo through it exactly as they do for a rollback
+//! (ARIES/IM undo takes no locks either way, paper §4).
 
 use crate::manager::LogManager;
 use crate::record::{LogRecord, RecordKind, RmId};
@@ -22,30 +24,12 @@ pub struct ChainLogger<'a> {
     pub txn: TxnId,
     /// LSN of the transaction's most recent log record.
     pub last_lsn: Lsn,
-    /// True during restart undo: resource managers skip lock acquisition
-    /// (locks are unnecessary then — no other transactions are running;
-    /// paper §1.2 / §3).
-    pub restart: bool,
     log: &'a LogManager,
 }
 
 impl<'a> ChainLogger<'a> {
     pub fn new(log: &'a LogManager, txn: TxnId, last_lsn: Lsn) -> ChainLogger<'a> {
-        ChainLogger {
-            txn,
-            last_lsn,
-            restart: false,
-            log,
-        }
-    }
-
-    pub fn for_restart(log: &'a LogManager, txn: TxnId, last_lsn: Lsn) -> ChainLogger<'a> {
-        ChainLogger {
-            txn,
-            last_lsn,
-            restart: true,
-            log,
-        }
+        ChainLogger { txn, last_lsn, log }
     }
 
     pub fn log(&self) -> &'a LogManager {
@@ -142,13 +126,5 @@ mod tests {
         assert_eq!(r4.kind, RecordKind::DummyClr);
         assert_eq!(r4.undo_next_lsn, l1);
         assert_eq!(log.read(l5).unwrap().prev_lsn, l4);
-    }
-
-    #[test]
-    fn restart_flag_propagates() {
-        let dir = TempDir::new("rm");
-        let log = LogManager::open(&dir.file("wal"), LogOptions::default(), new_stats()).unwrap();
-        assert!(!ChainLogger::new(&log, TxnId(1), Lsn::NULL).restart);
-        assert!(ChainLogger::for_restart(&log, TxnId(1), Lsn::NULL).restart);
     }
 }

@@ -1,9 +1,10 @@
 //! Concurrency stress for the partitioned buffer pool.
 //!
 //! N threads hammer a pool deliberately smaller than the working set with a
-//! mix of reads, logged writes, explicit flushes and pin-guard re-latching,
-//! so pages are continuously evicted and faulted back in while latched
-//! neighbours pin frames. Afterwards three oracles must hold:
+//! mix of reads, logged writes, explicit flushes and reads that hold a page
+//! while fixing its neighbours, so pages are continuously evicted and
+//! faulted back in while held guards pin frames. Afterwards three oracles
+//! must hold:
 //!
 //! 1. **Pin balance** — every pin taken was released: the sum of all frame
 //!    pin counts is zero, and every page is still evictable.
@@ -18,7 +19,7 @@
 
 use ariesim::common::page::PageType;
 use ariesim::common::tmp::TempDir;
-use ariesim::common::{Lsn, PageId, TxnId};
+use ariesim::common::{Error, Lsn, PageId, TxnId};
 use ariesim::common::stats::StatsHandle;
 use ariesim::obs::{Obs, ObsHandle};
 use ariesim::storage::BufferPool;
@@ -111,19 +112,26 @@ fn storm_clock_policy() {
                                 g.owner()
                             );
                         }
-                        // Pin, hammer neighbours to force eviction pressure
-                        // around the pinned frame, then re-latch through the
-                        // pin (no page-table lookup) and check residency.
+                        // Hold page p under S and fix neighbours around it to
+                        // force eviction pressure: the held guard's pin must
+                        // keep p's frame, and the guard must still show p at
+                        // its current stamp. The neighbour fixes are
+                        // conditional: a thread holding a latch waits for
+                        // no other out of order.
                         7 => {
-                            let pin = pool.pin(PageId(p)).unwrap();
+                            let held = pool.fix_s(PageId(p)).unwrap();
                             for j in 1..4u32 {
                                 let q = 1 + (p + j * 31) % PAGES;
-                                let g = pool.fix_s(PageId(q)).unwrap();
-                                assert_eq!(g.page_id(), PageId(q));
+                                match pool.try_fix_s(PageId(q)) {
+                                    Ok(g) => assert_eq!(g.page_id(), PageId(q)),
+                                    Err(Error::WouldBlock) => {}
+                                    Err(e) => panic!("fix of neighbour {q}: {e}"),
+                                }
                             }
-                            assert!(pool.is_cached(PageId(p)), "pinned page evicted");
-                            let g = pin.latch_s().unwrap();
-                            assert_eq!(g.page_id(), PageId(p));
+                            assert!(pool.is_cached(PageId(p)), "held page evicted");
+                            assert_eq!(held.page_id(), PageId(p));
+                            let want = expected[p as usize].load(Ordering::Acquire);
+                            assert_eq!(held.owner(), want, "held page {p} changed under S");
                         }
                         // Explicit flush (foreground WAL-rule path).
                         8 => pool.flush_page(PageId(p)).unwrap(),
@@ -172,35 +180,37 @@ fn storm_clock_policy() {
     );
 }
 
-/// Pins cloned and dropped across threads stay balanced, and a page pinned
-/// anywhere survives arbitrary eviction pressure from everyone else.
+/// Pins that threads take and drop on one frame stay balanced, and a page
+/// one thread holds survives arbitrary eviction pressure from everyone
+/// else: the main thread holds the hot page under S while four threads
+/// fix the working set and, now and then, the hot page too (a concurrent
+/// hit on a held frame).
 #[test]
 fn cross_thread_pin_balance() {
     let obs = Obs::enabled(1 << 10);
     let (_dir, pool, log, _) = build_pool(obs);
     populate(&pool, &log);
 
-    let hot = pool.pin(PageId(7)).unwrap();
+    let hot = pool.fix_s(PageId(7)).unwrap();
     std::thread::scope(|s| {
         for t in 0..4u32 {
             let pool = pool.clone();
-            let hot = hot.clone();
             s.spawn(move || {
                 for i in 0..200u32 {
                     let p = 1 + (i * 13 + t * 53) % PAGES;
                     let g = pool.fix_s(PageId(p)).unwrap();
                     assert_eq!(g.page_id(), PageId(p));
+                    drop(g);
                     if i % 10 == 0 {
-                        // Re-latch the shared hot page through the clone.
-                        let hg = hot.latch_s().unwrap();
+                        let hg = pool.fix_s(PageId(7)).unwrap();
                         assert_eq!(hg.page_id(), PageId(7));
                     }
                 }
-                assert!(pool.is_cached(PageId(7)), "cross-thread pin ignored");
-                drop(hot);
+                assert!(pool.is_cached(PageId(7)), "a held page was evicted");
             });
         }
     });
+    assert_eq!(pool.total_pins(), 1, "only the held guard's pin is left");
     drop(hot);
     assert_eq!(pool.total_pins(), 0);
     pool.validate_mappings();
