@@ -61,9 +61,19 @@ fn describe_body(rec: &LogRecord) -> String {
                 HeapBody::Delete { slot, data, .. } => {
                     format!("HeapDelete slot={} len={}", slot.0, data.len())
                 }
-                HeapBody::Update { slot, new, .. } => {
-                    format!("HeapUpdate slot={} new_len={}", slot.0, new.len())
-                }
+                HeapBody::Update {
+                    slot,
+                    head,
+                    tail,
+                    old,
+                    new,
+                    ..
+                } => format!(
+                    "HeapUpdate slot={} head={head} tail={tail} old_len={} new_len={}",
+                    slot.0,
+                    old.len(),
+                    new.len()
+                ),
                 HeapBody::Format { table } => format!("HeapFormat {table}"),
                 HeapBody::ChainNext { old, new } => format!("HeapChainNext {old}→{new}"),
                 HeapBody::Noop => "Noop".into(),

@@ -1,6 +1,6 @@
 //! The heap manager: logged, locked record operations on heap files.
 
-use crate::body::HeapBody;
+use crate::body::{splice, HeapBody};
 use ariesim_common::ids::SlotNo;
 use ariesim_common::page::PageType;
 use ariesim_common::slotted::{MAX_CELL_LEN, SLOT_LEN};
@@ -505,13 +505,7 @@ impl HeapManager {
             l.update(
                 RmId::Heap,
                 rid.page,
-                HeapBody::Update {
-                    table,
-                    slot: rid.slot,
-                    old: old.clone(),
-                    new: new.to_vec(),
-                }
-                .encode(),
+                HeapBody::update(table, rid.slot, &old, new).encode(),
             )
         });
         g.record_update(lsn);
@@ -547,6 +541,14 @@ impl HeapManager {
     }
 }
 
+/// The error for an update record whose slot holds no cell.
+fn dead_slot(rec: &LogRecord, slot: SlotNo) -> Error {
+    Error::CorruptLog {
+        lsn: rec.lsn,
+        reason: format!("heap update of dead slot {} on {}", slot.0, rec.page),
+    }
+}
+
 impl ResourceManager for HeapManager {
     fn rm_id(&self) -> RmId {
         RmId::Heap
@@ -557,7 +559,18 @@ impl ResourceManager for HeapManager {
         match HeapBody::decode(&rec.body)? {
             HeapBody::Insert { slot, data, .. } => page.alloc_cell_at(slot, &data),
             HeapBody::Delete { slot, .. } => page.free_cell(slot).map(|_| ()),
-            HeapBody::Update { slot, new, .. } => page.replace_cell_at(slot.0, &new),
+            HeapBody::Update {
+                slot,
+                head,
+                tail,
+                old,
+                new,
+                ..
+            } => {
+                let cell = page.cell(slot.0).ok_or_else(|| dead_slot(rec, slot))?;
+                let after = splice(cell, head, tail, &old, &new)?;
+                page.replace_cell_at(slot.0, &after)
+            }
             HeapBody::Format { table } => {
                 page.format(rec.page, PageType::Heap, table.0, 0);
                 Ok(())
@@ -591,10 +604,15 @@ impl ResourceManager for HeapManager {
             HeapBody::Update {
                 table,
                 slot,
+                head,
+                tail,
                 old,
                 new,
             } => {
-                g.replace_cell_at(slot.0, &old)?;
+                let cell = g.cell(slot.0).ok_or_else(|| dead_slot(rec, slot))?;
+                let before = splice(cell, head, tail, &new, &old)?;
+                g.replace_cell_at(slot.0, &before)?;
+                // The middles differ in length exactly as the images do.
                 if old.len() > new.len() {
                     self.space
                         .lock()
@@ -604,6 +622,8 @@ impl ResourceManager for HeapManager {
                 HeapBody::Update {
                     table,
                     slot,
+                    head,
+                    tail,
                     old: new,
                     new: old,
                 }

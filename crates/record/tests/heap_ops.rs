@@ -648,3 +648,115 @@ fn insert_too_large_for_any_page_fails_without_growing_the_file() {
     assert_eq!(chain_free(&f).len(), 1);
     f.tm.commit(&txn).unwrap();
 }
+
+fn log_bytes(f: &Fix) -> u64 {
+    f.core.stats.snapshot().log_bytes
+}
+
+/// Crash `f` (every unflushed page image and log byte is lost), reopen its
+/// directory and run restart.
+fn crash_and_restart(f: Fix) -> Fix {
+    let first_page = f.first_page;
+    let Fix {
+        _dir: dir,
+        core,
+        tm,
+        heap,
+        ..
+    } = f;
+    drop((core, tm, heap));
+    let f = open(dir, first_page);
+    ariesim_recovery::restart(&f.core).unwrap();
+    f
+}
+
+/// A 121-byte row whose bytes `at..at + k` are `fill` and the rest `b'.'`.
+fn row(at: usize, k: usize, fill: u8) -> Vec<u8> {
+    let mut r = vec![b'.'; 121];
+    r[at..at + k].fill(fill);
+    r
+}
+
+#[test]
+fn update_logs_only_the_bytes_it_changes() {
+    let f = fix();
+    let txn = f.tm.begin();
+    let rid = f.heap.insert(&txn, f.table, f.first_page, &row(0, 0, 0)).unwrap();
+    f.tm.commit(&txn).unwrap();
+    for (at, k) in [(0, 1), (50, 4), (107, 14), (0, 121)] {
+        let txn = f.tm.begin();
+        let before = log_bytes(&f);
+        f.heap.update(&txn, f.table, rid, &row(at, k, b'a' + k as u8)).unwrap();
+        // Frame 8 + Update envelope 22 + body 15 (op, table, slot, head,
+        // tail, two length prefixes) + the two k-byte middles.
+        assert_eq!(log_bytes(&f) - before, 45 + 2 * k as u64, "k = {k} at {at}");
+        let before = log_bytes(&f);
+        f.tm.commit(&txn).unwrap();
+        // Frame 8 + Commit envelope 17.
+        assert_eq!(log_bytes(&f) - before, 25);
+        let txn = f.tm.begin();
+        f.heap.update(&txn, f.table, rid, &row(0, 0, 0)).unwrap();
+        f.tm.commit(&txn).unwrap();
+    }
+}
+
+/// The shapes a prefix/suffix split has an edge at, each as (before, after).
+const UPDATE_EDGES: [(&[u8], &[u8]); 7] = [
+    (b"row 1: payload aaaa, end", b"row 1: payload bbbb, end"),
+    (b"grows", b"gr-o-o-ws"),
+    (b"shr-i-i-nks", b"shrinks"),
+    (b"abcdef", b"uvwxyz"),
+    (b"same bytes", b"same bytes"),
+    (b"prefix and more", b"prefix"),
+    (b"abab", b"ab"),
+];
+
+#[test]
+fn changed_range_updates_roll_back_byte_for_byte() {
+    for (before, after) in UPDATE_EDGES {
+        let f = fix();
+        let txn = f.tm.begin();
+        let rid = f.heap.insert(&txn, f.table, f.first_page, before).unwrap();
+        f.tm.commit(&txn).unwrap();
+        let txn = f.tm.begin();
+        assert_eq!(f.heap.update(&txn, f.table, rid, after).unwrap(), before);
+        assert_eq!(f.heap.fetch(&txn, rid, true).unwrap(), after);
+        f.tm.rollback(&txn).unwrap();
+        let txn = f.tm.begin();
+        assert_eq!(f.heap.fetch(&txn, rid, false).unwrap(), before, "{after:?} rolled back");
+        f.tm.commit(&txn).unwrap();
+    }
+}
+
+#[test]
+fn changed_range_updates_survive_a_crash_byte_for_byte() {
+    for (before, after) in UPDATE_EDGES {
+        let f = fix();
+        let txn = f.tm.begin();
+        let rid = f.heap.insert(&txn, f.table, f.first_page, before).unwrap();
+        f.tm.commit(&txn).unwrap();
+        // A rolled-back update (its CLR) and then a committed one: redo
+        // replays the insert, the update, its CLR and the second update on
+        // a page that reached disk with none of them.
+        let txn = f.tm.begin();
+        f.heap.update(&txn, f.table, rid, after).unwrap();
+        f.tm.rollback(&txn).unwrap();
+        let txn = f.tm.begin();
+        f.heap.update(&txn, f.table, rid, after).unwrap();
+        f.tm.commit(&txn).unwrap();
+        let f = crash_and_restart(f);
+        let txn = f.tm.begin();
+        assert_eq!(f.heap.fetch(&txn, rid, false).unwrap(), after, "{before:?} redone");
+        f.tm.commit(&txn).unwrap();
+
+        // A loser's update back to `before`, its record durable: restart's
+        // undo splices the after-image back in.
+        let txn = f.tm.begin();
+        f.heap.update(&txn, f.table, rid, before).unwrap();
+        f.core.log.flush_all().unwrap();
+        let f = crash_and_restart(f);
+        let txn = f.tm.begin();
+        assert_eq!(f.heap.fetch(&txn, rid, false).unwrap(), after, "{before:?} undone");
+        f.tm.commit(&txn).unwrap();
+    }
+}

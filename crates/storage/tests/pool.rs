@@ -116,8 +116,19 @@ fn pinned_pages_are_never_evicted() {
             g
         })
         .collect();
-    // All frames pinned: another fix must fail, not evict.
-    assert!(matches!(pool.fix_s(PageId(99)), Err(Error::BufferPoolFull)));
+    // All frames pinned: another fix must fail, not evict. A victim scan
+    // that ignores pins picks a frame whose latch this thread holds and
+    // waits for it forever, so the fix runs on its own thread and a
+    // bounded wait turns that hang into a failure.
+    let (tx, rx) = std::sync::mpsc::channel();
+    let p = pool.clone();
+    std::thread::spawn(move || {
+        let _ = tx.send(p.fix_s(PageId(99)).map(drop));
+    });
+    match rx.recv_timeout(std::time::Duration::from_secs(10)) {
+        Ok(r) => assert!(matches!(r, Err(Error::BufferPoolFull)), "{r:?}"),
+        Err(_) => panic!("a fix with every frame pinned hung: the victim scan chose a pinned frame"),
+    }
     drop(guards);
     assert!(pool.fix_s(PageId(99)).is_ok());
 }

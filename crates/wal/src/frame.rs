@@ -21,7 +21,7 @@ use ariesim_common::{Lsn, Result};
 pub const FRAME_HEADER_LEN: usize = 8;
 
 /// Log file magic: identifies the file and its format version.
-pub const LOG_MAGIC: &[u8; 16] = b"ARIESIM-LOG-v01\0";
+pub const LOG_MAGIC: &[u8; 16] = b"ARIESIM-LOG-v02\0";
 
 /// First valid LSN: records start right after the file magic. Conveniently
 /// nonzero, so [`Lsn::NULL`] never collides with a real record.

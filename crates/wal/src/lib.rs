@@ -21,6 +21,15 @@
 //! string owned by the resource manager that wrote it ([`record`]). This is
 //! ARIES's resource-manager architecture: recovery dispatches bodies back to
 //! the RM identified by [`record::RmId`].
+//!
+//! A stored envelope holds only the fields its kind uses (format v02):
+//!
+//! | kind | stored fields | envelope |
+//! |---|---|---|
+//! | `Update` | `prev_lsn`, `txn`, `kind`, `rm`, `page` | 22 B |
+//! | `Clr` | `prev_lsn`, `txn`, `kind`, `undo_next_lsn`, `rm`, `page` | 30 B |
+//! | `DummyClr` | `prev_lsn`, `txn`, `kind`, `undo_next_lsn` | 25 B |
+//! | `Commit`, `Abort`, `End`, `CkptBegin`, `CkptEnd` | `prev_lsn`, `txn`, `kind` | 17 B |
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]

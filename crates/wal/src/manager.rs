@@ -29,7 +29,7 @@
 //! disk.
 
 use crate::frame::{self, FrameRead, FIRST_LSN, LOG_MAGIC};
-use crate::record::{LogRecord, ENVELOPE_LEN};
+use crate::record::LogRecord;
 use ariesim_common::codec::u32_at;
 use ariesim_common::stats::{Bump, StatsHandle};
 use ariesim_fault::crash_point;
@@ -213,15 +213,16 @@ impl LogManager {
     pub fn append(&self, rec: &LogRecord) -> Lsn {
         let sh = &self.sh;
         let _span = sh.obs.span(SpanKind::WalAppend, rec.txn.0, 0);
-        let envelope = rec.envelope();
-        let header = frame::frame_header(&[&envelope, &rec.body]);
-        let len = frame::frame_len(ENVELOPE_LEN + rec.body.len());
+        let (envelope, envelope_len) = rec.envelope();
+        let envelope = &envelope[..envelope_len];
+        let header = frame::frame_header(&[envelope, &rec.body]);
+        let len = frame::frame_len(envelope_len + rec.body.len());
         debug_assert_eq!(frame::frame_len(u32_at(&header, 0) as usize), len);
         let start = {
             let mut image = sh.image.lock();
             let start = image.len() as u64;
             image.extend_from_slice(&header);
-            image.extend_from_slice(&envelope);
+            image.extend_from_slice(envelope);
             image.extend_from_slice(&rec.body);
             start
         };

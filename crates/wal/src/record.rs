@@ -5,6 +5,21 @@
 //! carries everything ARIES's passes need without understanding bodies:
 //! restart's forward pass reads `kind`/`txn` for its transaction table and
 //! `page`/`rm` to redo, undo follows `prev_lsn`/`undo_next_lsn` chains.
+//!
+//! A stored envelope holds only the fields its kind uses. Every kind starts
+//! with `prev_lsn` (8 B), `txn` (8 B) and `kind` (1 B); the kind then adds
+//! `undo_next_lsn` (8 B) and/or `rm` (1 B) + `page` (4 B):
+//!
+//! | kind | added fields | envelope |
+//! |---|---|---|
+//! | `Update` | `rm`, `page` | 22 B |
+//! | `Clr` | `undo_next_lsn`, `rm`, `page` | 30 B |
+//! | `DummyClr` | `undo_next_lsn` | 25 B |
+//! | `Commit`, `Abort`, `End`, `CkptBegin`, `CkptEnd` | none | 17 B |
+//!
+//! Decoding fills an omitted field with NULL (`rm` with [`RmId::Txn`]);
+//! encoding a record whose omitted field holds anything else is a bug,
+//! caught by a `debug_assert!`.
 
 use ariesim_common::codec::{Reader, Writer};
 use ariesim_common::{Error, Lsn, PageId, Result, TxnId};
@@ -88,10 +103,31 @@ impl RecordKind {
     pub fn is_redoable(self) -> bool {
         matches!(self, RecordKind::Update | RecordKind::Clr)
     }
+
+    /// Whether this kind's envelope stores `undo_next_lsn`.
+    fn has_undo_next(self) -> bool {
+        matches!(self, RecordKind::Clr | RecordKind::DummyClr)
+    }
+
+    /// Whether this kind's envelope stores `rm` and `page`: exactly the
+    /// records redo applies to a page.
+    fn has_page(self) -> bool {
+        self.is_redoable()
+    }
+
+    /// Bytes of this kind's stored envelope (see the module docs).
+    pub fn envelope_len(self) -> usize {
+        ENVELOPE_PREFIX_LEN
+            + if self.has_undo_next() { 8 } else { 0 }
+            + if self.has_page() { 1 + 4 } else { 0 }
+    }
 }
 
-/// Serialized envelope: prev_lsn, txn, kind, undo_next_lsn, rm, page.
-pub const ENVELOPE_LEN: usize = 8 + 8 + 1 + 8 + 1 + 4;
+/// The envelope prefix every kind stores: prev_lsn, txn, kind.
+const ENVELOPE_PREFIX_LEN: usize = 8 + 8 + 1;
+
+/// The longest envelope, a CLR's: the prefix, undo_next_lsn, rm, page.
+pub const ENVELOPE_MAX_LEN: usize = ENVELOPE_PREFIX_LEN + 8 + 1 + 4;
 
 /// A fully decoded log record.
 #[derive(Clone, Debug)]
@@ -184,16 +220,35 @@ impl LogRecord {
         }
     }
 
-    /// The serialized envelope, which precedes the body in a stored record.
-    pub fn envelope(&self) -> [u8; ENVELOPE_LEN] {
-        let mut e = [0u8; ENVELOPE_LEN];
+    /// The serialized envelope, which precedes the body in a stored record:
+    /// a stack buffer and the length of its used prefix,
+    /// [`RecordKind::envelope_len`].
+    pub fn envelope(&self) -> ([u8; ENVELOPE_MAX_LEN], usize) {
+        let kind = self.kind;
+        debug_assert!(
+            kind.has_undo_next() || self.undo_next_lsn.is_null(),
+            "{kind:?} record stores no undo_next_lsn"
+        );
+        debug_assert!(
+            kind.has_page() || (self.rm == RmId::Txn && self.page.is_null()),
+            "{kind:?} record stores no rm or page"
+        );
+        let mut e = [0u8; ENVELOPE_MAX_LEN];
         e[0..8].copy_from_slice(&self.prev_lsn.0.to_le_bytes());
         e[8..16].copy_from_slice(&self.txn.0.to_le_bytes());
-        e[16] = self.kind as u8;
-        e[17..25].copy_from_slice(&self.undo_next_lsn.0.to_le_bytes());
-        e[25] = self.rm as u8;
-        e[26..30].copy_from_slice(&self.page.0.to_le_bytes());
-        e
+        e[16] = kind as u8;
+        let mut at = ENVELOPE_PREFIX_LEN;
+        if kind.has_undo_next() {
+            e[at..at + 8].copy_from_slice(&self.undo_next_lsn.0.to_le_bytes());
+            at += 8;
+        }
+        if kind.has_page() {
+            e[at] = self.rm as u8;
+            e[at + 1..at + 5].copy_from_slice(&self.page.0.to_le_bytes());
+            at += 5;
+        }
+        debug_assert_eq!(at, kind.envelope_len());
+        (e, at)
     }
 
     /// Decode a record stored as its [`envelope`](Self::envelope) then its
@@ -207,13 +262,21 @@ impl LogRecord {
             lsn,
             reason: format!("bad record kind {kind_raw}"),
         })?;
-        let undo_next_lsn = r.lsn()?;
-        let rm_raw = r.u8()?;
-        let rm = RmId::from_u8(rm_raw).ok_or_else(|| Error::CorruptLog {
-            lsn,
-            reason: format!("bad rm id {rm_raw}"),
-        })?;
-        let page = r.page_id()?;
+        let undo_next_lsn = if kind.has_undo_next() {
+            r.lsn()?
+        } else {
+            Lsn::NULL
+        };
+        let (rm, page) = if kind.has_page() {
+            let rm_raw = r.u8()?;
+            let rm = RmId::from_u8(rm_raw).ok_or_else(|| Error::CorruptLog {
+                lsn,
+                reason: format!("bad rm id {rm_raw}"),
+            })?;
+            (rm, r.page_id()?)
+        } else {
+            (RmId::Txn, PageId::NULL)
+        };
         let body = r.rest().to_vec();
         Ok(LogRecord {
             lsn,
@@ -332,30 +395,87 @@ impl CheckpointData {
 mod tests {
     use super::*;
 
+    /// A record as stored: its envelope, then its body.
+    fn stored(rec: &LogRecord) -> Vec<u8> {
+        let (e, n) = rec.envelope();
+        [&e[..n], &rec.body].concat()
+    }
+
+    /// Every stored field of a record (its LSN is implied by position).
+    fn fields(r: &LogRecord) -> (Lsn, TxnId, RecordKind, Lsn, RmId, PageId, &[u8]) {
+        (r.prev_lsn, r.txn, r.kind, r.undo_next_lsn, r.rm, r.page, &r.body)
+    }
+
     #[test]
-    fn envelope_roundtrip() {
-        let rec = LogRecord::update(
-            TxnId(7),
-            Lsn(100),
-            RmId::Index,
-            PageId(3),
-            b"body-bytes".to_vec(),
-        );
-        let enc = [&rec.envelope()[..], &rec.body].concat();
-        let dec = LogRecord::decode(Lsn(555), &enc).unwrap();
-        assert_eq!(dec.lsn, Lsn(555));
-        assert_eq!(dec.prev_lsn, Lsn(100));
-        assert_eq!(dec.txn, TxnId(7));
-        assert_eq!(dec.kind, RecordKind::Update);
-        assert_eq!(dec.rm, RmId::Index);
-        assert_eq!(dec.page, PageId(3));
-        assert_eq!(dec.body, b"body-bytes");
+    fn every_kind_round_trips_each_field_it_stores() {
+        use RecordKind::*;
+        for (kind, len) in [
+            (Update, 22),
+            (Clr, 30),
+            (DummyClr, 25),
+            (Commit, 17),
+            (Abort, 17),
+            (End, 17),
+            (CkptBegin, 17),
+            (CkptEnd, 17),
+        ] {
+            let rec = LogRecord {
+                lsn: Lsn::NULL,
+                prev_lsn: Lsn(0x0102_0304_0506_0708),
+                txn: TxnId(0x1112_1314_1516_1718),
+                kind,
+                undo_next_lsn: if kind.has_undo_next() {
+                    Lsn(0x2122_2324_2526_2728)
+                } else {
+                    Lsn::NULL
+                },
+                rm: if kind.has_page() { RmId::Space } else { RmId::Txn },
+                page: if kind.has_page() {
+                    PageId(0x3132_3334)
+                } else {
+                    PageId::NULL
+                },
+                body: b"body-bytes".to_vec(),
+            };
+            assert_eq!(kind.envelope_len(), len, "{kind:?}");
+            assert_eq!(rec.envelope().1, len, "{kind:?}");
+            let enc = stored(&rec);
+            assert_eq!(enc.len(), len + rec.body.len(), "{kind:?}");
+            let dec = LogRecord::decode(Lsn(555), &enc).unwrap();
+            assert_eq!(dec.lsn, Lsn(555));
+            assert_eq!(fields(&dec), fields(&rec), "{kind:?}");
+            // A body that is empty decodes as empty, not as a short read.
+            let bare = LogRecord {
+                body: Vec::new(),
+                ..rec.clone()
+            };
+            let dec = LogRecord::decode(Lsn(1), &stored(&bare)).unwrap();
+            assert_eq!(fields(&dec), fields(&bare), "{kind:?}");
+        }
+    }
+
+    #[test]
+    fn envelope_truncated_before_its_kind_fields_is_an_error() {
+        let rec = LogRecord::clr(TxnId(1), Lsn(50), RmId::Heap, PageId(9), Lsn(20), Vec::new());
+        let enc = stored(&rec);
+        for cut in 0..enc.len() {
+            assert!(LogRecord::decode(Lsn(1), &enc[..cut]).is_err(), "cut {cut}");
+        }
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "Commit record stores no rm or page")]
+    fn encoding_a_field_the_kind_does_not_store_is_a_bug() {
+        let mut rec = LogRecord::control(TxnId(1), Lsn::NULL, RecordKind::Commit);
+        rec.page = PageId(4);
+        rec.envelope();
     }
 
     #[test]
     fn clr_carries_undo_next() {
         let rec = LogRecord::clr(TxnId(1), Lsn(50), RmId::Heap, PageId(9), Lsn(20), vec![1]);
-        let dec = LogRecord::decode(Lsn(60), &[&rec.envelope()[..], &rec.body].concat()).unwrap();
+        let dec = LogRecord::decode(Lsn(60), &stored(&rec)).unwrap();
         assert_eq!(dec.kind, RecordKind::Clr);
         assert_eq!(dec.undo_next_lsn, Lsn(20));
         assert!(!dec.kind.is_undoable());
@@ -374,7 +494,7 @@ mod tests {
 
     #[test]
     fn bad_kind_byte_is_corrupt() {
-        let mut enc = LogRecord::control(TxnId(1), Lsn::NULL, RecordKind::Commit).envelope();
+        let (mut enc, _) = LogRecord::control(TxnId(1), Lsn::NULL, RecordKind::Commit).envelope();
         // Kind byte offset: 8 (prev) + 8 (txn). 3 was the retired begin
         // record's code; it is no longer a kind.
         for bad in [3, 200] {

@@ -75,7 +75,10 @@ fn append_allocates_nothing() {
     let dir = TempDir::new("wal-allocs");
     let m = LogManager::open(&dir.file("wal"), LogOptions::default(), new_stats()).unwrap();
     let recs = records();
-    let bytes: u64 = recs.iter().map(|r| 8 + 30 + r.body.len() as u64).sum();
+    let bytes: u64 = recs
+        .iter()
+        .map(|r| (8 + r.kind.envelope_len() + r.body.len()) as u64)
+        .sum();
     assert!(
         bytes < IMAGE_HEADROOM as u64,
         "the appends must fit the image's headroom"

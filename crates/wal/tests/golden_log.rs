@@ -1,11 +1,13 @@
 //! The log format is frozen. `tests/data/golden.wal` was written by the
-//! fixed record sequence below; the engine must read it back record for
-//! record, and writing the same sequence to a fresh log must give the same
-//! bytes.
+//! fixed record sequence below in format v02 (per-kind envelopes); the
+//! engine must read it back record for record, and writing the same
+//! sequence to a fresh log must give the same bytes. A log of any other
+//! format version is refused at open.
 
 use ariesim_common::stats::new_stats;
 use ariesim_common::tmp::TempDir;
-use ariesim_common::{Lsn, PageId, TxnId};
+use ariesim_common::{Error, Lsn, PageId, TxnId};
+use ariesim_wal::frame::LOG_MAGIC;
 use ariesim_wal::{
     CheckpointData, DptEntry, LogManager, LogOptions, LogRecord, RecordKind, RmId, TxnCkptEntry,
     TxnState,
@@ -119,4 +121,32 @@ fn the_sequence_writes_the_golden_bytes() {
         std::fs::read(&path).unwrap(),
         std::fs::read(GOLDEN).unwrap()
     );
+}
+
+#[test]
+fn golden_records_carry_their_kinds_envelopes() {
+    let golden = std::fs::read(GOLDEN).unwrap();
+    assert_eq!(&golden[..LOG_MAGIC.len()], b"ARIESIM-LOG-v02\0");
+    // Frame header 8 B + the kind's envelope + body, record after record.
+    let want: usize = sequence()
+        .iter()
+        .map(|r| 8 + r.kind.envelope_len() + r.body.len())
+        .sum();
+    assert_eq!(golden.len(), LOG_MAGIC.len() + want);
+}
+
+#[test]
+fn a_v01_log_is_refused_at_open() {
+    let dir = TempDir::new("golden");
+    let path = dir.file("wal");
+    let mut v01 = std::fs::read(GOLDEN).unwrap();
+    v01[..LOG_MAGIC.len()].copy_from_slice(b"ARIESIM-LOG-v01\0");
+    std::fs::write(&path, &v01).unwrap();
+    match LogManager::open(&path, LogOptions::default(), new_stats()) {
+        Err(Error::CorruptLog { reason, .. }) => assert_eq!(reason, "bad log file magic"),
+        Err(e) => panic!("wrong error for a v01 log: {e}"),
+        Ok(_) => panic!("a v01 log opened"),
+    }
+    // Refusing it left the file as it was.
+    assert_eq!(std::fs::read(&path).unwrap(), v01);
 }

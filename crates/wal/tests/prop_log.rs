@@ -75,8 +75,11 @@ proptest! {
         let m = open(&dir);
         let recs: Vec<LogRecord> = m.scan(Lsn::NULL).map(|r| r.unwrap()).collect();
         // Exactly the records whose full frame fits below `keep` survive.
-        // Frame = 8 bytes framing + 30-byte envelope + user body.
-        const ENVELOPE: u64 = 30;
+        // Frame = 8 bytes framing + envelope + user body. Every record
+        // here is an Update, whose envelope is 22 bytes (prev_lsn, txn,
+        // kind, rm, page); a CLR's is 30, a DummyClr's 25, any other
+        // kind's 17.
+        const ENVELOPE: u64 = 22;
         let expected = lsns
             .iter()
             .zip(&bodies)
