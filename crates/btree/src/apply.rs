@@ -1,8 +1,9 @@
 //! Applying index log bodies to pages — shared by forward processing and
 //! the redo pass, which is what makes redo *exactly* repeat history: the
-//! forward code constructs an [`IndexBody`], applies it through
-//! [`apply_body`], and logs it; redo decodes the body and calls the same
-//! function on the same page image.
+//! forward code constructs an [`IndexBody`] and hands it to
+//! `apply_logged`, which applies it through [`apply_body`], logs it and
+//! stamps the page; redo decodes the body and calls the same function on
+//! the same page image.
 //!
 //! [`undo_body`] is the page-oriented inverse used to roll back a partially
 //! completed SMO (paper §3: "Partially completed SMOs are undone in a
@@ -15,6 +16,8 @@ use crate::body::IndexBody;
 use crate::node::{leaf_insert, leaf_remove, node_cell, NodeCell};
 use ariesim_common::page::PageType;
 use ariesim_common::{Error, PageBuf, PageId, Result};
+use ariesim_storage::PageWriteGuard;
+use ariesim_wal::{ChainLogger, RmId};
 
 fn index_page_type(level: u16) -> PageType {
     if level == 0 {
@@ -193,6 +196,21 @@ pub fn apply_body(page: &mut PageBuf, page_id: PageId, body: &IndexBody) -> Resu
             }
         }
     }
+    Ok(())
+}
+
+/// The forward write of an index page: apply `body` to page `page`,
+/// X-latched by `g`, log it through `logger`, and stamp the page with the
+/// record's LSN under the same latch.
+pub(crate) fn apply_logged(
+    logger: &mut ChainLogger<'_>,
+    g: &mut PageWriteGuard<'_>,
+    page: PageId,
+    body: &IndexBody,
+) -> Result<()> {
+    apply_body(g, page, body)?;
+    let lsn = logger.update(RmId::Index, page, body.encode());
+    g.record_update(lsn);
     Ok(())
 }
 

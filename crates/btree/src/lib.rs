@@ -17,6 +17,9 @@
 //!   POSC establishment ([`insert`]).
 //! * **Delete** (§2.5, Figure 7): commit-duration X next-key lock, Delete_Bit
 //!   setting, tree-latch protection of boundary-key deletes ([`delete`]).
+//! * Insert and delete run one **leaf step** ([`step`]): §2.2's
+//!   conditional-lock rule, Figure 2's table and the next-key lookup, each
+//!   written once.
 //! * **SMOs** (Figures 8–10): page splits and page deletions as nested top
 //!   actions, serialized by the X tree latch, propagated bottom-up with
 //!   SM_Bits set, finished with a dummy CLR; the key insert that caused a
@@ -43,6 +46,7 @@ pub mod insert;
 pub mod node;
 pub mod rmimpl;
 pub mod smo;
+pub mod step;
 pub mod traverse;
 
 use ariesim_common::stats::StatsHandle;
@@ -159,27 +163,18 @@ impl BTree {
     /// Create a new empty index inside `txn`: allocates and formats the root
     /// as an empty leaf. Returns the root page id.
     pub fn create(core: &Core, txn: &TxnHandle, index_id: IndexId) -> Result<PageId> {
-        use ariesim_common::page::PageType;
-        use ariesim_wal::RmId;
         let space = SpaceMap::new(core.pool.clone());
         txn.with_logger(&core.log, |logger| {
             let root = space.allocate(logger)?;
-            let mut g = core.pool.fix_x(root)?;
-            g.format(root, PageType::IndexLeaf, index_id.0, 0);
-            let lsn = logger.update(
-                RmId::Index,
-                root,
-                body::IndexBody::PageFormat {
-                    index: index_id,
-                    level: 0,
-                    cells: Vec::new(),
-                    prev: PageId::NULL,
-                    next: PageId::NULL,
-                    sm_bit: false,
-                }
-                .encode(),
-            );
-            g.record_update(lsn);
+            let body = body::IndexBody::PageFormat {
+                index: index_id,
+                level: 0,
+                cells: Vec::new(),
+                prev: PageId::NULL,
+                next: PageId::NULL,
+                sm_bit: false,
+            };
+            apply::apply_logged(logger, &mut core.pool.fix_x(root)?, root, &body)?;
             Ok(root)
         })
     }

@@ -22,7 +22,7 @@
 //! those are logged as regular records, which these are) — the caller just
 //! passes the rollback's [`ChainLogger`].
 
-use crate::apply::apply_body;
+use crate::apply::apply_logged;
 use crate::body::IndexBody;
 use crate::node::{node_cell, node_find_child, node_search, raw_cells, NodeCell};
 use crate::BTree;
@@ -31,7 +31,7 @@ use ariesim_common::key::SearchKey;
 use ariesim_common::slotted::SLOT_LEN;
 use ariesim_common::stats::Bump;
 use ariesim_common::{Error, IndexKey, PageId, Result};
-use ariesim_wal::{ChainLogger, RmId};
+use ariesim_wal::ChainLogger;
 
 impl BTree {
     /// Root-to-leaf descent recording the page ids on the way. Must be
@@ -50,13 +50,9 @@ impl BTree {
         Ok(path)
     }
 
-    /// Fix `page` exclusive, apply `body`, log it, stamp the page LSN.
+    /// Fix `page` exclusive, then apply, log and stamp `body` on it.
     fn smo_action(&self, logger: &mut ChainLogger<'_>, page: PageId, body: IndexBody) -> Result<()> {
-        let mut g = self.pool.fix_x(page)?;
-        apply_body(&mut g, page, &body)?;
-        let lsn = logger.update(RmId::Index, page, body.encode());
-        g.record_update(lsn);
-        Ok(())
+        apply_logged(logger, &mut self.pool.fix_x(page)?, page, &body)
     }
 
     /// Grow the tree by one level: the root's cells move into a fresh child;
@@ -77,9 +73,7 @@ impl BTree {
                 next: PageId::NULL,
                 sm_bit: true,
             };
-            apply_body(&mut cg, child, &body)?;
-            let lsn = logger.update(RmId::Index, child, body.encode());
-            cg.record_update(lsn);
+            apply_logged(logger, &mut cg, child, &body)?;
         }
         crash_point!("smo.grow.child_formatted");
         let body = IndexBody::RootReplace {
@@ -89,9 +83,7 @@ impl BTree {
             child,
             old_cells: cells,
         };
-        apply_body(&mut g, self.root, &body)?;
-        let lsn = logger.update(RmId::Index, self.root, body.encode());
-        g.record_update(lsn);
+        apply_logged(logger, &mut g, self.root, &body)?;
         crash_point!("smo.grow.root_replaced");
         Ok(child)
     }
@@ -154,9 +146,7 @@ impl BTree {
                 next: if is_leaf { old_next } else { PageId::NULL },
                 sm_bit: true,
             };
-            apply_body(&mut ng, new_page, &body)?;
-            let lsn = logger.update(RmId::Index, new_page, body.encode());
-            ng.record_update(lsn);
+            apply_logged(logger, &mut ng, new_page, &body)?;
         }
         crash_point!("smo.split.new_formatted");
         // Shrink the split page.
@@ -168,9 +158,7 @@ impl BTree {
                 new_next: if is_leaf { new_page } else { PageId::NULL },
                 dropped_high,
             };
-            apply_body(&mut g, target, &body)?;
-            let lsn = logger.update(RmId::Index, target, body.encode());
-            g.record_update(lsn);
+            apply_logged(logger, &mut g, target, &body)?;
         }
         drop(g);
         crash_point!("smo.split.shrunk");
@@ -219,9 +207,7 @@ impl BTree {
                     sep,
                     new_child: right,
                 };
-                apply_body(&mut g, pa, &body)?;
-                let lsn = logger.update(RmId::Index, pa, body.encode());
-                g.record_update(lsn);
+                apply_logged(logger, &mut g, pa, &body)?;
                 crash_point!("smo.post.sep_added");
                 return Ok(());
             }
@@ -299,9 +285,7 @@ impl BTree {
                         old_level: g.level(),
                         old_cells: Vec::new(),
                     };
-                    apply_body(&mut g, self.root, &body)?;
-                    let lsn = logger.update(RmId::Index, self.root, body.encode());
-                    g.record_update(lsn);
+                    apply_logged(logger, &mut g, self.root, &body)?;
                     performed = true;
                 }
                 break;
@@ -355,9 +339,7 @@ impl BTree {
                     old_high: cell.high_key,
                     dropped_high,
                 };
-                apply_body(&mut g, pa, &body)?;
-                let lsn = logger.update(RmId::Index, pa, body.encode());
-                g.record_update(lsn);
+                apply_logged(logger, &mut g, pa, &body)?;
                 g.slot_count() == 0
             };
             crash_point!("smo.delete.sep_removed");
@@ -370,9 +352,7 @@ impl BTree {
                     prev,
                     next,
                 };
-                apply_body(&mut g, victim, &body)?;
-                let lsn = logger.update(RmId::Index, victim, body.encode());
-                g.record_update(lsn);
+                apply_logged(logger, &mut g, victim, &body)?;
             }
             crash_point!("smo.delete.page_freed");
             self.space.free(logger, victim)?;

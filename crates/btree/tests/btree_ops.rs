@@ -168,6 +168,39 @@ fn delete_not_found_reports_and_locks() {
     f.tm.commit(&txn).unwrap();
 }
 
+/// A not-found delete that waits for its next-key lock retries inside the
+/// one delete it is: `index_deletes` counts it once.
+#[test]
+fn not_found_delete_that_waits_counts_one_delete() {
+    use ariesim_lock::{LockDuration, LockMode};
+    use std::time::{Duration, Instant};
+    let f = fix();
+    let setup = f.tm.begin();
+    f.tree.insert(&setup, &nkey(10)).unwrap();
+    f.tm.commit(&setup).unwrap();
+
+    // T1 holds X on the key after the absent one.
+    let t1 = f.tm.begin();
+    let next = f.tree.lock_name_of(&nkey(10));
+    f.locks
+        .request(t1.id, next, LockMode::X, LockDuration::Commit, false)
+        .unwrap();
+    let before = f.stats.snapshot().index_deletes;
+    let t2 = f.tm.begin();
+    std::thread::scope(|s| {
+        let deleter = s.spawn(|| f.tree.delete(&t2, &nkey(5)));
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !f.locks.has_waiters() {
+            assert!(Instant::now() < deadline, "T2 never waited for the next key");
+            std::thread::yield_now();
+        }
+        f.tm.commit(&t1).unwrap();
+        assert!(matches!(deleter.join().unwrap(), Err(Error::NotFound)));
+    });
+    assert_eq!(f.stats.snapshot().index_deletes - before, 1);
+    f.tm.commit(&t2).unwrap();
+}
+
 #[test]
 fn rollback_of_insert_is_page_oriented_when_key_still_there() {
     let f = fix();

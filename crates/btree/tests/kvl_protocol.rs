@@ -95,6 +95,30 @@ fn delete_with_remaining_duplicates_skips_next_lock() {
     f.tm.commit(&txn).unwrap();
 }
 
+/// The remaining duplicate sits *before* the deleted key, so the next key
+/// has another value: it still must not be locked.
+#[test]
+fn delete_with_a_duplicate_before_skips_next_lock() {
+    let f = fix(LockProtocol::KeyValue, false);
+    let setup = f.tm.begin();
+    f.tree.insert(&setup, &key("v", 1)).unwrap();
+    f.tree.insert(&setup, &key("v", 2)).unwrap();
+    f.tree.insert(&setup, &key("w", 1)).unwrap();
+    f.tm.commit(&setup).unwrap();
+
+    let before = f.stats.snapshot();
+    let txn = f.tm.begin();
+    f.tree.delete(&txn, &key("v", 2)).unwrap();
+    assert_eq!(f.locks.holds(txn.id, &value_lock("v")), Some(LockMode::X));
+    assert_eq!(
+        f.locks.holds(txn.id, &value_lock("w")),
+        None,
+        "'v' keeps an instance before the deleted key: no next-value lock needed"
+    );
+    assert_eq!(f.stats.snapshot().since(&before).locks_next_key, 0);
+    f.tm.commit(&txn).unwrap();
+}
+
 #[test]
 fn kvl_serializes_different_duplicates_aries_im_does_not() {
     // THE headline difference (paper §1): under KVL, T2 deleting one

@@ -4,7 +4,7 @@
 //! Audit result (kept current with the counter block):
 //!
 //! * `latches_tree_instant` — live: `BTree::tree_instant_s` (traverse.rs)
-//!   and the Delete_Bit POSC reset in insert.rs.
+//!   and the SM_Bit / Delete_Bit POSC reset in the leaf step (step.rs).
 //! * `media_recovery_passes` — live: `ImageCopy::recover_page` (media.rs).
 //! * `undo_page_oriented` — live: three undo arms in btree/rmimpl.rs.
 //! * `redo_traversals` — deliberately has **no** bump site: ARIES/IM redo

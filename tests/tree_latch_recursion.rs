@@ -5,17 +5,24 @@
 //! latch deadlock, which §4 says cannot happen.
 //!
 //! The interleaving is forced, not hoped for: a held X tree latch sends the
-//! delete into its `need_tree_s` retry and parks it in `tree_s`; the root's
+//! delete into its tree-S retry and parks it in `tree_s`; the root's
 //! SM_Bit is set and its page latch held while the tree latch changes
 //! hands, so the deleter — now holding tree S — parks on the root; a second
 //! thread then queues for tree X; only then is the root released. The
 //! deleter must clear the stale bit and finish under its one S latch; the
 //! rig's latch monitor must have seen no rank-equal tree-latch wait.
+//!
+//! A delete that empties its leaf holds the X tree latch from its descent
+//! on, and a next-key lock denied there is waited for only after the tree
+//! latch is released (§4). The second test holds the next key's lock, lets
+//! the delete queue for it, and then takes the X tree latch from another
+//! thread: a delete that waited under the latch fails the run in 10 s.
 
 mod support;
 
 use ariesim::btree::fetch::{FetchCond, FetchResult};
 use ariesim::btree::LockProtocol;
+use ariesim::lock::{LockDuration, LockMode};
 use std::io::Write;
 use std::sync::mpsc;
 use std::time::Duration;
@@ -111,4 +118,65 @@ fn boundary_delete_retry_takes_the_tree_latch_once() {
 
     let m = f.obs.monitor.snapshot();
     assert!(m.clean() && m.max_latch_depth == 2, "latch monitor: {m:?}");
+}
+
+#[test]
+fn emptying_delete_waits_for_its_next_key_without_the_tree_latch() {
+    let f = fix(LockProtocol::DataOnly, false);
+    let setup = f.tm.begin();
+    let mut n = 0;
+    while f.stats.snapshot().smo_splits == 0 {
+        f.tree.insert(&setup, &nkey(n)).unwrap();
+        n += 1;
+    }
+    f.tm.commit(&setup).unwrap();
+
+    // Commit deletes until the leftmost leaf (not the root) holds one key.
+    let leaf = f.tree.leaf_for_value(&nkey(0).value).unwrap();
+    assert_ne!(leaf, f.tree.root, "the split must have left a nonleaf root");
+    let on_leaf = u32::from(f.pool.fix_s(leaf).unwrap().slot_count());
+    let setup = f.tm.begin();
+    for i in 0..on_leaf - 1 {
+        f.tree.delete(&setup, &nkey(i)).unwrap();
+    }
+    f.tm.commit(&setup).unwrap();
+    assert_eq!(f.pool.fix_s(leaf).unwrap().slot_count(), 1);
+    let (last, next) = (nkey(on_leaf - 1), nkey(on_leaf));
+
+    // T1 holds X on the next key's lock name.
+    let t1 = f.tm.begin();
+    let next_name = f.tree.lock_name_of(&next);
+    f.locks
+        .request(t1.id, next_name, LockMode::X, LockDuration::Commit, false)
+        .unwrap();
+    let deletes_before = f.stats.snapshot().smo_page_deletes;
+    let t2 = f.tm.begin();
+    let (done_tx, done_rx) = mpsc::channel();
+    let (free_tx, free_rx) = mpsc::channel();
+    std::thread::scope(|s| {
+        let (tree, t2, last) = (&f.tree, &t2, &last);
+        s.spawn(move || done_tx.send(tree.delete(t2, last)).unwrap());
+        wait_for("the emptying delete waiting for its next key", || {
+            f.locks.has_waiters()
+        });
+        s.spawn(move || {
+            drop(tree.hold_tree_latch_x());
+            free_tx.send(()).unwrap();
+        });
+        if free_rx.recv_timeout(Duration::from_secs(10)).is_err() {
+            fail("the tree latch was held across the next-key lock wait");
+        }
+        f.tm.commit(&t1).unwrap();
+        match done_rx.recv_timeout(Duration::from_secs(20)) {
+            Ok(done) => done.expect("emptying delete failed"),
+            Err(_) => fail("emptying delete hung after the next key was released"),
+        }
+    });
+    f.tm.commit(&t2).unwrap();
+
+    assert_eq!(f.stats.snapshot().smo_page_deletes - deletes_before, 1);
+    assert_eq!(f.tree.check_structure().unwrap().keys, (n - on_leaf) as usize);
+    let m = f.obs.monitor.snapshot();
+    assert_eq!(m.lock_wait_with_latch_violations, 0, "latch monitor: {m:?}");
+    assert!(m.clean(), "latch monitor: {m:?}");
 }
