@@ -30,7 +30,7 @@ use ariesim_fault::crash_point;
 use ariesim_common::key::SearchKey;
 use ariesim_common::slotted::SLOT_LEN;
 use ariesim_common::stats::Bump;
-use ariesim_common::{Error, IndexKey, PageId, Result};
+use ariesim_common::{Error, IndexKey, PageId, Result, Rid};
 use ariesim_wal::ChainLogger;
 
 impl BTree {
@@ -123,7 +123,19 @@ impl BTree {
         let is_leaf = g.level() == 0;
         let level = g.level();
         let old_next = g.next();
-        let (sep, dropped_high) = if is_leaf {
+        let (sep, dropped_high) = if is_leaf && self.unique {
+            // A unique index searches by value alone (`BTree::insert`), and
+            // a value-only search sorts below every key of its value. So a
+            // separator (v, r) would route v left while a key (v, r') with
+            // r' ≥ r belongs right — as happens once the key the split
+            // copied is deleted and v is inserted again with a higher RID.
+            // (u, max RID), u the value of the last key kept, sorts above
+            // every key of u and below every key of a higher value, so
+            // value-only and full-key searches route alike (no data page
+            // has the id u32::MAX).
+            let last_kept = IndexKey::decode(&cells[split_idx - 1])?;
+            (IndexKey::new(last_kept.value, Rid::new(PageId(u32::MAX), u16::MAX)), None)
+        } else if is_leaf {
             (IndexKey::decode(&upper[0])?, None)
         } else {
             let last_kept = NodeCell::decode(&cells[split_idx - 1])?;

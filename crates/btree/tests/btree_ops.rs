@@ -541,3 +541,37 @@ fn fetch_next_until_honours_stop_conditions() {
     assert_eq!(count, 6);
     f.tm.commit(&txn).unwrap();
 }
+
+#[test]
+fn unique_value_reinserted_with_a_higher_rid_stays_reachable() {
+    // A leaf split posts a separator; if it is the full key of the first
+    // key moved right, deleting that key and inserting its value again with
+    // a higher RID routes the value-only insert left of the separator while
+    // the full key belongs right of it: the key lands on the wrong leaf and
+    // its own delete cannot find it.
+    let f = fix_with(true, LockProtocol::DataOnly, 256);
+    let txn = f.tm.begin();
+    let mut n = 0u32;
+    while f.stats.snapshot().smo_splits < 3 {
+        f.tree.insert(&txn, &nkey(n)).unwrap();
+        n += 1;
+    }
+    f.tm.commit(&txn).unwrap();
+    let moved = |i: u32| key(nkey(i).value, i + 1_000_000);
+    for i in 0..n {
+        let txn = f.tm.begin();
+        f.tree.delete(&txn, &nkey(i)).unwrap();
+        f.tm.commit(&txn).unwrap();
+        let txn = f.tm.begin();
+        f.tree.insert(&txn, &moved(i)).unwrap();
+        f.tm.commit(&txn).unwrap();
+    }
+    f.tree.check_structure().unwrap();
+    let txn = f.tm.begin();
+    for i in 0..n {
+        f.tree.delete(&txn, &moved(i)).unwrap();
+    }
+    f.tm.commit(&txn).unwrap();
+    f.tree.check_structure().unwrap();
+    assert!(f.tree.scan_all_unlocked().unwrap().is_empty());
+}
