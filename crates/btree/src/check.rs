@@ -12,9 +12,13 @@
 //! * the leaf chain's prev/next pointers agree with left-to-right order;
 //! * no page other than the root is empty once all SMOs are complete;
 //! * every reachable page is marked allocated in the space map.
+//!
+//! Beside it sit the two lock-free readers verification uses: a full scan
+//! and a point lookup, which see uncommitted state.
 
-use crate::node::{leaf_keys, node_cells};
+use crate::node::{leaf_key, leaf_keys, leaf_lower_bound, node_cell, node_cells};
 use crate::BTree;
+use ariesim_common::key::SearchKey;
 use ariesim_common::page::PageType;
 use ariesim_common::{Error, IndexKey, PageId, Result};
 
@@ -203,5 +207,48 @@ impl BTree {
             }
         }
         Ok(())
+    }
+
+    /// Unlocked full scan (verification and examples only — takes no locks,
+    /// so it sees uncommitted state).
+    pub fn scan_all_unlocked(&self) -> Result<Vec<IndexKey>> {
+        let mut out = Vec::new();
+        // Find the leftmost leaf.
+        let mut g = self.pool.fix_s(self.root)?;
+        while g.level() > 0 {
+            let child = node_cell(&g, 0)?.child;
+            let cg = self.pool.fix_s(child)?;
+            drop(g);
+            g = cg;
+        }
+        loop {
+            for i in 0..g.slot_count() {
+                out.push(leaf_key(&g, i)?);
+            }
+            let next = g.next();
+            if next.is_null() {
+                break;
+            }
+            let ng = self.pool.fix_s(next)?;
+            drop(g);
+            g = ng;
+        }
+        Ok(out)
+    }
+
+    /// Unlocked point lookup: the first key whose value equals `value`, or
+    /// `None`. Latch-only — no locks are requested, so the caller provides
+    /// isolation (a replication standby excludes its redo applier for the
+    /// duration of the read; verification accepts racy answers). Returns
+    /// [`Error::WouldBlock`] when the leaf chain is mid-SMO and the answer
+    /// is ambiguous; retry once the structure settles.
+    pub fn get_unlocked(&self, value: &[u8]) -> Result<Option<IndexKey>> {
+        let search = SearchKey::value_only(value);
+        let leaf = self.traverse(&search, false, false)?;
+        let idx = leaf_lower_bound(leaf.page(), &search)?;
+        match self.next_key_lock(leaf.page(), idx, &search)? {
+            Some(next) => Ok(next.key.filter(|k| k.value == value)),
+            None => Err(Error::WouldBlock),
+        }
     }
 }

@@ -9,21 +9,23 @@
 //! When no higher key exists anywhere, the per-index **EOF** name is locked
 //! instead.
 //!
-//! Locks are requested **conditionally while the leaf latch is held**; if
-//! denied, the page LSN is noted, every latch released, the lock awaited
-//! unconditionally, and the leaf re-latched — if its LSN is unchanged the
-//! previously inferred answer still holds, otherwise the search repeats
+//! Fetch runs on the primitives insert and delete use ([`crate::step`]):
+//! the next-key lookup, the conditional request made **while the leaf latch
+//! is held**, the unconditional wait once every latch is released, and the
+//! relatch of the noted leaf. If its page_LSN is unchanged, the search
+//! starts again on it — the lock waited for is requested once more,
+//! conditionally, and granted at once — otherwise it repeats from the root
 //! (Figure 5's "backup & search if needed").
 //!
 //! Fetch Next (§2.3) resumes where the previous call stopped. A [`Cursor`]
-//! holds the last key returned, its leaf, that leaf's page_LSN and the key's
-//! slot, all read while the leaf was S-latched. The next call S-latches that
-//! leaf again. If its page_LSN is unchanged, nothing on it has moved, and the
-//! next key is at the following slot or across the `next` pointer. If the
-//! LSN has moved, the call descends from the root by the last key, as Fetch
-//! does. A quiet scan therefore pays one descent, in `open_scan`. The test is
-//! Figure 5's LSN revalidation applied across calls; DESIGN.md §4 states
-//! why it is sound.
+//! holds the last key returned, its leaf and that leaf's page_LSN, read
+//! while the leaf was S-latched. The next call relatches that leaf. If its
+//! page_LSN is unchanged, nothing on it has moved: the search positions
+//! after the last key there and finds the next key on it or across the
+//! `next` pointer. If the LSN has moved, the call descends from the root by
+//! the last key, as Fetch does. A quiet scan therefore pays one descent, in
+//! `open_scan`. The test is Figure 5's LSN revalidation applied across
+//! calls; DESIGN.md §4 states why it is sound.
 //!
 //! Fetch Next also runs: [`BTree::fetch_next_run`] locks the next key as
 //! Fetch Next does and then, under the same S latch, the keys after it on
@@ -36,11 +38,9 @@ use crate::node::{leaf_key, leaf_lower_bound};
 use crate::traverse::LeafGuard;
 use crate::BTree;
 use ariesim_common::key::SearchKey;
-use ariesim_common::page::PageType;
 use ariesim_common::stats::Bump;
 use ariesim_common::{Error, IndexKey, Lsn, PageBuf, PageId, Result, Rid};
 use ariesim_lock::{LockDuration, LockMode, LockName};
-use ariesim_storage::PageReadGuard;
 use ariesim_txn::TxnHandle;
 
 /// Start condition of a fetch (§1.1: "a starting condition (=, >, or >=)
@@ -76,30 +76,15 @@ pub enum FetchResult {
     NotFound,
 }
 
-/// A range-scan cursor (§2.3): the last key returned, and where it sat when
-/// it was returned — its leaf, that leaf's page_LSN and its slot, read under
-/// the leaf's S latch. [`BTree::fetch_next`] continues at `slot + 1` while
-/// the leaf's page_LSN still reads `leaf_lsn`, and descends from the root by
-/// `last_key` once it does not.
+/// A range-scan cursor (§2.3): the last key returned, its leaf and that
+/// leaf's page_LSN, read under the leaf's S latch. [`BTree::fetch_next`]
+/// searches on from that leaf while its page_LSN still reads `leaf_lsn`,
+/// and descends from the root by `last_key` once it does not.
 #[derive(Clone, Debug)]
 pub struct Cursor {
     pub(crate) last_key: IndexKey,
     pub(crate) leaf: PageId,
     pub(crate) leaf_lsn: Lsn,
-    pub(crate) slot: u16,
-}
-
-/// Where the key following a position lives.
-pub(crate) enum NextKey<'p> {
-    /// At the given position on the same (still latched by caller) page.
-    OnPage(IndexKey),
-    /// At the given slot of a leaf to the right; the guard keeps it latched.
-    OnNext(IndexKey, u16, PageReadGuard<'p>),
-    /// No higher key exists in the index.
-    Eof,
-    /// The right neighbour is empty or not a valid leaf — an SMO is in
-    /// flight; wait for it and retry.
-    Ambiguous,
 }
 
 /// Search key positioned immediately *after* `after`: the successor RID
@@ -114,60 +99,6 @@ pub(crate) fn successor_search(after: &IndexKey) -> SearchKey<'_> {
 }
 
 impl BTree {
-    /// Find the key at `from_slot` on `leaf`, or the first key ≥ `search`
-    /// on a leaf to the right (paper §2.2's "the next leaf would be latched
-    /// and accessed while continuing to hold the latch on the first leaf").
-    ///
-    /// The walk *searches* each page rather than taking its first key: a
-    /// concurrent split may have moved the relevant keys to a right sibling
-    /// whose first key still sorts below `search`. The caller keeps `leaf`
-    /// latched, so the walk itself holds one chain page at a time: a hop
-    /// beyond the first neighbour releases the page it leaves before
-    /// latching the next one (two page latches in all, the paper's budget)
-    /// and then checks that page's `prev` pointer. A page deleted, or
-    /// re-created by a split of the page just left, in that window shows a
-    /// different `prev` (or is no leaf of this index at all) and makes the
-    /// walk [`NextKey::Ambiguous`].
-    pub(crate) fn next_key_after(
-        &self,
-        leaf: &PageBuf,
-        from_slot: u16,
-        search: &SearchKey<'_>,
-    ) -> Result<NextKey<'_>> {
-        if from_slot < leaf.slot_count() {
-            return Ok(NextKey::OnPage(leaf_key(leaf, from_slot)?));
-        }
-        let mut prev = leaf.page_id();
-        let mut next = leaf.next();
-        loop {
-            if next.is_null() {
-                return Ok(NextKey::Eof);
-            }
-            let g = self.pool.fix_s(next)?;
-            if !(self.is_own_leaf(&g) && g.prev() == prev) {
-                return Ok(NextKey::Ambiguous);
-            }
-            let idx = leaf_lower_bound(&g, search)?;
-            if idx < g.slot_count() {
-                let k = leaf_key(&g, idx)?;
-                return Ok(NextKey::OnNext(k, idx, g));
-            }
-            // Nothing ≥ search here (page emptied or shrunk by an SMO, a gap
-            // between a split's halves, or a run of duplicates below a
-            // maximal-RID search): keep walking.
-            prev = next;
-            next = g.next();
-        }
-    }
-
-    /// Is `page` a leaf of this index (and not a freed page, a page of
-    /// another index, a nonleaf or a heap page that reuses the id)?
-    fn is_own_leaf(&self, page: &PageBuf) -> bool {
-        matches!(page.page_type(), Ok(PageType::IndexLeaf))
-            && page.owner() == self.index_id.0
-            && page.level() == 0
-    }
-
     /// Fetch per §2.2: returns the first key satisfying (`value`, `cond`),
     /// S-locking it — or the next key / EOF on the not-found path.
     pub fn fetch(&self, txn: &TxnHandle, value: &[u8], cond: FetchCond) -> Result<FetchResult> {
@@ -201,7 +132,7 @@ impl BTree {
             _ => SearchKey::value_only(value),
         };
         let r = self.locked_first(txn, &SearchKey::value_only(value), &from, None)?;
-        Ok(r.map(|(at, _)| at).filter(|at| cond != FetchCond::Eq || at.last_key.value == value))
+        Ok(r.map(|(at, ..)| at).filter(|at| cond != FetchCond::Eq || at.last_key.value == value))
     }
 
     /// Fetch Next per §2.3: the key following the cursor position, S-locked.
@@ -226,10 +157,10 @@ impl BTree {
     ) -> Result<Option<Cursor>> {
         self.stats.index_fetches.bump();
         let from = SearchKey::value_only(from);
-        let Some((mut at, page)) = self.locked_first(txn, &from, &from, None)? else {
+        let Some((mut at, slot, page)) = self.locked_first(txn, &from, &from, None)? else {
             return Ok(None);
         };
-        self.extend_run(txn, page.page(), &mut at, stop, run)?;
+        self.extend_run(txn, page.page(), &mut at, slot, stop, run)?;
         Ok(Some(at))
     }
 
@@ -266,36 +197,37 @@ impl BTree {
             txn,
             &SearchKey::from_key(last),
             &successor_search(last),
-            Some(&*cursor),
+            Some((cursor.leaf, cursor.leaf_lsn)),
         )?;
-        let Some((at, page)) = found else {
+        let Some((at, slot, page)) = found else {
             return Ok(false);
         };
         *cursor = at;
         if let Some((stop, run)) = run {
-            self.extend_run(txn, page.page(), cursor, stop, run)?;
+            self.extend_run(txn, page.page(), cursor, slot, stop, run)?;
         }
         Ok(true)
     }
 
-    /// Append `at`'s key to `run`, then lock the keys after it on `page`
-    /// (`at`'s page, still S-latched by the caller) conditionally, one at a
-    /// time in key order, until the page ends, a request is denied, or a key
-    /// with value ≥ `stop` has been locked. `at` moves to the last key
-    /// locked; its page_LSN needs no update, as the latch has been held
-    /// throughout.
+    /// Append `at`'s key, at `slot` of `page` (its page, still S-latched by
+    /// the caller), to `run`, then lock the keys after it on `page`
+    /// conditionally, one at a time in key order, until the page ends, a
+    /// request is denied, or a key with value ≥ `stop` has been locked. `at`
+    /// moves to the last key locked; its page_LSN needs no update, as the
+    /// latch has been held throughout.
     fn extend_run(
         &self,
         txn: &TxnHandle,
         page: &PageBuf,
         at: &mut Cursor,
+        slot: u16,
         stop: &[u8],
         run: &mut Vec<IndexKey>,
     ) -> Result<()> {
         run.push(at.last_key.clone());
-        let mut slot = at.slot;
-        while slot + 1 < page.slot_count() && run.last().is_some_and(|k| k.value.as_slice() < stop) {
-            let k = leaf_key(page, slot + 1)?;
+        let mut last = slot;
+        while last + 1 < page.slot_count() && run.last().is_some_and(|k| k.value.as_slice() < stop) {
+            let k = leaf_key(page, last + 1)?;
             match self.locks.request(
                 txn.id,
                 self.key_lock(&k),
@@ -307,119 +239,66 @@ impl BTree {
                 Err(Error::WouldBlock) => break,
                 Err(e) => return Err(e),
             }
-            slot += 1;
+            last += 1;
             run.push(k);
         }
-        self.stats.index_fetches.add(u64::from(slot - at.slot));
-        if let Some(k) = run.last().filter(|_| slot != at.slot) {
+        self.stats.index_fetches.add(u64::from(last - slot));
+        if let Some(k) = run.last().filter(|_| last != slot) {
             at.last_key = k.clone();
-            at.slot = slot;
         }
         Ok(())
     }
 
-    /// The first key ≥ `from`, S-locked for commit duration, where it sits,
-    /// and the S-latched page it sits on — or `None` with the EOF name
-    /// locked (§2.2, Figure 5).
+    /// The first key ≥ `from`, S-locked for commit duration, as a cursor at
+    /// it, with its slot and the S-latched page it sits on — or `None` with
+    /// the EOF name locked (§2.2, Figure 5).
     ///
-    /// The first attempt starts on `resume`'s leaf, at the slot after its
-    /// key, if that leaf is unchanged; every other attempt starts on the
-    /// leaf a descent by `descend` reaches, at the first key ≥ `from`.
+    /// The first attempt starts on `resume`'s leaf if its page_LSN still
+    /// reads `resume`'s; every other attempt starts on the leaf a descent by
+    /// `descend` reaches, or on the leaf a wait left, if unchanged. Either
+    /// way the search positions at the first key ≥ `from`.
     fn locked_first(
         &self,
         txn: &TxnHandle,
         descend: &SearchKey<'_>,
         from: &SearchKey<'_>,
-        mut resume: Option<&Cursor>,
-    ) -> Result<Option<(Cursor, LeafGuard<'_>)>> {
+        mut resume: Option<(PageId, Lsn)>,
+    ) -> Result<Option<(Cursor, u16, LeafGuard<'_>)>> {
         loop {
-            let remembered = match resume.take() {
-                Some(c) => self.remembered_leaf(c)?,
+            let relatched = match resume.take() {
+                Some((leaf, lsn)) => self.relatch(leaf, lsn, false)?,
                 None => None,
             };
-            let (leaf, idx) = match remembered {
-                Some(at) => at,
-                None => {
-                    let leaf = self.traverse(descend, false, false)?;
-                    let idx = leaf_lower_bound(leaf.page(), from)?;
-                    (leaf, idx)
-                }
+            let leaf = match relatched {
+                Some(leaf) => leaf,
+                None => self.traverse(descend, false, false)?,
             };
-            let found = match self.next_key_after(leaf.page(), idx, from)? {
-                NextKey::OnPage(k) => Some((k, idx, None)),
-                NextKey::OnNext(k, slot, g) => Some((k, slot, Some(g))),
-                NextKey::Eof => None,
-                NextKey::Ambiguous => {
-                    drop(leaf);
-                    self.tree_instant_s();
-                    continue;
-                }
+            let idx = leaf_lower_bound(leaf.page(), from)?;
+            let Some(next) = self.next_key_lock(leaf.page(), idx, from)? else {
+                drop(leaf);
+                self.tree_instant_s();
+                continue;
             };
-            let lock = match &found {
-                Some((k, _, _)) => self.key_lock(k),
-                None => self.eof_lock(),
-            };
-            match self.locks.request(
-                txn.id,
-                lock.clone(),
-                LockMode::S,
-                LockDuration::Commit,
-                true,
-            ) {
-                Ok(()) => {
-                    // The position is read while the key's page is latched;
-                    // a key on the right neighbour lets go of `leaf`.
-                    return Ok(found.map(|(k, slot, next)| {
-                        let page = next.map_or(leaf, LeafGuard::S);
-                        let at = Cursor {
-                            last_key: k,
-                            leaf: page.page_id(),
-                            leaf_lsn: page.lsn(),
-                            slot,
-                        };
-                        (at, page)
-                    }));
-                }
-                Err(Error::WouldBlock) => {
-                    // Figure 5: note LSN, unlatch, wait, revalidate.
-                    let noted = leaf.lsn();
-                    let leaf_id = leaf.page_id();
-                    let on_leaf = matches!(&found, Some((_, _, None)));
-                    drop(found);
-                    drop(leaf);
-                    self.locks
-                        .request(txn.id, lock, LockMode::S, LockDuration::Commit, false)?;
-                    if on_leaf {
-                        // Every latch was released before the lock wait.
-                        let g = self.pool.fix_s(leaf_id)?;
-                        if g.page_lsn() == noted {
-                            // Nothing changed while we waited: the answer
-                            // stands, still at `idx`.
-                            let at = Cursor {
-                                last_key: leaf_key(&g, idx)?,
-                                leaf: leaf_id,
-                                leaf_lsn: noted,
-                                slot: idx,
-                            };
-                            return Ok(Some((at, LeafGuard::S(g))));
-                        }
-                    }
-                    continue;
-                }
-                Err(e) => return Err(e),
+            let denied =
+                self.try_lock(txn, leaf.page(), next.name, LockMode::S, LockDuration::Commit)?;
+            if let Some(wait) = denied {
+                // Figure 5: every latch is released before the wait.
+                drop((next.neighbour, leaf));
+                resume = Some(self.wait(txn, wait)?);
+                continue;
             }
+            // The position is read while the key's page is latched; a key on
+            // the right neighbour lets go of `leaf`.
+            return Ok(next.key.map(|last_key| {
+                let page = next.neighbour.map_or(leaf, LeafGuard::S);
+                let at = Cursor {
+                    last_key,
+                    leaf: page.page_id(),
+                    leaf_lsn: page.lsn(),
+                };
+                (at, next.slot, page)
+            }));
         }
-    }
-
-    /// `c`'s leaf, S-latched, with the slot after `c`'s key — if the leaf's
-    /// page_LSN still reads `c.leaf_lsn`, else `None` (latch released).
-    /// Every change to a leaf's keys, chain pointers or identity is logged
-    /// and moves its page_LSN (DESIGN.md §4), so an equal LSN means the key
-    /// still sits at `c.slot` and no key after it has moved.
-    fn remembered_leaf(&self, c: &Cursor) -> Result<Option<(LeafGuard<'_>, u16)>> {
-        let g = self.pool.fix_s(c.leaf)?; // a cursor holds no latch between calls
-        let unchanged = g.page_lsn() == c.leaf_lsn && self.is_own_leaf(&g);
-        Ok(unchanged.then(|| (LeafGuard::S(g), c.slot + 1)))
     }
 
     /// Fetch by key-value *prefix* (§1.1: "a key value or a partial key
@@ -458,52 +337,6 @@ impl BTree {
                 Ok(within.then_some(k))
             }
             None => Ok(None),
-        }
-    }
-
-    /// Unlocked full scan (verification and examples only — takes no locks,
-    /// so it sees uncommitted state).
-    pub fn scan_all_unlocked(&self) -> Result<Vec<IndexKey>> {
-        let mut out = Vec::new();
-        // Find the leftmost leaf.
-        let mut g = self.pool.fix_s(self.root)?;
-        while g.level() > 0 {
-            let child = crate::node::node_cell(&g, 0)?.child;
-            let cg = self.pool.fix_s(child)?;
-            drop(g);
-            g = cg;
-        }
-        loop {
-            for i in 0..g.slot_count() {
-                out.push(leaf_key(&g, i)?);
-            }
-            let next = g.next();
-            if next.is_null() {
-                break;
-            }
-            let ng = self.pool.fix_s(next)?;
-            drop(g);
-            g = ng;
-        }
-        Ok(out)
-    }
-
-    /// Unlocked point lookup: the first key whose value equals `value`, or
-    /// `None`. Latch-only — no locks are requested, so the caller provides
-    /// isolation (a replication standby excludes its redo applier for the
-    /// duration of the read; verification accepts racy answers). Returns
-    /// [`Error::WouldBlock`] when the leaf chain is mid-SMO and the answer
-    /// is ambiguous; retry once the structure settles.
-    pub fn get_unlocked(&self, value: &[u8]) -> Result<Option<IndexKey>> {
-        let search = SearchKey::value_only(value);
-        let leaf = self.traverse(&search, false, false)?;
-        let idx = leaf_lower_bound(leaf.page(), &search)?;
-        match self.next_key_after(leaf.page(), idx, &search)? {
-            NextKey::OnPage(k) | NextKey::OnNext(k, _, _) => {
-                Ok((k.value.as_slice() == value).then_some(k))
-            }
-            NextKey::Eof => Ok(None),
-            NextKey::Ambiguous => Err(Error::WouldBlock),
         }
     }
 
