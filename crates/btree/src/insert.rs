@@ -19,7 +19,8 @@
 //!   (§2.6).
 //! * All locks are requested **conditionally while latches are held**; on
 //!   denial every latch is released, the lock is waited for unconditionally,
-//!   and the operation re-traverses (§2.2).
+//!   and the operation starts again on the relatched leaf if its page_LSN
+//!   is unchanged, or re-traverses (§2.2).
 //! * If the leaf is full, the split SMO runs first and the insert is
 //!   performed after the SMO completes, under the tree latch (Figure 8) —
 //!   so a rollback undoes the insert but never the split.

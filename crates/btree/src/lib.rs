@@ -17,9 +17,10 @@
 //!   POSC establishment ([`insert`]).
 //! * **Delete** (§2.5, Figure 7): commit-duration X next-key lock, Delete_Bit
 //!   setting, tree-latch protection of boundary-key deletes ([`delete`]).
-//! * Insert and delete run one **leaf step** ([`step`]): §2.2's
-//!   conditional-lock rule, Figure 2's table and the next-key lookup, each
-//!   written once.
+//! * Insert and delete run one **leaf step** ([`step`]) with Figure 2's
+//!   table; all four operations share its next-key lookup, §2.2's
+//!   conditional request, the unconditional wait and the page_LSN relatch,
+//!   each written once.
 //! * **SMOs** (Figures 8–10): page splits and page deletions as nested top
 //!   actions, serialized by the X tree latch, propagated bottom-up with
 //!   SM_Bits set, finished with a dummy CLR; the key insert that caused a
